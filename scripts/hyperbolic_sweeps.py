@@ -16,9 +16,7 @@ import pathlib
 import sys
 
 from wcosym.cli import sweep_to_csv
-from wcosym.verify import SuiteConfig, nonexistence_sweep
-
-FAMILIES = ("j-hyperbolic", "c1-hyperbolic", "c2-hyperbolic", "hyperbolic-nonaut")
+from wcosym.verify import SWEEP_SUITES, run_suite
 
 
 def main() -> int:
@@ -29,8 +27,8 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     worst = 0
-    for family in FAMILIES:
-        report = nonexistence_sweep(family, SuiteConfig())
+    for family, suite_id in SWEEP_SUITES.items():
+        report = run_suite(suite_id)
         path = out_dir / f"{family}.csv"
         path.write_text(sweep_to_csv(report))
         minimum = min(r.residuals["deficiency"] for r in report.records)

@@ -5,7 +5,8 @@ Usage:
     python scripts/run_all_suites.py [--out reports/] [--seed N] [--samples M]
 
 Exit status: 0 when everything passes, 3 when the only disagreements are
-the documented ones, 1 otherwise.
+the documented ones, 1 otherwise.  A suite that raises is reported as
+ERROR with its exception, counts as 1, and the run goes on to the next.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import dataclasses
 import pathlib
 import sys
 import time
+import traceback
 
 from wcosym.cli import report_to_json
 from wcosym.verify import SUITES, check_registry, default_config, run_suite
@@ -37,7 +39,13 @@ def main() -> int:
         if args.samples is not None:
             cfg = dataclasses.replace(cfg, samples=args.samples)
         t0 = time.time()
-        report = run_suite(suite_id, cfg)
+        try:
+            report = run_suite(suite_id, cfg)
+        except Exception as exc:
+            traceback.print_exc()
+            print(f"{suite_id:24s} ERROR {type(exc).__name__}: {exc}")
+            worst = 1
+            continue
         (out_dir / f"{suite_id}.json").write_text(report_to_json(report))
         s = report.summary
         status = {0: "ok", 3: "known-discrepancy"}.get(report.exit_status, "FAIL")

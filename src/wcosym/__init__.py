@@ -50,13 +50,11 @@ from .mobius import (
     is_automorphism,
     is_self_map,
     mobius_equal,
-    normality_lft_check,
 )
 from .operators import (
     AntiLinearMatrix,
     Conjugation,
     TruncatedOperator,
-    adjoint,
     adjoint_factorization_residual,
     build_wco,
     conjugation_matrix,
@@ -64,13 +62,12 @@ from .operators import (
     normality_residual,
     symmetry_residual,
 )
-from .series import PowerSeries, RationalSymbol, compose_mobius, expand_rational, kernel_series, series_mul
+from .series import PowerSeries, RationalSymbol, expand_rational
 from .verify import (
     SuiteConfig,
     VerificationReport,
     SUITES,
     nonexistence_sweep,
-    oracle_consistency,
     run_suite,
 )
 

@@ -18,12 +18,7 @@ import sys
 from dataclasses import asdict
 from typing import Dict, List, Optional
 
-from .errors import (
-    CliParseError,
-    DomainViolationError,
-    UnknownSuiteError,
-    WcoError,
-)
+from .errors import CliParseError, WcoError
 from .families import (
     C1Params,
     C2NormalCase,
@@ -36,7 +31,7 @@ from .families import (
     j_normal_predicate,
     j_symbols,
 )
-from .mobius import ConstantMap, MobiusMap, classify, cowen_adjoint, lft_normality_defects
+from .mobius import ConstantMap, MobiusMap, classify, cowen_adjoint
 from .operators import (
     Conjugation,
     build_wco,
@@ -48,9 +43,12 @@ from .operators import (
 from .verify import (
     SuiteConfig,
     SUITES,
+    SWEEP_SUITES,
     VerificationReport,
+    agreement,
+    band_verdict,
     default_config,
-    nonexistence_sweep,
+    lft_oracle,
     run_suite,
 )
 
@@ -284,8 +282,6 @@ def cmd_classify(args) -> int:
 def _check_family(args):
     dim = args.dim or int(os.environ.get("WCO_DEFAULT_DIM", "64"))
     block = args.block
-    if args.tol is not None:
-        args.pass_tol = args.tol
     fam_key = args.family.lower()
     out: Dict[str, object] = {"family": fam_key}
     if fam_key == "j":
@@ -334,38 +330,27 @@ def _check_family(args):
     inv, iso = involution_residual(u, block)
     residuals["involution"] = inv
     residuals["isometry"] = iso
-    buildable = True
     try:
         t = build_wco(pair.psi, pair.phi, dim)
     except WcoError as exc:
-        buildable = False
+        t = None
         out["note"] = f"operator truncation unavailable: {exc}"
-    if buildable:
+    phi = pair.phi
+    if t is not None:
         residuals["symmetry"] = symmetry_residual(t, u, block)
         residuals["normality"] = normality_residual(t, block)
-        oracle_normal = residuals["normality"] <= args.pass_tol
-        inconclusive = args.pass_tol < residuals["normality"] < args.fail_tol
+        band = band_verdict(residuals["normality"], args)
+    elif isinstance(phi, ConstantMap):
+        band = "band"  # neither oracle applies: the verdict is inconclusive
     else:
         # coefficient-level oracle for symbols without a usable truncation
-        phi = pair.phi
-        if isinstance(phi, ConstantMap):
-            oracle_normal = None
-            inconclusive = True
-        else:
-            gap, defect = lft_normality_defects((phi.a, phi.b, phi.c, phi.d))
-            residuals["lft_modulus_gap"] = gap
-            residuals["lft_commute_defect"] = defect
-            oracle_normal = gap <= 1e-9 and defect <= 1e-9
-            inconclusive = False
+        lft = lft_oracle((phi.a, phi.b, phi.c, phi.d))
+        residuals["lft_modulus_gap"] = lft["modulus_gap"]
+        residuals["lft_commute_defect"] = lft["commute_defect"]
+        band = "pass" if lft["normal"] else "fail"
     out["residuals"] = _jsonable(residuals)
     out["predicates"] = _jsonable(pred)
-    claims = bool(pred.get("normal"))
-    if inconclusive or oracle_normal is None:
-        out["verdict"] = "inconclusive"
-    elif claims == oracle_normal:
-        out["verdict"] = "pass"
-    else:
-        out["verdict"] = "discrepancy"
+    out["verdict"] = agreement(bool(pred.get("normal")), band)
     return out
 
 
@@ -408,10 +393,7 @@ def cmd_suite(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = default_config(f"{args.family}-sweep")
-    if args.seed is not None:
-        cfg = SuiteConfig(**{**asdict(cfg), "seed": args.seed})
-    report = nonexistence_sweep(args.family, cfg)
+    report = run_suite(SWEEP_SUITES[args.family])
     if args.csv:
         _write_output(sweep_to_csv(report), args.csv)
     if args.json:
@@ -448,9 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--conjugation", choices=("j", "c1", "c2"), help="override the tested conjugation kind")
     p_chk.add_argument("--dim", type=int)
     p_chk.add_argument("--block", type=int, default=12)
-    p_chk.add_argument("--tol", type=float, help="overrides the pass threshold")
-    p_chk.add_argument("--pass-tol", dest="pass_tol", type=float, default=1e-7)
-    p_chk.add_argument("--fail-tol", dest="fail_tol", type=float, default=1e-3)
+    p_chk.add_argument("--pass-tol", dest="pass_tol", type=float, default=SuiteConfig.pass_tol)
+    p_chk.add_argument("--fail-tol", dest="fail_tol", type=float, default=SuiteConfig.fail_tol)
     p_chk.add_argument("--out")
     p_chk.set_defaults(func=cmd_check)
 
@@ -464,12 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.set_defaults(func=cmd_suite)
 
     p_sweep = sub.add_parser("sweep", help="nonexistence sweep over hyperbolic targets")
-    p_sweep.add_argument(
-        "--family",
-        required=True,
-        choices=("j-hyperbolic", "c1-hyperbolic", "c2-hyperbolic", "hyperbolic-nonaut"),
-    )
-    p_sweep.add_argument("--seed", type=int)
+    p_sweep.add_argument("--family", required=True, choices=tuple(SWEEP_SUITES))
     p_sweep.add_argument("--csv", help="write the CSV table here")
     p_sweep.add_argument("--json", help="write the JSON report here")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -490,10 +466,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (CliParseError, DomainViolationError, UnknownSuiteError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except WcoError as exc:
+    except (WcoError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:

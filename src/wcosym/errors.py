@@ -41,14 +41,6 @@ class OrderMismatchError(WcoError):
     """Series operands have different truncation orders."""
 
 
-class NotContractiveError(WcoError):
-    """Composition symbol has |m(0)| too close to 1 for re-expansion."""
-
-
-class OutsideDiskError(WcoError):
-    """Kernel point lies outside the open unit disk."""
-
-
 # ---- operators -------------------------------------------------------------
 
 class SymbolPoleError(WcoError):

@@ -373,18 +373,3 @@ def lft_normality_defects(quad) -> Tuple[float, float]:
     scale = float(np.linalg.norm(mq)) ** 2 * float(np.linalg.norm(sq)) ** 2
     return gap, float(np.linalg.norm(cross)) / scale
 
-
-def normality_lft_check(
-    m: MapLike, tol: float = EQUAL_TOL, require_self_map: bool = True
-) -> bool:
-    """Closed-form normality test for the weight K_{sigma(0)}.
-
-    True iff |m(0)| = |sigma(0)| and m and sigma commute under
-    composition (projective comparison of the composites).
-    """
-    if isinstance(m, ConstantMap):
-        raise ConstantMapError("normality check needs a non-constant map")
-    if require_self_map and not is_self_map(m):
-        raise NotSelfMapError("normality check needs a self-map")
-    gap, defect = lft_normality_defects((m.a, m.b, m.c, m.d))
-    return gap <= tol and defect <= tol

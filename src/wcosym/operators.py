@@ -27,8 +27,6 @@ from .mobius import ConstantMap, MobiusMap, cowen_adjoint, is_self_map, IDENTITY
 from .series import RationalSymbol, expand_rational, mobius_series
 
 BLOCK_PAD = 32
-PASS_TOL = 1e-7
-FAIL_TOL = 1e-3
 _POLE_GUARD = 1.0 + 1e-9
 
 
@@ -132,11 +130,6 @@ def build_wco(
         raise NotSelfMapError("composition symbol is not a self-map")
     psi_s = expand_rational(psi, n).coeffs
     return TruncatedOperator(n, _wco_columns(psi_s, phi, n))
-
-
-def adjoint(t: TruncatedOperator) -> TruncatedOperator:
-    """Conjugate transpose (the monomial basis is orthonormal)."""
-    return TruncatedOperator(t.dim, t.mat.conj().T)
 
 
 def conjugation_matrix(c: Conjugation, n: int) -> AntiLinearMatrix:

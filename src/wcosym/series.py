@@ -16,12 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    NotContractiveError,
-    OrderMismatchError,
-    OutsideDiskError,
-    PoleAtOriginError,
-)
+from .errors import OrderMismatchError, PoleAtOriginError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .mobius import MobiusMap
@@ -30,7 +25,6 @@ MAX_ORDER = 1024
 COEFF_ATOL = 1e-12
 COEFF_RTOL = 1e-9
 _POLE_EPS = 1e-14
-_CONTRACTION_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -135,40 +129,6 @@ def expand_rational(r: RationalSymbol, n: int) -> PowerSeries:
     return PowerSeries(c)
 
 
-def series_mul(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    """Cauchy product truncated to the common order."""
-    if f.order != g.order:
-        raise OrderMismatchError(f"orders differ: {f.order} != {g.order}")
-    return PowerSeries(np.convolve(f.coeffs, g.coeffs)[: f.order])
-
-
-def kernel_series(w: complex, n: int) -> PowerSeries:
-    """Reproducing kernel K_w(z) = 1/(1 - conj(w) z) as a power series."""
-    if abs(w) >= 1:
-        raise OutsideDiskError(f"|w| = {abs(w)} >= 1")
-    return PowerSeries(np.conj(w) ** np.arange(n))
-
-
 def mobius_series(m: "MobiusMap", n: int) -> PowerSeries:
     """Taylor coefficients of a Mobius map (az + b)/(cz + d) at 0."""
     return expand_rational(RationalSymbol(m.b, m.a, m.d, m.c), n)
-
-
-def compose_mobius(f: PowerSeries, m: "MobiusMap", n: int, pad: int = 32) -> PowerSeries:
-    """Coefficients of f(m(z)) through order ``n``.
-
-    Horner evaluation of sum f_k m(z)^k over the truncated series of m,
-    run at internal order n + pad so the high powers of m cannot corrupt
-    the returned coefficients.  Requires |m(0)| bounded away from 1: the
-    k-th term feeds the low coefficients with weight ~ |m(0)|^k.
-    """
-    m0 = m(0.0)
-    if abs(m0) >= 1 - _CONTRACTION_MARGIN:
-        raise NotContractiveError(f"|m(0)| = {abs(m0)} too close to 1")
-    n_int = min(n + pad, MAX_ORDER)
-    ms = mobius_series(m, n_int).coeffs
-    acc = np.zeros(n_int, dtype=complex)
-    for fk in f.coeffs[::-1]:
-        acc = np.convolve(acc, ms)[:n_int]
-        acc[0] += fk
-    return PowerSeries(acc[:n])

@@ -6,6 +6,11 @@ coefficient-level) oracle on every sample, and classifies the outcome with
 an explicit inconclusive band between the pass and fail thresholds so that
 truncation noise can never silently misclassify a near-boundary draw.
 Disagreements are reported as discrepancy records, never patched.
+
+A suite is a record generator ``(rng, cfg) -> Iterator[SampleRecord]``: a
+rejected draw is simply not yielded.  ``run_suite`` is the one driver that
+seeds the generator, enforces the suite's minimum dim and block, and
+builds the report.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -71,6 +76,9 @@ class SampleRecord:
     note: str = ""
 
 
+Records = Iterator[SampleRecord]
+
+
 @dataclass
 class VerificationReport:
     suite_id: str
@@ -95,7 +103,7 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# sampling helpers (all deterministic in the generator stream)
+# sampling helpers (all deterministic in the generator stream) and oracles
 # ---------------------------------------------------------------------------
 
 def _disk(rng, radius=1.0, min_radius=0.0):
@@ -110,7 +118,9 @@ def _angle(rng):
     return cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
 
 
-def _band_verdict(residual: float, cfg: SuiteConfig) -> str:
+def band_verdict(residual: float, cfg) -> str:
+    """"pass" at or below cfg.pass_tol, "fail" at or above cfg.fail_tol,
+    "band" in between; cfg is anything carrying those two thresholds."""
     if residual <= cfg.pass_tol:
         return "pass"
     if residual >= cfg.fail_tol:
@@ -118,7 +128,8 @@ def _band_verdict(residual: float, cfg: SuiteConfig) -> str:
     return "band"
 
 
-def _agreement(claims_normal: bool, oracle_band: str) -> str:
+def agreement(claims_normal: bool, oracle_band: str) -> str:
+    """Verdict of a claim against an oracle band; a residual in the band is inconclusive."""
     if oracle_band == "band":
         return "inconclusive"
     if claims_normal == (oracle_band == "pass"):
@@ -126,37 +137,9 @@ def _agreement(claims_normal: bool, oracle_band: str) -> str:
     return "discrepancy"
 
 
-def _matrix_normality(pair: fam.SymbolPair, cfg: SuiteConfig, dim: Optional[int] = None) -> float:
-    t = build_wco(pair.psi, pair.phi, dim or cfg.dim)
-    return normality_residual(t, cfg.block)
-
-
-# ---------------------------------------------------------------------------
-# individual suites
-# ---------------------------------------------------------------------------
-
-def suite_prop21_normal(cfg: SuiteConfig) -> VerificationReport:
-    """Interior-fixed-point family: every member passes the normality oracle."""
-    rng = np.random.default_rng(cfg.seed)
-    records = []
-    for _ in range(cfg.samples):
-        p = _disk(rng, 0.5)
-        delta = _disk(rng, 0.7)
-        gamma = 0.5 + rng.uniform(0.0, 1.0)
-        pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, gamma))
-        res = _matrix_normality(pair, cfg)
-        rec = SampleRecord(
-            params={"p": p, "delta": delta, "gamma": gamma},
-            residuals={"normality": res},
-            predicates={"in_family": True},
-            oracles={"normality_band": _band_verdict(res, cfg)},
-        )
-        rec.verdict = _agreement(True, rec.oracles["normality_band"])
-        records.append(rec)
-    return VerificationReport("prop21-normal", cfg, records)
-
-
-def _lft_oracle(quad) -> Dict[str, object]:
+def lft_oracle(quad) -> Dict[str, object]:
+    """Coefficient-level normality oracle for the weight K_{sigma(0)}; it
+    needs no truncation, so it also covers symbols without one."""
     gap, defect = lft_normality_defects(quad)
     return {
         "modulus_gap": gap,
@@ -165,10 +148,51 @@ def _lft_oracle(quad) -> Dict[str, object]:
     }
 
 
-def suite_prop22_commutation(cfg: SuiteConfig) -> VerificationReport:
+def _matrix_normality(pair: fam.SymbolPair, cfg: SuiteConfig) -> float:
+    t = build_wco(pair.psi, pair.phi, cfg.dim)
+    return normality_residual(t, cfg.block)
+
+
+def _oracle_record(cfg, params, predicates, claims, residual, kind="normality", **oracles) -> SampleRecord:
+    """Record whose verdict is the agreement of a claim with the band of
+    one matrix residual."""
+    band = band_verdict(residual, cfg)
+    return SampleRecord(
+        params=params,
+        residuals={kind: residual},
+        predicates=predicates,
+        oracles={f"{kind}_band": band, **oracles},
+        verdict=agreement(claims, band),
+    )
+
+
+def _form_record(params, predicates, form, ok) -> SampleRecord:
+    """Record of an automorphism normal-form recovery."""
+    return SampleRecord(
+        params=params,
+        predicates=predicates,
+        oracles={"form": type(form).__name__},
+        verdict="pass" if ok else "fail",
+    )
+
+
+# ---------------------------------------------------------------------------
+# individual suites
+# ---------------------------------------------------------------------------
+
+def suite_prop21_normal(rng, cfg: SuiteConfig) -> Records:
+    """Interior-fixed-point family: every member passes the normality oracle."""
+    for _ in range(cfg.samples):
+        p = _disk(rng, 0.5)
+        delta = _disk(rng, 0.7)
+        gamma = 0.5 + rng.uniform(0.0, 1.0)
+        pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, gamma))
+        params = {"p": p, "delta": delta, "gamma": gamma}
+        yield _oracle_record(cfg, params, {"in_family": True}, True, _matrix_normality(pair, cfg))
+
+
+def suite_prop22_commutation(rng, cfg: SuiteConfig) -> Records:
     """Weight K_{sigma(0)}: matrix normality iff the commuting condition."""
-    rng = np.random.default_rng(cfg.seed)
-    records = []
     for i in range(cfg.samples):
         kind = i % 4
         if kind == 0:  # generic self-map, generically non-normal
@@ -193,25 +217,17 @@ def suite_prop22_commutation(cfg: SuiteConfig) -> VerificationReport:
             m = fam.parabolic_j_symbols(a0, +1).phi
         sigma0 = cowen_sigma0(m)
         psi = RationalSymbol(1.0, 0.0, 1.0, -np.conj(sigma0))
-        lft = _lft_oracle((m.a, m.b, m.c, m.d))
-        res = _matrix_normality(fam.SymbolPair(psi, m), cfg, dim=max(cfg.dim, 96))
-        band = _band_verdict(res, cfg)
-        rec = SampleRecord(
-            params={"a": m.a, "b": m.b, "c": m.c, "d": m.d},
-            residuals={"normality": res},
-            predicates={"lft_condition": lft["normal"]},
-            oracles={"normality_band": band, **lft},
-        )
-        rec.verdict = _agreement(bool(lft["normal"]), band)
-        records.append(rec)
-    return VerificationReport("prop22-commutation", cfg, records)
+        lft = lft_oracle((m.a, m.b, m.c, m.d))
+        res = _matrix_normality(fam.SymbolPair(psi, m), cfg)
+        params = {"a": m.a, "b": m.b, "c": m.c, "d": m.d}
+        yield _oracle_record(cfg, params, {"lft_condition": lft["normal"]}, lft["normal"], res, **lft)
 
 
 def cowen_sigma0(m: MobiusMap) -> complex:
     return -np.conj(m.c) / np.conj(m.d)
 
 
-def suite_conjugation_axioms(cfg: SuiteConfig) -> VerificationReport:
+def suite_conjugation_axioms(rng, cfg: SuiteConfig) -> Records:
     """Involution and anti-linear isometry axioms for the three kinds.
 
     The coefficient conjugation and the rotation-weighted kind are exact
@@ -219,80 +235,36 @@ def suite_conjugation_axioms(cfg: SuiteConfig) -> VerificationReport:
     |alpha|, which at N = 48 and block 16 keeps the residual below 1e-8
     for |alpha| up to roughly 0.35 (measured), so draws stay below 0.32.
     """
-    rng = np.random.default_rng(cfg.seed)
-    dim = max(cfg.dim, 48)
-    block = max(cfg.block, 16)
-    records = []
-    j = conjugation_matrix(Conjugation("J"), dim)
-    inv, iso = involution_residual(j, block)
-    records.append(
-        SampleRecord(
-            params={"kind": "J"},
+
+    def record(c: Conjugation, tol: float) -> SampleRecord:
+        inv, iso = involution_residual(conjugation_matrix(c, cfg.dim), cfg.block)
+        params = {"kind": c.kind} if c.kind == "J" else {"kind": c.kind, "lam": c.lam, "alpha": c.alpha}
+        return SampleRecord(
+            params=params,
             residuals={"involution": inv, "isometry": iso},
-            verdict="pass" if max(inv, iso) <= 1e-14 else "fail",
+            verdict="pass" if max(inv, iso) <= tol else "fail",
         )
-    )
+
+    yield record(Conjugation("J"), 1e-14)
     per_kind = max(1, (cfg.samples - 1) // 2)
     for _ in range(per_kind):
-        c = Conjugation("C1", _angle(rng), _angle(rng))
-        inv, iso = involution_residual(conjugation_matrix(c, dim), block)
-        records.append(
-            SampleRecord(
-                params={"kind": "C1", "lam": c.lam, "alpha": c.alpha},
-                residuals={"involution": inv, "isometry": iso},
-                verdict="pass" if max(inv, iso) <= 1e-14 else "fail",
-            )
-        )
+        yield record(Conjugation("C1", _angle(rng), _angle(rng)), 1e-14)
     for _ in range(per_kind):
         alpha = _disk(rng, 0.32, 0.05)
-        c = Conjugation("C2", _angle(rng), alpha)
-        inv, iso = involution_residual(conjugation_matrix(c, dim), block)
-        records.append(
-            SampleRecord(
-                params={"kind": "C2", "lam": c.lam, "alpha": c.alpha},
-                residuals={"involution": inv, "isometry": iso},
-                verdict="pass" if max(inv, iso) <= 1e-8 else "fail",
-            )
-        )
-    return VerificationReport("conjugation-axioms", cfg, records)
+        yield record(Conjugation("C2", _angle(rng), alpha), 1e-8)
 
 
-def _symmetry_suite(suite_id, cfg, draw, conjugation_of, perturb):
+def _symmetry_records(rng, cfg: SuiteConfig, draw, conjugation_of) -> Records:
     """Shared shape of the three symmetric-form suites: in-family draws
-    must pass, perturbed controls must fail."""
-    rng = np.random.default_rng(cfg.seed)
-    records = []
-    n_controls = max(1, cfg.samples // 5)
-    for i in range(cfg.samples):
+    must pass, perturbed controls (the indices past cfg.samples) must fail."""
+    for i in range(cfg.samples + max(1, cfg.samples // 5)):
         params, pair = draw(rng)
         u = conjugation_matrix(conjugation_of(params), cfg.dim)
-        t = build_wco(pair.psi, pair.phi, cfg.dim)
-        res = symmetry_residual(t, u, cfg.block)
-        band = _band_verdict(res, cfg)
-        rec = SampleRecord(
-            params=params,
-            residuals={"symmetry": res},
-            predicates={"in_family": True},
-            oracles={"symmetry_band": band},
-            verdict=_agreement(True, band),
-        )
-        records.append(rec)
-    for i in range(n_controls):
-        params, pair = draw(rng)
-        u = conjugation_matrix(conjugation_of(params), cfg.dim)
-        bad = perturb(pair)
-        t = build_wco(bad.psi, bad.phi, cfg.dim)
-        res = symmetry_residual(t, u, cfg.block)
-        band = _band_verdict(res, cfg)
-        rec = SampleRecord(
-            params={**params, "perturbed": True},
-            residuals={"symmetry": res},
-            predicates={"in_family": False},
-            oracles={"symmetry_band": band},
-            verdict=_agreement(False, band),
-        )
-        records.append(rec)
-    return VerificationReport(suite_id, cfg, records)
+        in_family = i < cfg.samples
+        if not in_family:
+            params, pair = {**params, "perturbed": True}, _perturb_weight(pair)
+        res = symmetry_residual(build_wco(pair.psi, pair.phi, cfg.dim), u, cfg.block)
+        yield _oracle_record(cfg, params, {"in_family": in_family}, in_family, res, kind="symmetry")
 
 
 def _perturb_weight(pair: fam.SymbolPair) -> fam.SymbolPair:
@@ -301,7 +273,7 @@ def _perturb_weight(pair: fam.SymbolPair) -> fam.SymbolPair:
     return fam.SymbolPair(RationalSymbol(psi.n0, psi.n1 + bump, psi.d0, psi.d1), pair.phi)
 
 
-def suite_jsym_form(cfg: SuiteConfig) -> VerificationReport:
+def suite_jsym_form(rng, cfg: SuiteConfig) -> Records:
     def draw(rng):
         while True:
             a0 = _disk(rng, 0.7)
@@ -311,10 +283,10 @@ def suite_jsym_form(cfg: SuiteConfig) -> VerificationReport:
             if isinstance(pair.phi, ConstantMap) or is_self_map(pair.phi):
                 return {"a0": a0, "a1": a1, "b": b}, pair
 
-    return _symmetry_suite("jsym-form", cfg, draw, lambda p: Conjugation("J"), _perturb_weight)
+    return _symmetry_records(rng, cfg, draw, lambda p: Conjugation("J"))
 
 
-def suite_c1sym_form(cfg: SuiteConfig) -> VerificationReport:
+def suite_c1sym_form(rng, cfg: SuiteConfig) -> Records:
     def draw(rng):
         while True:
             alpha = _angle(rng)
@@ -325,9 +297,7 @@ def suite_c1sym_form(cfg: SuiteConfig) -> VerificationReport:
             if isinstance(pair.phi, ConstantMap) or is_self_map(pair.phi):
                 return {"alpha": alpha, "c0": c0, "c1": c1, "d": d}, pair
 
-    return _symmetry_suite(
-        "c1sym-form", cfg, draw, lambda p: Conjugation("C1", 1.0, p["alpha"]), _perturb_weight
-    )
+    return _symmetry_records(rng, cfg, draw, lambda p: Conjugation("C1", 1.0, p["alpha"]))
 
 
 def _draw_c2_selfmap(rng, alpha_hi=0.5):
@@ -357,24 +327,20 @@ def _draw_c2_selfmap(rng, alpha_hi=0.5):
         return params, pair
 
 
-def suite_c2sym_form(cfg: SuiteConfig) -> VerificationReport:
+def suite_c2sym_form(rng, cfg: SuiteConfig) -> Records:
     def draw(rng):
         params, pair = _draw_c2_selfmap(rng)
         d = {"alpha": params.alpha, "c0": params.c0, "c1": params.c1, "c2": params.c2}
         return d, pair
 
-    return _symmetry_suite(
-        "c2sym-form", cfg, draw, lambda p: Conjugation("C2", 1.0, p["alpha"]), _perturb_weight
-    )
+    return _symmetry_records(rng, cfg, draw, lambda p: Conjugation("C2", 1.0, p["alpha"]))
 
 
 # --- automorphism lemmas -----------------------------------------------------
 
-def suite_lemma31_aut(cfg: SuiteConfig) -> VerificationReport:
+def suite_lemma31_aut(rng, cfg: SuiteConfig) -> Records:
     """Forward-built rotation-free automorphisms are recovered with
     gamma = (a1 + 1)/a0; random non-automorphisms come back empty."""
-    rng = np.random.default_rng(cfg.seed)
-    records = []
     for i in range(cfg.samples):
         if i % 2 == 0:
             g = _disk(rng, 0.8, 0.05)
@@ -386,12 +352,7 @@ def suite_lemma31_aut(cfg: SuiteConfig) -> VerificationReport:
                 and abs(form.gamma - g) <= 1e-9
                 and mobius_equal(form.to_map(), fam.j_symbols(fam.JParams(a0, a1)).phi, 1e-10)
             )
-            rec = SampleRecord(
-                params={"a0": a0, "a1": a1, "gamma": g},
-                predicates={"expected": "disk"},
-                oracles={"form": type(form).__name__},
-                verdict="pass" if ok else "fail",
-            )
+            yield _form_record({"a0": a0, "a1": a1, "gamma": g}, {"expected": "disk"}, form, ok)
         else:
             a0 = _disk(rng, 0.6, 0.05)
             a1 = _disk(rng, 0.6)
@@ -399,19 +360,10 @@ def suite_lemma31_aut(cfg: SuiteConfig) -> VerificationReport:
             if isinstance(phi, ConstantMap) or aut_normal_form(phi) is not None:
                 continue
             form = fam.j_aut_form(a0, a1)
-            rec = SampleRecord(
-                params={"a0": a0, "a1": a1},
-                predicates={"expected": "none"},
-                oracles={"form": type(form).__name__},
-                verdict="pass" if form is None else "fail",
-            )
-        records.append(rec)
-    return VerificationReport("lemma31-aut", cfg, records)
+            yield _form_record({"a0": a0, "a1": a1}, {"expected": "none"}, form, form is None)
 
 
-def suite_lemma32_aut(cfg: SuiteConfig) -> VerificationReport:
-    rng = np.random.default_rng(cfg.seed)
-    records = []
+def suite_lemma32_aut(rng, cfg: SuiteConfig) -> Records:
     for i in range(cfg.samples):
         alpha = _angle(rng)
         if i % 2 == 0:
@@ -424,12 +376,8 @@ def suite_lemma32_aut(cfg: SuiteConfig) -> VerificationReport:
                 and abs(form.gamma - g) <= 1e-9
                 and abs(form.beta - np.conj(g) / (g * alpha)) <= 1e-9
             )
-            rec = SampleRecord(
-                params={"alpha": alpha, "c0": c0, "c1": c1, "gamma": g},
-                predicates={"expected": "disk"},
-                oracles={"form": type(form).__name__},
-                verdict="pass" if ok else "fail",
-            )
+            params = {"alpha": alpha, "c0": c0, "c1": c1, "gamma": g}
+            yield _form_record(params, {"expected": "disk"}, form, ok)
         else:
             c0 = _disk(rng, 0.6, 0.05)
             c1 = _disk(rng, 0.6)
@@ -437,14 +385,7 @@ def suite_lemma32_aut(cfg: SuiteConfig) -> VerificationReport:
             if isinstance(pair.phi, ConstantMap) or aut_normal_form(pair.phi) is not None:
                 continue
             form = fam.c1_aut_form(alpha, c0, c1)
-            rec = SampleRecord(
-                params={"alpha": alpha, "c0": c0, "c1": c1},
-                predicates={"expected": "none"},
-                oracles={"form": type(form).__name__},
-                verdict="pass" if form is None else "fail",
-            )
-        records.append(rec)
-    return VerificationReport("lemma32-aut", cfg, records)
+            yield _form_record({"alpha": alpha, "c0": c0, "c1": c1}, {"expected": "none"}, form, form is None)
 
 
 def _c2_params_from_aut(alpha: complex, beta: complex, gamma: complex, c1: complex) -> fam.C2Params:
@@ -455,9 +396,7 @@ def _c2_params_from_aut(alpha: complex, beta: complex, gamma: complex, c1: compl
     return fam.C2Params.from_c0_squared(alpha, c0_sq, c1, c2)
 
 
-def suite_lemma33_aut(cfg: SuiteConfig) -> VerificationReport:
-    rng = np.random.default_rng(cfg.seed)
-    records = []
+def suite_lemma33_aut(rng, cfg: SuiteConfig) -> Records:
     for i in range(cfg.samples):
         if i % 3 == 2:  # identity case
             alpha = _disk(rng, 0.8, 0.1)
@@ -466,12 +405,7 @@ def suite_lemma33_aut(cfg: SuiteConfig) -> VerificationReport:
             form = fam.c2_aut_form(params)
             phi = fam.c2_symbols(params, check_self_map=False).phi
             ok = isinstance(form, fam.IdentityForm) and mobius_equal(phi, IDENTITY, 1e-9)
-            rec = SampleRecord(
-                params={"alpha": alpha, "c1": c1},
-                predicates={"expected": "identity"},
-                oracles={"form": type(form).__name__},
-                verdict="pass" if ok else "fail",
-            )
+            yield _form_record({"alpha": alpha, "c1": c1}, {"expected": "identity"}, form, ok)
         else:
             alpha = _disk(rng, 0.8, 0.1)
             g = _disk(rng, 0.8, 0.05)
@@ -485,14 +419,7 @@ def suite_lemma33_aut(cfg: SuiteConfig) -> VerificationReport:
                 and abs(form.gamma - g) <= 1e-8
                 and abs(form.beta - beta) <= 1e-8
             )
-            rec = SampleRecord(
-                params={"alpha": alpha, "gamma": g, "beta": beta},
-                predicates={"expected": "disk"},
-                oracles={"form": type(form).__name__},
-                verdict="pass" if ok else "fail",
-            )
-        records.append(rec)
-    return VerificationReport("lemma33-aut", cfg, records)
+            yield _form_record({"alpha": alpha, "gamma": g, "beta": beta}, {"expected": "disk"}, form, ok)
 
 
 # --- normality iff suites ----------------------------------------------------
@@ -523,27 +450,16 @@ def _draw_j_predicate_false(rng):
         return a0, a1
 
 
-def _oracle_consistency_j(cfg: SuiteConfig) -> VerificationReport:
-    rng = np.random.default_rng(cfg.seed)
-    records = []
+def suite_prop41_iff(rng, cfg: SuiteConfig) -> Records:
     for i in range(cfg.samples):
         if i % 2 == 0:
             a0, a1 = _draw_j_predicate_true(rng)
         else:
             a0, a1 = _draw_j_predicate_false(rng)
         pred = fam.j_normal_predicate(a0, a1, cfg.pred_tol)
-        pair = fam.j_symbols(fam.JParams(a0, a1))
-        res = _matrix_normality(pair, cfg)
-        band = _band_verdict(res, cfg)
-        rec = SampleRecord(
-            params={"a0": a0, "a1": a1},
-            residuals={"normality": res},
-            predicates={"normal": pred, "expression": fam.j_normal_expression(a0, a1)},
-            oracles={"normality_band": band},
-            verdict=_agreement(pred, band),
-        )
-        records.append(rec)
-    return VerificationReport("prop41-iff", cfg, records)
+        res = _matrix_normality(fam.j_symbols(fam.JParams(a0, a1)), cfg)
+        predicates = {"normal": pred, "expression": fam.j_normal_expression(a0, a1)}
+        yield _oracle_record(cfg, {"a0": a0, "a1": a1}, predicates, pred, res)
 
 
 def _solve_c1_predicate(rng, alpha, c0):
@@ -598,27 +514,16 @@ def _draw_c1_predicate_false(rng):
         return alpha, c0, c1
 
 
-def _oracle_consistency_c1(cfg: SuiteConfig) -> VerificationReport:
-    rng = np.random.default_rng(cfg.seed)
-    records = []
+def suite_thm51_iff(rng, cfg: SuiteConfig) -> Records:
     for i in range(cfg.samples):
         if i % 2 == 0:
             alpha, c0, c1 = _draw_c1_predicate_true(rng)
         else:
             alpha, c0, c1 = _draw_c1_predicate_false(rng)
         pred = fam.c1_normal_predicate(alpha, c0, c1, cfg.pred_tol)
-        pair = fam.c1_symbols(fam.C1Params(alpha, c0, c1))
-        res = _matrix_normality(pair, cfg)
-        band = _band_verdict(res, cfg)
-        rec = SampleRecord(
-            params={"alpha": alpha, "c0": c0, "c1": c1},
-            residuals={"normality": res},
-            predicates={"normal": pred, "expression": fam.c1_normal_expression(alpha, c0, c1)},
-            oracles={"normality_band": band},
-            verdict=_agreement(pred, band),
-        )
-        records.append(rec)
-    return VerificationReport("thm51-iff", cfg, records)
+        res = _matrix_normality(fam.c1_symbols(fam.C1Params(alpha, c0, c1)), cfg)
+        predicates = {"normal": pred, "expression": fam.c1_normal_expression(alpha, c0, c1)}
+        yield _oracle_record(cfg, {"alpha": alpha, "c0": c0, "c1": c1}, predicates, pred, res)
 
 
 def _c2_params_from_tuv(alpha, t, u, v) -> fam.C2Params:
@@ -627,7 +532,7 @@ def _c2_params_from_tuv(alpha, t, u, v) -> fam.C2Params:
     return fam.C2Params.from_c0_squared(alpha, v + alpha * c1, c1, c2)
 
 
-def _oracle_consistency_c2(cfg: SuiteConfig) -> VerificationReport:
+def suite_thm61_consistency(rng, cfg: SuiteConfig) -> Records:
     """Stated case conditions versus the coefficient-level oracle.
 
     Parameter sets satisfying the case conditions force |phi(0)| = 1, so
@@ -635,8 +540,6 @@ def _oracle_consistency_c2(cfg: SuiteConfig) -> VerificationReport:
     coefficient-level commuting check; the identity-case draws (predicate
     rejects, operator is the identity) are the documented discrepancy.
     """
-    rng = np.random.default_rng(cfg.seed)
-    records = []
     for i in range(cfg.samples):
         kind = i % 5
         note = ""
@@ -681,9 +584,7 @@ def _oracle_consistency_c2(cfg: SuiteConfig) -> VerificationReport:
         # to a boundary constant, where no operator truncation exists
         t, u, v, w = fam.c2_quadruple(params)
         al = params.alpha
-        quad = (-w, al * u, -np.conj(al) * t, np.conj(al) * v)
-        lft = _lft_oracle(quad)
-        oracles: Dict[str, object] = dict(lft)
+        lft = lft_oracle((-w, al * u, -np.conj(al) * t, np.conj(al) * v))
         band = "pass" if lft["normal"] else "fail"
         residuals = {}
         if use_matrix:
@@ -693,10 +594,10 @@ def _oracle_consistency_c2(cfg: SuiteConfig) -> VerificationReport:
                 and is_self_map(pair.phi)
                 and abs(pair.psi.pole()) > 1.5
             ):
-                res = _matrix_normality(pair, cfg, dim=max(cfg.dim, 96))
+                res = _matrix_normality(pair, cfg)
                 residuals["normality"] = res
-                band = _band_verdict(res, cfg)
-        rec = SampleRecord(
+                band = band_verdict(res, cfg)
+        yield SampleRecord(
             params={
                 "alpha": params.alpha,
                 "c0": params.c0,
@@ -705,35 +606,18 @@ def _oracle_consistency_c2(cfg: SuiteConfig) -> VerificationReport:
             },
             residuals=residuals,
             predicates={"case": pred.value, "claims_normal": claims_normal},
-            oracles=oracles,
-            verdict=_agreement(claims_normal, band),
+            oracles=lft,
+            verdict=agreement(claims_normal, band),
             note=note,
         )
-        records.append(rec)
-    known = any(r.verdict == "discrepancy" and r.note for r in records)
-    return VerificationReport("thm61-consistency", cfg, records, known_discrepancy=known)
-
-
-def oracle_consistency(family: str, cfg: SuiteConfig) -> VerificationReport:
-    """Predicate-versus-oracle agreement for the three normality statements."""
-    key = family.strip().lower()
-    if key in ("j", "prop41"):
-        return _oracle_consistency_j(cfg)
-    if key in ("c1", "thm51"):
-        return _oracle_consistency_c1(cfg)
-    if key in ("c2", "thm61"):
-        return _oracle_consistency_c2(cfg)
-    raise UnknownSuiteError(f"unknown oracle-consistency family {family!r}")
 
 
 # --- worked-example suites ---------------------------------------------------
 
-def suite_ex41_equivalence(cfg: SuiteConfig) -> VerificationReport:
+def suite_ex41_equivalence(rng, cfg: SuiteConfig) -> Records:
     """Real interior parameter: the interior-normal symbols coincide with
     the coefficient-conjugation family; off the real axis the symmetry
     residual is bounded away from zero."""
-    rng = np.random.default_rng(cfg.seed)
-    records = []
     for i in range(cfg.samples):
         if i % 4 != 3:
             p = rng.uniform(0.12, 0.62) * (1 if rng.random() < 0.5 else -1)
@@ -748,7 +632,7 @@ def suite_ex41_equivalence(cfg: SuiteConfig) -> VerificationReport:
             phi_gap = proj_distance(pair.phi, jpair.phi)
             psi_gap = _rational_gap(pair.psi, jpair.psi)
             ok = phi_gap <= 1e-10 and psi_gap <= 1e-10
-            rec = SampleRecord(
+            yield SampleRecord(
                 params={"p": p, "delta": delta, "a0": a0, "a1": a1},
                 residuals={"phi_gap": phi_gap, "psi_gap": psi_gap},
                 predicates={"real_p": True},
@@ -763,14 +647,12 @@ def suite_ex41_equivalence(cfg: SuiteConfig) -> VerificationReport:
             pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, 1.0))
             t = build_wco(pair.psi, pair.phi, cfg.dim)
             res = symmetry_residual(t, conjugation_matrix(Conjugation("J"), cfg.dim), cfg.block)
-            rec = SampleRecord(
+            yield SampleRecord(
                 params={"p": p, "delta": delta},
                 residuals={"j_symmetry": res},
                 predicates={"real_p": False},
                 verdict="pass" if res >= cfg.fail_tol else "fail",
             )
-        records.append(rec)
-    return VerificationReport("ex41-equivalence", cfg, records)
 
 
 def _rational_gap(r1: RationalSymbol, r2: RationalSymbol) -> float:
@@ -781,11 +663,9 @@ def _rational_gap(r1: RationalSymbol, r2: RationalSymbol) -> float:
     return float(np.linalg.norm(minors) / (np.linalg.norm(v1) * np.linalg.norm(v2)))
 
 
-def suite_cor41_aut(cfg: SuiteConfig) -> VerificationReport:
+def suite_cor41_aut(rng, cfg: SuiteConfig) -> Records:
     """Disk-form automorphism parameters always satisfy the normality
     condition of the coefficient-conjugation family."""
-    rng = np.random.default_rng(cfg.seed)
-    records = []
     for _ in range(cfg.samples):
         al = _disk(rng, 0.5, 0.05)
         beta = np.conj(al) / al
@@ -796,14 +676,12 @@ def suite_cor41_aut(cfg: SuiteConfig) -> VerificationReport:
         res = _matrix_normality(pair, cfg)
         cls = classify(pair.phi)
         ok = abs(expr) <= cfg.pred_tol and res <= cfg.pass_tol and cls.is_automorphism
-        rec = SampleRecord(
+        yield SampleRecord(
             params={"alpha": al, "a0": a0, "a1": a1},
             residuals={"normality": res},
             predicates={"expression": expr, "map_class": cls.map_class.value},
             verdict="pass" if ok else "fail",
         )
-        records.append(rec)
-    return VerificationReport("cor41-aut", cfg, records)
 
 
 def _parabolic_j_arc(rng, branch):
@@ -812,22 +690,19 @@ def _parabolic_j_arc(rng, branch):
     return a0 if branch == 1 else -a0
 
 
-def suite_ex44_parabolic(cfg: SuiteConfig) -> VerificationReport:
-    rng = np.random.default_rng(cfg.seed)
-    dim = max(cfg.dim, 96)
-    records = []
+def suite_ex44_parabolic(rng, cfg: SuiteConfig) -> Records:
     for i in range(cfg.samples):
         branch = 1 if i % 2 == 0 else -1
         a0 = _parabolic_j_arc(rng, branch)
         pair = fam.parabolic_j_symbols(a0, branch)
         cls = classify(pair.phi)
-        res = _matrix_normality(pair, cfg, dim=dim)
+        res = _matrix_normality(pair, cfg)
         dw_ok = (
             cls.map_class in (MapClass.PARABOLIC_NON_AUTOMORPHISM, MapClass.PARABOLIC_AUTOMORPHISM)
             and abs(cls.dw_point - branch) <= 1e-9
             and abs(cls.dw_derivative - 1.0) <= 1e-10
         )
-        rec = SampleRecord(
+        yield SampleRecord(
             params={"a0": a0, "branch": branch},
             residuals={"normality": res},
             predicates={
@@ -836,16 +711,11 @@ def suite_ex44_parabolic(cfg: SuiteConfig) -> VerificationReport:
             },
             verdict="pass" if dw_ok and res <= cfg.pass_tol else "fail",
         )
-        records.append(rec)
-    return VerificationReport("ex44-parabolic", cfg, records)
 
 
-def suite_ex51_interior(cfg: SuiteConfig) -> VerificationReport:
+def suite_ex51_interior(rng, cfg: SuiteConfig) -> Records:
     """Rotation-weighted interior case: conj(p) = alpha p branch plus the
     delta = 0 constant-map branch."""
-    rng = np.random.default_rng(cfg.seed)
-    dim = max(cfg.dim, 96)
-    records = []
     for i in range(cfg.samples):
         p = _disk(rng, 0.55, 0.1)
         alpha = np.conj(p) / p
@@ -865,25 +735,21 @@ def suite_ex51_interior(cfg: SuiteConfig) -> VerificationReport:
         cpair = fam.c1_symbols(fam.C1Params(alpha, c0, c1))
         phi_gap = proj_distance(pair.phi, cpair.phi)
         pred = fam.c1_normal_predicate(alpha, c0, c1, cfg.pred_tol)
-        res = _matrix_normality(pair, cfg, dim=dim)
-        u = conjugation_matrix(Conjugation("C1", 1.0, alpha), dim)
-        sym = symmetry_residual(build_wco(pair.psi, pair.phi, dim), u, cfg.block)
+        res = _matrix_normality(pair, cfg)
+        u = conjugation_matrix(Conjugation("C1", 1.0, alpha), cfg.dim)
+        sym = symmetry_residual(build_wco(pair.psi, pair.phi, cfg.dim), u, cfg.block)
         ok = phi_gap <= 1e-9 and pred and res <= cfg.pass_tol and sym <= cfg.pass_tol
-        rec = SampleRecord(
+        yield SampleRecord(
             params={"p": p, "delta": delta, "alpha": alpha, "c0": c0, "c1": c1},
             residuals={"normality": res, "symmetry": sym, "phi_gap": phi_gap},
             predicates={"c1_normal": pred},
             verdict="pass" if ok else "fail",
         )
-        records.append(rec)
-    return VerificationReport("ex51-interior", cfg, records)
 
 
-def suite_ex51_aut_corollary(cfg: SuiteConfig) -> VerificationReport:
+def suite_ex51_aut_corollary(rng, cfg: SuiteConfig) -> Records:
     """delta = -1 is the only automorphism branch; the displayed map
     matches the composed construction."""
-    rng = np.random.default_rng(cfg.seed)
-    records = []
     for _ in range(cfg.samples):
         p = _disk(rng, 0.55, 0.1)
         ap2 = abs(p) ** 2  # alpha p^2 with alpha = conj(p)/p
@@ -892,20 +758,15 @@ def suite_ex51_aut_corollary(cfg: SuiteConfig) -> VerificationReport:
         gap = proj_distance(pair.phi, displayed)
         cls = classify(pair.phi)
         ok = gap <= 1e-10 and cls.is_automorphism
-        rec = SampleRecord(
+        yield SampleRecord(
             params={"p": p},
             residuals={"phi_gap": gap},
             predicates={"map_class": cls.map_class.value},
             verdict="pass" if ok else "fail",
         )
-        records.append(rec)
-    return VerificationReport("ex51-aut-corollary", cfg, records)
 
 
-def suite_ex54_parabolic(cfg: SuiteConfig) -> VerificationReport:
-    rng = np.random.default_rng(cfg.seed)
-    dim = max(cfg.dim, 96)
-    records = []
+def suite_ex54_parabolic(rng, cfg: SuiteConfig) -> Records:
     for _ in range(cfg.samples):
         zeta = _angle(rng)
         w = 0.5 + 0.33 * _disk(rng)
@@ -915,7 +776,7 @@ def suite_ex54_parabolic(cfg: SuiteConfig) -> VerificationReport:
         cls = classify(pair.phi)
         alpha = 1.0 / zeta ** 2
         expr = fam.c1_normal_expression(alpha, c0, c1)
-        res = _matrix_normality(pair, cfg, dim=dim)
+        res = _matrix_normality(pair, cfg)
         ok = (
             cls.map_class in (MapClass.PARABOLIC_NON_AUTOMORPHISM, MapClass.PARABOLIC_AUTOMORPHISM)
             and abs(cls.dw_point - zeta) <= 1e-8
@@ -923,33 +784,25 @@ def suite_ex54_parabolic(cfg: SuiteConfig) -> VerificationReport:
             and abs(expr) <= cfg.pred_tol
             and res <= cfg.pass_tol
         )
-        rec = SampleRecord(
+        yield SampleRecord(
             params={"zeta": zeta, "c0": c0, "c1": c1},
             residuals={"normality": res},
             predicates={"map_class": cls.map_class.value, "expression": expr},
             verdict="pass" if ok else "fail",
         )
-        records.append(rec)
-    return VerificationReport("ex54-parabolic", cfg, records)
 
 
-def suite_cor62_no_aut(cfg: SuiteConfig) -> VerificationReport:
+def suite_cor62_no_aut(rng, cfg: SuiteConfig) -> Records:
     """Moduli-equality draws never come back as automorphisms, and forced
     automorphism parameters violate the moduli equalities."""
-    rng = np.random.default_rng(cfg.seed)
-    records = []
     for i in range(cfg.samples):
         if i % 2 == 0:
             alpha = _disk(rng, 0.7, 0.15)
             m = rng.uniform(0.2, 0.6)
             params = _c2_params_from_tuv(alpha, m * _angle(rng), m * _angle(rng), m * _angle(rng))
             form = fam.c2_aut_form(params)
-            rec = SampleRecord(
-                params={"alpha": alpha, "c0": params.c0, "c1": params.c1, "c2": params.c2},
-                predicates={"moduli_equal": True},
-                oracles={"form": type(form).__name__},
-                verdict="pass" if form is None else "fail",
-            )
+            record = {"alpha": alpha, "c0": params.c0, "c1": params.c1, "c2": params.c2}
+            yield _form_record(record, {"moduli_equal": True}, form, form is None)
         else:
             alpha = _disk(rng, 0.7, 0.15)
             g = _disk(rng, 0.8, 0.1)
@@ -959,22 +812,17 @@ def suite_cor62_no_aut(cfg: SuiteConfig) -> VerificationReport:
             params = _c2_params_from_aut(alpha, beta, g, 1.0 + 0.0j)
             t, u, v, w = fam.c2_quadruple(params)
             violation = abs(abs(u) - abs(v)) / max(abs(u), abs(v))
-            rec = SampleRecord(
+            yield SampleRecord(
                 params={"alpha": alpha, "gamma": g},
                 residuals={"moduli_violation": violation},
                 predicates={"aut_constructed": True},
                 verdict="pass" if violation >= cfg.fail_tol else "fail",
             )
-        records.append(rec)
-    return VerificationReport("cor62-no-aut", cfg, records)
 
 
-def suite_ex61_interior(cfg: SuiteConfig) -> VerificationReport:
+def suite_ex61_interior(rng, cfg: SuiteConfig) -> Records:
     """Interior reconstruction through the I-ratios under the gauge
     c1 - c2 = 1, on the compatibility locus of the conjugation parameter."""
-    rng = np.random.default_rng(cfg.seed)
-    dim = max(cfg.dim, 96)
-    records = []
     for _ in range(cfg.samples):
         p = rng.uniform(0.15, 0.6) * (1 if rng.random() < 0.5 else -1)
         angle = rng.uniform(0.45 * math.pi, 0.8 * math.pi)
@@ -987,11 +835,11 @@ def suite_ex61_interior(cfg: SuiteConfig) -> VerificationReport:
         gamma = (1.0 - p ** 2 * delta) / (1.0 - p ** 2)
         closed = fam.interior_phi_closed_form(fam.InteriorParams(complex(p), delta, gamma))
         phi_gap = proj_distance(pair.phi, closed)
-        res = _matrix_normality(pair, cfg, dim=dim)
-        un = conjugation_matrix(Conjugation("C2", 1.0, alpha), dim)
-        sym = symmetry_residual(build_wco(pair.psi, pair.phi, dim), un, cfg.block)
+        res = _matrix_normality(pair, cfg)
+        un = conjugation_matrix(Conjugation("C2", 1.0, alpha), cfg.dim)
+        sym = symmetry_residual(build_wco(pair.psi, pair.phi, cfg.dim), un, cfg.block)
         ok = consistency <= 1e-9 and phi_gap <= 1e-9 and res <= cfg.pass_tol and sym <= cfg.pass_tol
-        rec = SampleRecord(
+        yield SampleRecord(
             params={"p": p, "delta": delta, "alpha": alpha},
             residuals={
                 "normality": res,
@@ -1001,16 +849,11 @@ def suite_ex61_interior(cfg: SuiteConfig) -> VerificationReport:
             },
             verdict="pass" if ok else "fail",
         )
-        records.append(rec)
-    return VerificationReport("ex61-interior", cfg, records)
 
 
-def suite_ex63_parabolic(cfg: SuiteConfig) -> VerificationReport:
+def suite_ex63_parabolic(rng, cfg: SuiteConfig) -> Records:
     """Construct-then-check round trip for the kernel-weighted parabolic
     discriminant."""
-    rng = np.random.default_rng(cfg.seed)
-    dim = max(cfg.dim, 96)
-    records = []
     for i in range(cfg.samples):
         sgn = 1.0 if i % 2 == 0 else -1.0
         while True:
@@ -1032,7 +875,7 @@ def suite_ex63_parabolic(cfg: SuiteConfig) -> VerificationReport:
         pred = fam.c2_parabolic_predicate(params, cfg.pred_tol)
         zeta = fam.c2_parabolic_dw_point(params)
         cls = classify(pair.phi)
-        res = _matrix_normality(pair, cfg, dim=dim)
+        res = _matrix_normality(pair, cfg)
         ok = (
             pred
             and abs(abs(zeta) - 1.0) <= 1e-9
@@ -1041,36 +884,28 @@ def suite_ex63_parabolic(cfg: SuiteConfig) -> VerificationReport:
             and abs(cls.dw_point - zeta) <= 1e-8
             and res <= cfg.pass_tol
         )
-        rec = SampleRecord(
+        yield SampleRecord(
             params={"alpha": alpha, "c0": params.c0, "c1": c1, "c2": c2},
             residuals={"normality": res},
             predicates={"parabolic": pred, "zeta": zeta, "map_class": cls.map_class.value},
             verdict="pass" if ok else "fail",
         )
-        records.append(rec)
-    return VerificationReport("ex63-parabolic", cfg, records)
 
 
-def suite_cowen_factorization(cfg: SuiteConfig) -> VerificationReport:
+def suite_cowen_factorization(rng, cfg: SuiteConfig) -> Records:
     """Adjoint factorization residual; the flipped sigma sign must fail."""
-    rng = np.random.default_rng(cfg.seed)
-    dim = max(cfg.dim, 64)
-    block = max(cfg.block, 16)
-    records = []
     for _ in range(cfg.samples):
         while True:
             m = MobiusMap(0.4 + 0.3 * _disk(rng), _disk(rng, 0.3), _disk(rng, 0.3), 1.0)
             if is_self_map(m) and sup_modulus(m) <= 0.9 and abs(m.c) > 0.02:
                 break
-        good = adjoint_factorization_residual(m, dim, block, sigma_sign=-1)
-        bad = adjoint_factorization_residual(m, dim, block, sigma_sign=+1)
-        rec = SampleRecord(
+        good = adjoint_factorization_residual(m, cfg.dim, cfg.block, sigma_sign=-1)
+        bad = adjoint_factorization_residual(m, cfg.dim, cfg.block, sigma_sign=+1)
+        yield SampleRecord(
             params={"a": m.a, "b": m.b, "c": m.c, "d": m.d},
             residuals={"factorization": good, "flipped_sign": bad},
             verdict="pass" if good <= 1e-8 else "fail",
         )
-        records.append(rec)
-    return VerificationReport("cowen-factorization", cfg, records)
 
 
 # ---------------------------------------------------------------------------
@@ -1218,16 +1053,20 @@ def _sweep_c2_family(target: MobiusMap):
     return max(min(float(match[i]), 1.0), spread), complex(grid[i])
 
 
-def nonexistence_sweep(family: str, cfg: SuiteConfig) -> VerificationReport:
+def nonexistence_sweep(family: str, cfg: SuiteConfig) -> List[SampleRecord]:
     """Grid-plus-refinement nonexistence checks for hyperbolic symbols.
 
     Establishes nonexistence at sweep resolution only; each record keeps
     the witness parameters of the minimizer so a violated claim is
     surfaced with an explicit counterexample instead of a bare failure.
+
+    The targets are a fixed grid: the j-, c1- and c2-hyperbolic sweeps
+    use none of cfg's samples, dim, block or seed, and hyperbolic-nonaut
+    uses only dim and block (all four use fail_tol).  Reports still carry
+    all four fields.
     """
     key = family.strip().lower()
     records = []
-    known = False
     if key == "hyperbolic-nonaut":
         for r, t in _target_quadruples(include_aut=False):
             phi = fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t))
@@ -1240,7 +1079,7 @@ def nonexistence_sweep(family: str, cfg: SuiteConfig) -> VerificationReport:
                     verdict="pass" if res >= cfg.fail_tol else "discrepancy",
                 )
             )
-        return VerificationReport("sweep-hyperbolic-nonaut", cfg, records)
+        return records
     if key not in ("j-hyperbolic", "c1-hyperbolic", "c2-hyperbolic"):
         raise UnknownSuiteError(f"unknown sweep family {family!r}")
     for r, t in _target_quadruples():
@@ -1258,7 +1097,6 @@ def nonexistence_sweep(family: str, cfg: SuiteConfig) -> VerificationReport:
         verdict = "pass" if deficiency >= cfg.fail_tol else "discrepancy"
         note = ""
         if verdict == "discrepancy":
-            known = True
             note = (
                 "hyperbolic automorphism target admits a symmetric normal "
                 "realization; documented deviation from the claimed nonexistence"
@@ -1271,72 +1109,78 @@ def nonexistence_sweep(family: str, cfg: SuiteConfig) -> VerificationReport:
                 note=note,
             )
         )
-    return VerificationReport(f"sweep-{key}", cfg, records, known_discrepancy=known)
+    return records
 
 
 # ---------------------------------------------------------------------------
-# registry
+# registry and driver
 # ---------------------------------------------------------------------------
 
-SUITES: Dict[str, Callable[[SuiteConfig], VerificationReport]] = {
-    "prop21-normal": suite_prop21_normal,
-    "prop22-commutation": suite_prop22_commutation,
-    "conjugation-axioms": suite_conjugation_axioms,
-    "jsym-form": suite_jsym_form,
-    "c1sym-form": suite_c1sym_form,
-    "c2sym-form": suite_c2sym_form,
-    "lemma31-aut": suite_lemma31_aut,
-    "lemma32-aut": suite_lemma32_aut,
-    "lemma33-aut": suite_lemma33_aut,
-    "prop41-iff": _oracle_consistency_j,
-    "cor41-aut": suite_cor41_aut,
-    "ex41-equivalence": suite_ex41_equivalence,
-    "ex44-parabolic": suite_ex44_parabolic,
-    "thm51-iff": _oracle_consistency_c1,
-    "ex51-interior": suite_ex51_interior,
-    "ex51-aut-corollary": suite_ex51_aut_corollary,
-    "ex54-parabolic": suite_ex54_parabolic,
-    "thm61-consistency": _oracle_consistency_c2,
-    "cor62-no-aut": suite_cor62_no_aut,
-    "ex61-interior": suite_ex61_interior,
-    "ex63-parabolic": suite_ex63_parabolic,
-    "cowen-factorization": suite_cowen_factorization,
-    "ex42-sweep": lambda cfg: nonexistence_sweep("j-hyperbolic", cfg),
-    "ex43-sweep": lambda cfg: nonexistence_sweep("hyperbolic-nonaut", cfg),
-    "ex52-sweep": lambda cfg: nonexistence_sweep("c1-hyperbolic", cfg),
-    "ex53-sweep": lambda cfg: nonexistence_sweep("hyperbolic-nonaut", cfg),
-    "ex62-sweep": lambda cfg: nonexistence_sweep("c2-hyperbolic", cfg),
+@dataclass(frozen=True)
+class Suite:
+    """One registry entry: the record generator, its default config, and
+    the smallest dim and block at which its checks hold."""
+
+    generate: Callable[[np.random.Generator, SuiteConfig], Iterable[SampleRecord]]
+    defaults: SuiteConfig
+    min_dim: int = 0
+    min_block: int = 0
+    report_id: Optional[str] = None  # the registry id when None
+
+
+def _sweep_suite(family: str, samples: int) -> Suite:
+    # the entry works inside a call to nonexistence_sweep, so that a span
+    # tracer charges the sweep work to the sweep and not to the driver
+    return Suite(
+        lambda rng, cfg: nonexistence_sweep(family, cfg),
+        SuiteConfig(samples=samples),
+        report_id=f"sweep-{family}",
+    )
+
+
+# smaller default sample counts for the heavier suites; the minima are
+# the dim and block below which a suite's tolerances stop holding
+SUITES: Dict[str, Suite] = {
+    "prop21-normal": Suite(suite_prop21_normal, SuiteConfig(samples=100, dim=96)),
+    "prop22-commutation": Suite(suite_prop22_commutation, SuiteConfig(samples=60, dim=96), min_dim=96),
+    "conjugation-axioms": Suite(
+        suite_conjugation_axioms, SuiteConfig(samples=101, dim=48, block=16), min_dim=48, min_block=16
+    ),
+    "jsym-form": Suite(suite_jsym_form, SuiteConfig(samples=100)),
+    "c1sym-form": Suite(suite_c1sym_form, SuiteConfig(samples=100)),
+    "c2sym-form": Suite(suite_c2sym_form, SuiteConfig(samples=100)),
+    "lemma31-aut": Suite(suite_lemma31_aut, SuiteConfig(samples=120)),
+    "lemma32-aut": Suite(suite_lemma32_aut, SuiteConfig(samples=120)),
+    "lemma33-aut": Suite(suite_lemma33_aut, SuiteConfig(samples=120)),
+    "prop41-iff": Suite(suite_prop41_iff, SuiteConfig(samples=200)),
+    "cor41-aut": Suite(suite_cor41_aut, SuiteConfig(samples=60)),
+    "ex41-equivalence": Suite(suite_ex41_equivalence, SuiteConfig(samples=80)),
+    "ex44-parabolic": Suite(suite_ex44_parabolic, SuiteConfig(samples=40, dim=96), min_dim=96),
+    "thm51-iff": Suite(suite_thm51_iff, SuiteConfig(samples=200)),
+    "ex51-interior": Suite(suite_ex51_interior, SuiteConfig(samples=40, dim=96), min_dim=96),
+    "ex51-aut-corollary": Suite(suite_ex51_aut_corollary, SuiteConfig(samples=60)),
+    "ex54-parabolic": Suite(suite_ex54_parabolic, SuiteConfig(samples=40, dim=96), min_dim=96),
+    "thm61-consistency": Suite(suite_thm61_consistency, SuiteConfig(samples=60, dim=96), min_dim=96),
+    "cor62-no-aut": Suite(suite_cor62_no_aut, SuiteConfig(samples=100)),
+    "ex61-interior": Suite(suite_ex61_interior, SuiteConfig(samples=30, dim=96), min_dim=96),
+    "ex63-parabolic": Suite(suite_ex63_parabolic, SuiteConfig(samples=30, dim=96), min_dim=96),
+    "cowen-factorization": Suite(
+        suite_cowen_factorization, SuiteConfig(samples=50, dim=64, block=16), min_dim=64, min_block=16
+    ),
+    "ex42-sweep": _sweep_suite("j-hyperbolic", 20),
+    "ex43-sweep": _sweep_suite("hyperbolic-nonaut", 12),
+    "ex52-sweep": _sweep_suite("c1-hyperbolic", 20),
+    "ex62-sweep": _sweep_suite("c2-hyperbolic", 20),
 }
+# Example 5.3 runs the same sweep as Example 4.3; both anchors keep it
+SUITES["ex53-sweep"] = SUITES["ex43-sweep"]
 
-# smaller default sample counts for the heavier suites
-SUITE_DEFAULTS: Dict[str, SuiteConfig] = {
-    "prop21-normal": SuiteConfig(samples=100, dim=96),
-    "prop22-commutation": SuiteConfig(samples=60, dim=96),
-    "conjugation-axioms": SuiteConfig(samples=101, dim=48, block=16),
-    "jsym-form": SuiteConfig(samples=100),
-    "c1sym-form": SuiteConfig(samples=100),
-    "c2sym-form": SuiteConfig(samples=100),
-    "lemma31-aut": SuiteConfig(samples=120),
-    "lemma32-aut": SuiteConfig(samples=120),
-    "lemma33-aut": SuiteConfig(samples=120),
-    "prop41-iff": SuiteConfig(samples=200),
-    "cor41-aut": SuiteConfig(samples=60),
-    "ex41-equivalence": SuiteConfig(samples=80),
-    "ex44-parabolic": SuiteConfig(samples=40, dim=96),
-    "thm51-iff": SuiteConfig(samples=200),
-    "ex51-interior": SuiteConfig(samples=40, dim=96),
-    "ex51-aut-corollary": SuiteConfig(samples=60),
-    "ex54-parabolic": SuiteConfig(samples=40, dim=96),
-    "thm61-consistency": SuiteConfig(samples=60, dim=96),
-    "cor62-no-aut": SuiteConfig(samples=100),
-    "ex61-interior": SuiteConfig(samples=30, dim=96),
-    "ex63-parabolic": SuiteConfig(samples=30, dim=96),
-    "cowen-factorization": SuiteConfig(samples=50, dim=64, block=16),
-    "ex42-sweep": SuiteConfig(samples=20),
-    "ex43-sweep": SuiteConfig(samples=12),
-    "ex52-sweep": SuiteConfig(samples=20),
-    "ex53-sweep": SuiteConfig(samples=12),
-    "ex62-sweep": SuiteConfig(samples=20),
+# the registry entry behind each `wcosym sweep --family`
+SWEEP_SUITES: Dict[str, str] = {
+    "j-hyperbolic": "ex42-sweep",
+    "c1-hyperbolic": "ex52-sweep",
+    "c2-hyperbolic": "ex62-sweep",
+    "hyperbolic-nonaut": "ex43-sweep",
 }
 
 # every verified statement must own at least one registered suite
@@ -1383,14 +1227,31 @@ def check_registry() -> None:
         raise UnknownSuiteError(f"anchors without registered suites: {sorted(missing)}")
 
 
+def _lookup(suite_id: str) -> Suite:
+    if suite_id not in SUITES:
+        raise UnknownSuiteError(f"unknown suite id {suite_id!r}")
+    return SUITES[suite_id]
+
+
 def default_config(suite_id: str) -> SuiteConfig:
-    return SUITE_DEFAULTS.get(suite_id, SuiteConfig())
+    return _lookup(suite_id).defaults
 
 
 def run_suite(suite_id: str, cfg: Optional[SuiteConfig] = None) -> VerificationReport:
-    """Run one registered suite; deterministic given (suite, config, seed)."""
-    if suite_id not in SUITES:
-        raise UnknownSuiteError(f"unknown suite id {suite_id!r}")
+    """Run one registered suite; deterministic given (suite, config, seed).
+
+    A config below the suite's minimum dim or block raises ValueError.  A
+    report has a known discrepancy when some discrepancy record carries a
+    note: a note is how a suite documents a disagreement it expects.
+    """
+    suite = _lookup(suite_id)
     if cfg is None:
-        cfg = default_config(suite_id)
-    return SUITES[suite_id](cfg)
+        cfg = suite.defaults
+    if cfg.dim < suite.min_dim or cfg.block < suite.min_block:
+        raise ValueError(
+            f"suite {suite_id} needs dim >= {suite.min_dim} and block >= {suite.min_block}, "
+            f"got dim {cfg.dim} and block {cfg.block}"
+        )
+    records = list(suite.generate(np.random.default_rng(cfg.seed), cfg))
+    known = any(r.verdict == "discrepancy" and r.note for r in records)
+    return VerificationReport(suite.report_id or suite_id, cfg, records, known_discrepancy=known)

@@ -99,6 +99,16 @@ class TestCheckCommand:
         # oracle must agree with the stated case
         assert doc["residuals"]["lft_commute_defect"] <= 1e-9
         assert doc["verdict"] == "pass"
+        # case II worked example: phi degenerates to a constant map, so no
+        # oracle applies and the verdict stays inconclusive
+        code = main(
+            ["check", "--family", "c2", "--alpha", "0.5", "--c0", "0.6", "--c1", "0.36", "--c2", "0.18"]
+        )
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["predicates"]["case"] == "CaseII"
+        assert "lft_commute_defect" not in doc["residuals"] and doc["note"]
+        assert doc["verdict"] == "inconclusive"
 
     def test_domain_violation_exit_2(self, capsys):
         assert main(["check", "--family", "j", "--a0", "2", "--a1", "0"]) == 2
@@ -125,6 +135,8 @@ class TestSuiteCommand:
 
     def test_unknown_suite_exit_2(self, capsys):
         assert main(["suite", "--id", "nope"]) == 2
+        # below the suite's minimum dim: refused rather than silently raised
+        assert main(["suite", "--id", "ex44-parabolic", "--dim", "64"]) == 2
 
     def test_determinism_across_processes(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -146,6 +158,22 @@ class TestSweepCommand:
         for line in lines[1:]:
             deficiency = float(line.split(",")[4])
             assert deficiency >= 1e-3
+
+    @pytest.mark.parametrize(
+        "family,suite_id",
+        [
+            ("j-hyperbolic", "ex42-sweep"),
+            ("c1-hyperbolic", "ex52-sweep"),
+            ("c2-hyperbolic", "ex62-sweep"),
+            ("hyperbolic-nonaut", "ex43-sweep"),
+        ],
+    )
+    def test_sweep_reports_its_registry_suite(self, capsys, tmp_path, family, suite_id):
+        # the sweep report carries the config that ran: its registry entry's
+        swept, suite = tmp_path / "sweep.json", tmp_path / "suite.json"
+        code = main(["sweep", "--family", family, "--json", str(swept)])
+        assert code == main(["suite", "--id", suite_id, "--json", str(suite)])
+        assert swept.read_bytes() == suite.read_bytes()
 
     def test_c1_sweep_documents_discrepancy(self, capsys, tmp_path):
         out = tmp_path / "c1.csv"

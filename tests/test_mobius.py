@@ -20,9 +20,9 @@ from wcosym.mobius import (
     is_automorphism,
     is_self_map,
     mobius_equal,
-    normality_lft_check,
     proj_distance,
 )
+from wcosym.verify import lft_oracle
 
 
 def small_complex(r):
@@ -235,17 +235,21 @@ class TestCowenAdjoint:
         assert proj_distance(sigma, MobiusMap(3, -1, -1, 3)) < 1e-14
 
 
+def lft_normal(m):
+    return lft_oracle((m.a, m.b, m.c, m.d))["normal"]
+
+
 class TestNormalityLftCheck:
     def test_dilation(self):
-        assert normality_lft_check(MobiusMap(0.5, 0, 0, 1))
+        assert lft_normal(MobiusMap(0.5, 0, 0, 1))
 
     def test_hyperbolic_automorphism(self):
-        assert normality_lft_check(MobiusMap(3, 1, 1, 3))
+        assert lft_normal(MobiusMap(3, 1, 1, 3))
 
     def test_j_family_violation(self):
         a0, a1 = 0.5j, 0.5
         m = MobiusMap(a1 - a0 ** 2, a0, -a0, 1.0)
-        assert not normality_lft_check(m)
+        assert not lft_normal(m)
 
     def test_matrix_oracle_agreement_on_automorphisms(self):
         # commuting holds for every automorphism, and the truncation
@@ -258,7 +262,7 @@ class TestNormalityLftCheck:
             g = 0.5 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
             th = rng.uniform(0, 2 * np.pi)
             m = MobiusMap(-np.exp(1j * th), np.exp(1j * th) * g, -np.conj(g), 1.0)
-            assert normality_lft_check(m)
+            assert lft_normal(m)
             s0 = cowen_adjoint(m).sigma(0.0)
             psi = RationalSymbol(1.0, 0.0, 1.0, -np.conj(s0))
             res = normality_residual(build_wco(psi, m, 96), 12)

@@ -10,7 +10,6 @@ from wcosym.errors import (
 from wcosym.mobius import IDENTITY, ConstantMap, MobiusMap
 from wcosym.operators import (
     Conjugation,
-    adjoint,
     adjoint_factorization_residual,
     build_wco,
     conjugation_matrix,
@@ -69,16 +68,6 @@ class TestBuildWco:
         for j in (0, 1, 3, 7):
             col_val = np.dot(t.mat[:, j], powers)
             assert abs(col_val - psi(z) * phi(z) ** j) <= 1e-10
-
-
-class TestAdjoint:
-    def test_involution(self):
-        t = build_wco(RationalSymbol(1, 0.2j, 1, -0.3), MobiusMap(0.4, 0.1, 0, 1), 16)
-        assert np.array_equal(adjoint(adjoint(t)).mat, t.mat)
-
-    def test_diagonal(self):
-        t = build_wco(RationalSymbol.constant(0.5j), MobiusMap(0.5, 0, 0, 1), 6)
-        assert np.allclose(adjoint(t).mat, t.mat.conj().T)
 
 
 class TestConjugationMatrix:

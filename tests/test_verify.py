@@ -11,7 +11,6 @@ from wcosym.verify import (
     check_registry,
     default_config,
     nonexistence_sweep,
-    oracle_consistency,
     run_suite,
 )
 
@@ -29,16 +28,23 @@ class TestRegistry:
         for ids in ANCHOR_SUITES.values():
             for sid in ids:
                 assert sid in SUITES
+        for sid, suite in SUITES.items():  # every default meets its own minimum
+            assert suite.defaults.dim >= suite.min_dim and suite.defaults.block >= suite.min_block, sid
 
     def test_unknown_suite(self):
         with pytest.raises(UnknownSuiteError):
             run_suite("no-such-suite")
+        with pytest.raises(UnknownSuiteError):
+            default_config("no-such-suite")
 
 
 class TestConfig:
     def test_padding_invariant(self):
         with pytest.raises(ValueError):
             SuiteConfig(dim=40, block=12)
+        # a config below a suite's declared minimum is refused, not raised
+        with pytest.raises(ValueError):
+            run_suite("ex44-parabolic", dataclasses.replace(default_config("ex44-parabolic"), dim=64))
 
     def test_tolerance_order(self):
         with pytest.raises(ValueError):
@@ -105,15 +111,6 @@ def test_c1_hyperbolic_sweep_finds_realizations():
     assert all(r.residuals["deficiency"] < 1e-6 for r in aut_records)
     assert all(r.verdict == "pass" for r in nonaut_records)
     assert report.known_discrepancy and report.exit_status == 3
-
-
-def test_oracle_consistency_dispatch():
-    cfg = SuiteConfig(samples=12)
-    assert oracle_consistency("J", cfg).suite_id == "prop41-iff"
-    assert oracle_consistency("c1", cfg).suite_id == "thm51-iff"
-    assert oracle_consistency("C2", cfg).suite_id == "thm61-consistency"
-    with pytest.raises(UnknownSuiteError):
-        oracle_consistency("c3", cfg)
 
 
 def test_sweep_unknown_family():
