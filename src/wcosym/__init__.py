@@ -52,9 +52,7 @@ from .mobius import (
     mobius_equal,
 )
 from .operators import (
-    AntiLinearMatrix,
     Conjugation,
-    TruncatedOperator,
     adjoint_factorization_residual,
     build_wco,
     conjugation_matrix,
@@ -62,7 +60,7 @@ from .operators import (
     normality_residual,
     symmetry_residual,
 )
-from .series import PowerSeries, RationalSymbol, expand_rational
+from .series import RationalSymbol, expand_rational
 from .verify import (
     SuiteConfig,
     VerificationReport,

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import asdict
@@ -280,8 +279,6 @@ def cmd_classify(args) -> int:
 
 
 def _check_family(args):
-    dim = args.dim or int(os.environ.get("WCO_DEFAULT_DIM", "64"))
-    block = args.block
     fam_key = args.family.lower()
     out: Dict[str, object] = {"family": fam_key}
     if fam_key == "j":
@@ -326,19 +323,19 @@ def _check_family(args):
         kind = args.conjugation.upper()
         conj = Conjugation(kind, 1.0, parse_complex(args.alpha) if kind != "J" else 0.0)
     residuals: Dict[str, object] = {}
-    u = conjugation_matrix(conj, dim)
-    inv, iso = involution_residual(u, block)
+    u = conjugation_matrix(conj, args.dim)
+    inv, iso = involution_residual(u, args.block)
     residuals["involution"] = inv
     residuals["isometry"] = iso
     try:
-        t = build_wco(pair.psi, pair.phi, dim)
+        t = build_wco(pair.psi, pair.phi, args.dim)
     except WcoError as exc:
         t = None
         out["note"] = f"operator truncation unavailable: {exc}"
     phi = pair.phi
     if t is not None:
-        residuals["symmetry"] = symmetry_residual(t, u, block)
-        residuals["normality"] = normality_residual(t, block)
+        residuals["symmetry"] = symmetry_residual(t, u, args.block)
+        residuals["normality"] = normality_residual(t, args.block)
         band = band_verdict(residuals["normality"], args)
     elif isinstance(phi, ConstantMap):
         band = "band"  # neither oracle applies: the verdict is inconclusive
@@ -428,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--c2", default="0")
     p_chk.add_argument("--d", default="1")
     p_chk.add_argument("--conjugation", choices=("j", "c1", "c2"), help="override the tested conjugation kind")
-    p_chk.add_argument("--dim", type=int)
+    p_chk.add_argument("--dim", type=int, default=64)
     p_chk.add_argument("--block", type=int, default=12)
     p_chk.add_argument("--pass-tol", dest="pass_tol", type=float, default=SuiteConfig.pass_tol)
     p_chk.add_argument("--fail-tol", dest="fail_tol", type=float, default=SuiteConfig.fail_tol)

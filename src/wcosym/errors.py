@@ -37,10 +37,6 @@ class PoleAtOriginError(WcoError):
     """Rational symbol has a pole at z = 0 and admits no Taylor expansion."""
 
 
-class OrderMismatchError(WcoError):
-    """Series operands have different truncation orders."""
-
-
 # ---- operators -------------------------------------------------------------
 
 class SymbolPoleError(WcoError):
@@ -48,7 +44,7 @@ class SymbolPoleError(WcoError):
 
 
 class BlockTooLargeError(WcoError):
-    """Requested residual block violates the padding protocol k + 32 <= N."""
+    """Requested residual block is empty or violates the padding protocol k + 32 <= N."""
 
 
 class DimensionMismatchError(WcoError):

@@ -88,9 +88,6 @@ class MobiusMap:
     def quadruple(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c, self.d])
 
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
-
     def derivative(self, z: complex) -> complex:
         den = self.c * z + self.d
         return self.det / (den * den)
@@ -199,8 +196,11 @@ def proj_distance(m1: MapLike, m2: MapLike) -> float:
         if isinstance(m1, ConstantMap) and isinstance(m2, ConstantMap):
             return abs(m1.value - m2.value) / max(1.0, abs(m1.value), abs(m2.value))
         return float("inf")
-    v1 = m1.quadruple()
-    v2 = m2.quadruple()
+    return quadruple_gap(m1.quadruple(), m2.quadruple())
+
+
+def quadruple_gap(v1: np.ndarray, v2: np.ndarray) -> float:
+    """Scaled norm of the 2x2 minors of two coefficient quadruples."""
     minors = np.outer(v1, v2) - np.outer(v2, v1)
     return float(np.linalg.norm(minors) / (np.linalg.norm(v1) * np.linalg.norm(v2)))
 

@@ -3,10 +3,13 @@
 Everything acts on span{1, z, ..., z^(N-1)} with the monomial basis, which
 is orthonormal in the norm sum |a_n|^2, so adjoints are conjugate
 transposes and anti-linear operators are matrices applied to conjugated
-coordinates.  Residuals are always measured on a leading k x k block with
-k + 32 <= N: truncation corrupts the trailing rows and columns of
-products, and the geometric decay of the symbol coefficients confines
-that corruption away from the leading block.
+coordinates.  Matrices are plain N x N complex arrays: column j of an
+operator holds the coefficients of the image of z^j, and an anti-linear
+operator is the matrix U of x -> U conj(x).  N is capped at MAX_DIM = 1024,
+checked before any N x N array is allocated.  Residuals are always
+measured on a leading k x k block with k + 32 <= N: truncation corrupts
+the trailing rows and columns of products, and the geometric decay of the
+symbol coefficients confines that corruption away from the leading block.
 """
 
 from __future__ import annotations
@@ -27,42 +30,8 @@ from .mobius import ConstantMap, MobiusMap, cowen_adjoint, is_self_map, IDENTITY
 from .series import RationalSymbol, expand_rational, mobius_series
 
 BLOCK_PAD = 32
+MAX_DIM = 1024
 _POLE_GUARD = 1.0 + 1e-9
-
-
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """N x N matrix of an operator; column j holds the coefficients of the
-    image of z^j."""
-
-    dim: int
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise DimensionMismatchError(f"matrix shape {m.shape} != ({self.dim}, {self.dim})")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "mat", m)
-
-
-@dataclass(frozen=True)
-class AntiLinearMatrix:
-    """Matrix U of an anti-linear operator x -> U conj(x)."""
-
-    dim: int
-    u: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.u, dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise DimensionMismatchError(f"matrix shape {m.shape} != ({self.dim}, {self.dim})")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "u", m)
 
 
 @dataclass(frozen=True)
@@ -100,7 +69,7 @@ def _wco_columns(psi_s: np.ndarray, phi: Union[MobiusMap, ConstantMap], n: int) 
         for j in range(1, n):
             mat[:, j] = mat[:, j - 1] * phi.value
         return mat
-    phi_s = mobius_series(phi, n).coeffs
+    phi_s = mobius_series(phi, n)
     col = psi_s
     mat[:, 0] = col
     for j in range(1, n):
@@ -113,13 +82,14 @@ def build_wco(
     psi: RationalSymbol,
     phi: Union[MobiusMap, ConstantMap],
     n: int,
-) -> TruncatedOperator:
+) -> np.ndarray:
     """Truncation of f -> psi (f o phi): column j = series of psi * phi^j.
 
     The weight must be analytic on the closed disk (pole strictly
     outside); phi must be a self-map.  Each column is exact through order
     n because Cauchy products never pull in higher coefficients.
     """
+    _check_dim(n)
     pole = psi.pole()
     if abs(pole) <= _POLE_GUARD:
         raise SymbolPoleError(f"weight pole at {pole} not outside the closed disk")
@@ -128,57 +98,63 @@ def build_wco(
             raise NotSelfMapError("constant map value must lie inside the disk")
     elif not is_self_map(phi):
         raise NotSelfMapError("composition symbol is not a self-map")
-    psi_s = expand_rational(psi, n).coeffs
-    return TruncatedOperator(n, _wco_columns(psi_s, phi, n))
+    return _wco_columns(expand_rational(psi, n), phi, n)
 
 
-def conjugation_matrix(c: Conjugation, n: int) -> AntiLinearMatrix:
+def conjugation_matrix(c: Conjugation, n: int) -> np.ndarray:
     """Matrix U with the conjugation acting as x -> U conj(x)."""
+    _check_dim(n)
     if c.kind == "J":
-        return AntiLinearMatrix(n, np.eye(n, dtype=complex))
+        return np.eye(n, dtype=complex)
     if c.kind == "C1":
-        return AntiLinearMatrix(n, np.diag(c.lam * c.alpha ** np.arange(n)))
+        return np.diag(c.lam * c.alpha ** np.arange(n))
     alpha = c.alpha
     weight = RationalSymbol(c.lam * np.sqrt(1.0 - abs(alpha) ** 2), 0.0, 1.0, -np.conj(alpha))
     vmap = MobiusMap(-np.conj(alpha) / alpha, np.conj(alpha), -np.conj(alpha), 1.0)
-    return AntiLinearMatrix(n, build_wco(weight, vmap, n).mat)
+    return build_wco(weight, vmap, n)
+
+
+def _check_dim(n: int):
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f"dimension N = {n} outside 1..{MAX_DIM}")
 
 
 def _check_block(n: int, k: int):
-    if k + BLOCK_PAD > n:
-        raise BlockTooLargeError(f"need k + {BLOCK_PAD} <= N, got k={k}, N={n}")
+    if not 1 <= k <= n - BLOCK_PAD:
+        raise BlockTooLargeError(f"need 1 <= k and k + {BLOCK_PAD} <= N, got k={k}, N={n}")
 
 
-def involution_residual(a: AntiLinearMatrix, k: int) -> Tuple[float, float]:
+def involution_residual(u: np.ndarray, k: int) -> Tuple[float, float]:
     """(involution defect, isometry defect) on the leading k x k block.
 
     C^2 x = U conj(U) x, so the first component is ||U conj(U) - I||; the
     anti-linear isometry axiom reduces to U^H U = I, the second component.
     """
-    _check_block(a.dim, k)
-    eye = np.eye(a.dim, dtype=complex)
-    inv = (a.u @ a.u.conj() - eye)[:k, :k]
-    iso = (a.u.conj().T @ a.u - eye)[:k, :k]
+    n = len(u)
+    _check_block(n, k)
+    eye = np.eye(n, dtype=complex)
+    inv = (u @ u.conj() - eye)[:k, :k]
+    iso = (u.conj().T @ u - eye)[:k, :k]
     return float(np.linalg.norm(inv)), float(np.linalg.norm(iso))
 
 
-def symmetry_residual(t: TruncatedOperator, a: AntiLinearMatrix, k: int) -> float:
+def symmetry_residual(t: np.ndarray, u: np.ndarray, k: int) -> float:
     """|| T - U T^t conj(U) || on the leading block.
 
     For anti-linear C: x -> U conj(x) the condition T = C T* C reduces to
     T = U T^t conj(U).
     """
-    if t.dim != a.dim:
-        raise DimensionMismatchError(f"dims differ: {t.dim} != {a.dim}")
-    _check_block(t.dim, k)
-    res = t.mat - a.u @ t.mat.T @ a.u.conj()
+    if t.shape != u.shape:
+        raise DimensionMismatchError(f"shapes differ: {t.shape} != {u.shape}")
+    _check_block(len(t), k)
+    res = t - u @ t.T @ u.conj()
     return float(np.linalg.norm(res[:k, :k]))
 
 
-def normality_residual(t: TruncatedOperator, k: int) -> float:
+def normality_residual(t: np.ndarray, k: int) -> float:
     """|| T*T - TT* || on the leading block."""
-    _check_block(t.dim, k)
-    m = t.mat.conj().T @ t.mat - t.mat @ t.mat.conj().T
+    _check_block(len(t), k)
+    m = t.conj().T @ t - t @ t.conj().T
     return float(np.linalg.norm(m[:k, :k]))
 
 
@@ -191,6 +167,7 @@ def adjoint_factorization_residual(
     triangular and M_h* lowers degree, the truncated identity holds to
     rounding when the sigma sign convention is the correct one.
     """
+    _check_dim(n)
     _check_block(n, k)
     if not is_self_map(m):
         raise NotSelfMapError("factorization residual needs a self-map")
@@ -200,10 +177,10 @@ def adjoint_factorization_residual(
     one = np.zeros(n, dtype=complex)
     one[0] = 1.0
     c_phi = _wco_columns(one, m, n)
-    m_g = build_wco(triple.g, IDENTITY, n).mat
+    m_g = build_wco(triple.g, IDENTITY, n)
     # the flipped-sign variant of sigma need not be a self-map; build its
     # columns directly so the wrong convention can be exhibited failing
     c_sigma = _wco_columns(one, triple.sigma, n)
-    m_h = build_wco(triple.h, IDENTITY, n).mat
+    m_h = build_wco(triple.h, IDENTITY, n)
     res = c_phi.conj().T - m_g @ c_sigma @ m_h.conj().T
     return float(np.linalg.norm(res[:k, :k]))

@@ -35,9 +35,11 @@ from .mobius import (
     lft_normality_defects,
     mobius_equal,
     proj_distance,
+    quadruple_gap,
     sup_modulus,
 )
 from .operators import (
+    BLOCK_PAD,
     Conjugation,
     adjoint_factorization_residual,
     build_wco,
@@ -57,11 +59,13 @@ class SuiteConfig:
     seed: int = 2024
     pass_tol: float = 1e-7
     fail_tol: float = 1e-3
-    pred_tol: float = 1e-10
+    pred_tol: float = fam.PRED_TOL
 
     def __post_init__(self):
-        if self.block + 32 > self.dim:
-            raise ValueError(f"need block + 32 <= dim, got {self.block} + 32 > {self.dim}")
+        if self.block + BLOCK_PAD > self.dim:
+            raise ValueError(
+                f"need block + {BLOCK_PAD} <= dim, got {self.block} + {BLOCK_PAD} > {self.dim}"
+            )
         if not self.pass_tol < self.fail_tol:
             raise ValueError("pass_tol must be below fail_tol")
 
@@ -212,9 +216,7 @@ def suite_prop22_commutation(rng, cfg: SuiteConfig) -> Records:
                 continue
             m = phi
         else:  # strict parabolic from the branch arc
-            theta = rng.uniform(math.pi + 0.3, 1.5 * math.pi - 0.35)
-            a0 = 0.5j * (1.0 + cmath.exp(1j * theta))
-            m = fam.parabolic_j_symbols(a0, +1).phi
+            m = fam.parabolic_j_symbols(_parabolic_j_arc(rng, 1), +1).phi
         sigma0 = cowen_sigma0(m)
         psi = RationalSymbol(1.0, 0.0, 1.0, -np.conj(sigma0))
         lft = lft_oracle((m.a, m.b, m.c, m.d))
@@ -300,6 +302,12 @@ def suite_c1sym_form(rng, cfg: SuiteConfig) -> Records:
     return _symmetry_records(rng, cfg, draw, lambda p: Conjugation("C1", 1.0, p["alpha"]))
 
 
+def _c2_params_from_tuv(alpha, t, u, v) -> fam.C2Params:
+    c1 = (u - np.conj(alpha) * v) / (abs(alpha) ** 2 - 1.0)
+    c2 = c1 - t
+    return fam.C2Params.from_c0_squared(alpha, v + alpha * c1, c1, c2)
+
+
 def _draw_c2_selfmap(rng, alpha_hi=0.5):
     """C2 parameters whose composition symbol is a strict self-map and
     whose weight pole stays well outside the closed disk."""
@@ -307,13 +315,7 @@ def _draw_c2_selfmap(rng, alpha_hi=0.5):
         alpha = _disk(rng, alpha_hi, 0.1)
         t = _disk(rng, 0.3)
         u = _disk(rng, 0.3)
-        v = 1.0 + 0.0j
-        c1 = (u - np.conj(alpha) * v) / (abs(alpha) ** 2 - 1.0)
-        c2 = c1 - t
-        c0_sq = v + alpha * c1
-        if abs(c0_sq - alpha * c1) < 0.2:
-            continue
-        params = fam.C2Params.from_c0_squared(alpha, c0_sq, c1, c2)
+        params = _c2_params_from_tuv(alpha, t, u, 1.0 + 0.0j)
         try:
             pair = fam.c2_symbols(params)
         except Exception:
@@ -526,12 +528,6 @@ def suite_thm51_iff(rng, cfg: SuiteConfig) -> Records:
         yield _oracle_record(cfg, {"alpha": alpha, "c0": c0, "c1": c1}, predicates, pred, res)
 
 
-def _c2_params_from_tuv(alpha, t, u, v) -> fam.C2Params:
-    c1 = (u - np.conj(alpha) * v) / (abs(alpha) ** 2 - 1.0)
-    c2 = c1 - t
-    return fam.C2Params.from_c0_squared(alpha, v + alpha * c1, c1, c2)
-
-
 def suite_thm61_consistency(rng, cfg: SuiteConfig) -> Records:
     """Stated case conditions versus the coefficient-level oracle.
 
@@ -659,8 +655,7 @@ def _rational_gap(r1: RationalSymbol, r2: RationalSymbol) -> float:
     """Projective distance between two degree-(1,1) rational functions."""
     v1 = np.array([r1.n0, r1.n1, r1.d0, r1.d1])
     v2 = np.array([r2.n0, r2.n1, r2.d0, r2.d1])
-    minors = np.outer(v1, v2) - np.outer(v2, v1)
-    return float(np.linalg.norm(minors) / (np.linalg.norm(v1) * np.linalg.norm(v2)))
+    return quadruple_gap(v1, v2)
 
 
 def suite_cor41_aut(rng, cfg: SuiteConfig) -> Records:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wcosym import verify
 from wcosym.cli import (
     REPORT_SCHEMA,
     SWEEP_CSV_COLUMNS,
@@ -112,6 +113,9 @@ class TestCheckCommand:
 
     def test_domain_violation_exit_2(self, capsys):
         assert main(["check", "--family", "j", "--a0", "2", "--a1", "0"]) == 2
+        # N outside 1..1024 is refused, not replaced by the default
+        assert main(["check", "--family", "j", "--a0", "0.3", "--a1", "0.2", "--dim", "0"]) == 2
+        assert main(["check", "--family", "j", "--a0", "0.5i", "--a1", "0.75", "--block", "-5"]) == 2
 
 
 class TestSuiteCommand:
@@ -137,6 +141,15 @@ class TestSuiteCommand:
         assert main(["suite", "--id", "nope"]) == 2
         # below the suite's minimum dim: refused rather than silently raised
         assert main(["suite", "--id", "ex44-parabolic", "--dim", "64"]) == 2
+        # an empty block would pass every draw vacuously
+        assert main(["suite", "--id", "prop21-normal", "--block", "0", "--samples", "3"]) == 2
+
+    def test_dimension_cap_exit_2(self, capsys, monkeypatch):
+        # the cap is checked before the first matrix, so no record is computed
+        calls = []
+        monkeypatch.setattr(verify, "involution_residual", lambda *a: calls.append(a) or (0.0, 0.0))
+        assert main(["suite", "--id", "conjugation-axioms", "--dim", "1025"]) == 2
+        assert calls == []
 
     def test_determinism_across_processes(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -181,14 +194,6 @@ class TestSweepCommand:
         assert code == 3
         rows = out.read_text().splitlines()[1:]
         assert any("discrepancy" in row for row in rows)
-
-
-def test_default_dim_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("WCO_DEFAULT_DIM", "48")
-    code = main(["check", "--family", "j", "--a0", "0.3", "--a1", "0.2"])
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["verdict"] == "pass"
 
 
 def test_print_schema(capsys):

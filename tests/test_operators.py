@@ -31,17 +31,17 @@ def j_family(a0, a1, b=1.0):
 class TestBuildWco:
     def test_identity_operator(self):
         t = build_wco(ONE, IDENTITY, 8)
-        assert np.allclose(t.mat, np.eye(8))
+        assert np.allclose(t, np.eye(8))
 
     def test_diagonal_family(self):
         t = build_wco(RationalSymbol.constant(0.7), MobiusMap(0.5, 0, 0, 1), 6)
-        assert np.allclose(t.mat, np.diag(0.7 * 0.5 ** np.arange(6)))
+        assert np.allclose(t, np.diag(0.7 * 0.5 ** np.arange(6)))
 
     def test_kernel_weight_toeplitz(self):
         n = 8
         t = build_wco(RationalSymbol(1, 0, 1, -0.5), IDENTITY, n)
         for j in range(n):
-            col = t.mat[:, j]
+            col = t[:, j]
             assert np.allclose(col[:j], 0)
             assert np.allclose(col[j:], 0.5 ** np.arange(n - j))
 
@@ -49,7 +49,7 @@ class TestBuildWco:
         t = build_wco(RationalSymbol(0.75, 0, 1, -0.5), ConstantMap(0.5), 5)
         psi = 0.75 * 0.5 ** np.arange(5)
         for j in range(5):
-            assert np.allclose(t.mat[:, j], psi * 0.5 ** j)
+            assert np.allclose(t[:, j], psi * 0.5 ** j)
 
     def test_pole_guard(self):
         with pytest.raises(SymbolPoleError):
@@ -59,6 +59,16 @@ class TestBuildWco:
         with pytest.raises(NotSelfMapError):
             build_wco(ONE, MobiusMap(2, 0, 0, 1), 8)
 
+    @pytest.mark.parametrize("n", [0, 1025])
+    def test_dimension_cap(self, n):
+        with pytest.raises(ValueError):
+            build_wco(ONE, IDENTITY, n)
+        with pytest.raises(ValueError):
+            adjoint_factorization_residual(IDENTITY, n, 16)
+        for c in (Conjugation("J"), Conjugation("C1", 1.0, 1j), Conjugation("C2", 1.0, 0.3)):
+            with pytest.raises(ValueError):
+                conjugation_matrix(c, n)
+
     def test_intertwining_sample_check(self):
         psi = RationalSymbol(1.2, 0.3, 1, -0.4)
         phi = MobiusMap(0.3, 0.25, -0.1, 1.0)
@@ -66,18 +76,18 @@ class TestBuildWco:
         z = 0.2
         powers = z ** np.arange(96)
         for j in (0, 1, 3, 7):
-            col_val = np.dot(t.mat[:, j], powers)
+            col_val = np.dot(t[:, j], powers)
             assert abs(col_val - psi(z) * phi(z) ** j) <= 1e-10
 
 
 class TestConjugationMatrix:
     def test_j_is_identity(self):
         u = conjugation_matrix(Conjugation("J"), 10)
-        assert np.array_equal(u.u, np.eye(10))
+        assert np.array_equal(u, np.eye(10))
 
     def test_c1_diagonal(self):
         u = conjugation_matrix(Conjugation("C1", 1.0, 1j), 4)
-        assert np.allclose(np.diag(u.u), [1, 1j, -1, -1j])
+        assert np.allclose(np.diag(u), [1, 1j, -1, -1j])
 
     def test_domain_validation(self):
         with pytest.raises(BadParameterDomainError):
@@ -114,8 +124,8 @@ class TestConjugationMatrix:
             for j in range(k):
                 x = np.eye(64)[i].astype(complex)
                 y = np.eye(64)[j].astype(complex)
-                ax = u.u @ np.conj(x)
-                ay = u.u @ np.conj(y)
+                ax = u @ np.conj(x)
+                ay = u @ np.conj(y)
                 lhs = np.vdot(ay, ax)  # <Ax, Ay> with numpy's conjugation on the first arg
                 rhs = np.conj(np.vdot(y, x))
                 assert abs(lhs - rhs) <= 1e-8
@@ -124,6 +134,10 @@ class TestConjugationMatrix:
         u = conjugation_matrix(Conjugation("J"), 40)
         with pytest.raises(BlockTooLargeError):
             involution_residual(u, 12)
+        # an empty or negative block would slice nothing or the corrupted tail
+        for k in (0, -5):
+            with pytest.raises(BlockTooLargeError):
+                involution_residual(u, k)
 
 
 class TestSymmetryResidual:
@@ -158,9 +172,9 @@ class TestSymmetryResidual:
         t = build_wco(psi, MobiusMap(0.35, 0.1, -0.05, 1.0), 80)
         u = conjugation_matrix(Conjugation("C2", 1.0, 0.3), 80)
         k = 12
-        once = u.u @ t.mat.T @ u.u.conj()
-        twice = u.u @ once.T @ u.u.conj()
-        assert np.linalg.norm((twice - t.mat)[:k, :k]) <= 1e-12
+        once = u @ t.T @ u.conj()
+        twice = u @ once.T @ u.conj()
+        assert np.linalg.norm((twice - t)[:k, :k]) <= 1e-12
 
 
 class TestNormalityResidual:
