@@ -5,8 +5,9 @@ Usage:
     python scripts/run_all_suites.py [--out reports/] [--seed N] [--samples M]
 
 Exit status: 0 when everything passes, 3 when the only disagreements are
-the documented ones, 1 otherwise.  A suite that raises is reported as
-ERROR with its exception, counts as 1, and the run goes on to the next.
+the documented ones, 1 otherwise, and 2 for a --samples below 1.  A suite
+that raises is reported as ERROR with its exception, counts as 1, and the
+run goes on to the next.
 """
 
 import argparse
@@ -37,7 +38,10 @@ def main() -> int:
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.samples is not None:
-            cfg = dataclasses.replace(cfg, samples=args.samples)
+            try:
+                cfg = dataclasses.replace(cfg, samples=args.samples)
+            except ValueError as exc:
+                parser.error(str(exc))
         t0 = time.time()
         try:
             report = run_suite(suite_id, cfg)

@@ -2,11 +2,14 @@
 
 A function analytic at 0 is represented by a plain complex vector of its
 first ``N`` Taylor coefficients; in this basis the coefficient vectors are
-exactly the coordinates used by the operator truncations, so everything
-downstream reduces to convolutions of these vectors.  Products are exact
-through the truncation order (the Cauchy product of index n only touches
-indices <= n); the only genuinely lossy operation is composition, where
-the tail of the outer series spills into every coefficient.
+exactly the coordinates used by the operator truncations: the weight's
+vector is the first column of W, and the Mobius map's vector drives the
+columns after it (by convolution at small N; at large N ``operators``
+uses a recurrence in the map's four coefficients and takes this vector
+only for its checks).  Products are exact through the truncation order
+(the Cauchy product of index n only touches indices <= n); the only
+genuinely lossy operation is composition, where the tail of the outer
+series spills into every coefficient.
 """
 
 from __future__ import annotations

@@ -62,6 +62,8 @@ class SuiteConfig:
     pred_tol: float = fam.PRED_TOL
 
     def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"need samples >= 1, got {self.samples}")
         if self.block + BLOCK_PAD > self.dim:
             raise ValueError(
                 f"need block + {BLOCK_PAD} <= dim, got {self.block} + {BLOCK_PAD} > {self.dim}"

@@ -143,6 +143,9 @@ class TestSuiteCommand:
         assert main(["suite", "--id", "ex44-parabolic", "--dim", "64"]) == 2
         # an empty block would pass every draw vacuously
         assert main(["suite", "--id", "prop21-normal", "--block", "0", "--samples", "3"]) == 2
+        # no draw at all would read as a clean pass
+        for samples in ("0", "-3"):
+            assert main(["suite", "--id", "prop21-normal", "--samples", samples]) == 2
 
     def test_dimension_cap_exit_2(self, capsys, monkeypatch):
         # the cap is checked before the first matrix, so no record is computed

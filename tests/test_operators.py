@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from wcosym import families as fam
 from wcosym.errors import (
     BadParameterDomainError,
     BlockTooLargeError,
     NotSelfMapError,
+    PoleAtOriginError,
     SymbolPoleError,
 )
-from wcosym.mobius import IDENTITY, ConstantMap, MobiusMap
+from wcosym.mobius import IDENTITY, ConstantMap, MobiusMap, cowen_adjoint
 from wcosym.operators import (
+    MAX_DIM,
+    RECURRENCE_MIN_DIM,
     Conjugation,
     adjoint_factorization_residual,
     build_wco,
@@ -17,7 +21,7 @@ from wcosym.operators import (
     normality_residual,
     symmetry_residual,
 )
-from wcosym.series import RationalSymbol
+from wcosym.series import RationalSymbol, expand_rational, mobius_series
 
 ONE = RationalSymbol.constant(1.0)
 
@@ -78,6 +82,113 @@ class TestBuildWco:
         for j in (0, 1, 3, 7):
             col_val = np.dot(t[:, j], powers)
             assert abs(col_val - psi(z) * phi(z) ** j) <= 1e-10
+
+
+def convolution_columns(psi_s, phi, n):
+    """Reference build at any N: column j = psi phi^j by Cauchy products."""
+    phi_s = mobius_series(phi, n)
+    mat = np.zeros((n, n), dtype=complex)
+    mat[:, 0] = psi_s
+    for j in range(1, n):
+        mat[:, j] = np.convolve(mat[:, j - 1], phi_s)[:n]
+    return mat
+
+
+# (weight, map) pairs across the decay regimes the suites draw from
+BUILD_PATH_CASES = {
+    "prop21-fast-decay": fam.normal_interior_symbols(fam.InteriorParams(0.1 - 0.05j, 0.2j, 1.3)),
+    "disk-automorphism": (RationalSymbol(1.0, 0.2, 1, -0.3), fam.DiskForm(np.exp(0.4j), 0.5 + 0.2j).to_map()),
+    "multiplication": (RationalSymbol(0.8, 0.3, 1, -0.6j), IDENTITY),
+    "pole-near-circle": (RationalSymbol(1.0, 0.0, 1, -0.99), MobiusMap(0.3, 0.25, -0.1, 1.0)),
+}
+
+
+class TestBuildPaths:
+    """Below RECURRENCE_MIN_DIM build_wco convolves, from there on it runs
+    the Mobius recurrence; the leading block of a large build must agree
+    with the small build to rounding."""
+
+    N_SMALL, N_LARGE = 96, 192
+
+    def test_dimensions_straddle_the_crossover(self):
+        assert self.N_SMALL < RECURRENCE_MIN_DIM <= self.N_LARGE
+
+    @pytest.mark.parametrize("case", sorted(BUILD_PATH_CASES))
+    def test_leading_block_agrees(self, case):
+        pair = BUILD_PATH_CASES[case]
+        psi, phi = (pair.psi, pair.phi) if isinstance(pair, fam.SymbolPair) else pair
+        small = build_wco(psi, phi, self.N_SMALL)
+        large = build_wco(psi, phi, self.N_LARGE)
+        k = self.N_SMALL
+        assert np.max(np.abs(large[:k, :k] - small)) <= 1e-13 * np.max(np.abs(small))
+        reference = convolution_columns(expand_rational(psi, self.N_LARGE), phi, self.N_LARGE)
+        assert np.max(np.abs(large - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    def test_c2_kernel_map_agrees(self):
+        c = Conjugation("C2", np.exp(0.3j), 0.95 * np.exp(1.1j))
+        small = conjugation_matrix(c, self.N_SMALL)
+        large = conjugation_matrix(c, self.N_LARGE)
+        k = self.N_SMALL
+        assert np.max(np.abs(large[:k, :k] - small)) <= 1e-13 * np.max(np.abs(small))
+
+    def test_refusals_above_crossover(self):
+        n = RECURRENCE_MIN_DIM
+        # a denominator vanishing at 0 has its pole at the origin
+        with pytest.raises(PoleAtOriginError):
+            build_wco(RationalSymbol(1.0, 0.0, 1e-15, 0.0), IDENTITY, n)
+        with pytest.raises(NotSelfMapError):
+            build_wco(ONE, MobiusMap(2, 0, 0, 1), n)
+        with pytest.raises(SymbolPoleError):
+            build_wco(RationalSymbol(1, 0, 1, -1.0), IDENTITY, n)
+        with pytest.raises(ValueError):
+            build_wco(ONE, IDENTITY, MAX_DIM + 1)
+
+
+class TestBlockResiduals:
+    """Each residual forms only the block it reads; it must equal the full
+    N x N products sliced to the block."""
+
+    N, K = 160, 16
+
+    def _random(self, rng):
+        shape = (self.N, self.N)
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(self.N)
+
+    def test_matrix_residuals_match_full_products(self):
+        rng = np.random.default_rng(5)
+        t, u = self._random(rng), self._random(rng)
+        n, k = self.N, self.K
+        eye = np.eye(n)
+        inv, iso = involution_residual(u, k)
+        assert abs(inv - np.linalg.norm((u @ u.conj() - eye)[:k, :k])) <= 1e-13
+        assert abs(iso - np.linalg.norm((u.conj().T @ u - eye)[:k, :k])) <= 1e-13
+        full_sym = np.linalg.norm((t - u @ t.T @ u.conj())[:k, :k])
+        assert abs(symmetry_residual(t, u, k) - full_sym) <= 1e-13
+        full_normal = np.linalg.norm((t.conj().T @ t - t @ t.conj().T)[:k, :k])
+        assert abs(normality_residual(t, k) - full_normal) <= 1e-13
+
+    @pytest.mark.parametrize("sigma_sign", [-1, 1])
+    def test_factorization_residual_matches_full_products(self, sigma_sign):
+        m = MobiusMap(0.5 + 0.1j, 0.25 - 0.05j, 0.1 + 0.2j, 1.0)
+        n, k = self.N, self.K
+        triple = cowen_adjoint(m, sigma_sign=sigma_sign)
+        one = expand_rational(ONE, n)
+        c_phi = convolution_columns(one, m, n)
+        m_g = convolution_columns(expand_rational(triple.g, n), IDENTITY, n)
+        c_sigma = convolution_columns(one, triple.sigma, n)
+        m_h = convolution_columns(expand_rational(triple.h, n), IDENTITY, n)
+        full = np.linalg.norm((c_phi.conj().T - m_g @ c_sigma @ m_h.conj().T)[:k, :k])
+        got = adjoint_factorization_residual(m, n, k, sigma_sign=sigma_sign)
+        assert abs(got - full) <= 1e-13 * max(1.0, full)
+
+
+class TestDimensionCapScale:
+    def test_c2_conjugation_at_max_dim(self):
+        # the first check at the dimension cap: |alpha| = 0.9 needs N far
+        # beyond the default suites' 96 before the block converges
+        u = conjugation_matrix(Conjugation("C2", np.exp(0.7j), 0.9 * np.exp(-0.4j)), MAX_DIM)
+        inv, iso = involution_residual(u, 16)
+        assert inv <= 1e-12 and iso <= 1e-12
 
 
 class TestConjugationMatrix:

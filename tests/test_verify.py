@@ -42,6 +42,9 @@ class TestConfig:
     def test_padding_invariant(self):
         with pytest.raises(ValueError):
             SuiteConfig(dim=40, block=12)
+        for samples in (0, -3):
+            with pytest.raises(ValueError):
+                SuiteConfig(samples=samples)
         # a config below a suite's declared minimum is refused, not raised
         with pytest.raises(ValueError):
             run_suite("ex44-parabolic", dataclasses.replace(default_config("ex44-parabolic"), dim=64))
