@@ -42,7 +42,7 @@ def main() -> int:
                 cfg = dataclasses.replace(cfg, samples=args.samples)
             except ValueError as exc:
                 parser.error(str(exc))
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             report = run_suite(suite_id, cfg)
         except Exception as exc:
@@ -56,7 +56,7 @@ def main() -> int:
         print(
             f"{suite_id:24s} {status:18s} pass={s['pass']:4d} fail={s['fail']:3d} "
             f"inconclusive={s['inconclusive']:3d} discrepancy={s['discrepancy']:3d} "
-            f"[{time.time() - t0:5.1f}s]"
+            f"[{time.perf_counter() - t0:5.1f}s]"
         )
         if report.exit_status == 1:
             worst = 1

@@ -8,14 +8,17 @@ operator holds the coefficients of the image of z^j, and an anti-linear
 operator is the matrix U of x -> U conj(x).  N is capped at MAX_DIM = 1024,
 checked before any N x N array is allocated.
 
-Column j of W is psi phi^j.  Below RECURRENCE_MIN_DIM it is built by N
-convolutions with the series of phi, O(N^3) in all; from there on by the
-Mobius recurrence (cz + d) psi phi^j = (az + b) psi phi^(j-1), which fills
-the matrix one anti-diagonal at a time in O(N^2).  The convolutions also
-slow down badly at large N, because the products of tiny coefficients
-underflow into subnormal numbers; the recurrence touches each entry once.
-Its 2N Python-level steps cost more than the convolutions at small N,
-hence the crossover.
+Column j of W is psi phi^j.  Below RECURRENCE_MIN_DIM it is built by
+power doubling: columns [w, 2w) are the lower-triangular Toeplitz matrix
+of the series of phi^w times columns [0, w), so about log2(N) BLAS
+products replace N convolutions.  From RECURRENCE_MIN_DIM on it is built
+by the Mobius recurrence (cz + d) psi phi^j = (az + b) psi phi^(j-1),
+which fills the matrix one anti-diagonal at a time in O(N^2).  Doubling
+still does O(N^3) arithmetic, and at large N the products of tiny
+coefficients underflow into subnormal numbers that slow the BLAS kernel
+down; the recurrence touches each entry once, but its 2N Python-level
+steps cost more than a few matrix products at small N, hence the
+crossover.
 
 Residuals are always measured on a leading k x k block with k + 32 <= N:
 truncation corrupts the trailing rows and columns of products, and the
@@ -26,6 +29,7 @@ its products that reach the block, never a full N x N product.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Literal, Tuple, Union
 
@@ -43,10 +47,13 @@ from .series import RationalSymbol, expand_rational, mobius_series
 
 BLOCK_PAD = 32
 MAX_DIM = 1024
-# smallest N built by the recurrence.  Per build on a 2-vCPU x86 VM,
-# convolutions vs recurrence: 0.5 vs 0.7 ms at N = 64, 1.1 vs 0.8-1.2 ms at
-# 96, 1.6-2.1 vs 1.1-1.6 ms at 128, 112 vs 5 ms at 384
-RECURRENCE_MIN_DIM = 128
+# smallest N built by the recurrence.  Per build of an interior-family W on
+# a 2-vCPU x86 VM with one BLAS thread, doubling vs recurrence: 0.10-0.17 vs
+# 0.42-0.44 ms at N = 48, 0.26-0.45 vs 0.8-1.5 ms at 96, 0.5-0.8 vs 1.2-1.7 ms
+# at 128, 2.1-2.8 vs 3.0-3.3 ms at 191, 3.4-4.9 vs 2.5 ms at 256 and 10-15 vs
+# 4.6-5 ms at 384.  The per-column convolutions that doubling replaced took
+# 0.27-0.39 ms at 48 and 1.1-1.4 ms at 96.
+RECURRENCE_MIN_DIM = 192
 _POLE_GUARD = 1.0 + 1e-9
 
 
@@ -88,13 +95,44 @@ def _wco_columns(psi_s: np.ndarray, phi: Union[MobiusMap, ConstantMap], n: int) 
     phi_s = mobius_series(phi, n)  # refuses a pole at 0 or an overflowing series
     if n >= RECURRENCE_MIN_DIM:
         return _mobius_recurrence(psi_s, phi, n)
-    mat = np.zeros((n, n), dtype=complex)
-    col = psi_s
-    mat[:, 0] = col
-    for j in range(1, n):
-        col = np.convolve(col, phi_s)[:n]
-        mat[:, j] = col
+    return _power_doubling(psi_s, phi_s, n)
+
+
+def _power_doubling(psi_s: np.ndarray, phi_s: np.ndarray, n: int) -> np.ndarray:
+    """Columns psi phi^j, j < n, doubling the number of known columns per level.
+
+    With T_w the lower-triangular Toeplitz matrix of the series of phi^w,
+    T_w x is the truncated Cauchy product of phi^w with the series x, so
+    columns [w, 2w) are T_w times columns [0, w), and T_w times the series
+    of phi^w is the series of phi^(2w): about log2(N) matrix products.
+    """
+    idx = _toeplitz_index(n)
+    padded = np.zeros(2 * n - 1, dtype=complex)  # n - 1 zeros above the diagonal
+    mat = np.empty((n, n), dtype=complex)
+    mat[:, 0] = psi_s
+    power, w = phi_s, 1
+    while w < n:
+        m = min(w, n - w)
+        padded[n - 1:] = power
+        toeplitz = padded[idx]
+        mat[:, w:w + m] = toeplitz @ mat[:, :m]
+        if 2 * w < n:
+            power = toeplitz @ power
+        w *= 2
     return mat
+
+
+@functools.cache
+def _toeplitz_index(n: int) -> np.ndarray:
+    """Indices with padded[idx][i, j] = padded[n - 1 + i - j].
+
+    Cached per N; only N below RECURRENCE_MIN_DIM reach it, so the cache
+    holds at most that many small integer tables.
+    """
+    i = np.arange(n)
+    idx = (n - 1) + i[:, None] - i[None, :]
+    idx.flags.writeable = False
+    return idx
 
 
 def _mobius_recurrence(psi_s: np.ndarray, phi: MobiusMap, n: int) -> np.ndarray:
@@ -133,7 +171,8 @@ def build_wco(
     The weight must be analytic on the closed disk (pole strictly
     outside); phi must be a self-map.  Coefficient m of psi phi^j depends
     only on coefficients <= m of psi and phi, so each column is the exact
-    truncation up to rounding: built by Cauchy products below
+    truncation up to rounding: built by power doubling (truncated Cauchy
+    products as lower-triangular Toeplitz matrix products) below
     RECURRENCE_MIN_DIM, by the O(N^2) Mobius recurrence from there on.
     """
     _check_dim(n)

@@ -4,12 +4,13 @@ A function analytic at 0 is represented by a plain complex vector of its
 first ``N`` Taylor coefficients; in this basis the coefficient vectors are
 exactly the coordinates used by the operator truncations: the weight's
 vector is the first column of W, and the Mobius map's vector drives the
-columns after it (by convolution at small N; at large N ``operators``
-uses a recurrence in the map's four coefficients and takes this vector
-only for its checks).  Products are exact through the truncation order
-(the Cauchy product of index n only touches indices <= n); the only
-genuinely lossy operation is composition, where the tail of the outer
-series spills into every coefficient.
+columns after it (at small N ``operators`` multiplies by Toeplitz
+matrices of the series of its powers; at large N it uses a recurrence in
+the map's four coefficients and takes this vector only for its checks).
+Products are exact through the truncation order (the Cauchy product of
+index n only touches indices <= n); the only genuinely lossy operation
+is composition, where the tail of the outer series spills into every
+coefficient.
 """
 
 from __future__ import annotations
@@ -64,10 +65,10 @@ class RationalSymbol:
 def expand_rational(r: RationalSymbol, n: int) -> np.ndarray:
     """First ``n`` Taylor coefficients of a rational symbol at 0.
 
-    Uses the geometric recurrence c_k = -(d1/d0) c_{k-1}; each step is a
-    single multiply, so relative error stays at rounding level.  A pole
-    inside the disk makes the coefficients grow; once they overflow the
-    expansion is refused.
+    Uses the geometric recurrence c_k = -(d1/d0) c_{k-1}, run as one
+    cumulative product; each step is a single multiply, so relative error
+    stays at rounding level.  A pole inside the disk makes the
+    coefficients grow; once they overflow the expansion is refused.
     """
     if abs(r.d0) < _POLE_EPS:
         raise PoleAtOriginError("denominator vanishes at 0")
@@ -76,9 +77,8 @@ def expand_rational(r: RationalSymbol, n: int) -> np.ndarray:
         c[0] = r.n0 / r.d0
     if n > 1:
         c[1] = (r.n1 - r.d1 * c[0]) / r.d0
-        ratio = -r.d1 / r.d0
-        for k in range(2, n):
-            c[k] = ratio * c[k - 1]
+        c[2:] = -r.d1 / r.d0
+        np.cumprod(c[1:], out=c[1:])
     if not np.all(np.isfinite(c)):
         raise ValueError("coefficients must be finite")
     return c

@@ -732,9 +732,10 @@ def suite_ex51_interior(rng, cfg: SuiteConfig) -> Records:
         cpair = fam.c1_symbols(fam.C1Params(alpha, c0, c1))
         phi_gap = proj_distance(pair.phi, cpair.phi)
         pred = fam.c1_normal_predicate(alpha, c0, c1, cfg.pred_tol)
-        res = _matrix_normality(pair, cfg)
+        t = build_wco(pair.psi, pair.phi, cfg.dim)
+        res = normality_residual(t, cfg.block)
         u = conjugation_matrix(Conjugation("C1", 1.0, alpha), cfg.dim)
-        sym = symmetry_residual(build_wco(pair.psi, pair.phi, cfg.dim), u, cfg.block)
+        sym = symmetry_residual(t, u, cfg.block)
         ok = phi_gap <= 1e-9 and pred and res <= cfg.pass_tol and sym <= cfg.pass_tol
         yield SampleRecord(
             params={"p": p, "delta": delta, "alpha": alpha, "c0": c0, "c1": c1},
@@ -832,9 +833,10 @@ def suite_ex61_interior(rng, cfg: SuiteConfig) -> Records:
         gamma = (1.0 - p ** 2 * delta) / (1.0 - p ** 2)
         closed = fam.interior_phi_closed_form(fam.InteriorParams(complex(p), delta, gamma))
         phi_gap = proj_distance(pair.phi, closed)
-        res = _matrix_normality(pair, cfg)
+        wco = build_wco(pair.psi, pair.phi, cfg.dim)
+        res = normality_residual(wco, cfg.block)
         un = conjugation_matrix(Conjugation("C2", 1.0, alpha), cfg.dim)
-        sym = symmetry_residual(build_wco(pair.psi, pair.phi, cfg.dim), un, cfg.block)
+        sym = symmetry_residual(wco, un, cfg.block)
         ok = consistency <= 1e-9 and phi_gap <= 1e-9 and res <= cfg.pass_tol and sym <= cfg.pass_tol
         yield SampleRecord(
             params={"p": p, "delta": delta, "alpha": alpha},

@@ -103,20 +103,49 @@ BUILD_PATH_CASES = {
 }
 
 
+def case_symbols(case):
+    pair = BUILD_PATH_CASES[case]
+    return (pair.psi, pair.phi) if isinstance(pair, fam.SymbolPair) else pair
+
+
+def c2_symbols(c):
+    """The (weight, map) pair conjugation_matrix builds for a C2 conjugation."""
+    a = c.alpha
+    weight = RationalSymbol(c.lam * np.sqrt(1.0 - abs(a) ** 2), 0.0, 1.0, -np.conj(a))
+    return weight, MobiusMap(-np.conj(a) / a, np.conj(a), -np.conj(a), 1.0)
+
+
+C2_SLOW_DECAY = Conjugation("C2", np.exp(0.3j), 0.95 * np.exp(1.1j))
+
+
 class TestBuildPaths:
-    """Below RECURRENCE_MIN_DIM build_wco convolves, from there on it runs
-    the Mobius recurrence; the leading block of a large build must agree
-    with the small build to rounding."""
+    """Below RECURRENCE_MIN_DIM build_wco runs power doubling, from there
+    on the Mobius recurrence; both must agree with the convolution
+    reference to rounding, and the leading block of a large build with
+    the small build."""
 
     N_SMALL, N_LARGE = 96, 192
 
     def test_dimensions_straddle_the_crossover(self):
         assert self.N_SMALL < RECURRENCE_MIN_DIM <= self.N_LARGE
 
+    # N = 1, sizes that are not powers of two, and a last level that
+    # fills fewer columns than it doubles from
+    @pytest.mark.parametrize("n", [1, 2, 3, 48, 64, 95, RECURRENCE_MIN_DIM - 1])
+    def test_doubling_matches_convolutions(self, n):
+        pairs = [case_symbols(case) for case in sorted(BUILD_PATH_CASES)] + [(ONE, IDENTITY)]
+        for psi, phi in pairs:
+            reference = convolution_columns(expand_rational(psi, n), phi, n)
+            got = build_wco(psi, phi, n)
+            assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
+        weight, vmap = c2_symbols(C2_SLOW_DECAY)
+        reference = convolution_columns(expand_rational(weight, n), vmap, n)
+        got = conjugation_matrix(C2_SLOW_DECAY, n)
+        assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
+
     @pytest.mark.parametrize("case", sorted(BUILD_PATH_CASES))
     def test_leading_block_agrees(self, case):
-        pair = BUILD_PATH_CASES[case]
-        psi, phi = (pair.psi, pair.phi) if isinstance(pair, fam.SymbolPair) else pair
+        psi, phi = case_symbols(case)
         small = build_wco(psi, phi, self.N_SMALL)
         large = build_wco(psi, phi, self.N_LARGE)
         k = self.N_SMALL
@@ -125,9 +154,8 @@ class TestBuildPaths:
         assert np.max(np.abs(large - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     def test_c2_kernel_map_agrees(self):
-        c = Conjugation("C2", np.exp(0.3j), 0.95 * np.exp(1.1j))
-        small = conjugation_matrix(c, self.N_SMALL)
-        large = conjugation_matrix(c, self.N_LARGE)
+        small = conjugation_matrix(C2_SLOW_DECAY, self.N_SMALL)
+        large = conjugation_matrix(C2_SLOW_DECAY, self.N_LARGE)
         k = self.N_SMALL
         assert np.max(np.abs(large[:k, :k] - small)) <= 1e-13 * np.max(np.abs(small))
 

@@ -33,6 +33,25 @@ class TestExpandRational:
         with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
             expand_rational(RationalSymbol(1, 0, 1, -3), 1024)
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_short_expansions(self, n):
+        s = expand_rational(RationalSymbol(0.6, 0.5, 2.0, -1.0), n)
+        assert s.shape == (n,)
+        assert np.allclose(s, [0.3, 0.4][:n])
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_complex(0.9), small_complex(0.9), small_complex(0.9))
+    def test_matches_loop_reference(self, n0, n1, d1):
+        r = RationalSymbol(n0, n1, 1.0, d1)
+        n = 96
+        ref = np.zeros(n, dtype=complex)
+        ref[0] = r.n0 / r.d0
+        ref[1] = (r.n1 - r.d1 * ref[0]) / r.d0
+        for k in range(2, n):
+            ref[k] = -r.d1 / r.d0 * ref[k - 1]
+        got = expand_rational(r, n)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     @settings(max_examples=50, deadline=None)
     @given(small_complex(0.8), small_complex(0.8), small_complex(0.6))
     def test_evaluation_matches_direct(self, n0, n1, d1):

@@ -153,3 +153,47 @@ def test_report_schema_validation():
     broken = dict(doc)
     broken.pop("suite_id")
     assert validate_report_dict(broken)
+
+
+# Every registry id at its registry defaults (seed 2024): (pass, fail,
+# inconclusive, discrepancy, exit status).  Taken from the build before
+# power doubling replaced the per-column convolutions, so a faster build
+# that moves any verdict turns this red.
+DEFAULT_SUMMARIES = {
+    "c1sym-form": (120, 0, 0, 0, 0),
+    "c2sym-form": (120, 0, 0, 0, 0),
+    "conjugation-axioms": (101, 0, 0, 0, 0),
+    "cor41-aut": (60, 0, 0, 0, 0),
+    "cor62-no-aut": (93, 0, 0, 0, 0),
+    "cowen-factorization": (50, 0, 0, 0, 0),
+    "ex41-equivalence": (80, 0, 0, 0, 0),
+    "ex42-sweep": (24, 0, 0, 0, 0),
+    "ex43-sweep": (12, 0, 0, 0, 0),
+    "ex44-parabolic": (40, 0, 0, 0, 0),
+    "ex51-aut-corollary": (60, 0, 0, 0, 0),
+    "ex51-interior": (40, 0, 0, 0, 0),
+    "ex52-sweep": (12, 0, 0, 12, 3),
+    "ex53-sweep": (12, 0, 0, 0, 0),
+    "ex54-parabolic": (40, 0, 0, 0, 0),
+    "ex61-interior": (30, 0, 0, 0, 0),
+    "ex62-sweep": (24, 0, 0, 0, 0),
+    "ex63-parabolic": (30, 0, 0, 0, 0),
+    "jsym-form": (120, 0, 0, 0, 0),
+    "lemma31-aut": (120, 0, 0, 0, 0),
+    "lemma32-aut": (120, 0, 0, 0, 0),
+    "lemma33-aut": (110, 0, 0, 0, 0),
+    "prop21-normal": (100, 0, 0, 0, 0),
+    "prop22-commutation": (60, 0, 0, 0, 0),
+    "prop41-iff": (200, 0, 0, 0, 0),
+    "thm51-iff": (200, 0, 0, 0, 0),
+    "thm61-consistency": (36, 0, 0, 24, 3),
+}
+
+
+def test_default_summaries_unchanged():
+    assert sorted(DEFAULT_SUMMARIES) == sorted(SUITES)
+    for suite_id, (npass, nfail, ninc, ndisc, status) in DEFAULT_SUMMARIES.items():
+        report = run_suite(suite_id)
+        expected = {"pass": npass, "fail": nfail, "inconclusive": ninc, "discrepancy": ndisc}
+        expected["total"] = sum(expected.values())
+        assert (report.summary, report.exit_status) == (expected, status), suite_id
