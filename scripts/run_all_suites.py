@@ -33,6 +33,7 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     worst = 0
+    start = time.perf_counter()
     for suite_id in sorted(SUITES):
         cfg = default_config(suite_id)
         if args.seed is not None:
@@ -63,6 +64,7 @@ def main() -> int:
         elif report.exit_status == 3 and worst == 0:
             worst = 3
     print(f"reports written to {out_dir}/")
+    print(f"total [{time.perf_counter() - start:.1f}s]")
     return worst
 
 

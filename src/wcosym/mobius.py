@@ -63,7 +63,7 @@ class MobiusMap:
 
     def __post_init__(self):
         q = [complex(self.a), complex(self.b), complex(self.c), complex(self.d)]
-        if not all(np.isfinite(v.real) and np.isfinite(v.imag) for v in q):
+        if not all(cmath.isfinite(v) for v in q):
             raise ValueError("coefficients must be finite")
         scale = max(abs(v) for v in q)
         if scale == 0.0:

@@ -15,6 +15,7 @@ coefficient.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -44,7 +45,7 @@ class RationalSymbol:
     def __post_init__(self):
         for name in ("n0", "n1", "d0", "d1"):
             v = complex(getattr(self, name))
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
+            if not cmath.isfinite(v):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, v)
 

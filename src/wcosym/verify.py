@@ -916,35 +916,19 @@ SWEEP_T_AUT = (0.0 + 0.0j, 0.6j, 1.2j)
 SWEEP_T_NONAUT = (0.3 + 0.0j, 0.8 + 0.0j, 0.4 + 0.5j)
 
 
-def _target_quadruples(include_aut=True, include_nonaut=True):
+def _target_quadruples(include_aut=True):
     targets = []
     for r in SWEEP_R_GRID:
         if include_aut:
             targets += [(r, t) for t in SWEEP_T_AUT]
-        if include_nonaut:
-            targets += [(r, t) for t in SWEEP_T_NONAUT]
+        targets += [(r, t) for t in SWEEP_T_NONAUT]
     return targets
-
-
-def _quad_distance_vec(va, vb, vc, vd, target: MobiusMap):
-    """Vectorized projective distance from quadruple arrays to a target."""
-    w = target.quadruple()
-    comps = [va, vb, vc, vd]
-    norm_v = np.sqrt(sum(np.abs(x) ** 2 for x in comps))
-    norm_w = np.linalg.norm(w)
-    total = np.zeros_like(norm_v)
-    for i in range(4):
-        for jdx in range(i + 1, 4):
-            total += np.abs(comps[i] * w[jdx] - comps[jdx] * w[i]) ** 2
-    # the six minors appear twice in the full outer-product norm
-    return np.sqrt(2.0 * total) / (norm_v * norm_w)
 
 
 def _polar_grid(radii, angles, r_lo=0.03, r_hi=0.92):
     rr = np.linspace(r_lo, r_hi, radii)
     aa = np.linspace(0.0, 2.0 * math.pi, angles, endpoint=False)
-    g = (rr[:, None] * np.exp(1j * aa)[None, :]).ravel()
-    return g
+    return (rr[:, None] * np.exp(1j * aa)[None, :]).ravel()
 
 
 def _local_grid(center, spread, pts=7, clip=0.97):
@@ -952,104 +936,121 @@ def _local_grid(center, spread, pts=7, clip=0.97):
     im = np.linspace(center.imag - spread, center.imag + spread, pts)
     g = (re[:, None] + 1j * im[None, :]).ravel()
     mags = np.abs(g)
-    g = np.where(mags > clip, g / mags * clip, g)
-    return g
+    return np.where(mags > clip, g / mags * clip, g)
 
 
-def _sweep_j_family(target: MobiusMap):
-    """min over (a0, a1) of max(map distance, normality defect)."""
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
 
-    def deficiency(a0, a1):
-        va = a1 - a0 ** 2
-        dist = _quad_distance_vec(va, a0, -a0, np.ones_like(a0), target)
-        expr = np.abs(
-            a0.imag * (1.0 - np.abs(a0) ** 2) + (np.conj(a0) * a1).imag
-        )
-        return np.maximum(dist, expr)
 
+def _j_defect(alpha, a0, a1):
+    return np.abs(a0.imag * (1.0 - np.abs(a0) ** 2) + (np.conj(a0) * a1).imag)
+
+
+def _c1_defect(alpha, c0, c1):
+    # summed in place, so that a grid holds one full complex temporary
+    expr = alpha * c0 * np.conj(c1)
+    expr += (np.conj(c0) - alpha * c0) * (1.0 - np.abs(c0) ** 2)
+    expr -= np.conj(c0) * c1
+    return np.abs(expr)
+
+
+def _quad_search(alpha, c0, c1, defect):
+    """Forms the target-free terms of the quadruples (c1 - alpha c0^2, c0,
+    -alpha c0, 1) on the grid alpha x c0 x c1; the returned function maps
+    a target to (deficiency, alpha, c0, c1) at the first minimizer."""
+    alpha, c0, c1 = (np.asarray(x, dtype=complex) for x in (alpha, c0, c1))
+    al, z0, z1 = alpha[:, None, None], c0[None, :, None], c1[None, None, :]
+    v0 = z1 - al * z0 ** 2
+    v2 = -al * z0
+    norm_v = np.sqrt(_abs2(v0) + (_abs2(z0) + _abs2(v2) + 1.0))
+    defects = defect(al, z0, z1)
+
+    def search(target: MobiusMap):
+        # buffers for one target, freed before a refinement grid is formed
+        total, minor = np.empty(v0.shape), np.empty_like(v0)
+        squares = minor.view(float)  # re^2 and im^2 overwrite the minor
+        w = target.quadruple()
+        # the three minors free of c1 live on the (alpha, c0) rows
+        total[...] = _abs2(z0 * w[2] - v2 * w[1]) + _abs2(z0 * w[3] - w[1]) + _abs2(v2 * w[3] - w[2])
+        for wk, row in ((w[1], z0 * w[0]), (w[2], v2 * w[0]), (w[3], w[0])):
+            np.subtract(np.multiply(v0, wk, out=minor), row, out=minor)
+            np.square(squares, out=squares)
+            np.add(total, squares[..., 0::2], out=total)
+            np.add(total, squares[..., 1::2], out=total)
+        # the six minors appear twice in the full outer-product norm
+        np.sqrt(np.multiply(total, 2.0, out=total), out=total)
+        np.divide(total, np.multiply(norm_v, np.linalg.norm(w), out=minor.real), out=total)
+        np.maximum(total, defects, out=total)
+        i = np.unravel_index(int(np.argmin(total)), total.shape)
+        return float(total[i]), complex(alpha[i[0]]), complex(c0[i[1]]), complex(c1[i[2]])
+
+    return search
+
+
+def _sweep_j_family(targets):
+    """min over (a0, a1) of max(map distance, normality defect), per target."""
     grid = _polar_grid(10, 16)
-    a0g, a1g = np.meshgrid(grid, grid, indexing="ij")
-    a0g, a1g = a0g.ravel(), a1g.ravel()
-    best = None
-    for _ in range(4):
-        d = deficiency(a0g, a1g)
-        i = int(np.argmin(d))
-        best = (float(d[i]), complex(a0g[i]), complex(a1g[i]))
-        spread = max(1e-4, 0.25 * best[0] + 0.02)
-        g0 = _local_grid(best[1], spread)
-        g1 = _local_grid(best[2], spread)
-        a0g, a1g = np.meshgrid(g0, g1, indexing="ij")
-        a0g, a1g = a0g.ravel(), a1g.ravel()
-    return best
+    coarse = _quad_search([1.0], grid, grid, _j_defect)
+    for target in targets:
+        d, _, a0, a1 = coarse(target)
+        for _ in range(3):
+            spread = max(1e-4, 0.25 * d + 0.02)
+            local = _quad_search([1.0], _local_grid(a0, spread), _local_grid(a1, spread), _j_defect)
+            d, _, a0, a1 = local(target)
+        yield d, {"a0": a0, "a1": a1}
 
 
-def _sweep_c1_family(target: MobiusMap):
+def _sweep_c1_family(targets):
     """min over (alpha, c0, c1) of max(map distance, normality defect).
 
     The coarse stage is seeded with the analytic candidate derived from
     the target's disk normal form, so a realizable target is found with
     certainty instead of by luck.
     """
-
-    def deficiency(alpha, c0, c1):
-        va = c1 - alpha * c0 ** 2
-        dist = _quad_distance_vec(va, c0, -alpha * c0, np.ones_like(c0), target)
-        expr = np.abs(
-            (np.conj(c0) - alpha * c0) * (1.0 - np.abs(c0) ** 2)
-            + alpha * c0 * np.conj(c1)
-            - np.conj(c0) * c1
-        )
-        return np.maximum(dist, expr)
-
-    cands = []
-    form = aut_normal_form(target)
-    if form is not None and not form.rotation and abs(form.gamma) > 1e-9:
-        g, beta = form.gamma, form.beta
-        alpha = np.conj(g) / (g * beta)
-        cands.append((alpha / abs(alpha), np.conj(g) / alpha, (abs(g) ** 2 - 1) * np.conj(g) / (g * alpha)))
-    angle_grid = np.exp(1j * np.linspace(0.0, 2 * math.pi, 12, endpoint=False))
-    cgrid = _polar_grid(7, 10)
-    best = None
-    for al in angle_grid:
-        c0g, c1g = np.meshgrid(cgrid, cgrid, indexing="ij")
-        d = deficiency(al, c0g.ravel(), c1g.ravel())
-        i = int(np.argmin(d))
-        cand = (float(d[i]), complex(al), complex(c0g.ravel()[i]), complex(c1g.ravel()[i]))
-        if best is None or cand[0] < best[0]:
-            best = cand
-    for alpha, c0, c1 in cands:
-        d = float(deficiency(np.array([alpha]), np.array([c0]), np.array([c1]))[0])
-        if d < best[0]:
-            best = (d, alpha, c0, c1)
-    for _ in range(4):
-        _, alpha, c0, c1 = best
-        spread = max(1e-5, 0.2 * best[0] + 0.005)
-        angs = np.angle(alpha) + np.linspace(-spread, spread, 5)
-        for ang in angs:
-            al = cmath.exp(1j * float(ang))
-            g0 = _local_grid(c0, spread)
-            g1 = _local_grid(c1, spread)
-            c0g, c1g = np.meshgrid(g0, g1, indexing="ij")
-            d = deficiency(al, c0g.ravel(), c1g.ravel())
-            i = int(np.argmin(d))
-            cand = (float(d[i]), al, complex(c0g.ravel()[i]), complex(c1g.ravel()[i]))
+    alphas, cgrid = np.exp(1j * np.linspace(0.0, 2 * math.pi, 12, endpoint=False)), _polar_grid(7, 10)
+    coarse = _quad_search(alphas, cgrid, cgrid, _c1_defect)
+    for target in targets:
+        best = coarse(target)
+        form = aut_normal_form(target)
+        if form is not None and not form.rotation and abs(form.gamma) > 1e-9:
+            g, beta = form.gamma, form.beta
+            alpha = np.conj(g) / (g * beta)
+            c0, c1 = np.conj(g) / alpha, (abs(g) ** 2 - 1) * np.conj(g) / (g * alpha)
+            seeded = _quad_search([alpha / abs(alpha)], [c0], [c1], _c1_defect)(target)
+            if seeded[0] < best[0]:
+                best = seeded
+        for _ in range(4):
+            d, alpha, c0, c1 = best
+            spread = max(1e-5, 0.2 * d + 0.005)
+            angles = [cmath.exp(1j * float(a)) for a in np.angle(alpha) + np.linspace(-spread, spread, 5)]
+            cand = _quad_search(angles, _local_grid(c0, spread), _local_grid(c1, spread), _c1_defect)(target)
             if cand[0] < best[0]:
                 best = cand
-    return best
+        d, alpha, c0, c1 = best
+        yield d, {"alpha": alpha, "c0": c0, "c1": c1}
 
 
-def _sweep_c2_family(target: MobiusMap):
+def _sweep_c2_family(targets):
     """The kernel-weighted family pins (T, U, V) to the target, so the
     stated moduli equalities are violated by exactly the spread of the
     target's own coefficient moduli; minimize the match defect over alpha."""
-    a, b, c, d = target.a, target.b, target.c, target.d
-    spread = 1.0 - min(abs(b), abs(c), abs(d)) / max(abs(b), abs(c), abs(d))
     grid = _polar_grid(16, 24, r_lo=0.05, r_hi=0.95)
-    match = np.abs(np.abs(grid) ** 2 * (1.0 - a) + c * grid - b * np.conj(grid))
-    i = int(np.argmin(match))
-    # alpha only controls the match defect; the moduli violation is
-    # alpha-free, so the deficiency is bounded below by the spread
-    return max(min(float(match[i]), 1.0), spread), complex(grid[i])
+    for target in targets:
+        a, b, c, d = target.a, target.b, target.c, target.d
+        spread = 1.0 - min(abs(b), abs(c), abs(d)) / max(abs(b), abs(c), abs(d))
+        match = np.abs(np.abs(grid) ** 2 * (1.0 - a) + c * grid - b * np.conj(grid))
+        i = int(np.argmin(match))
+        # alpha only controls the match defect; the moduli violation is
+        # alpha-free, so the deficiency is bounded below by the spread
+        yield max(min(float(match[i]), 1.0), spread), {"alpha": complex(grid[i])}
+
+
+_SWEEPS = {
+    "j-hyperbolic": _sweep_j_family,
+    "c1-hyperbolic": _sweep_c1_family,
+    "c2-hyperbolic": _sweep_c2_family,
+}
 
 
 def nonexistence_sweep(family: str, cfg: SuiteConfig) -> List[SampleRecord]:
@@ -1058,6 +1059,12 @@ def nonexistence_sweep(family: str, cfg: SuiteConfig) -> List[SampleRecord]:
     Establishes nonexistence at sweep resolution only; each record keeps
     the witness parameters of the minimizer so a violated claim is
     surfaced with an explicit counterexample instead of a bare failure.
+
+    The j and c1 searches share one kernel (j is c1 at alpha = 1): the
+    target-free terms are formed once per grid, the coarse one once per
+    call, and a target adds only the six 2x2 minors; each grid, angles
+    included, is one broadcast.  Every stage keeps the first minimum of
+    max(projective distance, normality defect) in alpha, c0, c1 order.
 
     The targets are a fixed grid: the j-, c1- and c2-hyperbolic sweeps
     use none of cfg's samples, dim, block or seed, and hyperbolic-nonaut
@@ -1079,20 +1086,11 @@ def nonexistence_sweep(family: str, cfg: SuiteConfig) -> List[SampleRecord]:
                 )
             )
         return records
-    if key not in ("j-hyperbolic", "c1-hyperbolic", "c2-hyperbolic"):
+    if key not in _SWEEPS:
         raise UnknownSuiteError(f"unknown sweep family {family!r}")
-    for r, t in _target_quadruples():
-        target = fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t))
-        witness: Dict[str, object] = {"r": r, "t": t}
-        if key == "j-hyperbolic":
-            deficiency, a0, a1 = _sweep_j_family(target)
-            witness.update({"a0": a0, "a1": a1})
-        elif key == "c1-hyperbolic":
-            deficiency, alpha, c0, c1 = _sweep_c1_family(target)
-            witness.update({"alpha": alpha, "c0": c0, "c1": c1})
-        else:
-            deficiency, alpha = _sweep_c2_family(target)
-            witness.update({"alpha": alpha})
+    grid = _target_quadruples()
+    targets = [fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t)) for r, t in grid]
+    for (r, t), (deficiency, witness) in zip(grid, _SWEEPS[key](targets)):
         verdict = "pass" if deficiency >= cfg.fail_tol else "discrepancy"
         note = ""
         if verdict == "discrepancy":
@@ -1102,7 +1100,7 @@ def nonexistence_sweep(family: str, cfg: SuiteConfig) -> List[SampleRecord]:
             )
         records.append(
             SampleRecord(
-                params=witness,
+                params={"r": r, "t": t, **witness},
                 residuals={"deficiency": float(deficiency)},
                 verdict=verdict,
                 note=note,

@@ -22,6 +22,7 @@ from wcosym.mobius import (
     mobius_equal,
     proj_distance,
 )
+from wcosym.series import RationalSymbol
 from wcosym.verify import lft_oracle
 
 
@@ -36,6 +37,18 @@ def disk_autos():
         small_complex(0.85),
         st.floats(0, 2 * cmath.pi),
     )
+
+
+@pytest.mark.parametrize("cls", [MobiusMap, RationalSymbol])
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize(
+    "bad", [complex("nan"), complex("inf"), complex(0.0, float("nan")), complex(0.5, float("-inf"))]
+)
+def test_nonfinite_coefficient_rejected(cls, slot, bad):
+    coeffs = [0.5, 0.25, 0.1, 1.0]
+    coeffs[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        cls(*coeffs)
 
 
 class TestEvaluate:

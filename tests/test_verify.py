@@ -1,13 +1,28 @@
+import cmath
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 from wcosym.cli import report_to_json, validate_report_dict, report_to_dict
 from wcosym.errors import UnknownSuiteError
+from wcosym.families import (
+    HyperbolicParams,
+    c1_normal_expression,
+    hyperbolic_aut_map,
+    j_normal_expression,
+)
+from wcosym.mobius import MobiusMap, aut_normal_form, quadruple_gap
 from wcosym.verify import (
     ANCHOR_SUITES,
     SUITES,
     SuiteConfig,
+    _local_grid,
+    _polar_grid,
+    _sweep_c1_family,
+    _sweep_j_family,
+    _target_quadruples,
     check_registry,
     default_config,
     nonexistence_sweep,
@@ -114,6 +129,120 @@ def test_c1_hyperbolic_sweep_finds_realizations():
     assert all(r.residuals["deficiency"] < 1e-6 for r in aut_records)
     assert all(r.verdict == "pass" for r in nonaut_records)
     assert report.known_discrepancy and report.exit_status == 3
+
+
+@pytest.mark.parametrize("suite_id", ["ex42-sweep", "ex52-sweep"])
+def test_sweep_deficiency_matches_its_definition(suite_id):
+    # max(projective gap to the target, |normality expression|) at the
+    # reported witness, by scalar code the vectorized search does not share
+    for rec in run_suite(suite_id).records:
+        p = rec.params
+        if "a0" in p:
+            alpha, c0, c1 = 1.0, p["a0"], p["a1"]
+            defect = abs(j_normal_expression(c0, c1))
+        else:
+            alpha, c0, c1 = p["alpha"], p["c0"], p["c1"]
+            defect = abs(c1_normal_expression(alpha, c0, c1))
+        witness = np.array([c1 - alpha * c0 * c0, c0, -alpha * c0, 1.0])
+        target = hyperbolic_aut_map(HyperbolicParams(p["r"], p["t"])).quadruple()
+        expected = max(quadruple_gap(witness, target), defect)
+        assert abs(rec.residuals["deficiency"] - expected) <= 1e-14, (p, rec.residuals, expected)
+
+
+def _reference_quad_distance(va, vb, vc, vd, target: MobiusMap):
+    w = target.quadruple()
+    comps = [va, vb, vc, vd]
+    norm_v = np.sqrt(sum(np.abs(x) ** 2 for x in comps))
+    norm_w = np.linalg.norm(w)
+    total = np.zeros_like(norm_v)
+    for i in range(4):
+        for jdx in range(i + 1, 4):
+            total += np.abs(comps[i] * w[jdx] - comps[jdx] * w[i]) ** 2
+    return np.sqrt(2.0 * total) / (norm_v * norm_w)
+
+
+def _reference_j_search(target: MobiusMap):
+    def deficiency(a0, a1):
+        va = a1 - a0 ** 2
+        dist = _reference_quad_distance(va, a0, -a0, np.ones_like(a0), target)
+        expr = np.abs(a0.imag * (1.0 - np.abs(a0) ** 2) + (np.conj(a0) * a1).imag)
+        return np.maximum(dist, expr)
+
+    grid = _polar_grid(10, 16)
+    a0g, a1g = np.meshgrid(grid, grid, indexing="ij")
+    a0g, a1g = a0g.ravel(), a1g.ravel()
+    best = None
+    for _ in range(4):
+        d = deficiency(a0g, a1g)
+        i = int(np.argmin(d))
+        best = (float(d[i]), complex(a0g[i]), complex(a1g[i]))
+        spread = max(1e-4, 0.25 * best[0] + 0.02)
+        a0g, a1g = np.meshgrid(_local_grid(best[1], spread), _local_grid(best[2], spread), indexing="ij")
+        a0g, a1g = a0g.ravel(), a1g.ravel()
+    return best[0], {"a0": best[1], "a1": best[2]}
+
+
+def _reference_c1_search(target: MobiusMap):
+    def deficiency(alpha, c0, c1):
+        va = c1 - alpha * c0 ** 2
+        dist = _reference_quad_distance(va, c0, -alpha * c0, np.ones_like(c0), target)
+        expr = np.abs(
+            (np.conj(c0) - alpha * c0) * (1.0 - np.abs(c0) ** 2)
+            + alpha * c0 * np.conj(c1)
+            - np.conj(c0) * c1
+        )
+        return np.maximum(dist, expr)
+
+    cands = []
+    form = aut_normal_form(target)
+    if form is not None and not form.rotation and abs(form.gamma) > 1e-9:
+        g, beta = form.gamma, form.beta
+        alpha = np.conj(g) / (g * beta)
+        cands.append((alpha / abs(alpha), np.conj(g) / alpha, (abs(g) ** 2 - 1) * np.conj(g) / (g * alpha)))
+    cgrid = _polar_grid(7, 10)
+    best = None
+    for al in np.exp(1j * np.linspace(0.0, 2 * math.pi, 12, endpoint=False)):
+        c0g, c1g = np.meshgrid(cgrid, cgrid, indexing="ij")
+        d = deficiency(al, c0g.ravel(), c1g.ravel())
+        i = int(np.argmin(d))
+        cand = (float(d[i]), complex(al), complex(c0g.ravel()[i]), complex(c1g.ravel()[i]))
+        if best is None or cand[0] < best[0]:
+            best = cand
+    for alpha, c0, c1 in cands:
+        d = float(deficiency(np.array([alpha]), np.array([c0]), np.array([c1]))[0])
+        if d < best[0]:
+            best = (d, alpha, c0, c1)
+    for _ in range(4):
+        _, alpha, c0, c1 = best
+        spread = max(1e-5, 0.2 * best[0] + 0.005)
+        for ang in np.angle(alpha) + np.linspace(-spread, spread, 5):
+            al = cmath.exp(1j * float(ang))
+            c0g, c1g = np.meshgrid(_local_grid(c0, spread), _local_grid(c1, spread), indexing="ij")
+            d = deficiency(al, c0g.ravel(), c1g.ravel())
+            i = int(np.argmin(d))
+            cand = (float(d[i]), al, complex(c0g.ravel()[i]), complex(c1g.ravel()[i]))
+            if cand[0] < best[0]:
+                best = cand
+    return best[0], {"alpha": best[1], "c0": best[2], "c1": best[3]}
+
+
+@pytest.mark.parametrize(
+    "search, reference", [(_sweep_j_family, _reference_j_search), (_sweep_c1_family, _reference_c1_search)]
+)
+def test_sweep_matches_per_target_reference(search, reference):
+    # the per-target, per-angle search the separable one replaced: the
+    # minor sums accumulate in another order, so the deficiency may move
+    # in its last bit; a moved minimizer would move the witness far more
+    fail_tol = SuiteConfig().fail_tol
+    targets = [hyperbolic_aut_map(HyperbolicParams(r, t)) for r, t in _target_quadruples()]
+    results = list(search(targets))
+    assert len(results) == len(targets) == 24
+    for target, (deficiency, witness) in zip(targets, results):
+        ref_deficiency, ref_witness = reference(target)
+        assert (deficiency >= fail_tol) == (ref_deficiency >= fail_tol)
+        assert abs(deficiency - ref_deficiency) <= 1e-15, (target, deficiency, ref_deficiency)
+        assert witness.keys() == ref_witness.keys()
+        assert all(abs(witness[k] - ref_witness[k]) <= 1e-12 for k in witness), (witness, ref_witness)
 
 
 def test_sweep_unknown_family():
