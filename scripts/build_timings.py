@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Per-call build times of the three shapes of W that the residuals read.
+
+Usage:
+    python scripts/build_timings.py [--repeats R]
+
+For N in 64, 96, 192, 384, 512, 1024 and block k in 12, 16 it prints the
+median time of one call, in ms, of
+
+  whole  all of W (build_wco; what the C2 symmetry residual reads),
+  cross  the first k rows and first k columns (the normality residual and
+         the C2 conjugation's involution residual),
+  block  the leading k x k block (the J and C1 symmetry residuals and the
+         four factors of the adjoint factorization),
+
+each including the refusals and length-N expansions build_wco makes.  Two
+symbols are timed: a fast-decay weighted composition operator of the
+interior normal family, whose coefficients underflow to subnormal numbers
+at large N, and the slow-decay C2 conjugation at |alpha| = 0.9.  BLAS runs
+on one thread.  Nothing is written to disk.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads BLAS
+
+import argparse  # noqa: E402
+import statistics  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from wcosym import families as fam  # noqa: E402
+from wcosym import operators as ops  # noqa: E402
+
+DIMS = (64, 96, 192, 384, 512, 1024)
+BLOCKS = (12, 16)
+SYMBOLS = {
+    "interior": fam.normal_interior_symbols(fam.InteriorParams(0.3 - 0.2j, 0.5j, 1.2)),
+    "c2-0.9": fam.SymbolPair(*ops._c2_symbols(ops.Conjugation("C2", np.exp(0.3j), 0.9 * np.exp(1.1j)))),
+}
+
+
+def _median_ms(call, repeats: int) -> float:
+    call()  # warm-up: index caches, BLAS start-up
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(times)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--repeats", type=int, default=15)
+    args = parser.parse_args()
+    print(f"{'symbol':10} {'N':>5} {'k':>3} {'whole ms':>9} {'cross ms':>9} {'block ms':>9}")
+    for name, pair in SYMBOLS.items():
+        psi, phi = pair.psi, pair.phi
+        for n in DIMS:
+            whole = _median_ms(lambda: ops.build_wco(psi, phi, n), args.repeats)
+            for k in BLOCKS:
+                cross = _median_ms(lambda: ops._cross(psi, phi, n, k), args.repeats)
+                block = _median_ms(lambda: ops._block(psi, phi, n, k), args.repeats)
+                print(f"{name:10} {n:5d} {k:3d} {whole:9.3f} {cross:9.3f} {block:9.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -31,14 +31,7 @@ from .families import (
     j_symbols,
 )
 from .mobius import ConstantMap, MobiusMap, classify, cowen_adjoint
-from .operators import (
-    Conjugation,
-    build_wco,
-    conjugation_matrix,
-    involution_residual,
-    normality_residual,
-    symmetry_residual,
-)
+from .operators import Conjugation, conjugation_residuals, wco_residuals
 from .verify import (
     SuiteConfig,
     SUITES,
@@ -322,20 +315,14 @@ def _check_family(args):
     if args.conjugation:
         kind = args.conjugation.upper()
         conj = Conjugation(kind, 1.0, parse_complex(args.alpha) if kind != "J" else 0.0)
-    residuals: Dict[str, object] = {}
-    u = conjugation_matrix(conj, args.dim)
-    inv, iso = involution_residual(u, args.block)
-    residuals["involution"] = inv
-    residuals["isometry"] = iso
+    inv, iso = conjugation_residuals(conj, args.dim, args.block)
+    residuals: Dict[str, object] = {"involution": inv, "isometry": iso}
     try:
-        t = build_wco(pair.psi, pair.phi, args.dim)
+        residuals.update(wco_residuals(pair.psi, pair.phi, args.dim, args.block, conj))
     except WcoError as exc:
-        t = None
         out["note"] = f"operator truncation unavailable: {exc}"
     phi = pair.phi
-    if t is not None:
-        residuals["symmetry"] = symmetry_residual(t, u, args.block)
-        residuals["normality"] = normality_residual(t, args.block)
+    if "normality" in residuals:
         band = band_verdict(residuals["normality"], args)
     elif isinstance(phi, ConstantMap):
         band = "band"  # neither oracle applies: the verdict is inconclusive

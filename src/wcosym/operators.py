@@ -24,14 +24,17 @@ Residuals are always measured on a leading k x k block with k + 32 <= N:
 truncation corrupts the trailing rows and columns of products, and the
 geometric decay of the symbol coefficients confines that corruption away
 from the leading block.  Each residual forms only the rows and columns of
-its products that reach the block, never a full N x N product.
+its products that reach the block.  The symbol-level residuals build only
+those: the k x k block of the N-truncation is the k-truncation, the first
+k rows come from doubling on k coefficients, the first k columns from
+the recurrence in O(kN).  Only the C2 symmetry residual reads all of W.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Literal, Tuple, Union
+from typing import Dict, Literal, Optional, Tuple, Union
 
 import numpy as np
 
@@ -85,38 +88,71 @@ class Conjugation:
         object.__setattr__(self, "alpha", complex(self.alpha))
 
 
-def _wco_columns(psi_s: np.ndarray, phi: Union[MobiusMap, ConstantMap], n: int) -> np.ndarray:
+def _checked_series(psi: RationalSymbol, phi: Union[MobiusMap, ConstantMap], n: int):
+    """Every refusal of build_wco, then the length-n expansions of psi and
+    of phi (None for a constant map), which refuse non-finite coefficients."""
+    _check_dim(n)
+    pole = psi.pole()
+    if abs(pole) <= _POLE_GUARD:
+        raise SymbolPoleError(f"weight pole at {pole} not outside the closed disk")
     if isinstance(phi, ConstantMap):
-        mat = np.zeros((n, n), dtype=complex)
-        mat[:, 0] = psi_s
-        for j in range(1, n):
-            mat[:, j] = mat[:, j - 1] * phi.value
-        return mat
-    phi_s = mobius_series(phi, n)  # refuses a pole at 0 or an overflowing series
-    if n >= RECURRENCE_MIN_DIM:
-        return _mobius_recurrence(psi_s, phi, n)
-    return _power_doubling(psi_s, phi_s, n)
+        if abs(phi.value) >= 1.0:
+            raise NotSelfMapError("constant map value must lie inside the disk")
+        return expand_rational(psi, n), None
+    if not is_self_map(phi):
+        raise NotSelfMapError("composition symbol is not a self-map")
+    return expand_rational(psi, n), mobius_series(phi, n)  # refuses a pole at 0
 
 
-def _power_doubling(psi_s: np.ndarray, phi_s: np.ndarray, n: int) -> np.ndarray:
-    """Columns psi phi^j, j < n, doubling the number of known columns per level.
+def _rectangle(psi_s: np.ndarray, phi_s, phi, rows: int, cols: int) -> np.ndarray:
+    """W[:rows, :cols] of the truncation at N = len(psi_s); fewer than N
+    rows are those of the rows-truncation, built by doubling at any N."""
+    if cols == 1:  # psi alone
+        return psi_s[:rows, None]
+    if phi_s is None:  # column j is psi value^j
+        mat = np.full((rows, cols), phi.value, dtype=complex)
+        mat[:, 0] = psi_s[:rows]
+        return np.cumprod(mat, axis=1, out=mat)
+    if rows == len(psi_s) >= RECURRENCE_MIN_DIM:
+        return _mobius_recurrence(psi_s, phi, cols)
+    return _power_doubling(psi_s[:rows], phi_s[:rows], cols)
+
+
+def _cross(psi: RationalSymbol, phi: Union[MobiusMap, ConstantMap], n: int, k: int):
+    """(W[:k], W[:, :k]) of the n-truncation: all W*W and WW* read on the block."""
+    psi_s, phi_s = _checked_series(psi, phi, n)
+    _check_block(n, k)
+    return _rectangle(psi_s, phi_s, phi, k, n), _rectangle(psi_s, phi_s, phi, n, k)
+
+
+def _block(psi: RationalSymbol, phi: Union[MobiusMap, ConstantMap], n: int, k: int) -> np.ndarray:
+    """W[:k, :k] of the n-truncation, which is the k-truncation."""
+    psi_s, phi_s = _checked_series(psi, phi, n)
+    _check_block(n, k)
+    return _rectangle(psi_s, phi_s, phi, k, k)
+
+
+def _power_doubling(psi_s: np.ndarray, phi_s: np.ndarray, cols: int) -> np.ndarray:
+    """Columns psi phi^j, j < cols, doubling the number of known columns per level.
 
     With T_w the lower-triangular Toeplitz matrix of the series of phi^w,
     T_w x is the truncated Cauchy product of phi^w with the series x, so
     columns [w, 2w) are T_w times columns [0, w), and T_w times the series
-    of phi^w is the series of phi^(2w): about log2(N) matrix products.
+    of phi^w is the series of phi^(2w): about log2(cols) matrix products.
     """
-    idx = _toeplitz_index(n)
+    n = len(psi_s)
+    # cached below the crossover only: one table is 8 MB at N = 1024
+    idx = (_toeplitz_index if n < RECURRENCE_MIN_DIM else _toeplitz_index.__wrapped__)(n)
     padded = np.zeros(2 * n - 1, dtype=complex)  # n - 1 zeros above the diagonal
-    mat = np.empty((n, n), dtype=complex)
+    mat = np.empty((n, cols), dtype=complex)
     mat[:, 0] = psi_s
     power, w = phi_s, 1
-    while w < n:
-        m = min(w, n - w)
+    while w < cols:
+        m = min(w, cols - w)
         padded[n - 1:] = power
         toeplitz = padded[idx]
         mat[:, w:w + m] = toeplitz @ mat[:, :m]
-        if 2 * w < n:
+        if 2 * w < cols:
             power = toeplitz @ power
         w *= 2
     return mat
@@ -126,8 +162,8 @@ def _power_doubling(psi_s: np.ndarray, phi_s: np.ndarray, n: int) -> np.ndarray:
 def _toeplitz_index(n: int) -> np.ndarray:
     """Indices with padded[idx][i, j] = padded[n - 1 + i - j].
 
-    Cached per N; only N below RECURRENCE_MIN_DIM reach it, so the cache
-    holds at most that many small integer tables.
+    Cached per size below RECURRENCE_MIN_DIM (whole builds there, k-row
+    builds at any N), so the cache holds at most that many small tables.
     """
     i = np.arange(n)
     idx = (n - 1) + i[:, None] - i[None, :]
@@ -135,28 +171,29 @@ def _toeplitz_index(n: int) -> np.ndarray:
     return idx
 
 
-def _mobius_recurrence(psi_s: np.ndarray, phi: MobiusMap, n: int) -> np.ndarray:
-    """G[m, j] = coefficient m of psi phi^j, for phi = (az + b)/(cz + d).
+def _mobius_recurrence(psi_s: np.ndarray, phi: MobiusMap, cols: int) -> np.ndarray:
+    """G[m, j] = coefficient m of psi phi^j, j < cols, for phi = (az + b)/(cz + d).
 
     Comparing coefficients of z^m in (cz + d) G[:, j] = (az + b) G[:, j-1]
     gives d G[m, j] = b G[m, j-1] + a G[m-1, j-1] - c G[m-1, j], which
-    only reaches back to the anti-diagonals m + j - 1 and m + j - 2.  G is
-    stored row-major below one zero row (the m = -1 terms) in a flat
-    buffer, where an anti-diagonal is a slice of stride n - 1.
+    only reaches back to the anti-diagonals m + j - 1 and m + j - 2 (and
+    to no column past j).  G is stored row-major below one zero row (the
+    m = -1 terms) in a flat buffer: an anti-diagonal has stride cols - 1.
     """
+    n = len(psi_s)
     a, b, c = phi.a / phi.d, phi.b / phi.d, phi.c / phi.d
-    buf = np.zeros((n + 1) * n, dtype=complex)
-    g = buf[n:].reshape(n, n)
+    buf = np.zeros((n + 1) * cols, dtype=complex)
+    g = buf[cols:].reshape(n, cols)
     g[:, 0] = psi_s
-    step = n - 1
-    for s in range(1, 2 * n - 1):
+    step = cols - 1
+    for s in range(1, n + cols - 1):
         # rows m in lo..hi of anti-diagonal s, columns j = s - m >= 1
-        lo, hi = max(0, s - step), min(s - 1, step)
-        start = n + s + lo * step  # flat index of G[lo, s - lo]
+        lo, hi = max(0, s - step), min(s - 1, n - 1)
+        start = cols + s + lo * step  # flat index of G[lo, s - lo]
         stop = start + (hi - lo) * step + 1
         left = buf[start - 1:stop - 1:step]
-        up = buf[start - n:stop - n:step]
-        up_left = buf[start - n - 1:stop - n - 1:step]
+        up = buf[start - cols:stop - cols:step]
+        up_left = buf[start - cols - 1:stop - cols - 1:step]
         buf[start:stop:step] = b * left + a * up_left - c * up
     return g
 
@@ -175,16 +212,8 @@ def build_wco(
     products as lower-triangular Toeplitz matrix products) below
     RECURRENCE_MIN_DIM, by the O(N^2) Mobius recurrence from there on.
     """
-    _check_dim(n)
-    pole = psi.pole()
-    if abs(pole) <= _POLE_GUARD:
-        raise SymbolPoleError(f"weight pole at {pole} not outside the closed disk")
-    if isinstance(phi, ConstantMap):
-        if abs(phi.value) >= 1.0:
-            raise NotSelfMapError("constant map value must lie inside the disk")
-    elif not is_self_map(phi):
-        raise NotSelfMapError("composition symbol is not a self-map")
-    return _wco_columns(expand_rational(psi, n), phi, n)
+    psi_s, phi_s = _checked_series(psi, phi, n)
+    return _rectangle(psi_s, phi_s, phi, n, n)
 
 
 def conjugation_matrix(c: Conjugation, n: int) -> np.ndarray:
@@ -194,10 +223,14 @@ def conjugation_matrix(c: Conjugation, n: int) -> np.ndarray:
         return np.eye(n, dtype=complex)
     if c.kind == "C1":
         return np.diag(c.lam * c.alpha ** np.arange(n))
+    return build_wco(*_c2_symbols(c), n)
+
+
+def _c2_symbols(c: Conjugation) -> Tuple[RationalSymbol, MobiusMap]:
+    """Weight lam k_alpha (normalized) and the alpha-involution of a C2 conjugation."""
     alpha = c.alpha
     weight = RationalSymbol(c.lam * np.sqrt(1.0 - abs(alpha) ** 2), 0.0, 1.0, -np.conj(alpha))
-    vmap = MobiusMap(-np.conj(alpha) / alpha, np.conj(alpha), -np.conj(alpha), 1.0)
-    return build_wco(weight, vmap, n)
+    return weight, MobiusMap(-np.conj(alpha) / alpha, np.conj(alpha), -np.conj(alpha), 1.0)
 
 
 def _check_dim(n: int):
@@ -217,9 +250,12 @@ def involution_residual(u: np.ndarray, k: int) -> Tuple[float, float]:
     anti-linear isometry axiom reduces to U^H U = I, the second component.
     """
     _check_block(len(u), k)
-    eye = np.eye(k, dtype=complex)
-    cols = u[:, :k]
-    inv = u[:k] @ cols.conj() - eye
+    return _involution_defect(u[:k], u[:, :k])
+
+
+def _involution_defect(rows: np.ndarray, cols: np.ndarray) -> Tuple[float, float]:
+    eye = np.eye(len(rows), dtype=complex)
+    inv = rows @ cols.conj() - eye
     iso = cols.conj().T @ cols - eye
     return float(np.linalg.norm(inv)), float(np.linalg.norm(iso))
 
@@ -233,16 +269,60 @@ def symmetry_residual(t: np.ndarray, u: np.ndarray, k: int) -> float:
     if t.shape != u.shape:
         raise DimensionMismatchError(f"shapes differ: {t.shape} != {u.shape}")
     _check_block(len(t), k)
-    res = t[:k, :k] - u[:k] @ (t.T @ u[:, :k].conj())
-    return float(np.linalg.norm(res))
+    return _symmetry_defect(t, u[:k], u[:, :k])
+
+
+def _symmetry_defect(t: np.ndarray, u_rows: np.ndarray, u_cols: np.ndarray) -> float:
+    k = len(u_rows)
+    return float(np.linalg.norm(t[:k, :k] - u_rows @ (t.T @ u_cols.conj())))
 
 
 def normality_residual(t: np.ndarray, k: int) -> float:
     """|| T*T - TT* || on the leading block."""
     _check_block(len(t), k)
-    cols, rows = t[:, :k], t[:k]
-    m = cols.conj().T @ cols - rows @ rows.conj().T
-    return float(np.linalg.norm(m))
+    return _normality_defect(t[:k], t[:, :k])
+
+
+def _normality_defect(rows: np.ndarray, cols: np.ndarray) -> float:
+    return float(np.linalg.norm(cols.conj().T @ cols - rows @ rows.conj().T))
+
+
+def wco_residuals(
+    psi: RationalSymbol, phi: Union[MobiusMap, ConstantMap], n: int, k: int,
+    conj: Optional[Conjugation] = None, normality: bool = True,
+) -> Dict[str, float]:
+    """normality_residual (unless normality is False) and, given conj, the
+    symmetry_residual of build_wco(psi, phi, n) on block k, with the same
+    refusals, building only what they read: the first k rows and columns
+    of W for normality, the block for the diagonal J and C1, and all of W
+    for C2, whose U multiplies T^t by whole columns."""
+    out = {}
+    if conj is not None and conj.kind == "C2":
+        t = build_wco(psi, phi, n)
+        rows, cols = t[:k], t[:, :k]
+    else:
+        rows, cols = _cross(psi, phi, n, k) if normality else (_block(psi, phi, n, k), None)
+        t = rows[:, :k]
+    if conj is not None:
+        out["symmetry"] = _symmetry_defect(t, *_conjugation_cross(conj, n, k))
+    if normality:
+        out["normality"] = _normality_defect(rows, cols)
+    return out
+
+
+def conjugation_residuals(c: Conjugation, n: int, k: int) -> Tuple[float, float]:
+    """involution_residual(conjugation_matrix(c, n), k), building only the
+    first k rows and columns of U."""
+    return _involution_defect(*_conjugation_cross(c, n, k))
+
+
+def _conjugation_cross(c: Conjugation, n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    if c.kind == "C2":
+        return _cross(*_c2_symbols(c), n, k)
+    _check_dim(n)
+    _check_block(n, k)
+    u = conjugation_matrix(c, k)  # diagonal: the block is all that is nonzero
+    return u, u
 
 
 def adjoint_factorization_residual(
@@ -250,9 +330,9 @@ def adjoint_factorization_residual(
 ) -> float:
     """|| (C_phi)^H - M_g C_sigma (M_h)^H || on the leading block.
 
-    All four factors are built at dimension n; since M_g is lower
-    triangular and M_h* lowers degree, the truncated identity holds to
-    rounding when the sigma sign convention is the correct one.
+    M_g is lower triangular and M_h* upper triangular, so only the four
+    k x k blocks (k-truncations, refused and expanded as at dimension n)
+    reach it; it holds to rounding when the sigma sign is the correct one.
     """
     _check_dim(n)
     _check_block(n, k)
@@ -261,13 +341,12 @@ def adjoint_factorization_residual(
     triple = cowen_adjoint(m, sigma_sign=sigma_sign)
     if sigma_sign == -1 and not is_self_map(triple.sigma):
         raise NotSelfMapError("sigma is not a self-map")
-    one = np.zeros(n, dtype=complex)
-    one[0] = 1.0
-    c_phi = _wco_columns(one, m, n)
-    m_g = build_wco(triple.g, IDENTITY, n)
+    one = np.eye(1, n, dtype=complex)[0]  # the series of 1
+    c_phi = _rectangle(one, mobius_series(m, n), m, k, k)
+    m_g = _block(triple.g, IDENTITY, n, k)
     # the flipped-sign variant of sigma need not be a self-map; build its
-    # columns directly so the wrong convention can be exhibited failing
-    c_sigma = _wco_columns(one, triple.sigma, n)
-    m_h = build_wco(triple.h, IDENTITY, n)
-    res = c_phi[:k, :k].conj().T - (m_g[:k] @ c_sigma) @ m_h[:k].conj().T
+    # block without that check so the wrong convention can be exhibited failing
+    c_sigma = _rectangle(one, mobius_series(triple.sigma, n), triple.sigma, k, k)
+    m_h = _block(triple.h, IDENTITY, n, k)
+    res = c_phi.conj().T - (m_g @ c_sigma) @ m_h.conj().T
     return float(np.linalg.norm(res))

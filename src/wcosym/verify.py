@@ -40,13 +40,11 @@ from .mobius import (
 )
 from .operators import (
     BLOCK_PAD,
+    MAX_DIM,
     Conjugation,
     adjoint_factorization_residual,
-    build_wco,
-    conjugation_matrix,
-    involution_residual,
-    normality_residual,
-    symmetry_residual,
+    conjugation_residuals,
+    wco_residuals,
 )
 from .series import RationalSymbol
 
@@ -64,10 +62,9 @@ class SuiteConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"need samples >= 1, got {self.samples}")
-        if self.block + BLOCK_PAD > self.dim:
-            raise ValueError(
-                f"need block + {BLOCK_PAD} <= dim, got {self.block} + {BLOCK_PAD} > {self.dim}"
-            )
+        if not 1 <= self.block <= self.dim - BLOCK_PAD or self.dim > MAX_DIM:
+            need = f"need 1 <= block, block + {BLOCK_PAD} <= dim <= {MAX_DIM}"
+            raise ValueError(f"{need}, got block {self.block}, dim {self.dim}")
         if not self.pass_tol < self.fail_tol:
             raise ValueError("pass_tol must be below fail_tol")
 
@@ -155,8 +152,7 @@ def lft_oracle(quad) -> Dict[str, object]:
 
 
 def _matrix_normality(pair: fam.SymbolPair, cfg: SuiteConfig) -> float:
-    t = build_wco(pair.psi, pair.phi, cfg.dim)
-    return normality_residual(t, cfg.block)
+    return wco_residuals(pair.psi, pair.phi, cfg.dim, cfg.block)["normality"]
 
 
 def _oracle_record(cfg, params, predicates, claims, residual, kind="normality", **oracles) -> SampleRecord:
@@ -241,7 +237,7 @@ def suite_conjugation_axioms(rng, cfg: SuiteConfig) -> Records:
     """
 
     def record(c: Conjugation, tol: float) -> SampleRecord:
-        inv, iso = involution_residual(conjugation_matrix(c, cfg.dim), cfg.block)
+        inv, iso = conjugation_residuals(c, cfg.dim, cfg.block)
         params = {"kind": c.kind} if c.kind == "J" else {"kind": c.kind, "lam": c.lam, "alpha": c.alpha}
         return SampleRecord(
             params=params,
@@ -263,11 +259,11 @@ def _symmetry_records(rng, cfg: SuiteConfig, draw, conjugation_of) -> Records:
     must pass, perturbed controls (the indices past cfg.samples) must fail."""
     for i in range(cfg.samples + max(1, cfg.samples // 5)):
         params, pair = draw(rng)
-        u = conjugation_matrix(conjugation_of(params), cfg.dim)
+        conj = conjugation_of(params)
         in_family = i < cfg.samples
         if not in_family:
             params, pair = {**params, "perturbed": True}, _perturb_weight(pair)
-        res = symmetry_residual(build_wco(pair.psi, pair.phi, cfg.dim), u, cfg.block)
+        res = wco_residuals(pair.psi, pair.phi, cfg.dim, cfg.block, conj, normality=False)["symmetry"]
         yield _oracle_record(cfg, params, {"in_family": in_family}, in_family, res, kind="symmetry")
 
 
@@ -643,8 +639,8 @@ def suite_ex41_equivalence(rng, cfg: SuiteConfig) -> Records:
                 p = complex(p.real, sign * (0.1 + abs(p.imag)))
             delta = _disk(rng, 0.6)
             pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, 1.0))
-            t = build_wco(pair.psi, pair.phi, cfg.dim)
-            res = symmetry_residual(t, conjugation_matrix(Conjugation("J"), cfg.dim), cfg.block)
+            j = Conjugation("J")
+            res = wco_residuals(pair.psi, pair.phi, cfg.dim, cfg.block, j, normality=False)["symmetry"]
             yield SampleRecord(
                 params={"p": p, "delta": delta},
                 residuals={"j_symmetry": res},
@@ -732,10 +728,8 @@ def suite_ex51_interior(rng, cfg: SuiteConfig) -> Records:
         cpair = fam.c1_symbols(fam.C1Params(alpha, c0, c1))
         phi_gap = proj_distance(pair.phi, cpair.phi)
         pred = fam.c1_normal_predicate(alpha, c0, c1, cfg.pred_tol)
-        t = build_wco(pair.psi, pair.phi, cfg.dim)
-        res = normality_residual(t, cfg.block)
-        u = conjugation_matrix(Conjugation("C1", 1.0, alpha), cfg.dim)
-        sym = symmetry_residual(t, u, cfg.block)
+        r = wco_residuals(pair.psi, pair.phi, cfg.dim, cfg.block, Conjugation("C1", 1.0, alpha))
+        res, sym = r["normality"], r["symmetry"]
         ok = phi_gap <= 1e-9 and pred and res <= cfg.pass_tol and sym <= cfg.pass_tol
         yield SampleRecord(
             params={"p": p, "delta": delta, "alpha": alpha, "c0": c0, "c1": c1},
@@ -833,10 +827,8 @@ def suite_ex61_interior(rng, cfg: SuiteConfig) -> Records:
         gamma = (1.0 - p ** 2 * delta) / (1.0 - p ** 2)
         closed = fam.interior_phi_closed_form(fam.InteriorParams(complex(p), delta, gamma))
         phi_gap = proj_distance(pair.phi, closed)
-        wco = build_wco(pair.psi, pair.phi, cfg.dim)
-        res = normality_residual(wco, cfg.block)
-        un = conjugation_matrix(Conjugation("C2", 1.0, alpha), cfg.dim)
-        sym = symmetry_residual(wco, un, cfg.block)
+        r = wco_residuals(pair.psi, pair.phi, cfg.dim, cfg.block, Conjugation("C2", 1.0, alpha))
+        res, sym = r["normality"], r["symmetry"]
         ok = consistency <= 1e-9 and phi_gap <= 1e-9 and res <= cfg.pass_tol and sym <= cfg.pass_tol
         yield SampleRecord(
             params={"p": p, "delta": delta, "alpha": alpha},
@@ -1077,7 +1069,7 @@ def nonexistence_sweep(family: str, cfg: SuiteConfig) -> List[SampleRecord]:
         for r, t in _target_quadruples(include_aut=False):
             phi = fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t))
             psi = RationalSymbol(1.0, 0.0, 1.0, -np.conj(cowen_sigma0(phi)))
-            res = normality_residual(build_wco(psi, phi, cfg.dim), cfg.block)
+            res = _matrix_normality(fam.SymbolPair(psi, phi), cfg)
             records.append(
                 SampleRecord(
                     params={"r": r, "t": t},

@@ -141,8 +141,10 @@ class TestSuiteCommand:
         assert main(["suite", "--id", "nope"]) == 2
         # below the suite's minimum dim: refused rather than silently raised
         assert main(["suite", "--id", "ex44-parabolic", "--dim", "64"]) == 2
-        # an empty block would pass every draw vacuously
+        # an empty block would pass every draw vacuously; suites that build
+        # no matrix refuse it too, rather than reporting block 0
         assert main(["suite", "--id", "prop21-normal", "--block", "0", "--samples", "3"]) == 2
+        assert main(["suite", "--id", "lemma31-aut", "--block", "0"]) == 2
         # no draw at all would read as a clean pass
         for samples in ("0", "-3"):
             assert main(["suite", "--id", "prop21-normal", "--samples", samples]) == 2
@@ -150,9 +152,11 @@ class TestSuiteCommand:
     def test_dimension_cap_exit_2(self, capsys, monkeypatch):
         # the cap is checked before the first matrix, so no record is computed
         calls = []
-        monkeypatch.setattr(verify, "involution_residual", lambda *a: calls.append(a) or (0.0, 0.0))
+        monkeypatch.setattr(verify, "conjugation_residuals", lambda *a: calls.append(a) or (0.0, 0.0))
         assert main(["suite", "--id", "conjugation-axioms", "--dim", "1025"]) == 2
         assert calls == []
+        # a suite that builds no matrix must not report a dim past the cap
+        assert main(["suite", "--id", "ex42-sweep", "--dim", "5000"]) == 2
 
     def test_determinism_across_processes(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

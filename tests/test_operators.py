@@ -14,12 +14,16 @@ from wcosym.operators import (
     MAX_DIM,
     RECURRENCE_MIN_DIM,
     Conjugation,
+    _block,
+    _cross,
     adjoint_factorization_residual,
     build_wco,
     conjugation_matrix,
+    conjugation_residuals,
     involution_residual,
     normality_residual,
     symmetry_residual,
+    wco_residuals,
 )
 from wcosym.series import RationalSymbol, expand_rational, mobius_series
 
@@ -86,7 +90,7 @@ class TestBuildWco:
 
 def convolution_columns(psi_s, phi, n):
     """Reference build at any N: column j = psi phi^j by Cauchy products."""
-    phi_s = mobius_series(phi, n)
+    phi_s = np.eye(1, n, dtype=complex)[0] * phi.value if isinstance(phi, ConstantMap) else mobius_series(phi, n)
     mat = np.zeros((n, n), dtype=complex)
     mat[:, 0] = psi_s
     for j in range(1, n):
@@ -170,6 +174,116 @@ class TestBuildPaths:
             build_wco(RationalSymbol(1, 0, 1, -1.0), IDENTITY, n)
         with pytest.raises(ValueError):
             build_wco(ONE, IDENTITY, MAX_DIM + 1)
+
+
+# dimensions on both sides of the crossover, a size that is not a power of two
+LEADING_DIMS = [48, 64, 95, RECURRENCE_MIN_DIM - 1, RECURRENCE_MIN_DIM, 384]
+
+
+def build_cases():
+    """Every BUILD_PATH_CASES pair, a constant map and the slow-decay C2 conjugation."""
+    pairs = {case: case_symbols(case) for case in sorted(BUILD_PATH_CASES)}
+    pairs["constant-map"] = (RationalSymbol(0.75, 0.1, 1, -0.5), ConstantMap(0.6 - 0.3j))
+    pairs["c2-slow-decay"] = c2_symbols(C2_SLOW_DECAY)
+    return pairs
+
+
+class TestLeadingBuilds:
+    """The cross (first k rows and columns) and the block of W must be the
+    slices of the whole truncation, and refuse whatever build_wco refuses."""
+
+    @pytest.mark.parametrize("n", LEADING_DIMS)
+    def test_cross_and_block_match_convolutions(self, n):
+        for name, (psi, phi) in build_cases().items():
+            reference = convolution_columns(expand_rational(psi, n), phi, n)
+            scale = np.max(np.abs(reference))
+            for k in (1, 12, 16):
+                rows, cols = _cross(psi, phi, n, k)
+                assert rows.shape == (k, n) and cols.shape == (n, k), name
+                assert np.max(np.abs(rows - reference[:k])) <= 1e-13 * scale, (name, k)
+                assert np.max(np.abs(cols - reference[:, :k])) <= 1e-13 * scale, (name, k)
+                block = _block(psi, phi, n, k)
+                assert np.max(np.abs(block - reference[:k, :k])) <= 1e-13 * scale, (name, k)
+            whole = build_wco(psi, phi, n)
+            assert np.max(np.abs(whole - reference)) <= 1e-13 * scale, name
+
+    @pytest.mark.parametrize("n", [64, RECURRENCE_MIN_DIM])
+    def test_refusals(self, n):
+        builders = {
+            "whole": lambda psi, phi, n, k: build_wco(psi, phi, n),
+            "cross": _cross,
+            "block": _block,
+            "normality": wco_residuals,
+            "j-symmetry": lambda psi, phi, n, k: wco_residuals(psi, phi, n, k, Conjugation("J"), False),
+            "c2-symmetry": lambda psi, phi, n, k: wco_residuals(psi, phi, n, k, C2_SLOW_DECAY, False),
+        }
+        for name, build in builders.items():
+            with pytest.raises(PoleAtOriginError):
+                build(RationalSymbol(1.0, 0.0, 1e-15, 0.0), IDENTITY, n, 12)
+            with pytest.raises(NotSelfMapError):
+                build(ONE, MobiusMap(2, 0, 0, 1), n, 12)
+            with pytest.raises(NotSelfMapError):
+                build(ONE, ConstantMap(1.0), n, 12)
+            with pytest.raises(SymbolPoleError):
+                build(RationalSymbol(1, 0, 1, -1.0), IDENTITY, n, 12)
+            for dim in (0, MAX_DIM + 1):
+                with pytest.raises(ValueError):
+                    build(ONE, IDENTITY, dim, 12)
+            if name != "whole":
+                for k in (0, n - 31):
+                    with pytest.raises(BlockTooLargeError):
+                        build(ONE, IDENTITY, n, k)
+        for c in (Conjugation("J"), Conjugation("C1", 1.0, 1j), C2_SLOW_DECAY):
+            with pytest.raises(ValueError):
+                conjugation_residuals(c, MAX_DIM + 1, 12)
+            with pytest.raises(BlockTooLargeError):
+                conjugation_residuals(c, n, n - 31)
+
+
+class TestSeams:
+    """Each symbol-level residual equals the public residual of the whole
+    matrices within 1e-13 max(1, r)."""
+
+    K = 12
+
+    @staticmethod
+    def close(got, want):
+        return abs(got - want) <= 1e-13 * max(1.0, want)
+
+    @pytest.mark.parametrize("n", [64, RECURRENCE_MIN_DIM - 1, RECURRENCE_MIN_DIM, 384])
+    def test_residuals_match_whole_matrices(self, n):
+        k = self.K
+        psi, phi = case_symbols("disk-automorphism")
+        conjugations = (Conjugation("J"), Conjugation("C1", np.exp(0.3j), np.exp(0.7j)), C2_SLOW_DECAY)
+        perturbed = RationalSymbol(psi.n0, psi.n1 + 0.3, psi.d0, psi.d1)
+        for pair in [(psi, phi), (perturbed, phi), (psi, ConstantMap(0.4j))]:
+            t = build_wco(*pair, n)
+            normal = normality_residual(t, k)
+            assert self.close(wco_residuals(*pair, n, k)["normality"], normal)
+            for c in conjugations:
+                u = conjugation_matrix(c, n)
+                sym = symmetry_residual(t, u, k)
+                both = wco_residuals(*pair, n, k, c)
+                assert self.close(both["normality"], normal) and self.close(both["symmetry"], sym), c
+                alone = wco_residuals(*pair, n, k, c, normality=False)
+                assert list(alone) == ["symmetry"] and self.close(alone["symmetry"], sym), c
+        for c in conjugations:
+            want = involution_residual(conjugation_matrix(c, n), k)
+            got = conjugation_residuals(c, n, k)
+            assert all(self.close(g, w) for g, w in zip(got, want)), c
+
+    @pytest.mark.parametrize("n", [64, RECURRENCE_MIN_DIM - 1, RECURRENCE_MIN_DIM, 384])
+    @pytest.mark.parametrize("sigma_sign", [-1, 1])
+    def test_factorization_matches_whole_matrices(self, n, sigma_sign):
+        m = MobiusMap(0.5 + 0.1j, 0.25 - 0.05j, 0.1 + 0.2j, 1.0)
+        k = 16
+        triple = cowen_adjoint(m, sigma_sign=sigma_sign)
+        c_phi = build_wco(ONE, m, n)
+        m_g, m_h = build_wco(triple.g, IDENTITY, n), build_wco(triple.h, IDENTITY, n)
+        # the flipped-sign sigma is not a self-map, so build_wco refuses it
+        c_sigma = convolution_columns(expand_rational(ONE, n), triple.sigma, n)
+        whole = np.linalg.norm((c_phi.conj().T - m_g @ c_sigma @ m_h.conj().T)[:k, :k])
+        assert self.close(adjoint_factorization_residual(m, n, k, sigma_sign=sigma_sign), whole)
 
 
 class TestBlockResiduals:

@@ -60,6 +60,10 @@ class TestConfig:
         for samples in (0, -3):
             with pytest.raises(ValueError):
                 SuiteConfig(samples=samples)
+        # an empty block, or a dim past the cap, even where no matrix is built
+        for block, dim in ((0, 64), (12, 5000)):
+            with pytest.raises(ValueError):
+                SuiteConfig(dim=dim, block=block)
         # a config below a suite's declared minimum is refused, not raised
         with pytest.raises(ValueError):
             run_suite("ex44-parabolic", dataclasses.replace(default_config("ex44-parabolic"), dim=64))
@@ -326,3 +330,28 @@ def test_default_summaries_unchanged():
         expected = {"pass": npass, "fail": nfail, "inconclusive": ninc, "discrepancy": ndisc}
         expected["total"] = sum(expected.values())
         assert (report.summary, report.exit_status) == (expected, status), suite_id
+
+
+# The six matrix-oracle suites at N = 384 with the benchmark's sample
+# counts (seed 2024): (samples, pass, fail, inconclusive, discrepancy,
+# exit status).  Taken from the build that formed all of W for every
+# residual, so building only the rows and columns a residual reads must
+# not move a verdict.
+ORACLE_N384_SUMMARIES = {
+    "prop21-normal": (8, 8, 0, 0, 0, 0),
+    "jsym-form": (5, 6, 0, 0, 0, 0),
+    "c1sym-form": (5, 6, 0, 0, 0, 0),
+    "c2sym-form": (5, 6, 0, 0, 0, 0),
+    "conjugation-axioms": (5, 5, 0, 0, 0, 0),
+    "cowen-factorization": (1, 1, 0, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("suite_id", sorted(ORACLE_N384_SUMMARIES))
+def test_oracle_n384_summaries_unchanged(suite_id):
+    samples, npass, nfail, ninc, ndisc, status = ORACLE_N384_SUMMARIES[suite_id]
+    cfg = dataclasses.replace(default_config(suite_id), dim=384, samples=samples, seed=2024)
+    report = run_suite(suite_id, cfg)
+    expected = {"pass": npass, "fail": nfail, "inconclusive": ninc, "discrepancy": ndisc}
+    expected["total"] = sum(expected.values())
+    assert (report.summary, report.exit_status) == (expected, status)
