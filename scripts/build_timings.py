@@ -4,20 +4,27 @@
 Usage:
     python scripts/build_timings.py [--repeats R]
 
-For N in 64, 96, 192, 384, 512, 1024 and block k in 12, 16 it prints the
-median time of one call, in ms, of
+For N in 64, 96, 192, 384, 389, 512, 1024 and block k in 12, 16 it prints
+the median time of one call, in ms, of
 
-  whole  all of W (build_wco; what the C2 symmetry residual reads),
+  whole  all of W (build_wco; what the C2 symmetry residual reads): power
+         doubling by Toeplitz matrix products below N = 192, the Mobius
+         recurrence from there on,
   cross  the first k rows and first k columns (the normality residual and
-         the C2 conjugation's involution residual),
+         the C2 conjugation's involution residual): the rows by Toeplitz
+         doubling on k coefficients, the columns by Toeplitz doubling
+         below N = 192 and by FFT doubling from there on,
   block  the leading k x k block (the J and C1 symmetry residuals and the
-         four factors of the adjoint factorization),
+         four factors of the adjoint factorization): Toeplitz doubling on
+         k coefficients,
 
 each including the refusals and length-N expansions build_wco makes.  Two
 symbols are timed: a fast-decay weighted composition operator of the
 interior normal family, whose coefficients underflow to subnormal numbers
-at large N, and the slow-decay C2 conjugation at |alpha| = 0.9.  BLAS runs
-on one thread.  Nothing is written to disk.
+at large N, and the slow-decay C2 conjugation at |alpha| = 0.9.  N = 389
+is prime, so an FFT length chosen as 2N rather than a power of two would
+show up there as a slow size.  BLAS runs on one thread.  Nothing is
+written to disk.
 """
 
 import os
@@ -34,7 +41,7 @@ import numpy as np  # noqa: E402
 from wcosym import families as fam  # noqa: E402
 from wcosym import operators as ops  # noqa: E402
 
-DIMS = (64, 96, 192, 384, 512, 1024)
+DIMS = (64, 96, 192, 384, 389, 512, 1024)
 BLOCKS = (12, 16)
 SYMBOLS = {
     "interior": fam.normal_interior_symbols(fam.InteriorParams(0.3 - 0.2j, 0.5j, 1.2)),

@@ -31,7 +31,7 @@ from .families import (
     j_symbols,
 )
 from .mobius import ConstantMap, MobiusMap, classify, cowen_adjoint
-from .operators import Conjugation, conjugation_residuals, wco_residuals
+from .operators import Conjugation, conjugation_cross, conjugation_residuals, wco_residuals
 from .verify import (
     SuiteConfig,
     SUITES,
@@ -315,10 +315,11 @@ def _check_family(args):
     if args.conjugation:
         kind = args.conjugation.upper()
         conj = Conjugation(kind, 1.0, parse_complex(args.alpha) if kind != "J" else 0.0)
-    inv, iso = conjugation_residuals(conj, args.dim, args.block)
+    u_cross = conjugation_cross(conj, args.dim, args.block)  # built once for all three residuals
+    inv, iso = conjugation_residuals(conj, args.dim, args.block, u_cross)
     residuals: Dict[str, object] = {"involution": inv, "isometry": iso}
     try:
-        residuals.update(wco_residuals(pair.psi, pair.phi, args.dim, args.block, conj))
+        residuals.update(wco_residuals(pair.psi, pair.phi, args.dim, args.block, conj, u_cross=u_cross))
     except WcoError as exc:
         out["note"] = f"operator truncation unavailable: {exc}"
     phi = pair.phi

@@ -8,17 +8,17 @@ operator holds the coefficients of the image of z^j, and an anti-linear
 operator is the matrix U of x -> U conj(x).  N is capped at MAX_DIM = 1024,
 checked before any N x N array is allocated.
 
-Column j of W is psi phi^j.  Below RECURRENCE_MIN_DIM it is built by
-power doubling: columns [w, 2w) are the lower-triangular Toeplitz matrix
-of the series of phi^w times columns [0, w), so about log2(N) BLAS
-products replace N convolutions.  From RECURRENCE_MIN_DIM on it is built
-by the Mobius recurrence (cz + d) psi phi^j = (az + b) psi phi^(j-1),
-which fills the matrix one anti-diagonal at a time in O(N^2).  Doubling
-still does O(N^3) arithmetic, and at large N the products of tiny
-coefficients underflow into subnormal numbers that slow the BLAS kernel
-down; the recurrence touches each entry once, but its 2N Python-level
-steps cost more than a few matrix products at small N, hence the
-crossover.
+Column j of W is psi phi^j, built by power doubling: columns [w, 2w) are
+the truncated Cauchy products of the series of phi^w with columns [0, w),
+about log2(cols) products in place of one convolution per column.  Below
+RECURRENCE_MIN_DIM rows a product is a BLAS multiplication by a
+lower-triangular Toeplitz matrix (O(N^2) per column, in subnormal numbers
+that slow the kernel down once coefficients underflow), from there on a
+zero-padded FFT product.  The whole W from RECURRENCE_MIN_DIM on is built
+by the Mobius recurrence (cz + d) psi phi^j = (az + b) psi phi^(j-1), one
+anti-diagonal per step in O(N^2): 5-7.6 ms at N = 384 against 14-18 ms
+for FFT doubling, but its 2N Python-level steps cost more than a few
+products at small N, hence the crossover.
 
 Residuals are always measured on a leading k x k block with k + 32 <= N:
 truncation corrupts the trailing rows and columns of products, and the
@@ -27,7 +27,7 @@ from the leading block.  Each residual forms only the rows and columns of
 its products that reach the block.  The symbol-level residuals build only
 those: the k x k block of the N-truncation is the k-truncation, the first
 k rows come from doubling on k coefficients, the first k columns from
-the recurrence in O(kN).  Only the C2 symmetry residual reads all of W.
+doubling on N.  Only the C2 symmetry residual reads all of W.
 """
 
 from __future__ import annotations
@@ -50,12 +50,15 @@ from .series import RationalSymbol, expand_rational, mobius_series
 
 BLOCK_PAD = 32
 MAX_DIM = 1024
-# smallest N built by the recurrence.  Per build of an interior-family W on
-# a 2-vCPU x86 VM with one BLAS thread, doubling vs recurrence: 0.10-0.17 vs
+# smallest N whose whole W is built by the recurrence, and smallest doubling
+# size whose products are FFTs.  Per build of an interior-family W on a
+# 2-vCPU x86 VM with one BLAS thread, doubling vs recurrence: 0.10-0.17 vs
 # 0.42-0.44 ms at N = 48, 0.26-0.45 vs 0.8-1.5 ms at 96, 0.5-0.8 vs 1.2-1.7 ms
 # at 128, 2.1-2.8 vs 3.0-3.3 ms at 191, 3.4-4.9 vs 2.5 ms at 256 and 10-15 vs
 # 4.6-5 ms at 384.  The per-column convolutions that doubling replaced took
-# 0.27-0.39 ms at 48 and 1.1-1.4 ms at 96.
+# 0.27-0.39 ms at 48 and 1.1-1.4 ms at 96.  For the 16-column strip, Toeplitz
+# GEMM vs FFT: 0.23-0.25 vs 0.25 ms at N = 128 and 0.33-0.36 vs 0.29 ms at
+# 160, so the FFT pays from about the same size on.
 RECURRENCE_MIN_DIM = 192
 _POLE_GUARD = 1.0 + 1e-9
 
@@ -106,14 +109,15 @@ def _checked_series(psi: RationalSymbol, phi: Union[MobiusMap, ConstantMap], n: 
 
 def _rectangle(psi_s: np.ndarray, phi_s, phi, rows: int, cols: int) -> np.ndarray:
     """W[:rows, :cols] of the truncation at N = len(psi_s); fewer than N
-    rows are those of the rows-truncation, built by doubling at any N."""
+    rows are those of the rows-truncation.  Only the whole W goes to the
+    recurrence; every other shape is built by doubling."""
     if cols == 1:  # psi alone
         return psi_s[:rows, None]
     if phi_s is None:  # column j is psi value^j
         mat = np.full((rows, cols), phi.value, dtype=complex)
         mat[:, 0] = psi_s[:rows]
         return np.cumprod(mat, axis=1, out=mat)
-    if rows == len(psi_s) >= RECURRENCE_MIN_DIM:
+    if rows == cols == len(psi_s) >= RECURRENCE_MIN_DIM:
         return _mobius_recurrence(psi_s, phi, cols)
     return _power_doubling(psi_s[:rows], phi_s[:rows], cols)
 
@@ -135,25 +139,36 @@ def _block(psi: RationalSymbol, phi: Union[MobiusMap, ConstantMap], n: int, k: i
 def _power_doubling(psi_s: np.ndarray, phi_s: np.ndarray, cols: int) -> np.ndarray:
     """Columns psi phi^j, j < cols, doubling the number of known columns per level.
 
-    With T_w the lower-triangular Toeplitz matrix of the series of phi^w,
-    T_w x is the truncated Cauchy product of phi^w with the series x, so
-    columns [w, 2w) are T_w times columns [0, w), and T_w times the series
-    of phi^w is the series of phi^(2w): about log2(cols) matrix products.
+    Columns [w, 2w) are the truncated Cauchy products of phi^w with
+    columns [0, w), and the square of phi^w is phi^(2w): about log2(cols)
+    levels.  Below RECURRENCE_MIN_DIM rows a product is T_w x, T_w the
+    lower-triangular Toeplitz matrix of phi^w; from there on it is a
+    product of FFTs zero-padded to a power of two >= 2n - 1, so nothing
+    wraps into the first n coefficients, with rounding bounded normwise
+    (about 1e-15 of the column's largest entry) rather than entrywise.
     """
     n = len(psi_s)
-    # cached below the crossover only: one table is 8 MB at N = 1024
-    idx = (_toeplitz_index if n < RECURRENCE_MIN_DIM else _toeplitz_index.__wrapped__)(n)
-    padded = np.zeros(2 * n - 1, dtype=complex)  # n - 1 zeros above the diagonal
+    fft = n >= RECURRENCE_MIN_DIM
+    if fft:
+        size = 1 << (2 * n - 2).bit_length()
+    else:
+        idx = _toeplitz_index(n)
+        padded = np.zeros(2 * n - 1, dtype=complex)  # n - 1 zeros above the diagonal
     mat = np.empty((n, cols), dtype=complex)
     mat[:, 0] = psi_s
     power, w = phi_s, 1
     while w < cols:
         m = min(w, cols - w)
-        padded[n - 1:] = power
-        toeplitz = padded[idx]
-        mat[:, w:w + m] = toeplitz @ mat[:, :m]
-        if 2 * w < cols:
-            power = toeplitz @ power
+        if fft:  # the last column is phi^w, squared with the rest
+            spec = np.fft.fft(np.column_stack((mat[:, :m], power)), size, axis=0)
+            prod = np.fft.ifft(spec * spec[:, m:], axis=0)[:n]
+            mat[:, w:w + m], power = prod[:, :m], prod[:, m]
+        else:
+            padded[n - 1:] = power
+            toeplitz = padded[idx]
+            mat[:, w:w + m] = toeplitz @ mat[:, :m]
+            if 2 * w < cols:
+                power = toeplitz @ power
         w *= 2
     return mat
 
@@ -162,8 +177,8 @@ def _power_doubling(psi_s: np.ndarray, phi_s: np.ndarray, cols: int) -> np.ndarr
 def _toeplitz_index(n: int) -> np.ndarray:
     """Indices with padded[idx][i, j] = padded[n - 1 + i - j].
 
-    Cached per size below RECURRENCE_MIN_DIM (whole builds there, k-row
-    builds at any N), so the cache holds at most that many small tables.
+    Only sizes below RECURRENCE_MIN_DIM use it, so the cache holds at
+    most that many small tables.
     """
     i = np.arange(n)
     idx = (n - 1) + i[:, None] - i[None, :]
@@ -289,13 +304,14 @@ def _normality_defect(rows: np.ndarray, cols: np.ndarray) -> float:
 
 def wco_residuals(
     psi: RationalSymbol, phi: Union[MobiusMap, ConstantMap], n: int, k: int,
-    conj: Optional[Conjugation] = None, normality: bool = True,
+    conj: Optional[Conjugation] = None, normality: bool = True, u_cross=None,
 ) -> Dict[str, float]:
     """normality_residual (unless normality is False) and, given conj, the
     symmetry_residual of build_wco(psi, phi, n) on block k, with the same
     refusals, building only what they read: the first k rows and columns
     of W for normality, the block for the diagonal J and C1, and all of W
-    for C2, whose U multiplies T^t by whole columns."""
+    for C2, whose U multiplies T^t by whole columns.  u_cross is
+    conjugation_cross(conj, n, k) if the caller has built it already."""
     out = {}
     if conj is not None and conj.kind == "C2":
         t = build_wco(psi, phi, n)
@@ -304,19 +320,20 @@ def wco_residuals(
         rows, cols = _cross(psi, phi, n, k) if normality else (_block(psi, phi, n, k), None)
         t = rows[:, :k]
     if conj is not None:
-        out["symmetry"] = _symmetry_defect(t, *_conjugation_cross(conj, n, k))
+        out["symmetry"] = _symmetry_defect(t, *(u_cross or conjugation_cross(conj, n, k)))
     if normality:
         out["normality"] = _normality_defect(rows, cols)
     return out
 
 
-def conjugation_residuals(c: Conjugation, n: int, k: int) -> Tuple[float, float]:
+def conjugation_residuals(c: Conjugation, n: int, k: int, u_cross=None) -> Tuple[float, float]:
     """involution_residual(conjugation_matrix(c, n), k), building only the
-    first k rows and columns of U."""
-    return _involution_defect(*_conjugation_cross(c, n, k))
+    first k rows and columns of U, or reading them from u_cross."""
+    return _involution_defect(*(u_cross or conjugation_cross(c, n, k)))
 
 
-def _conjugation_cross(c: Conjugation, n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+def conjugation_cross(c: Conjugation, n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(U[:k], U[:, :k]) of conjugation_matrix(c, n): all the residuals read of U."""
     if c.kind == "C2":
         return _cross(*_c2_symbols(c), n, k)
     _check_dim(n)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wcosym import verify
+from wcosym import operators, verify
 from wcosym.cli import (
     REPORT_SCHEMA,
     SWEEP_CSV_COLUMNS,
@@ -110,6 +110,26 @@ class TestCheckCommand:
         assert doc["predicates"]["case"] == "CaseII"
         assert "lft_commute_defect" not in doc["residuals"] and doc["note"]
         assert doc["verdict"] == "inconclusive"
+
+    def test_c2_conjugation_cross_built_once(self, capsys, monkeypatch):
+        # the involution, isometry and symmetry residuals share one build
+        # of the C2 conjugation's first k rows and columns
+        calls = []
+        real = operators._c2_symbols
+        monkeypatch.setattr(operators, "_c2_symbols", lambda c: calls.append(c) or real(c))
+        args = ["check", "--family", "c2", "--alpha=-0.36+0.28i", "--c0", "1.1+0.03i", "--c1=-0.25-0.4i"]
+        assert main(args + ["--c2=-0.13-0.32i"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert sorted(doc["residuals"]) == ["involution", "isometry", "normality", "symmetry"]
+        assert doc["residuals"]["symmetry"] <= 1e-12 and "note" not in doc
+        assert len(calls) == 1
+        # no operator truncation: the involution and isometry are still reported
+        calls.clear()
+        assert main(["check", "--family", "c2", "--alpha", "0.5", "--c0", "0.6", "--c1", "0.36", "--c2", "0.54"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert {"involution", "isometry"} <= set(doc["residuals"])
+        assert doc["note"].startswith("operator truncation unavailable")
+        assert len(calls) == 1
 
     def test_domain_violation_exit_2(self, capsys):
         assert main(["check", "--family", "j", "--a0", "2", "--a1", "0"]) == 2

@@ -9,6 +9,7 @@ from wcosym.errors import (
     PoleAtOriginError,
     SymbolPoleError,
 )
+from wcosym import operators
 from wcosym.mobius import IDENTITY, ConstantMap, MobiusMap, cowen_adjoint
 from wcosym.operators import (
     MAX_DIM,
@@ -16,6 +17,7 @@ from wcosym.operators import (
     Conjugation,
     _block,
     _cross,
+    _mobius_recurrence,
     adjoint_factorization_residual,
     build_wco,
     conjugation_matrix,
@@ -88,12 +90,13 @@ class TestBuildWco:
             assert abs(col_val - psi(z) * phi(z) ** j) <= 1e-10
 
 
-def convolution_columns(psi_s, phi, n):
-    """Reference build at any N: column j = psi phi^j by Cauchy products."""
+def convolution_columns(psi_s, phi, n, cols=None):
+    """Reference build at any N: column j < cols (default n) = psi phi^j by Cauchy products."""
     phi_s = np.eye(1, n, dtype=complex)[0] * phi.value if isinstance(phi, ConstantMap) else mobius_series(phi, n)
-    mat = np.zeros((n, n), dtype=complex)
+    cols = n if cols is None else cols
+    mat = np.zeros((n, cols), dtype=complex)
     mat[:, 0] = psi_s
-    for j in range(1, n):
+    for j in range(1, cols):
         mat[:, j] = np.convolve(mat[:, j - 1], phi_s)[:n]
     return mat
 
@@ -238,6 +241,64 @@ class TestLeadingBuilds:
                 conjugation_residuals(c, MAX_DIM + 1, 12)
             with pytest.raises(BlockTooLargeError):
                 conjugation_residuals(c, n, n - 31)
+
+
+class TestFftDoubling:
+    """From RECURRENCE_MIN_DIM rows on, doubling multiplies by zero-padded
+    FFTs: the first k columns and a block with k >= RECURRENCE_MIN_DIM
+    must match the convolution reference to 1e-13 max|T|, without the
+    recurrence, which stays the build of the whole W."""
+
+    @pytest.mark.parametrize("n", [RECURRENCE_MIN_DIM, RECURRENCE_MIN_DIM + 1, 384, 389, MAX_DIM])
+    def test_strip_matches_convolutions(self, n):
+        for name, (psi, phi) in build_cases().items():
+            psi_s = expand_rational(psi, n)
+            for k in (1, 2, 12, 16):
+                reference = convolution_columns(psi_s, phi, n, k)
+                rows_reference = convolution_columns(psi_s[:k], phi, k, n)
+                scale = max(np.max(np.abs(reference)), np.max(np.abs(rows_reference)))
+                rows, cols = _cross(psi, phi, n, k)
+                assert np.max(np.abs(cols - reference)) <= 1e-13 * scale, (name, k)
+                assert np.max(np.abs(rows - rows_reference)) <= 1e-13 * scale, (name, k)
+                block = _block(psi, phi, n, k)
+                assert np.max(np.abs(block - reference[:k])) <= 1e-13 * scale, (name, k)
+
+    def test_large_block_matches_convolutions(self):
+        n, k = 448, 400
+        assert k >= RECURRENCE_MIN_DIM
+        for name, (psi, phi) in build_cases().items():
+            reference = convolution_columns(expand_rational(psi, n), phi, n)
+            scale = np.max(np.abs(reference))
+            block = _block(psi, phi, n, k)
+            assert np.max(np.abs(block - reference[:k, :k])) <= 1e-13 * scale, name
+            rows, cols = _cross(psi, phi, n, k)
+            assert np.max(np.abs(rows - reference[:k])) <= 1e-13 * scale, name
+            assert np.max(np.abs(cols - reference[:, :k])) <= 1e-13 * scale, name
+
+    @pytest.mark.parametrize("n", [RECURRENCE_MIN_DIM, 384, MAX_DIM])
+    def test_strip_never_reaches_the_recurrence(self, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("recurrence reached")
+
+        monkeypatch.setattr(operators, "_mobius_recurrence", refuse)
+        for psi, phi in build_cases().values():
+            _cross(psi, phi, n, 16)
+            _block(psi, phi, n, 16)
+            wco_residuals(psi, phi, n, 16, Conjugation("C1", 1.0, 1j))
+        conjugation_residuals(C2_SLOW_DECAY, n, 16)
+        with pytest.raises(AssertionError, match="recurrence reached"):
+            build_wco(*case_symbols("disk-automorphism"), n)
+
+    def test_whole_build_is_the_recurrence(self):
+        n = 384
+        for name, (psi, phi) in build_cases().items():
+            if isinstance(phi, ConstantMap):
+                continue
+            got = build_wco(psi, phi, n)
+            assert np.array_equal(got, _mobius_recurrence(expand_rational(psi, n), phi, n)), name
+        weight, vmap = c2_symbols(C2_SLOW_DECAY)
+        got = conjugation_matrix(C2_SLOW_DECAY, n)
+        assert np.array_equal(got, _mobius_recurrence(expand_rational(weight, n), vmap, n))
 
 
 class TestSeams:

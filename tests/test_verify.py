@@ -355,3 +355,27 @@ def test_oracle_n384_summaries_unchanged(suite_id):
     expected = {"pass": npass, "fail": nfail, "inconclusive": ninc, "discrepancy": ndisc}
     expected["total"] = sum(expected.values())
     assert (report.summary, report.exit_status) == (expected, status)
+
+
+# The same six suites at the dimension cap, 1-2 samples each (seed 2024),
+# as (samples, pass, fail, inconclusive, discrepancy, exit status).  Taken
+# from the build whose first k columns came from the Mobius recurrence, so
+# the FFT products that replaced it must not move a verdict.
+ORACLE_N1024_SUMMARIES = {
+    "prop21-normal": (2, 2, 0, 0, 0, 0),
+    "jsym-form": (2, 3, 0, 0, 0, 0),
+    "c1sym-form": (2, 3, 0, 0, 0, 0),
+    "c2sym-form": (2, 3, 0, 0, 0, 0),
+    "conjugation-axioms": (2, 3, 0, 0, 0, 0),
+    "cowen-factorization": (1, 1, 0, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("suite_id", sorted(ORACLE_N1024_SUMMARIES))
+def test_oracle_n1024_summaries_unchanged(suite_id):
+    samples, npass, nfail, ninc, ndisc, status = ORACLE_N1024_SUMMARIES[suite_id]
+    cfg = dataclasses.replace(default_config(suite_id), dim=1024, samples=samples, seed=2024)
+    report = run_suite(suite_id, cfg)
+    expected = {"pass": npass, "fail": nfail, "inconclusive": ninc, "discrepancy": ndisc}
+    expected["total"] = sum(expected.values())
+    assert (report.summary, report.exit_status) == (expected, status)
