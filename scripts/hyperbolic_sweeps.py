@@ -4,11 +4,11 @@
 Usage:
     python scripts/hyperbolic_sweeps.py [--out sweeps/]
 
-Each row records one hyperbolic target, the minimum combined deficiency
-found over the relevant symmetric family, and the minimizing witness
-parameters.  A deficiency at rounding level means the target is realized
-by a symmetric normal operator, contradicting the claimed nonexistence;
-those rows carry the verdict "discrepancy".
+Each row records one hyperbolic target, the deficiency at the unique
+preimage in the relevant symmetric family, and that preimage as the
+witness parameters.  A deficiency at rounding level means the target is
+realized by a symmetric normal operator, contradicting the claimed
+nonexistence; those rows carry the verdict "discrepancy".
 """
 
 import argparse
@@ -19,10 +19,10 @@ from wcosym.cli import sweep_to_csv
 from wcosym.verify import SWEEP_SUITES, run_suite
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="sweeps")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

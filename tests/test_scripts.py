@@ -1,0 +1,31 @@
+import csv
+import importlib.util
+import pathlib
+
+from wcosym.cli import SWEEP_CSV_COLUMNS
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_hyperbolic_sweeps_writes_four_tables(tmp_path):
+    assert _load("hyperbolic_sweeps").main(["--out", str(tmp_path)]) == 3
+    expected_rows = {"j-hyperbolic": 24, "c1-hyperbolic": 24, "c2-hyperbolic": 24, "hyperbolic-nonaut": 12}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{f}.csv" for f in expected_rows)
+    tables = {}
+    for family, count in expected_rows.items():
+        text = (tmp_path / f"{family}.csv").read_text()
+        # the fixed header the README documents
+        assert text.startswith("family,r,t_re,t_im,deficiency,verdict,w1_name,w1_re,w1_im,")
+        tables[family] = list(csv.DictReader(text.splitlines()))
+        assert list(tables[family][0]) == SWEEP_CSV_COLUMNS
+        assert len(tables[family]) == count, family
+    aut_rows = [row for row in tables["c1-hyperbolic"] if float(row["t_re"]) == 0.0]
+    assert len(aut_rows) == 12
+    assert all(row["verdict"] == "discrepancy" for row in aut_rows)
