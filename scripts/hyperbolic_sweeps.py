@@ -15,8 +15,8 @@ import argparse
 import pathlib
 import sys
 
-from wcosym.cli import sweep_to_csv
-from wcosym.verify import SWEEP_SUITES, run_suite
+from wcosym.cli import SWEEP_SUITES, sweep_to_csv
+from wcosym.verify import run_suite
 
 
 def main(argv=None) -> int:
@@ -30,7 +30,7 @@ def main(argv=None) -> int:
     for family, suite_id in SWEEP_SUITES.items():
         report = run_suite(suite_id)
         path = out_dir / f"{family}.csv"
-        path.write_text(sweep_to_csv(report))
+        path.write_text(sweep_to_csv(report, family))
         minimum = min(r.residuals["deficiency"] for r in report.records)
         print(f"{family:18s} min deficiency {minimum:9.3e}  -> {path}")
         if report.exit_status == 3 and worst == 0:

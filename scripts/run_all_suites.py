@@ -21,12 +21,12 @@ from wcosym.cli import report_to_json
 from wcosym.verify import SUITES, check_registry, default_config, run_suite
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="reports")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--samples", type=int)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     check_registry()
     out_dir = pathlib.Path(args.out)

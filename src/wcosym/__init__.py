@@ -65,7 +65,6 @@ from .verify import (
     SuiteConfig,
     VerificationReport,
     SUITES,
-    nonexistence_sweep,
     run_suite,
 )
 

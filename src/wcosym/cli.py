@@ -35,7 +35,6 @@ from .operators import Conjugation, conjugation_cross, conjugation_residuals, wc
 from .verify import (
     SuiteConfig,
     SUITES,
-    SWEEP_SUITES,
     VerificationReport,
     agreement,
     band_verdict,
@@ -196,8 +195,18 @@ SWEEP_CSV_COLUMNS = [
 ]
 
 
-def sweep_to_csv(report: VerificationReport) -> str:
-    """Fixed-column CSV; complex witness parameters split into re/im pairs."""
+# the registry entry behind each `wcosym sweep --family`
+SWEEP_SUITES: Dict[str, str] = {
+    "j-hyperbolic": "ex42-sweep",
+    "c1-hyperbolic": "ex52-sweep",
+    "c2-hyperbolic": "ex62-sweep",
+    "hyperbolic-nonaut": "ex43-sweep",
+}
+
+
+def sweep_to_csv(report: VerificationReport, family: str) -> str:
+    """Fixed-column CSV, one row per target under the given family name;
+    complex witness parameters split into re/im pairs."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_CSV_COLUMNS)
@@ -205,7 +214,7 @@ def sweep_to_csv(report: VerificationReport) -> str:
         t = complex(rec.params.get("t", 0.0))
         r = complex(rec.params.get("r", 0.0)).real
         row = [
-            report.suite_id.replace("sweep-", ""),
+            family,
             repr(float(r)),
             repr(t.real),
             repr(t.imag),
@@ -380,7 +389,7 @@ def cmd_suite(args) -> int:
 def cmd_sweep(args) -> int:
     report = run_suite(SWEEP_SUITES[args.family])
     if args.csv:
-        _write_output(sweep_to_csv(report), args.csv)
+        _write_output(sweep_to_csv(report, args.family), args.csv)
     if args.json:
         _write_output(report_to_json(report), args.json)
     sys.stdout.write(_human_summary(report))

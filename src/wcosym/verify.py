@@ -29,8 +29,8 @@ from .mobius import (
     IDENTITY,
     MapClass,
     MobiusMap,
-    aut_normal_form,
     classify,
+    is_automorphism,
     is_self_map,
     lft_normality_defects,
     mobius_equal,
@@ -364,7 +364,7 @@ def suite_lemma31_aut(rng, cfg: SuiteConfig) -> Records:
             a0 = _disk(rng, 0.6, 0.05)
             a1 = _disk(rng, 0.6)
             phi = fam.j_symbols(fam.JParams(a0, a1)).phi
-            if isinstance(phi, ConstantMap) or aut_normal_form(phi) is not None:
+            if isinstance(phi, ConstantMap) or is_automorphism(phi):
                 continue
             form = fam.j_aut_form(a0, a1)
             yield _form_record({"a0": a0, "a1": a1}, {"expected": "none"}, form, form is None)
@@ -389,7 +389,7 @@ def suite_lemma32_aut(rng, cfg: SuiteConfig) -> Records:
             c0 = _disk(rng, 0.6, 0.05)
             c1 = _disk(rng, 0.6)
             pair = fam.c1_symbols(fam.C1Params(alpha, c0, c1))
-            if isinstance(pair.phi, ConstantMap) or aut_normal_form(pair.phi) is not None:
+            if isinstance(pair.phi, ConstantMap) or is_automorphism(pair.phi):
                 continue
             form = fam.c1_aut_form(alpha, c0, c1)
             yield _form_record({"alpha": alpha, "c0": c0, "c1": c1}, {"expected": "none"}, form, form is None)
@@ -924,12 +924,6 @@ def _target_quadruples(include_aut=True):
     return targets
 
 
-def _polar_grid(radii, angles, r_lo, r_hi):
-    rr = np.linspace(r_lo, r_hi, radii)
-    aa = np.linspace(0.0, 2.0 * math.pi, angles, endpoint=False)
-    return (rr[:, None] * np.exp(1j * aa)[None, :]).ravel()
-
-
 def _preimage(target: MobiusMap, alpha=None):
     """The one point (alpha, c0, c1) whose quadruple (c1 - alpha c0^2, c0,
     -alpha c0, 1) can be proportional to a target (a, b, c, d), b, d != 0:
@@ -948,98 +942,75 @@ def _preimage(target: MobiusMap, alpha=None):
     return gap, complex(alpha), complex(c0), complex(c1)
 
 
-def _sweep_j_family(targets):
-    """max(gap, |normality expression|) at each target's preimage under
+def _j_deficiency(target: MobiusMap):
+    """max(gap, |normality expression|) at the target's preimage under
     alpha = 1: zero iff a normal J-symmetric realization exists, which
     needs b + c = 0 (on the grid, b + c = 2(r - 1))."""
-    for target in targets:
-        gap, _, a0, a1 = _preimage(target, alpha=1.0)
-        yield max(gap, abs(fam.j_normal_expression(a0, a1))), {"a0": a0, "a1": a1}
+    gap, _, a0, a1 = _preimage(target, alpha=1.0)
+    return max(gap, abs(fam.j_normal_expression(a0, a1))), {"a0": a0, "a1": a1}
 
 
-def _sweep_c1_family(targets):
-    """max(gap, |normality expression|) at each target's preimage, alpha
+def _c1_deficiency(target: MobiusMap):
+    """max(gap, |normality expression|) at the target's preimage, alpha
     unimodular: zero iff a normal C1-symmetric realization exists, which
     needs |b| = |c| (on the grid, exactly the automorphisms Re t = 0)."""
-    for target in targets:
-        gap, alpha, c0, c1 = _preimage(target)
-        yield max(gap, abs(fam.c1_normal_expression(alpha, c0, c1))), {"alpha": alpha, "c0": c0, "c1": c1}
+    gap, alpha, c0, c1 = _preimage(target)
+    return max(gap, abs(fam.c1_normal_expression(alpha, c0, c1))), {"alpha": alpha, "c0": c0, "c1": c1}
 
 
-def _sweep_c2_family(targets):
+def _c2_deficiency(target: MobiusMap):
     """The kernel-weighted family pins (T, U, V) to the target, so the
     stated moduli equalities are violated by exactly the spread of the
-    target's own coefficient moduli; minimize the match defect over alpha."""
-    grid = _polar_grid(16, 24, r_lo=0.05, r_hi=0.95)
-    for target in targets:
-        a, b, c, d = target.a, target.b, target.c, target.d
-        spread = 1.0 - min(abs(b), abs(c), abs(d)) / max(abs(b), abs(c), abs(d))
-        match = np.abs(np.abs(grid) ** 2 * (1.0 - a) + c * grid - b * np.conj(grid))
-        i = int(np.argmin(match))
-        # alpha only controls the match defect; the moduli violation is
-        # alpha-free, so the deficiency is bounded below by the spread
-        yield max(min(float(match[i]), 1.0), spread), {"alpha": complex(grid[i])}
+    target's own coefficient moduli.  alpha only enters the match defect
+    |(1 - a)|alpha|^2 + c alpha - b conj(alpha)| <= |alpha|^2 |1 - a| +
+    |alpha| (|b| + |c|), whose infimum over 0 < |alpha| < 1 is 0; the
+    deficiency is therefore the alpha-free spread, with no witness."""
+    moduli = (abs(target.b), abs(target.c), abs(target.d))
+    return 1.0 - min(moduli) / max(moduli), {}
 
 
-_SWEEPS = {
-    "j-hyperbolic": _sweep_j_family,
-    "c1-hyperbolic": _sweep_c1_family,
-    "c2-hyperbolic": _sweep_c2_family,
-}
+def _sweep(deficiency):
+    """The record generator deciding each of the 24 hyperbolic targets by
+    `deficiency(target) -> (value, witness)`: zero iff the family has a
+    symmetric normal realization, so a value below cfg.fail_tol (the one
+    cfg field read) is a discrepancy.  Each record keeps its witness
+    parameters, and only an automorphism target's discrepancy carries the
+    documented note."""
 
-
-def nonexistence_sweep(family: str, cfg: SuiteConfig) -> List[SampleRecord]:
-    """Nonexistence checks for hyperbolic symbols.
-
-    The j and c1 sweeps decide each target exactly at its one projective
-    preimage in the family (`_preimage`): the deficiency there is zero iff
-    a normal symmetric realization exists, and for an unrealizable target
-    it is the value at that preimage, not a minimum over the family.  Each
-    record keeps its witness parameters, so a violated claim comes with an
-    explicit counterexample; only an automorphism target's discrepancy
-    carries the documented automorphism note.
-
-    The targets are a fixed grid: the j-, c1- and c2-hyperbolic sweeps
-    use none of cfg's samples, dim, block or seed, and hyperbolic-nonaut
-    uses only dim and block (all four use fail_tol).  Reports still carry
-    all four fields.
-    """
-    key = family.strip().lower()
-    records = []
-    if key == "hyperbolic-nonaut":
-        for r, t in _target_quadruples(include_aut=False):
-            phi = fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t))
-            psi = RationalSymbol(1.0, 0.0, 1.0, -np.conj(cowen_sigma0(phi)))
-            res = _matrix_normality(fam.SymbolPair(psi, phi), cfg)
-            records.append(
-                SampleRecord(
-                    params={"r": r, "t": t},
-                    residuals={"deficiency": res, "normality": res},
-                    verdict="pass" if res >= cfg.fail_tol else "discrepancy",
+    def generate(rng, cfg: SuiteConfig) -> Records:
+        for r, t in _target_quadruples():
+            target = fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t))
+            value, witness = deficiency(target)
+            verdict = "pass" if value >= cfg.fail_tol else "discrepancy"
+            note = ""
+            if verdict == "discrepancy" and is_automorphism(target):
+                note = (
+                    "hyperbolic automorphism target admits a symmetric normal "
+                    "realization; documented deviation from the claimed nonexistence"
                 )
-            )
-        return records
-    if key not in _SWEEPS:
-        raise UnknownSuiteError(f"unknown sweep family {family!r}")
-    grid = _target_quadruples()
-    targets = [fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t)) for r, t in grid]
-    for (r, t), target, (deficiency, witness) in zip(grid, targets, _SWEEPS[key](targets)):
-        verdict = "pass" if deficiency >= cfg.fail_tol else "discrepancy"
-        note = ""
-        if verdict == "discrepancy" and aut_normal_form(target) is not None:
-            note = (
-                "hyperbolic automorphism target admits a symmetric normal "
-                "realization; documented deviation from the claimed nonexistence"
-            )
-        records.append(
-            SampleRecord(
+            yield SampleRecord(
                 params={"r": r, "t": t, **witness},
-                residuals={"deficiency": float(deficiency)},
+                residuals={"deficiency": float(value)},
                 verdict=verdict,
                 note=note,
             )
+
+    return generate
+
+
+def suite_hyperbolic_nonaut(rng, cfg: SuiteConfig) -> Records:
+    """Examples 4.3 and 5.3: on each of the 12 non-automorphism hyperbolic
+    targets, W with the kernel weight at sigma(0) is not normal.  Reads
+    cfg.dim and cfg.block (the truncation) and cfg.fail_tol."""
+    for r, t in _target_quadruples(include_aut=False):
+        phi = fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t))
+        psi = RationalSymbol(1.0, 0.0, 1.0, -np.conj(cowen_sigma0(phi)))
+        res = _matrix_normality(fam.SymbolPair(psi, phi), cfg)
+        yield SampleRecord(
+            params={"r": r, "t": t},
+            residuals={"deficiency": res, "normality": res},
+            verdict="pass" if res >= cfg.fail_tol else "discrepancy",
         )
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -1055,17 +1026,6 @@ class Suite:
     defaults: SuiteConfig
     min_dim: int = 0
     min_block: int = 0
-    report_id: Optional[str] = None  # the registry id when None
-
-
-def _sweep_suite(family: str, samples: int) -> Suite:
-    # the entry works inside a call to nonexistence_sweep, so that a span
-    # tracer charges the sweep work to the sweep and not to the driver
-    return Suite(
-        lambda rng, cfg: nonexistence_sweep(family, cfg),
-        SuiteConfig(samples=samples),
-        report_id=f"sweep-{family}",
-    )
 
 
 # smaller default sample counts for the heavier suites; the minima are
@@ -1097,20 +1057,11 @@ SUITES: Dict[str, Suite] = {
     "cowen-factorization": Suite(
         suite_cowen_factorization, SuiteConfig(samples=50, dim=64, block=16), min_dim=64, min_block=16
     ),
-    "ex42-sweep": _sweep_suite("j-hyperbolic", 20),
-    "ex43-sweep": _sweep_suite("hyperbolic-nonaut", 12),
-    "ex52-sweep": _sweep_suite("c1-hyperbolic", 20),
-    "ex62-sweep": _sweep_suite("c2-hyperbolic", 20),
-}
-# Example 5.3 runs the same sweep as Example 4.3; both anchors keep it
-SUITES["ex53-sweep"] = SUITES["ex43-sweep"]
-
-# the registry entry behind each `wcosym sweep --family`
-SWEEP_SUITES: Dict[str, str] = {
-    "j-hyperbolic": "ex42-sweep",
-    "c1-hyperbolic": "ex52-sweep",
-    "c2-hyperbolic": "ex62-sweep",
-    "hyperbolic-nonaut": "ex43-sweep",
+    "ex42-sweep": Suite(_sweep(_j_deficiency), SuiteConfig(samples=24)),
+    "ex43-sweep": Suite(suite_hyperbolic_nonaut, SuiteConfig(samples=12)),
+    "ex52-sweep": Suite(_sweep(_c1_deficiency), SuiteConfig(samples=24)),
+    "ex53-sweep": Suite(suite_hyperbolic_nonaut, SuiteConfig(samples=12)),
+    "ex62-sweep": Suite(_sweep(_c2_deficiency), SuiteConfig(samples=24)),
 }
 
 # every verified statement must own at least one registered suite
@@ -1181,4 +1132,4 @@ def run_suite(suite_id: str, cfg: Optional[SuiteConfig] = None) -> VerificationR
             f"got dim {cfg.dim} and block {cfg.block}"
         )
     records = list(suite.generate(np.random.default_rng(cfg.seed), cfg))
-    return VerificationReport(suite.report_id or suite_id, cfg, records)
+    return VerificationReport(suite_id, cfg, records)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from wcosym import operators, verify
 from wcosym.cli import (
     REPORT_SCHEMA,
     SWEEP_CSV_COLUMNS,
+    SWEEP_SUITES,
     format_complex,
     main,
     parse_complex,
@@ -214,6 +216,26 @@ class TestSweepCommand:
         code = main(["sweep", "--family", family, "--json", str(swept)])
         assert code == main(["suite", "--id", suite_id, "--json", str(suite)])
         assert swept.read_bytes() == suite.read_bytes()
+
+    def test_suite_names_its_registry_id(self, capsys):
+        # ex53 runs the same sweep as ex43 but reports under its own id
+        assert main(["suite", "--id", "ex53-sweep"]) == 0
+        assert capsys.readouterr().out.startswith("suite ex53-sweep: total=12 ")
+
+    @pytest.mark.parametrize("family", sorted(SWEEP_SUITES))
+    def test_csv_family_column(self, capsys, tmp_path, family):
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--family", family, "--csv", str(out)])
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert rows and all(row["family"] == family for row in rows)
+        if family == "c2-hyperbolic":  # the alpha-free spread has no witness
+            witness = [c for c in SWEEP_CSV_COLUMNS if c.startswith("w")]
+            assert all(row[c] == "" for row in rows for c in witness)
+
+    def test_unknown_family_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--family", "elliptic"])
+        assert exc.value.code == 2
 
     def test_c1_sweep_documents_discrepancy(self, capsys, tmp_path):
         out = tmp_path / "c1.csv"

@@ -1,8 +1,10 @@
 import csv
 import importlib.util
+import json
 import pathlib
 
 from wcosym.cli import SWEEP_CSV_COLUMNS
+from wcosym.verify import SUITES
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -29,3 +31,12 @@ def test_hyperbolic_sweeps_writes_four_tables(tmp_path):
     aut_rows = [row for row in tables["c1-hyperbolic"] if float(row["t_re"]) == 0.0]
     assert len(aut_rows) == 12
     assert all(row["verdict"] == "discrepancy" for row in aut_rows)
+
+
+def test_run_all_suites_names_each_report_by_its_id(tmp_path, capsys):
+    # one draw per suite; the documented Findings of ex52-sweep keep it at 3
+    assert _load("run_all_suites").main(["--samples", "1", "--out", str(tmp_path)]) == 3
+    reports = sorted(tmp_path.glob("*.json"))
+    assert len(reports) == len(SUITES) == 27
+    for path in reports:
+        assert json.loads(path.read_text())["suite_id"] == path.stem

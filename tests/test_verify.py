@@ -25,14 +25,14 @@ from wcosym.verify import (
     SampleRecord,
     SuiteConfig,
     VerificationReport,
-    _polar_grid,
+    _c1_deficiency,
+    _c2_deficiency,
+    _j_deficiency,
     _preimage,
-    _sweep_c1_family,
-    _sweep_j_family,
+    _sweep,
     _target_quadruples,
     check_registry,
     default_config,
-    nonexistence_sweep,
     run_suite,
 )
 
@@ -178,11 +178,10 @@ def test_exit_3_only_when_every_disagreement_is_documented(records, known, statu
 def test_sweep_notes_only_automorphism_discrepancies(monkeypatch):
     # a c1 sweep that realized every target: the non-automorphism ones are
     # not the documented Finding, so they carry no note and the run exits 1
-    def realize_all(targets):
-        for _ in targets:
-            yield 0.0, {"alpha": 1.0, "c0": 0.0, "c1": 0.0}
+    def realize_all(target):
+        return 0.0, {"alpha": 1.0, "c0": 0.0, "c1": 0.0}
 
-    monkeypatch.setitem(verify._SWEEPS, "c1-hyperbolic", realize_all)
+    monkeypatch.setitem(verify.SUITES, "ex52-sweep", verify.Suite(_sweep(realize_all), default_config("ex52-sweep")))
     report = run_suite("ex52-sweep")
     assert report.summary["discrepancy"] == 24
     for rec in report.records:
@@ -212,6 +211,12 @@ def test_preimage_round_trip(family):
             gap, got_alpha, got_c0, got_c1 = _preimage(phi)
         worst = max(worst, gap, abs(got_alpha - alpha), abs(got_c0 - c0), abs(got_c1 - c1))
     assert worst <= 1e-12, worst
+
+
+def _polar_grid(radii, angles, r_lo, r_hi):
+    rr = np.linspace(r_lo, r_hi, radii)
+    aa = np.linspace(0.0, 2.0 * math.pi, angles, endpoint=False)
+    return (rr[:, None] * np.exp(1j * aa)[None, :]).ravel()
 
 
 def _local_grid(center, spread, pts=7, clip=0.97):
@@ -300,7 +305,7 @@ def _reference_c1_search(target: MobiusMap):
 
 
 @pytest.mark.parametrize(
-    "search, reference", [(_sweep_j_family, _reference_j_search), (_sweep_c1_family, _reference_c1_search)]
+    "search, reference", [(_j_deficiency, _reference_j_search), (_c1_deficiency, _reference_c1_search)]
 )
 def test_sweep_matches_per_target_reference(search, reference):
     # the grid-plus-refinement search the closed form replaced: the same
@@ -309,8 +314,8 @@ def test_sweep_matches_per_target_reference(search, reference):
     # preimage, which lies above the grid's minimum
     fail_tol = SuiteConfig().fail_tol
     targets = [hyperbolic_aut_map(HyperbolicParams(r, t)) for r, t in _target_quadruples()]
-    results = list(search(targets))
-    assert len(results) == len(targets) == 24
+    results = [search(target) for target in targets]
+    assert len(results) == 24
     for target, (deficiency, witness) in zip(targets, results):
         ref_deficiency, ref_witness = reference(target)
         assert (deficiency >= fail_tol) == (ref_deficiency >= fail_tol), (target, deficiency, ref_deficiency)
@@ -323,9 +328,48 @@ def test_sweep_matches_per_target_reference(search, reference):
             assert proj_distance(phi, target) <= 1e-12, (target, witness)
 
 
-def test_sweep_unknown_family():
-    with pytest.raises(UnknownSuiteError):
-        nonexistence_sweep("elliptic", SuiteConfig())
+# the alpha-grid minimum ex62 took before its closed form (16 radii in
+# [0.05, 0.95] x 24 angles), per target in _target_quadruples() order
+EX62_GRID_DEFICIENCIES = (
+    0.9090909090909092, 0.7226499018873855, 0.5145427003237905,
+    0.96, 0.7999999999999999, 0.7966051323592547,
+    0.8, 0.6962164955940366, 0.5312080101164978,
+    0.9285714285714286, 0.9090909090909091, 0.8267282634466264,
+    0.6666666666666667, 0.6188187500687563, 0.5165576817284347,
+    0.7878787878787878, 0.9473684210526316, 0.7727311215782755,
+    0.5, 0.48376006791254267, 0.4414961007257092,
+    0.6046511627906976, 0.75, 0.621457746567361,
+)
+
+
+def test_c2_deficiency_is_the_alpha_free_spread():
+    # 1 - min/max of |b|, |c|, |d| by scalar code, equal bit for bit to the
+    # grid minimum it replaced: alpha's match defect vanishes as alpha -> 0
+    for (r, t), pinned in zip(_target_quadruples(), EX62_GRID_DEFICIENCIES, strict=True):
+        target = hyperbolic_aut_map(HyperbolicParams(r, t))
+        moduli = sorted(abs(complex(x)) for x in (target.b, target.c, target.d))
+        deficiency, witness = _c2_deficiency(target)
+        assert witness == {}
+        assert deficiency == 1.0 - moduli[0] / moduli[-1] == pinned, (r, t)
+
+
+def test_ex62_records_carry_only_the_target():
+    # the deficiency is alpha-free, so no alpha is reported as a witness
+    records = run_suite("ex62-sweep").records
+    assert len(records) == 24
+    assert all(list(rec.params) == ["r", "t"] for rec in records)
+
+
+@pytest.mark.parametrize("suite_id", sorted(SUITES))
+def test_report_carries_its_registry_id(suite_id):
+    assert run_suite(suite_id).suite_id == suite_id
+
+
+@pytest.mark.parametrize("suite_id", ["ex42-sweep", "ex43-sweep", "ex52-sweep", "ex53-sweep", "ex62-sweep"])
+def test_sweep_config_counts_its_records(suite_id):
+    # the fixed target grid is the whole sample: the default config says so
+    report = run_suite(suite_id)
+    assert report.config.samples == report.summary["total"]
 
 
 class TestDeterminism:
