@@ -7,11 +7,12 @@ Usage:
 For N in 64, 96, 192, 384, 389, 512, 1024 and block k in 12, 16 it prints
 the median time of one call, in ms, of
 
-  whole  all of W (build_wco; what the C2 symmetry residual reads): power
-         doubling by Toeplitz matrix products below N = 192, the Mobius
-         recurrence from there on,
-  cross  the first k rows and first k columns (the normality residual and
-         the C2 conjugation's involution residual): the rows by Toeplitz
+  whole  all of W (build_wco and conjugation_matrix: the public API and
+         kernel-conj-slow): power doubling by Toeplitz matrix products
+         below N = 192, the Mobius recurrence from there on,
+  cross  the first k rows and first k columns (the normality residual
+         and the C2 conjugation's involution residual; the C2 symmetry
+         reads only the columns): the rows by Toeplitz
          doubling on k coefficients, the columns by Toeplitz doubling
          below N = 192 and by FFT doubling from there on,
   block  the leading k x k block (the J and C1 symmetry residuals and the
@@ -24,7 +25,7 @@ interior normal family, whose coefficients underflow to subnormal numbers
 at large N, and the slow-decay C2 conjugation at |alpha| = 0.9.  N = 389
 is prime, so an FFT length chosen as 2N rather than a power of two would
 show up there as a slow size.  BLAS runs on one thread.  Nothing is
-written to disk.
+written to disk.  Exit status 2 for a --repeats below 1.
 """
 
 import os
@@ -59,10 +60,12 @@ def _median_ms(call, repeats: int) -> float:
     return 1e3 * statistics.median(times)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--repeats", type=int, default=15)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
     print(f"{'symbol':10} {'N':>5} {'k':>3} {'whole ms':>9} {'cross ms':>9} {'block ms':>9}")
     for name, pair in SYMBOLS.items():
         psi, phi = pair.psi, pair.phi

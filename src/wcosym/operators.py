@@ -27,7 +27,10 @@ from the leading block.  Each residual forms only the rows and columns of
 its products that reach the block.  The symbol-level residuals build only
 those: the k x k block of the N-truncation is the k-truncation, the first
 k rows come from doubling on k coefficients, the first k columns from
-doubling on N.  Only the C2 symmetry residual reads all of W.
+doubling on N.  No seam reads all of W: the C2 symmetry is measured as
+the commutator U conj(T) - T^H U on the block, which reads only the first
+k columns of T.  build_wco and conjugation_matrix remain the public
+whole-matrix builds.
 """
 
 from __future__ import annotations
@@ -279,17 +282,22 @@ def symmetry_residual(t: np.ndarray, u: np.ndarray, k: int) -> float:
     """|| T - U T^t conj(U) || on the leading block.
 
     For anti-linear C: x -> U conj(x) the condition T = C T* C reduces to
-    T = U T^t conj(U).
+    T = U T^t conj(U).  The seam wco_residuals measures the commutator
+    || U conj(T) - T^H U || = || CW - W*C || instead, which needs only the
+    first k columns of T.  On the untruncated operator and a true
+    conjugation the two norms are equal, since W - CW*C = C(CW - W*C) and
+    C is an isometry; on the leading block of a truncation they are two
+    compressions of the same defect, equal in band but not digit for digit.
     """
     if t.shape != u.shape:
         raise DimensionMismatchError(f"shapes differ: {t.shape} != {u.shape}")
     _check_block(len(t), k)
-    return _symmetry_defect(t, u[:k], u[:, :k])
+    return float(np.linalg.norm(t[:k, :k] - u[:k] @ (t.T @ u[:, :k].conj())))
 
 
 def _symmetry_defect(t: np.ndarray, u_rows: np.ndarray, u_cols: np.ndarray) -> float:
-    k = len(u_rows)
-    return float(np.linalg.norm(t[:k, :k] - u_rows @ (t.T @ u_cols.conj())))
+    """|| U conj(T) - T^H U || on the block, t = T[:len(u_cols), :k]."""
+    return float(np.linalg.norm(u_rows @ t.conj() - t.conj().T @ u_cols))
 
 
 def normality_residual(t: np.ndarray, k: int) -> float:
@@ -307,20 +315,23 @@ def wco_residuals(
     conj: Optional[Conjugation] = None, normality: bool = True, u_cross=None,
 ) -> Dict[str, float]:
     """normality_residual (unless normality is False) and, given conj, the
-    symmetry_residual of build_wco(psi, phi, n) on block k, with the same
-    refusals, building only what they read: the first k rows and columns
-    of W for normality, the block for the diagonal J and C1, and all of W
-    for C2, whose U multiplies T^t by whole columns.  u_cross is
-    conjugation_cross(conj, n, k) if the caller has built it already."""
+    symmetry defect || U conj(T) - T^H U || = || CW - W*C || of
+    T = build_wco(psi, phi, n) on block k, with the same refusals.  It
+    builds only what they read: the first k rows and columns of W for
+    normality; for the symmetry, T[:, :k] for C2 and the k x k block for
+    the diagonal J and C1, sliced from that cross when normality built it.
+    u_cross is conjugation_cross(conj, n, k) if the caller has built it
+    already."""
     out = {}
-    if conj is not None and conj.kind == "C2":
-        t = build_wco(psi, phi, n)
-        rows, cols = t[:k], t[:, :k]
+    if normality:
+        rows, cols = _cross(psi, phi, n, k)
     else:
-        rows, cols = _cross(psi, phi, n, k) if normality else (_block(psi, phi, n, k), None)
-        t = rows[:, :k]
+        series = _checked_series(psi, phi, n)
+        _check_block(n, k)
     if conj is not None:
-        out["symmetry"] = _symmetry_defect(t, *(u_cross or conjugation_cross(conj, n, k)))
+        u_rows, u_cols = u_cross or conjugation_cross(conj, n, k)
+        t = cols[:len(u_cols)] if normality else _rectangle(*series, phi, len(u_cols), k)
+        out["symmetry"] = _symmetry_defect(t, u_rows, u_cols)
     if normality:
         out["normality"] = _normality_defect(rows, cols)
     return out

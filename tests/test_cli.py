@@ -133,6 +133,18 @@ class TestCheckCommand:
         assert doc["note"].startswith("operator truncation unavailable")
         assert len(calls) == 1
 
+    def test_c2_check_at_the_cap_reads_no_whole_w(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("whole W built")
+
+        monkeypatch.setattr(operators, "build_wco", refuse)
+        monkeypatch.setattr(operators, "_mobius_recurrence", refuse)
+        args = ["check", "--family", "c2", "--alpha=-0.36+0.28i", "--c0", "1.1+0.03i", "--c1=-0.25-0.4i"]
+        assert main(args + ["--c2=-0.13-0.32i", "--dim", "1024"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert sorted(doc["residuals"]) == ["involution", "isometry", "normality", "symmetry"]
+        assert doc["residuals"]["symmetry"] <= 1e-12 and doc["verdict"] == "pass"
+
     def test_domain_violation_exit_2(self, capsys):
         assert main(["check", "--family", "j", "--a0", "2", "--a1", "0"]) == 2
         # N outside 1..1024 is refused, not replaced by the default

@@ -9,7 +9,7 @@ from wcosym.errors import (
     PoleAtOriginError,
     SymbolPoleError,
 )
-from wcosym import operators
+from wcosym import operators, verify
 from wcosym.mobius import IDENTITY, ConstantMap, MobiusMap, cowen_adjoint
 from wcosym.operators import (
     MAX_DIM,
@@ -303,7 +303,10 @@ class TestFftDoubling:
 
 class TestSeams:
     """Each symbol-level residual equals the public residual of the whole
-    matrices within 1e-13 max(1, r)."""
+    matrices within 1e-13 max(1, r).  The C2 symmetry is the commutator
+    || U conj(T) - T^H U || on the block, which equals symmetry_residual
+    only in exact arithmetic on the untruncated operator, so its reference
+    is that commutator of the whole matrices."""
 
     K = 12
 
@@ -323,7 +326,10 @@ class TestSeams:
             assert self.close(wco_residuals(*pair, n, k)["normality"], normal)
             for c in conjugations:
                 u = conjugation_matrix(c, n)
-                sym = symmetry_residual(t, u, k)
+                if c.kind == "C2":
+                    sym = np.linalg.norm((u @ t.conj() - t.conj().T @ u)[:k, :k])
+                else:
+                    sym = symmetry_residual(t, u, k)
                 both = wco_residuals(*pair, n, k, c)
                 assert self.close(both["normality"], normal) and self.close(both["symmetry"], sym), c
                 alone = wco_residuals(*pair, n, k, c, normality=False)
@@ -332,6 +338,36 @@ class TestSeams:
             want = involution_residual(conjugation_matrix(c, n), k)
             got = conjugation_residuals(c, n, k)
             assert all(self.close(g, w) for g, w in zip(got, want)), c
+
+    @pytest.mark.parametrize("n", [96, 384, MAX_DIM])
+    def test_c2_symmetry_in_band_with_whole_matrix_form(self, n):
+        """On 60 c2sym-form draws, every second one a perturbed control,
+        the seam's commutator and symmetry_residual of the whole matrices
+        fall in the same pass / fail band."""
+        rng = np.random.default_rng(5)
+        cfg, k = verify.SuiteConfig(), 16
+        for i in range(60):
+            params, pair = verify._draw_c2_selfmap(rng)
+            if i % 2:
+                pair = verify._perturb_weight(pair)
+            c = Conjugation("C2", 1.0, params.alpha)
+            seam = wco_residuals(pair.psi, pair.phi, n, k, c, normality=False)["symmetry"]
+            whole = symmetry_residual(build_wco(pair.psi, pair.phi, n), conjugation_matrix(c, n), k)
+            assert verify.band_verdict(seam, cfg) == verify.band_verdict(whole, cfg), (i, seam, whole)
+            assert seam >= 0.1 if i % 2 else seam <= 1e-13, (i, seam)
+
+    @pytest.mark.parametrize("n", [RECURRENCE_MIN_DIM, 384, MAX_DIM])
+    def test_no_seam_reads_all_of_w(self, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("whole W built")
+
+        monkeypatch.setattr(operators, "build_wco", refuse)
+        monkeypatch.setattr(operators, "_mobius_recurrence", refuse)
+        psi, phi = case_symbols("disk-automorphism")
+        for c in (Conjugation("J"), Conjugation("C1", 1.0, 1j), C2_SLOW_DECAY):
+            for normality in (True, False):
+                got = wco_residuals(psi, phi, n, 16, c, normality)
+                assert sorted(got) == (["normality", "symmetry"] if normality else ["symmetry"])
 
     @pytest.mark.parametrize("n", [64, RECURRENCE_MIN_DIM - 1, RECURRENCE_MIN_DIM, 384])
     @pytest.mark.parametrize("sigma_sign", [-1, 1])

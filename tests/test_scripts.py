@@ -3,6 +3,8 @@ import importlib.util
 import json
 import pathlib
 
+import pytest
+
 from wcosym.cli import SWEEP_CSV_COLUMNS
 from wcosym.verify import SUITES
 
@@ -40,3 +42,17 @@ def test_run_all_suites_names_each_report_by_its_id(tmp_path, capsys):
     assert len(reports) == len(SUITES) == 27
     for path in reports:
         assert json.loads(path.read_text())["suite_id"] == path.stem
+
+
+def test_build_timings_prints_every_row_and_refuses_zero_repeats(capsys, monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the script pins these on import; restored after the test
+    script = _load("build_timings")
+    assert script.main(["--repeats", "1"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    expected = [(name, n, k) for name in script.SYMBOLS for n in script.DIMS for k in script.BLOCKS]
+    assert [(row[0], int(row[1]), int(row[2])) for row in rows] == expected
+    assert all(len(row) == 6 for row in rows)
+    with pytest.raises(SystemExit) as exit_info:
+        script.main(["--repeats", "0"])
+    assert exit_info.value.code == 2

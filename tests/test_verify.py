@@ -497,3 +497,24 @@ def test_oracle_n1024_summaries_unchanged(suite_id):
     expected = {"pass": npass, "fail": nfail, "inconclusive": ninc, "discrepancy": ndisc}
     expected["total"] = sum(expected.values())
     assert (report.summary, report.exit_status) == (expected, status)
+
+
+# The two C2 symmetry suites at the dimension cap with their default
+# sample counts (seed 2024), as (pass, fail, inconclusive, discrepancy,
+# exit status).  Taken from the build whose C2 symmetry read all of W as
+# T - U T^t conj(U), so measuring the commutator U conj(T) - T^H U on the
+# first k columns must not move a verdict.
+C2_SYMMETRY_N1024_SUMMARIES = {
+    "c2sym-form": (120, 0, 0, 0, 0),
+    "ex61-interior": (30, 0, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("suite_id", sorted(C2_SYMMETRY_N1024_SUMMARIES))
+def test_c2_symmetry_suites_at_the_cap_unchanged(suite_id):
+    npass, nfail, ninc, ndisc, status = C2_SYMMETRY_N1024_SUMMARIES[suite_id]
+    cfg = dataclasses.replace(default_config(suite_id), dim=1024, seed=2024)
+    report = run_suite(suite_id, cfg)
+    expected = {"pass": npass, "fail": nfail, "inconclusive": ninc, "discrepancy": ndisc}
+    expected["total"] = sum(expected.values())
+    assert (report.summary, report.exit_status) == (expected, status)
