@@ -12,9 +12,9 @@ the median time of one call, in ms, of
          below N = 192, the Mobius recurrence from there on,
   cross  the first k rows and first k columns (the normality residual
          and the C2 conjugation's involution residual; the C2 symmetry
-         reads only the columns): the rows by Toeplitz
-         doubling on k coefficients, the columns by Toeplitz doubling
-         below N = 192 and by FFT doubling from there on,
+         reads only the columns): the rows by Toeplitz doubling on k
+         coefficients, the columns by doubling the k-wide row recurrence
+         at every N,
   block  the leading k x k block (the J and C1 symmetry residuals and the
          four factors of the adjoint factorization): Toeplitz doubling on
          k coefficients,
@@ -23,9 +23,9 @@ each including the refusals and length-N expansions build_wco makes.  Two
 symbols are timed: a fast-decay weighted composition operator of the
 interior normal family, whose coefficients underflow to subnormal numbers
 at large N, and the slow-decay C2 conjugation at |alpha| = 0.9.  N = 389
-is prime, so an FFT length chosen as 2N rather than a power of two would
-show up there as a slow size.  BLAS runs on one thread.  Nothing is
-written to disk.  Exit status 2 for a --repeats below 1.
+is prime: its last doubling level fills fewer rows than it doubles from.
+BLAS runs on one thread.  Nothing is written to disk.  Exit status 2 for
+a --repeats below 1.
 """
 
 import os

@@ -7,7 +7,8 @@ Usage:
 Exit status: 0 when everything passes, 3 when the only disagreements are
 the documented ones, 1 otherwise, and 2 for a --samples below 1.  A suite
 that raises is reported as ERROR with its exception, counts as 1, and the
-run goes on to the next.
+run goes on to the next.  --samples is not applied to the sweeps that
+decide a fixed target set (ex42, ex52, ex62), which refuse any other count.
 """
 
 import argparse
@@ -38,7 +39,7 @@ def main(argv=None) -> int:
         cfg = default_config(suite_id)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.samples is not None:
+        if args.samples is not None and not SUITES[suite_id].fixed_samples:
             try:
                 cfg = dataclasses.replace(cfg, samples=args.samples)
             except ValueError as exc:

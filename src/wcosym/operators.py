@@ -8,17 +8,17 @@ operator holds the coefficients of the image of z^j, and an anti-linear
 operator is the matrix U of x -> U conj(x).  N is capped at MAX_DIM = 1024,
 checked before any N x N array is allocated.
 
-Column j of W is psi phi^j, built by power doubling: columns [w, 2w) are
-the truncated Cauchy products of the series of phi^w with columns [0, w),
-about log2(cols) products in place of one convolution per column.  Below
-RECURRENCE_MIN_DIM rows a product is a BLAS multiplication by a
-lower-triangular Toeplitz matrix (O(N^2) per column, in subnormal numbers
-that slow the kernel down once coefficients underflow), from there on a
-zero-padded FFT product.  The whole W from RECURRENCE_MIN_DIM on is built
+Column j of W is psi phi^j.  A whole W, a leading block or the first
+rows are built by power doubling below RECURRENCE_MIN_DIM rows: columns
+[w, 2w) are the truncated Cauchy products of the series of phi^w with
+columns [0, w), one BLAS multiplication by a lower-triangular Toeplitz
+matrix per level (in subnormal numbers that slow the kernel down once
+coefficients underflow).  From RECURRENCE_MIN_DIM rows on they are built
 by the Mobius recurrence (cz + d) psi phi^j = (az + b) psi phi^(j-1), one
-anti-diagonal per step in O(N^2): 5-7.6 ms at N = 384 against 14-18 ms
-for FFT doubling, but its 2N Python-level steps cost more than a few
-products at small N, hence the crossover.
+anti-diagonal per step in O(N^2), whose 2N Python-level steps cost more
+than a few products at small N, hence the crossover.  The first k
+columns are built at every N by _strip, which doubles their k-wide row
+recurrence in O(N k^2).
 
 Residuals are always measured on a leading k x k block with k + 32 <= N:
 truncation corrupts the trailing rows and columns of products, and the
@@ -27,7 +27,7 @@ from the leading block.  Each residual forms only the rows and columns of
 its products that reach the block.  The symbol-level residuals build only
 those: the k x k block of the N-truncation is the k-truncation, the first
 k rows come from doubling on k coefficients, the first k columns from
-doubling on N.  No seam reads all of W: the C2 symmetry is measured as
+_strip.  No seam reads all of W: the C2 symmetry is measured as
 the commutator U conj(T) - T^H U on the block, which reads only the first
 k columns of T.  build_wco and conjugation_matrix remain the public
 whole-matrix builds.
@@ -53,15 +53,14 @@ from .series import RationalSymbol, expand_rational, mobius_series
 
 BLOCK_PAD = 32
 MAX_DIM = 1024
-# smallest N whose whole W is built by the recurrence, and smallest doubling
-# size whose products are FFTs.  Per build of an interior-family W on a
-# 2-vCPU x86 VM with one BLAS thread, doubling vs recurrence: 0.10-0.17 vs
-# 0.42-0.44 ms at N = 48, 0.26-0.45 vs 0.8-1.5 ms at 96, 0.5-0.8 vs 1.2-1.7 ms
-# at 128, 2.1-2.8 vs 3.0-3.3 ms at 191, 3.4-4.9 vs 2.5 ms at 256 and 10-15 vs
-# 4.6-5 ms at 384.  The per-column convolutions that doubling replaced took
-# 0.27-0.39 ms at 48 and 1.1-1.4 ms at 96.  For the 16-column strip, Toeplitz
-# GEMM vs FFT: 0.23-0.25 vs 0.25 ms at N = 128 and 0.33-0.36 vs 0.29 ms at
-# 160, so the FFT pays from about the same size on.
+# fewest rows a whole W, block or first rows are built with by the
+# recurrence rather than power doubling.  Per build of an interior-family W
+# on a 2-vCPU x86 VM with one BLAS thread, doubling vs recurrence: 0.10-0.17
+# vs 0.42-0.44 ms at N = 48, 0.26-0.45 vs 0.8-1.5 ms at 96, 0.5-0.8 vs
+# 1.2-1.7 ms at 128, 2.1-2.8 vs 3.0-3.3 ms at 191, 3.4-4.9 vs 2.5 ms at 256
+# and 10-15 vs 4.6-5 ms at 384.  The per-column convolutions that doubling
+# replaced took 0.27-0.39 ms at 48 and 1.1-1.4 ms at 96.  The first k
+# columns do not depend on it: _strip builds them the same way at every N.
 RECURRENCE_MIN_DIM = 192
 _POLE_GUARD = 1.0 + 1e-9
 
@@ -111,25 +110,78 @@ def _checked_series(psi: RationalSymbol, phi: Union[MobiusMap, ConstantMap], n: 
 
 
 def _rectangle(psi_s: np.ndarray, phi_s, phi, rows: int, cols: int) -> np.ndarray:
-    """W[:rows, :cols] of the truncation at N = len(psi_s); fewer than N
-    rows are those of the rows-truncation.  Only the whole W goes to the
-    recurrence; every other shape is built by doubling."""
+    """W[:rows, :cols] of the rows-truncation, rows <= len(psi_s): the whole
+    W, the leading block or the first rows.  The Mobius recurrence builds
+    it from RECURRENCE_MIN_DIM rows on, power doubling below."""
     if cols == 1:  # psi alone
         return psi_s[:rows, None]
     if phi_s is None:  # column j is psi value^j
         mat = np.full((rows, cols), phi.value, dtype=complex)
         mat[:, 0] = psi_s[:rows]
         return np.cumprod(mat, axis=1, out=mat)
-    if rows == cols == len(psi_s) >= RECURRENCE_MIN_DIM:
-        return _mobius_recurrence(psi_s, phi, cols)
+    if rows >= RECURRENCE_MIN_DIM:
+        return _mobius_recurrence(psi_s[:rows], phi, cols)
     return _power_doubling(psi_s[:rows], phi_s[:rows], cols)
+
+
+def _strip(
+    psi: RationalSymbol, psi_s: np.ndarray, phi: Union[MobiusMap, ConstantMap], k: int
+) -> np.ndarray:
+    """W[:, :k] of the truncation at N = len(psi_s) >= 3, by doubling the row recurrence.
+
+    Write a, b, c for the coefficients of phi divided by d and g_m for
+    W[m, :k].  The generating function sum_j psi phi^j t^j equals
+    sigma(z) / ((1 - bt)(1 - z chi(t))), with sigma = (1 + cz) psi and
+    chi(t) = (at - c)/(1 - bt), so g_m = g_(m-1) R + sigma_m q: R is the
+    upper-triangular Toeplitz matrix of chi, q the series of 1/(1 - bt).
+    sigma is geometric from m = 2 on, so s_m = [g_m, sigma_(m+1)] obeys
+    s_m = s_(m-1) A (A from _row_step) from m = 2 on, and the rows m >= 1
+    double: rows [h, 2h) of that run are rows [0, h) times A^h, about
+    log2(N) products of k + 1 columns, O(N k^2) in all.  chi is
+    conj(sigma_C(conj t)) for Cowen's adjoint map sigma_C, a self-map
+    whenever phi is, so every power of R is a contraction and doubling
+    on it is stable.
+    """
+    n = len(psi_s)
+    if isinstance(phi, ConstantMap):
+        return _rectangle(psi_s, None, phi, n, k)
+    c = phi.c / phi.d
+    step = _row_step(psi, phi, k)
+    s = np.empty((n, k + 1), dtype=complex)
+    s[0, :k], s[0, k] = psi_s[0] * step[k, :k], psi_s[1] + c * psi_s[0]
+    s[1] = s[0] @ step
+    s[1, k] = psi_s[2] + c * psi_s[1]  # sigma_2 need not be r sigma_1
+    run, power, h = s[1:], step, 1
+    while h < len(run):
+        m = min(h, len(run) - h)
+        run[h:h + m] = run[:m] @ power
+        if 2 * h < len(run):
+            power = power @ power
+        h *= 2
+    return s[:, :k]
+
+
+def _row_step(psi: RationalSymbol, phi: MobiusMap, k: int) -> np.ndarray:
+    """The (k+1) x (k+1) step A = [[R, 0], [q, r]] of s_m = s_(m-1) A in
+    _strip.  chi = -c + (a - bc) t q(t), and r = -d1/d0 is the ratio of
+    psi's symbol: the ratio of its series would be 0/0 for a weight whose
+    sigma is a polynomial (the C2 weight)."""
+    a, b, c = phi.a / phi.d, phi.b / phi.d, phi.c / phi.d
+    step = np.zeros((k + 1, k + 1), dtype=complex)
+    step[k, :k] = q = b ** np.arange(k)
+    chi = np.zeros(2 * k - 1, dtype=complex)  # k - 1 zeros, then chi
+    chi[k - 1], chi[k:] = -c, (a - b * c) * q[:-1]
+    lag = np.arange(k)
+    step[:k, :k] = chi[k - 1 + lag[None, :] - lag[:, None]]  # R[i, j] = chi_(j - i)
+    step[k, k] = -psi.d1 / psi.d0
+    return step
 
 
 def _cross(psi: RationalSymbol, phi: Union[MobiusMap, ConstantMap], n: int, k: int):
     """(W[:k], W[:, :k]) of the n-truncation: all W*W and WW* read on the block."""
     psi_s, phi_s = _checked_series(psi, phi, n)
     _check_block(n, k)
-    return _rectangle(psi_s, phi_s, phi, k, n), _rectangle(psi_s, phi_s, phi, n, k)
+    return _rectangle(psi_s, phi_s, phi, k, n), _strip(psi, psi_s, phi, k)
 
 
 def _block(psi: RationalSymbol, phi: Union[MobiusMap, ConstantMap], n: int, k: int) -> np.ndarray:
@@ -144,34 +196,23 @@ def _power_doubling(psi_s: np.ndarray, phi_s: np.ndarray, cols: int) -> np.ndarr
 
     Columns [w, 2w) are the truncated Cauchy products of phi^w with
     columns [0, w), and the square of phi^w is phi^(2w): about log2(cols)
-    levels.  Below RECURRENCE_MIN_DIM rows a product is T_w x, T_w the
-    lower-triangular Toeplitz matrix of phi^w; from there on it is a
-    product of FFTs zero-padded to a power of two >= 2n - 1, so nothing
-    wraps into the first n coefficients, with rounding bounded normwise
-    (about 1e-15 of the column's largest entry) rather than entrywise.
+    levels.  A product is T_w x, T_w the lower-triangular Toeplitz matrix
+    of phi^w, one BLAS multiplication per level; _rectangle sends it
+    fewer than RECURRENCE_MIN_DIM rows, where that beats the recurrence.
     """
     n = len(psi_s)
-    fft = n >= RECURRENCE_MIN_DIM
-    if fft:
-        size = 1 << (2 * n - 2).bit_length()
-    else:
-        idx = _toeplitz_index(n)
-        padded = np.zeros(2 * n - 1, dtype=complex)  # n - 1 zeros above the diagonal
+    idx = _toeplitz_index(n)
+    padded = np.zeros(2 * n - 1, dtype=complex)  # n - 1 zeros above the diagonal
     mat = np.empty((n, cols), dtype=complex)
     mat[:, 0] = psi_s
     power, w = phi_s, 1
     while w < cols:
         m = min(w, cols - w)
-        if fft:  # the last column is phi^w, squared with the rest
-            spec = np.fft.fft(np.column_stack((mat[:, :m], power)), size, axis=0)
-            prod = np.fft.ifft(spec * spec[:, m:], axis=0)[:n]
-            mat[:, w:w + m], power = prod[:, :m], prod[:, m]
-        else:
-            padded[n - 1:] = power
-            toeplitz = padded[idx]
-            mat[:, w:w + m] = toeplitz @ mat[:, :m]
-            if 2 * w < cols:
-                power = toeplitz @ power
+        padded[n - 1:] = power
+        toeplitz = padded[idx]
+        mat[:, w:w + m] = toeplitz @ mat[:, :m]
+        if 2 * w < cols:
+            power = toeplitz @ power
         w *= 2
     return mat
 
@@ -330,7 +371,12 @@ def wco_residuals(
         _check_block(n, k)
     if conj is not None:
         u_rows, u_cols = u_cross or conjugation_cross(conj, n, k)
-        t = cols[:len(u_cols)] if normality else _rectangle(*series, phi, len(u_cols), k)
+        if normality:
+            t = cols[:len(u_cols)]
+        elif conj.kind == "C2":
+            t = _strip(psi, series[0], phi, k)
+        else:
+            t = _rectangle(*series, phi, k, k)
         out["symmetry"] = _symmetry_defect(t, u_rows, u_cols)
     if normality:
         out["normality"] = _normality_defect(rows, cols)

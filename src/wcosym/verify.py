@@ -1019,13 +1019,15 @@ def suite_hyperbolic_nonaut(rng, cfg: SuiteConfig) -> Records:
 
 @dataclass(frozen=True)
 class Suite:
-    """One registry entry: the record generator, its default config, and
-    the smallest dim and block at which its checks hold."""
+    """One registry entry: the record generator, its default config, the
+    smallest dim and block at which its checks hold, and whether its
+    samples are a fixed target set (defaults.samples of them)."""
 
     generate: Callable[[np.random.Generator, SuiteConfig], Iterable[SampleRecord]]
     defaults: SuiteConfig
     min_dim: int = 0
     min_block: int = 0
+    fixed_samples: bool = False
 
 
 # smaller default sample counts for the heavier suites; the minima are
@@ -1057,11 +1059,11 @@ SUITES: Dict[str, Suite] = {
     "cowen-factorization": Suite(
         suite_cowen_factorization, SuiteConfig(samples=50, dim=64, block=16), min_dim=64, min_block=16
     ),
-    "ex42-sweep": Suite(_sweep(_j_deficiency), SuiteConfig(samples=24)),
+    "ex42-sweep": Suite(_sweep(_j_deficiency), SuiteConfig(samples=24), fixed_samples=True),
     "ex43-sweep": Suite(suite_hyperbolic_nonaut, SuiteConfig(samples=12)),
-    "ex52-sweep": Suite(_sweep(_c1_deficiency), SuiteConfig(samples=24)),
+    "ex52-sweep": Suite(_sweep(_c1_deficiency), SuiteConfig(samples=24), fixed_samples=True),
     "ex53-sweep": Suite(suite_hyperbolic_nonaut, SuiteConfig(samples=12)),
-    "ex62-sweep": Suite(_sweep(_c2_deficiency), SuiteConfig(samples=24)),
+    "ex62-sweep": Suite(_sweep(_c2_deficiency), SuiteConfig(samples=24), fixed_samples=True),
 }
 
 # every verified statement must own at least one registered suite
@@ -1121,7 +1123,8 @@ def default_config(suite_id: str) -> SuiteConfig:
 def run_suite(suite_id: str, cfg: Optional[SuiteConfig] = None) -> VerificationReport:
     """Run one registered suite; deterministic given (suite, config, seed).
 
-    A config below the suite's minimum dim or block raises ValueError.
+    A config below the suite's minimum dim or block raises ValueError, and
+    so does a samples count other than a fixed target set's size.
     """
     suite = _lookup(suite_id)
     if cfg is None:
@@ -1130,6 +1133,11 @@ def run_suite(suite_id: str, cfg: Optional[SuiteConfig] = None) -> VerificationR
         raise ValueError(
             f"suite {suite_id} needs dim >= {suite.min_dim} and block >= {suite.min_block}, "
             f"got dim {cfg.dim} and block {cfg.block}"
+        )
+    if suite.fixed_samples and cfg.samples != suite.defaults.samples:
+        raise ValueError(
+            f"suite {suite_id} decides a fixed set of {suite.defaults.samples} targets, "
+            f"got samples {cfg.samples}"
         )
     records = list(suite.generate(np.random.default_rng(cfg.seed), cfg))
     return VerificationReport(suite_id, cfg, records)

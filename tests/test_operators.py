@@ -8,9 +8,10 @@ from wcosym.errors import (
     NotSelfMapError,
     PoleAtOriginError,
     SymbolPoleError,
+    WcoError,
 )
 from wcosym import operators, verify
-from wcosym.mobius import IDENTITY, ConstantMap, MobiusMap, cowen_adjoint
+from wcosym.mobius import IDENTITY, ConstantMap, MobiusMap, cowen_adjoint, is_self_map
 from wcosym.operators import (
     MAX_DIM,
     RECURRENCE_MIN_DIM,
@@ -18,8 +19,11 @@ from wcosym.operators import (
     _block,
     _cross,
     _mobius_recurrence,
+    _row_step,
+    _strip,
     adjoint_factorization_residual,
     build_wco,
+    conjugation_cross,
     conjugation_matrix,
     conjugation_residuals,
     involution_residual,
@@ -243,21 +247,38 @@ class TestLeadingBuilds:
                 conjugation_residuals(c, n, n - 31)
 
 
-class TestFftDoubling:
-    """From RECURRENCE_MIN_DIM rows on, doubling multiplies by zero-padded
-    FFTs: the first k columns and a block with k >= RECURRENCE_MIN_DIM
-    must match the convolution reference to 1e-13 max|T|, without the
-    recurrence, which stays the build of the whole W."""
+def strip_cases():
+    """build_cases() and C2 conjugations from fast to slow decay."""
+    pairs = build_cases()
+    for modulus in (0.3, 0.9, 0.99):
+        pairs[f"c2-{modulus}"] = c2_symbols(Conjugation("C2", np.exp(0.3j), modulus * np.exp(1.1j)))
+    return pairs
 
-    @pytest.mark.parametrize("n", [RECURRENCE_MIN_DIM, RECURRENCE_MIN_DIM + 1, 384, 389, MAX_DIM])
+
+def refuse(*args, **kwargs):
+    raise AssertionError("refused builder reached")
+
+
+class TestFftDoubling:
+    """The first k columns (the strip) are built at every N by doubling the
+    row recurrence (operators._strip), which replaced zero-padded FFT
+    doubling; the class keeps its name so its test ids stay comparable
+    across changes.  The strip, the first k rows and the block must match
+    the convolution reference to 1e-13 max|T|; the strip reaches neither
+    power doubling, the recurrence nor an FFT, and power doubling never
+    sees RECURRENCE_MIN_DIM or more rows."""
+
+    @pytest.mark.parametrize("n", [48, 96, RECURRENCE_MIN_DIM - 1, RECURRENCE_MIN_DIM, RECURRENCE_MIN_DIM + 1,
+                                   384, 389, MAX_DIM])
     def test_strip_matches_convolutions(self, n):
-        for name, (psi, phi) in build_cases().items():
+        for name, (psi, phi) in strip_cases().items():
             psi_s = expand_rational(psi, n)
             for k in (1, 2, 12, 16):
                 reference = convolution_columns(psi_s, phi, n, k)
                 rows_reference = convolution_columns(psi_s[:k], phi, k, n)
                 scale = max(np.max(np.abs(reference)), np.max(np.abs(rows_reference)))
                 rows, cols = _cross(psi, phi, n, k)
+                assert cols.shape == (n, k) and rows.shape == (k, n), (name, k)
                 assert np.max(np.abs(cols - reference)) <= 1e-13 * scale, (name, k)
                 assert np.max(np.abs(rows - rows_reference)) <= 1e-13 * scale, (name, k)
                 block = _block(psi, phi, n, k)
@@ -275,19 +296,49 @@ class TestFftDoubling:
             assert np.max(np.abs(rows - reference[:k])) <= 1e-13 * scale, name
             assert np.max(np.abs(cols - reference[:, :k])) <= 1e-13 * scale, name
 
-    @pytest.mark.parametrize("n", [RECURRENCE_MIN_DIM, 384, MAX_DIM])
+    @pytest.mark.parametrize("n", [48, RECURRENCE_MIN_DIM, 384, MAX_DIM])
     def test_strip_never_reaches_the_recurrence(self, n, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("recurrence reached")
-
         monkeypatch.setattr(operators, "_mobius_recurrence", refuse)
         for psi, phi in build_cases().values():
             _cross(psi, phi, n, 16)
             _block(psi, phi, n, 16)
             wco_residuals(psi, phi, n, 16, Conjugation("C1", 1.0, 1j))
         conjugation_residuals(C2_SLOW_DECAY, n, 16)
-        with pytest.raises(AssertionError, match="recurrence reached"):
+        u_cross = conjugation_cross(C2_SLOW_DECAY, n, 16)
+        monkeypatch.setattr(operators, "_power_doubling", refuse)
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        for name, (psi, phi) in strip_cases().items():
+            psi_s = expand_rational(psi, n)
+            reference = convolution_columns(psi_s, phi, n, 16)
+            error = np.max(np.abs(_strip(psi, psi_s, phi, 16) - reference))
+            assert error <= 1e-13 * np.max(np.abs(reference)), name
+            # the C2 symmetry alone reads W only through the strip
+            got = wco_residuals(psi, phi, n, 16, C2_SLOW_DECAY, normality=False, u_cross=u_cross)
+            assert list(got) == ["symmetry"], name
+        with pytest.raises(AssertionError, match="refused builder"):
             build_wco(*case_symbols("disk-automorphism"), n)
+
+    @pytest.mark.parametrize("n", [48, RECURRENCE_MIN_DIM - 1, RECURRENCE_MIN_DIM, 448, MAX_DIM])
+    def test_power_doubling_sees_fewer_rows_than_the_crossover(self, n, monkeypatch):
+        seen = []
+        real = operators._power_doubling
+
+        def spy(psi_s, phi_s, cols):
+            seen.append(len(psi_s))
+            return real(psi_s, phi_s, cols)
+
+        monkeypatch.setattr(operators, "_power_doubling", spy)
+        psi, phi = case_symbols("disk-automorphism")
+        for k in (16, min(n - 32, 400)):
+            _cross(psi, phi, n, k)
+            _block(psi, phi, n, k)
+            for c in (Conjugation("J"), C2_SLOW_DECAY):
+                wco_residuals(psi, phi, n, k, c)
+                wco_residuals(psi, phi, n, k, c, normality=False)
+        adjoint_factorization_residual(phi, n, min(n - 32, 400))
+        build_wco(psi, phi, n)
+        assert seen and max(seen) < RECURRENCE_MIN_DIM
 
     def test_whole_build_is_the_recurrence(self):
         n = 384
@@ -299,6 +350,66 @@ class TestFftDoubling:
         weight, vmap = c2_symbols(C2_SLOW_DECAY)
         got = conjugation_matrix(C2_SLOW_DECAY, n)
         assert np.array_equal(got, _mobius_recurrence(expand_rational(weight, n), vmap, n))
+
+
+def family_self_maps(rng, per_family):
+    """(family, psi, phi) with phi a nonconstant self-map, per_family from
+    each of the J, C1, C2, interior, parabolic and hyperbolic families."""
+    disk = lambda radius: radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+    draws = {
+        "j": lambda: fam.j_symbols(fam.JParams(disk(0.9), disk(0.9))),
+        "c1": lambda: fam.c1_symbols(fam.C1Params(np.exp(2j * np.pi * rng.uniform()), disk(0.9), disk(0.9))),
+        "c2": lambda: verify._draw_c2_selfmap(rng, alpha_hi=0.99)[1],
+        "c2-conjugation": lambda: fam.SymbolPair(*c2_symbols(
+            Conjugation("C2", np.exp(2j * np.pi * rng.uniform()), disk(0.99)))),
+        "interior": lambda: fam.normal_interior_symbols(fam.InteriorParams(disk(0.95), disk(1.0))),
+        "parabolic": lambda: fam.parabolic_j_symbols(0.5j + 0.5 * np.exp(1j * rng.uniform(-np.pi / 2, 0)), 1),
+        "hyperbolic": lambda: fam.SymbolPair(
+            RationalSymbol(1.0, 0.0, 1.0, -disk(0.9)),
+            fam.hyperbolic_aut_map(fam.HyperbolicParams(rng.uniform(1.05, 6.0), complex(*rng.uniform(0, 2, 2))))),
+    }
+    for family, draw in draws.items():
+        kept = 0
+        while kept < per_family:
+            try:
+                pair = draw()
+            except WcoError:
+                continue
+            if isinstance(pair.phi, ConstantMap) or not is_self_map(pair.phi):
+                continue
+            kept += 1
+            yield family, pair.psi, pair.phi
+
+
+class TestRowStep:
+    """The step of the strip's row recurrence: its k x k part is the
+    transposed Toeplitz matrix of chi = conj o sigma o conj, sigma Cowen's
+    adjoint map, a self-map whenever phi is; so every power of it is a
+    contraction and doubling on it is stable."""
+
+    K = 16
+
+    def test_step_is_the_adjoint_map_toeplitz(self):
+        k = self.K
+        for family, psi, phi in family_self_maps(np.random.default_rng(11), 20):
+            sigma = cowen_adjoint(phi).sigma
+            chi = MobiusMap(*np.conj(sigma.quadruple()))
+            toeplitz = convolution_columns(mobius_series(chi, k), IDENTITY, k)
+            step = _row_step(psi, phi, k)
+            assert np.max(np.abs(step[:k, :k] - toeplitz.T)) <= 1e-14 * max(1.0, np.max(np.abs(toeplitz))), family
+            assert not np.any(step[:k, k])
+            assert np.allclose(step[k, :k], phi(0.0) ** np.arange(k), rtol=1e-14, atol=1e-15), family
+            assert step[k, k] == pytest.approx(1.0 / psi.pole(), rel=1e-14, abs=0.0), family
+
+    def test_step_powers_are_contractions(self):
+        k, worst = self.K, 0.0
+        for family, psi, phi in family_self_maps(np.random.default_rng(13), 60):
+            power = _row_step(psi, phi, k)[:k, :k]
+            for _ in range(11):  # R^h for h = 2^0 ... 2^10
+                worst = max(worst, np.linalg.norm(power, 2))
+                assert np.linalg.norm(power, 2) <= 1.0 + 1e-12, family
+                power = power @ power
+        assert worst > 0.9  # the automorphisms reach near the bound
 
 
 class TestSeams:
