@@ -4,12 +4,13 @@
 Usage:
     python scripts/build_timings.py [--repeats R]
 
-For N in 64, 96, 192, 384, 389, 512, 1024 and block k in 12, 16 it prints
+For N in 64, 96, 128, 192, 384, 389, 512, 1024 and block k in 12, 16 it prints
 the median time of one call, in ms, of
 
   whole  all of W (build_wco and conjugation_matrix: the public API and
          kernel-conj-slow): power doubling by Toeplitz matrix products
-         below N = 192, the Mobius recurrence from there on,
+         below N = 192, from there on the Mobius recurrence swept as a
+         wavefront of 8 x 8 tiles, one GEMM per anti-diagonal of tiles,
   cross  the first k rows and first k columns (the normality residual
          and the C2 conjugation's involution residual; the C2 symmetry
          reads only the columns): the rows by Toeplitz doubling on k
@@ -42,7 +43,7 @@ import numpy as np  # noqa: E402
 from wcosym import families as fam  # noqa: E402
 from wcosym import operators as ops  # noqa: E402
 
-DIMS = (64, 96, 192, 384, 389, 512, 1024)
+DIMS = (64, 96, 128, 192, 384, 389, 512, 1024)
 BLOCKS = (12, 16)
 SYMBOLS = {
     "interior": fam.normal_interior_symbols(fam.InteriorParams(0.3 - 0.2j, 0.5j, 1.2)),

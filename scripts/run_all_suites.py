@@ -8,7 +8,8 @@ Exit status: 0 when everything passes, 3 when the only disagreements are
 the documented ones, 1 otherwise, and 2 for a --samples below 1.  A suite
 that raises is reported as ERROR with its exception, counts as 1, and the
 run goes on to the next.  --samples is not applied to the sweeps that
-decide a fixed target set (ex42, ex52, ex62), which refuse any other count.
+decide a fixed target set (ex42, ex43, ex52, ex53, ex62), which refuse any
+other count.
 """
 
 import argparse

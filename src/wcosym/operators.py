@@ -14,9 +14,9 @@ rows are built by power doubling below RECURRENCE_MIN_DIM rows: columns
 columns [0, w), one BLAS multiplication by a lower-triangular Toeplitz
 matrix per level (in subnormal numbers that slow the kernel down once
 coefficients underflow).  From RECURRENCE_MIN_DIM rows on they are built
-by the Mobius recurrence (cz + d) psi phi^j = (az + b) psi phi^(j-1), one
-anti-diagonal per step in O(N^2), whose 2N Python-level steps cost more
-than a few products at small N, hence the crossover.  The first k
+by the Mobius recurrence (cz + d) psi phi^j = (az + b) psi phi^(j-1),
+swept in square tiles as a wavefront: one GEMM per anti-diagonal of
+tiles, about 2N / _TILE Python-level steps in O(N^2).  The first k
 columns are built at every N by _strip, which doubles their k-wide row
 recurrence in O(N k^2).
 
@@ -53,15 +53,19 @@ from .series import RationalSymbol, expand_rational, mobius_series
 
 BLOCK_PAD = 32
 MAX_DIM = 1024
-# fewest rows a whole W, block or first rows are built with by the
+# fewest rows a whole W, block or first rows are built with by the tiled
 # recurrence rather than power doubling.  Per build of an interior-family W
-# on a 2-vCPU x86 VM with one BLAS thread, doubling vs recurrence: 0.10-0.17
-# vs 0.42-0.44 ms at N = 48, 0.26-0.45 vs 0.8-1.5 ms at 96, 0.5-0.8 vs
-# 1.2-1.7 ms at 128, 2.1-2.8 vs 3.0-3.3 ms at 191, 3.4-4.9 vs 2.5 ms at 256
-# and 10-15 vs 4.6-5 ms at 384.  The per-column convolutions that doubling
-# replaced took 0.27-0.39 ms at 48 and 1.1-1.4 ms at 96.  The first k
-# columns do not depend on it: _strip builds them the same way at every N.
+# on a 2-vCPU x86 VM with one BLAS thread, doubling vs tiles: 0.10-0.11 vs
+# 0.30-0.32 ms at N = 48, 0.34-0.39 vs 0.47-0.52 ms at 96, 0.83-0.95 vs
+# 0.61-0.72 ms at 128, 1.7-2.4 vs 0.7-1.0 ms at 191 and 11-15 vs 2.2-2.9 ms
+# at 384; scripts/build_timings.py's whole column reads 0.8 ms at 128 and
+# 1.1-1.2 ms at 192.  The crossover is near 128, but 192 keeps the paths
+# the tests pin.  _strip builds the first k columns the same way at every N.
 RECURRENCE_MIN_DIM = 192
+# tile side of _mobius_recurrence.  Whole C2 W at |alpha| = 0.9, same VM, in
+# ms for sides 4 / 6 / 8 / 12 / 16: 2.9-3.9 / 2.1-2.9 / 2.0-2.7 / 1.9-2.5 /
+# 2.3-2.9 at N = 384, 22-26 / 14-16 / 13-17 / 13-14 / 14-15 at 1024.
+_TILE = 8
 _POLE_GUARD = 1.0 + 1e-9
 
 
@@ -235,26 +239,46 @@ def _mobius_recurrence(psi_s: np.ndarray, phi: MobiusMap, cols: int) -> np.ndarr
 
     Comparing coefficients of z^m in (cz + d) G[:, j] = (az + b) G[:, j-1]
     gives d G[m, j] = b G[m, j-1] + a G[m-1, j-1] - c G[m-1, j], which
-    only reaches back to the anti-diagonals m + j - 1 and m + j - 2 (and
-    to no column past j).  G is stored row-major below one zero row (the
-    m = -1 terms) in a flat buffer: an anti-diagonal has stride cols - 1.
+    reaches back only to the row above and the column to the left.  G is
+    stored below one zero row (the m = -1 terms), right of its psi column,
+    in _TILE x _TILE tiles (rows and columns padded to multiples of _TILE).
+    A tile's interior is its boundary (the row above with the corner, then
+    the column to the left) times _tile_transfer(phi), and tiles I + J = s
+    need only tiles I + J < s: one GEMM per anti-diagonal of tiles, about
+    2N / _TILE steps (Lamport's wavefront).
     """
-    n = len(psi_s)
+    n, size = len(psi_s), _TILE
+    rows, width = -(-n // size) * size, -(-(cols - 1) // size) * size + 1
+    buf = np.zeros((rows + 1) * width, dtype=complex)
+    buf.reshape(rows + 1, width)[1:n + 1, 0] = psi_s
+    transfer, item = _tile_transfer(phi), buf.itemsize
+    down, across, skip = rows // size, (width - 1) // size, size * (width - 1) * item
+    edge = np.empty((min(down, across), 2 * size + 1), dtype=complex)
+    for s in range(down + across - 1):
+        # tiles (I, s - I), I in lo..hi: the corner of tile I is skip bytes past tile I - 1's
+        lo, hi = max(0, s - across + 1), min(s, down - 1)
+        at, t = (s + lo * (width - 1)) * size * item, hi - lo + 1
+        edge[:t, :size + 1] = np.ndarray((t, size + 1), complex, buf, at, (skip, item))
+        edge[:t, size + 1:] = np.ndarray((t, size), complex, buf, at + width * item, (skip, width * item))
+        inside = np.ndarray((t, size, size), complex, buf, at + (width + 1) * item, (skip, width * item, item))
+        inside[...] = (edge[:t] @ transfer).reshape(t, size, size)
+    return buf.reshape(rows + 1, width)[1:n + 1, :cols]
+
+
+def _tile_transfer(phi: MobiusMap) -> np.ndarray:
+    """(2 _TILE + 1) x _TILE^2 map of a tile's boundary to its row-major interior:
+    the recurrence run on all unit boundaries at once, a tile anti-diagonal per step."""
     a, b, c = phi.a / phi.d, phi.b / phi.d, phi.c / phi.d
-    buf = np.zeros((n + 1) * cols, dtype=complex)
-    g = buf[cols:].reshape(n, cols)
-    g[:, 0] = psi_s
-    step = cols - 1
-    for s in range(1, n + cols - 1):
-        # rows m in lo..hi of anti-diagonal s, columns j = s - m >= 1
-        lo, hi = max(0, s - step), min(s - 1, n - 1)
-        start = cols + s + lo * step  # flat index of G[lo, s - lo]
-        stop = start + (hi - lo) * step + 1
-        left = buf[start - 1:stop - 1:step]
-        up = buf[start - cols:stop - cols:step]
-        up_left = buf[start - cols - 1:stop - cols - 1:step]
-        buf[start:stop:step] = b * left + a * up_left - c * up
-    return g
+    size, side = _TILE, _TILE + 1
+    tile = np.zeros((side * side, 2 * size + 1), dtype=complex)  # cell (i, j) in row i side + j
+    tile[:side, :side] = np.eye(side)
+    tile[side::side, side:] = np.eye(size)
+    for s in range(2, 2 * size + 1):  # cells (i, s - i) have stride size
+        lo, hi = max(1, s - size), min(size, s - 1)
+        start, stop = lo * size + s, hi * size + s + 1
+        left, up = tile[start - 1:stop - 1:size], tile[start - side:stop - side:size]
+        tile[start:stop:size] = b * left + a * tile[start - side - 1:stop - side - 1:size] - c * up
+    return tile.reshape(side, side, -1)[1:, 1:].reshape(size * size, -1).T
 
 
 def build_wco(
@@ -269,7 +293,8 @@ def build_wco(
     only on coefficients <= m of psi and phi, so each column is the exact
     truncation up to rounding: built by power doubling (truncated Cauchy
     products as lower-triangular Toeplitz matrix products) below
-    RECURRENCE_MIN_DIM, by the O(N^2) Mobius recurrence from there on.
+    RECURRENCE_MIN_DIM, from there on by a tile wavefront of the Mobius
+    recurrence, whose result is a view of its padded (N + _TILE + 1)^2 buffer.
     """
     psi_s, phi_s = _checked_series(psi, phi, n)
     return _rectangle(psi_s, phi_s, phi, n, n)

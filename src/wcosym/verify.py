@@ -1060,9 +1060,9 @@ SUITES: Dict[str, Suite] = {
         suite_cowen_factorization, SuiteConfig(samples=50, dim=64, block=16), min_dim=64, min_block=16
     ),
     "ex42-sweep": Suite(_sweep(_j_deficiency), SuiteConfig(samples=24), fixed_samples=True),
-    "ex43-sweep": Suite(suite_hyperbolic_nonaut, SuiteConfig(samples=12)),
+    "ex43-sweep": Suite(suite_hyperbolic_nonaut, SuiteConfig(samples=12), fixed_samples=True),
     "ex52-sweep": Suite(_sweep(_c1_deficiency), SuiteConfig(samples=24), fixed_samples=True),
-    "ex53-sweep": Suite(suite_hyperbolic_nonaut, SuiteConfig(samples=12)),
+    "ex53-sweep": Suite(suite_hyperbolic_nonaut, SuiteConfig(samples=12), fixed_samples=True),
     "ex62-sweep": Suite(_sweep(_c2_deficiency), SuiteConfig(samples=24), fixed_samples=True),
 }
 

@@ -192,17 +192,22 @@ class TestSuiteCommand:
         # a suite that builds no matrix must not report a dim past the cap
         assert main(["suite", "--id", "ex42-sweep", "--dim", "5000"]) == 2
 
-    @pytest.mark.parametrize("suite_id, status", [("ex42-sweep", 0), ("ex52-sweep", 3), ("ex62-sweep", 0)])
+    @pytest.mark.parametrize(
+        "suite_id, status",
+        [("ex42-sweep", 0), ("ex43-sweep", 0), ("ex52-sweep", 3), ("ex53-sweep", 0), ("ex62-sweep", 0)],
+    )
     def test_fixed_target_sweep_refuses_other_samples(self, suite_id, status, capsys, tmp_path):
-        # the 24 targets are the whole sample: another count would be
-        # reported beside 24 records, so it is refused before any record
+        # the targets are the whole sample: another count would be
+        # reported beside that many records, so it is refused before any record
+        count = 12 if suite_id in ("ex43-sweep", "ex53-sweep") else 24
         out = tmp_path / "report.json"
-        for samples in ("5", "25"):
-            assert main(["suite", "--id", suite_id, "--samples", samples, "--json", str(out)]) == 2
-            assert "24 targets" in capsys.readouterr().err
+        for samples in (5, count + 1):
+            assert main(["suite", "--id", suite_id, "--samples", str(samples), "--json", str(out)]) == 2
+            assert f"{count} targets" in capsys.readouterr().err
         assert not out.exists()
-        assert main(["suite", "--id", suite_id, "--samples", "24", "--json", str(out)]) == status
-        assert json.loads(out.read_text())["config"]["samples"] == 24
+        assert main(["suite", "--id", suite_id, "--samples", str(count), "--json", str(out)]) == status
+        report = json.loads(out.read_text())
+        assert report["config"]["samples"] == len(report["records"]) == count
 
     def test_determinism_across_processes(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

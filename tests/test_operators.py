@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,12 @@ from wcosym.mobius import IDENTITY, ConstantMap, MobiusMap, cowen_adjoint, is_se
 from wcosym.operators import (
     MAX_DIM,
     RECURRENCE_MIN_DIM,
+    _TILE,
     Conjugation,
     _block,
     _cross,
     _mobius_recurrence,
+    _rectangle,
     _row_step,
     _strip,
     adjoint_factorization_residual,
@@ -350,6 +354,78 @@ class TestFftDoubling:
         weight, vmap = c2_symbols(C2_SLOW_DECAY)
         got = conjugation_matrix(C2_SLOW_DECAY, n)
         assert np.array_equal(got, _mobius_recurrence(expand_rational(weight, n), vmap, n))
+
+
+C2_MODULI = (0.3, 0.9, 0.97, 0.99)
+
+
+def tile_cases():
+    """build_cases() and C2 conjugations from fast to very slow decay."""
+    pairs = build_cases()
+    for modulus in C2_MODULI:
+        pairs[f"c2-{modulus}"] = c2_symbols(Conjugation("C2", np.exp(0.3j), modulus * np.exp(1.1j)))
+    return pairs
+
+
+def assert_matches(got, reference, label):
+    assert got.shape == reference.shape, label
+    assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference)), label
+
+
+class TestTileWavefront:
+    """From RECURRENCE_MIN_DIM rows on, _mobius_recurrence sweeps the
+    recurrence over _TILE x _TILE tiles, one GEMM per anti-diagonal of
+    tiles.  Every shape, also one not a multiple of the tile side, must
+    match the convolution reference to 1e-13 max|T|, and a whole build
+    must allocate about one padded (N + _TILE + 1)^2 buffer."""
+
+    DIMS = [1, 2, 3, 7, 8, 9, 17, 95, 191, 192, 193, 383, 389]
+
+    def test_dimensions_cut_tiles_unevenly(self):
+        assert {n % _TILE == 0 for n in self.DIMS} == {True, False}
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_whole_build_matches_convolutions(self, n):
+        for name, (psi, phi) in tile_cases().items():
+            psi_s = expand_rational(psi, n)
+            reference = convolution_columns(psi_s, phi, n)
+            assert_matches(build_wco(psi, phi, n), reference, name)
+            if not isinstance(phi, ConstantMap):  # below the crossover build_wco doubles
+                assert_matches(_mobius_recurrence(psi_s, phi, n), reference, name)
+        for modulus in C2_MODULI:
+            c = Conjugation("C2", np.exp(0.3j), modulus * np.exp(1.1j))
+            reference = convolution_columns(expand_rational(c2_symbols(c)[0], n), c2_symbols(c)[1], n)
+            assert_matches(conjugation_matrix(c, n), reference, modulus)
+
+    @pytest.mark.parametrize("rows, cols", [(192, 2), (192, 9), (200, 17), (389, 193), (193, 389), (250, 1024)])
+    def test_rectangles_match_convolutions(self, rows, cols):
+        assert rows >= RECURRENCE_MIN_DIM and rows != cols
+        n = max(rows, cols)
+        for name, (psi, phi) in tile_cases().items():
+            psi_s = expand_rational(psi, n)
+            phi_s = None if isinstance(phi, ConstantMap) else mobius_series(phi, n)
+            reference = convolution_columns(psi_s[:rows], phi, rows, cols)
+            assert_matches(_rectangle(psi_s, phi_s, phi, rows, cols), reference, name)
+
+    def test_leading_block_of_the_largest_build(self):
+        n, k = MAX_DIM, 389
+        for name, (psi, phi) in tile_cases().items():
+            reference = convolution_columns(expand_rational(psi, k), phi, k)
+            assert_matches(build_wco(psi, phi, n)[:k, :k], reference, name)
+
+    @pytest.mark.parametrize("n", [384, MAX_DIM])
+    def test_whole_build_allocates_one_padded_buffer(self, n):
+        c = Conjugation("C2", np.exp(0.3j), 0.9 * np.exp(1.1j))
+        conjugation_matrix(c, n)  # first-call caches are not the build's
+        tracemalloc.start()
+        try:
+            u = conjugation_matrix(c, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert u.shape == (n, n)
+        # the lower bound shows tracemalloc sees numpy's buffers at all
+        assert n * n * 16 <= peak <= 1.25 * (n + _TILE + 1) ** 2 * 16
 
 
 def family_self_maps(rng, per_family):
