@@ -4,21 +4,20 @@
 Usage:
     python scripts/build_timings.py [--repeats R]
 
-For N in 64, 96, 128, 192, 384, 389, 512, 1024 and block k in 12, 16 it prints
-the median time of one call, in ms, of
+For N in 48, 64, 96, 128, 192, 384, 389, 512, 1024 and block k in 12, 16 it
+prints the median time of one call, in ms, of
 
   whole  all of W (build_wco and conjugation_matrix: the public API and
-         kernel-conj-slow): power doubling by Toeplitz matrix products
-         below N = 192, from there on the Mobius recurrence swept as a
-         wavefront of 8 x 8 tiles, one GEMM per anti-diagonal of tiles,
+         kernel-conj-slow): the Mobius recurrence swept as a wavefront of
+         8 x 8 tiles, one GEMM per anti-diagonal of tiles, at every N,
   cross  the first k rows and first k columns (the normality residual
          and the C2 conjugation's involution residual; the C2 symmetry
-         reads only the columns): the rows by Toeplitz doubling on k
-         coefficients, the columns by doubling the k-wide row recurrence
-         at every N,
+         reads only the columns): both by the one doubling kernel, the
+         rows with the k x k Toeplitz matrix of phi as the step, the
+         columns with the (k+1)-wide step of their row recurrence,
   block  the leading k x k block (the J and C1 symmetry residuals and the
-         four factors of the adjoint factorization): Toeplitz doubling on
-         k coefficients,
+         four factors of the adjoint factorization): the same doubling
+         as the rows, on k coefficients,
 
 each including the refusals and length-N expansions build_wco makes.  Two
 symbols are timed: a fast-decay weighted composition operator of the
@@ -43,7 +42,7 @@ import numpy as np  # noqa: E402
 from wcosym import families as fam  # noqa: E402
 from wcosym import operators as ops  # noqa: E402
 
-DIMS = (64, 96, 128, 192, 384, 389, 512, 1024)
+DIMS = (48, 64, 96, 128, 192, 384, 389, 512, 1024)
 BLOCKS = (12, 16)
 SYMBOLS = {
     "interior": fam.normal_interior_symbols(fam.InteriorParams(0.3 - 0.2j, 0.5j, 1.2)),
@@ -52,7 +51,7 @@ SYMBOLS = {
 
 
 def _median_ms(call, repeats: int) -> float:
-    call()  # warm-up: index caches, BLAS start-up
+    call()  # warm-up: BLAS start-up
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()

@@ -281,6 +281,8 @@ def cmd_classify(args) -> int:
 
 
 def _check_family(args):
+    # SuiteConfig owns the dimension and tolerance rules: refuse what every suite refuses
+    cfg = SuiteConfig(dim=args.dim, block=args.block, pass_tol=args.pass_tol, fail_tol=args.fail_tol)
     fam_key = args.family.lower()
     out: Dict[str, object] = {"family": fam_key}
     if fam_key == "j":
@@ -324,16 +326,16 @@ def _check_family(args):
     if args.conjugation:
         kind = args.conjugation.upper()
         conj = Conjugation(kind, 1.0, parse_complex(args.alpha) if kind != "J" else 0.0)
-    u_cross = conjugation_cross(conj, args.dim, args.block)  # built once for all three residuals
-    inv, iso = conjugation_residuals(conj, args.dim, args.block, u_cross)
+    u_cross = conjugation_cross(conj, cfg.dim, cfg.block)  # built once for all three residuals
+    inv, iso = conjugation_residuals(conj, cfg.dim, cfg.block, u_cross)
     residuals: Dict[str, object] = {"involution": inv, "isometry": iso}
     try:
-        residuals.update(wco_residuals(pair.psi, pair.phi, args.dim, args.block, conj, u_cross=u_cross))
+        residuals.update(wco_residuals(pair.psi, pair.phi, cfg.dim, cfg.block, conj, u_cross=u_cross))
     except WcoError as exc:
         out["note"] = f"operator truncation unavailable: {exc}"
     phi = pair.phi
     if "normality" in residuals:
-        band = band_verdict(residuals["normality"], args)
+        band = band_verdict(residuals["normality"], cfg)
     elif isinstance(phi, ConstantMap):
         band = "band"  # neither oracle applies: the verdict is inconclusive
     else:

@@ -8,34 +8,29 @@ operator holds the coefficients of the image of z^j, and an anti-linear
 operator is the matrix U of x -> U conj(x).  N is capped at MAX_DIM = 1024,
 checked before any N x N array is allocated.
 
-Column j of W is psi phi^j.  A whole W, a leading block or the first
-rows are built by power doubling below RECURRENCE_MIN_DIM rows: columns
-[w, 2w) are the truncated Cauchy products of the series of phi^w with
-columns [0, w), one BLAS multiplication by a lower-triangular Toeplitz
-matrix per level (in subnormal numbers that slow the kernel down once
-coefficients underflow).  From RECURRENCE_MIN_DIM rows on they are built
-by the Mobius recurrence (cz + d) psi phi^j = (az + b) psi phi^(j-1),
-swept in square tiles as a wavefront: one GEMM per anti-diagonal of
-tiles, about 2N / _TILE Python-level steps in O(N^2).  The first k
-columns are built at every N by _strip, which doubles their k-wide row
-recurrence in O(N k^2).
+Column j of W is psi phi^j.  A whole W is built by the Mobius recurrence
+(cz + d) psi phi^j = (az + b) psi phi^(j-1), swept in square tiles as a
+wavefront: one GEMM per anti-diagonal of tiles, about 2N / _TILE
+Python-level steps in O(N^2).  Every part of W that a residual reads is
+built by one doubling kernel, _double, which fills run[m] = run[m - 1] @ step
+from run[0] in about log2 of the run's length products: the first k rows
+and the leading block with the transposed Toeplitz matrix of phi as the
+step, the first k columns (_strip) with the (k+1)-wide step of their row
+recurrence.
 
 Residuals are always measured on a leading k x k block with k + 32 <= N:
 truncation corrupts the trailing rows and columns of products, and the
 geometric decay of the symbol coefficients confines that corruption away
 from the leading block.  Each residual forms only the rows and columns of
-its products that reach the block.  The symbol-level residuals build only
-those: the k x k block of the N-truncation is the k-truncation, the first
-k rows come from doubling on k coefficients, the first k columns from
-_strip.  No seam reads all of W: the C2 symmetry is measured as
-the commutator U conj(T) - T^H U on the block, which reads only the first
-k columns of T.  build_wco and conjugation_matrix remain the public
-whole-matrix builds.
+its products that reach the block: the k x k block of the N-truncation is
+the k-truncation, the first k rows and the first k columns cost O(N k^2).
+No seam reads all of W: the C2 symmetry is measured as the commutator
+U conj(T) - T^H U on the block, which reads only the first k columns of T.
+build_wco and conjugation_matrix remain the public whole-matrix builds.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, Literal, Optional, Tuple, Union
 
@@ -53,18 +48,9 @@ from .series import RationalSymbol, expand_rational, mobius_series
 
 BLOCK_PAD = 32
 MAX_DIM = 1024
-# fewest rows a whole W, block or first rows are built with by the tiled
-# recurrence rather than power doubling.  Per build of an interior-family W
-# on a 2-vCPU x86 VM with one BLAS thread, doubling vs tiles: 0.10-0.11 vs
-# 0.30-0.32 ms at N = 48, 0.34-0.39 vs 0.47-0.52 ms at 96, 0.83-0.95 vs
-# 0.61-0.72 ms at 128, 1.7-2.4 vs 0.7-1.0 ms at 191 and 11-15 vs 2.2-2.9 ms
-# at 384; scripts/build_timings.py's whole column reads 0.8 ms at 128 and
-# 1.1-1.2 ms at 192.  The crossover is near 128, but 192 keeps the paths
-# the tests pin.  _strip builds the first k columns the same way at every N.
-RECURRENCE_MIN_DIM = 192
-# tile side of _mobius_recurrence.  Whole C2 W at |alpha| = 0.9, same VM, in
-# ms for sides 4 / 6 / 8 / 12 / 16: 2.9-3.9 / 2.1-2.9 / 2.0-2.7 / 1.9-2.5 /
-# 2.3-2.9 at N = 384, 22-26 / 14-16 / 13-17 / 13-14 / 14-15 at 1024.
+# tile side of _mobius_recurrence.  Whole C2 W at |alpha| = 0.9, 2-vCPU VM, one
+# BLAS thread, ms for sides 4 / 6 / 8 / 12 / 16: 2.9-3.9 / 2.1-2.9 / 2.0-2.7 /
+# 1.9-2.5 / 2.3-2.9 at N = 384, 22-26 / 14-16 / 13-17 / 13-14 / 14-15 at 1024.
 _TILE = 8
 _POLE_GUARD = 1.0 + 1e-9
 
@@ -114,18 +100,21 @@ def _checked_series(psi: RationalSymbol, phi: Union[MobiusMap, ConstantMap], n: 
 
 
 def _rectangle(psi_s: np.ndarray, phi_s, phi, rows: int, cols: int) -> np.ndarray:
-    """W[:rows, :cols] of the rows-truncation, rows <= len(psi_s): the whole
-    W, the leading block or the first rows.  The Mobius recurrence builds
-    it from RECURRENCE_MIN_DIM rows on, power doubling below."""
-    if cols == 1:  # psi alone
-        return psi_s[:rows, None]
+    """W[:rows, :cols] of the rows-truncation, rows <= len(psi_s).  The whole
+    W (rows = len(psi_s)) is the Mobius recurrence.  Fewer rows (the leading
+    block or the first rows) double column j = T column (j - 1), T the
+    Toeplitz matrix of phi[:rows]: a finite section of the analytic Toeplitz
+    operator T_phi, so every power of T has norm at most sup|phi| <= 1
+    (Brown and Halmos, J. reine angew. Math. 213, 1964)."""
     if phi_s is None:  # column j is psi value^j
         mat = np.full((rows, cols), phi.value, dtype=complex)
         mat[:, 0] = psi_s[:rows]
         return np.cumprod(mat, axis=1, out=mat)
-    if rows >= RECURRENCE_MIN_DIM:
-        return _mobius_recurrence(psi_s[:rows], phi, cols)
-    return _power_doubling(psi_s[:rows], phi_s[:rows], cols)
+    if rows == len(psi_s):
+        return _mobius_recurrence(psi_s, phi, cols)
+    run = np.empty((cols, rows), dtype=complex)
+    run[0] = psi_s[:rows]
+    return _double(run, _toeplitz(phi_s[:rows]).T).T
 
 
 def _strip(
@@ -139,12 +128,11 @@ def _strip(
     chi(t) = (at - c)/(1 - bt), so g_m = g_(m-1) R + sigma_m q: R is the
     upper-triangular Toeplitz matrix of chi, q the series of 1/(1 - bt).
     sigma is geometric from m = 2 on, so s_m = [g_m, sigma_(m+1)] obeys
-    s_m = s_(m-1) A (A from _row_step) from m = 2 on, and the rows m >= 1
-    double: rows [h, 2h) of that run are rows [0, h) times A^h, about
-    log2(N) products of k + 1 columns, O(N k^2) in all.  chi is
-    conj(sigma_C(conj t)) for Cowen's adjoint map sigma_C, a self-map
-    whenever phi is, so every power of R is a contraction and doubling
-    on it is stable.
+    s_m = s_(m-1) A (A from _row_step) from m = 2 on, and _double fills
+    the rows m >= 1 from row 1 in about log2(N) products of k + 1
+    columns, O(N k^2) in all.  chi is conj(sigma_C(conj t)) for Cowen's
+    adjoint map sigma_C, a self-map whenever phi is, so every power of R
+    is a contraction and doubling on it is stable.
     """
     n = len(psi_s)
     if isinstance(phi, ConstantMap):
@@ -155,14 +143,33 @@ def _strip(
     s[0, :k], s[0, k] = psi_s[0] * step[k, :k], psi_s[1] + c * psi_s[0]
     s[1] = s[0] @ step
     s[1, k] = psi_s[2] + c * psi_s[1]  # sigma_2 need not be r sigma_1
-    run, power, h = s[1:], step, 1
+    _double(s[1:], step)
+    return s[:, :k]
+
+
+def _double(run: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """run with run[m] = run[m - 1] @ step filled in from run[0], doubling:
+    rows [h, 2h) are rows [0, h) times step^h, so about log2(len(run))
+    products and squarings of step."""
+    power, h = step, 1
     while h < len(run):
         m = min(h, len(run) - h)
         run[h:h + m] = run[:m] @ power
         if 2 * h < len(run):
             power = power @ power
         h *= 2
-    return s[:, :k]
+    return run
+
+
+def _toeplitz(coeffs: np.ndarray) -> np.ndarray:
+    """The lower-triangular Toeplitz matrix [i, j] = coeffs[i - j], a strided
+    view over len(coeffs) - 1 zeros and then coeffs: at k = 16 about 1 us,
+    where fancy indexing takes 4."""
+    n = len(coeffs)
+    padded = np.zeros(2 * n - 1, dtype=complex)
+    padded[n - 1:] = coeffs
+    item = padded.itemsize
+    return np.ndarray((n, n), complex, padded, (n - 1) * item, (item, -item))
 
 
 def _row_step(psi: RationalSymbol, phi: MobiusMap, k: int) -> np.ndarray:
@@ -173,10 +180,8 @@ def _row_step(psi: RationalSymbol, phi: MobiusMap, k: int) -> np.ndarray:
     a, b, c = phi.a / phi.d, phi.b / phi.d, phi.c / phi.d
     step = np.zeros((k + 1, k + 1), dtype=complex)
     step[k, :k] = q = b ** np.arange(k)
-    chi = np.zeros(2 * k - 1, dtype=complex)  # k - 1 zeros, then chi
-    chi[k - 1], chi[k:] = -c, (a - b * c) * q[:-1]
-    lag = np.arange(k)
-    step[:k, :k] = chi[k - 1 + lag[None, :] - lag[:, None]]  # R[i, j] = chi_(j - i)
+    chi = np.concatenate(([-c], (a - b * c) * q[:-1]))
+    step[:k, :k] = _toeplitz(chi).T  # R[i, j] = chi_(j - i)
     step[k, k] = -psi.d1 / psi.d0
     return step
 
@@ -193,45 +198,6 @@ def _block(psi: RationalSymbol, phi: Union[MobiusMap, ConstantMap], n: int, k: i
     psi_s, phi_s = _checked_series(psi, phi, n)
     _check_block(n, k)
     return _rectangle(psi_s, phi_s, phi, k, k)
-
-
-def _power_doubling(psi_s: np.ndarray, phi_s: np.ndarray, cols: int) -> np.ndarray:
-    """Columns psi phi^j, j < cols, doubling the number of known columns per level.
-
-    Columns [w, 2w) are the truncated Cauchy products of phi^w with
-    columns [0, w), and the square of phi^w is phi^(2w): about log2(cols)
-    levels.  A product is T_w x, T_w the lower-triangular Toeplitz matrix
-    of phi^w, one BLAS multiplication per level; _rectangle sends it
-    fewer than RECURRENCE_MIN_DIM rows, where that beats the recurrence.
-    """
-    n = len(psi_s)
-    idx = _toeplitz_index(n)
-    padded = np.zeros(2 * n - 1, dtype=complex)  # n - 1 zeros above the diagonal
-    mat = np.empty((n, cols), dtype=complex)
-    mat[:, 0] = psi_s
-    power, w = phi_s, 1
-    while w < cols:
-        m = min(w, cols - w)
-        padded[n - 1:] = power
-        toeplitz = padded[idx]
-        mat[:, w:w + m] = toeplitz @ mat[:, :m]
-        if 2 * w < cols:
-            power = toeplitz @ power
-        w *= 2
-    return mat
-
-
-@functools.cache
-def _toeplitz_index(n: int) -> np.ndarray:
-    """Indices with padded[idx][i, j] = padded[n - 1 + i - j].
-
-    Only sizes below RECURRENCE_MIN_DIM use it, so the cache holds at
-    most that many small tables.
-    """
-    i = np.arange(n)
-    idx = (n - 1) + i[:, None] - i[None, :]
-    idx.flags.writeable = False
-    return idx
 
 
 def _mobius_recurrence(psi_s: np.ndarray, phi: MobiusMap, cols: int) -> np.ndarray:
@@ -291,10 +257,9 @@ def build_wco(
     The weight must be analytic on the closed disk (pole strictly
     outside); phi must be a self-map.  Coefficient m of psi phi^j depends
     only on coefficients <= m of psi and phi, so each column is the exact
-    truncation up to rounding: built by power doubling (truncated Cauchy
-    products as lower-triangular Toeplitz matrix products) below
-    RECURRENCE_MIN_DIM, from there on by a tile wavefront of the Mobius
-    recurrence, whose result is a view of its padded (N + _TILE + 1)^2 buffer.
+    truncation up to rounding.  Built at every N by the tile wavefront of
+    the Mobius recurrence (a constant map by a cumulative product); the
+    result is a view of its padded (N + _TILE + 1)^2 buffer.
     """
     psi_s, phi_s = _checked_series(psi, phi, n)
     return _rectangle(psi_s, phi_s, phi, n, n)

@@ -4,9 +4,9 @@ A function analytic at 0 is represented by a plain complex vector of its
 first ``N`` Taylor coefficients; in this basis the coefficient vectors are
 exactly the coordinates used by the operator truncations: the weight's
 vector is the first column of W, and the Mobius map's vector drives the
-columns after it (at small N ``operators`` multiplies by Toeplitz
-matrices of the series of its powers; at large N it uses a recurrence in
-the map's four coefficients and takes this vector only for its checks).
+columns after it (``operators`` doubles with its Toeplitz matrix for the
+first rows and the leading block; a whole W comes from a recurrence in
+the map's four coefficients).
 Products are exact through the truncation order (the Cauchy product of
 index n only touches indices <= n); the only genuinely lossy operation
 is composition, where the tail of the outer series spills into every

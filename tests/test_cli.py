@@ -150,6 +150,10 @@ class TestCheckCommand:
         # N outside 1..1024 is refused, not replaced by the default
         assert main(["check", "--family", "j", "--a0", "0.3", "--a1", "0.2", "--dim", "0"]) == 2
         assert main(["check", "--family", "j", "--a0", "0.5i", "--a1", "0.75", "--block", "-5"]) == 2
+        # tolerances every suite refuses: an inverted band, and NaN
+        args = ["check", "--family", "j", "--a0", "0.3", "--a1", "0.2"]
+        assert main(args + ["--pass-tol", "1", "--fail-tol", "1e-9"]) == 2
+        assert main(args + ["--pass-tol", "nan"]) == 2
 
 
 class TestSuiteCommand:

@@ -16,7 +16,6 @@ from wcosym import operators, verify
 from wcosym.mobius import IDENTITY, ConstantMap, MobiusMap, cowen_adjoint, is_self_map
 from wcosym.operators import (
     MAX_DIM,
-    RECURRENCE_MIN_DIM,
     _TILE,
     Conjugation,
     _block,
@@ -134,19 +133,15 @@ C2_SLOW_DECAY = Conjugation("C2", np.exp(0.3j), 0.95 * np.exp(1.1j))
 
 
 class TestBuildPaths:
-    """Below RECURRENCE_MIN_DIM build_wco runs power doubling, from there
-    on the Mobius recurrence; both must agree with the convolution
-    reference to rounding, and the leading block of a large build with
-    the small build."""
+    """build_wco runs the Mobius recurrence at every N; it must agree with
+    the convolution reference to rounding, and the leading block of a
+    large build with the small build."""
 
     N_SMALL, N_LARGE = 96, 192
 
-    def test_dimensions_straddle_the_crossover(self):
-        assert self.N_SMALL < RECURRENCE_MIN_DIM <= self.N_LARGE
-
-    # N = 1, sizes that are not powers of two, and a last level that
-    # fills fewer columns than it doubles from
-    @pytest.mark.parametrize("n", [1, 2, 3, 48, 64, 95, RECURRENCE_MIN_DIM - 1])
+    # N = 1, sizes that are not powers of two, and sizes that are not
+    # multiples of the tile side
+    @pytest.mark.parametrize("n", [1, 2, 3, 48, 64, 95, 191])
     def test_doubling_matches_convolutions(self, n):
         pairs = [case_symbols(case) for case in sorted(BUILD_PATH_CASES)] + [(ONE, IDENTITY)]
         for psi, phi in pairs:
@@ -175,7 +170,7 @@ class TestBuildPaths:
         assert np.max(np.abs(large[:k, :k] - small)) <= 1e-13 * np.max(np.abs(small))
 
     def test_refusals_above_crossover(self):
-        n = RECURRENCE_MIN_DIM
+        n = 192
         # a denominator vanishing at 0 has its pole at the origin
         with pytest.raises(PoleAtOriginError):
             build_wco(RationalSymbol(1.0, 0.0, 1e-15, 0.0), IDENTITY, n)
@@ -187,8 +182,8 @@ class TestBuildPaths:
             build_wco(ONE, IDENTITY, MAX_DIM + 1)
 
 
-# dimensions on both sides of the crossover, a size that is not a power of two
-LEADING_DIMS = [48, 64, 95, RECURRENCE_MIN_DIM - 1, RECURRENCE_MIN_DIM, 384]
+# small and large dimensions, sizes that are not powers of two
+LEADING_DIMS = [48, 64, 95, 191, 192, 384]
 
 
 def build_cases():
@@ -218,7 +213,7 @@ class TestLeadingBuilds:
             whole = build_wco(psi, phi, n)
             assert np.max(np.abs(whole - reference)) <= 1e-13 * scale, name
 
-    @pytest.mark.parametrize("n", [64, RECURRENCE_MIN_DIM])
+    @pytest.mark.parametrize("n", [64, 192])
     def test_refusals(self, n):
         builders = {
             "whole": lambda psi, phi, n, k: build_wco(psi, phi, n),
@@ -268,12 +263,11 @@ class TestFftDoubling:
     row recurrence (operators._strip), which replaced zero-padded FFT
     doubling; the class keeps its name so its test ids stay comparable
     across changes.  The strip, the first k rows and the block must match
-    the convolution reference to 1e-13 max|T|; the strip reaches neither
-    power doubling, the recurrence nor an FFT, and power doubling never
-    sees RECURRENCE_MIN_DIM or more rows."""
+    the convolution reference to 1e-13 max|T|; none of them reaches the
+    recurrence or an FFT, and the one doubling kernel they share
+    (operators._double) never steps with a matrix wider than k + 1."""
 
-    @pytest.mark.parametrize("n", [48, 96, RECURRENCE_MIN_DIM - 1, RECURRENCE_MIN_DIM, RECURRENCE_MIN_DIM + 1,
-                                   384, 389, MAX_DIM])
+    @pytest.mark.parametrize("n", [48, 96, 191, 192, 193, 384, 389, MAX_DIM])
     def test_strip_matches_convolutions(self, n):
         for name, (psi, phi) in strip_cases().items():
             psi_s = expand_rational(psi, n)
@@ -290,7 +284,6 @@ class TestFftDoubling:
 
     def test_large_block_matches_convolutions(self):
         n, k = 448, 400
-        assert k >= RECURRENCE_MIN_DIM
         for name, (psi, phi) in build_cases().items():
             reference = convolution_columns(expand_rational(psi, n), phi, n)
             scale = np.max(np.abs(reference))
@@ -300,7 +293,7 @@ class TestFftDoubling:
             assert np.max(np.abs(rows - reference[:k])) <= 1e-13 * scale, name
             assert np.max(np.abs(cols - reference[:, :k])) <= 1e-13 * scale, name
 
-    @pytest.mark.parametrize("n", [48, RECURRENCE_MIN_DIM, 384, MAX_DIM])
+    @pytest.mark.parametrize("n", [48, 192, 384, MAX_DIM])
     def test_strip_never_reaches_the_recurrence(self, n, monkeypatch):
         monkeypatch.setattr(operators, "_mobius_recurrence", refuse)
         for psi, phi in build_cases().values():
@@ -309,7 +302,6 @@ class TestFftDoubling:
             wco_residuals(psi, phi, n, 16, Conjugation("C1", 1.0, 1j))
         conjugation_residuals(C2_SLOW_DECAY, n, 16)
         u_cross = conjugation_cross(C2_SLOW_DECAY, n, 16)
-        monkeypatch.setattr(operators, "_power_doubling", refuse)
         for name in ("fft", "ifft", "rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, refuse)
         for name, (psi, phi) in strip_cases().items():
@@ -323,37 +315,43 @@ class TestFftDoubling:
         with pytest.raises(AssertionError, match="refused builder"):
             build_wco(*case_symbols("disk-automorphism"), n)
 
-    @pytest.mark.parametrize("n", [48, RECURRENCE_MIN_DIM - 1, RECURRENCE_MIN_DIM, 448, MAX_DIM])
-    def test_power_doubling_sees_fewer_rows_than_the_crossover(self, n, monkeypatch):
+    @pytest.mark.parametrize("n", [48, 191, 192, 448, MAX_DIM])
+    def test_doubling_steps_at_most_k_plus_1_wide(self, n, monkeypatch):
+        # every seam doubles with a step of at most (k+1) x (k+1), so none
+        # is O(N^3); a whole W never doubles
         seen = []
-        real = operators._power_doubling
+        real = operators._double
 
-        def spy(psi_s, phi_s, cols):
-            seen.append(len(psi_s))
-            return real(psi_s, phi_s, cols)
+        def spy(run, step):
+            seen.append(step.shape)
+            return real(run, step)
 
-        monkeypatch.setattr(operators, "_power_doubling", spy)
+        monkeypatch.setattr(operators, "_double", spy)
         psi, phi = case_symbols("disk-automorphism")
         for k in (16, min(n - 32, 400)):
+            seen.clear()
             _cross(psi, phi, n, k)
             _block(psi, phi, n, k)
             for c in (Conjugation("J"), C2_SLOW_DECAY):
                 wco_residuals(psi, phi, n, k, c)
                 wco_residuals(psi, phi, n, k, c, normality=False)
-        adjoint_factorization_residual(phi, n, min(n - 32, 400))
+            adjoint_factorization_residual(phi, n, k)
+            assert seen and max(max(shape) for shape in seen) <= k + 1, k
+        seen.clear()
         build_wco(psi, phi, n)
-        assert seen and max(seen) < RECURRENCE_MIN_DIM
+        conjugation_matrix(C2_SLOW_DECAY, n)
+        assert not seen
 
     def test_whole_build_is_the_recurrence(self):
-        n = 384
-        for name, (psi, phi) in build_cases().items():
-            if isinstance(phi, ConstantMap):
-                continue
-            got = build_wco(psi, phi, n)
-            assert np.array_equal(got, _mobius_recurrence(expand_rational(psi, n), phi, n)), name
         weight, vmap = c2_symbols(C2_SLOW_DECAY)
-        got = conjugation_matrix(C2_SLOW_DECAY, n)
-        assert np.array_equal(got, _mobius_recurrence(expand_rational(weight, n), vmap, n))
+        for n in (1, 48, 96, 384):
+            for name, (psi, phi) in build_cases().items():
+                if isinstance(phi, ConstantMap):
+                    continue
+                got = build_wco(psi, phi, n)
+                assert np.array_equal(got, _mobius_recurrence(expand_rational(psi, n), phi, n)), (name, n)
+            got = conjugation_matrix(C2_SLOW_DECAY, n)
+            assert np.array_equal(got, _mobius_recurrence(expand_rational(weight, n), vmap, n)), n
 
 
 C2_MODULI = (0.3, 0.9, 0.97, 0.99)
@@ -373,11 +371,11 @@ def assert_matches(got, reference, label):
 
 
 class TestTileWavefront:
-    """From RECURRENCE_MIN_DIM rows on, _mobius_recurrence sweeps the
-    recurrence over _TILE x _TILE tiles, one GEMM per anti-diagonal of
-    tiles.  Every shape, also one not a multiple of the tile side, must
-    match the convolution reference to 1e-13 max|T|, and a whole build
-    must allocate about one padded (N + _TILE + 1)^2 buffer."""
+    """A whole W is _mobius_recurrence, which sweeps the recurrence over
+    _TILE x _TILE tiles, one GEMM per anti-diagonal of tiles.  Every
+    shape, also one not a multiple of the tile side, must match the
+    convolution reference to 1e-13 max|T|, and a whole build must
+    allocate about one padded (N + _TILE + 1)^2 buffer."""
 
     DIMS = [1, 2, 3, 7, 8, 9, 17, 95, 191, 192, 193, 383, 389]
 
@@ -390,8 +388,6 @@ class TestTileWavefront:
             psi_s = expand_rational(psi, n)
             reference = convolution_columns(psi_s, phi, n)
             assert_matches(build_wco(psi, phi, n), reference, name)
-            if not isinstance(phi, ConstantMap):  # below the crossover build_wco doubles
-                assert_matches(_mobius_recurrence(psi_s, phi, n), reference, name)
         for modulus in C2_MODULI:
             c = Conjugation("C2", np.exp(0.3j), modulus * np.exp(1.1j))
             reference = convolution_columns(expand_rational(c2_symbols(c)[0], n), c2_symbols(c)[1], n)
@@ -399,7 +395,8 @@ class TestTileWavefront:
 
     @pytest.mark.parametrize("rows, cols", [(192, 2), (192, 9), (200, 17), (389, 193), (193, 389), (250, 1024)])
     def test_rectangles_match_convolutions(self, rows, cols):
-        assert rows >= RECURRENCE_MIN_DIM and rows != cols
+        # rows > cols is a whole W of the n-truncation (the recurrence), rows < cols doubles
+        assert rows >= 192 and rows != cols
         n = max(rows, cols)
         for name, (psi, phi) in tile_cases().items():
             psi_s = expand_rational(psi, n)
@@ -501,7 +498,7 @@ class TestSeams:
     def close(got, want):
         return abs(got - want) <= 1e-13 * max(1.0, want)
 
-    @pytest.mark.parametrize("n", [64, RECURRENCE_MIN_DIM - 1, RECURRENCE_MIN_DIM, 384])
+    @pytest.mark.parametrize("n", [64, 191, 192, 384])
     def test_residuals_match_whole_matrices(self, n):
         k = self.K
         psi, phi = case_symbols("disk-automorphism")
@@ -543,7 +540,7 @@ class TestSeams:
             assert verify.band_verdict(seam, cfg) == verify.band_verdict(whole, cfg), (i, seam, whole)
             assert seam >= 0.1 if i % 2 else seam <= 1e-13, (i, seam)
 
-    @pytest.mark.parametrize("n", [RECURRENCE_MIN_DIM, 384, MAX_DIM])
+    @pytest.mark.parametrize("n", [192, 384, MAX_DIM])
     def test_no_seam_reads_all_of_w(self, n, monkeypatch):
         def refuse(*args):
             raise AssertionError("whole W built")
@@ -556,7 +553,7 @@ class TestSeams:
                 got = wco_residuals(psi, phi, n, 16, c, normality)
                 assert sorted(got) == (["normality", "symmetry"] if normality else ["symmetry"])
 
-    @pytest.mark.parametrize("n", [64, RECURRENCE_MIN_DIM - 1, RECURRENCE_MIN_DIM, 384])
+    @pytest.mark.parametrize("n", [64, 191, 192, 384])
     @pytest.mark.parametrize("sigma_sign", [-1, 1])
     def test_factorization_matches_whole_matrices(self, n, sigma_sign):
         m = MobiusMap(0.5 + 0.1j, 0.25 - 0.05j, 0.1 + 0.2j, 1.0)
