@@ -14,7 +14,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Dict, List, Optional
 
 from .errors import CliParseError, WcoError
@@ -31,7 +31,7 @@ from .families import (
     j_symbols,
 )
 from .mobius import ConstantMap, MobiusMap, classify, cowen_adjoint
-from .operators import Conjugation, conjugation_cross, conjugation_residuals, wco_residuals
+from .operators import Conjugation
 from .verify import (
     SuiteConfig,
     SUITES,
@@ -40,6 +40,7 @@ from .verify import (
     band_verdict,
     default_config,
     lft_oracle,
+    measure,
     run_suite,
 )
 
@@ -280,57 +281,35 @@ def cmd_classify(args) -> int:
     return 0
 
 
+# the parameters of each `check --family`; every field is read from the flag of its name
+CHECK_PARAMS = {"j": JParams, "c1": C1Params, "c2": C2Params}
+
+
 def _check_family(args):
     # SuiteConfig owns the dimension and tolerance rules: refuse what every suite refuses
     cfg = SuiteConfig(dim=args.dim, block=args.block, pass_tol=args.pass_tol, fail_tol=args.fail_tol)
-    fam_key = args.family.lower()
-    out: Dict[str, object] = {"family": fam_key}
-    if fam_key == "j":
-        params = JParams(parse_complex(args.a0), parse_complex(args.a1), parse_complex(args.b))
+    param_type = CHECK_PARAMS[args.family]
+    params = param_type(*(parse_complex(getattr(args, f.name)) for f in fields(param_type)))
+    out: Dict[str, object] = {"family": args.family, "params": _jsonable(asdict(params))}
+    if args.family == "j":
         pair = j_symbols(params)
         conj = Conjugation("J")
         pred: Dict[str, object] = {"normal": j_normal_predicate(params.a0, params.a1)}
-        out["params"] = {"a0": _jsonable(params.a0), "a1": _jsonable(params.a1), "b": _jsonable(params.b)}
-    elif fam_key == "c1":
-        params = C1Params(parse_complex(args.alpha), parse_complex(args.c0), parse_complex(args.c1), parse_complex(args.d))
+    elif args.family == "c1":
         pair = c1_symbols(params)
         conj = Conjugation("C1", 1.0, params.alpha)
         pred = {"normal": c1_normal_predicate(params.alpha, params.c0, params.c1)}
-        out["params"] = {
-            "alpha": _jsonable(params.alpha),
-            "c0": _jsonable(params.c0),
-            "c1": _jsonable(params.c1),
-            "d": _jsonable(params.d),
-        }
-    elif fam_key == "c2":
-        params = C2Params(
-            parse_complex(args.alpha),
-            parse_complex(args.c0),
-            parse_complex(args.c1),
-            parse_complex(args.c2),
-            parse_complex(args.d),
-        )
+    else:
         pair = c2_symbols(params, check_self_map=False)
         conj = Conjugation("C2", 1.0, params.alpha)
         case = c2_normal_predicate(params)
         pred = {"case": case.value, "normal": case != C2NormalCase.NOT_NORMAL}
-        out["params"] = {
-            "alpha": _jsonable(params.alpha),
-            "c0": _jsonable(params.c0),
-            "c1": _jsonable(params.c1),
-            "c2": _jsonable(params.c2),
-            "d": _jsonable(params.d),
-        }
-    else:
-        raise CliParseError(f"unknown family {args.family!r}")
     if args.conjugation:
         kind = args.conjugation.upper()
         conj = Conjugation(kind, 1.0, parse_complex(args.alpha) if kind != "J" else 0.0)
-    u_cross = conjugation_cross(conj, cfg.dim, cfg.block)  # built once for all three residuals
-    inv, iso = conjugation_residuals(conj, cfg.dim, cfg.block, u_cross)
-    residuals: Dict[str, object] = {"involution": inv, "isometry": iso}
+    residuals: Dict[str, object] = measure(cfg, conj=conj)
     try:
-        residuals.update(wco_residuals(pair.psi, pair.phi, cfg.dim, cfg.block, conj, u_cross=u_cross))
+        residuals.update(measure(cfg, pair, conj))
     except WcoError as exc:
         out["note"] = f"operator truncation unavailable: {exc}"
     phi = pair.phi
@@ -414,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.set_defaults(func=cmd_classify)
 
     p_chk = sub.add_parser("check", help="symmetry/normality check of one family member")
-    p_chk.add_argument("--family", required=True, choices=("j", "c1", "c2"))
+    p_chk.add_argument("--family", required=True, choices=tuple(CHECK_PARAMS))
     p_chk.add_argument("--a0", default="0")
     p_chk.add_argument("--a1", default="0")
     p_chk.add_argument("--b", default="1")

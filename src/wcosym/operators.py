@@ -343,7 +343,7 @@ def _normality_defect(rows: np.ndarray, cols: np.ndarray) -> float:
 
 def wco_residuals(
     psi: RationalSymbol, phi: Union[MobiusMap, ConstantMap], n: int, k: int,
-    conj: Optional[Conjugation] = None, normality: bool = True, u_cross=None,
+    conj: Optional[Conjugation] = None, normality: bool = True,
 ) -> Dict[str, float]:
     """normality_residual (unless normality is False) and, given conj, the
     symmetry defect || U conj(T) - T^H U || = || CW - W*C || of
@@ -351,8 +351,7 @@ def wco_residuals(
     builds only what they read: the first k rows and columns of W for
     normality; for the symmetry, T[:, :k] for C2 and the k x k block for
     the diagonal J and C1, sliced from that cross when normality built it.
-    u_cross is conjugation_cross(conj, n, k) if the caller has built it
-    already."""
+    The suites and `wcosym check` call it through verify.measure."""
     out = {}
     if normality:
         rows, cols = _cross(psi, phi, n, k)
@@ -360,7 +359,7 @@ def wco_residuals(
         series = _checked_series(psi, phi, n)
         _check_block(n, k)
     if conj is not None:
-        u_rows, u_cols = u_cross or conjugation_cross(conj, n, k)
+        u_rows, u_cols = _conjugation_cross(conj, n, k)
         if normality:
             t = cols[:len(u_cols)]
         elif conj.kind == "C2":
@@ -373,13 +372,13 @@ def wco_residuals(
     return out
 
 
-def conjugation_residuals(c: Conjugation, n: int, k: int, u_cross=None) -> Tuple[float, float]:
+def conjugation_residuals(c: Conjugation, n: int, k: int) -> Tuple[float, float]:
     """involution_residual(conjugation_matrix(c, n), k), building only the
-    first k rows and columns of U, or reading them from u_cross."""
-    return _involution_defect(*(u_cross or conjugation_cross(c, n, k)))
+    first k rows and columns of U; called through verify.measure."""
+    return _involution_defect(*_conjugation_cross(c, n, k))
 
 
-def conjugation_cross(c: Conjugation, n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+def _conjugation_cross(c: Conjugation, n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """(U[:k], U[:, :k]) of conjugation_matrix(c, n): all the residuals read of U."""
     if c.kind == "C2":
         return _cross(*_c2_symbols(c), n, k)

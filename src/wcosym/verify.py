@@ -10,7 +10,9 @@ Disagreements are reported as discrepancy records, never patched.
 A suite is a record generator ``(rng, cfg) -> Iterator[SampleRecord]``: a
 rejected draw is simply not yielded.  ``run_suite`` is the one driver that
 seeds the generator, enforces the suite's minimum dim and block, and
-builds the report.
+builds the report.  ``measure`` is the one seam to the matrix residuals:
+the suites and ``wcosym check`` take every normality, symmetry, involution
+and isometry residual through it, and it alone picks the truncation.
 """
 
 from __future__ import annotations
@@ -158,8 +160,16 @@ def lft_oracle(quad) -> Dict[str, object]:
     }
 
 
-def _matrix_normality(pair: fam.SymbolPair, cfg: SuiteConfig) -> float:
-    return wco_residuals(pair.psi, pair.phi, cfg.dim, cfg.block)["normality"]
+def measure(
+    cfg: SuiteConfig, pair: Optional[fam.SymbolPair] = None, conj: Optional[Conjugation] = None, normality: bool = True
+) -> Dict[str, float]:
+    """Residuals on the leading cfg.block block of the cfg.dim-truncation: W's
+    normality (unless normality is False) and, given conj, W's symmetry
+    against it; given conj and no pair, conj's involution and isometry."""
+    if pair is None:
+        inv, iso = conjugation_residuals(conj, cfg.dim, cfg.block)
+        return {"involution": inv, "isometry": iso}
+    return wco_residuals(pair.psi, pair.phi, cfg.dim, cfg.block, conj, normality)
 
 
 def _oracle_record(cfg, params, predicates, claims, residual, kind="normality", **oracles) -> SampleRecord:
@@ -197,7 +207,7 @@ def suite_prop21_normal(rng, cfg: SuiteConfig) -> Records:
         gamma = 0.5 + rng.uniform(0.0, 1.0)
         pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, gamma))
         params = {"p": p, "delta": delta, "gamma": gamma}
-        yield _oracle_record(cfg, params, {"in_family": True}, True, _matrix_normality(pair, cfg))
+        yield _oracle_record(cfg, params, {"in_family": True}, True, measure(cfg, pair)["normality"])
 
 
 def suite_prop22_commutation(rng, cfg: SuiteConfig) -> Records:
@@ -225,7 +235,7 @@ def suite_prop22_commutation(rng, cfg: SuiteConfig) -> Records:
         sigma0 = cowen_sigma0(m)
         psi = RationalSymbol(1.0, 0.0, 1.0, -np.conj(sigma0))
         lft = lft_oracle((m.a, m.b, m.c, m.d))
-        res = _matrix_normality(fam.SymbolPair(psi, m), cfg)
+        res = measure(cfg, fam.SymbolPair(psi, m))["normality"]
         params = {"a": m.a, "b": m.b, "c": m.c, "d": m.d}
         yield _oracle_record(cfg, params, {"lft_condition": lft["normal"]}, lft["normal"], res, **lft)
 
@@ -244,19 +254,19 @@ def suite_conjugation_axioms(rng, cfg: SuiteConfig) -> Records:
     """
 
     def record(c: Conjugation, tol: float) -> SampleRecord:
-        inv, iso = conjugation_residuals(c, cfg.dim, cfg.block)
+        residuals = measure(cfg, conj=c)
         params = {"kind": c.kind} if c.kind == "J" else {"kind": c.kind, "lam": c.lam, "alpha": c.alpha}
         return SampleRecord(
             params=params,
-            residuals={"involution": inv, "isometry": iso},
-            verdict="pass" if max(inv, iso) <= tol else "fail",
+            residuals=residuals,
+            verdict="pass" if max(residuals.values()) <= tol else "fail",
         )
 
+    # J, then samples // 2 C1 and (samples - 1) // 2 C2 draws: samples records
     yield record(Conjugation("J"), 1e-14)
-    per_kind = max(1, (cfg.samples - 1) // 2)
-    for _ in range(per_kind):
+    for _ in range(cfg.samples // 2):
         yield record(Conjugation("C1", _angle(rng), _angle(rng)), 1e-14)
-    for _ in range(per_kind):
+    for _ in range((cfg.samples - 1) // 2):
         alpha = _disk(rng, 0.32, 0.05)
         yield record(Conjugation("C2", _angle(rng), alpha), 1e-8)
 
@@ -270,7 +280,7 @@ def _symmetry_records(rng, cfg: SuiteConfig, draw, conjugation_of) -> Records:
         in_family = i < cfg.samples
         if not in_family:
             params, pair = {**params, "perturbed": True}, _perturb_weight(pair)
-        res = wco_residuals(pair.psi, pair.phi, cfg.dim, cfg.block, conj, normality=False)["symmetry"]
+        res = measure(cfg, pair, conj, normality=False)["symmetry"]
         yield _oracle_record(cfg, params, {"in_family": in_family}, in_family, res, kind="symmetry")
 
 
@@ -464,7 +474,7 @@ def suite_prop41_iff(rng, cfg: SuiteConfig) -> Records:
         else:
             a0, a1 = _draw_j_predicate_false(rng)
         pred = fam.j_normal_predicate(a0, a1, cfg.pred_tol)
-        res = _matrix_normality(fam.j_symbols(fam.JParams(a0, a1)), cfg)
+        res = measure(cfg, fam.j_symbols(fam.JParams(a0, a1)))["normality"]
         predicates = {"normal": pred, "expression": fam.j_normal_expression(a0, a1)}
         yield _oracle_record(cfg, {"a0": a0, "a1": a1}, predicates, pred, res)
 
@@ -528,7 +538,7 @@ def suite_thm51_iff(rng, cfg: SuiteConfig) -> Records:
         else:
             alpha, c0, c1 = _draw_c1_predicate_false(rng)
         pred = fam.c1_normal_predicate(alpha, c0, c1, cfg.pred_tol)
-        res = _matrix_normality(fam.c1_symbols(fam.C1Params(alpha, c0, c1)), cfg)
+        res = measure(cfg, fam.c1_symbols(fam.C1Params(alpha, c0, c1)))["normality"]
         predicates = {"normal": pred, "expression": fam.c1_normal_expression(alpha, c0, c1)}
         yield _oracle_record(cfg, {"alpha": alpha, "c0": c0, "c1": c1}, predicates, pred, res)
 
@@ -595,7 +605,7 @@ def suite_thm61_consistency(rng, cfg: SuiteConfig) -> Records:
                 and is_self_map(pair.phi)
                 and abs(pair.psi.pole()) > 1.5
             ):
-                res = _matrix_normality(pair, cfg)
+                res = measure(cfg, pair)["normality"]
                 residuals["normality"] = res
                 band = band_verdict(res, cfg)
         yield SampleRecord(
@@ -646,8 +656,7 @@ def suite_ex41_equivalence(rng, cfg: SuiteConfig) -> Records:
                 p = complex(p.real, sign * (0.1 + abs(p.imag)))
             delta = _disk(rng, 0.6)
             pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, 1.0))
-            j = Conjugation("J")
-            res = wco_residuals(pair.psi, pair.phi, cfg.dim, cfg.block, j, normality=False)["symmetry"]
+            res = measure(cfg, pair, Conjugation("J"), normality=False)["symmetry"]
             yield SampleRecord(
                 params={"p": p, "delta": delta},
                 residuals={"j_symmetry": res},
@@ -673,7 +682,7 @@ def suite_cor41_aut(rng, cfg: SuiteConfig) -> Records:
         a1 = beta * (abs(al) ** 2 - 1.0)
         expr = fam.j_normal_expression(a0, a1)
         pair = fam.j_symbols(fam.JParams(a0, a1))
-        res = _matrix_normality(pair, cfg)
+        res = measure(cfg, pair)["normality"]
         cls = classify(pair.phi)
         ok = abs(expr) <= cfg.pred_tol and res <= cfg.pass_tol and cls.is_automorphism
         yield SampleRecord(
@@ -696,7 +705,7 @@ def suite_ex44_parabolic(rng, cfg: SuiteConfig) -> Records:
         a0 = _parabolic_j_arc(rng, branch)
         pair = fam.parabolic_j_symbols(a0, branch)
         cls = classify(pair.phi)
-        res = _matrix_normality(pair, cfg)
+        res = measure(cfg, pair)["normality"]
         dw_ok = (
             cls.map_class in (MapClass.PARABOLIC_NON_AUTOMORPHISM, MapClass.PARABOLIC_AUTOMORPHISM)
             and abs(cls.dw_point - branch) <= 1e-9
@@ -735,7 +744,7 @@ def suite_ex51_interior(rng, cfg: SuiteConfig) -> Records:
         cpair = fam.c1_symbols(fam.C1Params(alpha, c0, c1))
         phi_gap = proj_distance(pair.phi, cpair.phi)
         pred = fam.c1_normal_predicate(alpha, c0, c1, cfg.pred_tol)
-        r = wco_residuals(pair.psi, pair.phi, cfg.dim, cfg.block, Conjugation("C1", 1.0, alpha))
+        r = measure(cfg, pair, Conjugation("C1", 1.0, alpha))
         res, sym = r["normality"], r["symmetry"]
         ok = phi_gap <= 1e-9 and pred and res <= cfg.pass_tol and sym <= cfg.pass_tol
         yield SampleRecord(
@@ -775,7 +784,7 @@ def suite_ex54_parabolic(rng, cfg: SuiteConfig) -> Records:
         cls = classify(pair.phi)
         alpha = 1.0 / zeta ** 2
         expr = fam.c1_normal_expression(alpha, c0, c1)
-        res = _matrix_normality(pair, cfg)
+        res = measure(cfg, pair)["normality"]
         ok = (
             cls.map_class in (MapClass.PARABOLIC_NON_AUTOMORPHISM, MapClass.PARABOLIC_AUTOMORPHISM)
             and abs(cls.dw_point - zeta) <= 1e-8
@@ -834,7 +843,7 @@ def suite_ex61_interior(rng, cfg: SuiteConfig) -> Records:
         gamma = (1.0 - p ** 2 * delta) / (1.0 - p ** 2)
         closed = fam.interior_phi_closed_form(fam.InteriorParams(complex(p), delta, gamma))
         phi_gap = proj_distance(pair.phi, closed)
-        r = wco_residuals(pair.psi, pair.phi, cfg.dim, cfg.block, Conjugation("C2", 1.0, alpha))
+        r = measure(cfg, pair, Conjugation("C2", 1.0, alpha))
         res, sym = r["normality"], r["symmetry"]
         ok = consistency <= 1e-9 and phi_gap <= 1e-9 and res <= cfg.pass_tol and sym <= cfg.pass_tol
         yield SampleRecord(
@@ -873,7 +882,7 @@ def suite_ex63_parabolic(rng, cfg: SuiteConfig) -> Records:
         pred = fam.c2_parabolic_predicate(params, cfg.pred_tol)
         zeta = fam.c2_parabolic_dw_point(params)
         cls = classify(pair.phi)
-        res = _matrix_normality(pair, cfg)
+        res = measure(cfg, pair)["normality"]
         ok = (
             pred
             and abs(abs(zeta) - 1.0) <= 1e-9
@@ -1005,7 +1014,7 @@ def suite_hyperbolic_nonaut(rng, cfg: SuiteConfig) -> Records:
     for r, t in _target_quadruples(include_aut=False):
         phi = fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t))
         psi = RationalSymbol(1.0, 0.0, 1.0, -np.conj(cowen_sigma0(phi)))
-        res = _matrix_normality(fam.SymbolPair(psi, phi), cfg)
+        res = measure(cfg, fam.SymbolPair(psi, phi))["normality"]
         yield SampleRecord(
             params={"r": r, "t": t},
             residuals={"deficiency": res, "normality": res},

@@ -113,25 +113,30 @@ class TestCheckCommand:
         assert "lft_commute_defect" not in doc["residuals"] and doc["note"]
         assert doc["verdict"] == "inconclusive"
 
-    def test_c2_conjugation_cross_built_once(self, capsys, monkeypatch):
-        # the involution, isometry and symmetry residuals share one build
-        # of the C2 conjugation's first k rows and columns
-        calls = []
-        real = operators._c2_symbols
-        monkeypatch.setattr(operators, "_c2_symbols", lambda c: calls.append(c) or real(c))
+    def test_c2_check_reports_conjugation_residuals(self, capsys):
+        # the involution, isometry and symmetry residuals of the C2 conjugation
         args = ["check", "--family", "c2", "--alpha=-0.36+0.28i", "--c0", "1.1+0.03i", "--c1=-0.25-0.4i"]
         assert main(args + ["--c2=-0.13-0.32i"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert sorted(doc["residuals"]) == ["involution", "isometry", "normality", "symmetry"]
         assert doc["residuals"]["symmetry"] <= 1e-12 and "note" not in doc
-        assert len(calls) == 1
         # no operator truncation: the involution and isometry are still reported
-        calls.clear()
         assert main(["check", "--family", "c2", "--alpha", "0.5", "--c0", "0.6", "--c1", "0.36", "--c2", "0.54"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert {"involution", "isometry"} <= set(doc["residuals"])
         assert doc["note"].startswith("operator truncation unavailable")
-        assert len(calls) == 1
+
+    def test_conjugation_override(self, capsys):
+        # a J-family member tested against a C2 conjugation: a true
+        # conjugation, but W is not symmetric against it
+        args = ["check", "--family", "j", "--a0", "0.3", "--a1", "0.2", "--conjugation", "c2", "--alpha", "0.4"]
+        assert main(args) == 0
+        doc = json.loads(capsys.readouterr().out)
+        res = doc["residuals"]
+        assert res["involution"] <= 1e-14 and res["isometry"] <= 1e-14
+        assert 0.5 <= res["symmetry"] <= 0.55
+        assert doc["params"] == {k: {"re": v, "im": 0.0} for k, v in (("a0", 0.3), ("a1", 0.2), ("b", 1.0))}
+        assert doc["verdict"] == "pass"
 
     def test_c2_check_at_the_cap_reads_no_whole_w(self, capsys, monkeypatch):
         def refuse(*args):
@@ -154,6 +159,10 @@ class TestCheckCommand:
         args = ["check", "--family", "j", "--a0", "0.3", "--a1", "0.2"]
         assert main(args + ["--pass-tol", "1", "--fail-tol", "1e-9"]) == 2
         assert main(args + ["--pass-tol", "nan"]) == 2
+        # a C1 conjugation needs a unimodular alpha
+        args = ["check", "--family", "c2", "--alpha", "0.5", "--c0", "0.6", "--c1", "0.36", "--c2", "0.54"]
+        assert main(args + ["--conjugation", "c1"]) == 2
+        assert "C1 needs |alpha| = 1" in capsys.readouterr().err
 
 
 class TestSuiteCommand:

@@ -26,7 +26,6 @@ from wcosym.operators import (
     _strip,
     adjoint_factorization_residual,
     build_wco,
-    conjugation_cross,
     conjugation_matrix,
     conjugation_residuals,
     involution_residual,
@@ -301,7 +300,6 @@ class TestFftDoubling:
             _block(psi, phi, n, 16)
             wco_residuals(psi, phi, n, 16, Conjugation("C1", 1.0, 1j))
         conjugation_residuals(C2_SLOW_DECAY, n, 16)
-        u_cross = conjugation_cross(C2_SLOW_DECAY, n, 16)
         for name in ("fft", "ifft", "rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, refuse)
         for name, (psi, phi) in strip_cases().items():
@@ -309,8 +307,9 @@ class TestFftDoubling:
             reference = convolution_columns(psi_s, phi, n, 16)
             error = np.max(np.abs(_strip(psi, psi_s, phi, 16) - reference))
             assert error <= 1e-13 * np.max(np.abs(reference)), name
-            # the C2 symmetry alone reads W only through the strip
-            got = wco_residuals(psi, phi, n, 16, C2_SLOW_DECAY, normality=False, u_cross=u_cross)
+            # the C2 symmetry alone reads W only through the strip, and U only
+            # through the conjugation's first k rows and columns
+            got = wco_residuals(psi, phi, n, 16, C2_SLOW_DECAY, normality=False)
             assert list(got) == ["symmetry"], name
         with pytest.raises(AssertionError, match="refused builder"):
             build_wco(*case_symbols("disk-automorphism"), n)

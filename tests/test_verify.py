@@ -1,12 +1,13 @@
 import cmath
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from wcosym import verify
-from wcosym.cli import report_to_json, validate_report_dict, report_to_dict
+from wcosym import operators, verify
+from wcosym.cli import main, report_to_json, validate_report_dict, report_to_dict
 from wcosym.errors import UnknownSuiteError
 from wcosym.families import (
     C1Params,
@@ -116,6 +117,48 @@ def test_suite_clean(suite_id):
     report = run_suite(suite_id, cfg)
     assert clean(report), report.summary
     assert report.exit_status == 0
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 4, 5, 100])
+def test_conjugation_axioms_makes_samples_records(samples):
+    cfg = dataclasses.replace(default_config("conjugation-axioms"), samples=samples)
+    kinds = [r.params["kind"] for r in run_suite("conjugation-axioms", cfg).records]
+    assert kinds == ["J"] + ["C1"] * (samples // 2) + ["C2"] * ((samples - 1) // 2)
+
+
+def test_matrix_residuals_only_through_measure(monkeypatch, capsys):
+    # every suite and every `check` family takes its matrix residuals through
+    # verify.measure: the two seams fail unless measure calls them, and the
+    # defect kernels behind them unless measure is on the stack
+    calls = []
+
+    def guard(real, depth=None):
+        def seam(*args, **kwargs):
+            callers, frame = [], sys._getframe(1)
+            while frame is not None and len(callers) != depth:
+                callers.append(frame.f_code)
+                frame = frame.f_back
+            assert verify.measure.__code__ in callers, real.__name__
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return seam
+
+    for name in ("wco_residuals", "conjugation_residuals"):
+        monkeypatch.setattr(verify, name, guard(getattr(verify, name), depth=1))
+    for name in ("_normality_defect", "_symmetry_defect", "_involution_defect"):
+        monkeypatch.setattr(operators, name, guard(getattr(operators, name)))
+    for suite_id, suite in sorted(SUITES.items()):
+        cfg = suite.defaults if suite.fixed_samples else dataclasses.replace(suite.defaults, samples=5)
+        run_suite(suite_id, cfg)
+    for args in (
+        ["--family", "j", "--a0", "0.3", "--a1", "0.2", "--conjugation", "c2", "--alpha", "0.4"],
+        ["--family", "c1", "--alpha", "0.6+0.8i", "--c0", "0.3", "--c1", "0.2"],
+        ["--family", "c2", "--alpha=-0.36+0.28i", "--c0", "1.1+0.03i", "--c1=-0.25-0.4i", "--c2=-0.13-0.32i"],
+    ):
+        assert main(["check"] + args) == 0
+    names = {"wco_residuals", "conjugation_residuals", "_normality_defect", "_symmetry_defect", "_involution_defect"}
+    assert set(calls) == names
 
 
 def test_thm61_consistency_reports_documented_discrepancies():
@@ -488,7 +531,7 @@ ORACLE_N1024_SUMMARIES = {
     "jsym-form": (2, 3, 0, 0, 0, 0),
     "c1sym-form": (2, 3, 0, 0, 0, 0),
     "c2sym-form": (2, 3, 0, 0, 0, 0),
-    "conjugation-axioms": (2, 3, 0, 0, 0, 0),
+    "conjugation-axioms": (3, 3, 0, 0, 0, 0),
     "cowen-factorization": (1, 1, 0, 0, 0, 0),
 }
 
