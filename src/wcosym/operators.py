@@ -24,8 +24,9 @@ geometric decay of the symbol coefficients confines that corruption away
 from the leading block.  Each residual forms only the rows and columns of
 its products that reach the block: the k x k block of the N-truncation is
 the k-truncation, the first k rows and the first k columns cost O(N k^2).
-No seam reads all of W: the C2 symmetry is measured as the commutator
-U conj(T) - T^H U on the block, which reads only the first k columns of T.
+No seam reads all of W: every symmetry residual, symmetry_residual too, is
+the commutator U conj(T) - T^H U on the block, which reads only the first
+k columns of T.
 build_wco and conjugation_matrix remain the public whole-matrix builds.
 """
 
@@ -310,20 +311,17 @@ def _involution_defect(rows: np.ndarray, cols: np.ndarray) -> Tuple[float, float
 
 
 def symmetry_residual(t: np.ndarray, u: np.ndarray, k: int) -> float:
-    """|| T - U T^t conj(U) || on the leading block.
+    """|| U conj(T) - T^H U || on the leading block, the defect the seam
+    wco_residuals measures.
 
-    For anti-linear C: x -> U conj(x) the condition T = C T* C reduces to
-    T = U T^t conj(U).  The seam wco_residuals measures the commutator
-    || U conj(T) - T^H U || = || CW - W*C || instead, which needs only the
-    first k columns of T.  On the untruncated operator and a true
-    conjugation the two norms are equal, since W - CW*C = C(CW - W*C) and
-    C is an isometry; on the leading block of a truncation they are two
-    compressions of the same defect, equal in band but not digit for digit.
+    For anti-linear C: x -> U conj(x) this is || CW - W*C ||, and T is
+    C-symmetric (T = C T* C) iff it vanishes.  It reads only the first k
+    rows and columns of U and the first k columns of T.
     """
     if t.shape != u.shape:
         raise DimensionMismatchError(f"shapes differ: {t.shape} != {u.shape}")
     _check_block(len(t), k)
-    return float(np.linalg.norm(t[:k, :k] - u[:k] @ (t.T @ u[:, :k].conj())))
+    return _symmetry_defect(t[:, :k], u[:k], u[:, :k])
 
 
 def _symmetry_defect(t: np.ndarray, u_rows: np.ndarray, u_cols: np.ndarray) -> float:
