@@ -7,12 +7,14 @@ an explicit inconclusive band between the pass and fail thresholds so that
 truncation noise can never silently misclassify a near-boundary draw.
 Disagreements are reported as discrepancy records, never patched.
 
-A suite is a record generator ``(rng, cfg) -> Iterator[SampleRecord]``: a
-rejected draw is simply not yielded.  ``run_suite`` is the one driver that
-seeds the generator, enforces the suite's minimum dim and block, and
-builds the report.  ``measure`` is the one seam to the matrix residuals:
-the suites and ``wcosym check`` take every normality, symmetry, involution
-and isometry residual through it, and it alone picks the truncation.
+A suite is a draw ``(rng, cfg, i) -> Optional[SampleRecord]``: the record
+of sample index i, or None when the draw is rejected.  ``run_suite`` is the
+one sampling loop: it enforces the suite's minimum dim and block, seeds one
+generator, calls the draw for each index until it returns a record (so a
+rejected draw is redrawn, never dropped) and builds the report.
+``measure`` is the one seam to the matrix residuals: the suites and
+``wcosym check`` take every normality, symmetry, involution and isometry
+residual through it, and it alone picks the truncation.
 ``_record`` is the one verdict rule: every suite record but thm61's is
 built by it.  A failed exact closed-form check is "fail"; every oracle
 value (a matrix residual, a sweep deficiency, a moduli violation) goes
@@ -25,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -84,9 +86,6 @@ class SampleRecord:
     oracles: Dict[str, object] = field(default_factory=dict)
     verdict: str = "pass"
     note: str = ""
-
-
-Records = Iterator[SampleRecord]
 
 
 @dataclass
@@ -203,85 +202,77 @@ def _record(cfg, params, oracle=None, claim=True, exact=True, residuals=None, or
 # individual suites
 # ---------------------------------------------------------------------------
 
-def suite_prop21_normal(rng, cfg: SuiteConfig) -> Records:
+def suite_prop21_normal(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
     """Interior-fixed-point family: every member passes the normality oracle."""
-    for _ in range(cfg.samples):
-        p = _disk(rng, 0.5)
-        delta = _disk(rng, 0.7)
-        gamma = 0.5 + rng.uniform(0.0, 1.0)
-        pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, gamma))
-        params = {"p": p, "delta": delta, "gamma": gamma}
-        yield _record(cfg, params, measure(cfg, pair), predicates={"in_family": True})
+    p = _disk(rng, 0.5)
+    delta = _disk(rng, 0.7)
+    gamma = 0.5 + rng.uniform(0.0, 1.0)
+    pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, gamma))
+    params = {"p": p, "delta": delta, "gamma": gamma}
+    return _record(cfg, params, measure(cfg, pair), predicates={"in_family": True})
 
 
-def suite_prop22_commutation(rng, cfg: SuiteConfig) -> Records:
+def suite_prop22_commutation(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
     """Weight K_{sigma(0)}: matrix normality iff the commuting condition."""
-    for i in range(cfg.samples):
-        kind = i % 4
-        if kind == 0:  # generic self-map, generically non-normal
-            while True:
-                m = MobiusMap(0.4 + 0.3 * _disk(rng), _disk(rng, 0.35), _disk(rng, 0.35), 1.0)
-                if is_self_map(m) and sup_modulus(m) <= 0.9:
-                    break
-        elif kind == 1:  # automorphism: commuting holds, normal
-            g = _disk(rng, 0.5, 0.05)
-            form = fam.DiskForm(_angle(rng), g)
-            m = form.to_map()
-        elif kind == 2:  # real coefficients with b = -c: sigma = m
-            a0 = rng.uniform(-0.5, 0.5)
-            a1 = rng.uniform(-0.55, 0.55)
-            phi = fam.j_symbols(fam.JParams(a0, a1)).phi
-            if isinstance(phi, ConstantMap):
-                continue
-            m = phi
-        else:  # strict parabolic from the branch arc
-            m = fam.parabolic_j_symbols(_parabolic_j_arc(rng, 1), +1).phi
-        sigma0 = cowen_sigma0(m)
-        psi = RationalSymbol(1.0, 0.0, 1.0, -np.conj(sigma0))
-        lft = lft_oracle((m.a, m.b, m.c, m.d))
-        params = {"a": m.a, "b": m.b, "c": m.c, "d": m.d}
-        oracle = measure(cfg, fam.SymbolPair(psi, m))
-        yield _record(cfg, params, oracle, lft["normal"], predicates={"lft_condition": lft["normal"]}, oracles=lft)
+    kind = i % 4
+    if kind == 0:  # generic self-map, generically non-normal
+        m = MobiusMap(0.4 + 0.3 * _disk(rng), _disk(rng, 0.35), _disk(rng, 0.35), 1.0)
+        if not is_self_map(m) or sup_modulus(m) > 0.9:
+            return None
+    elif kind == 1:  # automorphism: commuting holds, normal
+        g = _disk(rng, 0.5, 0.05)
+        form = fam.DiskForm(_angle(rng), g)
+        m = form.to_map()
+    elif kind == 2:  # real coefficients with b = -c: sigma = m
+        a0 = rng.uniform(-0.5, 0.5)
+        a1 = rng.uniform(-0.55, 0.55)
+        m = fam.j_symbols(fam.JParams(a0, a1)).phi
+        if isinstance(m, ConstantMap):
+            return None
+    else:  # strict parabolic from the branch arc
+        m = fam.parabolic_j_symbols(_parabolic_j_arc(rng, 1), +1).phi
+    sigma0 = cowen_sigma0(m)
+    psi = RationalSymbol(1.0, 0.0, 1.0, -np.conj(sigma0))
+    lft = lft_oracle((m.a, m.b, m.c, m.d))
+    params = {"a": m.a, "b": m.b, "c": m.c, "d": m.d}
+    oracle = measure(cfg, fam.SymbolPair(psi, m))
+    return _record(cfg, params, oracle, lft["normal"], predicates={"lft_condition": lft["normal"]}, oracles=lft)
 
 
 def cowen_sigma0(m: MobiusMap) -> complex:
     return -np.conj(m.c) / np.conj(m.d)
 
 
-def suite_conjugation_axioms(rng, cfg: SuiteConfig) -> Records:
+def suite_conjugation_axioms(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
     """Involution and anti-linear isometry axioms for the three kinds.
 
-    The coefficient conjugation and the rotation-weighted kind are exact
-    at any dimension; the kernel-weighted kind converges geometrically in
-    |alpha|, which at N = 48 and block 16 keeps the residual below 1e-8
-    for |alpha| up to roughly 0.35 (measured), so draws stay below 0.32.
+    Index 0 is J, the next samples // 2 indices C1 and the remaining
+    (samples - 1) // 2 C2.  The coefficient conjugation and the
+    rotation-weighted kind are exact at any dimension; the kernel-weighted
+    kind converges geometrically in |alpha|, which at N = 48 and block 16
+    keeps the residual below 1e-8 for |alpha| up to roughly 0.35
+    (measured), so draws stay below 0.32.
     """
-
-    def record(c: Conjugation, tol: float) -> SampleRecord:
-        residuals = measure(cfg, conj=c)
-        params = {"kind": c.kind} if c.kind == "J" else {"kind": c.kind, "lam": c.lam, "alpha": c.alpha}
-        return _record(cfg, params, exact=max(residuals.values()) <= tol, residuals=residuals)
-
-    # J, then samples // 2 C1 and (samples - 1) // 2 C2 draws: samples records
-    yield record(Conjugation("J"), 1e-14)
-    for _ in range(cfg.samples // 2):
-        yield record(Conjugation("C1", _angle(rng), _angle(rng)), 1e-14)
-    for _ in range((cfg.samples - 1) // 2):
+    if i == 0:
+        c, tol = Conjugation("J"), 1e-14
+    elif i <= cfg.samples // 2:
+        c, tol = Conjugation("C1", _angle(rng), _angle(rng)), 1e-14
+    else:
         alpha = _disk(rng, 0.32, 0.05)
-        yield record(Conjugation("C2", _angle(rng), alpha), 1e-8)
+        c, tol = Conjugation("C2", _angle(rng), alpha), 1e-8
+    residuals = measure(cfg, conj=c)
+    params = {"kind": c.kind} if c.kind == "J" else {"kind": c.kind, "lam": c.lam, "alpha": c.alpha}
+    return _record(cfg, params, exact=max(residuals.values()) <= tol, residuals=residuals)
 
 
-def _symmetry_records(rng, cfg: SuiteConfig, draw, conjugation_of) -> Records:
-    """Shared shape of the three symmetric-form suites: in-family draws
+def _symmetry_record(cfg: SuiteConfig, i: int, params, pair: fam.SymbolPair, conj: Conjugation) -> SampleRecord:
+    """Shared record of the three symmetric-form draws: in-family draws
     must pass, perturbed controls (the indices past cfg.samples) must fail."""
-    for i in range(cfg.samples + max(1, cfg.samples // 5)):
-        params, pair = draw(rng)
-        conj = conjugation_of(params)
-        in_family = i < cfg.samples
-        if not in_family:
-            params, pair = {**params, "perturbed": True}, _perturb_weight(pair)
-        oracle = measure(cfg, pair, conj, normality=False)
-        yield _record(cfg, params, oracle, in_family, predicates={"in_family": in_family})
+    in_family = i < cfg.samples
+    if not in_family:
+        params, pair = {**params, "perturbed": True}, _perturb_weight(pair)
+    oracle = measure(cfg, pair, conj, normality=False)
+    return _record(cfg, params, oracle, in_family, predicates={"in_family": in_family})
 
 
 def _perturb_weight(pair: fam.SymbolPair) -> fam.SymbolPair:
@@ -290,31 +281,26 @@ def _perturb_weight(pair: fam.SymbolPair) -> fam.SymbolPair:
     return fam.SymbolPair(RationalSymbol(psi.n0, psi.n1 + bump, psi.d0, psi.d1), pair.phi)
 
 
-def suite_jsym_form(rng, cfg: SuiteConfig) -> Records:
-    def draw(rng):
-        while True:
-            a0 = _disk(rng, 0.7)
-            a1 = _disk(rng, 0.75, 0.02)
-            b = 0.5 + rng.uniform(0.0, 1.0)
-            pair = fam.j_symbols(fam.JParams(a0, a1, b))
-            if isinstance(pair.phi, ConstantMap) or is_self_map(pair.phi):
-                return {"a0": a0, "a1": a1, "b": b}, pair
-
-    return _symmetry_records(rng, cfg, draw, lambda p: Conjugation("J"))
+def suite_jsym_form(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+    a0 = _disk(rng, 0.7)
+    a1 = _disk(rng, 0.75, 0.02)
+    b = 0.5 + rng.uniform(0.0, 1.0)
+    pair = fam.j_symbols(fam.JParams(a0, a1, b))
+    if not isinstance(pair.phi, ConstantMap) and not is_self_map(pair.phi):
+        return None
+    return _symmetry_record(cfg, i, {"a0": a0, "a1": a1, "b": b}, pair, Conjugation("J"))
 
 
-def suite_c1sym_form(rng, cfg: SuiteConfig) -> Records:
-    def draw(rng):
-        while True:
-            alpha = _angle(rng)
-            c0 = _disk(rng, 0.7)
-            c1 = _disk(rng, 0.75, 0.02)
-            d = 0.5 + rng.uniform(0.0, 1.0)
-            pair = fam.c1_symbols(fam.C1Params(alpha, c0, c1, d))
-            if isinstance(pair.phi, ConstantMap) or is_self_map(pair.phi):
-                return {"alpha": alpha, "c0": c0, "c1": c1, "d": d}, pair
-
-    return _symmetry_records(rng, cfg, draw, lambda p: Conjugation("C1", 1.0, p["alpha"]))
+def suite_c1sym_form(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+    alpha = _angle(rng)
+    c0 = _disk(rng, 0.7)
+    c1 = _disk(rng, 0.75, 0.02)
+    d = 0.5 + rng.uniform(0.0, 1.0)
+    pair = fam.c1_symbols(fam.C1Params(alpha, c0, c1, d))
+    if not isinstance(pair.phi, ConstantMap) and not is_self_map(pair.phi):
+        return None
+    params = {"alpha": alpha, "c0": c0, "c1": c1, "d": d}
+    return _symmetry_record(cfg, i, params, pair, Conjugation("C1", 1.0, alpha))
 
 
 def _c2_params_from_tuv(alpha, t, u, v) -> fam.C2Params:
@@ -344,66 +330,61 @@ def _draw_c2_selfmap(rng, alpha_hi=0.5):
         return params, pair
 
 
-def suite_c2sym_form(rng, cfg: SuiteConfig) -> Records:
-    def draw(rng):
-        params, pair = _draw_c2_selfmap(rng)
-        d = {"alpha": params.alpha, "c0": params.c0, "c1": params.c1, "c2": params.c2}
-        return d, pair
-
-    return _symmetry_records(rng, cfg, draw, lambda p: Conjugation("C2", 1.0, p["alpha"]))
+def suite_c2sym_form(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
+    params, pair = _draw_c2_selfmap(rng)
+    d = {"alpha": params.alpha, "c0": params.c0, "c1": params.c1, "c2": params.c2}
+    return _symmetry_record(cfg, i, d, pair, Conjugation("C2", 1.0, params.alpha))
 
 
 # --- automorphism lemmas -----------------------------------------------------
 
-def suite_lemma31_aut(rng, cfg: SuiteConfig) -> Records:
+def suite_lemma31_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
     """Forward-built rotation-free automorphisms are recovered with
     gamma = (a1 + 1)/a0; random non-automorphisms come back empty."""
-    for i in range(cfg.samples):
-        if i % 2 == 0:
-            g = _disk(rng, 0.8, 0.05)
-            a0 = np.conj(g)
-            a1 = np.conj(g) * (abs(g) ** 2 - 1.0) / g
-            form = fam.j_aut_form(a0, a1)
-            ok = (
-                isinstance(form, fam.DiskForm)
-                and abs(form.gamma - g) <= 1e-9
-                and mobius_equal(form.to_map(), fam.j_symbols(fam.JParams(a0, a1)).phi, 1e-10)
-            )
-            params, expected = {"a0": a0, "a1": a1, "gamma": g}, "disk"
-        else:
-            a0 = _disk(rng, 0.6, 0.05)
-            a1 = _disk(rng, 0.6)
-            phi = fam.j_symbols(fam.JParams(a0, a1)).phi
-            if isinstance(phi, ConstantMap) or is_automorphism(phi):
-                continue
-            form = fam.j_aut_form(a0, a1)
-            params, expected, ok = {"a0": a0, "a1": a1}, "none", form is None
-        yield _record(cfg, params, exact=ok, predicates={"expected": expected}, oracles={"form": type(form).__name__})
+    if i % 2 == 0:
+        g = _disk(rng, 0.8, 0.05)
+        a0 = np.conj(g)
+        a1 = np.conj(g) * (abs(g) ** 2 - 1.0) / g
+        form = fam.j_aut_form(a0, a1)
+        ok = (
+            isinstance(form, fam.DiskForm)
+            and abs(form.gamma - g) <= 1e-9
+            and mobius_equal(form.to_map(), fam.j_symbols(fam.JParams(a0, a1)).phi, 1e-10)
+        )
+        params, expected = {"a0": a0, "a1": a1, "gamma": g}, "disk"
+    else:
+        a0 = _disk(rng, 0.6, 0.05)
+        a1 = _disk(rng, 0.6)
+        phi = fam.j_symbols(fam.JParams(a0, a1)).phi
+        if isinstance(phi, ConstantMap) or is_automorphism(phi):
+            return None
+        form = fam.j_aut_form(a0, a1)
+        params, expected, ok = {"a0": a0, "a1": a1}, "none", form is None
+    return _record(cfg, params, exact=ok, predicates={"expected": expected}, oracles={"form": type(form).__name__})
 
 
-def suite_lemma32_aut(rng, cfg: SuiteConfig) -> Records:
-    for i in range(cfg.samples):
-        alpha = _angle(rng)
-        if i % 2 == 0:
-            g = _disk(rng, 0.8, 0.05)
-            c0 = np.conj(g) / alpha
-            c1 = (abs(g) ** 2 - 1.0) * np.conj(g) / (g * alpha)
-            form = fam.c1_aut_form(alpha, c0, c1)
-            ok = (
-                isinstance(form, fam.DiskForm)
-                and abs(form.gamma - g) <= 1e-9
-                and abs(form.beta - np.conj(g) / (g * alpha)) <= 1e-9
-            )
-            params, expected = {"alpha": alpha, "c0": c0, "c1": c1, "gamma": g}, "disk"
-        else:
-            c0 = _disk(rng, 0.6, 0.05)
-            c1 = _disk(rng, 0.6)
-            pair = fam.c1_symbols(fam.C1Params(alpha, c0, c1))
-            if isinstance(pair.phi, ConstantMap) or is_automorphism(pair.phi):
-                continue
-            form = fam.c1_aut_form(alpha, c0, c1)
-            params, expected, ok = {"alpha": alpha, "c0": c0, "c1": c1}, "none", form is None
-        yield _record(cfg, params, exact=ok, predicates={"expected": expected}, oracles={"form": type(form).__name__})
+def suite_lemma32_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+    alpha = _angle(rng)
+    if i % 2 == 0:
+        g = _disk(rng, 0.8, 0.05)
+        c0 = np.conj(g) / alpha
+        c1 = (abs(g) ** 2 - 1.0) * np.conj(g) / (g * alpha)
+        form = fam.c1_aut_form(alpha, c0, c1)
+        ok = (
+            isinstance(form, fam.DiskForm)
+            and abs(form.gamma - g) <= 1e-9
+            and abs(form.beta - np.conj(g) / (g * alpha)) <= 1e-9
+        )
+        params, expected = {"alpha": alpha, "c0": c0, "c1": c1, "gamma": g}, "disk"
+    else:
+        c0 = _disk(rng, 0.6, 0.05)
+        c1 = _disk(rng, 0.6)
+        pair = fam.c1_symbols(fam.C1Params(alpha, c0, c1))
+        if isinstance(pair.phi, ConstantMap) or is_automorphism(pair.phi):
+            return None
+        form = fam.c1_aut_form(alpha, c0, c1)
+        params, expected, ok = {"alpha": alpha, "c0": c0, "c1": c1}, "none", form is None
+    return _record(cfg, params, exact=ok, predicates={"expected": expected}, oracles={"form": type(form).__name__})
 
 
 def _c2_params_from_aut(alpha: complex, beta: complex, gamma: complex, c1: complex) -> fam.C2Params:
@@ -414,70 +395,52 @@ def _c2_params_from_aut(alpha: complex, beta: complex, gamma: complex, c1: compl
     return fam.C2Params.from_c0_squared(alpha, c0_sq, c1, c2)
 
 
-def suite_lemma33_aut(rng, cfg: SuiteConfig) -> Records:
-    for i in range(cfg.samples):
-        if i % 3 == 2:  # identity case
-            alpha = _disk(rng, 0.8, 0.1)
-            c1 = _disk(rng, 0.8, 0.1)
-            c2 = fam.C2Params.from_c0_squared(alpha, c1 / np.conj(alpha), c1, c1)
-            form = fam.c2_aut_form(c2)
-            phi = fam.c2_symbols(c2, check_self_map=False).phi
-            ok = isinstance(form, fam.IdentityForm) and mobius_equal(phi, IDENTITY, 1e-9)
-            params, expected = {"alpha": alpha, "c1": c1}, "identity"
-        else:
-            alpha = _disk(rng, 0.8, 0.1)
-            g = _disk(rng, 0.8, 0.05)
-            beta = (abs(alpha) ** 2 - alpha * np.conj(g)) / (np.conj(alpha) * g - abs(alpha) ** 2)
-            if abs(beta * g - alpha) < 0.05:
-                continue
-            form = fam.c2_aut_form(_c2_params_from_aut(alpha, beta, g, 1.0 + 0.0j))
-            ok = (
-                isinstance(form, fam.DiskForm)
-                and abs(form.gamma - g) <= 1e-8
-                and abs(form.beta - beta) <= 1e-8
-            )
-            params, expected = {"alpha": alpha, "gamma": g, "beta": beta}, "disk"
-        yield _record(cfg, params, exact=ok, predicates={"expected": expected}, oracles={"form": type(form).__name__})
+def suite_lemma33_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+    if i % 3 == 2:  # identity case
+        alpha = _disk(rng, 0.8, 0.1)
+        c1 = _disk(rng, 0.8, 0.1)
+        c2 = fam.C2Params.from_c0_squared(alpha, c1 / np.conj(alpha), c1, c1)
+        form = fam.c2_aut_form(c2)
+        phi = fam.c2_symbols(c2, check_self_map=False).phi
+        ok = isinstance(form, fam.IdentityForm) and mobius_equal(phi, IDENTITY, 1e-9)
+        params, expected = {"alpha": alpha, "c1": c1}, "identity"
+    else:
+        alpha = _disk(rng, 0.8, 0.1)
+        g = _disk(rng, 0.8, 0.05)
+        beta = (abs(alpha) ** 2 - alpha * np.conj(g)) / (np.conj(alpha) * g - abs(alpha) ** 2)
+        if abs(beta * g - alpha) < 0.05:
+            return None
+        form = fam.c2_aut_form(_c2_params_from_aut(alpha, beta, g, 1.0 + 0.0j))
+        ok = (
+            isinstance(form, fam.DiskForm)
+            and abs(form.gamma - g) <= 1e-8
+            and abs(form.beta - beta) <= 1e-8
+        )
+        params, expected = {"alpha": alpha, "gamma": g, "beta": beta}, "disk"
+    return _record(cfg, params, exact=ok, predicates={"expected": expected}, oracles={"form": type(form).__name__})
 
 
 # --- normality iff suites ----------------------------------------------------
 
-def _draw_j_predicate_true(rng):
-    while True:
-        a0 = _disk(rng, 0.52, 0.05)
+def suite_prop41_iff(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+    """Even indices draw on the normality locus, odd ones off it."""
+    a0 = _disk(rng, 0.52, 0.05)
+    if i % 2 == 0:
         x = rng.uniform(-0.6, 0.6)
         y = -a0.imag * (1.0 - abs(a0) ** 2) / abs(a0) ** 2
         a1 = (x + 1j * y) * a0
         if abs(a1) > 0.7:
-            continue
-        phi = fam.j_symbols(fam.JParams(a0, a1)).phi
-        if isinstance(phi, ConstantMap) or not is_self_map(phi):
-            continue
-        return a0, a1
-
-
-def _draw_j_predicate_false(rng):
-    while True:
-        a0 = _disk(rng, 0.52, 0.05)
+            return None
+    else:
         a1 = _disk(rng, 0.7, 0.02)
         if abs(fam.j_normal_expression(a0, a1)) < 1e-3:
-            continue
-        phi = fam.j_symbols(fam.JParams(a0, a1)).phi
-        if isinstance(phi, ConstantMap) or not is_self_map(phi):
-            continue
-        return a0, a1
-
-
-def suite_prop41_iff(rng, cfg: SuiteConfig) -> Records:
-    for i in range(cfg.samples):
-        if i % 2 == 0:
-            a0, a1 = _draw_j_predicate_true(rng)
-        else:
-            a0, a1 = _draw_j_predicate_false(rng)
-        pred = fam.j_normal_predicate(a0, a1, cfg.pred_tol)
-        oracle = measure(cfg, fam.j_symbols(fam.JParams(a0, a1)))
-        predicates = {"normal": pred, "expression": fam.j_normal_expression(a0, a1)}
-        yield _record(cfg, {"a0": a0, "a1": a1}, oracle, pred, predicates=predicates)
+            return None
+    pair = fam.j_symbols(fam.JParams(a0, a1))
+    if isinstance(pair.phi, ConstantMap) or not is_self_map(pair.phi):
+        return None
+    pred = fam.j_normal_predicate(a0, a1, cfg.pred_tol)
+    predicates = {"normal": pred, "expression": fam.j_normal_expression(a0, a1)}
+    return _record(cfg, {"a0": a0, "a1": a1}, measure(cfg, pair), pred, predicates=predicates)
 
 
 def _solve_c1_predicate(rng, alpha, c0):
@@ -504,47 +467,27 @@ def _solve_c1_predicate(rng, alpha, c0):
     return base
 
 
-def _draw_c1_predicate_true(rng):
-    while True:
-        alpha = _angle(rng)
-        c0 = _disk(rng, 0.52, 0.05)
+def suite_thm51_iff(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+    """Even indices draw on the normality locus, odd ones off it."""
+    alpha = _angle(rng)
+    c0 = _disk(rng, 0.52, 0.05)
+    if i % 2 == 0:
         c1 = _solve_c1_predicate(rng, alpha, c0)
-        if abs(c1) > 0.7 or abs(c1) < 1e-3:
-            continue
-        if abs(fam.c1_normal_expression(alpha, c0, c1)) > 1e-12:
-            continue
-        pair = fam.c1_symbols(fam.C1Params(alpha, c0, c1))
-        if isinstance(pair.phi, ConstantMap) or not is_self_map(pair.phi):
-            continue
-        return alpha, c0, c1
-
-
-def _draw_c1_predicate_false(rng):
-    while True:
-        alpha = _angle(rng)
-        c0 = _disk(rng, 0.52, 0.05)
+        if abs(c1) > 0.7 or abs(c1) < 1e-3 or abs(fam.c1_normal_expression(alpha, c0, c1)) > 1e-12:
+            return None
+    else:
         c1 = _disk(rng, 0.7, 0.02)
         if abs(fam.c1_normal_expression(alpha, c0, c1)) < 1e-3:
-            continue
-        pair = fam.c1_symbols(fam.C1Params(alpha, c0, c1))
-        if isinstance(pair.phi, ConstantMap) or not is_self_map(pair.phi):
-            continue
-        return alpha, c0, c1
+            return None
+    pair = fam.c1_symbols(fam.C1Params(alpha, c0, c1))
+    if isinstance(pair.phi, ConstantMap) or not is_self_map(pair.phi):
+        return None
+    pred = fam.c1_normal_predicate(alpha, c0, c1, cfg.pred_tol)
+    predicates = {"normal": pred, "expression": fam.c1_normal_expression(alpha, c0, c1)}
+    return _record(cfg, {"alpha": alpha, "c0": c0, "c1": c1}, measure(cfg, pair), pred, predicates=predicates)
 
 
-def suite_thm51_iff(rng, cfg: SuiteConfig) -> Records:
-    for i in range(cfg.samples):
-        if i % 2 == 0:
-            alpha, c0, c1 = _draw_c1_predicate_true(rng)
-        else:
-            alpha, c0, c1 = _draw_c1_predicate_false(rng)
-        pred = fam.c1_normal_predicate(alpha, c0, c1, cfg.pred_tol)
-        oracle = measure(cfg, fam.c1_symbols(fam.C1Params(alpha, c0, c1)))
-        predicates = {"normal": pred, "expression": fam.c1_normal_expression(alpha, c0, c1)}
-        yield _record(cfg, {"alpha": alpha, "c0": c0, "c1": c1}, oracle, pred, predicates=predicates)
-
-
-def suite_thm61_consistency(rng, cfg: SuiteConfig) -> Records:
+def suite_thm61_consistency(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
     """Stated case conditions versus the coefficient-level oracle.
 
     Parameter sets satisfying the case conditions force |phi(0)| = 1, so
@@ -552,110 +495,106 @@ def suite_thm61_consistency(rng, cfg: SuiteConfig) -> Records:
     coefficient-level commuting check; the identity-case draws (predicate
     rejects, operator is the identity) are the documented discrepancy.
     """
-    for i in range(cfg.samples):
-        kind = i % 5
-        note = ""
-        use_matrix = False
-        if kind == 0:  # case I construction
-            while True:
-                alpha = _disk(rng, 0.6, 0.2)
-                m = rng.uniform(0.2, 0.5)
-                t = m * _angle(rng)
-                u = m * _angle(rng)
-                v = m * _angle(rng)
-                w = t + u - np.conj(alpha) * v
-                if abs(abs(w) / abs(alpha) - m) > 1e-2:
-                    break
-            params = _c2_params_from_tuv(alpha, t, u, v)
-        elif kind == 1:  # case II construction, all-real sign pattern
-            alpha = complex(rng.uniform(0.2, 0.8))
-            m = rng.uniform(0.1, 0.4)
-            sign = 1 if rng.random() < 0.5 else -1
-            t, u, v = sign * m, -sign * m, -sign * m
-            params = _c2_params_from_tuv(alpha, complex(t), complex(u), complex(v))
-        elif kind == 2:  # identity case: documented discrepancy
-            alpha = _disk(rng, 0.7, 0.2)
-            c1 = _disk(rng, 0.5, 0.1)
-            params = fam.C2Params.from_c0_squared(alpha, c1 / np.conj(alpha), c1, c1)
-            note = "identity-case parameters: stated conditions reject the identity operator"
-            use_matrix = True
-        elif kind == 3:  # generic draw with a usable self-map
-            params, _ = _draw_c2_selfmap(rng)
-            use_matrix = True
-        else:  # interior-normal reconstruction: normal but rejected
-            p = rng.uniform(0.2, 0.6) * (1 if rng.random() < 0.5 else -1)
-            angle = rng.uniform(0.45 * math.pi, 0.8 * math.pi)
-            alpha = fam.c2_compatible_alpha(p, angle)
-            delta = _disk(rng, 0.6)
-            params = fam.c2_interior_reconstruct(alpha, p, delta)
-            note = "interior-normal reconstruction: normal operator outside the stated conditions"
-            use_matrix = True
-        pred = fam.c2_normal_predicate(params, cfg.pred_tol)
-        claims_normal = pred in (fam.C2NormalCase.CASE_I, fam.C2NormalCase.CASE_II)
-        # raw coefficient quadruple of phi: valid even when it degenerates
-        # to a boundary constant, where no operator truncation exists
-        t, u, v, w = fam.c2_quadruple(params)
-        al = params.alpha
-        lft = lft_oracle((-w, al * u, -np.conj(al) * t, np.conj(al) * v))
-        band = "pass" if lft["normal"] else "fail"
-        residuals = {}
-        if use_matrix:
-            pair = fam.c2_symbols(params, check_self_map=False)
-            if (
-                not isinstance(pair.phi, ConstantMap)
-                and is_self_map(pair.phi)
-                and abs(pair.psi.pole()) > 1.5
-            ):
-                res = measure(cfg, pair)["normality"]
-                residuals["normality"] = res
-                band = band_verdict(res, cfg)
-        yield SampleRecord(
-            params={
-                "alpha": params.alpha,
-                "c0": params.c0,
-                "c1": params.c1,
-                "c2": params.c2,
-            },
-            residuals=residuals,
-            predicates={"case": pred.value, "claims_normal": claims_normal},
-            oracles=lft,
-            verdict=agreement(claims_normal, band),
-            note=note,
-        )
+    kind = i % 5
+    note = ""
+    use_matrix = False
+    if kind == 0:  # case I construction
+        alpha = _disk(rng, 0.6, 0.2)
+        m = rng.uniform(0.2, 0.5)
+        t = m * _angle(rng)
+        u = m * _angle(rng)
+        v = m * _angle(rng)
+        w = t + u - np.conj(alpha) * v
+        if abs(abs(w) / abs(alpha) - m) <= 1e-2:
+            return None
+        params = _c2_params_from_tuv(alpha, t, u, v)
+    elif kind == 1:  # case II construction, all-real sign pattern
+        alpha = complex(rng.uniform(0.2, 0.8))
+        m = rng.uniform(0.1, 0.4)
+        sign = 1 if rng.random() < 0.5 else -1
+        t, u, v = sign * m, -sign * m, -sign * m
+        params = _c2_params_from_tuv(alpha, complex(t), complex(u), complex(v))
+    elif kind == 2:  # identity case: documented discrepancy
+        alpha = _disk(rng, 0.7, 0.2)
+        c1 = _disk(rng, 0.5, 0.1)
+        params = fam.C2Params.from_c0_squared(alpha, c1 / np.conj(alpha), c1, c1)
+        note = "identity-case parameters: stated conditions reject the identity operator"
+        use_matrix = True
+    elif kind == 3:  # generic draw with a usable self-map
+        params, _ = _draw_c2_selfmap(rng)
+        use_matrix = True
+    else:  # interior-normal reconstruction: normal but rejected
+        p = rng.uniform(0.2, 0.6) * (1 if rng.random() < 0.5 else -1)
+        angle = rng.uniform(0.45 * math.pi, 0.8 * math.pi)
+        alpha = fam.c2_compatible_alpha(p, angle)
+        delta = _disk(rng, 0.6)
+        params = fam.c2_interior_reconstruct(alpha, p, delta)
+        note = "interior-normal reconstruction: normal operator outside the stated conditions"
+        use_matrix = True
+    pred = fam.c2_normal_predicate(params, cfg.pred_tol)
+    claims_normal = pred in (fam.C2NormalCase.CASE_I, fam.C2NormalCase.CASE_II)
+    # raw coefficient quadruple of phi: valid even when it degenerates
+    # to a boundary constant, where no operator truncation exists
+    t, u, v, w = fam.c2_quadruple(params)
+    al = params.alpha
+    lft = lft_oracle((-w, al * u, -np.conj(al) * t, np.conj(al) * v))
+    band = "pass" if lft["normal"] else "fail"
+    residuals = {}
+    if use_matrix:
+        pair = fam.c2_symbols(params, check_self_map=False)
+        if (
+            not isinstance(pair.phi, ConstantMap)
+            and is_self_map(pair.phi)
+            and abs(pair.psi.pole()) > 1.5
+        ):
+            res = measure(cfg, pair)["normality"]
+            residuals["normality"] = res
+            band = band_verdict(res, cfg)
+    return SampleRecord(
+        params={
+            "alpha": params.alpha,
+            "c0": params.c0,
+            "c1": params.c1,
+            "c2": params.c2,
+        },
+        residuals=residuals,
+        predicates={"case": pred.value, "claims_normal": claims_normal},
+        oracles=lft,
+        verdict=agreement(claims_normal, band),
+        note=note,
+    )
 
 
 # --- worked-example suites ---------------------------------------------------
 
-def suite_ex41_equivalence(rng, cfg: SuiteConfig) -> Records:
+def suite_ex41_equivalence(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
     """Real interior parameter: the interior-normal symbols coincide with
     the coefficient-conjugation family; off the real axis the symmetry
     residual is bounded away from zero."""
-    for i in range(cfg.samples):
-        if i % 4 != 3:
-            p = rng.uniform(0.12, 0.62) * (1 if rng.random() < 0.5 else -1)
-            delta = _disk(rng, 0.7)
-            a0 = p * (1.0 - delta) / (1.0 - p ** 2 * delta)
-            a1 = delta * (p ** 2 - 1.0) ** 2 / (1.0 - p ** 2 * delta) ** 2
-            if abs(a0) >= 0.9 or abs(a1) >= 0.9:
-                continue
-            gamma = (1.0 - p ** 2 * delta) / (1.0 - p ** 2)  # makes psi(0) = 1
-            pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, gamma))
-            jpair = fam.j_symbols(fam.JParams(a0, a1, 1.0))
-            phi_gap = proj_distance(pair.phi, jpair.phi)
-            psi_gap = _rational_gap(pair.psi, jpair.psi)
-            yield _record(
-                cfg, {"p": p, "delta": delta, "a0": a0, "a1": a1}, exact=phi_gap <= 1e-10 and psi_gap <= 1e-10,
-                residuals={"phi_gap": phi_gap, "psi_gap": psi_gap}, predicates={"real_p": True},
-            )
-        else:
-            p = _disk(rng, 0.5, 0.15)
-            if abs(p.imag) < 0.1:
-                sign = 1.0 if p.imag >= 0 else -1.0
-                p = complex(p.real, sign * (0.1 + abs(p.imag)))
-            delta = _disk(rng, 0.6)
-            pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, 1.0))
-            oracle = {"j_symmetry": measure(cfg, pair, Conjugation("J"), normality=False)["symmetry"]}
-            yield _record(cfg, {"p": p, "delta": delta}, oracle, claim=False, predicates={"real_p": False})
+    if i % 4 != 3:
+        p = rng.uniform(0.12, 0.62) * (1 if rng.random() < 0.5 else -1)
+        delta = _disk(rng, 0.7)
+        a0 = p * (1.0 - delta) / (1.0 - p ** 2 * delta)
+        a1 = delta * (p ** 2 - 1.0) ** 2 / (1.0 - p ** 2 * delta) ** 2
+        if abs(a0) >= 0.9 or abs(a1) >= 0.9:
+            return None
+        gamma = (1.0 - p ** 2 * delta) / (1.0 - p ** 2)  # makes psi(0) = 1
+        pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, gamma))
+        jpair = fam.j_symbols(fam.JParams(a0, a1, 1.0))
+        phi_gap = proj_distance(pair.phi, jpair.phi)
+        psi_gap = _rational_gap(pair.psi, jpair.psi)
+        return _record(
+            cfg, {"p": p, "delta": delta, "a0": a0, "a1": a1}, exact=phi_gap <= 1e-10 and psi_gap <= 1e-10,
+            residuals={"phi_gap": phi_gap, "psi_gap": psi_gap}, predicates={"real_p": True},
+        )
+    p = _disk(rng, 0.5, 0.15)
+    if abs(p.imag) < 0.1:
+        sign = 1.0 if p.imag >= 0 else -1.0
+        p = complex(p.real, sign * (0.1 + abs(p.imag)))
+    delta = _disk(rng, 0.6)
+    pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, 1.0))
+    oracle = {"j_symmetry": measure(cfg, pair, Conjugation("J"), normality=False)["symmetry"]}
+    return _record(cfg, {"p": p, "delta": delta}, oracle, claim=False, predicates={"real_p": False})
 
 
 def _rational_gap(r1: RationalSymbol, r2: RationalSymbol) -> float:
@@ -665,22 +604,21 @@ def _rational_gap(r1: RationalSymbol, r2: RationalSymbol) -> float:
     return quadruple_gap(v1, v2)
 
 
-def suite_cor41_aut(rng, cfg: SuiteConfig) -> Records:
+def suite_cor41_aut(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
     """Disk-form automorphism parameters always satisfy the normality
     condition of the coefficient-conjugation family."""
-    for _ in range(cfg.samples):
-        al = _disk(rng, 0.5, 0.05)
-        beta = np.conj(al) / al
-        a0 = np.conj(al)
-        a1 = beta * (abs(al) ** 2 - 1.0)
-        expr = fam.j_normal_expression(a0, a1)
-        pair = fam.j_symbols(fam.JParams(a0, a1))
-        cls = classify(pair.phi)
-        yield _record(
-            cfg, {"alpha": al, "a0": a0, "a1": a1}, measure(cfg, pair),
-            exact=abs(expr) <= cfg.pred_tol and cls.is_automorphism,
-            predicates={"expression": expr, "map_class": cls.map_class.value},
-        )
+    al = _disk(rng, 0.5, 0.05)
+    beta = np.conj(al) / al
+    a0 = np.conj(al)
+    a1 = beta * (abs(al) ** 2 - 1.0)
+    expr = fam.j_normal_expression(a0, a1)
+    pair = fam.j_symbols(fam.JParams(a0, a1))
+    cls = classify(pair.phi)
+    return _record(
+        cfg, {"alpha": al, "a0": a0, "a1": a1}, measure(cfg, pair),
+        exact=abs(expr) <= cfg.pred_tol and cls.is_automorphism,
+        predicates={"expression": expr, "map_class": cls.map_class.value},
+    )
 
 
 def _parabolic_j_arc(rng, branch):
@@ -689,183 +627,170 @@ def _parabolic_j_arc(rng, branch):
     return a0 if branch == 1 else -a0
 
 
-def suite_ex44_parabolic(rng, cfg: SuiteConfig) -> Records:
-    for i in range(cfg.samples):
-        branch = 1 if i % 2 == 0 else -1
-        a0 = _parabolic_j_arc(rng, branch)
-        pair = fam.parabolic_j_symbols(a0, branch)
-        cls = classify(pair.phi)
-        dw_ok = (
-            cls.map_class in (MapClass.PARABOLIC_NON_AUTOMORPHISM, MapClass.PARABOLIC_AUTOMORPHISM)
-            and abs(cls.dw_point - branch) <= 1e-9
-            and abs(cls.dw_derivative - 1.0) <= 1e-10
-        )
-        predicates = {
-            "map_class": cls.map_class.value,
-            "expression": fam.j_normal_expression(a0, (1.0 - branch * a0) ** 2),
-        }
-        yield _record(cfg, {"a0": a0, "branch": branch}, measure(cfg, pair), exact=dw_ok, predicates=predicates)
+def suite_ex44_parabolic(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
+    branch = 1 if i % 2 == 0 else -1
+    a0 = _parabolic_j_arc(rng, branch)
+    pair = fam.parabolic_j_symbols(a0, branch)
+    cls = classify(pair.phi)
+    dw_ok = (
+        cls.map_class in (MapClass.PARABOLIC_NON_AUTOMORPHISM, MapClass.PARABOLIC_AUTOMORPHISM)
+        and abs(cls.dw_point - branch) <= 1e-9
+        and abs(cls.dw_derivative - 1.0) <= 1e-10
+    )
+    predicates = {
+        "map_class": cls.map_class.value,
+        "expression": fam.j_normal_expression(a0, (1.0 - branch * a0) ** 2),
+    }
+    return _record(cfg, {"a0": a0, "branch": branch}, measure(cfg, pair), exact=dw_ok, predicates=predicates)
 
 
-def suite_ex51_interior(rng, cfg: SuiteConfig) -> Records:
+def suite_ex51_interior(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
     """Rotation-weighted interior case: conj(p) = alpha p branch plus the
-    delta = 0 constant-map branch."""
-    for i in range(cfg.samples):
-        p = _disk(rng, 0.55, 0.1)
-        alpha = np.conj(p) / p
-        if i % 4 == 3:
-            delta = 0.0 + 0.0j
-        else:
-            delta = _disk(rng, 0.65)
-        gamma = (1.0 - abs(p) ** 2 * delta) / (1.0 - abs(p) ** 2)
-        pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, gamma))
-        if delta == 0:
-            c0, c1 = p, 0.0 + 0.0j
-        else:
-            c0 = p * (1.0 - delta) / (1.0 - abs(p) ** 2 * delta)
-            c1 = alpha * c0 ** 2 + alpha * c0 * (abs(p) ** 2 - delta) / (np.conj(p) * (delta - 1.0))
-        if abs(c0) >= 0.9 or abs(c1) >= 0.9:
-            continue
-        cpair = fam.c1_symbols(fam.C1Params(alpha, c0, c1))
-        phi_gap = proj_distance(pair.phi, cpair.phi)
-        pred = fam.c1_normal_predicate(alpha, c0, c1, cfg.pred_tol)
-        yield _record(
-            cfg, {"p": p, "delta": delta, "alpha": alpha, "c0": c0, "c1": c1},
-            measure(cfg, pair, Conjugation("C1", 1.0, alpha)), exact=phi_gap <= 1e-9 and pred,
-            residuals={"phi_gap": phi_gap}, predicates={"c1_normal": pred},
-        )
+    delta = 0 constant-map branch (every fourth index)."""
+    p = _disk(rng, 0.55, 0.1)
+    alpha = np.conj(p) / p
+    if i % 4 == 3:
+        delta = 0.0 + 0.0j
+    else:
+        delta = _disk(rng, 0.65)
+    gamma = (1.0 - abs(p) ** 2 * delta) / (1.0 - abs(p) ** 2)
+    pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, gamma))
+    if delta == 0:
+        c0, c1 = p, 0.0 + 0.0j
+    else:
+        c0 = p * (1.0 - delta) / (1.0 - abs(p) ** 2 * delta)
+        c1 = alpha * c0 ** 2 + alpha * c0 * (abs(p) ** 2 - delta) / (np.conj(p) * (delta - 1.0))
+    if abs(c0) >= 0.9 or abs(c1) >= 0.9:
+        return None
+    cpair = fam.c1_symbols(fam.C1Params(alpha, c0, c1))
+    phi_gap = proj_distance(pair.phi, cpair.phi)
+    pred = fam.c1_normal_predicate(alpha, c0, c1, cfg.pred_tol)
+    return _record(
+        cfg, {"p": p, "delta": delta, "alpha": alpha, "c0": c0, "c1": c1},
+        measure(cfg, pair, Conjugation("C1", 1.0, alpha)), exact=phi_gap <= 1e-9 and pred,
+        residuals={"phi_gap": phi_gap}, predicates={"c1_normal": pred},
+    )
 
 
-def suite_ex51_aut_corollary(rng, cfg: SuiteConfig) -> Records:
+def suite_ex51_aut_corollary(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
     """delta = -1 is the only automorphism branch; the displayed map
     matches the composed construction."""
-    for _ in range(cfg.samples):
-        p = _disk(rng, 0.55, 0.1)
-        ap2 = abs(p) ** 2  # alpha p^2 with alpha = conj(p)/p
-        pair = fam.normal_interior_symbols(fam.InteriorParams(p, -1.0, 1.0))
-        displayed = MobiusMap(-(1.0 + ap2), 2.0 * p, -2.0 * np.conj(p), 1.0 + ap2)
-        gap = proj_distance(pair.phi, displayed)
-        cls = classify(pair.phi)
-        yield _record(
-            cfg, {"p": p}, exact=gap <= 1e-10 and cls.is_automorphism,
-            residuals={"phi_gap": gap}, predicates={"map_class": cls.map_class.value},
-        )
+    p = _disk(rng, 0.55, 0.1)
+    ap2 = abs(p) ** 2  # alpha p^2 with alpha = conj(p)/p
+    pair = fam.normal_interior_symbols(fam.InteriorParams(p, -1.0, 1.0))
+    displayed = MobiusMap(-(1.0 + ap2), 2.0 * p, -2.0 * np.conj(p), 1.0 + ap2)
+    gap = proj_distance(pair.phi, displayed)
+    cls = classify(pair.phi)
+    return _record(
+        cfg, {"p": p}, exact=gap <= 1e-10 and cls.is_automorphism,
+        residuals={"phi_gap": gap}, predicates={"map_class": cls.map_class.value},
+    )
 
 
-def suite_ex54_parabolic(rng, cfg: SuiteConfig) -> Records:
-    for _ in range(cfg.samples):
-        zeta = _angle(rng)
-        w = 0.5 + 0.33 * _disk(rng)
-        c0 = zeta * w
-        c1 = (1.0 - w) ** 2
-        pair = fam.c1_parabolic_symbols(zeta, c0, c1)
-        cls = classify(pair.phi)
-        alpha = 1.0 / zeta ** 2
-        expr = fam.c1_normal_expression(alpha, c0, c1)
-        ok = (
-            cls.map_class in (MapClass.PARABOLIC_NON_AUTOMORPHISM, MapClass.PARABOLIC_AUTOMORPHISM)
-            and abs(cls.dw_point - zeta) <= 1e-8
-            and abs(cls.dw_derivative - 1.0) <= 1e-10
-            and abs(expr) <= cfg.pred_tol
-        )
-        predicates = {"map_class": cls.map_class.value, "expression": expr}
-        yield _record(cfg, {"zeta": zeta, "c0": c0, "c1": c1}, measure(cfg, pair), exact=ok, predicates=predicates)
+def suite_ex54_parabolic(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
+    zeta = _angle(rng)
+    w = 0.5 + 0.33 * _disk(rng)
+    c0 = zeta * w
+    c1 = (1.0 - w) ** 2
+    pair = fam.c1_parabolic_symbols(zeta, c0, c1)
+    cls = classify(pair.phi)
+    alpha = 1.0 / zeta ** 2
+    expr = fam.c1_normal_expression(alpha, c0, c1)
+    ok = (
+        cls.map_class in (MapClass.PARABOLIC_NON_AUTOMORPHISM, MapClass.PARABOLIC_AUTOMORPHISM)
+        and abs(cls.dw_point - zeta) <= 1e-8
+        and abs(cls.dw_derivative - 1.0) <= 1e-10
+        and abs(expr) <= cfg.pred_tol
+    )
+    predicates = {"map_class": cls.map_class.value, "expression": expr}
+    return _record(cfg, {"zeta": zeta, "c0": c0, "c1": c1}, measure(cfg, pair), exact=ok, predicates=predicates)
 
 
-def suite_cor62_no_aut(rng, cfg: SuiteConfig) -> Records:
+def suite_cor62_no_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
     """Moduli-equality draws never come back as automorphisms, and forced
     automorphism parameters violate the moduli equalities."""
-    for i in range(cfg.samples):
-        if i % 2 == 0:
-            alpha = _disk(rng, 0.7, 0.15)
-            m = rng.uniform(0.2, 0.6)
-            params = _c2_params_from_tuv(alpha, m * _angle(rng), m * _angle(rng), m * _angle(rng))
-            form = fam.c2_aut_form(params)
-            yield _record(
-                cfg, {"alpha": alpha, "c0": params.c0, "c1": params.c1, "c2": params.c2}, exact=form is None,
-                predicates={"moduli_equal": True}, oracles={"form": type(form).__name__},
-            )
-        else:
-            alpha = _disk(rng, 0.7, 0.15)
-            g = _disk(rng, 0.8, 0.1)
-            beta = (abs(alpha) ** 2 - alpha * np.conj(g)) / (np.conj(alpha) * g - abs(alpha) ** 2)
-            if abs(beta * g - alpha) < 0.05:
-                continue
-            params = _c2_params_from_aut(alpha, beta, g, 1.0 + 0.0j)
-            t, u, v, w = fam.c2_quadruple(params)
-            oracle = {"moduli_violation": abs(abs(u) - abs(v)) / max(abs(u), abs(v))}
-            yield _record(cfg, {"alpha": alpha, "gamma": g}, oracle, claim=False, predicates={"aut_constructed": True})
+    alpha = _disk(rng, 0.7, 0.15)
+    if i % 2 == 0:
+        m = rng.uniform(0.2, 0.6)
+        params = _c2_params_from_tuv(alpha, m * _angle(rng), m * _angle(rng), m * _angle(rng))
+        form = fam.c2_aut_form(params)
+        return _record(
+            cfg, {"alpha": alpha, "c0": params.c0, "c1": params.c1, "c2": params.c2}, exact=form is None,
+            predicates={"moduli_equal": True}, oracles={"form": type(form).__name__},
+        )
+    g = _disk(rng, 0.8, 0.1)
+    beta = (abs(alpha) ** 2 - alpha * np.conj(g)) / (np.conj(alpha) * g - abs(alpha) ** 2)
+    if abs(beta * g - alpha) < 0.05:
+        return None
+    params = _c2_params_from_aut(alpha, beta, g, 1.0 + 0.0j)
+    t, u, v, w = fam.c2_quadruple(params)
+    oracle = {"moduli_violation": abs(abs(u) - abs(v)) / max(abs(u), abs(v))}
+    return _record(cfg, {"alpha": alpha, "gamma": g}, oracle, claim=False, predicates={"aut_constructed": True})
 
 
-def suite_ex61_interior(rng, cfg: SuiteConfig) -> Records:
+def suite_ex61_interior(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
     """Interior reconstruction through the I-ratios under the gauge
     c1 - c2 = 1, on the compatibility locus of the conjugation parameter."""
-    for _ in range(cfg.samples):
-        p = rng.uniform(0.15, 0.6) * (1 if rng.random() < 0.5 else -1)
-        angle = rng.uniform(0.45 * math.pi, 0.8 * math.pi)
-        alpha = fam.c2_compatible_alpha(p, angle)
-        delta = _disk(rng, 0.6)
-        params = fam.c2_interior_reconstruct(alpha, p, delta)
-        t, u, v, w = fam.c2_quadruple(params)
-        consistency = abs(u - np.conj(alpha) / alpha)  # gauge c1 - c2 = 1
-        pair = fam.c2_symbols(params)
-        gamma = (1.0 - p ** 2 * delta) / (1.0 - p ** 2)
-        closed = fam.interior_phi_closed_form(fam.InteriorParams(complex(p), delta, gamma))
-        phi_gap = proj_distance(pair.phi, closed)
-        yield _record(
-            cfg, {"p": p, "delta": delta, "alpha": alpha}, measure(cfg, pair, Conjugation("C2", 1.0, alpha)),
-            exact=consistency <= 1e-9 and phi_gap <= 1e-9, residuals={"phi_gap": phi_gap, "consistency": consistency},
-        )
+    p = rng.uniform(0.15, 0.6) * (1 if rng.random() < 0.5 else -1)
+    angle = rng.uniform(0.45 * math.pi, 0.8 * math.pi)
+    alpha = fam.c2_compatible_alpha(p, angle)
+    delta = _disk(rng, 0.6)
+    params = fam.c2_interior_reconstruct(alpha, p, delta)
+    t, u, v, w = fam.c2_quadruple(params)
+    consistency = abs(u - np.conj(alpha) / alpha)  # gauge c1 - c2 = 1
+    pair = fam.c2_symbols(params)
+    gamma = (1.0 - p ** 2 * delta) / (1.0 - p ** 2)
+    closed = fam.interior_phi_closed_form(fam.InteriorParams(complex(p), delta, gamma))
+    phi_gap = proj_distance(pair.phi, closed)
+    return _record(
+        cfg, {"p": p, "delta": delta, "alpha": alpha}, measure(cfg, pair, Conjugation("C2", 1.0, alpha)),
+        exact=consistency <= 1e-9 and phi_gap <= 1e-9, residuals={"phi_gap": phi_gap, "consistency": consistency},
+    )
 
 
-def suite_ex63_parabolic(rng, cfg: SuiteConfig) -> Records:
+def suite_ex63_parabolic(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
     """Construct-then-check round trip for the kernel-weighted parabolic
     discriminant."""
-    for i in range(cfg.samples):
-        sgn = 1.0 if i % 2 == 0 else -1.0
-        while True:
-            # the double fixed point always lands on the circle, but only
-            # about half the draws give self-maps; reject the rest
-            alpha = _disk(rng, 0.6, 0.25)
-            amod = abs(alpha)
-            rho = (2.0 * amod ** 2 - 1.0) + 2.0j * sgn * amod * math.sqrt(1.0 - amod ** 2)
-            c1 = _angle(rng) * rng.uniform(0.8, 1.2)
-            t = 0.05 * _disk(rng, 1.0, 0.3)
-            c2 = c1 - t
-            c0_sq = (c1 + rho * t) / np.conj(alpha)
-            params = fam.C2Params.from_c0_squared(alpha, c0_sq, c1, c2)
-            try:
-                pair = fam.c2_symbols(params)
-            except fam.NotSelfMapError:
-                continue
-            break
-        pred = fam.c2_parabolic_predicate(params, cfg.pred_tol)
-        zeta = fam.c2_parabolic_dw_point(params)
-        cls = classify(pair.phi)
-        ok = (
-            pred
-            and abs(abs(zeta) - 1.0) <= 1e-9
-            and cls.map_class
-            in (MapClass.PARABOLIC_NON_AUTOMORPHISM, MapClass.PARABOLIC_AUTOMORPHISM)
-            and abs(cls.dw_point - zeta) <= 1e-8
-        )
-        yield _record(
-            cfg, {"alpha": alpha, "c0": params.c0, "c1": c1, "c2": c2}, measure(cfg, pair), exact=ok,
-            predicates={"parabolic": pred, "zeta": zeta, "map_class": cls.map_class.value},
-        )
+    sgn = 1.0 if i % 2 == 0 else -1.0
+    # the double fixed point always lands on the circle, but only about
+    # half the draws give self-maps; reject the rest
+    alpha = _disk(rng, 0.6, 0.25)
+    amod = abs(alpha)
+    rho = (2.0 * amod ** 2 - 1.0) + 2.0j * sgn * amod * math.sqrt(1.0 - amod ** 2)
+    c1 = _angle(rng) * rng.uniform(0.8, 1.2)
+    t = 0.05 * _disk(rng, 1.0, 0.3)
+    c2 = c1 - t
+    c0_sq = (c1 + rho * t) / np.conj(alpha)
+    params = fam.C2Params.from_c0_squared(alpha, c0_sq, c1, c2)
+    try:
+        pair = fam.c2_symbols(params)
+    except fam.NotSelfMapError:
+        return None
+    pred = fam.c2_parabolic_predicate(params, cfg.pred_tol)
+    zeta = fam.c2_parabolic_dw_point(params)
+    cls = classify(pair.phi)
+    ok = (
+        pred
+        and abs(abs(zeta) - 1.0) <= 1e-9
+        and cls.map_class
+        in (MapClass.PARABOLIC_NON_AUTOMORPHISM, MapClass.PARABOLIC_AUTOMORPHISM)
+        and abs(cls.dw_point - zeta) <= 1e-8
+    )
+    return _record(
+        cfg, {"alpha": alpha, "c0": params.c0, "c1": c1, "c2": c2}, measure(cfg, pair), exact=ok,
+        predicates={"parabolic": pred, "zeta": zeta, "map_class": cls.map_class.value},
+    )
 
 
-def suite_cowen_factorization(rng, cfg: SuiteConfig) -> Records:
+def suite_cowen_factorization(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
     """Adjoint factorization residual; the flipped sigma sign must fail."""
-    for _ in range(cfg.samples):
-        while True:
-            m = MobiusMap(0.4 + 0.3 * _disk(rng), _disk(rng, 0.3), _disk(rng, 0.3), 1.0)
-            if is_self_map(m) and sup_modulus(m) <= 0.9 and abs(m.c) > 0.02:
-                break
-        good = adjoint_factorization_residual(m, cfg.dim, cfg.block, sigma_sign=-1)
-        bad = adjoint_factorization_residual(m, cfg.dim, cfg.block, sigma_sign=+1)
-        params = {"a": m.a, "b": m.b, "c": m.c, "d": m.d}
-        yield _record(cfg, params, exact=good <= 1e-8, residuals={"factorization": good, "flipped_sign": bad})
+    m = MobiusMap(0.4 + 0.3 * _disk(rng), _disk(rng, 0.3), _disk(rng, 0.3), 1.0)
+    if not is_self_map(m) or sup_modulus(m) > 0.9 or abs(m.c) <= 0.02:
+        return None
+    good = adjoint_factorization_residual(m, cfg.dim, cfg.block, sigma_sign=-1)
+    bad = adjoint_factorization_residual(m, cfg.dim, cfg.block, sigma_sign=+1)
+    params = {"a": m.a, "b": m.b, "c": m.c, "d": m.d}
+    return _record(cfg, params, exact=good <= 1e-8, residuals={"factorization": good, "flipped_sign": bad})
 
 
 # ---------------------------------------------------------------------------
@@ -932,37 +857,37 @@ def _c2_deficiency(target: MobiusMap):
 
 
 def _sweep(deficiency):
-    """The record generator deciding each of the 24 hyperbolic targets by
+    """The draw deciding target i of the 24 hyperbolic targets by
     `deficiency(target) -> (value, witness)`: zero iff the family has a
     symmetric normal realization, so a value at or below cfg.pass_tol is a
     discrepancy and one below cfg.fail_tol inconclusive (the two cfg fields
     read).  Each record keeps its witness parameters, and only an
     automorphism target's discrepancy carries the documented note."""
 
-    def generate(rng, cfg: SuiteConfig) -> Records:
-        for r, t in _target_quadruples():
-            target = fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t))
-            value, witness = deficiency(target)
-            record = _record(cfg, {"r": r, "t": t, **witness}, {"deficiency": float(value)}, claim=False)
-            if record.verdict == "discrepancy" and is_automorphism(target):
-                record.note = (
-                    "hyperbolic automorphism target admits a symmetric normal "
-                    "realization; documented deviation from the claimed nonexistence"
-                )
-            yield record
+    def draw(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
+        r, t = _target_quadruples()[i]
+        target = fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t))
+        value, witness = deficiency(target)
+        record = _record(cfg, {"r": r, "t": t, **witness}, {"deficiency": float(value)}, claim=False)
+        if record.verdict == "discrepancy" and is_automorphism(target):
+            record.note = (
+                "hyperbolic automorphism target admits a symmetric normal "
+                "realization; documented deviation from the claimed nonexistence"
+            )
+        return record
 
-    return generate
+    return draw
 
 
-def suite_hyperbolic_nonaut(rng, cfg: SuiteConfig) -> Records:
-    """Examples 4.3 and 5.3: on each of the 12 non-automorphism hyperbolic
-    targets, W with the kernel weight at sigma(0) is not normal.  Reads
-    cfg.dim and cfg.block (the truncation) and the pass_tol / fail_tol band."""
-    for r, t in _target_quadruples(include_aut=False):
-        phi = fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t))
-        psi = RationalSymbol(1.0, 0.0, 1.0, -np.conj(cowen_sigma0(phi)))
-        oracle = measure(cfg, fam.SymbolPair(psi, phi))
-        yield _record(cfg, {"r": r, "t": t}, oracle, claim=False, residuals={"deficiency": oracle["normality"]})
+def suite_hyperbolic_nonaut(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
+    """Examples 4.3 and 5.3: on non-automorphism hyperbolic target i of
+    12, W with the kernel weight at sigma(0) is not normal.  Reads cfg.dim
+    and cfg.block (the truncation) and the pass_tol / fail_tol band."""
+    r, t = _target_quadruples(include_aut=False)[i]
+    phi = fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t))
+    psi = RationalSymbol(1.0, 0.0, 1.0, -np.conj(cowen_sigma0(phi)))
+    oracle = measure(cfg, fam.SymbolPair(psi, phi))
+    return _record(cfg, {"r": r, "t": t}, oracle, claim=False, residuals={"deficiency": oracle["normality"]})
 
 
 # ---------------------------------------------------------------------------
@@ -971,15 +896,17 @@ def suite_hyperbolic_nonaut(rng, cfg: SuiteConfig) -> Records:
 
 @dataclass(frozen=True)
 class Suite:
-    """One registry entry: the record generator, its default config, the
-    smallest dim and block at which its checks hold, and whether its
-    samples are a fixed target set (defaults.samples of them)."""
+    """One registry entry: the draw, its default config, the smallest dim
+    and block at which its checks hold, whether its samples are a fixed
+    target set (defaults.samples of them), and whether max(1, samples // 5)
+    perturbed controls follow its samples."""
 
-    generate: Callable[[np.random.Generator, SuiteConfig], Iterable[SampleRecord]]
+    draw: Callable[[np.random.Generator, SuiteConfig, int], Optional[SampleRecord]]
     defaults: SuiteConfig
     min_dim: int = 0
     min_block: int = 0
     fixed_samples: bool = False
+    controls: bool = False
 
 
 # smaller default sample counts for the heavier suites; the minima are
@@ -990,9 +917,9 @@ SUITES: Dict[str, Suite] = {
     "conjugation-axioms": Suite(
         suite_conjugation_axioms, SuiteConfig(samples=101, dim=48, block=16), min_dim=48, min_block=16
     ),
-    "jsym-form": Suite(suite_jsym_form, SuiteConfig(samples=100)),
-    "c1sym-form": Suite(suite_c1sym_form, SuiteConfig(samples=100)),
-    "c2sym-form": Suite(suite_c2sym_form, SuiteConfig(samples=100)),
+    "jsym-form": Suite(suite_jsym_form, SuiteConfig(samples=100), controls=True),
+    "c1sym-form": Suite(suite_c1sym_form, SuiteConfig(samples=100), controls=True),
+    "c2sym-form": Suite(suite_c2sym_form, SuiteConfig(samples=100), controls=True),
     "lemma31-aut": Suite(suite_lemma31_aut, SuiteConfig(samples=120)),
     "lemma32-aut": Suite(suite_lemma32_aut, SuiteConfig(samples=120)),
     "lemma33-aut": Suite(suite_lemma33_aut, SuiteConfig(samples=120)),
@@ -1075,8 +1002,11 @@ def default_config(suite_id: str) -> SuiteConfig:
 def run_suite(suite_id: str, cfg: Optional[SuiteConfig] = None) -> VerificationReport:
     """Run one registered suite; deterministic given (suite, config, seed).
 
-    A config below the suite's minimum dim or block raises ValueError, and
-    so does a samples count other than a fixed target set's size.
+    The one sampling loop: index i is drawn until the suite's draw returns
+    a record, so the report holds exactly cfg.samples records (plus the
+    controls of a suite that has them), in index order.  A config below
+    the suite's minimum dim or block raises ValueError, and so does a
+    samples count other than a fixed target set's size.
     """
     suite = _lookup(suite_id)
     if cfg is None:
@@ -1091,5 +1021,11 @@ def run_suite(suite_id: str, cfg: Optional[SuiteConfig] = None) -> VerificationR
             f"suite {suite_id} decides a fixed set of {suite.defaults.samples} targets, "
             f"got samples {cfg.samples}"
         )
-    records = list(suite.generate(np.random.default_rng(cfg.seed), cfg))
+    rng = np.random.default_rng(cfg.seed)
+    records = []
+    for i in range(cfg.samples + (max(1, cfg.samples // 5) if suite.controls else 0)):
+        record = None
+        while record is None:
+            record = suite.draw(rng, cfg, i)
+        records.append(record)
     return VerificationReport(suite_id, cfg, records)
