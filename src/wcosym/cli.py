@@ -14,7 +14,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from typing import Dict, List, Optional
 
 from .errors import CliParseError, WcoError
@@ -319,7 +319,7 @@ def _check_family(args):
         band = "band"  # neither oracle applies: the verdict is inconclusive
     else:
         # coefficient-level oracle for symbols without a usable truncation
-        lft = lft_oracle((phi.a, phi.b, phi.c, phi.d))
+        lft = lft_oracle((phi.a, phi.b, phi.c, phi.d), cfg.pred_tol)
         residuals["lft_modulus_gap"] = lft["modulus_gap"]
         residuals["lft_commute_defect"] = lft["commute_defect"]
         band = "pass" if lft["normal"] else "fail"
@@ -348,18 +348,8 @@ def _human_summary(report: VerificationReport) -> str:
 
 
 def cmd_suite(args) -> int:
-    cfg = default_config(args.id)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.samples is not None:
-        overrides["samples"] = args.samples
-    if args.dim is not None:
-        overrides["dim"] = args.dim
-    if args.block is not None:
-        overrides["block"] = args.block
-    if overrides:
-        cfg = SuiteConfig(**{**asdict(cfg), **overrides})
+    flags = {key: getattr(args, key) for key in ("seed", "samples", "dim", "block")}
+    cfg = replace(default_config(args.id), **{key: value for key, value in flags.items() if value is not None})
     report = run_suite(args.id, cfg)
     if args.json:
         _write_output(report_to_json(report), args.json)

@@ -16,10 +16,12 @@ rejected draw is redrawn, never dropped) and builds the report.
 ``wcosym check`` take every normality, symmetry, involution and isometry
 residual through it, and it alone picks the truncation.
 ``_record`` is the one verdict rule: every suite record but thm61's is
-built by it.  A failed exact closed-form check is "fail"; every oracle
-value (a matrix residual, a sweep deficiency, a moduli violation) goes
-through ``band_verdict``, which alone reads cfg.pass_tol and cfg.fail_tol,
-so a value in the band between them is "inconclusive", never "fail".
+built by it.  Every closed-form gap (a quantity the paper's formulas make
+zero) is recorded under its name and is "fail" above cfg.pred_tol; only
+the conjugation axioms keep tolerances of their own.  Every oracle value
+(a matrix residual, a sweep deficiency, a moduli violation) goes through
+``band_verdict``, which alone reads cfg.pass_tol and cfg.fail_tol, so a
+value in the band between them is "inconclusive", never "fail".
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from . import families as fam
-from .errors import UnknownSuiteError
+from .errors import UnknownSuiteError, WcoError
 from .mobius import (
     ConstantMap,
     IDENTITY,
@@ -42,7 +44,6 @@ from .mobius import (
     is_automorphism,
     is_self_map,
     lft_normality_defects,
-    mobius_equal,
     proj_distance,
     quadruple_gap,
     sup_modulus,
@@ -60,6 +61,9 @@ from .series import RationalSymbol
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """A run's truncation (dim, block), samples and seed; the band (pass_tol,
+    fail_tol) of every oracle value; pred_tol, of every gap and predicate."""
+
     dim: int = 64
     block: int = 12
     samples: int = 200
@@ -153,15 +157,12 @@ def agreement(claims_normal: bool, oracle_band: str) -> str:
     return "discrepancy"
 
 
-def lft_oracle(quad) -> Dict[str, object]:
-    """Coefficient-level normality oracle for the weight K_{sigma(0)}; it
-    needs no truncation, so it also covers symbols without one."""
+def lft_oracle(quad, tol: float) -> Dict[str, object]:
+    """Coefficient-level normality oracle for the weight K_{sigma(0)}: normal
+    when both defects are at most tol.  It needs no truncation, so it also
+    covers symbols without one."""
     gap, defect = lft_normality_defects(quad)
-    return {
-        "modulus_gap": gap,
-        "commute_defect": defect,
-        "normal": bool(gap <= 1e-9 and defect <= 1e-9),
-    }
+    return {"modulus_gap": gap, "commute_defect": defect, "normal": bool(max(gap, defect) <= tol)}
 
 
 def measure(
@@ -179,19 +180,22 @@ def measure(
 _SEVERITY = ("pass", "inconclusive", "discrepancy")
 
 
-def _record(cfg, params, oracle=None, claim=True, exact=True, residuals=None, oracles=None, **fields) -> SampleRecord:
-    """The one verdict rule.  A failed exact closed-form check (exact is
-    False) is "fail".  Otherwise each oracle value's band, recorded as
-    "<key>_band" in oracles, meets the claim (that the value is zero) in
-    `agreement`, and the least favourable result is the verdict:
-    discrepancy, then inconclusive, then pass.  The oracle values lead the
-    residuals; fields are the remaining SampleRecord fields."""
-    oracle = oracle or {}
+def _record(cfg, params, oracle=None, claim=True, exact=True, gaps=None, residuals=None, oracles=None, **fields):
+    """The one verdict rule.  gaps are closed-form quantities that must be
+    zero: each is recorded in residuals, and one above cfg.pred_tol (or a
+    failed structural check, exact False) makes the record "fail".
+    Otherwise each oracle value's band, recorded as "<key>_band" in
+    oracles, meets the claim (that the value is zero) in `agreement`, and
+    the least favourable result is the verdict: discrepancy, then
+    inconclusive, then pass.  The oracle values lead the residuals, then
+    the gaps; fields are the remaining SampleRecord fields."""
+    oracle, gaps = oracle or {}, gaps or {}
     bands = {f"{key}_band": band_verdict(value, cfg) for key, value in oracle.items()}
     verdict = max((agreement(claim, band) for band in bands.values()), key=_SEVERITY.index, default="pass")
+    exact = exact and all(gap <= cfg.pred_tol for gap in gaps.values())
     return SampleRecord(
         params=params,
-        residuals={**oracle, **(residuals or {})},
+        residuals={**oracle, **gaps, **(residuals or {})},
         oracles={**bands, **(oracles or {})},
         verdict=verdict if exact else "fail",
         **fields,
@@ -233,7 +237,7 @@ def suite_prop22_commutation(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRe
         m = fam.parabolic_j_symbols(_parabolic_j_arc(rng, 1), +1).phi
     sigma0 = cowen_sigma0(m)
     psi = RationalSymbol(1.0, 0.0, 1.0, -np.conj(sigma0))
-    lft = lft_oracle((m.a, m.b, m.c, m.d))
+    lft = lft_oracle((m.a, m.b, m.c, m.d), cfg.pred_tol)
     params = {"a": m.a, "b": m.b, "c": m.c, "d": m.d}
     oracle = measure(cfg, fam.SymbolPair(psi, m))
     return _record(cfg, params, oracle, lft["normal"], predicates={"lft_condition": lft["normal"]}, oracles=lft)
@@ -310,28 +314,26 @@ def _c2_params_from_tuv(alpha, t, u, v) -> fam.C2Params:
 
 
 def _draw_c2_selfmap(rng, alpha_hi=0.5):
-    """C2 parameters whose composition symbol is a strict self-map and
-    whose weight pole stays well outside the closed disk."""
-    while True:
-        alpha = _disk(rng, alpha_hi, 0.1)
-        t = _disk(rng, 0.3)
-        u = _disk(rng, 0.3)
+    """C2 parameters and symbols with a strict self-map whose weight pole
+    stays well outside the closed disk, or None (the draw is rejected)."""
+    alpha = _disk(rng, alpha_hi, 0.1)
+    t = _disk(rng, 0.3)
+    u = _disk(rng, 0.3)
+    try:
         params = _c2_params_from_tuv(alpha, t, u, 1.0 + 0.0j)
-        try:
-            pair = fam.c2_symbols(params)
-        except Exception:
-            continue
-        if isinstance(pair.phi, ConstantMap):
-            continue
-        if sup_modulus(pair.phi) > 0.9:
-            continue
-        if abs(pair.psi.pole()) < 1.8:
-            continue
-        return params, pair
+        pair = fam.c2_symbols(params)
+    except WcoError:
+        return None
+    if isinstance(pair.phi, ConstantMap) or sup_modulus(pair.phi) > 0.9 or abs(pair.psi.pole()) < 1.8:
+        return None
+    return params, pair
 
 
-def suite_c2sym_form(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
-    params, pair = _draw_c2_selfmap(rng)
+def suite_c2sym_form(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+    drawn = _draw_c2_selfmap(rng)
+    if drawn is None:
+        return None
+    params, pair = drawn
     d = {"alpha": params.alpha, "c0": params.c0, "c1": params.c1, "c2": params.c2}
     return _symmetry_record(cfg, i, d, pair, Conjugation("C2", 1.0, params.alpha))
 
@@ -346,11 +348,9 @@ def suite_lemma31_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
         a0 = np.conj(g)
         a1 = np.conj(g) * (abs(g) ** 2 - 1.0) / g
         form = fam.j_aut_form(a0, a1)
-        ok = (
-            isinstance(form, fam.DiskForm)
-            and abs(form.gamma - g) <= 1e-9
-            and mobius_equal(form.to_map(), fam.j_symbols(fam.JParams(a0, a1)).phi, 1e-10)
-        )
+        phi = fam.j_symbols(fam.JParams(a0, a1)).phi
+        ok = isinstance(form, fam.DiskForm)
+        gaps = {"gamma_gap": abs(form.gamma - g), "map_gap": proj_distance(form.to_map(), phi)} if ok else {}
         params, expected = {"a0": a0, "a1": a1, "gamma": g}, "disk"
     else:
         a0 = _disk(rng, 0.6, 0.05)
@@ -359,8 +359,9 @@ def suite_lemma31_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
         if isinstance(phi, ConstantMap) or is_automorphism(phi):
             return None
         form = fam.j_aut_form(a0, a1)
-        params, expected, ok = {"a0": a0, "a1": a1}, "none", form is None
-    return _record(cfg, params, exact=ok, predicates={"expected": expected}, oracles={"form": type(form).__name__})
+        params, expected, ok, gaps = {"a0": a0, "a1": a1}, "none", form is None, {}
+    oracles = {"form": type(form).__name__}
+    return _record(cfg, params, exact=ok, gaps=gaps, predicates={"expected": expected}, oracles=oracles)
 
 
 def suite_lemma32_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
@@ -370,11 +371,8 @@ def suite_lemma32_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
         c0 = np.conj(g) / alpha
         c1 = (abs(g) ** 2 - 1.0) * np.conj(g) / (g * alpha)
         form = fam.c1_aut_form(alpha, c0, c1)
-        ok = (
-            isinstance(form, fam.DiskForm)
-            and abs(form.gamma - g) <= 1e-9
-            and abs(form.beta - np.conj(g) / (g * alpha)) <= 1e-9
-        )
+        ok = isinstance(form, fam.DiskForm)
+        gaps = {"gamma_gap": abs(form.gamma - g), "beta_gap": abs(form.beta - np.conj(g) / (g * alpha))} if ok else {}
         params, expected = {"alpha": alpha, "c0": c0, "c1": c1, "gamma": g}, "disk"
     else:
         c0 = _disk(rng, 0.6, 0.05)
@@ -383,8 +381,9 @@ def suite_lemma32_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
         if isinstance(pair.phi, ConstantMap) or is_automorphism(pair.phi):
             return None
         form = fam.c1_aut_form(alpha, c0, c1)
-        params, expected, ok = {"alpha": alpha, "c0": c0, "c1": c1}, "none", form is None
-    return _record(cfg, params, exact=ok, predicates={"expected": expected}, oracles={"form": type(form).__name__})
+        params, expected, ok, gaps = {"alpha": alpha, "c0": c0, "c1": c1}, "none", form is None, {}
+    oracles = {"form": type(form).__name__}
+    return _record(cfg, params, exact=ok, gaps=gaps, predicates={"expected": expected}, oracles=oracles)
 
 
 def _c2_params_from_aut(alpha: complex, beta: complex, gamma: complex, c1: complex) -> fam.C2Params:
@@ -402,7 +401,7 @@ def suite_lemma33_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
         c2 = fam.C2Params.from_c0_squared(alpha, c1 / np.conj(alpha), c1, c1)
         form = fam.c2_aut_form(c2)
         phi = fam.c2_symbols(c2, check_self_map=False).phi
-        ok = isinstance(form, fam.IdentityForm) and mobius_equal(phi, IDENTITY, 1e-9)
+        ok, gaps = isinstance(form, fam.IdentityForm), {"map_gap": proj_distance(phi, IDENTITY)}
         params, expected = {"alpha": alpha, "c1": c1}, "identity"
     else:
         alpha = _disk(rng, 0.8, 0.1)
@@ -411,13 +410,11 @@ def suite_lemma33_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
         if abs(beta * g - alpha) < 0.05:
             return None
         form = fam.c2_aut_form(_c2_params_from_aut(alpha, beta, g, 1.0 + 0.0j))
-        ok = (
-            isinstance(form, fam.DiskForm)
-            and abs(form.gamma - g) <= 1e-8
-            and abs(form.beta - beta) <= 1e-8
-        )
+        ok = isinstance(form, fam.DiskForm)
+        gaps = {"gamma_gap": abs(form.gamma - g), "beta_gap": abs(form.beta - beta)} if ok else {}
         params, expected = {"alpha": alpha, "gamma": g, "beta": beta}, "disk"
-    return _record(cfg, params, exact=ok, predicates={"expected": expected}, oracles={"form": type(form).__name__})
+    oracles = {"form": type(form).__name__}
+    return _record(cfg, params, exact=ok, gaps=gaps, predicates={"expected": expected}, oracles=oracles)
 
 
 # --- normality iff suites ----------------------------------------------------
@@ -521,8 +518,10 @@ def suite_thm61_consistency(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRec
         note = "identity-case parameters: stated conditions reject the identity operator"
         use_matrix = True
     elif kind == 3:  # generic draw with a usable self-map
-        params, _ = _draw_c2_selfmap(rng)
-        use_matrix = True
+        drawn = _draw_c2_selfmap(rng)
+        if drawn is None:
+            return None
+        params, use_matrix = drawn[0], True
     else:  # interior-normal reconstruction: normal but rejected
         p = rng.uniform(0.2, 0.6) * (1 if rng.random() < 0.5 else -1)
         angle = rng.uniform(0.45 * math.pi, 0.8 * math.pi)
@@ -537,7 +536,7 @@ def suite_thm61_consistency(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRec
     # to a boundary constant, where no operator truncation exists
     t, u, v, w = fam.c2_quadruple(params)
     al = params.alpha
-    lft = lft_oracle((-w, al * u, -np.conj(al) * t, np.conj(al) * v))
+    lft = lft_oracle((-w, al * u, -np.conj(al) * t, np.conj(al) * v), cfg.pred_tol)
     band = "pass" if lft["normal"] else "fail"
     residuals = {}
     if use_matrix:
@@ -582,10 +581,10 @@ def suite_ex41_equivalence(rng, cfg: SuiteConfig, i: int) -> Optional[SampleReco
         pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, gamma))
         jpair = fam.j_symbols(fam.JParams(a0, a1, 1.0))
         phi_gap = proj_distance(pair.phi, jpair.phi)
-        psi_gap = _rational_gap(pair.psi, jpair.psi)
+        psi_gap = quadruple_gap(*(np.array([r.n0, r.n1, r.d0, r.d1]) for r in (pair.psi, jpair.psi)))
         return _record(
-            cfg, {"p": p, "delta": delta, "a0": a0, "a1": a1}, exact=phi_gap <= 1e-10 and psi_gap <= 1e-10,
-            residuals={"phi_gap": phi_gap, "psi_gap": psi_gap}, predicates={"real_p": True},
+            cfg, {"p": p, "delta": delta, "a0": a0, "a1": a1}, gaps={"phi_gap": phi_gap, "psi_gap": psi_gap},
+            predicates={"real_p": True},
         )
     p = _disk(rng, 0.5, 0.15)
     if abs(p.imag) < 0.1:
@@ -595,13 +594,6 @@ def suite_ex41_equivalence(rng, cfg: SuiteConfig, i: int) -> Optional[SampleReco
     pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, 1.0))
     oracle = {"j_symmetry": measure(cfg, pair, Conjugation("J"), normality=False)["symmetry"]}
     return _record(cfg, {"p": p, "delta": delta}, oracle, claim=False, predicates={"real_p": False})
-
-
-def _rational_gap(r1: RationalSymbol, r2: RationalSymbol) -> float:
-    """Projective distance between two degree-(1,1) rational functions."""
-    v1 = np.array([r1.n0, r1.n1, r1.d0, r1.d1])
-    v2 = np.array([r2.n0, r2.n1, r2.d0, r2.d1])
-    return quadruple_gap(v1, v2)
 
 
 def suite_cor41_aut(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
@@ -627,21 +619,29 @@ def _parabolic_j_arc(rng, branch):
     return a0 if branch == 1 else -a0
 
 
+_PARABOLIC = (MapClass.PARABOLIC_NON_AUTOMORPHISM, MapClass.PARABOLIC_AUTOMORPHISM)
+
+
+def _dw_gaps(cls, zeta) -> Dict[str, float]:
+    """A parabolic class's gaps to Denjoy-Wolff point zeta and derivative 1; none for another class."""
+    if cls.map_class not in _PARABOLIC:
+        return {}
+    return {"dw_gap": abs(cls.dw_point - zeta), "derivative_gap": abs(cls.dw_derivative - 1.0)}
+
+
 def suite_ex44_parabolic(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
     branch = 1 if i % 2 == 0 else -1
     a0 = _parabolic_j_arc(rng, branch)
     pair = fam.parabolic_j_symbols(a0, branch)
     cls = classify(pair.phi)
-    dw_ok = (
-        cls.map_class in (MapClass.PARABOLIC_NON_AUTOMORPHISM, MapClass.PARABOLIC_AUTOMORPHISM)
-        and abs(cls.dw_point - branch) <= 1e-9
-        and abs(cls.dw_derivative - 1.0) <= 1e-10
-    )
     predicates = {
         "map_class": cls.map_class.value,
         "expression": fam.j_normal_expression(a0, (1.0 - branch * a0) ** 2),
     }
-    return _record(cfg, {"a0": a0, "branch": branch}, measure(cfg, pair), exact=dw_ok, predicates=predicates)
+    return _record(
+        cfg, {"a0": a0, "branch": branch}, measure(cfg, pair), exact=cls.map_class in _PARABOLIC,
+        gaps=_dw_gaps(cls, branch), predicates=predicates,
+    )
 
 
 def suite_ex51_interior(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
@@ -667,8 +667,8 @@ def suite_ex51_interior(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]
     pred = fam.c1_normal_predicate(alpha, c0, c1, cfg.pred_tol)
     return _record(
         cfg, {"p": p, "delta": delta, "alpha": alpha, "c0": c0, "c1": c1},
-        measure(cfg, pair, Conjugation("C1", 1.0, alpha)), exact=phi_gap <= 1e-9 and pred,
-        residuals={"phi_gap": phi_gap}, predicates={"c1_normal": pred},
+        measure(cfg, pair, Conjugation("C1", 1.0, alpha)), exact=pred, gaps={"phi_gap": phi_gap},
+        predicates={"c1_normal": pred},
     )
 
 
@@ -682,8 +682,8 @@ def suite_ex51_aut_corollary(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
     gap = proj_distance(pair.phi, displayed)
     cls = classify(pair.phi)
     return _record(
-        cfg, {"p": p}, exact=gap <= 1e-10 and cls.is_automorphism,
-        residuals={"phi_gap": gap}, predicates={"map_class": cls.map_class.value},
+        cfg, {"p": p}, exact=cls.is_automorphism, gaps={"phi_gap": gap},
+        predicates={"map_class": cls.map_class.value},
     )
 
 
@@ -696,14 +696,12 @@ def suite_ex54_parabolic(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
     cls = classify(pair.phi)
     alpha = 1.0 / zeta ** 2
     expr = fam.c1_normal_expression(alpha, c0, c1)
-    ok = (
-        cls.map_class in (MapClass.PARABOLIC_NON_AUTOMORPHISM, MapClass.PARABOLIC_AUTOMORPHISM)
-        and abs(cls.dw_point - zeta) <= 1e-8
-        and abs(cls.dw_derivative - 1.0) <= 1e-10
-        and abs(expr) <= cfg.pred_tol
-    )
+    ok = cls.map_class in _PARABOLIC and abs(expr) <= cfg.pred_tol
     predicates = {"map_class": cls.map_class.value, "expression": expr}
-    return _record(cfg, {"zeta": zeta, "c0": c0, "c1": c1}, measure(cfg, pair), exact=ok, predicates=predicates)
+    return _record(
+        cfg, {"zeta": zeta, "c0": c0, "c1": c1}, measure(cfg, pair), exact=ok, gaps=_dw_gaps(cls, zeta),
+        predicates=predicates,
+    )
 
 
 def suite_cor62_no_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
@@ -744,7 +742,7 @@ def suite_ex61_interior(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
     phi_gap = proj_distance(pair.phi, closed)
     return _record(
         cfg, {"p": p, "delta": delta, "alpha": alpha}, measure(cfg, pair, Conjugation("C2", 1.0, alpha)),
-        exact=consistency <= 1e-9 and phi_gap <= 1e-9, residuals={"phi_gap": phi_gap, "consistency": consistency},
+        gaps={"phi_gap": phi_gap, "consistency": consistency},
     )
 
 
@@ -769,15 +767,10 @@ def suite_ex63_parabolic(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord
     pred = fam.c2_parabolic_predicate(params, cfg.pred_tol)
     zeta = fam.c2_parabolic_dw_point(params)
     cls = classify(pair.phi)
-    ok = (
-        pred
-        and abs(abs(zeta) - 1.0) <= 1e-9
-        and cls.map_class
-        in (MapClass.PARABOLIC_NON_AUTOMORPHISM, MapClass.PARABOLIC_AUTOMORPHISM)
-        and abs(cls.dw_point - zeta) <= 1e-8
-    )
+    gaps = {"zeta_modulus_gap": abs(abs(zeta) - 1.0), **_dw_gaps(cls, zeta)}
     return _record(
-        cfg, {"alpha": alpha, "c0": params.c0, "c1": c1, "c2": c2}, measure(cfg, pair), exact=ok,
+        cfg, {"alpha": alpha, "c0": params.c0, "c1": c1, "c2": c2}, measure(cfg, pair),
+        exact=pred and cls.map_class in _PARABOLIC, gaps=gaps,
         predicates={"parabolic": pred, "zeta": zeta, "map_class": cls.map_class.value},
     )
 
@@ -790,7 +783,7 @@ def suite_cowen_factorization(rng, cfg: SuiteConfig, i: int) -> Optional[SampleR
     good = adjoint_factorization_residual(m, cfg.dim, cfg.block, sigma_sign=-1)
     bad = adjoint_factorization_residual(m, cfg.dim, cfg.block, sigma_sign=+1)
     params = {"a": m.a, "b": m.b, "c": m.c, "d": m.d}
-    return _record(cfg, params, exact=good <= 1e-8, residuals={"factorization": good, "flipped_sign": bad})
+    return _record(cfg, params, gaps={"factorization": good}, residuals={"flipped_sign": bad})
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from wcosym.mobius import (
     proj_distance,
 )
 from wcosym.series import RationalSymbol
-from wcosym.verify import lft_oracle
+from wcosym.verify import SuiteConfig, lft_oracle
 
 
 def small_complex(r):
@@ -249,7 +249,7 @@ class TestCowenAdjoint:
 
 
 def lft_normal(m):
-    return lft_oracle((m.a, m.b, m.c, m.d))["normal"]
+    return lft_oracle((m.a, m.b, m.c, m.d), SuiteConfig.pred_tol)["normal"]
 
 
 class TestNormalityLftCheck:

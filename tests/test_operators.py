@@ -424,6 +424,14 @@ class TestTileWavefront:
         assert n * n * 16 <= peak <= 1.25 * (n + _TILE + 1) ** 2 * 16
 
 
+def c2_selfmap(rng, alpha_hi=0.5):
+    """verify._draw_c2_selfmap drawn again until it accepts, as run_suite does."""
+    drawn = None
+    while drawn is None:
+        drawn = verify._draw_c2_selfmap(rng, alpha_hi)
+    return drawn
+
+
 def family_self_maps(rng, per_family):
     """(family, psi, phi) with phi a nonconstant self-map, per_family from
     each of the J, C1, C2, interior, parabolic and hyperbolic families."""
@@ -431,7 +439,7 @@ def family_self_maps(rng, per_family):
     draws = {
         "j": lambda: fam.j_symbols(fam.JParams(disk(0.9), disk(0.9))),
         "c1": lambda: fam.c1_symbols(fam.C1Params(np.exp(2j * np.pi * rng.uniform()), disk(0.9), disk(0.9))),
-        "c2": lambda: verify._draw_c2_selfmap(rng, alpha_hi=0.99)[1],
+        "c2": lambda: c2_selfmap(rng, alpha_hi=0.99)[1],
         "c2-conjugation": lambda: fam.SymbolPair(*c2_symbols(
             Conjugation("C2", np.exp(2j * np.pi * rng.uniform()), disk(0.99)))),
         "interior": lambda: fam.normal_interior_symbols(fam.InteriorParams(disk(0.95), disk(1.0))),
@@ -523,7 +531,7 @@ class TestSeams:
         rng = np.random.default_rng(5)
         cfg, k = verify.SuiteConfig(), 16
         for i in range(60):
-            params, pair = verify._draw_c2_selfmap(rng)
+            params, pair = c2_selfmap(rng)
             if i % 2:
                 pair = verify._perturb_weight(pair)
             c = Conjugation("C2", 1.0, params.alpha)

@@ -197,6 +197,40 @@ def test_every_matrix_residual_goes_through_the_band(value, monkeypatch):
         assert all("fail" not in verdicts for verdicts in seen.values()), seen
 
 
+# the closed-form gaps each suite records: quantities its formulas make zero
+GAP_SUITES = {
+    "lemma31-aut": {"gamma_gap", "map_gap"},
+    "lemma32-aut": {"gamma_gap", "beta_gap"},
+    "lemma33-aut": {"gamma_gap", "beta_gap", "map_gap"},
+    "ex41-equivalence": {"phi_gap", "psi_gap"},
+    "ex44-parabolic": {"dw_gap", "derivative_gap"},
+    "ex51-interior": {"phi_gap"},
+    "ex51-aut-corollary": {"phi_gap"},
+    "ex54-parabolic": {"dw_gap", "derivative_gap"},
+    "ex61-interior": {"phi_gap", "consistency"},
+    "ex63-parabolic": {"zeta_modulus_gap", "dw_gap", "derivative_gap"},
+    "cowen-factorization": {"factorization"},
+}
+
+
+@pytest.mark.parametrize("suite_id", sorted(GAP_SUITES))
+def test_closed_form_gaps_are_recorded_and_read_pred_tol(suite_id):
+    # every named gap is recorded, and cfg.pred_tol alone decides it: with
+    # pred_tol at the largest gap every verdict stands, and just below it
+    # exactly the records carrying that gap fail
+    names = GAP_SUITES[suite_id]
+    cfg = default_config(suite_id)
+    records = run_suite(suite_id, cfg).records
+    assert set().union(*(set(rec.residuals) & names for rec in records)) == names
+    gaps = [max([rec.residuals[key] for key in names if key in rec.residuals], default=0.0) for rec in records]
+    top = max(gaps)
+    assert 0.0 < top <= cfg.pred_tol
+    at_top = run_suite(suite_id, dataclasses.replace(cfg, pred_tol=top)).records
+    assert [rec.verdict for rec in at_top] == [rec.verdict for rec in records]
+    below = run_suite(suite_id, dataclasses.replace(cfg, pred_tol=top * (1.0 - 1e-6))).records
+    assert [i for i, rec in enumerate(below) if rec.verdict == "fail"] == [i for i, g in enumerate(gaps) if g == top]
+
+
 def test_thm61_consistency_reports_documented_discrepancies():
     report = run_suite("thm61-consistency", dataclasses.replace(default_config("thm61-consistency"), samples=20))
     s = report.summary
