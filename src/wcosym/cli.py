@@ -36,8 +36,7 @@ from .verify import (
     SuiteConfig,
     SUITES,
     VerificationReport,
-    agreement,
-    band_verdict,
+    _record,
     default_config,
     lft_oracle,
     measure,
@@ -312,20 +311,20 @@ def _check_family(args):
         residuals.update(measure(cfg, pair, conj))
     except WcoError as exc:
         out["note"] = f"operator truncation unavailable: {exc}"
-    phi = pair.phi
+    oracle, decided, phi = {}, {}, pair.phi
     if "normality" in residuals:
-        band = band_verdict(residuals["normality"], cfg)
+        oracle = {"normality": residuals["normality"]}
     elif isinstance(phi, ConstantMap):
-        band = "band"  # neither oracle applies: the verdict is inconclusive
+        decided = {"lft": None}  # no truncation and no coefficient-level oracle: undecided
     else:
         # coefficient-level oracle for symbols without a usable truncation
         lft = lft_oracle((phi.a, phi.b, phi.c, phi.d), cfg.pred_tol)
         residuals["lft_modulus_gap"] = lft["modulus_gap"]
         residuals["lft_commute_defect"] = lft["commute_defect"]
-        band = "pass" if lft["normal"] else "fail"
+        decided = {"lft": lft["normal"]}
     out["residuals"] = _jsonable(residuals)
     out["predicates"] = _jsonable(pred)
-    out["verdict"] = agreement(bool(pred.get("normal")), band)
+    out["verdict"] = _record(cfg, out["params"], oracle, bool(pred.get("normal")), decided=decided).verdict
     return out
 
 
@@ -393,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--c2", default="0")
     p_chk.add_argument("--d", default="1")
     p_chk.add_argument("--conjugation", choices=("j", "c1", "c2"), help="override the tested conjugation kind")
-    p_chk.add_argument("--dim", type=int, default=64)
-    p_chk.add_argument("--block", type=int, default=12)
+    p_chk.add_argument("--dim", type=int, default=SuiteConfig.dim)
+    p_chk.add_argument("--block", type=int, default=SuiteConfig.block)
     p_chk.add_argument("--pass-tol", dest="pass_tol", type=float, default=SuiteConfig.pass_tol)
     p_chk.add_argument("--fail-tol", dest="fail_tol", type=float, default=SuiteConfig.fail_tol)
     p_chk.add_argument("--out")

@@ -15,13 +15,17 @@ rejected draw is redrawn, never dropped) and builds the report.
 ``measure`` is the one seam to the matrix residuals: the suites and
 ``wcosym check`` take every normality, symmetry, involution and isometry
 residual through it, and it alone picks the truncation.
-``_record`` is the one verdict rule: every suite record but thm61's is
-built by it.  Every closed-form gap (a quantity the paper's formulas make
-zero) is recorded under its name and is "fail" above cfg.pred_tol; only
-the conjugation axioms keep tolerances of their own.  Every oracle value
-(a matrix residual, a sweep deficiency, a moduli violation) goes through
-``band_verdict``, which alone reads cfg.pass_tol and cfg.fail_tol, so a
-value in the band between them is "inconclusive", never "fail".
+``_record`` is the one verdict rule: every suite record and every
+``wcosym check`` verdict is built by it, and it is the one caller of
+``band_verdict`` and ``agreement``.  Every closed-form gap (a quantity the
+paper's formulas make zero) is recorded under its name and is "fail" above
+cfg.pred_tol; only the conjugation axioms keep tolerances of their own.
+Every oracle value (a matrix residual, a sweep deficiency, a moduli
+violation) goes through ``band_verdict``, which alone reads cfg.pass_tol
+and cfg.fail_tol, so a value in the band between them is "inconclusive",
+never "fail".  An exact decision (the coefficient-level LFT oracle, used
+where no truncation is usable) is normal, not normal or undecided, and
+never meets those two thresholds.
 """
 
 from __future__ import annotations
@@ -129,7 +133,7 @@ class VerificationReport:
 def _disk(rng, radius=1.0, min_radius=0.0):
     # uniform on the disk via rejection from the bounding square
     while True:
-        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        z = complex(*rng.uniform(-1, 1, 2))
         if min_radius / radius <= abs(z) <= 1.0:
             return radius * z
 
@@ -178,19 +182,27 @@ def measure(
 
 
 _SEVERITY = ("pass", "inconclusive", "discrepancy")
+_DECISION_BAND = {True: "pass", False: "fail", None: "band"}
 
 
-def _record(cfg, params, oracle=None, claim=True, exact=True, gaps=None, residuals=None, oracles=None, **fields):
+def _record(
+    cfg, params, oracle=None, claim=True, exact=True, gaps=None, decided=None, residuals=None, oracles=None, **fields
+):
     """The one verdict rule.  gaps are closed-form quantities that must be
     zero: each is recorded in residuals, and one above cfg.pred_tol (or a
     failed structural check, exact False) makes the record "fail".
-    Otherwise each oracle value's band, recorded as "<key>_band" in
-    oracles, meets the claim (that the value is zero) in `agreement`, and
-    the least favourable result is the verdict: discrepancy, then
-    inconclusive, then pass.  The oracle values lead the residuals, then
-    the gaps; fields are the remaining SampleRecord fields."""
+    Otherwise each oracle value gets its band from `band_verdict`, and each
+    exact decision (an oracle deciding normality with no truncation:
+    True normal, False not normal, None undecided) the band "pass", "fail"
+    or "band", never placed by cfg.pass_tol or cfg.fail_tol.  Each band,
+    recorded as "<key>_band" in oracles, meets the claim (that the value
+    is zero, or the operator normal) in `agreement`, and the least
+    favourable result is the verdict: discrepancy, then inconclusive, then
+    pass.  The oracle values lead the residuals, then the gaps; fields are
+    the remaining SampleRecord fields."""
     oracle, gaps = oracle or {}, gaps or {}
     bands = {f"{key}_band": band_verdict(value, cfg) for key, value in oracle.items()}
+    bands.update({f"{key}_band": _DECISION_BAND[normal] for key, normal in (decided or {}).items()})
     verdict = max((agreement(claim, band) for band in bands.values()), key=_SEVERITY.index, default="pass")
     exact = exact and all(gap <= cfg.pred_tol for gap in gaps.values())
     return SampleRecord(
@@ -485,12 +497,14 @@ def suite_thm51_iff(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
 
 
 def suite_thm61_consistency(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
-    """Stated case conditions versus the coefficient-level oracle.
+    """Stated case conditions versus the normality oracles.
 
     Parameter sets satisfying the case conditions force |phi(0)| = 1, so
-    no nonconstant self-map exists there and the oracle is the
-    coefficient-level commuting check; the identity-case draws (predicate
-    rejects, operator is the identity) are the documented discrepancy.
+    no nonconstant self-map exists there and the oracle is the exact
+    decision of the coefficient-level commuting check; a draw with a usable
+    truncation is decided by its matrix normality instead.  The
+    identity-case draws (predicate rejects, operator is the identity) and
+    the interior-normal reconstructions are the documented discrepancies.
     """
     kind = i % 5
     note = ""
@@ -537,30 +551,14 @@ def suite_thm61_consistency(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRec
     t, u, v, w = fam.c2_quadruple(params)
     al = params.alpha
     lft = lft_oracle((-w, al * u, -np.conj(al) * t, np.conj(al) * v), cfg.pred_tol)
-    band = "pass" if lft["normal"] else "fail"
-    residuals = {}
+    oracle, decided = {}, {"lft": lft["normal"]}
     if use_matrix:
         pair = fam.c2_symbols(params, check_self_map=False)
-        if (
-            not isinstance(pair.phi, ConstantMap)
-            and is_self_map(pair.phi)
-            and abs(pair.psi.pole()) > 1.5
-        ):
-            res = measure(cfg, pair)["normality"]
-            residuals["normality"] = res
-            band = band_verdict(res, cfg)
-    return SampleRecord(
-        params={
-            "alpha": params.alpha,
-            "c0": params.c0,
-            "c1": params.c1,
-            "c2": params.c2,
-        },
-        residuals=residuals,
-        predicates={"case": pred.value, "claims_normal": claims_normal},
-        oracles=lft,
-        verdict=agreement(claims_normal, band),
-        note=note,
+        if not isinstance(pair.phi, ConstantMap) and is_self_map(pair.phi) and abs(pair.psi.pole()) > 1.5:
+            oracle, decided = measure(cfg, pair), {}
+    return _record(
+        cfg, {"alpha": params.alpha, "c0": params.c0, "c1": params.c1, "c2": params.c2}, oracle, claims_normal,
+        decided=decided, predicates={"case": pred.value, "claims_normal": claims_normal}, oracles=lft, note=note,
     )
 
 

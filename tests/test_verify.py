@@ -1,6 +1,8 @@
+import ast
 import cmath
 import dataclasses
 import math
+import pathlib
 import sys
 
 import numpy as np
@@ -229,6 +231,56 @@ def test_closed_form_gaps_are_recorded_and_read_pred_tol(suite_id):
     assert [rec.verdict for rec in at_top] == [rec.verdict for rec in records]
     below = run_suite(suite_id, dataclasses.replace(cfg, pred_tol=top * (1.0 - 1e-6))).records
     assert [i for i, rec in enumerate(below) if rec.verdict == "fail"] == [i for i, g in enumerate(gaps) if g == top]
+
+
+def _callers(names):
+    """(module, enclosing function) of every call to one of names in the package source."""
+    found = set()
+    for path in sorted(pathlib.Path(verify.__file__).parent.glob("*.py")):
+
+        def walk(node, scope):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in names:
+                    found.add((path.stem, scope))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = node.name
+            for child in ast.iter_child_nodes(node):
+                walk(child, scope)
+
+        walk(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_band_rule_has_one_caller():
+    # the band and agreement rule, and the building of a record, live in
+    # _record alone: no suite and no `check` path decides a verdict itself
+    assert _callers({"band_verdict", "agreement"}) == {("verify", "_record")}
+    assert _callers({"SampleRecord"}) == {("verify", "_record")}
+
+
+@pytest.mark.parametrize("normal, band", [(True, "pass"), (False, "fail"), (None, "band")])
+@pytest.mark.parametrize("claim", [True, False])
+def test_exact_decision_meets_the_claim(normal, band, claim):
+    # an exact decision is normal, not normal or undecided; it meets the
+    # claim like a banded value, and no pass_tol / fail_tol ever places it
+    expected = "inconclusive" if normal is None else ("pass" if normal == claim else "discrepancy")
+    for cfg in (SuiteConfig(), SuiteConfig(pass_tol=0.5, fail_tol=1.0), SuiteConfig(pass_tol=1e-300, fail_tol=1e-299)):
+        rec = verify._record(cfg, {}, claim=claim, decided={"lft": normal})
+        assert (rec.verdict, rec.oracles, rec.residuals) == (expected, {"lft_band": band}, {})
+
+
+def test_thm61_records_are_decided_once():
+    # a usable truncation decides a draw by its matrix normality, else the
+    # coefficient-level decision does; the LFT values are kept either way
+    report = run_suite("thm61-consistency", dataclasses.replace(default_config("thm61-consistency"), samples=20))
+    for rec in report.records:
+        bands = {key for key in rec.oracles if key.endswith("_band")}
+        assert {"modulus_gap", "commute_defect", "normal"} <= set(rec.oracles)
+        if "normality" in rec.residuals:
+            assert bands == {"normality_band"}
+        else:
+            assert bands == {"lft_band"} and rec.oracles["lft_band"] == ("pass" if rec.oracles["normal"] else "fail")
 
 
 def test_thm61_consistency_reports_documented_discrepancies():
