@@ -15,6 +15,9 @@ prints the median time of one call, in ms, of
          reads only the columns): both by the one doubling kernel, the
          rows with the k x k Toeplitz matrix of phi as the step, the
          columns with the (k+1)-wide step of their row recurrence,
+  stacked  the same cross per draw of a stack of max(1, STACK_ROWS // N)
+         draws, the largest stack verify.measure evaluates at N: the
+         median time of one stacked call divided by its draws,
   block  the leading k x k block (the J and C1 symmetry residuals and the
          four factors of the adjoint factorization): the same doubling
          as the rows, on k coefficients,
@@ -66,15 +69,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    print(f"{'symbol':10} {'N':>5} {'k':>3} {'whole ms':>9} {'cross ms':>9} {'block ms':>9}")
+    print(f"{'symbol':10} {'N':>5} {'k':>3} {'whole ms':>9} {'cross ms':>9} {'stacked ms':>10} {'block ms':>9}")
     for name, pair in SYMBOLS.items():
         psi, phi = pair.psi, pair.phi
         for n in DIMS:
             whole = _median_ms(lambda: ops.build_wco(psi, phi, n), args.repeats)
+            draws = max(1, ops.STACK_ROWS // n)
             for k in BLOCKS:
-                cross = _median_ms(lambda: ops._cross(psi, phi, n, k), args.repeats)
-                block = _median_ms(lambda: ops._block(psi, phi, n, k), args.repeats)
-                print(f"{name:10} {n:5d} {k:3d} {whole:9.3f} {cross:9.3f} {block:9.3f}")
+                cross = _median_ms(lambda: ops._cross([psi], [phi], n, k), args.repeats)
+                stacked = _median_ms(lambda: ops._cross([psi] * draws, [phi] * draws, n, k), args.repeats) / draws
+                block = _median_ms(lambda: ops._block([psi], [phi], n, k), args.repeats)
+                print(f"{name:10} {n:5d} {k:3d} {whole:9.3f} {cross:9.3f} {stacked:10.3f} {block:9.3f}")
     return 0
 
 

@@ -33,6 +33,7 @@ from .families import (
 from .mobius import ConstantMap, MobiusMap, classify, cowen_adjoint
 from .operators import Conjugation
 from .verify import (
+    Probe,
     SuiteConfig,
     SUITES,
     VerificationReport,
@@ -113,18 +114,18 @@ def format_complex(z: complex) -> str:
     return f"{re_s}{sign}{repr(abs(im))}i"
 
 
-def _jsonable(value):
+def _json_default(value):
+    """What json cannot encode itself: a complex as {"re", "im"}, a numpy
+    scalar as its Python value, anything else as its str."""
     if isinstance(value, complex):
         return {"re": float(value.real), "im": float(value.imag)}
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
     if hasattr(value, "item"):  # numpy scalar
-        return _jsonable(value.item())
+        return value.item()
     return str(value)
+
+
+def _to_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_default) + "\n"
 
 
 def report_to_dict(report: VerificationReport) -> Dict:
@@ -136,10 +137,10 @@ def report_to_dict(report: VerificationReport) -> Dict:
         "records": [
             {
                 "index": i,
-                "params": _jsonable(r.params),
-                "residuals": _jsonable(r.residuals),
-                "predicates": _jsonable(r.predicates),
-                "oracles": _jsonable(r.oracles),
+                "params": r.params,
+                "residuals": r.residuals,
+                "predicates": r.predicates,
+                "oracles": r.oracles,
                 "verdict": r.verdict,
                 "note": r.note,
             }
@@ -150,7 +151,7 @@ def report_to_dict(report: VerificationReport) -> Dict:
 
 
 def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, separators=(",", ":")) + "\n"
+    return _to_json(report_to_dict(report))
 
 
 def validate_report_dict(doc: Dict) -> List[str]:
@@ -251,18 +252,13 @@ def cmd_classify(args) -> int:
     triple = cowen_adjoint(m)
     doc = {
         "class": cls.map_class.value,
-        "dw_point": _jsonable(cls.dw_point),
-        "dw_derivative": _jsonable(cls.dw_derivative),
+        "dw_point": cls.dw_point,
+        "dw_derivative": cls.dw_derivative,
         "is_automorphism": cls.is_automorphism,
-        "sigma": {
-            "a": _jsonable(triple.sigma.a),
-            "b": _jsonable(triple.sigma.b),
-            "c": _jsonable(triple.sigma.c),
-            "d": _jsonable(triple.sigma.d),
-        },
+        "sigma": {"a": triple.sigma.a, "b": triple.sigma.b, "c": triple.sigma.c, "d": triple.sigma.d},
     }
     if args.format == "json":
-        _write_output(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", args.out)
+        _write_output(_to_json(doc), args.out)
     else:
         lines = [
             f"class            {cls.map_class.value}",
@@ -289,7 +285,7 @@ def _check_family(args):
     cfg = SuiteConfig(dim=args.dim, block=args.block, pass_tol=args.pass_tol, fail_tol=args.fail_tol)
     param_type = CHECK_PARAMS[args.family]
     params = param_type(*(parse_complex(getattr(args, f.name)) for f in fields(param_type)))
-    out: Dict[str, object] = {"family": args.family, "params": _jsonable(asdict(params))}
+    out: Dict[str, object] = {"family": args.family, "params": asdict(params)}
     if args.family == "j":
         pair = j_symbols(params)
         conj = Conjugation("J")
@@ -306,9 +302,9 @@ def _check_family(args):
     if args.conjugation:
         kind = args.conjugation.upper()
         conj = Conjugation(kind, 1.0, parse_complex(args.alpha) if kind != "J" else 0.0)
-    residuals: Dict[str, object] = measure(cfg, conj=conj)
+    residuals: Dict[str, object] = measure(cfg, [Probe(conj=conj)])[0]
     try:
-        residuals.update(measure(cfg, pair, conj))
+        residuals.update(measure(cfg, [Probe(pair, conj)])[0])
     except WcoError as exc:
         out["note"] = f"operator truncation unavailable: {exc}"
     oracle, decided, phi = {}, {}, pair.phi
@@ -322,15 +318,15 @@ def _check_family(args):
         residuals["lft_modulus_gap"] = lft["modulus_gap"]
         residuals["lft_commute_defect"] = lft["commute_defect"]
         decided = {"lft": lft["normal"]}
-    out["residuals"] = _jsonable(residuals)
-    out["predicates"] = _jsonable(pred)
+    out["residuals"] = residuals
+    out["predicates"] = pred
     out["verdict"] = _record(cfg, out["params"], oracle, bool(pred.get("normal")), decided=decided).verdict
     return out
 
 
 def cmd_check(args) -> int:
     out = _check_family(args)
-    _write_output(json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n", args.out)
+    _write_output(_to_json(out), args.out)
     return 0
 
 
@@ -342,7 +338,8 @@ def _human_summary(report: VerificationReport) -> str:
     ]
     for i, rec in enumerate(report.records):
         if rec.verdict in ("fail", "discrepancy"):
-            lines.append(f"  [{i}] {rec.verdict}: params={_jsonable(rec.params)} note={rec.note}")
+            params = json.dumps(rec.params, default=_json_default)
+            lines.append(f"  [{i}] {rec.verdict}: params={params} note={rec.note}")
     return "\n".join(lines) + "\n"
 
 

@@ -28,12 +28,24 @@ No seam reads all of W: every symmetry residual, symmetry_residual too, is
 the commutator U conj(T) - T^H U on the block, which reads only the first
 k columns of T.
 build_wco and conjugation_matrix remain the public whole-matrix builds.
+
+The seams work on stacks of draws: the series, the Toeplitz and row
+steps, the doubling and the three defects take a leading draw axis, so
+one numpy call serves every draw of a stack (a stacked @ is one GEMM per
+draw, so each draw's residual is bit-identical to its stack of one).  At
+the suites' N of 48-96 and k of 12-16 a residual is some 25 numpy calls
+on arrays 12-17 columns wide, and their per-call overhead, not the
+arithmetic, sets its cost.  wco_residual_stack and
+conjugation_residual_stack are what verify.measure calls, on stacks of
+at most max(1, STACK_ROWS // N) draws: a larger stack saves little more
+time and costs peak memory.  wco_residuals and conjugation_residuals,
+and the whole-matrix residuals, are stacks of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Literal, Optional, Tuple, Union
+from typing import Dict, List, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,7 +57,7 @@ from .errors import (
     SymbolPoleError,
 )
 from .mobius import ConstantMap, MobiusMap, cowen_adjoint, is_self_map, IDENTITY
-from .series import RationalSymbol, expand_rational, mobius_series
+from .series import RationalSymbol, quotient_series
 
 BLOCK_PAD = 32
 MAX_DIM = 1024
@@ -53,6 +65,13 @@ MAX_DIM = 1024
 # BLAS thread, ms for sides 4 / 6 / 8 / 12 / 16: 2.9-3.9 / 2.1-2.9 / 2.0-2.7 /
 # 1.9-2.5 / 2.3-2.9 at N = 384, 22-26 / 14-16 / 13-17 / 13-14 / 14-15 at 1024.
 _TILE = 8
+# row budget of a stack: verify.measure evaluates at most max(1, STACK_ROWS // N)
+# draws at once.  The measure calls of three all-suite passes at registry
+# defaults (1,300 probes a pass, N 48-96) replayed on a 2-vCPU VM, one BLAS
+# thread, budgets 1 / 192 / 384 / 768 / 1536 / uncut: median 320 / 184 / 160 /
+# 144 / 123 / 135 ms a pass; peak RSS of a whole pass 39.0 / 39.1 / 38.9 / 39.2 /
+# 40.0 / 48.1 MB.  Past 768 the time gain is within noise and the peak grows.
+STACK_ROWS = 768
 _POLE_GUARD = 1.0 + 1e-9
 
 
@@ -84,44 +103,51 @@ class Conjugation:
         object.__setattr__(self, "alpha", complex(self.alpha))
 
 
-def _checked_series(psi: RationalSymbol, phi: Union[MobiusMap, ConstantMap], n: int):
-    """Every refusal of build_wco, then the length-n expansions of psi and
-    of phi (None for a constant map), which refuse non-finite coefficients."""
+def _checked_series(psis, phis, n: int):
+    """Every refusal of build_wco, draw by draw, then the (B, n) expansions
+    of the psis and of the phis (None for constant maps), which refuse
+    non-finite coefficients.  A stack's phis are all Mobius maps or all
+    constant maps."""
     _check_dim(n)
-    pole = psi.pole()
-    if abs(pole) <= _POLE_GUARD:
-        raise SymbolPoleError(f"weight pole at {pole} not outside the closed disk")
-    if isinstance(phi, ConstantMap):
-        if abs(phi.value) >= 1.0:
-            raise NotSelfMapError("constant map value must lie inside the disk")
-        return expand_rational(psi, n), None
-    if not is_self_map(phi):
-        raise NotSelfMapError("composition symbol is not a self-map")
-    return expand_rational(psi, n), mobius_series(phi, n)  # refuses a pole at 0
+    for psi, phi in zip(psis, phis):
+        pole = psi.pole()
+        if abs(pole) <= _POLE_GUARD:
+            raise SymbolPoleError(f"weight pole at {pole} not outside the closed disk")
+        if isinstance(phi, ConstantMap):
+            if abs(phi.value) >= 1.0:
+                raise NotSelfMapError("constant map value must lie inside the disk")
+        elif not is_self_map(phi):
+            raise NotSelfMapError("composition symbol is not a self-map")
+    psi_s = quotient_series([(psi.n0, psi.n1, psi.d0, psi.d1) for psi in psis], n)
+    if isinstance(phis[0], ConstantMap):
+        return psi_s, None
+    return psi_s, quotient_series([(phi.b, phi.a, phi.d, phi.c) for phi in phis], n)  # refuses a pole at 0
 
 
-def _rectangle(psi_s: np.ndarray, phi_s, phi, rows: int, cols: int) -> np.ndarray:
-    """W[:rows, :cols] of the rows-truncation, rows <= len(psi_s).  The whole
-    W (rows = len(psi_s)) is the Mobius recurrence.  Fewer rows (the leading
-    block or the first rows) double column j = T column (j - 1), T the
-    Toeplitz matrix of phi[:rows]: a finite section of the analytic Toeplitz
-    operator T_phi, so every power of T has norm at most sup|phi| <= 1
-    (Brown and Halmos, J. reine angew. Math. 213, 1964)."""
+def _rectangle(psi_s: np.ndarray, phi_s, phis, rows: int, cols: int) -> np.ndarray:
+    """W[:rows, :cols] of the rows-truncation for each draw, rows <= N =
+    psi_s.shape[1].  A whole W (rows = N, one draw) is the Mobius
+    recurrence.  Fewer rows (the leading block or the first rows) double
+    column j = T column (j - 1), T the Toeplitz matrix of phi[:rows]: a
+    finite section of the analytic Toeplitz operator T_phi, so every power
+    of T has norm at most sup|phi| <= 1 (Brown and Halmos, J. reine angew.
+    Math. 213, 1964)."""
     if phi_s is None:  # column j is psi value^j
-        mat = np.full((rows, cols), phi.value, dtype=complex)
-        mat[:, 0] = psi_s[:rows]
-        return np.cumprod(mat, axis=1, out=mat)
-    if rows == len(psi_s):
-        return _mobius_recurrence(psi_s, phi, cols)
-    run = np.empty((cols, rows), dtype=complex)
-    run[0] = psi_s[:rows]
-    return _double(run, _toeplitz(phi_s[:rows]).T).T
+        mat = np.empty((len(psi_s), rows, cols), dtype=complex)
+        mat[...] = np.array([phi.value for phi in phis])[:, None, None]
+        mat[:, :, 0] = psi_s[:, :rows]
+        return np.cumprod(mat, axis=2, out=mat)
+    if rows == psi_s.shape[1]:
+        (phi,) = phis
+        return _mobius_recurrence(psi_s[0], phi, cols)[None]
+    run = np.empty((len(psi_s), cols, rows), dtype=complex)
+    run[:, 0] = psi_s[:, :rows]
+    return _double(run, _toeplitz(phi_s[:, :rows]).swapaxes(1, 2)).swapaxes(1, 2)
 
 
-def _strip(
-    psi: RationalSymbol, psi_s: np.ndarray, phi: Union[MobiusMap, ConstantMap], k: int
-) -> np.ndarray:
-    """W[:, :k] of the truncation at N = len(psi_s) >= 3, by doubling the row recurrence.
+def _strip(psis, psi_s: np.ndarray, phis, k: int) -> np.ndarray:
+    """W[:, :k] of the truncation at N = psi_s.shape[1] >= 3 for each draw,
+    by doubling the row recurrence.
 
     Write a, b, c for the coefficients of phi divided by d and g_m for
     W[m, :k].  The generating function sum_j psi phi^j t^j equals
@@ -135,70 +161,78 @@ def _strip(
     adjoint map sigma_C, a self-map whenever phi is, so every power of R
     is a contraction and doubling on it is stable.
     """
-    n = len(psi_s)
-    if isinstance(phi, ConstantMap):
-        return _rectangle(psi_s, None, phi, n, k)
-    c = phi.c / phi.d
-    step = _row_step(psi, phi, k)
-    s = np.empty((n, k + 1), dtype=complex)
-    s[0, :k], s[0, k] = psi_s[0] * step[k, :k], psi_s[1] + c * psi_s[0]
-    s[1] = s[0] @ step
-    s[1, k] = psi_s[2] + c * psi_s[1]  # sigma_2 need not be r sigma_1
-    _double(s[1:], step)
-    return s[:, :k]
+    n = psi_s.shape[1]
+    if isinstance(phis[0], ConstantMap):
+        return _rectangle(psi_s, None, phis, n, k)
+    # sigma_1 and sigma_2, draw by draw: a stacked product may fuse the
+    # multiply-add, and sigma_2 of the C2 weight cancels to exactly 0
+    sigma = np.array([(p[1] + c * p[0], p[2] + c * p[1]) for p, c in zip(psi_s, (f.c / f.d for f in phis))])
+    step = _row_step(psis, phis, k)
+    s = np.empty((len(psi_s), n, k + 1), dtype=complex)
+    s[:, 0, :k], s[:, 0, k] = psi_s[:, :1] * step[:, k, :k], sigma[:, 0]
+    s[:, 1:2] = s[:, :1] @ step
+    s[:, 1, k] = sigma[:, 1]  # sigma_2 need not be r sigma_1
+    _double(s[:, 1:], step)
+    return s[:, :, :k]
 
 
 def _double(run: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """run with run[m] = run[m - 1] @ step filled in from run[0], doubling:
-    rows [h, 2h) are rows [0, h) times step^h, so about log2(len(run))
-    products and squarings of step."""
-    power, h = step, 1
-    while h < len(run):
-        m = min(h, len(run) - h)
-        run[h:h + m] = run[:m] @ power
-        if 2 * h < len(run):
+    """run with run[:, m] = run[:, m - 1] @ step filled in from run[:, 0] for
+    each draw, doubling: rows [h, 2h) are rows [0, h) times step^h, so
+    about log2(run.shape[1]) products and squarings of step.  A stacked @
+    is one GEMM per draw, bit-identical to the product of that draw alone."""
+    power, h, length = step, 1, run.shape[1]
+    while h < length:
+        m = min(h, length - h)
+        run[:, h:h + m] = run[:, :m] @ power
+        if 2 * h < length:
             power = power @ power
         h *= 2
     return run
 
 
 def _toeplitz(coeffs: np.ndarray) -> np.ndarray:
-    """The lower-triangular Toeplitz matrix [i, j] = coeffs[i - j], a strided
-    view over len(coeffs) - 1 zeros and then coeffs: at k = 16 about 1 us,
-    where fancy indexing takes 4."""
-    n = len(coeffs)
-    padded = np.zeros(2 * n - 1, dtype=complex)
-    padded[n - 1:] = coeffs
+    """The lower-triangular Toeplitz matrices [b, i, j] = coeffs[b, i - j], a
+    strided view over n - 1 zeros and then coeffs[b] for each draw b: at
+    k = 16 about 1 us, where fancy indexing takes 4."""
+    count, n = coeffs.shape
+    padded = np.zeros((count, 2 * n - 1), dtype=complex)
+    padded[:, n - 1:] = coeffs
     item = padded.itemsize
-    return np.ndarray((n, n), complex, padded, (n - 1) * item, (item, -item))
+    return np.ndarray((count, n, n), complex, padded, (n - 1) * item, ((2 * n - 1) * item, item, -item))
 
 
-def _row_step(psi: RationalSymbol, phi: MobiusMap, k: int) -> np.ndarray:
+def _row_step(psis, phis, k: int) -> np.ndarray:
     """The (k+1) x (k+1) step A = [[R, 0], [q, r]] of s_m = s_(m-1) A in
-    _strip.  chi = -c + (a - bc) t q(t), and r = -d1/d0 is the ratio of
-    psi's symbol: the ratio of its series would be 0/0 for a weight whose
-    sigma is a polynomial (the C2 weight)."""
-    a, b, c = phi.a / phi.d, phi.b / phi.d, phi.c / phi.d
-    step = np.zeros((k + 1, k + 1), dtype=complex)
-    step[k, :k] = q = b ** np.arange(k)
-    chi = np.concatenate(([-c], (a - b * c) * q[:-1]))
-    step[:k, :k] = _toeplitz(chi).T  # R[i, j] = chi_(j - i)
-    step[k, k] = -psi.d1 / psi.d0
+    _strip for each draw.  chi = -c + (a - bc) t q(t), and r = -d1/d0 is
+    the ratio of psi's symbol: the ratio of its series would be 0/0 for a
+    weight whose sigma is a polynomial (the C2 weight)."""
+    scalars = []
+    for psi, phi in zip(psis, phis):
+        a, b, c = phi.a / phi.d, phi.b / phi.d, phi.c / phi.d
+        scalars.append((b, -c, a - b * c, -psi.d1 / psi.d0))
+    b, minus_c, slope, ratio = np.array(scalars).T
+    step = np.zeros((len(b), k + 1, k + 1), dtype=complex)
+    step[:, k, :k] = q = b[:, None] ** np.arange(k)
+    chi = np.concatenate((minus_c[:, None], slope[:, None] * q[:, :-1]), axis=1)
+    step[:, :k, :k] = _toeplitz(chi).swapaxes(1, 2)  # R[i, j] = chi_(j - i)
+    step[:, k, k] = ratio
     return step
 
 
-def _cross(psi: RationalSymbol, phi: Union[MobiusMap, ConstantMap], n: int, k: int):
-    """(W[:k], W[:, :k]) of the n-truncation: all W*W and WW* read on the block."""
-    psi_s, phi_s = _checked_series(psi, phi, n)
+def _cross(psis, phis, n: int, k: int):
+    """(W[:, :k], W[:, :, :k]) of the n-truncation for each draw: all W*W
+    and WW* read on the block."""
+    psi_s, phi_s = _checked_series(psis, phis, n)
     _check_block(n, k)
-    return _rectangle(psi_s, phi_s, phi, k, n), _strip(psi, psi_s, phi, k)
+    return _rectangle(psi_s, phi_s, phis, k, n), _strip(psis, psi_s, phis, k)
 
 
-def _block(psi: RationalSymbol, phi: Union[MobiusMap, ConstantMap], n: int, k: int) -> np.ndarray:
-    """W[:k, :k] of the n-truncation, which is the k-truncation."""
-    psi_s, phi_s = _checked_series(psi, phi, n)
+def _block(psis, phis, n: int, k: int) -> np.ndarray:
+    """W[:, :k, :k] of the n-truncation for each draw, which is the k-truncation."""
+    psi_s, phi_s = _checked_series(psis, phis, n)
     _check_block(n, k)
-    return _rectangle(psi_s, phi_s, phi, k, k)
+    return _rectangle(psi_s, phi_s, phis, k, k)
 
 
 def _mobius_recurrence(psi_s: np.ndarray, phi: MobiusMap, cols: int) -> np.ndarray:
@@ -262,8 +296,8 @@ def build_wco(
     the Mobius recurrence (a constant map by a cumulative product); the
     result is a view of its padded (N + _TILE + 1)^2 buffer.
     """
-    psi_s, phi_s = _checked_series(psi, phi, n)
-    return _rectangle(psi_s, phi_s, phi, n, n)
+    psi_s, phi_s = _checked_series([psi], [phi], n)
+    return _rectangle(psi_s, phi_s, [phi], n, n)[0]
 
 
 def conjugation_matrix(c: Conjugation, n: int) -> np.ndarray:
@@ -300,14 +334,16 @@ def involution_residual(u: np.ndarray, k: int) -> Tuple[float, float]:
     anti-linear isometry axiom reduces to U^H U = I, the second component.
     """
     _check_block(len(u), k)
-    return _involution_defect(u[:k], u[:, :k])
+    (inv,), (iso,) = _involution_defect(u[None, :k], u[None, :, :k])
+    return inv, iso
 
 
-def _involution_defect(rows: np.ndarray, cols: np.ndarray) -> Tuple[float, float]:
-    eye = np.eye(len(rows), dtype=complex)
+def _involution_defect(rows: np.ndarray, cols: np.ndarray):
+    """The involution and the isometry defect of each draw, as two lists."""
+    eye = np.eye(rows.shape[1], dtype=complex)
     inv = rows @ cols.conj() - eye
-    iso = cols.conj().T @ cols - eye
-    return float(np.linalg.norm(inv)), float(np.linalg.norm(iso))
+    iso = cols.conj().swapaxes(1, 2) @ cols - eye
+    return _norms(inv), _norms(iso)
 
 
 def symmetry_residual(t: np.ndarray, u: np.ndarray, k: int) -> float:
@@ -321,68 +357,96 @@ def symmetry_residual(t: np.ndarray, u: np.ndarray, k: int) -> float:
     if t.shape != u.shape:
         raise DimensionMismatchError(f"shapes differ: {t.shape} != {u.shape}")
     _check_block(len(t), k)
-    return _symmetry_defect(t[:, :k], u[:k], u[:, :k])
+    return _symmetry_defect(t[None, :, :k], u[None, :k], u[None, :, :k])[0]
 
 
-def _symmetry_defect(t: np.ndarray, u_rows: np.ndarray, u_cols: np.ndarray) -> float:
-    """|| U conj(T) - T^H U || on the block, t = T[:len(u_cols), :k]."""
-    return float(np.linalg.norm(u_rows @ t.conj() - t.conj().T @ u_cols))
+def _symmetry_defect(t: np.ndarray, u_rows: np.ndarray, u_cols: np.ndarray) -> List[float]:
+    """|| U conj(T) - T^H U || on the block for each draw, t = T[:, :u_cols.shape[1], :k]."""
+    return _norms(u_rows @ t.conj() - t.conj().swapaxes(1, 2) @ u_cols)
 
 
 def normality_residual(t: np.ndarray, k: int) -> float:
     """|| T*T - TT* || on the leading block."""
     _check_block(len(t), k)
-    return _normality_defect(t[:k], t[:, :k])
+    return _normality_defect(t[None, :k], t[None, :, :k])[0]
 
 
-def _normality_defect(rows: np.ndarray, cols: np.ndarray) -> float:
-    return float(np.linalg.norm(cols.conj().T @ cols - rows @ rows.conj().T))
+def _normality_defect(rows: np.ndarray, cols: np.ndarray) -> List[float]:
+    return _norms(cols.conj().swapaxes(1, 2) @ cols - rows @ rows.conj().swapaxes(1, 2))
+
+
+def _norms(x: np.ndarray) -> List[float]:
+    """The Frobenius norm of each matrix of the contiguous stack x, summed as
+    np.linalg.norm sums one matrix: a dot of the real parts plus a dot of
+    the imaginary parts, here one stacked @ each."""
+    flat = x.reshape(len(x), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0].tolist()
 
 
 def wco_residuals(
     psi: RationalSymbol, phi: Union[MobiusMap, ConstantMap], n: int, k: int,
     conj: Optional[Conjugation] = None, normality: bool = True,
 ) -> Dict[str, float]:
-    """normality_residual (unless normality is False) and, given conj, the
-    symmetry defect || U conj(T) - T^H U || = || CW - W*C || of
-    T = build_wco(psi, phi, n) on block k, with the same refusals.  It
+    """wco_residual_stack of one draw."""
+    return wco_residual_stack([psi], [phi], n, k, None if conj is None else [conj], normality)[0]
+
+
+def wco_residual_stack(
+    psis: Sequence[RationalSymbol], phis: Sequence[Union[MobiusMap, ConstantMap]], n: int, k: int,
+    conjs: Optional[Sequence[Conjugation]] = None, normality: bool = True,
+) -> List[Dict[str, float]]:
+    """For each draw, normality_residual (unless normality is False) and,
+    given conjs, the symmetry defect || U conj(T) - T^H U || = || CW - W*C ||
+    of T = build_wco(psi, phi, n) on block k, with the same refusals.  It
     builds only what they read: the first k rows and columns of W for
     normality; for the symmetry, T[:, :k] for C2 and the k x k block for
     the diagonal J and C1, sliced from that cross when normality built it.
-    The suites and `wcosym check` call it through verify.measure."""
-    out = {}
+    A stack's phis are all Mobius maps or all constant maps, and its conjs
+    all C2 or all diagonal.  The suites and `wcosym check` call it
+    through verify.measure."""
+    out = [{} for _ in psis]
     if normality:
-        rows, cols = _cross(psi, phi, n, k)
+        rows, cols = _cross(psis, phis, n, k)
     else:
-        series = _checked_series(psi, phi, n)
+        series = _checked_series(psis, phis, n)
         _check_block(n, k)
-    if conj is not None:
-        u_rows, u_cols = _conjugation_cross(conj, n, k)
+    if conjs is not None:
+        u_rows, u_cols = _conjugation_cross(conjs, n, k)
         if normality:
-            t = cols[:len(u_cols)]
-        elif conj.kind == "C2":
-            t = _strip(psi, series[0], phi, k)
+            t = cols[:, :u_cols.shape[1]]
+        elif conjs[0].kind == "C2":
+            t = _strip(psis, series[0], phis, k)
         else:
-            t = _rectangle(*series, phi, k, k)
-        out["symmetry"] = _symmetry_defect(t, u_rows, u_cols)
+            t = _rectangle(*series, phis, k, k)
+        for residuals, value in zip(out, _symmetry_defect(t, u_rows, u_cols)):
+            residuals["symmetry"] = value
     if normality:
-        out["normality"] = _normality_defect(rows, cols)
+        for residuals, value in zip(out, _normality_defect(rows, cols)):
+            residuals["normality"] = value
     return out
 
 
 def conjugation_residuals(c: Conjugation, n: int, k: int) -> Tuple[float, float]:
-    """involution_residual(conjugation_matrix(c, n), k), building only the
-    first k rows and columns of U; called through verify.measure."""
-    return _involution_defect(*_conjugation_cross(c, n, k))
+    """conjugation_residual_stack of one conjugation."""
+    return conjugation_residual_stack([c], n, k)[0]
 
 
-def _conjugation_cross(c: Conjugation, n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(U[:k], U[:, :k]) of conjugation_matrix(c, n): all the residuals read of U."""
-    if c.kind == "C2":
-        return _cross(*_c2_symbols(c), n, k)
+def conjugation_residual_stack(conjs: Sequence[Conjugation], n: int, k: int) -> List[Tuple[float, float]]:
+    """involution_residual(conjugation_matrix(c, n), k) for each c of a
+    stack (all C2 or all diagonal), building only the first k rows and
+    columns of U; called through verify.measure."""
+    return list(zip(*_involution_defect(*_conjugation_cross(conjs, n, k))))
+
+
+def _conjugation_cross(conjs, n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(U[:, :k], U[:, :, :k]) of conjugation_matrix(c, n) for each c: all
+    the residuals read of U."""
+    if conjs[0].kind == "C2":
+        return _cross(*zip(*map(_c2_symbols, conjs)), n, k)
     _check_dim(n)
     _check_block(n, k)
-    u = conjugation_matrix(c, k)  # diagonal: the block is all that is nonzero
+    u = np.array([conjugation_matrix(c, k) for c in conjs])  # diagonal: the block is all that is nonzero
     return u, u
 
 
@@ -402,12 +466,11 @@ def adjoint_factorization_residual(
     triple = cowen_adjoint(m, sigma_sign=sigma_sign)
     if sigma_sign == -1 and not is_self_map(triple.sigma):
         raise NotSelfMapError("sigma is not a self-map")
-    one = np.eye(1, n, dtype=complex)[0]  # the series of 1
-    c_phi = _rectangle(one, mobius_series(m, n), m, k, k)
-    m_g = _block(triple.g, IDENTITY, n, k)
+    ones = np.eye(1, n, dtype=complex).repeat(2, axis=0)  # the series of 1, twice
     # the flipped-sign variant of sigma need not be a self-map; build its
     # block without that check so the wrong convention can be exhibited failing
-    c_sigma = _rectangle(one, mobius_series(triple.sigma, n), triple.sigma, k, k)
-    m_h = _block(triple.h, IDENTITY, n, k)
+    maps = [m, triple.sigma]
+    c_phi, c_sigma = _rectangle(ones, quotient_series([(f.b, f.a, f.d, f.c) for f in maps], n), maps, k, k)
+    m_g, m_h = _block([triple.g, triple.h], [IDENTITY, IDENTITY], n, k)
     res = c_phi.conj().T - (m_g @ c_sigma) @ m_h.conj().T
     return float(np.linalg.norm(res))

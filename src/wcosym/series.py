@@ -10,7 +10,8 @@ the map's four coefficients).
 Products are exact through the truncation order (the Cauchy product of
 index n only touches indices <= n); the only genuinely lossy operation
 is composition, where the tail of the outer series spills into every
-coefficient.
+coefficient.  ``quotient_series`` expands a stack of quotients at once
+(the operators' stacks of draws); a single expansion is a stack of one.
 """
 
 from __future__ import annotations
@@ -64,22 +65,31 @@ class RationalSymbol:
 
 
 def expand_rational(r: RationalSymbol, n: int) -> np.ndarray:
-    """First ``n`` Taylor coefficients of a rational symbol at 0.
+    """First ``n`` Taylor coefficients of a rational symbol at 0: the
+    quotient series of its coefficients, a stack of one."""
+    return quotient_series([(r.n0, r.n1, r.d0, r.d1)], n)[0]
+
+
+def quotient_series(quads, n: int) -> np.ndarray:
+    """Row b: the first ``n`` Taylor coefficients at 0 of
+    (n0 + n1 z) / (d0 + d1 z), (n0, n1, d0, d1) = quads[b].
 
     Uses the geometric recurrence c_k = -(d1/d0) c_{k-1}, run as one
-    cumulative product; each step is a single multiply, so relative error
-    stays at rounding level.  A pole inside the disk makes the
-    coefficients grow; once they overflow the expansion is refused.
+    cumulative product along each row; each step is a single multiply, so
+    relative error stays at rounding level.  A pole inside the disk makes
+    the coefficients grow; once they overflow the expansion is refused.
+    Each row equals the expansion of its quotient alone.
     """
-    if abs(r.d0) < _POLE_EPS:
-        raise PoleAtOriginError("denominator vanishes at 0")
-    c = np.zeros(n, dtype=complex)
-    if n > 0:
-        c[0] = r.n0 / r.d0
-    if n > 1:
-        c[1] = (r.n1 - r.d1 * c[0]) / r.d0
-        c[2:] = -r.d1 / r.d0
-        np.cumprod(c[1:], out=c[1:])
+    c = np.zeros((len(quads), n), dtype=complex)
+    for row, (n0, n1, d0, d1) in zip(c, quads):
+        if abs(d0) < _POLE_EPS:
+            raise PoleAtOriginError("denominator vanishes at 0")
+        if n > 0:
+            row[0] = n0 / d0
+        if n > 1:
+            row[1] = (n1 - d1 * row[0]) / d0
+            row[2:] = -d1 / d0
+    np.cumprod(c[:, 1:], axis=1, out=c[:, 1:])
     if not np.all(np.isfinite(c)):
         raise ValueError("coefficients must be finite")
     return c
@@ -87,4 +97,4 @@ def expand_rational(r: RationalSymbol, n: int) -> np.ndarray:
 
 def mobius_series(m: "MobiusMap", n: int) -> np.ndarray:
     """Taylor coefficients of a Mobius map (az + b)/(cz + d) at 0."""
-    return expand_rational(RationalSymbol(m.b, m.a, m.d, m.c), n)
+    return quotient_series([(m.b, m.a, m.d, m.c)], n)[0]

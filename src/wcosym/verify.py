@@ -7,14 +7,23 @@ an explicit inconclusive band between the pass and fail thresholds so that
 truncation noise can never silently misclassify a near-boundary draw.
 Disagreements are reported as discrepancy records, never patched.
 
-A suite is a draw ``(rng, cfg, i) -> Optional[SampleRecord]``: the record
-of sample index i, or None when the draw is rejected.  ``run_suite`` is the
-one sampling loop: it enforces the suite's minimum dim and block, seeds one
-generator, calls the draw for each index until it returns a record (so a
-rejected draw is redrawn, never dropped) and builds the report.
+A suite is a draw ``(rng, cfg, i)``: it returns the record of sample index
+i, or None when the draw is rejected; a draw that measures is a generator
+that yields one ``Probe`` (what to measure), is sent the residuals and
+returns its record.  ``run_suite`` is the one sampling loop: it enforces
+the suite's minimum dim and block, seeds one generator, runs the draw of
+each index up to its probe before it draws the next index, redrawing a
+rejected index (never dropping it), then calls ``measure`` once on all
+the probes and sends each draw its residuals, in index order.  No draw
+touches the generator after its probe, so the stream is that of one
+draw finished at a time.
 ``measure`` is the one seam to the matrix residuals: the suites and
-``wcosym check`` take every normality, symmetry, involution and isometry
-residual through it, and it alone picks the truncation.
+``wcosym check`` (a list of one probe) take every normality, symmetry,
+involution and isometry residual through it, and it alone picks the
+truncation.  It evaluates the probes of one shape together, in stacks of
+at most max(1, STACK_ROWS // cfg.dim) draws: a residual at the suites'
+small N costs mostly per-call numpy overhead, which a stack shares, and
+the row budget keeps the stacks' arrays out of the peak memory.
 ``_record`` is the one verdict rule: every suite record and every
 ``wcosym check`` verdict is built by it, and it is the one caller of
 ``band_verdict`` and ``agreement``.  Every closed-form gap (a quantity the
@@ -31,9 +40,10 @@ never meets those two thresholds.
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Generator, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,10 +65,11 @@ from .mobius import (
 from .operators import (
     BLOCK_PAD,
     MAX_DIM,
+    STACK_ROWS,
     Conjugation,
     adjoint_factorization_residual,
-    conjugation_residuals,
-    wco_residuals,
+    conjugation_residual_stack,
+    wco_residual_stack,
 )
 from .series import RationalSymbol
 
@@ -169,16 +180,52 @@ def lft_oracle(quad, tol: float) -> Dict[str, object]:
     return {"modulus_gap": gap, "commute_defect": defect, "normal": bool(max(gap, defect) <= tol)}
 
 
-def measure(
-    cfg: SuiteConfig, pair: Optional[fam.SymbolPair] = None, conj: Optional[Conjugation] = None, normality: bool = True
-) -> Dict[str, float]:
-    """Residuals on the leading cfg.block block of the cfg.dim-truncation: W's
-    normality (unless normality is False) and, given conj, W's symmetry
-    against it; given conj and no pair, conj's involution and isometry."""
-    if pair is None:
-        inv, iso = conjugation_residuals(conj, cfg.dim, cfg.block)
-        return {"involution": inv, "isometry": iso}
-    return wco_residuals(pair.psi, pair.phi, cfg.dim, cfg.block, conj, normality)
+class Probe(NamedTuple):
+    """The residuals one draw asks `measure` for: W's normality (unless
+    normality is False) and, given conj, W's symmetry against it; given
+    conj and no pair, conj's involution and isometry."""
+
+    pair: Optional[fam.SymbolPair] = None
+    conj: Optional[Conjugation] = None
+    normality: bool = True
+
+
+def _stack_key(probe: Probe) -> tuple:
+    """Probes with equal keys have arrays of equal shapes: they evaluate as one stack."""
+    c2 = None if probe.conj is None else probe.conj.kind == "C2"
+    if probe.pair is None:
+        return (c2,)
+    return c2, isinstance(probe.pair.phi, ConstantMap), probe.normality
+
+
+def measure(cfg: SuiteConfig, probes: Sequence[Probe]) -> List[Dict[str, float]]:
+    """The residuals of each probe on the leading cfg.block block of the
+    cfg.dim-truncation, in probe order.  Probes of one stack key are
+    evaluated together, in stacks of at most max(1, STACK_ROWS // cfg.dim)
+    draws taken in probe order; each residual equals that of a stack of
+    one.  A refused probe raises its refusal."""
+    out: List[Dict[str, float]] = [{} for _ in probes]
+    stacks: Dict[tuple, List[int]] = {}
+    for index, probe in enumerate(probes):
+        stacks.setdefault(_stack_key(probe), []).append(index)
+    size = max(1, STACK_ROWS // cfg.dim)
+    for members in stacks.values():
+        for start in range(0, len(members), size):
+            cut = members[start:start + size]
+            pair, conj, normality = probes[cut[0]]
+            conjs = None if conj is None else [probes[i].conj for i in cut]
+            if pair is None:
+                got = [
+                    {"involution": inv, "isometry": iso}
+                    for inv, iso in conjugation_residual_stack(conjs, cfg.dim, cfg.block)
+                ]
+            else:
+                pairs = [probes[i].pair for i in cut]
+                psis, phis = [p.psi for p in pairs], [p.phi for p in pairs]
+                got = wco_residual_stack(psis, phis, cfg.dim, cfg.block, conjs, normality)
+            for index, residuals in zip(cut, got):
+                out[index] = residuals
+    return out
 
 
 _SEVERITY = ("pass", "inconclusive", "discrepancy")
@@ -218,17 +265,23 @@ def _record(
 # individual suites
 # ---------------------------------------------------------------------------
 
-def suite_prop21_normal(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
+# a draw that measures is a generator: it yields one Probe, is sent its
+# residuals and returns its record (returning None before its probe
+# rejects the draw)
+Measured = Generator[Probe, Dict[str, float], Optional[SampleRecord]]
+
+
+def suite_prop21_normal(rng, cfg: SuiteConfig, i: int) -> Measured:
     """Interior-fixed-point family: every member passes the normality oracle."""
     p = _disk(rng, 0.5)
     delta = _disk(rng, 0.7)
     gamma = 0.5 + rng.uniform(0.0, 1.0)
     pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, gamma))
     params = {"p": p, "delta": delta, "gamma": gamma}
-    return _record(cfg, params, measure(cfg, pair), predicates={"in_family": True})
+    return _record(cfg, params, (yield Probe(pair)), predicates={"in_family": True})
 
 
-def suite_prop22_commutation(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+def suite_prop22_commutation(rng, cfg: SuiteConfig, i: int) -> Measured:
     """Weight K_{sigma(0)}: matrix normality iff the commuting condition."""
     kind = i % 4
     if kind == 0:  # generic self-map, generically non-normal
@@ -251,7 +304,7 @@ def suite_prop22_commutation(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRe
     psi = RationalSymbol(1.0, 0.0, 1.0, -np.conj(sigma0))
     lft = lft_oracle((m.a, m.b, m.c, m.d), cfg.pred_tol)
     params = {"a": m.a, "b": m.b, "c": m.c, "d": m.d}
-    oracle = measure(cfg, fam.SymbolPair(psi, m))
+    oracle = yield Probe(fam.SymbolPair(psi, m))
     return _record(cfg, params, oracle, lft["normal"], predicates={"lft_condition": lft["normal"]}, oracles=lft)
 
 
@@ -259,7 +312,7 @@ def cowen_sigma0(m: MobiusMap) -> complex:
     return -np.conj(m.c) / np.conj(m.d)
 
 
-def suite_conjugation_axioms(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
+def suite_conjugation_axioms(rng, cfg: SuiteConfig, i: int) -> Measured:
     """Involution and anti-linear isometry axioms for the three kinds.
 
     Index 0 is J, the next samples // 2 indices C1 and the remaining
@@ -276,18 +329,18 @@ def suite_conjugation_axioms(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
     else:
         alpha = _disk(rng, 0.32, 0.05)
         c, tol = Conjugation("C2", _angle(rng), alpha), 1e-8
-    residuals = measure(cfg, conj=c)
+    residuals = yield Probe(conj=c)
     params = {"kind": c.kind} if c.kind == "J" else {"kind": c.kind, "lam": c.lam, "alpha": c.alpha}
     return _record(cfg, params, exact=max(residuals.values()) <= tol, residuals=residuals)
 
 
-def _symmetry_record(cfg: SuiteConfig, i: int, params, pair: fam.SymbolPair, conj: Conjugation) -> SampleRecord:
+def _symmetry_record(cfg: SuiteConfig, i: int, params, pair: fam.SymbolPair, conj: Conjugation) -> Measured:
     """Shared record of the three symmetric-form draws: in-family draws
     must pass, perturbed controls (the indices past cfg.samples) must fail."""
     in_family = i < cfg.samples
     if not in_family:
         params, pair = {**params, "perturbed": True}, _perturb_weight(pair)
-    oracle = measure(cfg, pair, conj, normality=False)
+    oracle = yield Probe(pair, conj, normality=False)
     return _record(cfg, params, oracle, in_family, predicates={"in_family": in_family})
 
 
@@ -297,17 +350,17 @@ def _perturb_weight(pair: fam.SymbolPair) -> fam.SymbolPair:
     return fam.SymbolPair(RationalSymbol(psi.n0, psi.n1 + bump, psi.d0, psi.d1), pair.phi)
 
 
-def suite_jsym_form(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+def suite_jsym_form(rng, cfg: SuiteConfig, i: int) -> Measured:
     a0 = _disk(rng, 0.7)
     a1 = _disk(rng, 0.75, 0.02)
     b = 0.5 + rng.uniform(0.0, 1.0)
     pair = fam.j_symbols(fam.JParams(a0, a1, b))
     if not isinstance(pair.phi, ConstantMap) and not is_self_map(pair.phi):
         return None
-    return _symmetry_record(cfg, i, {"a0": a0, "a1": a1, "b": b}, pair, Conjugation("J"))
+    return (yield from _symmetry_record(cfg, i, {"a0": a0, "a1": a1, "b": b}, pair, Conjugation("J")))
 
 
-def suite_c1sym_form(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+def suite_c1sym_form(rng, cfg: SuiteConfig, i: int) -> Measured:
     alpha = _angle(rng)
     c0 = _disk(rng, 0.7)
     c1 = _disk(rng, 0.75, 0.02)
@@ -316,7 +369,7 @@ def suite_c1sym_form(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
     if not isinstance(pair.phi, ConstantMap) and not is_self_map(pair.phi):
         return None
     params = {"alpha": alpha, "c0": c0, "c1": c1, "d": d}
-    return _symmetry_record(cfg, i, params, pair, Conjugation("C1", 1.0, alpha))
+    return (yield from _symmetry_record(cfg, i, params, pair, Conjugation("C1", 1.0, alpha)))
 
 
 def _c2_params_from_tuv(alpha, t, u, v) -> fam.C2Params:
@@ -341,13 +394,13 @@ def _draw_c2_selfmap(rng, alpha_hi=0.5):
     return params, pair
 
 
-def suite_c2sym_form(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+def suite_c2sym_form(rng, cfg: SuiteConfig, i: int) -> Measured:
     drawn = _draw_c2_selfmap(rng)
     if drawn is None:
         return None
     params, pair = drawn
     d = {"alpha": params.alpha, "c0": params.c0, "c1": params.c1, "c2": params.c2}
-    return _symmetry_record(cfg, i, d, pair, Conjugation("C2", 1.0, params.alpha))
+    return (yield from _symmetry_record(cfg, i, d, pair, Conjugation("C2", 1.0, params.alpha)))
 
 
 # --- automorphism lemmas -----------------------------------------------------
@@ -431,7 +484,7 @@ def suite_lemma33_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
 
 # --- normality iff suites ----------------------------------------------------
 
-def suite_prop41_iff(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+def suite_prop41_iff(rng, cfg: SuiteConfig, i: int) -> Measured:
     """Even indices draw on the normality locus, odd ones off it."""
     a0 = _disk(rng, 0.52, 0.05)
     if i % 2 == 0:
@@ -449,7 +502,7 @@ def suite_prop41_iff(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
         return None
     pred = fam.j_normal_predicate(a0, a1, cfg.pred_tol)
     predicates = {"normal": pred, "expression": fam.j_normal_expression(a0, a1)}
-    return _record(cfg, {"a0": a0, "a1": a1}, measure(cfg, pair), pred, predicates=predicates)
+    return _record(cfg, {"a0": a0, "a1": a1}, (yield Probe(pair)), pred, predicates=predicates)
 
 
 def _solve_c1_predicate(rng, alpha, c0):
@@ -476,7 +529,7 @@ def _solve_c1_predicate(rng, alpha, c0):
     return base
 
 
-def suite_thm51_iff(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+def suite_thm51_iff(rng, cfg: SuiteConfig, i: int) -> Measured:
     """Even indices draw on the normality locus, odd ones off it."""
     alpha = _angle(rng)
     c0 = _disk(rng, 0.52, 0.05)
@@ -493,10 +546,10 @@ def suite_thm51_iff(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
         return None
     pred = fam.c1_normal_predicate(alpha, c0, c1, cfg.pred_tol)
     predicates = {"normal": pred, "expression": fam.c1_normal_expression(alpha, c0, c1)}
-    return _record(cfg, {"alpha": alpha, "c0": c0, "c1": c1}, measure(cfg, pair), pred, predicates=predicates)
+    return _record(cfg, {"alpha": alpha, "c0": c0, "c1": c1}, (yield Probe(pair)), pred, predicates=predicates)
 
 
-def suite_thm61_consistency(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+def suite_thm61_consistency(rng, cfg: SuiteConfig, i: int) -> Measured:
     """Stated case conditions versus the normality oracles.
 
     Parameter sets satisfying the case conditions force |phi(0)| = 1, so
@@ -555,7 +608,7 @@ def suite_thm61_consistency(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRec
     if use_matrix:
         pair = fam.c2_symbols(params, check_self_map=False)
         if not isinstance(pair.phi, ConstantMap) and is_self_map(pair.phi) and abs(pair.psi.pole()) > 1.5:
-            oracle, decided = measure(cfg, pair), {}
+            oracle, decided = (yield Probe(pair)), {}
     return _record(
         cfg, {"alpha": params.alpha, "c0": params.c0, "c1": params.c1, "c2": params.c2}, oracle, claims_normal,
         decided=decided, predicates={"case": pred.value, "claims_normal": claims_normal}, oracles=lft, note=note,
@@ -564,7 +617,7 @@ def suite_thm61_consistency(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRec
 
 # --- worked-example suites ---------------------------------------------------
 
-def suite_ex41_equivalence(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+def suite_ex41_equivalence(rng, cfg: SuiteConfig, i: int) -> Measured:
     """Real interior parameter: the interior-normal symbols coincide with
     the coefficient-conjugation family; off the real axis the symmetry
     residual is bounded away from zero."""
@@ -590,11 +643,11 @@ def suite_ex41_equivalence(rng, cfg: SuiteConfig, i: int) -> Optional[SampleReco
         p = complex(p.real, sign * (0.1 + abs(p.imag)))
     delta = _disk(rng, 0.6)
     pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, 1.0))
-    oracle = {"j_symmetry": measure(cfg, pair, Conjugation("J"), normality=False)["symmetry"]}
+    oracle = {"j_symmetry": (yield Probe(pair, Conjugation("J"), normality=False))["symmetry"]}
     return _record(cfg, {"p": p, "delta": delta}, oracle, claim=False, predicates={"real_p": False})
 
 
-def suite_cor41_aut(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
+def suite_cor41_aut(rng, cfg: SuiteConfig, i: int) -> Measured:
     """Disk-form automorphism parameters always satisfy the normality
     condition of the coefficient-conjugation family."""
     al = _disk(rng, 0.5, 0.05)
@@ -605,7 +658,7 @@ def suite_cor41_aut(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
     pair = fam.j_symbols(fam.JParams(a0, a1))
     cls = classify(pair.phi)
     return _record(
-        cfg, {"alpha": al, "a0": a0, "a1": a1}, measure(cfg, pair),
+        cfg, {"alpha": al, "a0": a0, "a1": a1}, (yield Probe(pair)),
         exact=abs(expr) <= cfg.pred_tol and cls.is_automorphism,
         predicates={"expression": expr, "map_class": cls.map_class.value},
     )
@@ -627,7 +680,7 @@ def _dw_gaps(cls, zeta) -> Dict[str, float]:
     return {"dw_gap": abs(cls.dw_point - zeta), "derivative_gap": abs(cls.dw_derivative - 1.0)}
 
 
-def suite_ex44_parabolic(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
+def suite_ex44_parabolic(rng, cfg: SuiteConfig, i: int) -> Measured:
     branch = 1 if i % 2 == 0 else -1
     a0 = _parabolic_j_arc(rng, branch)
     pair = fam.parabolic_j_symbols(a0, branch)
@@ -637,12 +690,12 @@ def suite_ex44_parabolic(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
         "expression": fam.j_normal_expression(a0, (1.0 - branch * a0) ** 2),
     }
     return _record(
-        cfg, {"a0": a0, "branch": branch}, measure(cfg, pair), exact=cls.map_class in _PARABOLIC,
+        cfg, {"a0": a0, "branch": branch}, (yield Probe(pair)), exact=cls.map_class in _PARABOLIC,
         gaps=_dw_gaps(cls, branch), predicates=predicates,
     )
 
 
-def suite_ex51_interior(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+def suite_ex51_interior(rng, cfg: SuiteConfig, i: int) -> Measured:
     """Rotation-weighted interior case: conj(p) = alpha p branch plus the
     delta = 0 constant-map branch (every fourth index)."""
     p = _disk(rng, 0.55, 0.1)
@@ -665,7 +718,7 @@ def suite_ex51_interior(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]
     pred = fam.c1_normal_predicate(alpha, c0, c1, cfg.pred_tol)
     return _record(
         cfg, {"p": p, "delta": delta, "alpha": alpha, "c0": c0, "c1": c1},
-        measure(cfg, pair, Conjugation("C1", 1.0, alpha)), exact=pred, gaps={"phi_gap": phi_gap},
+        (yield Probe(pair, Conjugation("C1", 1.0, alpha))), exact=pred, gaps={"phi_gap": phi_gap},
         predicates={"c1_normal": pred},
     )
 
@@ -685,7 +738,7 @@ def suite_ex51_aut_corollary(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
     )
 
 
-def suite_ex54_parabolic(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
+def suite_ex54_parabolic(rng, cfg: SuiteConfig, i: int) -> Measured:
     zeta = _angle(rng)
     w = 0.5 + 0.33 * _disk(rng)
     c0 = zeta * w
@@ -697,7 +750,7 @@ def suite_ex54_parabolic(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
     ok = cls.map_class in _PARABOLIC and abs(expr) <= cfg.pred_tol
     predicates = {"map_class": cls.map_class.value, "expression": expr}
     return _record(
-        cfg, {"zeta": zeta, "c0": c0, "c1": c1}, measure(cfg, pair), exact=ok, gaps=_dw_gaps(cls, zeta),
+        cfg, {"zeta": zeta, "c0": c0, "c1": c1}, (yield Probe(pair)), exact=ok, gaps=_dw_gaps(cls, zeta),
         predicates=predicates,
     )
 
@@ -724,7 +777,7 @@ def suite_cor62_no_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
     return _record(cfg, {"alpha": alpha, "gamma": g}, oracle, claim=False, predicates={"aut_constructed": True})
 
 
-def suite_ex61_interior(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
+def suite_ex61_interior(rng, cfg: SuiteConfig, i: int) -> Measured:
     """Interior reconstruction through the I-ratios under the gauge
     c1 - c2 = 1, on the compatibility locus of the conjugation parameter."""
     p = rng.uniform(0.15, 0.6) * (1 if rng.random() < 0.5 else -1)
@@ -739,12 +792,12 @@ def suite_ex61_interior(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
     closed = fam.interior_phi_closed_form(fam.InteriorParams(complex(p), delta, gamma))
     phi_gap = proj_distance(pair.phi, closed)
     return _record(
-        cfg, {"p": p, "delta": delta, "alpha": alpha}, measure(cfg, pair, Conjugation("C2", 1.0, alpha)),
+        cfg, {"p": p, "delta": delta, "alpha": alpha}, (yield Probe(pair, Conjugation("C2", 1.0, alpha))),
         gaps={"phi_gap": phi_gap, "consistency": consistency},
     )
 
 
-def suite_ex63_parabolic(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+def suite_ex63_parabolic(rng, cfg: SuiteConfig, i: int) -> Measured:
     """Construct-then-check round trip for the kernel-weighted parabolic
     discriminant."""
     sgn = 1.0 if i % 2 == 0 else -1.0
@@ -767,7 +820,7 @@ def suite_ex63_parabolic(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord
     cls = classify(pair.phi)
     gaps = {"zeta_modulus_gap": abs(abs(zeta) - 1.0), **_dw_gaps(cls, zeta)}
     return _record(
-        cfg, {"alpha": alpha, "c0": params.c0, "c1": c1, "c2": c2}, measure(cfg, pair),
+        cfg, {"alpha": alpha, "c0": params.c0, "c1": c1, "c2": c2}, (yield Probe(pair)),
         exact=pred and cls.map_class in _PARABOLIC, gaps=gaps,
         predicates={"parabolic": pred, "zeta": zeta, "map_class": cls.map_class.value},
     )
@@ -870,14 +923,14 @@ def _sweep(deficiency):
     return draw
 
 
-def suite_hyperbolic_nonaut(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
+def suite_hyperbolic_nonaut(rng, cfg: SuiteConfig, i: int) -> Measured:
     """Examples 4.3 and 5.3: on non-automorphism hyperbolic target i of
     12, W with the kernel weight at sigma(0) is not normal.  Reads cfg.dim
     and cfg.block (the truncation) and the pass_tol / fail_tol band."""
     r, t = _target_quadruples(include_aut=False)[i]
     phi = fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t))
     psi = RationalSymbol(1.0, 0.0, 1.0, -np.conj(cowen_sigma0(phi)))
-    oracle = measure(cfg, fam.SymbolPair(psi, phi))
+    oracle = yield Probe(fam.SymbolPair(psi, phi))
     return _record(cfg, {"r": r, "t": t}, oracle, claim=False, residuals={"deficiency": oracle["normality"]})
 
 
@@ -892,7 +945,7 @@ class Suite:
     target set (defaults.samples of them), and whether max(1, samples // 5)
     perturbed controls follow its samples."""
 
-    draw: Callable[[np.random.Generator, SuiteConfig, int], Optional[SampleRecord]]
+    draw: Callable[[np.random.Generator, SuiteConfig, int], Union[Optional[SampleRecord], Measured]]
     defaults: SuiteConfig
     min_dim: int = 0
     min_block: int = 0
@@ -994,8 +1047,9 @@ def run_suite(suite_id: str, cfg: Optional[SuiteConfig] = None) -> VerificationR
     """Run one registered suite; deterministic given (suite, config, seed).
 
     The one sampling loop: index i is drawn until the suite's draw returns
-    a record, so the report holds exactly cfg.samples records (plus the
-    controls of a suite that has them), in index order.  A config below
+    a record or yields a probe, so the report holds exactly cfg.samples
+    records (plus the controls of a suite that has them), in index order.
+    The probes of all indices go to one measure call.  A config below
     the suite's minimum dim or block raises ValueError, and so does a
     samples count other than a fixed target set's size.
     """
@@ -1013,10 +1067,32 @@ def run_suite(suite_id: str, cfg: Optional[SuiteConfig] = None) -> VerificationR
             f"got samples {cfg.samples}"
         )
     rng = np.random.default_rng(cfg.seed)
-    records = []
-    for i in range(cfg.samples + (max(1, cfg.samples // 5) if suite.controls else 0)):
-        record = None
-        while record is None:
-            record = suite.draw(rng, cfg, i)
-        records.append(record)
+    count = cfg.samples + (max(1, cfg.samples // 5) if suite.controls else 0)
+    drawn = [_draw_to_probe(suite.draw, rng, cfg, i) for i in range(count)]
+    residuals = iter(measure(cfg, [probe for _, probe in drawn if probe is not None]))
+    records = [out if probe is None else _finish(out, next(residuals)) for out, probe in drawn]
     return VerificationReport(suite_id, cfg, records)
+
+
+def _draw_to_probe(draw, rng, cfg: SuiteConfig, i: int):
+    """Index i drawn until the draw is not rejected: (its record, None), or
+    (the suspended draw, its probe) for a draw that measures."""
+    while True:
+        out = draw(rng, cfg, i)
+        if inspect.isgenerator(out):
+            try:
+                return out, next(out)
+            except StopIteration as done:
+                out = done.value
+        if out is not None:
+            return out, None
+
+
+def _finish(draw: Measured, residuals: Dict[str, float]) -> SampleRecord:
+    """The record a suspended draw returns once sent its residuals."""
+    try:
+        draw.send(residuals)
+    except StopIteration as done:
+        if done.value is not None:
+            return done.value
+    raise RuntimeError("a draw that yields a probe must return a record, yielding nothing else")

@@ -199,7 +199,8 @@ class TestSuiteCommand:
     def test_dimension_cap_exit_2(self, capsys, monkeypatch):
         # the cap is checked before the first matrix, so no record is computed
         calls = []
-        monkeypatch.setattr(verify, "conjugation_residuals", lambda *a: calls.append(a) or (0.0, 0.0))
+        stub = lambda conjs, n, k: calls.append(conjs) or [(0.0, 0.0)] * len(conjs)
+        monkeypatch.setattr(verify, "conjugation_residual_stack", stub)
         assert main(["suite", "--id", "conjugation-axioms", "--dim", "1025"]) == 2
         assert calls == []
         # a suite that builds no matrix must not report a dim past the cap

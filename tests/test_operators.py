@@ -38,6 +38,17 @@ from wcosym.series import RationalSymbol, expand_rational, mobius_series
 ONE = RationalSymbol.constant(1.0)
 
 
+def cross(psi, phi, n, k):
+    """operators._cross of a stack of one draw."""
+    rows, cols = _cross([psi], [phi], n, k)
+    return rows[0], cols[0]
+
+
+def block(psi, phi, n, k):
+    """operators._block of a stack of one draw."""
+    return _block([psi], [phi], n, k)[0]
+
+
 def j_family(a0, a1, b=1.0):
     psi = RationalSymbol(b, 0, 1, -a0)
     phi = MobiusMap(a1 - a0 ** 2, a0, -a0, 1.0)
@@ -203,12 +214,12 @@ class TestLeadingBuilds:
             reference = convolution_columns(expand_rational(psi, n), phi, n)
             scale = np.max(np.abs(reference))
             for k in (1, 12, 16):
-                rows, cols = _cross(psi, phi, n, k)
+                rows, cols = cross(psi, phi, n, k)
                 assert rows.shape == (k, n) and cols.shape == (n, k), name
                 assert np.max(np.abs(rows - reference[:k])) <= 1e-13 * scale, (name, k)
                 assert np.max(np.abs(cols - reference[:, :k])) <= 1e-13 * scale, (name, k)
-                block = _block(psi, phi, n, k)
-                assert np.max(np.abs(block - reference[:k, :k])) <= 1e-13 * scale, (name, k)
+                leading = block(psi, phi, n, k)
+                assert np.max(np.abs(leading - reference[:k, :k])) <= 1e-13 * scale, (name, k)
             whole = build_wco(psi, phi, n)
             assert np.max(np.abs(whole - reference)) <= 1e-13 * scale, name
 
@@ -216,8 +227,8 @@ class TestLeadingBuilds:
     def test_refusals(self, n):
         builders = {
             "whole": lambda psi, phi, n, k: build_wco(psi, phi, n),
-            "cross": _cross,
-            "block": _block,
+            "cross": cross,
+            "block": block,
             "normality": wco_residuals,
             "j-symmetry": lambda psi, phi, n, k: wco_residuals(psi, phi, n, k, Conjugation("J"), False),
             "c2-symmetry": lambda psi, phi, n, k: wco_residuals(psi, phi, n, k, C2_SLOW_DECAY, False),
@@ -274,21 +285,21 @@ class TestFftDoubling:
                 reference = convolution_columns(psi_s, phi, n, k)
                 rows_reference = convolution_columns(psi_s[:k], phi, k, n)
                 scale = max(np.max(np.abs(reference)), np.max(np.abs(rows_reference)))
-                rows, cols = _cross(psi, phi, n, k)
+                rows, cols = cross(psi, phi, n, k)
                 assert cols.shape == (n, k) and rows.shape == (k, n), (name, k)
                 assert np.max(np.abs(cols - reference)) <= 1e-13 * scale, (name, k)
                 assert np.max(np.abs(rows - rows_reference)) <= 1e-13 * scale, (name, k)
-                block = _block(psi, phi, n, k)
-                assert np.max(np.abs(block - reference[:k])) <= 1e-13 * scale, (name, k)
+                leading = block(psi, phi, n, k)
+                assert np.max(np.abs(leading - reference[:k])) <= 1e-13 * scale, (name, k)
 
     def test_large_block_matches_convolutions(self):
         n, k = 448, 400
         for name, (psi, phi) in build_cases().items():
             reference = convolution_columns(expand_rational(psi, n), phi, n)
             scale = np.max(np.abs(reference))
-            block = _block(psi, phi, n, k)
-            assert np.max(np.abs(block - reference[:k, :k])) <= 1e-13 * scale, name
-            rows, cols = _cross(psi, phi, n, k)
+            leading = block(psi, phi, n, k)
+            assert np.max(np.abs(leading - reference[:k, :k])) <= 1e-13 * scale, name
+            rows, cols = cross(psi, phi, n, k)
             assert np.max(np.abs(rows - reference[:k])) <= 1e-13 * scale, name
             assert np.max(np.abs(cols - reference[:, :k])) <= 1e-13 * scale, name
 
@@ -296,8 +307,8 @@ class TestFftDoubling:
     def test_strip_never_reaches_the_recurrence(self, n, monkeypatch):
         monkeypatch.setattr(operators, "_mobius_recurrence", refuse)
         for psi, phi in build_cases().values():
-            _cross(psi, phi, n, 16)
-            _block(psi, phi, n, 16)
+            cross(psi, phi, n, 16)
+            block(psi, phi, n, 16)
             wco_residuals(psi, phi, n, 16, Conjugation("C1", 1.0, 1j))
         conjugation_residuals(C2_SLOW_DECAY, n, 16)
         for name in ("fft", "ifft", "rfft", "irfft"):
@@ -305,7 +316,7 @@ class TestFftDoubling:
         for name, (psi, phi) in strip_cases().items():
             psi_s = expand_rational(psi, n)
             reference = convolution_columns(psi_s, phi, n, 16)
-            error = np.max(np.abs(_strip(psi, psi_s, phi, 16) - reference))
+            error = np.max(np.abs(_strip([psi], psi_s[None], [phi], 16)[0] - reference))
             assert error <= 1e-13 * np.max(np.abs(reference)), name
             # the C2 symmetry alone reads W only through the strip, and U only
             # through the conjugation's first k rows and columns
@@ -322,15 +333,15 @@ class TestFftDoubling:
         real = operators._double
 
         def spy(run, step):
-            seen.append(step.shape)
+            seen.append(step.shape[1:])  # one draw's step
             return real(run, step)
 
         monkeypatch.setattr(operators, "_double", spy)
         psi, phi = case_symbols("disk-automorphism")
         for k in (16, min(n - 32, 400)):
             seen.clear()
-            _cross(psi, phi, n, k)
-            _block(psi, phi, n, k)
+            cross(psi, phi, n, k)
+            block(psi, phi, n, k)
             for c in (Conjugation("J"), C2_SLOW_DECAY):
                 wco_residuals(psi, phi, n, k, c)
                 wco_residuals(psi, phi, n, k, c, normality=False)
@@ -399,9 +410,9 @@ class TestTileWavefront:
         n = max(rows, cols)
         for name, (psi, phi) in tile_cases().items():
             psi_s = expand_rational(psi, n)
-            phi_s = None if isinstance(phi, ConstantMap) else mobius_series(phi, n)
+            phi_s = None if isinstance(phi, ConstantMap) else mobius_series(phi, n)[None]
             reference = convolution_columns(psi_s[:rows], phi, rows, cols)
-            assert_matches(_rectangle(psi_s, phi_s, phi, rows, cols), reference, name)
+            assert_matches(_rectangle(psi_s[None], phi_s, [phi], rows, cols)[0], reference, name)
 
     def test_leading_block_of_the_largest_build(self):
         n, k = MAX_DIM, 389
@@ -475,7 +486,7 @@ class TestRowStep:
             sigma = cowen_adjoint(phi).sigma
             chi = MobiusMap(*np.conj(sigma.quadruple()))
             toeplitz = convolution_columns(mobius_series(chi, k), IDENTITY, k)
-            step = _row_step(psi, phi, k)
+            step = _row_step([psi], [phi], k)[0]
             assert np.max(np.abs(step[:k, :k] - toeplitz.T)) <= 1e-14 * max(1.0, np.max(np.abs(toeplitz))), family
             assert not np.any(step[:k, k])
             assert np.allclose(step[k, :k], phi(0.0) ** np.arange(k), rtol=1e-14, atol=1e-15), family
@@ -484,7 +495,7 @@ class TestRowStep:
     def test_step_powers_are_contractions(self):
         k, worst = self.K, 0.0
         for family, psi, phi in family_self_maps(np.random.default_rng(13), 60):
-            power = _row_step(psi, phi, k)[:k, :k]
+            power = _row_step([psi], [phi], k)[0, :k, :k]
             for _ in range(11):  # R^h for h = 2^0 ... 2^10
                 worst = max(worst, np.linalg.norm(power, 2))
                 assert np.linalg.norm(power, 2) <= 1.0 + 1e-12, family

@@ -52,7 +52,7 @@ def test_build_timings_prints_every_row_and_refuses_zero_repeats(capsys, monkeyp
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     expected = [(name, n, k) for name in script.SYMBOLS for n in script.DIMS for k in script.BLOCKS]
     assert [(row[0], int(row[1]), int(row[2])) for row in rows] == expected
-    assert all(len(row) == 6 for row in rows)
+    assert all(len(row) == 7 for row in rows)  # symbol, N, k, whole, cross, stacked, block
     with pytest.raises(SystemExit) as exit_info:
         script.main(["--repeats", "0"])
     assert exit_info.value.code == 2

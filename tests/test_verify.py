@@ -1,5 +1,6 @@
 import ast
 import cmath
+import collections
 import dataclasses
 import math
 import pathlib
@@ -10,21 +11,27 @@ import pytest
 
 from wcosym import operators, verify
 from wcosym.cli import main, report_to_json, validate_report_dict, report_to_dict
-from wcosym.errors import UnknownSuiteError
+from wcosym.errors import NotSelfMapError, UnknownSuiteError
 from wcosym.families import (
     C1Params,
     HyperbolicParams,
+    InteriorParams,
     JParams,
+    SymbolPair,
     c1_normal_expression,
     c1_symbols,
     hyperbolic_aut_map,
     j_normal_expression,
     j_symbols,
+    normal_interior_symbols,
 )
-from wcosym.mobius import MobiusMap, aut_normal_form, proj_distance, quadruple_gap
+from wcosym.mobius import ConstantMap, MobiusMap, aut_normal_form, proj_distance, quadruple_gap
+from wcosym.operators import STACK_ROWS, Conjugation, wco_residuals
+from wcosym.series import RationalSymbol
 from wcosym.verify import (
     ANCHOR_SUITES,
     SUITES,
+    Probe,
     SampleRecord,
     SuiteConfig,
     VerificationReport,
@@ -130,8 +137,8 @@ def test_conjugation_axioms_makes_samples_records(samples):
 
 def test_matrix_residuals_only_through_measure(monkeypatch, capsys):
     # every suite and every `check` family takes its matrix residuals through
-    # verify.measure: the two seams fail unless measure calls them, and the
-    # defect kernels behind them unless measure is on the stack
+    # verify.measure: the two stacked seams fail unless measure calls them,
+    # and the defect kernels behind them unless measure is on the stack
     calls = []
 
     def guard(real, depth=None):
@@ -146,7 +153,7 @@ def test_matrix_residuals_only_through_measure(monkeypatch, capsys):
 
         return seam
 
-    for name in ("wco_residuals", "conjugation_residuals"):
+    for name in ("wco_residual_stack", "conjugation_residual_stack"):
         monkeypatch.setattr(verify, name, guard(getattr(verify, name), depth=1))
     for name in ("_normality_defect", "_symmetry_defect", "_involution_defect"):
         monkeypatch.setattr(operators, name, guard(getattr(operators, name)))
@@ -159,8 +166,8 @@ def test_matrix_residuals_only_through_measure(monkeypatch, capsys):
         ["--family", "c2", "--alpha=-0.36+0.28i", "--c0", "1.1+0.03i", "--c1=-0.25-0.4i", "--c2=-0.13-0.32i"],
     ):
         assert main(["check"] + args) == 0
-    names = {"wco_residuals", "conjugation_residuals", "_normality_defect", "_symmetry_defect", "_involution_defect"}
-    assert set(calls) == names
+    seams = {"wco_residual_stack", "conjugation_residual_stack"}
+    assert set(calls) == seams | {"_normality_defect", "_symmetry_defect", "_involution_defect"}
 
 
 # the suites whose records carry a normality or symmetry residual from measure
@@ -173,15 +180,15 @@ BAND_SUITES = {
 
 @pytest.mark.parametrize("value", [1e-5, 1.0])
 def test_every_matrix_residual_goes_through_the_band(value, monkeypatch):
-    # measure returns one injected normality and symmetry value (involution
-    # and isometry are conjugation-axioms' exact checks at 1e-14 and 1e-8,
-    # left alone): inside the band every record carrying it is
-    # inconclusive, far above it none reads as a failed exact check
+    # measure returns one injected normality and symmetry value for every
+    # probe (involution and isometry are conjugation-axioms' exact checks at
+    # 1e-14 and 1e-8, left alone): inside the band every record carrying it
+    # is inconclusive, far above it none reads as a failed exact check
     real = verify.measure
 
     def measure(*args, **kwargs):
-        got = real(*args, **kwargs)
-        return {key: r if key in ("involution", "isometry") else value for key, r in got.items()}
+        keep = ("involution", "isometry")
+        return [{key: r if key in keep else value for key, r in got.items()} for got in real(*args, **kwargs)]
 
     monkeypatch.setattr(verify, "measure", measure)
     seen = {}
@@ -569,10 +576,23 @@ def test_every_suite_makes_its_declared_record_count(suite_id, samples):
 
 
 def test_run_suite_redraws_a_rejected_index(monkeypatch):
-    # the stub rejects its first visit to each odd index after taking a
+    # the stubs reject their first visit to each odd index after taking a
     # number from the stream: run_suite draws that index again, so every
-    # index keeps one record and none is skipped
-    def run():
+    # index keeps one record and none is skipped.  The measuring stub yields
+    # a probe once accepted: run_suite draws every index up to its probe,
+    # calls measure once, and sends each draw its own residuals, so the
+    # stream, the call order and the records are the plain stub's
+    pairs = [j_symbols(JParams(0.1 * (i + 1), 0.1j)) for i in range(6)]  # one non-normal W per index
+    measured = []
+    real = verify.measure
+
+    def measure(cfg, probes):
+        measured.append(len(probes))
+        return real(cfg, probes)
+
+    monkeypatch.setattr(verify, "measure", measure)
+
+    def run(measuring):
         calls, rejected = [], set()
 
         def draw(rng, cfg, i):
@@ -583,13 +603,100 @@ def test_run_suite_redraws_a_rejected_index(monkeypatch):
                 return None
             return SampleRecord({"i": i, "x": x})
 
-        monkeypatch.setitem(verify.SUITES, "stub", verify.Suite(draw, SuiteConfig(samples=6, seed=5)))
+        def draw_and_measure(rng, cfg, i):
+            record = draw(rng, cfg, i)
+            if record is None:
+                return None
+            record.residuals = yield Probe(pairs[i], normality=i % 3 != 2)
+            return record
+
+        stub = verify.Suite(draw_and_measure if measuring else draw, SuiteConfig(samples=6, seed=5))
+        monkeypatch.setitem(verify.SUITES, "stub", stub)
         return run_suite("stub").records, calls
 
-    records, calls = run()
+    records, calls = run(False)
     assert [rec.params["i"] for rec in records] == list(range(6))
     assert calls == [0, 1, 1, 2, 3, 3, 4, 5, 5]
-    assert run()[0] == records
+    assert run(False)[0] == records
+    assert measured == [0, 0]
+    got, got_calls = run(True)
+    assert got_calls == calls and measured == [0, 0, 6]
+    assert [rec.params for rec in got] == [rec.params for rec in records]
+    want = [{} if i % 3 == 2 else wco_residuals(pair.psi, pair.phi, 64, 12) for i, pair in enumerate(pairs)]
+    assert [rec.residuals for rec in got] == want and len({str(w) for w in want}) == 5  # {} and 4 values
+
+
+def test_prop22_known_defect_still_raises_from_run_suite():
+    # the stacked measure raises a refused probe's error as the single call
+    # did: prop22's kind-2 draw at seed 0 meets a non-self-map
+    cfg = default_config("prop22-commutation")
+    with pytest.raises(NotSelfMapError, match="not a self-map"):
+        run_suite("prop22-commutation", dataclasses.replace(cfg, seed=0))
+    for seed in PROP22_SEEDS:
+        assert run_suite("prop22-commutation", dataclasses.replace(cfg, seed=seed)).summary["total"] == 60
+
+
+def _mixed_probes(rng):
+    """Probes of every stack key in random order: Mobius and constant maps,
+    no conjugation, J, C1 and C2, normality on and off, and the three
+    conjugations alone."""
+    pairs = []
+    while len(pairs) < 4:
+        drawn = verify._draw_c2_selfmap(rng)
+        if drawn is not None:
+            pairs.append(drawn[1])
+    pairs.append(normal_interior_symbols(InteriorParams(0.3 - 0.2j, 0.5j, 1.2)))
+    pairs += [SymbolPair(RationalSymbol(0.75, 0.1, 1, -0.5), ConstantMap(0.6 - 0.3j)),
+              SymbolPair(RationalSymbol(1.0, 0.0, 1, 0.4j), ConstantMap(-0.2))]
+    conjs = [Conjugation("J"), Conjugation("C1", cmath.exp(0.3j), cmath.exp(0.7j)),
+             Conjugation("C2", cmath.exp(0.2j), 0.4j), Conjugation("C2", 1.0, -0.3 + 0.1j)]
+    probes = [Probe(pair, conj, normality) for pair in pairs for conj in [None] + conjs for normality in (True, False)]
+    probes += [Probe(conj=conj) for conj in conjs]
+    return [probes[j] for j in rng.permutation(len(probes))]
+
+
+@pytest.mark.parametrize("dim", [48, 64, 96, 384, 389])
+def test_stacked_measure_equals_single_draws(dim, monkeypatch):
+    # every residual of a mixed list equals the probe measured alone (a
+    # stack of one), bit for bit; the probes of each stack key are cut into
+    # the fewest stacks the row budget allows
+    probes = _mixed_probes(np.random.default_rng(dim))
+    cfg = SuiteConfig(dim=dim)
+    stacks = []
+    for name in ("wco_residual_stack", "conjugation_residual_stack"):
+
+        def spy(draws, *args, real=getattr(verify, name)):  # draws: the psis or the conjugations
+            stacks.append(len(draws))
+            return real(draws, *args)
+
+        monkeypatch.setattr(verify, name, spy)
+    got = verify.measure(cfg, probes)
+    size = max(1, STACK_ROWS // dim)
+    counts = collections.Counter(verify._stack_key(probe) for probe in probes).values()
+    assert sorted(stacks) == sorted(cut for n in counts for cut in [size] * (n // size) + [n % size] * (n % size > 0))
+    assert got == [verify.measure(cfg, [probe])[0] for probe in probes]
+    assert [sorted(residuals) for residuals in got] == [
+        sorted(({"involution", "isometry"} if p.pair is None else set())
+               | ({"symmetry"} if p.pair is not None and p.conj is not None else set())
+               | ({"normality"} if p.pair is not None and p.normality else set()))
+        for p in probes
+    ]
+
+
+def test_no_suite_stack_goes_over_the_row_budget(monkeypatch):
+    # a stub kernel records each stack the suites' measure calls evaluate
+    sizes = []
+
+    def stub(psis, phis, n, k, conjs=None, normality=True):
+        sizes.append((len(psis), n))
+        return [{"symmetry": 0.0, "normality": 0.0} for _ in psis]
+
+    monkeypatch.setattr(verify, "wco_residual_stack", stub)
+    for suite_id, suite in sorted(SUITES.items()):
+        for dim in (suite.defaults.dim, 384):
+            run_suite(suite_id, dataclasses.replace(suite.defaults, dim=dim, seed=3))
+    assert max(count for count, n in sizes if n == 64) == STACK_ROWS // 64
+    assert all(count * n <= STACK_ROWS or count == 1 for count, n in sizes), sizes
 
 
 class TestDeterminism:
