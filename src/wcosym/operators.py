@@ -8,7 +8,9 @@ operator holds the coefficients of the image of z^j, and an anti-linear
 operator is the matrix U of x -> U conj(x).  N is capped at MAX_DIM = 1024,
 checked before any N x N array is allocated.
 
-Column j of W is psi phi^j.  A whole W is built by the Mobius recurrence
+Column j of W is psi phi^j.  The kernels read phi only as its coefficients
+(a, b, c, d) of (az + b)/(cz + d), and a constant map z -> v as
+(0, v, 0, 1).  A whole W is built by the Mobius recurrence
 (cz + d) psi phi^j = (az + b) psi phi^(j-1), swept in square tiles as a
 wavefront: one GEMM per anti-diagonal of tiles, about 2N / _TILE
 Python-level steps in O(N^2).  Every part of W that a residual reads is
@@ -38,8 +40,7 @@ on arrays 12-17 columns wide, and their per-call overhead, not the
 arithmetic, sets its cost.  wco_residual_stack and
 conjugation_residual_stack are what verify.measure calls, on stacks of
 at most max(1, STACK_ROWS // N) draws: a larger stack saves little more
-time and costs peak memory.  wco_residuals and conjugation_residuals,
-and the whole-matrix residuals, are stacks of one.
+time and costs peak memory.  The whole-matrix residuals are stacks of one.
 """
 
 from __future__ import annotations
@@ -92,10 +93,10 @@ class Conjugation:
     def __post_init__(self):
         if self.kind not in ("J", "C1", "C2"):
             raise BadParameterDomainError(f"unknown conjugation kind {self.kind!r}")
-        if self.kind != "J":
-            if abs(abs(complex(self.lam)) - 1.0) > 1e-12:
-                raise BadParameterDomainError("|lam| must equal 1")
-        if self.kind == "C1" and abs(abs(complex(self.alpha)) - 1.0) > 1e-12:
+        # each check is phrased so that NaN fails it
+        if self.kind != "J" and not abs(abs(complex(self.lam)) - 1.0) <= 1e-12:
+            raise BadParameterDomainError("|lam| must equal 1")
+        if self.kind == "C1" and not abs(abs(complex(self.alpha)) - 1.0) <= 1e-12:
             raise BadParameterDomainError("C1 needs |alpha| = 1")
         if self.kind == "C2" and not 0.0 < abs(complex(self.alpha)) < 1.0:
             raise BadParameterDomainError("C2 needs 0 < |alpha| < 1")
@@ -103,11 +104,16 @@ class Conjugation:
         object.__setattr__(self, "alpha", complex(self.alpha))
 
 
+def _coefficients(phi) -> Tuple[complex, complex, complex, complex]:
+    """(a, b, c, d) of phi = (az + b)/(cz + d); a constant map v is (0, v, 0, 1)."""
+    if isinstance(phi, ConstantMap):
+        return 0.0, phi.value, 0.0, 1.0
+    return phi.a, phi.b, phi.c, phi.d
+
+
 def _checked_series(psis, phis, n: int):
     """Every refusal of build_wco, draw by draw, then the (B, n) expansions
-    of the psis and of the phis (None for constant maps), which refuse
-    non-finite coefficients.  A stack's phis are all Mobius maps or all
-    constant maps."""
+    of the psis and of the phis, which refuse non-finite coefficients."""
     _check_dim(n)
     for psi, phi in zip(psis, phis):
         pole = psi.pole()
@@ -119,27 +125,15 @@ def _checked_series(psis, phis, n: int):
         elif not is_self_map(phi):
             raise NotSelfMapError("composition symbol is not a self-map")
     psi_s = quotient_series([(psi.n0, psi.n1, psi.d0, psi.d1) for psi in psis], n)
-    if isinstance(phis[0], ConstantMap):
-        return psi_s, None
-    return psi_s, quotient_series([(phi.b, phi.a, phi.d, phi.c) for phi in phis], n)  # refuses a pole at 0
+    return psi_s, quotient_series([(b, a, d, c) for a, b, c, d in map(_coefficients, phis)], n)  # refuses a pole at 0
 
 
-def _rectangle(psi_s: np.ndarray, phi_s, phis, rows: int, cols: int) -> np.ndarray:
-    """W[:rows, :cols] of the rows-truncation for each draw, rows <= N =
-    psi_s.shape[1].  A whole W (rows = N, one draw) is the Mobius
-    recurrence.  Fewer rows (the leading block or the first rows) double
-    column j = T column (j - 1), T the Toeplitz matrix of phi[:rows]: a
-    finite section of the analytic Toeplitz operator T_phi, so every power
-    of T has norm at most sup|phi| <= 1 (Brown and Halmos, J. reine angew.
-    Math. 213, 1964)."""
-    if phi_s is None:  # column j is psi value^j
-        mat = np.empty((len(psi_s), rows, cols), dtype=complex)
-        mat[...] = np.array([phi.value for phi in phis])[:, None, None]
-        mat[:, :, 0] = psi_s[:, :rows]
-        return np.cumprod(mat, axis=2, out=mat)
-    if rows == psi_s.shape[1]:
-        (phi,) = phis
-        return _mobius_recurrence(psi_s[0], phi, cols)[None]
+def _rectangle(psi_s: np.ndarray, phi_s: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """W[:rows, :cols] of the rows-truncation for each draw (the leading
+    block or the first rows), by doubling column j = T column (j - 1), T
+    the Toeplitz matrix of phi[:rows]: a finite section of the analytic
+    Toeplitz operator T_phi, so every power of T has norm at most
+    sup|phi| <= 1 (Brown and Halmos, J. reine angew. Math. 213, 1964)."""
     run = np.empty((len(psi_s), cols, rows), dtype=complex)
     run[:, 0] = psi_s[:, :rows]
     return _double(run, _toeplitz(phi_s[:, :rows]).swapaxes(1, 2)).swapaxes(1, 2)
@@ -162,11 +156,10 @@ def _strip(psis, psi_s: np.ndarray, phis, k: int) -> np.ndarray:
     is a contraction and doubling on it is stable.
     """
     n = psi_s.shape[1]
-    if isinstance(phis[0], ConstantMap):
-        return _rectangle(psi_s, None, phis, n, k)
     # sigma_1 and sigma_2, draw by draw: a stacked product may fuse the
     # multiply-add, and sigma_2 of the C2 weight cancels to exactly 0
-    sigma = np.array([(p[1] + c * p[0], p[2] + c * p[1]) for p, c in zip(psi_s, (f.c / f.d for f in phis))])
+    ratios = [c / d for _, _, c, d in map(_coefficients, phis)]
+    sigma = np.array([(p[1] + c * p[0], p[2] + c * p[1]) for p, c in zip(psi_s, ratios)])
     step = _row_step(psis, phis, k)
     s = np.empty((len(psi_s), n, k + 1), dtype=complex)
     s[:, 0, :k], s[:, 0, k] = psi_s[:, :1] * step[:, k, :k], sigma[:, 0]
@@ -209,7 +202,8 @@ def _row_step(psis, phis, k: int) -> np.ndarray:
     weight whose sigma is a polynomial (the C2 weight)."""
     scalars = []
     for psi, phi in zip(psis, phis):
-        a, b, c = phi.a / phi.d, phi.b / phi.d, phi.c / phi.d
+        a, b, c, d = _coefficients(phi)
+        a, b, c = a / d, b / d, c / d
         scalars.append((b, -c, a - b * c, -psi.d1 / psi.d0))
     b, minus_c, slope, ratio = np.array(scalars).T
     step = np.zeros((len(b), k + 1, k + 1), dtype=complex)
@@ -225,18 +219,19 @@ def _cross(psis, phis, n: int, k: int):
     and WW* read on the block."""
     psi_s, phi_s = _checked_series(psis, phis, n)
     _check_block(n, k)
-    return _rectangle(psi_s, phi_s, phis, k, n), _strip(psis, psi_s, phis, k)
+    return _rectangle(psi_s, phi_s, k, n), _strip(psis, psi_s, phis, k)
 
 
 def _block(psis, phis, n: int, k: int) -> np.ndarray:
     """W[:, :k, :k] of the n-truncation for each draw, which is the k-truncation."""
     psi_s, phi_s = _checked_series(psis, phis, n)
     _check_block(n, k)
-    return _rectangle(psi_s, phi_s, phis, k, k)
+    return _rectangle(psi_s, phi_s, k, k)
 
 
-def _mobius_recurrence(psi_s: np.ndarray, phi: MobiusMap, cols: int) -> np.ndarray:
-    """G[m, j] = coefficient m of psi phi^j, j < cols, for phi = (az + b)/(cz + d).
+def _mobius_recurrence(psi_s: np.ndarray, phi) -> np.ndarray:
+    """G[m, j] = coefficient m of psi phi^j, m, j < N = len(psi_s), for phi =
+    (az + b)/(cz + d).
 
     Comparing coefficients of z^m in (cz + d) G[:, j] = (az + b) G[:, j-1]
     gives d G[m, j] = b G[m, j-1] + a G[m-1, j-1] - c G[m-1, j], which
@@ -249,7 +244,7 @@ def _mobius_recurrence(psi_s: np.ndarray, phi: MobiusMap, cols: int) -> np.ndarr
     2N / _TILE steps (Lamport's wavefront).
     """
     n, size = len(psi_s), _TILE
-    rows, width = -(-n // size) * size, -(-(cols - 1) // size) * size + 1
+    rows, width = -(-n // size) * size, -(-(n - 1) // size) * size + 1
     buf = np.zeros((rows + 1) * width, dtype=complex)
     buf.reshape(rows + 1, width)[1:n + 1, 0] = psi_s
     transfer, item = _tile_transfer(phi), buf.itemsize
@@ -263,13 +258,14 @@ def _mobius_recurrence(psi_s: np.ndarray, phi: MobiusMap, cols: int) -> np.ndarr
         edge[:t, size + 1:] = np.ndarray((t, size), complex, buf, at + width * item, (skip, width * item))
         inside = np.ndarray((t, size, size), complex, buf, at + (width + 1) * item, (skip, width * item, item))
         inside[...] = (edge[:t] @ transfer).reshape(t, size, size)
-    return buf.reshape(rows + 1, width)[1:n + 1, :cols]
+    return buf.reshape(rows + 1, width)[1:n + 1, :n]
 
 
-def _tile_transfer(phi: MobiusMap) -> np.ndarray:
+def _tile_transfer(phi) -> np.ndarray:
     """(2 _TILE + 1) x _TILE^2 map of a tile's boundary to its row-major interior:
     the recurrence run on all unit boundaries at once, a tile anti-diagonal per step."""
-    a, b, c = phi.a / phi.d, phi.b / phi.d, phi.c / phi.d
+    a, b, c, d = _coefficients(phi)
+    a, b, c = a / d, b / d, c / d
     size, side = _TILE, _TILE + 1
     tile = np.zeros((side * side, 2 * size + 1), dtype=complex)  # cell (i, j) in row i side + j
     tile[:side, :side] = np.eye(side)
@@ -293,11 +289,11 @@ def build_wco(
     outside); phi must be a self-map.  Coefficient m of psi phi^j depends
     only on coefficients <= m of psi and phi, so each column is the exact
     truncation up to rounding.  Built at every N by the tile wavefront of
-    the Mobius recurrence (a constant map by a cumulative product); the
-    result is a view of its padded (N + _TILE + 1)^2 buffer.
+    the Mobius recurrence; the result is a view of its padded
+    (N + _TILE + 1)^2 buffer.
     """
-    psi_s, phi_s = _checked_series([psi], [phi], n)
-    return _rectangle(psi_s, phi_s, [phi], n, n)[0]
+    psi_s, _ = _checked_series([psi], [phi], n)
+    return _mobius_recurrence(psi_s[0], phi)
 
 
 def conjugation_matrix(c: Conjugation, n: int) -> np.ndarray:
@@ -348,7 +344,7 @@ def _involution_defect(rows: np.ndarray, cols: np.ndarray):
 
 def symmetry_residual(t: np.ndarray, u: np.ndarray, k: int) -> float:
     """|| U conj(T) - T^H U || on the leading block, the defect the seam
-    wco_residuals measures.
+    wco_residual_stack measures.
 
     For anti-linear C: x -> U conj(x) this is || CW - W*C ||, and T is
     C-symmetric (T = C T* C) iff it vanishes.  It reads only the first k
@@ -384,14 +380,6 @@ def _norms(x: np.ndarray) -> List[float]:
     return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0].tolist()
 
 
-def wco_residuals(
-    psi: RationalSymbol, phi: Union[MobiusMap, ConstantMap], n: int, k: int,
-    conj: Optional[Conjugation] = None, normality: bool = True,
-) -> Dict[str, float]:
-    """wco_residual_stack of one draw."""
-    return wco_residual_stack([psi], [phi], n, k, None if conj is None else [conj], normality)[0]
-
-
 def wco_residual_stack(
     psis: Sequence[RationalSymbol], phis: Sequence[Union[MobiusMap, ConstantMap]], n: int, k: int,
     conjs: Optional[Sequence[Conjugation]] = None, normality: bool = True,
@@ -402,9 +390,9 @@ def wco_residual_stack(
     builds only what they read: the first k rows and columns of W for
     normality; for the symmetry, T[:, :k] for C2 and the k x k block for
     the diagonal J and C1, sliced from that cross when normality built it.
-    A stack's phis are all Mobius maps or all constant maps, and its conjs
-    all C2 or all diagonal.  The suites and `wcosym check` call it
-    through verify.measure."""
+    A stack's conjs are all C2 or all diagonal; its phis may mix Mobius
+    and constant maps.  The suites and `wcosym check` call it through
+    verify.measure."""
     out = [{} for _ in psis]
     if normality:
         rows, cols = _cross(psis, phis, n, k)
@@ -418,18 +406,13 @@ def wco_residual_stack(
         elif conjs[0].kind == "C2":
             t = _strip(psis, series[0], phis, k)
         else:
-            t = _rectangle(*series, phis, k, k)
+            t = _rectangle(*series, k, k)
         for residuals, value in zip(out, _symmetry_defect(t, u_rows, u_cols)):
             residuals["symmetry"] = value
     if normality:
         for residuals, value in zip(out, _normality_defect(rows, cols)):
             residuals["normality"] = value
     return out
-
-
-def conjugation_residuals(c: Conjugation, n: int, k: int) -> Tuple[float, float]:
-    """conjugation_residual_stack of one conjugation."""
-    return conjugation_residual_stack([c], n, k)[0]
 
 
 def conjugation_residual_stack(conjs: Sequence[Conjugation], n: int, k: int) -> List[Tuple[float, float]]:
@@ -470,7 +453,7 @@ def adjoint_factorization_residual(
     # the flipped-sign variant of sigma need not be a self-map; build its
     # block without that check so the wrong convention can be exhibited failing
     maps = [m, triple.sigma]
-    c_phi, c_sigma = _rectangle(ones, quotient_series([(f.b, f.a, f.d, f.c) for f in maps], n), maps, k, k)
+    c_phi, c_sigma = _rectangle(ones, quotient_series([(f.b, f.a, f.d, f.c) for f in maps], n), k, k)
     m_g, m_h = _block([triple.g, triple.h], [IDENTITY, IDENTITY], n, k)
     res = c_phi.conj().T - (m_g @ c_sigma) @ m_h.conj().T
     return float(np.linalg.norm(res))

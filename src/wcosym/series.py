@@ -18,14 +18,10 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import PoleAtOriginError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .mobius import MobiusMap
 
 _POLE_EPS = 1e-14
 
@@ -93,8 +89,3 @@ def quotient_series(quads, n: int) -> np.ndarray:
     if not np.all(np.isfinite(c)):
         raise ValueError("coefficients must be finite")
     return c
-
-
-def mobius_series(m: "MobiusMap", n: int) -> np.ndarray:
-    """Taylor coefficients of a Mobius map (az + b)/(cz + d) at 0."""
-    return quotient_series([(m.b, m.a, m.d, m.c)], n)[0]

@@ -20,10 +20,12 @@ draw finished at a time.
 ``measure`` is the one seam to the matrix residuals: the suites and
 ``wcosym check`` (a list of one probe) take every normality, symmetry,
 involution and isometry residual through it, and it alone picks the
-truncation.  It evaluates the probes of one shape together, in stacks of
-at most max(1, STACK_ROWS // cfg.dim) draws: a residual at the suites'
-small N costs mostly per-call numpy overhead, which a stack shares, and
-the row budget keeps the stacks' arrays out of the peak memory.
+truncation.  It evaluates together the probes that ask for the same
+residuals against the same kind of conjugation (none, diagonal or C2),
+whether their maps are Mobius or constant, in stacks of at most
+max(1, STACK_ROWS // cfg.dim) draws: a residual at the suites' small N
+costs mostly per-call numpy overhead, which a stack shares, and the row
+budget keeps the stacks' arrays out of the peak memory.
 ``_record`` is the one verdict rule: every suite record and every
 ``wcosym check`` verdict is built by it, and it is the one caller of
 ``band_verdict`` and ``agreement``.  Every closed-form gap (a quantity the
@@ -191,19 +193,21 @@ class Probe(NamedTuple):
 
 
 def _stack_key(probe: Probe) -> tuple:
-    """Probes with equal keys have arrays of equal shapes: they evaluate as one stack."""
+    """Probes with equal keys ask for the same residuals against the same
+    kind of conjugation (none, diagonal or C2), so their arrays have equal
+    shapes and they evaluate as one stack; a constant map enters the
+    kernels as a Mobius quadruple, so it stacks with the Mobius maps."""
     c2 = None if probe.conj is None else probe.conj.kind == "C2"
-    if probe.pair is None:
-        return (c2,)
-    return c2, isinstance(probe.pair.phi, ConstantMap), probe.normality
+    return c2, probe.pair is None, probe.normality
 
 
 def measure(cfg: SuiteConfig, probes: Sequence[Probe]) -> List[Dict[str, float]]:
     """The residuals of each probe on the leading cfg.block block of the
-    cfg.dim-truncation, in probe order.  Probes of one stack key are
-    evaluated together, in stacks of at most max(1, STACK_ROWS // cfg.dim)
-    draws taken in probe order; each residual equals that of a stack of
-    one.  A refused probe raises its refusal."""
+    cfg.dim-truncation, in probe order.  Probes of one stack key (the same
+    residuals against the same kind of conjugation, Mobius and constant
+    maps alike) are evaluated together, in stacks of at most
+    max(1, STACK_ROWS // cfg.dim) draws taken in probe order; each residual
+    equals that of a stack of one.  A refused probe raises its refusal."""
     out: List[Dict[str, float]] = [{} for _ in probes]
     stacks: Dict[tuple, List[int]] = {}
     for index, probe in enumerate(probes):

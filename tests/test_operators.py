@@ -1,3 +1,6 @@
+import ast
+import collections
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -27,13 +30,13 @@ from wcosym.operators import (
     adjoint_factorization_residual,
     build_wco,
     conjugation_matrix,
-    conjugation_residuals,
+    conjugation_residual_stack,
     involution_residual,
     normality_residual,
     symmetry_residual,
-    wco_residuals,
+    wco_residual_stack,
 )
-from wcosym.series import RationalSymbol, expand_rational, mobius_series
+from wcosym.series import RationalSymbol, expand_rational, quotient_series
 
 ONE = RationalSymbol.constant(1.0)
 
@@ -47,6 +50,16 @@ def cross(psi, phi, n, k):
 def block(psi, phi, n, k):
     """operators._block of a stack of one draw."""
     return _block([psi], [phi], n, k)[0]
+
+
+def one_draw(psi, phi, n, k, conj=None, normality=True):
+    """operators.wco_residual_stack of a stack of one draw."""
+    return wco_residual_stack([psi], [phi], n, k, None if conj is None else [conj], normality)[0]
+
+
+def one_conjugation(c, n, k):
+    """operators.conjugation_residual_stack of a stack of one conjugation."""
+    return conjugation_residual_stack([c], n, k)[0]
 
 
 def j_family(a0, a1, b=1.0):
@@ -107,9 +120,31 @@ class TestBuildWco:
             assert abs(col_val - psi(z) * phi(z) ** j) <= 1e-10
 
 
+def test_constant_maps_are_read_in_one_place():
+    # the kernels read phi only as its coefficients (a, b, c, d): a constant
+    # map is tested for only in _checked_series's refusal of |v| >= 1 and in
+    # _coefficients, which reads it as (0, v, 0, 1)
+    tree = ast.parse(pathlib.Path(operators.__file__).read_text())
+    found = collections.Counter()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                    and "ConstantMap" in ast.unparse(node.args[1])):
+                found[getattr(top, "name", "<module>")] += 1
+    assert found == {"_checked_series": 1, "_coefficients": 1}
+    assert operators._coefficients(ConstantMap(0.3 - 0.4j)) == (0.0, 0.3 - 0.4j, 0.0, 1.0)
+
+
+def phi_series(phi, n):
+    """The first n Taylor coefficients of a Mobius or constant map."""
+    if isinstance(phi, ConstantMap):
+        return np.eye(1, n, dtype=complex)[0] * phi.value
+    return quotient_series([(phi.b, phi.a, phi.d, phi.c)], n)[0]
+
+
 def convolution_columns(psi_s, phi, n, cols=None):
     """Reference build at any N: column j < cols (default n) = psi phi^j by Cauchy products."""
-    phi_s = np.eye(1, n, dtype=complex)[0] * phi.value if isinstance(phi, ConstantMap) else mobius_series(phi, n)
+    phi_s = phi_series(phi, n)
     cols = n if cols is None else cols
     mat = np.zeros((n, cols), dtype=complex)
     mat[:, 0] = psi_s
@@ -229,9 +264,9 @@ class TestLeadingBuilds:
             "whole": lambda psi, phi, n, k: build_wco(psi, phi, n),
             "cross": cross,
             "block": block,
-            "normality": wco_residuals,
-            "j-symmetry": lambda psi, phi, n, k: wco_residuals(psi, phi, n, k, Conjugation("J"), False),
-            "c2-symmetry": lambda psi, phi, n, k: wco_residuals(psi, phi, n, k, C2_SLOW_DECAY, False),
+            "normality": one_draw,
+            "j-symmetry": lambda psi, phi, n, k: one_draw(psi, phi, n, k, Conjugation("J"), False),
+            "c2-symmetry": lambda psi, phi, n, k: one_draw(psi, phi, n, k, C2_SLOW_DECAY, False),
         }
         for name, build in builders.items():
             with pytest.raises(PoleAtOriginError):
@@ -251,9 +286,9 @@ class TestLeadingBuilds:
                         build(ONE, IDENTITY, n, k)
         for c in (Conjugation("J"), Conjugation("C1", 1.0, 1j), C2_SLOW_DECAY):
             with pytest.raises(ValueError):
-                conjugation_residuals(c, MAX_DIM + 1, 12)
+                one_conjugation(c, MAX_DIM + 1, 12)
             with pytest.raises(BlockTooLargeError):
-                conjugation_residuals(c, n, n - 31)
+                one_conjugation(c, n, n - 31)
 
 
 def strip_cases():
@@ -309,8 +344,8 @@ class TestFftDoubling:
         for psi, phi in build_cases().values():
             cross(psi, phi, n, 16)
             block(psi, phi, n, 16)
-            wco_residuals(psi, phi, n, 16, Conjugation("C1", 1.0, 1j))
-        conjugation_residuals(C2_SLOW_DECAY, n, 16)
+            one_draw(psi, phi, n, 16, Conjugation("C1", 1.0, 1j))
+        one_conjugation(C2_SLOW_DECAY, n, 16)
         for name in ("fft", "ifft", "rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, refuse)
         for name, (psi, phi) in strip_cases().items():
@@ -320,7 +355,7 @@ class TestFftDoubling:
             assert error <= 1e-13 * np.max(np.abs(reference)), name
             # the C2 symmetry alone reads W only through the strip, and U only
             # through the conjugation's first k rows and columns
-            got = wco_residuals(psi, phi, n, 16, C2_SLOW_DECAY, normality=False)
+            got = one_draw(psi, phi, n, 16, C2_SLOW_DECAY, normality=False)
             assert list(got) == ["symmetry"], name
         with pytest.raises(AssertionError, match="refused builder"):
             build_wco(*case_symbols("disk-automorphism"), n)
@@ -343,8 +378,8 @@ class TestFftDoubling:
             cross(psi, phi, n, k)
             block(psi, phi, n, k)
             for c in (Conjugation("J"), C2_SLOW_DECAY):
-                wco_residuals(psi, phi, n, k, c)
-                wco_residuals(psi, phi, n, k, c, normality=False)
+                one_draw(psi, phi, n, k, c)
+                one_draw(psi, phi, n, k, c, normality=False)
             adjoint_factorization_residual(phi, n, k)
             assert seen and max(max(shape) for shape in seen) <= k + 1, k
         seen.clear()
@@ -355,13 +390,11 @@ class TestFftDoubling:
     def test_whole_build_is_the_recurrence(self):
         weight, vmap = c2_symbols(C2_SLOW_DECAY)
         for n in (1, 48, 96, 384):
-            for name, (psi, phi) in build_cases().items():
-                if isinstance(phi, ConstantMap):
-                    continue
+            for name, (psi, phi) in build_cases().items():  # a constant map v is the recurrence of (0, v, 0, 1)
                 got = build_wco(psi, phi, n)
-                assert np.array_equal(got, _mobius_recurrence(expand_rational(psi, n), phi, n)), (name, n)
+                assert np.array_equal(got, _mobius_recurrence(expand_rational(psi, n), phi)), (name, n)
             got = conjugation_matrix(C2_SLOW_DECAY, n)
-            assert np.array_equal(got, _mobius_recurrence(expand_rational(weight, n), vmap, n)), n
+            assert np.array_equal(got, _mobius_recurrence(expand_rational(weight, n), vmap)), n
 
 
 C2_MODULI = (0.3, 0.9, 0.97, 0.99)
@@ -405,14 +438,18 @@ class TestTileWavefront:
 
     @pytest.mark.parametrize("rows, cols", [(192, 2), (192, 9), (200, 17), (389, 193), (193, 389), (250, 1024)])
     def test_rectangles_match_convolutions(self, rows, cols):
-        # rows > cols is a whole W of the n-truncation (the recurrence), rows < cols doubles
+        # rows < cols doubles (_rectangle, the first rows); rows > cols is the
+        # leading columns of a whole W of the rows-truncation (build_wco)
         assert rows >= 192 and rows != cols
         n = max(rows, cols)
         for name, (psi, phi) in tile_cases().items():
             psi_s = expand_rational(psi, n)
-            phi_s = None if isinstance(phi, ConstantMap) else mobius_series(phi, n)[None]
             reference = convolution_columns(psi_s[:rows], phi, rows, cols)
-            assert_matches(_rectangle(psi_s[None], phi_s, [phi], rows, cols)[0], reference, name)
+            if rows < cols:
+                got = _rectangle(psi_s[None], phi_series(phi, n)[None], rows, cols)[0]
+            else:
+                got = build_wco(psi, phi, rows)[:, :cols]
+            assert_matches(got, reference, name)
 
     def test_leading_block_of_the_largest_build(self):
         n, k = MAX_DIM, 389
@@ -485,7 +522,7 @@ class TestRowStep:
         for family, psi, phi in family_self_maps(np.random.default_rng(11), 20):
             sigma = cowen_adjoint(phi).sigma
             chi = MobiusMap(*np.conj(sigma.quadruple()))
-            toeplitz = convolution_columns(mobius_series(chi, k), IDENTITY, k)
+            toeplitz = convolution_columns(phi_series(chi, k), IDENTITY, k)
             step = _row_step([psi], [phi], k)[0]
             assert np.max(np.abs(step[:k, :k] - toeplitz.T)) <= 1e-14 * max(1.0, np.max(np.abs(toeplitz))), family
             assert not np.any(step[:k, k])
@@ -522,16 +559,16 @@ class TestSeams:
         for pair in [(psi, phi), (perturbed, phi), (psi, ConstantMap(0.4j))]:
             t = build_wco(*pair, n)
             normal = normality_residual(t, k)
-            assert self.close(wco_residuals(*pair, n, k)["normality"], normal)
+            assert self.close(one_draw(*pair, n, k)["normality"], normal)
             for c in conjugations:
                 sym = symmetry_residual(t, conjugation_matrix(c, n), k)
-                both = wco_residuals(*pair, n, k, c)
+                both = one_draw(*pair, n, k, c)
                 assert self.close(both["normality"], normal) and self.close(both["symmetry"], sym), c
-                alone = wco_residuals(*pair, n, k, c, normality=False)
+                alone = one_draw(*pair, n, k, c, normality=False)
                 assert list(alone) == ["symmetry"] and self.close(alone["symmetry"], sym), c
         for c in conjugations:
             want = involution_residual(conjugation_matrix(c, n), k)
-            got = conjugation_residuals(c, n, k)
+            got = one_conjugation(c, n, k)
             assert all(self.close(g, w) for g, w in zip(got, want)), c
 
     @pytest.mark.parametrize("n", [96, 384, MAX_DIM])
@@ -546,7 +583,7 @@ class TestSeams:
             if i % 2:
                 pair = verify._perturb_weight(pair)
             c = Conjugation("C2", 1.0, params.alpha)
-            seam = wco_residuals(pair.psi, pair.phi, n, k, c, normality=False)["symmetry"]
+            seam = one_draw(pair.psi, pair.phi, n, k, c, normality=False)["symmetry"]
             whole = symmetry_residual(build_wco(pair.psi, pair.phi, n), conjugation_matrix(c, n), k)
             assert self.close(seam, whole), (i, seam, whole)
             assert verify.band_verdict(seam, cfg) == verify.band_verdict(whole, cfg), (i, seam, whole)
@@ -562,7 +599,7 @@ class TestSeams:
         psi, phi = case_symbols("disk-automorphism")
         for c in (Conjugation("J"), Conjugation("C1", 1.0, 1j), C2_SLOW_DECAY):
             for normality in (True, False):
-                got = wco_residuals(psi, phi, n, 16, c, normality)
+                got = one_draw(psi, phi, n, 16, c, normality)
                 assert sorted(got) == (["normality", "symmetry"] if normality else ["symmetry"])
 
     @pytest.mark.parametrize("n", [64, 191, 192, 384])
@@ -642,6 +679,12 @@ class TestConjugationMatrix:
             Conjugation("C2", 1.0, 1.2)
         with pytest.raises(BadParameterDomainError):
             Conjugation("C2", 2.0, 0.5)
+        # NaN fails every domain check, so no conjugation carries one
+        nan = float("nan")
+        for kind, lam, alpha in [("C1", nan, 1.0), ("C1", 1.0, nan), ("C1", complex(1.0, nan), 1j),
+                                 ("C2", nan, 0.5), ("C2", 1.0, nan), ("C2", 1.0, complex(nan, 0.5))]:
+            with pytest.raises(BadParameterDomainError):
+                Conjugation(kind, lam, alpha)
 
     def test_involution_exact_for_j_and_c1(self):
         j = conjugation_matrix(Conjugation("J"), 48)

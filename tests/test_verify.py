@@ -26,7 +26,7 @@ from wcosym.families import (
     normal_interior_symbols,
 )
 from wcosym.mobius import ConstantMap, MobiusMap, aut_normal_form, proj_distance, quadruple_gap
-from wcosym.operators import STACK_ROWS, Conjugation, wco_residuals
+from wcosym.operators import STACK_ROWS, Conjugation
 from wcosym.series import RationalSymbol
 from wcosym.verify import (
     ANCHOR_SUITES,
@@ -622,7 +622,7 @@ def test_run_suite_redraws_a_rejected_index(monkeypatch):
     got, got_calls = run(True)
     assert got_calls == calls and measured == [0, 0, 6]
     assert [rec.params for rec in got] == [rec.params for rec in records]
-    want = [{} if i % 3 == 2 else wco_residuals(pair.psi, pair.phi, 64, 12) for i, pair in enumerate(pairs)]
+    want = [{} if i % 3 == 2 else real(SuiteConfig(dim=64, block=12), [Probe(pair)])[0] for i, pair in enumerate(pairs)]
     assert [rec.residuals for rec in got] == want and len({str(w) for w in want}) == 5  # {} and 4 values
 
 
@@ -659,8 +659,14 @@ def _mixed_probes(rng):
 def test_stacked_measure_equals_single_draws(dim, monkeypatch):
     # every residual of a mixed list equals the probe measured alone (a
     # stack of one), bit for bit; the probes of each stack key are cut into
-    # the fewest stacks the row budget allows
+    # the fewest stacks the row budget allows, and a constant map shares
+    # its stacks with the Mobius maps
     probes = _mixed_probes(np.random.default_rng(dim))
+    keys = collections.defaultdict(set)  # by whether the map is constant
+    for probe in probes:
+        if probe.pair is not None:
+            keys[isinstance(probe.pair.phi, ConstantMap)].add(verify._stack_key(probe))
+    assert keys[True] == keys[False] and len(keys[True]) == 6  # no, diagonal or C2 conjugation, x normality
     cfg = SuiteConfig(dim=dim)
     stacks = []
     for name in ("wco_residual_stack", "conjugation_residual_stack"):
@@ -685,7 +691,7 @@ def test_stacked_measure_equals_single_draws(dim, monkeypatch):
 
 def test_no_suite_stack_goes_over_the_row_budget(monkeypatch):
     # a stub kernel records each stack the suites' measure calls evaluate
-    sizes = []
+    sizes, interior = [], None
 
     def stub(psis, phis, n, k, conjs=None, normality=True):
         sizes.append((len(psis), n))
@@ -694,9 +700,15 @@ def test_no_suite_stack_goes_over_the_row_budget(monkeypatch):
     monkeypatch.setattr(verify, "wco_residual_stack", stub)
     for suite_id, suite in sorted(SUITES.items()):
         for dim in (suite.defaults.dim, 384):
+            start = len(sizes)
             run_suite(suite_id, dataclasses.replace(suite.defaults, dim=dim, seed=3))
+            if suite_id == "ex51-interior" and dim == suite.defaults.dim:
+                interior = sizes[start:]
     assert max(count for count, n in sizes if n == 64) == STACK_ROWS // 64
     assert all(count * n <= STACK_ROWS or count == 1 for count, n in sizes), sizes
+    # ex51-interior's 40 draws at N = 96, its constant maps (every fourth
+    # index) among them, fill five stacks of 768 // 96 = 8
+    assert interior == [(8, 96)] * 5
 
 
 class TestDeterminism:
