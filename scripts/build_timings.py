@@ -37,10 +37,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUME
     os.environ[_var] = "1"  # before numpy loads BLAS
 
 import argparse  # noqa: E402
+import pathlib  # noqa: E402
 import statistics  # noqa: E402
+import sys  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
+
+if __name__ == "__main__":  # run as a file: import the package from this checkout's src/
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from wcosym import families as fam  # noqa: E402
 from wcosym import operators as ops  # noqa: E402

@@ -15,8 +15,11 @@ import argparse
 import pathlib
 import sys
 
-from wcosym.cli import SWEEP_SUITES, sweep_to_csv
-from wcosym.verify import run_suite
+if __name__ == "__main__":  # run as a file: import the package from this checkout's src/
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from wcosym.cli import SWEEP_SUITES, sweep_to_csv  # noqa: E402
+from wcosym.verify import run_suite  # noqa: E402
 
 
 def main(argv=None) -> int:

@@ -19,8 +19,11 @@ import sys
 import time
 import traceback
 
-from wcosym.cli import report_to_json
-from wcosym.verify import SUITES, check_registry, default_config, run_suite
+if __name__ == "__main__":  # run as a file: import the package from this checkout's src/
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from wcosym.cli import report_to_json  # noqa: E402
+from wcosym.verify import SUITES, check_registry, default_config, run_suite  # noqa: E402
 
 
 def main(argv=None) -> int:

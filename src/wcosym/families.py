@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-import numpy as np
-
 from .errors import (
     BranchConditionError,
     DegenerateSymbolError,
@@ -169,7 +167,7 @@ class DiskForm:
     gamma: complex
 
     def to_map(self) -> MobiusMap:
-        return MobiusMap(-self.beta, self.beta * self.gamma, -np.conj(self.gamma), 1.0)
+        return MobiusMap(-self.beta, self.beta * self.gamma, -self.gamma.conjugate(), 1.0)
 
 
 @dataclass(frozen=True)
@@ -220,7 +218,7 @@ def c2_quadruple(params: C2Params) -> tuple:
     |alpha|^2 c1 - c2); every later formula is a combination of these."""
     al, c0, c1, c2 = params.alpha, params.c0, params.c1, params.c2
     t = c1 - c2
-    u = np.conj(al) * c0 ** 2 - c1
+    u = al.conjugate() * c0 ** 2 - c1
     v = c0 ** 2 - al * c1
     w = abs(al) ** 2 * c1 - c2
     return t, u, v, w
@@ -238,7 +236,7 @@ def c2_symbols(params: C2Params, check_self_map: bool = True) -> SymbolPair:
     al = params.alpha
     t, u, v, w = c2_quadruple(params)
     num = (al * u, -w)
-    den = (np.conj(al) * v, -np.conj(al) * t)
+    den = (al.conjugate() * v, -al.conjugate() * t)
     scale = max(abs(num[0]), abs(num[1]), abs(den[0]), abs(den[1]))
     det = num[0] * den[1] - num[1] * den[0]
     if scale == 0.0:
@@ -263,7 +261,7 @@ def normal_interior_symbols(params: InteriorParams) -> SymbolPair:
     gamma (1-|p|^2) / (1 - |p|^2 delta + conj(p)(delta - 1) z).
     """
     p, delta, gamma = params.p, params.delta, params.gamma
-    pc = np.conj(p)
+    pc = p.conjugate()
     psi = RationalSymbol(gamma * (1.0 - abs(p) ** 2), 0.0, 1.0 - abs(p) ** 2 * delta, pc * (delta - 1.0))
     if delta == 0:
         return SymbolPair(psi, ConstantMap(p))
@@ -275,7 +273,7 @@ def normal_interior_symbols(params: InteriorParams) -> SymbolPair:
 def interior_phi_closed_form(params: InteriorParams) -> Union[MobiusMap, ConstantMap]:
     """Independent construction path: the expanded single-fraction form."""
     p, delta = params.p, params.delta
-    pc = np.conj(p)
+    pc = p.conjugate()
     if delta == 0:
         return ConstantMap(p)
     return MobiusMap(delta - abs(p) ** 2, p * (1.0 - delta), pc * (delta - 1.0), 1.0 - abs(p) ** 2 * delta)
@@ -347,7 +345,7 @@ def hyperbolic_aut_map(params: HyperbolicParams) -> MobiusMap:
 
 def j_normal_expression(a0: complex, a1: complex) -> float:
     """Im a0 - |a0|^2 Im a0 + Im(conj(a0) a1), the normality defect."""
-    return float(a0.imag * (1.0 - abs(a0) ** 2) + (np.conj(a0) * a1).imag)
+    return float(a0.imag * (1.0 - abs(a0) ** 2) + (a0.conjugate() * a1).imag)
 
 
 def j_normal_predicate(a0: complex, a1: complex, tol: float = PRED_TOL) -> bool:
@@ -358,9 +356,9 @@ def j_normal_predicate(a0: complex, a1: complex, tol: float = PRED_TOL) -> bool:
 
 def c1_normal_expression(alpha: complex, c0: complex, c1: complex) -> complex:
     """(conj(c0) - alpha c0)(1 - |c0|^2) + alpha c0 conj(c1) - conj(c0) c1."""
-    c0c = np.conj(c0)
+    c0c = c0.conjugate()
     return complex(
-        (c0c - alpha * c0) * (1.0 - abs(c0) ** 2) + alpha * c0 * np.conj(c1) - c0c * c1
+        (c0c - alpha * c0) * (1.0 - abs(c0) ** 2) + alpha * c0 * c1.conjugate() - c0c * c1
     )
 
 
@@ -374,14 +372,14 @@ def c1_normal_predicate(alpha: complex, c0: complex, c1: complex, tol: float = P
 def c2_normality_terms(params: C2Params) -> C2NormalityTerms:
     """The bracket terms, computed verbatim from their displayed forms."""
     al, c0, c1, c2 = params.alpha, params.c0, params.c1, params.c2
-    c0c, c1c, c2c = np.conj(c0), np.conj(c1), np.conj(c2)
+    c0c, c1c, c2c = c0.conjugate(), c1.conjugate(), c2.conjugate()
     asq = abs(al) ** 2
     term_a = (asq * c0 ** 2 - al * c1) * (al * c0c ** 2 - asq * c1c)
-    term_b = asq * abs(np.conj(al) * c0 ** 2 - c1) ** 2
+    term_b = asq * abs(al.conjugate() * c0 ** 2 - c1) ** 2
     term_c = al * (c1c - c2c) * (asq * c1 - c2)
     term_d = abs(asq * c1 - c2) ** 2
     term_e = asq * abs(c0 ** 2 - al * c1) ** 2
-    term_at = -al * (asq * c1c - c2c) * (np.conj(al) * c0 ** 2 - c1)
+    term_at = -al * (asq * c1c - c2c) * (al.conjugate() * c0 ** 2 - c1)
     term_ct = asq * (c0 ** 2 - al * c1) * (c1c - c2c)
     return C2NormalityTerms(term_a, float(term_b), term_c, float(term_d), float(term_e), term_at, term_ct)
 
@@ -405,7 +403,7 @@ def c2_normal_predicate(params: C2Params, tol: float = PRED_TOL) -> C2NormalCase
     if abs(m1 - m4) > tol * scale:
         return C2NormalCase.CASE_I
     terms = c2_normality_terms(params)
-    prod = (np.conj(terms.a) - np.conj(terms.c)) * (terms.a_tilde + terms.c_tilde)
+    prod = (terms.a.conjugate() - terms.c.conjugate()) * (terms.a_tilde + terms.c_tilde)
     if abs(prod.imag) <= tol * max(1.0, abs(prod)):
         return C2NormalCase.CASE_II
     return C2NormalCase.NOT_NORMAL
@@ -418,18 +416,18 @@ def c2_parabolic_predicate(params: C2Params, tol: float = PRED_TOL) -> bool:
     al = params.alpha
     if abs(t) == 0.0:
         raise DegenerateSymbolError("c1 = c2 degenerates the parabolic relation")
-    s = w + np.conj(al) * v
+    s = w + al.conjugate() * v
     lhs = s ** 2
     rhs = 4.0 * abs(al) ** 2 * t * u
     if abs(lhs - rhs) > tol * max(1.0, abs(lhs), abs(rhs)):
         return False
-    zeta = s / (2.0 * np.conj(al) * t)
+    zeta = s / (2.0 * al.conjugate() * t)
     return abs(abs(zeta) - 1.0) <= 1e-8
 
 
 def c2_parabolic_dw_point(params: C2Params) -> complex:
     t, u, v, w = c2_quadruple(params)
-    return (w + np.conj(params.alpha) * v) / (2.0 * np.conj(params.alpha) * t)
+    return (w + params.alpha.conjugate() * v) / (2.0 * params.alpha.conjugate() * t)
 
 
 def c2_interior_terms(alpha: complex, p: float, delta: complex) -> C2InteriorTerms:
@@ -444,7 +442,7 @@ def c2_interior_terms(alpha: complex, p: float, delta: complex) -> C2InteriorTer
         raise DomainViolationError("p must be real, nonzero, |p| < 1")
     if delta == 1:
         raise DomainViolationError("delta = 1 degenerates the terms")
-    alc = np.conj(alpha)
+    alc = alpha.conjugate()
     i1 = alc * (p ** 2 - delta) / (p * (1.0 - delta))
     i2 = alc * p * (1.0 - delta) / (alpha * (1.0 - p ** 2 * delta))
     i3 = (1.0 - p ** 2 * delta) / (p * (1.0 - delta))
@@ -505,7 +503,7 @@ def j_aut_form(a0: complex, a1: complex) -> AutForm:
     gamma = a0 / den
     if abs(gamma) == 0:
         return None
-    beta = np.conj(gamma) / gamma
+    beta = gamma.conjugate() / gamma
     phi = j_symbols(params).phi
     if isinstance(phi, ConstantMap):
         return None
@@ -523,7 +521,7 @@ def c1_aut_form(alpha: complex, c0: complex, c1: complex) -> AutForm:
     gamma = c0 / den
     if abs(gamma) == 0:
         return None
-    beta = np.conj(gamma) / (gamma * alpha)
+    beta = gamma.conjugate() / (gamma * alpha)
     return _disk_form_or_none(gamma, beta, c1_symbols(params).phi)
 
 
@@ -540,7 +538,7 @@ def c2_aut_form(params: C2Params) -> AutForm:
     gamma = al * u / w
     if abs(gamma) == 0:
         return None
-    beta = (abs(al) ** 2 - al * np.conj(gamma)) / (np.conj(al) * gamma - abs(al) ** 2)
+    beta = (abs(al) ** 2 - al * gamma.conjugate()) / (al.conjugate() * gamma - abs(al) ** 2)
     phi = c2_symbols(params, check_self_map=False).phi
     if isinstance(phi, ConstantMap):
         return None

@@ -11,11 +11,10 @@ criteria, never from boundary sampling.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple, Union
-
-import numpy as np
+from typing import Optional, Sequence, Tuple, Union
 
 from .errors import (
     ConstantMapError,
@@ -62,21 +61,22 @@ class MobiusMap:
     d: complex
 
     def __post_init__(self):
-        q = [complex(self.a), complex(self.b), complex(self.c), complex(self.d)]
-        if not all(cmath.isfinite(v) for v in q):
+        a, b, c, d = complex(self.a), complex(self.b), complex(self.c), complex(self.d)
+        if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
             raise ValueError("coefficients must be finite")
-        scale = max(abs(v) for v in q)
+        mods = (abs(a), abs(b), abs(c), abs(d))
+        scale = max(mods)
         if scale == 0.0:
             raise DegenerateMapError("all coefficients vanish")
-        det = q[0] * q[3] - q[1] * q[2]
-        if abs(det) <= _DEGENERATE_TOL * scale * scale:
+        if abs(a * d - b * c) <= _DEGENERATE_TOL * scale * scale:
             raise DegenerateMapError(
                 "ad - bc vanishes; use ConstantMap for constant maps"
             )
-        pivot = next(v for v in q if abs(v) == scale)
-        q = [v / pivot for v in q]
-        for name, v in zip(("a", "b", "c", "d"), q):
-            object.__setattr__(self, name, v)
+        pivot = (a, b, c, d)[mods.index(scale)]
+        object.__setattr__(self, "a", a / pivot)
+        object.__setattr__(self, "b", b / pivot)
+        object.__setattr__(self, "c", c / pivot)
+        object.__setattr__(self, "d", d / pivot)
 
     def __call__(self, z: complex) -> complex:
         return evaluate(self, z)
@@ -85,8 +85,8 @@ class MobiusMap:
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
 
-    def quadruple(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, self.d])
+    def quadruple(self) -> Tuple[complex, complex, complex, complex]:
+        return self.a, self.b, self.c, self.d
 
     def derivative(self, z: complex) -> complex:
         den = self.c * z + self.d
@@ -98,7 +98,7 @@ IDENTITY = MobiusMap(1.0, 0.0, 0.0, 1.0)
 
 def blaschke(p: complex) -> MobiusMap:
     """Disk involution (p - z)/(1 - conj(p) z)."""
-    return MobiusMap(-1.0, p, -np.conj(p), 1.0)
+    return MobiusMap(-1.0, p, -p.conjugate(), 1.0)
 
 
 class MapClass(str, Enum):
@@ -136,7 +136,7 @@ class AutNormalForm:
     def to_map(self) -> MobiusMap:
         if self.rotation:
             return MobiusMap(self.beta, 0.0, 0.0, 1.0)
-        return MobiusMap(-self.beta, self.beta * self.gamma, -np.conj(self.gamma), 1.0)
+        return MobiusMap(-self.beta, self.beta * self.gamma, -self.gamma.conjugate(), 1.0)
 
 
 @dataclass(frozen=True)
@@ -199,10 +199,21 @@ def proj_distance(m1: MapLike, m2: MapLike) -> float:
     return quadruple_gap(m1.quadruple(), m2.quadruple())
 
 
-def quadruple_gap(v1: np.ndarray, v2: np.ndarray) -> float:
-    """Scaled norm of the 2x2 minors of two coefficient quadruples."""
-    minors = np.outer(v1, v2) - np.outer(v2, v1)
-    return float(np.linalg.norm(minors) / (np.linalg.norm(v1) * np.linalg.norm(v2)))
+def _sum_sq(values) -> float:
+    """Sum of the squared moduli."""
+    return sum(z.real * z.real + z.imag * z.imag for z in values)
+
+
+def quadruple_gap(v1: Sequence[complex], v2: Sequence[complex]) -> float:
+    """Scaled norm of the 2x2 minors of two coefficient quadruples: each of
+    the six minors enters the antisymmetric matrix v1 v2^T - v2 v1^T twice."""
+    a1, b1, c1, d1 = v1
+    a2, b2, c2, d2 = v2
+    minors = (
+        a1 * b2 - b1 * a2, a1 * c2 - c1 * a2, a1 * d2 - d1 * a2,
+        b1 * c2 - c1 * b2, b1 * d2 - d1 * b2, c1 * d2 - d1 * c2,
+    )
+    return math.sqrt(2.0 * _sum_sq(minors)) / math.sqrt(_sum_sq(v1) * _sum_sq(v2))
 
 
 def mobius_equal(m1: MapLike, m2: MapLike, tol: float = EQUAL_TOL) -> bool:
@@ -244,7 +255,7 @@ def sup_modulus(m: MobiusMap) -> float:
     gap = abs(m.d) ** 2 - abs(m.c) ** 2
     if gap <= 0:
         return float("inf")
-    num = abs(m.b * np.conj(m.d) - m.a * np.conj(m.c)) + abs(m.det)
+    num = abs(m.b * m.d.conjugate() - m.a * m.c.conjugate()) + abs(m.det)
     return num / gap
 
 
@@ -253,7 +264,7 @@ def is_self_map(m: MobiusMap) -> bool:
     gap = abs(m.d) ** 2 - abs(m.c) ** 2
     if gap <= 0:
         return False
-    num = abs(m.b * np.conj(m.d) - m.a * np.conj(m.c)) + abs(m.det)
+    num = abs(m.b * m.d.conjugate() - m.a * m.c.conjugate()) + abs(m.det)
     return num <= gap + SELF_MAP_SLACK
 
 
@@ -267,9 +278,9 @@ def is_automorphism(m: MobiusMap) -> bool:
     """
     if not is_self_map(m):
         return False
-    scale = max(abs(v) for v in (m.a, m.b, m.c, m.d)) ** 2
+    scale = max(abs(m.a), abs(m.b), abs(m.c), abs(m.d)) ** 2
     mod_gap = abs(abs(m.a) ** 2 + abs(m.b) ** 2 - abs(m.c) ** 2 - abs(m.d) ** 2)
-    cross_gap = abs(m.a * np.conj(m.b) - m.c * np.conj(m.d))
+    cross_gap = abs(m.a * m.b.conjugate() - m.c * m.d.conjugate())
     return bool(mod_gap <= AUT_TOL * scale and cross_gap <= AUT_TOL * scale)
 
 
@@ -322,7 +333,7 @@ def aut_normal_form(m: MobiusMap) -> Optional[AutNormalForm]:
         beta = m.a / m.d
         beta /= abs(beta)
         return AutNormalForm(beta, 0.0 + 0.0j, rotation=True)
-    gamma = np.conj(-m.c / m.d)
+    gamma = (-m.c / m.d).conjugate()
     beta = -m.a / m.d
     beta /= abs(beta)
     return AutNormalForm(complex(beta), complex(gamma), rotation=False)
@@ -338,7 +349,7 @@ def cowen_adjoint(m: MapLike, sigma_sign: int = -1) -> CowenTriple:
     """
     if isinstance(m, ConstantMap):
         raise ConstantMapError("adjoint factorization needs a non-constant map")
-    ac, bc, cc, dc = (np.conj(v) for v in (m.a, m.b, m.c, m.d))
+    ac, bc, cc, dc = m.a.conjugate(), m.b.conjugate(), m.c.conjugate(), m.d.conjugate()
     g = RationalSymbol(1.0, 0.0, dc, -bc)
     sigma = MobiusMap(ac, sigma_sign * cc, -bc, dc)
     h = RationalSymbol(m.d, m.c, 1.0, 0.0)
@@ -355,21 +366,15 @@ def lft_normality_defects(quad) -> Tuple[float, float]:
     composites can vanish identically) are handled without blow-up:
     vanishing composites satisfy the written equations vacuously.
     """
-    a, b, c, d = (complex(v) for v in quad)
+    a, b, c, d = map(complex, quad)
     if abs(d) == 0.0:
         return float("inf"), float("inf")
-    mq = np.array([[a, b], [c, d]])
-    sq = np.array([[np.conj(a), -np.conj(c)], [-np.conj(b), np.conj(d)]])
-    gap = abs(abs(b / d) - abs(sq[0, 1] / sq[1, 1]))
-    p1, q1, r1, s1 = (mq @ sq).reshape(-1)
-    p2, q2, r2, s2 = (sq @ mq).reshape(-1)
-    cross = np.array(
-        [
-            p1 * r2 - p2 * r1,
-            q1 * s2 - q2 * s1,
-            p1 * s2 + q1 * r2 - p2 * s1 - q2 * r1,
-        ]
-    )
-    scale = float(np.linalg.norm(mq)) ** 2 * float(np.linalg.norm(sq)) ** 2
-    return gap, float(np.linalg.norm(cross)) / scale
-
+    # sigma's quadruple (conj a, -conj c, -conj b, conj d)
+    sa, sb, sc, sd = a.conjugate(), -c.conjugate(), -b.conjugate(), d.conjugate()
+    gap = abs(abs(b / d) - abs(sb / sd))
+    # the two products of the 2 x 2 coefficient matrices: phi o sigma, sigma o phi
+    p1, q1, r1, s1 = a * sa + b * sc, a * sb + b * sd, c * sa + d * sc, c * sb + d * sd
+    p2, q2, r2, s2 = sa * a + sb * c, sa * b + sb * d, sc * a + sd * c, sc * b + sd * d
+    cross = (p1 * r2 - p2 * r1, q1 * s2 - q2 * s1, p1 * s2 + q1 * r2 - p2 * s1 - q2 * r1)
+    scale = _sum_sq((a, b, c, d)) * _sum_sq((sa, sb, sc, sd))
+    return gap, math.sqrt(_sum_sq(cross)) / scale

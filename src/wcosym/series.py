@@ -40,11 +40,14 @@ class RationalSymbol:
     d1: complex
 
     def __post_init__(self):
-        for name in ("n0", "n1", "d0", "d1"):
-            v = complex(getattr(self, name))
-            if not cmath.isfinite(v):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
+        n0, n1, d0, d1 = complex(self.n0), complex(self.n1), complex(self.d0), complex(self.d1)
+        if not (cmath.isfinite(n0) and cmath.isfinite(n1) and cmath.isfinite(d0) and cmath.isfinite(d1)):
+            name = next(k for k, v in zip(("n0", "n1", "d0", "d1"), (n0, n1, d0, d1)) if not cmath.isfinite(v))
+            raise ValueError(f"{name} must be finite")
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "d0", d0)
+        object.__setattr__(self, "d1", d1)
 
     @classmethod
     def constant(cls, value: complex) -> "RationalSymbol":

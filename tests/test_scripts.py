@@ -1,7 +1,10 @@
 import csv
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -56,3 +59,16 @@ def test_build_timings_prints_every_row_and_refuses_zero_repeats(capsys, monkeyp
     with pytest.raises(SystemExit) as exit_info:
         script.main(["--repeats", "0"])
     assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("name", ["run_all_suites", "hyperbolic_sweeps", "build_timings"])
+def test_script_runs_from_a_plain_checkout(name, tmp_path):
+    # run as a file with no PYTHONPATH, a script imports the package from
+    # the checkout it sits in
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / f"{name}.py"), "--help"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")

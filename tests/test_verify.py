@@ -212,10 +212,11 @@ GAP_SUITES = {
     "lemma32-aut": {"gamma_gap", "beta_gap"},
     "lemma33-aut": {"gamma_gap", "beta_gap", "map_gap"},
     "ex41-equivalence": {"phi_gap", "psi_gap"},
+    "cor41-aut": {"expression_gap"},
     "ex44-parabolic": {"dw_gap", "derivative_gap"},
-    "ex51-interior": {"phi_gap"},
+    "ex51-interior": {"phi_gap", "expression_gap"},
     "ex51-aut-corollary": {"phi_gap"},
-    "ex54-parabolic": {"dw_gap", "derivative_gap"},
+    "ex54-parabolic": {"dw_gap", "derivative_gap", "expression_gap"},
     "ex61-interior": {"phi_gap", "consistency"},
     "ex63-parabolic": {"zeta_modulus_gap", "dw_gap", "derivative_gap"},
     "cowen-factorization": {"factorization"},
@@ -573,6 +574,121 @@ def test_every_suite_makes_its_declared_record_count(suite_id, samples):
             cfg = dataclasses.replace(cfg, samples=samples)
         controls = max(1, cfg.samples // 5) if suite_id in ("jsym-form", "c1sym-form", "c2sym-form") else 0
         assert len(run_suite(suite_id, cfg).records) == cfg.samples + controls, (suite_id, seed)
+
+
+# exit status and summary (pass, fail, inconclusive, discrepancy) of every
+# suite at its defaults for seeds 0-11 and 2024: the first cell of a row
+# holds at every seed the second does not list.  prop22 raises
+# NotSelfMapError at most seeds (a known defect: a kind-2 draw meets a
+# non-self-map).  A change that means to move a verdict updates this table.
+VERDICT_SEEDS = (*range(12), 2024)
+VERDICT_TABLE = {
+    "c1sym-form": ((0, 120, 0, 0, 0), {}),
+    "c2sym-form": ((0, 120, 0, 0, 0), {}),
+    "conjugation-axioms": ((0, 101, 0, 0, 0), {}),
+    "cor41-aut": ((0, 60, 0, 0, 0), {}),
+    "cor62-no-aut": ((0, 100, 0, 0, 0), {}),
+    "cowen-factorization": ((0, 50, 0, 0, 0), {}),
+    "ex41-equivalence": ((0, 80, 0, 0, 0), {}),
+    "ex42-sweep": ((0, 24, 0, 0, 0), {}),
+    "ex43-sweep": ((0, 12, 0, 0, 0), {}),
+    "ex44-parabolic": ((0, 40, 0, 0, 0), {}),
+    "ex51-aut-corollary": ((0, 60, 0, 0, 0), {}),
+    "ex51-interior": ((0, 40, 0, 0, 0), {}),
+    "ex52-sweep": ((3, 12, 0, 0, 12), {}),
+    "ex53-sweep": ((0, 12, 0, 0, 0), {}),
+    "ex54-parabolic": ((0, 40, 0, 0, 0), {}),
+    "ex61-interior": ((0, 30, 0, 0, 0), {}),
+    "ex62-sweep": ((0, 24, 0, 0, 0), {}),
+    "ex63-parabolic": ((0, 30, 0, 0, 0), {}),
+    "jsym-form": ((0, 120, 0, 0, 0), {}),
+    "lemma31-aut": ((0, 120, 0, 0, 0), {}),
+    "lemma32-aut": ((0, 120, 0, 0, 0), {}),
+    "lemma33-aut": ((0, 120, 0, 0, 0), {}),
+    "prop21-normal": ((0, 100, 0, 0, 0), {}),
+    "prop22-commutation": (NotSelfMapError, {3: (0, 60, 0, 0, 0), 2024: (0, 60, 0, 0, 0)}),
+    "prop41-iff": ((0, 200, 0, 0, 0), {}),
+    "thm51-iff": ((0, 200, 0, 0, 0), {}),
+    "thm61-consistency": ((3, 36, 0, 0, 24), {11: (3, 35, 0, 1, 24)}),
+}
+
+
+def test_verdict_table_names_every_suite():
+    assert sorted(VERDICT_TABLE) == sorted(SUITES)
+
+
+@pytest.mark.parametrize("suite_id", sorted(VERDICT_TABLE))
+def test_default_verdicts_match_the_table(suite_id):
+    usual, listed = VERDICT_TABLE[suite_id]
+    for seed in VERDICT_SEEDS:
+        want = listed.get(seed, usual)
+        cfg = dataclasses.replace(default_config(suite_id), seed=seed)
+        if want is NotSelfMapError:
+            with pytest.raises(NotSelfMapError):
+                run_suite(suite_id, cfg)
+            continue
+        report = run_suite(suite_id, cfg)
+        s = report.summary
+        got = (report.exit_status, s["pass"], s["fail"], s["inconclusive"], s["discrepancy"])
+        assert got == want, (suite_id, seed)
+
+
+def _constant_call_args(name: str, skip: int = 0):
+    """The distinct arguments (past the first skip) of every call to name in
+    verify.py whose arguments are all constant expressions."""
+    found = set()
+    for node in ast.walk(ast.parse(pathlib.Path(verify.__file__).read_text(encoding="utf-8"))):
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and (getattr(func, "id", None) or getattr(func, "attr", None)) == name:
+            try:
+                found.add(tuple(eval(ast.unparse(arg), {"math": math}) for arg in node.args[skip:]))
+            except NameError:  # an argument names a variable
+                pass
+    return sorted(found)
+
+
+def _vector_disk(rng, radius=1.0, min_radius=0.0):
+    # the reference stream: both coordinates from one vector draw of the generator
+    while True:
+        z = complex(*rng.uniform(-1, 1, 2))
+        if min_radius / radius <= abs(z) <= 1.0:
+            return radius * z
+
+
+def _bits(z: complex) -> tuple:
+    return complex(z).real.hex(), complex(z).imag.hex()
+
+
+def test_doubles_return_the_generators_own_scalars():
+    # random() and every uniform range verify.py draws from are bit for bit
+    # the twin generator's scalar calls, across several buffer refills
+    ranges = [*_constant_call_args("uniform"), ()]
+    assert len(ranges) >= 16
+    ours, twin = verify._Doubles(np.random.default_rng(7)), np.random.default_rng(7)
+    for k in range(3 * verify._BUFFER + 5):
+        args = ranges[k % len(ranges)]
+        assert _bits(ours.uniform(*args)) == _bits(twin.uniform(*args)), args
+        assert _bits(ours.random()) == _bits(twin.random())
+
+
+def test_doubles_refill_at_the_buffer_boundary():
+    ours, twin = verify._Doubles(np.random.default_rng(3)), np.random.default_rng(3)
+    head = [ours.random() for _ in range(verify._BUFFER - 1)]
+    assert head == twin.random(verify._BUFFER - 1).tolist()
+    # the last double of one buffer, then the first of the next
+    assert [ours.uniform(-1, 1), ours.uniform(-1, 1)] == twin.uniform(-1, 1, 2).tolist()
+    assert ours.random() == twin.random()
+
+
+@pytest.mark.parametrize("args", _constant_call_args("_disk", skip=1))
+def test_disk_and_angle_keep_the_vector_draw_stream(args):
+    # _disk's two scalar draws from _Doubles reproduce the old vector draw
+    # from the generator, rejections included, and so does _angle
+    assert len(args) <= 2
+    ours, twin = verify._Doubles(np.random.default_rng(11)), np.random.default_rng(11)
+    for _ in range(200):
+        assert _bits(verify._disk(ours, *args)) == _bits(_vector_disk(twin, *args))
+        assert _bits(verify._angle(ours)) == _bits(verify._angle(twin))
 
 
 def test_run_suite_redraws_a_rejected_index(monkeypatch):
