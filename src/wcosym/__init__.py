@@ -35,13 +35,11 @@ from .families import (
 )
 from .mobius import (
     INFINITY,
-    AutNormalForm,
     ConstantMap,
     CowenTriple,
     MapClass,
     MapClassification,
     MobiusMap,
-    aut_normal_form,
     classify,
     compose,
     cowen_adjoint,

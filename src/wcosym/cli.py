@@ -12,8 +12,10 @@ import csv
 import io
 import json
 import math
+import pathlib
 import re
 import sys
+import time
 from dataclasses import asdict, fields, replace
 from typing import Dict, List, Optional
 
@@ -38,6 +40,7 @@ from .verify import (
     SUITES,
     VerificationReport,
     _record,
+    check_registry,
     default_config,
     lft_oracle,
     measure,
@@ -196,17 +199,8 @@ SWEEP_CSV_COLUMNS = [
 ]
 
 
-# the registry entry behind each `wcosym sweep --family`
-SWEEP_SUITES: Dict[str, str] = {
-    "j-hyperbolic": "ex42-sweep",
-    "c1-hyperbolic": "ex52-sweep",
-    "c2-hyperbolic": "ex62-sweep",
-    "hyperbolic-nonaut": "ex43-sweep",
-}
-
-
-def sweep_to_csv(report: VerificationReport, family: str) -> str:
-    """Fixed-column CSV, one row per target under the given family name;
+def sweep_to_csv(report: VerificationReport) -> str:
+    """Fixed-column CSV, one row per target under the report's suite id;
     complex witness parameters split into re/im pairs."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -215,7 +209,7 @@ def sweep_to_csv(report: VerificationReport, family: str) -> str:
         t = complex(rec.params.get("t", 0.0))
         r = complex(rec.params.get("r", 0.0)).real
         row = [
-            family,
+            report.suite_id,
             repr(float(r)),
             repr(t.real),
             repr(t.imag),
@@ -295,7 +289,7 @@ def _check_family(args):
         conj = Conjugation("C1", 1.0, params.alpha)
         pred = {"normal": c1_normal_predicate(params.alpha, params.c0, params.c1)}
     else:
-        pair = c2_symbols(params, check_self_map=False)
+        pair = c2_symbols(params)
         conj = Conjugation("C2", 1.0, params.alpha)
         case = c2_normal_predicate(params)
         pred = {"case": case.value, "normal": case != C2NormalCase.NOT_NORMAL}
@@ -343,24 +337,43 @@ def _human_summary(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# exit statuses from least to most severe: clean, known discrepancy, bad input, internal error
+_SEVERITY = (0, 3, 2, 1)
+
+
 def cmd_suite(args) -> int:
+    """Run the suite --id names, or with --all every registered suite in
+    sorted order.  --out DIR receives each report as DIR/<id>.json, and a
+    fixed-target sweep's table as DIR/<id>.csv.  With --all a fixed-target
+    sweep keeps its own samples count.  A suite refused as bad input prints
+    its error, counts as 2, and the run goes on; the exit status is the
+    most severe over the suites run."""
+    if args.all:
+        check_registry()  # a full run covers every anchored statement
     flags = {key: getattr(args, key) for key in ("seed", "samples", "dim", "block")}
-    cfg = replace(default_config(args.id), **{key: value for key, value in flags.items() if value is not None})
-    report = run_suite(args.id, cfg)
-    if args.json:
-        _write_output(report_to_json(report), args.json)
-    sys.stdout.write(_human_summary(report))
-    return report.exit_status
-
-
-def cmd_sweep(args) -> int:
-    report = run_suite(SWEEP_SUITES[args.family])
-    if args.csv:
-        _write_output(sweep_to_csv(report, args.family), args.csv)
-    if args.json:
-        _write_output(report_to_json(report), args.json)
-    sys.stdout.write(_human_summary(report))
-    return report.exit_status
+    flags = {key: value for key, value in flags.items() if value is not None}
+    sweep_flags = {key: value for key, value in flags.items() if key != "samples"}
+    out_dir = pathlib.Path(args.out) if args.out else None
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    statuses = []
+    start = time.perf_counter()
+    for suite_id in sorted(SUITES) if args.all else [args.id]:
+        try:
+            suite_flags = sweep_flags if args.all and SUITES[suite_id].fixed_samples else flags
+            report = run_suite(suite_id, replace(default_config(suite_id), **suite_flags))
+        except (WcoError, ValueError) as exc:
+            sys.stderr.write(f"error: {suite_id}: {exc}\n")
+            statuses.append(2)
+            continue
+        if out_dir:
+            (out_dir / f"{suite_id}.json").write_text(report_to_json(report), encoding="utf-8")
+            if SUITES[suite_id].fixed_samples:
+                (out_dir / f"{suite_id}.csv").write_text(sweep_to_csv(report), encoding="utf-8")
+        sys.stdout.write(_human_summary(report))
+        statuses.append(report.exit_status)
+    sys.stdout.write(f"total [{time.perf_counter() - start:.1f}s]\n")
+    return max(statuses, key=_SEVERITY.index)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,20 +409,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--out")
     p_chk.set_defaults(func=cmd_check)
 
-    p_suite = sub.add_parser("suite", help="run a registered verification suite")
-    p_suite.add_argument("--id", required=True)
+    p_suite = sub.add_parser("suite", help="run one or every registered verification suite")
+    which = p_suite.add_mutually_exclusive_group(required=True)
+    which.add_argument("--id", help="the registered suite to run")
+    which.add_argument("--all", action="store_true", help="run every registered suite")
     p_suite.add_argument("--seed", type=int)
     p_suite.add_argument("--samples", type=int)
     p_suite.add_argument("--dim", type=int)
     p_suite.add_argument("--block", type=int)
-    p_suite.add_argument("--json", help="write the JSON report here")
+    p_suite.add_argument("--out", help="write DIR/<id>.json per suite, and DIR/<id>.csv per fixed-target sweep")
     p_suite.set_defaults(func=cmd_suite)
-
-    p_sweep = sub.add_parser("sweep", help="nonexistence sweep over hyperbolic targets")
-    p_sweep.add_argument("--family", required=True, choices=tuple(SWEEP_SUITES))
-    p_sweep.add_argument("--csv", help="write the CSV table here")
-    p_sweep.add_argument("--json", help="write the JSON report here")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_ls = sub.add_parser("suites", help="list registered suite ids")
     p_ls.set_defaults(func=lambda args: (sys.stdout.write("\n".join(sorted(SUITES)) + "\n"), 0)[1])

@@ -224,14 +224,13 @@ def c2_quadruple(params: C2Params) -> tuple:
     return t, u, v, w
 
 
-def c2_symbols(params: C2Params, check_self_map: bool = True) -> SymbolPair:
+def c2_symbols(params: C2Params) -> SymbolPair:
     """Symbol pair of the kernel-weighted symmetric family.
 
     psi = d V/(V - T z) and phi = (alpha U - W z)/(conj(alpha)(V - T z))
-    in terms of the quadruple above.  The parameters satisfying the
-    normality moduli equalities force |phi(0)| = 1, so those never pass
-    the self-map check; set check_self_map=False to obtain the raw pair
-    for coefficient-level analysis.
+    in terms of the quadruple above.  phi need not map the disk into
+    itself (the normality moduli equalities force |phi(0)| = 1); the
+    caller decides whether the pair is usable.
     """
     al = params.alpha
     t, u, v, w = c2_quadruple(params)
@@ -243,14 +242,8 @@ def c2_symbols(params: C2Params, check_self_map: bool = True) -> SymbolPair:
         raise DegenerateSymbolError("all phi coefficients vanish")
     psi = RationalSymbol(params.d * v, 0.0, v, -t)
     if abs(det) <= 1e-13 * scale * scale:
-        value = num[0] / den[0]
-        if check_self_map and abs(value) >= 1.0:
-            raise NotSelfMapError("constant composition symbol on the boundary")
-        return SymbolPair(psi, ConstantMap(value))
-    phi = MobiusMap(num[1], num[0], den[1], den[0])
-    if check_self_map and not is_self_map(phi):
-        raise NotSelfMapError("composition symbol is not a self-map of the disk")
-    return SymbolPair(psi, phi)
+        return SymbolPair(psi, ConstantMap(num[0] / den[0]))
+    return SymbolPair(psi, MobiusMap(num[1], num[0], den[1], den[0]))
 
 
 def normal_interior_symbols(params: InteriorParams) -> SymbolPair:
@@ -539,7 +532,7 @@ def c2_aut_form(params: C2Params) -> AutForm:
     if abs(gamma) == 0:
         return None
     beta = (abs(al) ** 2 - al * gamma.conjugate()) / (al.conjugate() * gamma - abs(al) ** 2)
-    phi = c2_symbols(params, check_self_map=False).phi
+    phi = c2_symbols(params).phi
     if isinstance(phi, ConstantMap):
         return None
     return _disk_form_or_none(gamma, beta, phi)

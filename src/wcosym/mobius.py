@@ -121,25 +121,6 @@ class MapClassification:
 
 
 @dataclass(frozen=True)
-class AutNormalForm:
-    """Automorphism written as beta (gamma - z)/(1 - conj(gamma) z).
-
-    ``rotation`` is the orientation flag: when True the map is the plain
-    rotation z -> beta z (the gamma = 0 case carries an extra sign in the
-    display above, so the rotation factor is reported directly instead).
-    """
-
-    beta: complex
-    gamma: complex
-    rotation: bool = False
-
-    def to_map(self) -> MobiusMap:
-        if self.rotation:
-            return MobiusMap(self.beta, 0.0, 0.0, 1.0)
-        return MobiusMap(-self.beta, self.beta * self.gamma, -self.gamma.conjugate(), 1.0)
-
-
-@dataclass(frozen=True)
 class CowenTriple:
     """Auxiliary functions of the adjoint factorization C_phi* = M_g C_sigma M_h*."""
 
@@ -319,24 +300,6 @@ def classify(m: MapLike) -> MapClassification:
     else:
         cls = MapClass.HYPERBOLIC_AUTOMORPHISM if aut else MapClass.HYPERBOLIC_NON_AUTOMORPHISM
     return MapClassification(cls, zeta, deriv, aut)
-
-
-def aut_normal_form(m: MobiusMap) -> Optional[AutNormalForm]:
-    """(beta, gamma) with m = beta (gamma - z)/(1 - conj(gamma) z), or None.
-
-    Rotations come back with the orientation flag set and beta equal to
-    the rotation factor itself; |beta| = 1 is enforced by renormalizing.
-    """
-    if not is_automorphism(m):
-        return None
-    if abs(m.c) <= EQUAL_TOL * max(abs(m.a), abs(m.d)):
-        beta = m.a / m.d
-        beta /= abs(beta)
-        return AutNormalForm(beta, 0.0 + 0.0j, rotation=True)
-    gamma = (-m.c / m.d).conjugate()
-    beta = -m.a / m.d
-    beta /= abs(beta)
-    return AutNormalForm(complex(beta), complex(gamma), rotation=False)
 
 
 def cowen_adjoint(m: MapLike, sigma_sign: int = -1) -> CowenTriple:

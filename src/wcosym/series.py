@@ -49,10 +49,6 @@ class RationalSymbol:
         object.__setattr__(self, "d0", d0)
         object.__setattr__(self, "d1", d1)
 
-    @classmethod
-    def constant(cls, value: complex) -> "RationalSymbol":
-        return cls(value, 0.0, 1.0, 0.0)
-
     def pole(self) -> complex:
         """Location of the pole, or complex infinity for a polynomial."""
         if self.d1 == 0:

@@ -499,7 +499,7 @@ def suite_lemma33_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
         c1 = _disk(rng, 0.8, 0.1)
         c2 = fam.C2Params.from_c0_squared(alpha, c1 / alpha.conjugate(), c1, c1)
         form = fam.c2_aut_form(c2)
-        phi = fam.c2_symbols(c2, check_self_map=False).phi
+        phi = fam.c2_symbols(c2).phi
         ok, gaps = isinstance(form, fam.IdentityForm), {"map_gap": proj_distance(phi, IDENTITY)}
         params, expected = {"alpha": alpha, "c1": c1}, "identity"
     else:
@@ -640,7 +640,7 @@ def suite_thm61_consistency(rng, cfg: SuiteConfig, i: int) -> Measured:
     lft = lft_oracle((-w, al * u, -al.conjugate() * t, al.conjugate() * v), cfg.pred_tol)
     oracle, decided = {}, {"lft": lft["normal"]}
     if use_matrix:
-        pair = fam.c2_symbols(params, check_self_map=False)
+        pair = fam.c2_symbols(params)
         if not isinstance(pair.phi, ConstantMap) and is_self_map(pair.phi) and abs(pair.psi.pole()) > 1.5:
             oracle, decided = (yield Probe(pair)), {}
     return _record(
@@ -846,9 +846,8 @@ def suite_ex63_parabolic(rng, cfg: SuiteConfig, i: int) -> Measured:
     c2 = c1 - t
     c0_sq = (c1 + rho * t) / alpha.conjugate()
     params = fam.C2Params.from_c0_squared(alpha, c0_sq, c1, c2)
-    try:
-        pair = fam.c2_symbols(params)
-    except fam.NotSelfMapError:
+    pair = fam.c2_symbols(params)
+    if isinstance(pair.phi, ConstantMap) or not is_self_map(pair.phi):
         return None
     pred = fam.c2_parabolic_predicate(params, cfg.pred_tol)
     zeta = fam.c2_parabolic_dw_point(params)

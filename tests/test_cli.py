@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -7,13 +8,13 @@ from wcosym import operators, verify
 from wcosym.cli import (
     REPORT_SCHEMA,
     SWEEP_CSV_COLUMNS,
-    SWEEP_SUITES,
     format_complex,
     main,
     parse_complex,
     validate_report_dict,
 )
-from wcosym.errors import CliParseError
+from wcosym.errors import CliParseError, DomainViolationError
+from wcosym.verify import SUITES
 
 
 class TestComplexLiterals:
@@ -165,22 +166,24 @@ class TestCheckCommand:
         assert "C1 needs |alpha| = 1" in capsys.readouterr().err
 
 
+# the fixed-target sweeps and their target counts
+SWEEP_TARGETS = {"ex42-sweep": 24, "ex43-sweep": 12, "ex52-sweep": 24, "ex53-sweep": 12, "ex62-sweep": 24}
+
+
 class TestSuiteCommand:
     def test_passing_suite_exit_0(self, capsys, tmp_path):
-        out = tmp_path / "report.json"
         code = main(
-            ["suite", "--id", "prop21-normal", "--seed", "7", "--samples", "10", "--json", str(out)]
+            ["suite", "--id", "prop21-normal", "--seed", "7", "--samples", "10", "--out", str(tmp_path)]
         )
         assert code == 0
-        doc = json.loads(out.read_text())
+        doc = json.loads((tmp_path / "prop21-normal.json").read_text())
         assert validate_report_dict(doc) == []
         assert doc["summary"]["fail"] == 0
 
     def test_known_discrepancy_exit_3(self, capsys, tmp_path):
-        out = tmp_path / "thm61.json"
-        code = main(["suite", "--id", "thm61-consistency", "--samples", "15", "--json", str(out)])
+        code = main(["suite", "--id", "thm61-consistency", "--samples", "15", "--out", str(tmp_path)])
         assert code == 3
-        doc = json.loads(out.read_text())
+        doc = json.loads((tmp_path / "thm61-consistency.json").read_text())
         assert doc["known_discrepancy"] is True
         assert doc["summary"]["discrepancy"] >= 1
 
@@ -213,78 +216,142 @@ class TestSuiteCommand:
     def test_fixed_target_sweep_refuses_other_samples(self, suite_id, status, capsys, tmp_path):
         # the targets are the whole sample: another count would be
         # reported beside that many records, so it is refused before any record
-        count = 12 if suite_id in ("ex43-sweep", "ex53-sweep") else 24
-        out = tmp_path / "report.json"
+        count = SWEEP_TARGETS[suite_id]
+        out = tmp_path / f"{suite_id}.json"
         for samples in (5, count + 1):
-            assert main(["suite", "--id", suite_id, "--samples", str(samples), "--json", str(out)]) == 2
+            assert main(["suite", "--id", suite_id, "--samples", str(samples), "--out", str(tmp_path)]) == 2
             assert f"{count} targets" in capsys.readouterr().err
         assert not out.exists()
-        assert main(["suite", "--id", suite_id, "--samples", str(count), "--json", str(out)]) == status
+        assert main(["suite", "--id", suite_id, "--samples", str(count), "--out", str(tmp_path)]) == status
         report = json.loads(out.read_text())
         assert report["config"]["samples"] == len(report["records"]) == count
 
     def test_determinism_across_processes(self, capsys, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a, b = tmp_path / "a", tmp_path / "b"
         for path in (a, b):
             assert main(
-                ["suite", "--id", "cor41-aut", "--seed", "11", "--samples", "8", "--json", str(path)]
+                ["suite", "--id", "cor41-aut", "--seed", "11", "--samples", "8", "--out", str(path)]
             ) == 0
-        assert a.read_bytes() == b.read_bytes()
+        assert (a / "cor41-aut.json").read_bytes() == (b / "cor41-aut.json").read_bytes()
+
+    def test_id_and_all_are_one_required_choice(self, capsys):
+        for argv in (["suite"], ["suite", "--id", "prop21-normal", "--all"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def all_suites(tmp_path_factory):
+    """One `suite --all --out DIR` run at the default seeds: (exit status, DIR)."""
+    out = tmp_path_factory.mktemp("all")
+    return main(["suite", "--all", "--out", str(out)]), out
+
+
+class TestSuiteAll:
+    def test_writes_every_report_and_sweep_table(self, all_suites):
+        code, out = all_suites
+        assert code == 3
+        assert sorted(p.stem for p in out.glob("*.json")) == sorted(SUITES)
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(f"{s}.csv" for s in SWEEP_TARGETS)
+        tables = {}
+        for suite_id, count in SWEEP_TARGETS.items():
+            text = (out / f"{suite_id}.csv").read_text()
+            # the fixed header the README documents
+            assert text.startswith("family,r,t_re,t_im,deficiency,verdict,w1_name,w1_re,w1_im,")
+            tables[suite_id] = list(csv.DictReader(text.splitlines()))
+            assert list(tables[suite_id][0]) == SWEEP_CSV_COLUMNS
+            assert len(tables[suite_id]) == count, suite_id
+        aut_rows = [row for row in tables["ex52-sweep"] if float(row["t_re"]) == 0.0]
+        assert len(aut_rows) == 12
+        assert all(row["verdict"] == "discrepancy" for row in aut_rows)
+
+    def test_reports_match_single_suite_runs(self, all_suites, tmp_path, capsys):
+        _, out = all_suites
+        for suite_id in sorted(SUITES):
+            main(["suite", "--id", suite_id, "--out", str(tmp_path)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in out.iterdir())
+        for path in tmp_path.iterdir():
+            assert path.read_bytes() == (out / path.name).read_bytes(), path.name
+
+    def test_names_each_report_by_its_id(self, tmp_path, capsys):
+        # one draw per suite; the documented Findings of ex52-sweep keep it at 3
+        assert main(["suite", "--all", "--samples", "1", "--out", str(tmp_path)]) == 3
+        reports = sorted(tmp_path.glob("*.json"))
+        assert len(reports) == len(SUITES) == 27
+        for path in reports:
+            doc = json.loads(path.read_text())
+            assert doc["suite_id"] == path.stem
+            # a fixed-target sweep keeps its own count
+            assert doc["config"]["samples"] == SWEEP_TARGETS.get(path.stem, 1)
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("suite ") for line in lines) == 27
+        assert lines[-1].startswith("total [") and lines[-1].endswith("s]")
+
+    def test_refused_suite_counts_as_2_and_the_run_goes_on(self, tmp_path, capsys, monkeypatch):
+        def refuse(rng, cfg, i):
+            raise DomainViolationError("refused draw")
+
+        monkeypatch.setitem(SUITES, "cor41-aut", verify.Suite(refuse, verify.default_config("cor41-aut")))
+        assert main(["suite", "--all", "--samples", "1", "--out", str(tmp_path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: cor41-aut: refused draw"]
+        assert len(list(tmp_path.glob("*.json"))) == 26
+        assert not (tmp_path / "cor41-aut.json").exists()
+
+    def test_other_exceptions_propagate(self, tmp_path, capsys, monkeypatch):
+        def crash(rng, cfg, i):
+            raise RuntimeError("not a refusal")
+
+        monkeypatch.setitem(SUITES, "cor41-aut", verify.Suite(crash, verify.default_config("cor41-aut")))
+        with pytest.raises(RuntimeError, match="not a refusal"):
+            main(["suite", "--all", "--samples", "1", "--out", str(tmp_path)])
 
 
 class TestSweepCommand:
     def test_passing_sweep(self, capsys, tmp_path):
-        out = tmp_path / "sweep.csv"
-        code = main(["sweep", "--family", "j-hyperbolic", "--csv", str(out)])
+        code = main(["suite", "--id", "ex42-sweep", "--out", str(tmp_path)])
         assert code == 0
-        lines = out.read_text().splitlines()
+        lines = (tmp_path / "ex42-sweep.csv").read_text().splitlines()
         assert lines[0] == ",".join(SWEEP_CSV_COLUMNS)
         assert len(lines) > 1
         for line in lines[1:]:
             deficiency = float(line.split(",")[4])
             assert deficiency >= 1e-3
 
-    @pytest.mark.parametrize(
-        "family,suite_id",
-        [
-            ("j-hyperbolic", "ex42-sweep"),
-            ("c1-hyperbolic", "ex52-sweep"),
-            ("c2-hyperbolic", "ex62-sweep"),
-            ("hyperbolic-nonaut", "ex43-sweep"),
-        ],
-    )
-    def test_sweep_reports_its_registry_suite(self, capsys, tmp_path, family, suite_id):
-        # the sweep report carries the config that ran: its registry entry's
-        swept, suite = tmp_path / "sweep.json", tmp_path / "suite.json"
-        code = main(["sweep", "--family", family, "--json", str(swept)])
-        assert code == main(["suite", "--id", suite_id, "--json", str(suite)])
-        assert swept.read_bytes() == suite.read_bytes()
+    @pytest.mark.parametrize("suite_id", sorted(SWEEP_TARGETS))
+    def test_sweep_reports_its_registry_suite(self, capsys, tmp_path, suite_id):
+        # the sweep writes its report and table, and the report carries the
+        # config that ran: its registry entry's
+        main(["suite", "--id", suite_id, "--out", str(tmp_path)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{suite_id}.csv", f"{suite_id}.json"]
+        doc = json.loads((tmp_path / f"{suite_id}.json").read_text())
+        assert doc["config"] == dataclasses.asdict(verify.default_config(suite_id))
 
     def test_suite_names_its_registry_id(self, capsys):
         # ex53 runs the same sweep as ex43 but reports under its own id
         assert main(["suite", "--id", "ex53-sweep"]) == 0
         assert capsys.readouterr().out.startswith("suite ex53-sweep: total=12 ")
 
-    @pytest.mark.parametrize("family", sorted(SWEEP_SUITES))
-    def test_csv_family_column(self, capsys, tmp_path, family):
-        out = tmp_path / "sweep.csv"
-        main(["sweep", "--family", family, "--csv", str(out)])
-        rows = list(csv.DictReader(out.read_text().splitlines()))
-        assert rows and all(row["family"] == family for row in rows)
-        if family == "c2-hyperbolic":  # the alpha-free spread has no witness
+    @pytest.mark.parametrize("suite_id", sorted(SWEEP_TARGETS))
+    def test_csv_family_column(self, capsys, tmp_path, suite_id):
+        main(["suite", "--id", suite_id, "--out", str(tmp_path)])
+        rows = list(csv.DictReader((tmp_path / f"{suite_id}.csv").read_text().splitlines()))
+        assert rows and all(row["family"] == suite_id for row in rows)
+        if suite_id == "ex62-sweep":  # the alpha-free spread has no witness
             witness = [c for c in SWEEP_CSV_COLUMNS if c.startswith("w")]
             assert all(row[c] == "" for row in rows for c in witness)
 
-    def test_unknown_family_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--family", "elliptic"])
-        assert exc.value.code == 2
+    def test_unknown_family_exits_2(self, capsys, tmp_path):
+        # a sweep's family is now its suite id
+        assert main(["suite", "--id", "elliptic-sweep", "--out", str(tmp_path)]) == 2
+        assert "error: elliptic-sweep: unknown suite id" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_c1_sweep_documents_discrepancy(self, capsys, tmp_path):
-        out = tmp_path / "c1.csv"
-        code = main(["sweep", "--family", "c1-hyperbolic", "--csv", str(out)])
+        code = main(["suite", "--id", "ex52-sweep", "--out", str(tmp_path)])
         assert code == 3
-        rows = out.read_text().splitlines()[1:]
+        rows = (tmp_path / "ex52-sweep.csv").read_text().splitlines()[1:]
         assert any("discrepancy" in row for row in rows)
 
 

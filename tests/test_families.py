@@ -48,6 +48,7 @@ from wcosym.mobius import (
     MapClass,
     MobiusMap,
     classify,
+    is_self_map,
     mobius_equal,
     proj_distance,
 )
@@ -128,16 +129,15 @@ class TestC2Symbols:
     def test_moduli_equal_parameters_are_never_self_maps(self):
         # |c1-c2| = |conj(a)c0^2-c1| = |c0^2 - a c1| forces |phi(0)| = 1
         params = C2Params(0.5, 0.6, 0.36, 0.54)
-        with pytest.raises(NotSelfMapError):
-            c2_symbols(params)
-        pair = c2_symbols(params, check_self_map=False)
+        pair = c2_symbols(params)
+        assert not is_self_map(pair.phi)
         assert abs(abs(pair.phi(0.0)) - 1.0) < 1e-12
 
     def test_sqrt_sign_irrelevant(self):
         base = C2Params.from_c0_squared(0.4 + 0.1j, 0.5 - 0.2j, 0.3, 0.1)
         flipped = C2Params(base.alpha, -base.c0, base.c1, base.c2)
-        p1 = c2_symbols(base, check_self_map=False)
-        p2 = c2_symbols(flipped, check_self_map=False)
+        p1 = c2_symbols(base)
+        p2 = c2_symbols(flipped)
         assert proj_distance(p1.phi, p2.phi) < 1e-14
         assert p1.psi == p2.psi
 

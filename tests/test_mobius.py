@@ -10,7 +10,6 @@ from wcosym.mobius import (
     ConstantMap,
     MapClass,
     MobiusMap,
-    aut_normal_form,
     blaschke,
     classify,
     compose,
@@ -200,30 +199,6 @@ class TestClassify:
             d = cls.dw_derivative
             assert abs(d.imag) <= 1e-9
             assert 0 < d.real <= 1 + 1e-9
-
-
-class TestAutNormalForm:
-    def test_non_automorphism(self):
-        assert aut_normal_form(MobiusMap(0, 0.5, -0.5, 1)) is None
-
-    def test_rotation(self):
-        form = aut_normal_form(MobiusMap(1j, 0, 0, 1))
-        assert form.rotation
-        assert abs(form.beta - 1j) < 1e-14
-        assert form.gamma == 0
-
-    def test_disk_form(self):
-        form = aut_normal_form(MobiusMap(-1, 0.8, -0.8, 1))
-        assert not form.rotation
-        assert abs(form.beta - 1) < 1e-14
-        assert abs(form.gamma - 0.8) < 1e-14
-
-    @settings(max_examples=60, deadline=None)
-    @given(disk_autos())
-    def test_round_trip(self, m):
-        form = aut_normal_form(m)
-        assert form is not None
-        assert proj_distance(form.to_map(), m) <= 1e-12
 
 
 class TestCowenAdjoint:

@@ -38,7 +38,7 @@ from wcosym.operators import (
 )
 from wcosym.series import RationalSymbol, expand_rational, quotient_series
 
-ONE = RationalSymbol.constant(1.0)
+ONE = RationalSymbol(1.0, 0, 1, 0)
 
 
 def cross(psi, phi, n, k):
@@ -74,7 +74,7 @@ class TestBuildWco:
         assert np.allclose(t, np.eye(8))
 
     def test_diagonal_family(self):
-        t = build_wco(RationalSymbol.constant(0.7), MobiusMap(0.5, 0, 0, 1), 6)
+        t = build_wco(RationalSymbol(0.7, 0, 1, 0), MobiusMap(0.5, 0, 0, 1), 6)
         assert np.allclose(t, np.diag(0.7 * 0.5 ** np.arange(6)))
 
     def test_kernel_weight_toeplitz(self):
@@ -768,7 +768,7 @@ class TestSymmetryResidual:
 
 class TestNormalityResidual:
     def test_diagonal_zero(self):
-        t = build_wco(RationalSymbol.constant(1.3), MobiusMap(0.6j, 0, 0, 1), 48)
+        t = build_wco(RationalSymbol(1.3, 0, 1, 0), MobiusMap(0.6j, 0, 0, 1), 48)
         assert normality_residual(t, 12) <= 1e-14
 
     def test_interior_family_normal(self):

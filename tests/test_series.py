@@ -16,7 +16,7 @@ class TestExpandRational:
         assert np.allclose(s, [1, 0.5, 0.25, 0.125])
 
     def test_constant(self):
-        s = expand_rational(RationalSymbol.constant(0.7), 4)
+        s = expand_rational(RationalSymbol(0.7, 0, 1, 0), 4)
         assert np.allclose(s, [0.7, 0, 0, 0])
 
     def test_interior_weight(self):

@@ -25,7 +25,7 @@ from wcosym.families import (
     j_symbols,
     normal_interior_symbols,
 )
-from wcosym.mobius import ConstantMap, MobiusMap, aut_normal_form, proj_distance, quadruple_gap
+from wcosym.mobius import ConstantMap, MobiusMap, is_automorphism, proj_distance, quadruple_gap
 from wcosym.operators import STACK_ROWS, Conjugation
 from wcosym.series import RationalSymbol
 from wcosym.verify import (
@@ -457,9 +457,11 @@ def _reference_c1_search(target: MobiusMap):
         return np.maximum(dist, expr)
 
     cands = []
-    form = aut_normal_form(target)
-    if form is not None and not form.rotation and abs(form.gamma) > 1e-9:
-        g, beta = form.gamma, form.beta
+    if is_automorphism(target) and abs(target.c) > 1e-9 * abs(target.d):
+        # target = beta (g - z)/(1 - conj(g) z) with g != 0
+        g = (-target.c / target.d).conjugate()
+        beta = -target.a / target.d
+        beta /= abs(beta)
         alpha = np.conj(g) / (g * beta)
         cands.append((alpha / abs(alpha), np.conj(g) / alpha, (abs(g) ** 2 - 1) * np.conj(g) / (g * alpha)))
     cgrid = _polar_grid(7, 10, 0.03, 0.92)
