@@ -7,9 +7,10 @@ Usage:
 For N in 48, 64, 96, 128, 192, 384, 389, 512, 1024 and block k in 12, 16 it
 prints the median time of one call, in ms, of
 
-  whole  all of W (build_wco and conjugation_matrix: the public API and
-         kernel-conj-slow): the Mobius recurrence swept as a wavefront of
-         8 x 8 tiles, one GEMM per anti-diagonal of tiles, at every N,
+  whole  all of W (what build_wco and conjugation_matrix run: the public
+         API and kernel-conj-slow): the Mobius recurrence swept as a
+         wavefront of 8 x 8 tiles, one GEMM per anti-diagonal of tiles,
+         at every N,
   cross  the first k rows and first k columns (the normality residual
          and the C2 conjugation's involution residual; the C2 symmetry
          reads only the columns): both by the one doubling kernel, the
@@ -22,8 +23,9 @@ prints the median time of one call, in ms, of
          four factors of the adjoint factorization): the same doubling
          as the rows, on k coefficients,
 
-each including the refusals and length-N expansions build_wco makes.  Two
-symbols are timed: a fast-decay weighted composition operator of the
+each including the refusals and length-N expansions build_wco makes, on
+the coefficient arrays the seams take (a weight and a map as (1, 4)
+stacks).  Two symbols are timed: a fast-decay weighted composition operator of the
 interior normal family, whose coefficients underflow to subnormal numbers
 at large N, and the slow-decay C2 conjugation at |alpha| = 0.9.  N = 389
 is prime: its last doubling level fills fewer rows than it doubles from.
@@ -52,9 +54,9 @@ from wcosym import operators as ops  # noqa: E402
 
 DIMS = (48, 64, 96, 128, 192, 384, 389, 512, 1024)
 BLOCKS = (12, 16)
-SYMBOLS = {
-    "interior": fam.normal_interior_symbols(fam.InteriorParams(0.3 - 0.2j, 0.5j, 1.2)),
-    "c2-0.9": fam.SymbolPair(*ops._c2_symbols(ops.Conjugation("C2", np.exp(0.3j), 0.9 * np.exp(1.1j)))),
+SYMBOLS = {  # (psi, phi) stacks of one
+    "interior": fam.interior_quadruples(0.3 - 0.2j, 0.5j, 1.2),
+    "c2-0.9": ops._c2_symbols(np.array([np.exp(0.3j)]), np.array([0.9 * np.exp(1.1j)])),
 }
 
 
@@ -75,15 +77,15 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     print(f"{'symbol':10} {'N':>5} {'k':>3} {'whole ms':>9} {'cross ms':>9} {'stacked ms':>10} {'block ms':>9}")
-    for name, pair in SYMBOLS.items():
-        psi, phi = pair.psi, pair.phi
+    for name, (psi, phi) in SYMBOLS.items():
         for n in DIMS:
-            whole = _median_ms(lambda: ops.build_wco(psi, phi, n), args.repeats)
+            whole = _median_ms(lambda: ops._whole(psi, phi, n), args.repeats)
             draws = max(1, ops.STACK_ROWS // n)
+            psis, phis = psi.repeat(draws, axis=0), phi.repeat(draws, axis=0)
             for k in BLOCKS:
-                cross = _median_ms(lambda: ops._cross([psi], [phi], n, k), args.repeats)
-                stacked = _median_ms(lambda: ops._cross([psi] * draws, [phi] * draws, n, k), args.repeats) / draws
-                block = _median_ms(lambda: ops._block([psi], [phi], n, k), args.repeats)
+                cross = _median_ms(lambda: ops._cross(psi, phi, n, k), args.repeats)
+                stacked = _median_ms(lambda: ops._cross(psis, phis, n, k), args.repeats) / draws
+                block = _median_ms(lambda: ops._block(psi, phi, n, k), args.repeats)
                 print(f"{name:10} {n:5d} {k:3d} {whole:9.3f} {cross:9.3f} {stacked:10.3f} {block:9.3f}")
     return 0
 

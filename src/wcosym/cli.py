@@ -20,20 +20,21 @@ from dataclasses import asdict, fields, replace
 from typing import Dict, List, Optional
 
 from .errors import CliParseError, WcoError
+import numpy as np
+
 from .families import (
     C1Params,
     C2NormalCase,
     C2Params,
     JParams,
     c1_normal_predicate,
-    c1_symbols,
+    c1_quadruples,
     c2_normal_predicate,
-    c2_symbols,
+    c2_quadruples,
     j_normal_predicate,
-    j_symbols,
+    j_quadruples,
 )
-from .mobius import ConstantMap, MobiusMap, classify, cowen_adjoint
-from .operators import Conjugation
+from .mobius import MobiusMap, classify, cowen_adjoint, is_constant
 from .verify import (
     Probe,
     SuiteConfig,
@@ -281,34 +282,36 @@ def _check_family(args):
     params = param_type(*(parse_complex(getattr(args, f.name)) for f in fields(param_type)))
     out: Dict[str, object] = {"family": args.family, "params": asdict(params)}
     if args.family == "j":
-        pair = j_symbols(params)
-        conj = Conjugation("J")
+        psi, phi = j_quadruples(params.a0, params.a1, params.b)
+        kind, alpha = "J", 0.0
         pred: Dict[str, object] = {"normal": j_normal_predicate(params.a0, params.a1)}
     elif args.family == "c1":
-        pair = c1_symbols(params)
-        conj = Conjugation("C1", 1.0, params.alpha)
+        psi, phi = c1_quadruples(params.alpha, params.c0, params.c1, params.d)
+        kind, alpha = "C1", params.alpha
         pred = {"normal": c1_normal_predicate(params.alpha, params.c0, params.c1)}
     else:
-        pair = c2_symbols(params)
-        conj = Conjugation("C2", 1.0, params.alpha)
+        psi, phi = c2_quadruples(params)
+        kind, alpha = "C2", params.alpha
         case = c2_normal_predicate(params)
         pred = {"case": case.value, "normal": case != C2NormalCase.NOT_NORMAL}
     if args.conjugation:
         kind = args.conjugation.upper()
-        conj = Conjugation(kind, 1.0, parse_complex(args.alpha) if kind != "J" else 0.0)
-    residuals: Dict[str, object] = measure(cfg, [Probe(conj=conj)])[0]
+        alpha = parse_complex(args.alpha) if kind != "J" else 0.0
+    # a stack of one draw: the conjugation alone, then the operator against it
+    conj = {"kind": kind, "lam": np.ones(1, dtype=complex), "alpha": np.array([alpha], dtype=complex)}
+    residuals: Dict[str, object] = {key: float(r[0]) for key, r in measure(cfg, Probe(**conj)).items()}
     try:
-        residuals.update(measure(cfg, [Probe(pair, conj)])[0])
+        residuals.update({key: float(r[0]) for key, r in measure(cfg, Probe(psi, phi, **conj)).items()})
     except WcoError as exc:
         out["note"] = f"operator truncation unavailable: {exc}"
-    oracle, decided, phi = {}, {}, pair.phi
+    oracle, decided = {}, {}
     if "normality" in residuals:
         oracle = {"normality": residuals["normality"]}
-    elif isinstance(phi, ConstantMap):
+    elif is_constant(phi)[0]:
         decided = {"lft": None}  # no truncation and no coefficient-level oracle: undecided
     else:
         # coefficient-level oracle for symbols without a usable truncation
-        lft = lft_oracle((phi.a, phi.b, phi.c, phi.d), cfg.pred_tol)
+        (lft,) = lft_oracle(phi, cfg.pred_tol)
         residuals["lft_modulus_gap"] = lft["modulus_gap"]
         residuals["lft_commute_defect"] = lft["commute_defect"]
         decided = {"lft": lft["normal"]}

@@ -6,6 +6,13 @@ equals 1; two maps are equal iff their canonical quadruples agree.  The
 classification (interior / hyperbolic / parabolic, automorphism or not)
 is decided from the fixed-point quadratic and closed-form coefficient
 criteria, never from boundary sampling.
+
+The coefficient criteria (is_self_map, sup_modulus, is_automorphism,
+the projective gap, the Cowen adjoint and the LFT normality defects) are
+each one formula for a (B, 4) stack of quadruples, a constant map v being
+(0, v, 0, 1), and for a single map: the suites' samplers pass whole
+stacks.  Only the checks that are scalar by nature (classify,
+fixed_points) read map objects alone.
 """
 
 from __future__ import annotations
@@ -14,7 +21,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
+
+import numpy as np
 
 from .errors import (
     ConstantMapError,
@@ -72,7 +81,7 @@ class MobiusMap:
             raise DegenerateMapError(
                 "ad - bc vanishes; use ConstantMap for constant maps"
             )
-        pivot = (a, b, c, d)[mods.index(scale)]
+        pivot = (a, b, c, d)[mods.index(scale)]  # canonical()'s rule, in Python complex division
         object.__setattr__(self, "a", a / pivot)
         object.__setattr__(self, "b", b / pivot)
         object.__setattr__(self, "c", c / pivot)
@@ -93,12 +102,45 @@ class MobiusMap:
         return self.det / (den * den)
 
 
+def coefficient_stack(a, b, c, d) -> np.ndarray:
+    """The (B, 4) stack of four coefficient columns, scalars broadcast."""
+    out = np.empty((max(len(x) for x in (a, b, c, d) if isinstance(x, np.ndarray)), 4), dtype=complex)
+    out[:, 0], out[:, 1], out[:, 2], out[:, 3] = a, b, c, d
+    return out
+
+
+def canonical(quads: np.ndarray) -> np.ndarray:
+    """Each quadruple of a (B, 4) stack divided by its coefficient of
+    largest modulus (the first of equal ones), as MobiusMap scales one."""
+    return quads / quads[np.arange(len(quads)), abs(quads).argmax(axis=1)][:, None]
+
+
+def quadruples(maps) -> np.ndarray:
+    """The (B, 4) stack of the maps' coefficients, a constant map v as (0, v, 0, 1)."""
+    return np.array([(0.0, m.value, 0.0, 1.0) if isinstance(m, ConstantMap) else m.quadruple() for m in maps])
+
+
+def is_constant(quads: np.ndarray) -> np.ndarray:
+    """The rows (0, v, 0, d) of a stack: constant maps (a nondegenerate map has ad - bc != 0)."""
+    return (quads[:, 0] == 0) & (quads[:, 2] == 0)
+
+
+def _columns(m):
+    """(a, b, c, d): a map's coefficients, or the coefficient columns of a
+    (B, 4) stack.  The coefficient criteria below read nothing else, so
+    each is one formula for a stack and for a single map."""
+    if isinstance(m, MobiusMap):
+        return m.quadruple()
+    return m.T if isinstance(m, np.ndarray) else tuple(m)
+
+
+def _elementwise(x, scalar, array):
+    """scalar's function for Python numbers, array's for arrays: math's for
+    one map costs a tenth of numpy's."""
+    return array if isinstance(x, np.ndarray) else scalar
+
+
 IDENTITY = MobiusMap(1.0, 0.0, 0.0, 1.0)
-
-
-def blaschke(p: complex) -> MobiusMap:
-    """Disk involution (p - z)/(1 - conj(p) z)."""
-    return MobiusMap(-1.0, p, -p.conjugate(), 1.0)
 
 
 class MapClass(str, Enum):
@@ -156,45 +198,60 @@ def compose(m1: MapLike, m2: MapLike) -> MapLike:
         return ConstantMap(v)
     if isinstance(m1, ConstantMap):
         return ConstantMap(m1.value)
-    a = m1.a * m2.a + m1.b * m2.c
-    b = m1.a * m2.b + m1.b * m2.d
-    c = m1.c * m2.a + m1.d * m2.c
-    d = m1.c * m2.b + m1.d * m2.d
-    scale = max(abs(a), abs(b), abs(c), abs(d))
-    if scale == 0.0 or abs(a * d - b * c) <= _DEGENERATE_TOL * scale * scale:
+    quads, degenerate = compose_stack(quadruples([m1]), quadruples([m2]))
+    a, b, c, d = quads[0].tolist()
+    if degenerate[0]:
         # numerically degenerate composite: constant with value a/c = b/d
         return ConstantMap(b / d if abs(d) >= abs(c) else a / c)
     return MobiusMap(a, b, c, d)
 
 
-def proj_distance(m1: MapLike, m2: MapLike) -> float:
-    """Projective distance between maps: scaled norm of the 2x2 minors.
+def compose_stack(first: np.ndarray, second: np.ndarray):
+    """The quadruples of first[b] o second[b] (the 2 x 2 coefficient
+    matrices multiplied) for two (B, 4) stacks of nondegenerate maps, and
+    where the composite is numerically degenerate (a constant)."""
+    a1, b1, c1, d1 = first.T
+    a2, b2, c2, d2 = second.T
+    quads = coefficient_stack(a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+    a, b, c, d = quads.T
+    scale = abs(quads).max(axis=1)
+    return quads, (scale == 0.0) | (abs(a * d - b * c) <= _DEGENERATE_TOL * scale * scale)
 
-    Zero iff the coefficient quadruples are proportional, i.e. the maps
-    are equal; insensitive to the choice of representatives.
-    """
-    if isinstance(m1, ConstantMap) or isinstance(m2, ConstantMap):
-        if isinstance(m1, ConstantMap) and isinstance(m2, ConstantMap):
-            return abs(m1.value - m2.value) / max(1.0, abs(m1.value), abs(m2.value))
-        return float("inf")
-    return quadruple_gap(m1.quadruple(), m2.quadruple())
+
+def proj_distance(m1, m2):
+    """Projective distance between maps, or between the rows of two (B, 4)
+    stacks: the scaled norm of the 2x2 minors for two Mobius maps, which is
+    zero iff their quadruples are proportional (the maps are equal); the
+    relative distance of the values for two constants; infinite between a
+    constant and a Mobius map."""
+    if isinstance(m1, MobiusMap) and isinstance(m2, MobiusMap):
+        return float(quadruple_gap(m1, m2))
+    if not isinstance(m1, np.ndarray):  # one of two maps is constant: a stack of one
+        return float(proj_distance(quadruples([m1]), quadruples([m2]))[0])
+    one, two = is_constant(m1), is_constant(m2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v1, v2 = m1[:, 1] / m1[:, 3], m2[:, 1] / m2[:, 3]
+        values = abs(v1 - v2) / np.maximum(1.0, np.maximum(abs(v1), abs(v2)))
+        return np.where(one & two, values, np.where(one | two, np.inf, quadruple_gap(m1, m2)))
 
 
-def _sum_sq(values) -> float:
+def _sum_sq(values):
     """Sum of the squared moduli."""
     return sum(z.real * z.real + z.imag * z.imag for z in values)
 
 
-def quadruple_gap(v1: Sequence[complex], v2: Sequence[complex]) -> float:
-    """Scaled norm of the 2x2 minors of two coefficient quadruples: each of
-    the six minors enters the antisymmetric matrix v1 v2^T - v2 v1^T twice."""
-    a1, b1, c1, d1 = v1
-    a2, b2, c2, d2 = v2
+def quadruple_gap(v1, v2):
+    """Scaled norm of the 2x2 minors of two coefficient quadruples (or
+    maps), or of the rows of two (B, 4) stacks: each of the six minors
+    enters the antisymmetric matrix v1 v2^T - v2 v1^T twice."""
+    a1, b1, c1, d1 = v1 = _columns(v1)
+    a2, b2, c2, d2 = v2 = _columns(v2)
     minors = (
         a1 * b2 - b1 * a2, a1 * c2 - c1 * a2, a1 * d2 - d1 * a2,
         b1 * c2 - c1 * b2, b1 * d2 - d1 * b2, c1 * d2 - d1 * c2,
     )
-    return math.sqrt(2.0 * _sum_sq(minors)) / math.sqrt(_sum_sq(v1) * _sum_sq(v2))
+    sqrt = _elementwise(a1, math.sqrt, np.sqrt)
+    return sqrt(2.0 * _sum_sq(minors)) / sqrt(_sum_sq(v1) * _sum_sq(v2))
 
 
 def mobius_equal(m1: MapLike, m2: MapLike, tol: float = EQUAL_TOL) -> bool:
@@ -227,29 +284,31 @@ def fixed_points(m: MobiusMap) -> list:
     return [q / c, -b / q]
 
 
-def sup_modulus(m: MobiusMap) -> float:
-    """sup of |m| over the closed unit disk (infinite if the pole intrudes).
-
-    The image of the disk is the disk with center (b conj(d) - a conj(c))
-    / (|d|^2 - |c|^2) and radius |ad - bc| / (|d|^2 - |c|^2).
-    """
-    gap = abs(m.d) ** 2 - abs(m.c) ** 2
-    if gap <= 0:
-        return float("inf")
-    num = abs(m.b * m.d.conjugate() - m.a * m.c.conjugate()) + abs(m.det)
-    return num / gap
+def _image_disk(m):
+    """|d|^2 - |c|^2 and |b conj(d) - a conj(c)| + |ad - bc| of a map or of
+    each row of a stack: the image of the disk is the disk with center
+    (b conj(d) - a conj(c)) / (|d|^2 - |c|^2) and radius |ad - bc| /
+    (|d|^2 - |c|^2)."""
+    a, b, c, d = _columns(m)
+    return abs(d) ** 2 - abs(c) ** 2, abs(b * d.conjugate() - a * c.conjugate()) + abs(a * d - b * c)
 
 
-def is_self_map(m: MobiusMap) -> bool:
-    """Exact criterion |b conj(d) - a conj(c)| + |ad - bc| <= |d|^2 - |c|^2."""
-    gap = abs(m.d) ** 2 - abs(m.c) ** 2
-    if gap <= 0:
-        return False
-    num = abs(m.b * m.d.conjugate() - m.a * m.c.conjugate()) + abs(m.det)
-    return num <= gap + SELF_MAP_SLACK
+def sup_modulus(m):
+    """sup of |m| over the closed unit disk (infinite if the pole intrudes),
+    for a map or each row of a stack."""
+    gap, num = _image_disk(m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(gap > 0, np.divide(num, gap), np.inf)[()]
 
 
-def is_automorphism(m: MobiusMap) -> bool:
+def is_self_map(m):
+    """Exact criterion |b conj(d) - a conj(c)| + |ad - bc| <= |d|^2 - |c|^2,
+    for a map or each row of a stack."""
+    gap, num = _image_disk(m)
+    return (gap > 0) & (num <= gap + SELF_MAP_SLACK)
+
+
+def is_automorphism(m):
     """|a|^2 + |b|^2 = |c|^2 + |d|^2 and a conj(b) = c conj(d).
 
     Equivalent to |az + b| = |cz + d| on the unit circle; combined with
@@ -257,12 +316,11 @@ def is_automorphism(m: MobiusMap) -> bool:
     automorphisms.  Equality in the self-map criterion alone is not
     sufficient.
     """
-    if not is_self_map(m):
-        return False
-    scale = max(abs(m.a), abs(m.b), abs(m.c), abs(m.d)) ** 2
-    mod_gap = abs(abs(m.a) ** 2 + abs(m.b) ** 2 - abs(m.c) ** 2 - abs(m.d) ** 2)
-    cross_gap = abs(m.a * m.b.conjugate() - m.c * m.d.conjugate())
-    return bool(mod_gap <= AUT_TOL * scale and cross_gap <= AUT_TOL * scale)
+    a, b, c, d = _columns(m)
+    scale = _elementwise(a, max, lambda *x: np.maximum.reduce(x))(abs(a), abs(b), abs(c), abs(d)) ** 2
+    mod_gap = abs(abs(a) ** 2 + abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2)
+    cross_gap = abs(a * b.conjugate() - c * d.conjugate())
+    return is_self_map(m) & (mod_gap <= AUT_TOL * scale) & (cross_gap <= AUT_TOL * scale)
 
 
 def classify(m: MapLike) -> MapClassification:
@@ -277,7 +335,7 @@ def classify(m: MapLike) -> MapClassification:
         return MapClassification(MapClass.IDENTITY, None, 1.0 + 0.0j, True)
     if not is_self_map(m):
         raise NotSelfMapError(f"{m} is not a self-map of the unit disk")
-    aut = is_automorphism(m)
+    aut = bool(is_automorphism(m))
     points = fixed_points(m)
     finite = [p for p in points if not _is_inf(p)]
     interior = [p for p in finite if abs(p) < 1.0 - BOUNDARY_TOL]
@@ -303,41 +361,48 @@ def classify(m: MapLike) -> MapClassification:
 
 
 def cowen_adjoint(m: MapLike, sigma_sign: int = -1) -> CowenTriple:
-    """Auxiliary functions g, sigma, h of the adjoint factorization.
-
-    sigma(z) = (conj(a) z - conj(c)) / (-conj(b) z + conj(d)); the
-    ``sigma_sign`` switch flips the sign of the conj(c) term and exists
-    only so the wrong variant can be exhibited failing the factorization
-    residual.
-    """
+    """Auxiliary functions g, sigma, h of the adjoint factorization of one
+    map, from cowen_stack."""
     if isinstance(m, ConstantMap):
         raise ConstantMapError("adjoint factorization needs a non-constant map")
-    ac, bc, cc, dc = m.a.conjugate(), m.b.conjugate(), m.c.conjugate(), m.d.conjugate()
-    g = RationalSymbol(1.0, 0.0, dc, -bc)
-    sigma = MobiusMap(ac, sigma_sign * cc, -bc, dc)
-    h = RationalSymbol(m.d, m.c, 1.0, 0.0)
-    return CowenTriple(g, sigma, h)
+    g, sigma, h = (quads[0].tolist() for quads in cowen_stack(quadruples([m]), sigma_sign))
+    return CowenTriple(RationalSymbol(*g), MobiusMap(*sigma), RationalSymbol(*h))
 
 
-def lft_normality_defects(quad) -> Tuple[float, float]:
+def cowen_stack(quads: np.ndarray, sigma_sign: int = -1):
+    """(g, sigma, h) of the adjoint factorization C_phi* = M_g C_sigma M_h*
+    for each map of a (B, 4) stack: g = 1/(conj(d) - conj(b) z) and
+    h = d + c z as (n0, n1, d0, d1) rows, and sigma(z) = (conj(a) z -
+    conj(c)) / (-conj(b) z + conj(d)) canonical.  The ``sigma_sign``
+    switch flips the sign of the conj(c) term and exists only so the wrong
+    variant can be exhibited failing the factorization residual."""
+    a, b, c, d = quads.T
+    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    sigma = canonical(coefficient_stack(ac, sigma_sign * cc, -bc, dc))
+    return coefficient_stack(1.0, 0.0, dc, -bc), sigma, coefficient_stack(d, c, 1.0, 0.0)
+
+
+def lft_normality_defects(quads: np.ndarray):
     """(modulus gap, commuting defect) of the K_{sigma(0)}-normality
-    condition, computed on a raw coefficient quadruple.
+    condition for each raw coefficient quadruple of a (B, 4) stack (or of
+    one quadruple, shape (4,)).
 
     The commuting defect is the residual of the three cross-multiplied
     coefficient equations of (phi o sigma)(z) = (sigma o phi)(z),
     normalized by the input scale so that degenerate quadruples (whose
     composites can vanish identically) are handled without blow-up:
-    vanishing composites satisfy the written equations vacuously.
+    vanishing composites satisfy the written equations vacuously.  Both
+    are infinite where d = 0.
     """
-    a, b, c, d = map(complex, quad)
-    if abs(d) == 0.0:
-        return float("inf"), float("inf")
+    a, b, c, d = np.asarray(quads, dtype=complex).T
     # sigma's quadruple (conj a, -conj c, -conj b, conj d)
     sa, sb, sc, sd = a.conjugate(), -c.conjugate(), -b.conjugate(), d.conjugate()
-    gap = abs(abs(b / d) - abs(sb / sd))
     # the two products of the 2 x 2 coefficient matrices: phi o sigma, sigma o phi
     p1, q1, r1, s1 = a * sa + b * sc, a * sb + b * sd, c * sa + d * sc, c * sb + d * sd
     p2, q2, r2, s2 = sa * a + sb * c, sa * b + sb * d, sc * a + sd * c, sc * b + sd * d
     cross = (p1 * r2 - p2 * r1, q1 * s2 - q2 * s1, p1 * s2 + q1 * r2 - p2 * s1 - q2 * r1)
     scale = _sum_sq((a, b, c, d)) * _sum_sq((sa, sb, sc, sd))
-    return gap, math.sqrt(_sum_sq(cross)) / scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = abs(abs(b / d) - abs(sb / sd))
+        defect = np.sqrt(_sum_sq(cross)) / scale
+    return np.where(d == 0, np.inf, gap), np.where(d == 0, np.inf, defect)

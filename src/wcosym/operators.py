@@ -31,22 +31,26 @@ the commutator U conj(T) - T^H U on the block, which reads only the first
 k columns of T.
 build_wco and conjugation_matrix remain the public whole-matrix builds.
 
-The seams work on stacks of draws: the series, the Toeplitz and row
-steps, the doubling and the three defects take a leading draw axis, so
-one numpy call serves every draw of a stack (a stacked @ is one GEMM per
-draw, so each draw's residual is bit-identical to its stack of one).  At
-the suites' N of 48-96 and k of 12-16 a residual is some 25 numpy calls
-on arrays 12-17 columns wide, and their per-call overhead, not the
-arithmetic, sets its cost.  wco_residual_stack and
-conjugation_residual_stack are what verify.measure calls, on stacks of
+The seams work on stacks of draws given as coefficient arrays: weights
+psi (B, 4) = (n0, n1, d0, d1), maps phi (B, 4) = (a, b, c, d) and a
+conjugation as its kind with lam and alpha arrays (B,).  The refusals,
+the series, the Toeplitz and row steps, the doubling and the defects are
+vector operations along the leading draw axis, so one numpy call serves
+every draw of a stack; each is elementwise or one GEMM per draw, so a
+draw's residual is bit-identical to its stack of one.  At the suites' N
+of 48-96 and k of 12-16 a residual is some 25 numpy calls on arrays
+12-17 columns wide, and their per-call overhead, not the arithmetic,
+sets its cost.  wco_residual_stack, conjugation_residual_stack and
+adjoint_factorization_stack are what verify.measure calls, on stacks of
 at most max(1, STACK_ROWS // N) draws: a larger stack saves little more
-time and costs peak memory.  The whole-matrix residuals are stacks of one.
+time and costs peak memory.  The public residuals of map objects and
+whole matrices are stacks of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Literal, Optional, Tuple, Union
 
 import numpy as np
 
@@ -57,8 +61,17 @@ from .errors import (
     NotSelfMapError,
     SymbolPoleError,
 )
-from .mobius import ConstantMap, MobiusMap, cowen_adjoint, is_self_map, IDENTITY
-from .series import RationalSymbol, quotient_series
+from .mobius import (
+    ConstantMap,
+    MobiusMap,
+    canonical,
+    coefficient_stack,
+    cowen_stack,
+    is_constant,
+    is_self_map,
+    quadruples,
+)
+from .series import RationalSymbol, poles, quotient_series
 
 BLOCK_PAD = 32
 MAX_DIM = 1024
@@ -91,41 +104,40 @@ class Conjugation:
     alpha: complex = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("J", "C1", "C2"):
-            raise BadParameterDomainError(f"unknown conjugation kind {self.kind!r}")
-        # each check is phrased so that NaN fails it
-        if self.kind != "J" and not abs(abs(complex(self.lam)) - 1.0) <= 1e-12:
-            raise BadParameterDomainError("|lam| must equal 1")
-        if self.kind == "C1" and not abs(abs(complex(self.alpha)) - 1.0) <= 1e-12:
-            raise BadParameterDomainError("C1 needs |alpha| = 1")
-        if self.kind == "C2" and not 0.0 < abs(complex(self.alpha)) < 1.0:
-            raise BadParameterDomainError("C2 needs 0 < |alpha| < 1")
+        _check_conjugations(self.kind, np.array([self.lam], dtype=complex), np.array([self.alpha], dtype=complex))
         object.__setattr__(self, "lam", complex(self.lam))
         object.__setattr__(self, "alpha", complex(self.alpha))
 
 
-def _coefficients(phi) -> Tuple[complex, complex, complex, complex]:
-    """(a, b, c, d) of phi = (az + b)/(cz + d); a constant map v is (0, v, 0, 1)."""
-    if isinstance(phi, ConstantMap):
-        return 0.0, phi.value, 0.0, 1.0
-    return phi.a, phi.b, phi.c, phi.d
+def _check_conjugations(kind: str, lam: np.ndarray, alpha: np.ndarray):
+    """Refuse a kind, or any lam / alpha of a stack, outside the domains
+    above; each check is phrased so that NaN fails it."""
+    if kind not in ("J", "C1", "C2"):
+        raise BadParameterDomainError(f"unknown conjugation kind {kind!r}")
+    if kind != "J" and not (abs(abs(lam) - 1.0) <= 1e-12).all():
+        raise BadParameterDomainError("|lam| must equal 1")
+    if kind == "C1" and not (abs(abs(alpha) - 1.0) <= 1e-12).all():
+        raise BadParameterDomainError("C1 needs |alpha| = 1")
+    if kind == "C2" and not ((0.0 < abs(alpha)) & (abs(alpha) < 1.0)).all():
+        raise BadParameterDomainError("C2 needs 0 < |alpha| < 1")
 
 
-def _checked_series(psis, phis, n: int):
-    """Every refusal of build_wco, draw by draw, then the (B, n) expansions
-    of the psis and of the phis, which refuse non-finite coefficients."""
+def _checked_series(psi: np.ndarray, phi: np.ndarray, n: int):
+    """Every refusal of build_wco for a stack of weights psi (B, 4) and
+    maps phi (B, 4), then the (B, n) expansions of both, which refuse
+    non-finite coefficients and a pole at 0."""
     _check_dim(n)
-    for psi, phi in zip(psis, phis):
-        pole = psi.pole()
-        if abs(pole) <= _POLE_GUARD:
-            raise SymbolPoleError(f"weight pole at {pole} not outside the closed disk")
-        if isinstance(phi, ConstantMap):
-            if abs(phi.value) >= 1.0:
-                raise NotSelfMapError("constant map value must lie inside the disk")
-        elif not is_self_map(phi):
-            raise NotSelfMapError("composition symbol is not a self-map")
-    psi_s = quotient_series([(psi.n0, psi.n1, psi.d0, psi.d1) for psi in psis], n)
-    return psi_s, quotient_series([(b, a, d, c) for a, b, c, d in map(_coefficients, phis)], n)  # refuses a pole at 0
+    pole = poles(psi)
+    inside = abs(pole) <= _POLE_GUARD
+    if inside.any():
+        raise SymbolPoleError(f"weight pole at {pole[inside][0]} not outside the closed disk")
+    constant = is_constant(phi)
+    if constant.any() and (constant & (abs(phi[:, 1]) >= abs(phi[:, 3]))).any():
+        raise NotSelfMapError("constant map value must lie inside the disk")
+    if (~constant & ~is_self_map(phi)).any():
+        raise NotSelfMapError("composition symbol is not a self-map")
+    series = quotient_series(np.concatenate([psi, phi[:, [1, 0, 3, 2]]]), n)
+    return series[:len(psi)], series[len(psi):]
 
 
 def _rectangle(psi_s: np.ndarray, phi_s: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -139,7 +151,7 @@ def _rectangle(psi_s: np.ndarray, phi_s: np.ndarray, rows: int, cols: int) -> np
     return _double(run, _toeplitz(phi_s[:, :rows]).swapaxes(1, 2)).swapaxes(1, 2)
 
 
-def _strip(psis, psi_s: np.ndarray, phis, k: int) -> np.ndarray:
+def _strip(psi: np.ndarray, psi_s: np.ndarray, phi: np.ndarray, k: int) -> np.ndarray:
     """W[:, :k] of the truncation at N = psi_s.shape[1] >= 3 for each draw,
     by doubling the row recurrence.
 
@@ -156,11 +168,8 @@ def _strip(psis, psi_s: np.ndarray, phis, k: int) -> np.ndarray:
     is a contraction and doubling on it is stable.
     """
     n = psi_s.shape[1]
-    # sigma_1 and sigma_2, draw by draw: a stacked product may fuse the
-    # multiply-add, and sigma_2 of the C2 weight cancels to exactly 0
-    ratios = [c / d for _, _, c, d in map(_coefficients, phis)]
-    sigma = np.array([(p[1] + c * p[0], p[2] + c * p[1]) for p, c in zip(psi_s, ratios)])
-    step = _row_step(psis, phis, k)
+    sigma = psi_s[:, 1:3] + (phi[:, 2] / phi[:, 3])[:, None] * psi_s[:, :2]  # sigma_1, sigma_2
+    step = _row_step(psi, phi, k)
     s = np.empty((len(psi_s), n, k + 1), dtype=complex)
     s[:, 0, :k], s[:, 0, k] = psi_s[:, :1] * step[:, k, :k], sigma[:, 0]
     s[:, 1:2] = s[:, :1] @ step
@@ -195,43 +204,39 @@ def _toeplitz(coeffs: np.ndarray) -> np.ndarray:
     return np.ndarray((count, n, n), complex, padded, (n - 1) * item, ((2 * n - 1) * item, item, -item))
 
 
-def _row_step(psis, phis, k: int) -> np.ndarray:
+def _row_step(psi: np.ndarray, phi: np.ndarray, k: int) -> np.ndarray:
     """The (k+1) x (k+1) step A = [[R, 0], [q, r]] of s_m = s_(m-1) A in
     _strip for each draw.  chi = -c + (a - bc) t q(t), and r = -d1/d0 is
     the ratio of psi's symbol: the ratio of its series would be 0/0 for a
     weight whose sigma is a polynomial (the C2 weight)."""
-    scalars = []
-    for psi, phi in zip(psis, phis):
-        a, b, c, d = _coefficients(phi)
-        a, b, c = a / d, b / d, c / d
-        scalars.append((b, -c, a - b * c, -psi.d1 / psi.d0))
-    b, minus_c, slope, ratio = np.array(scalars).T
-    step = np.zeros((len(b), k + 1, k + 1), dtype=complex)
+    a, b, c, d = phi.T
+    a, b, c = a / d, b / d, c / d
+    step = np.zeros((len(phi), k + 1, k + 1), dtype=complex)
     step[:, k, :k] = q = b[:, None] ** np.arange(k)
-    chi = np.concatenate((minus_c[:, None], slope[:, None] * q[:, :-1]), axis=1)
+    chi = np.concatenate(((-c)[:, None], (a - b * c)[:, None] * q[:, :-1]), axis=1)
     step[:, :k, :k] = _toeplitz(chi).swapaxes(1, 2)  # R[i, j] = chi_(j - i)
-    step[:, k, k] = ratio
+    step[:, k, k] = -psi[:, 3] / psi[:, 2]
     return step
 
 
-def _cross(psis, phis, n: int, k: int):
+def _cross(psi: np.ndarray, phi: np.ndarray, n: int, k: int):
     """(W[:, :k], W[:, :, :k]) of the n-truncation for each draw: all W*W
     and WW* read on the block."""
-    psi_s, phi_s = _checked_series(psis, phis, n)
+    psi_s, phi_s = _checked_series(psi, phi, n)
     _check_block(n, k)
-    return _rectangle(psi_s, phi_s, k, n), _strip(psis, psi_s, phis, k)
+    return _rectangle(psi_s, phi_s, k, n), _strip(psi, psi_s, phi, k)
 
 
-def _block(psis, phis, n: int, k: int) -> np.ndarray:
+def _block(psi: np.ndarray, phi: np.ndarray, n: int, k: int) -> np.ndarray:
     """W[:, :k, :k] of the n-truncation for each draw, which is the k-truncation."""
-    psi_s, phi_s = _checked_series(psis, phis, n)
+    psi_s, phi_s = _checked_series(psi, phi, n)
     _check_block(n, k)
     return _rectangle(psi_s, phi_s, k, k)
 
 
-def _mobius_recurrence(psi_s: np.ndarray, phi) -> np.ndarray:
+def _mobius_recurrence(psi_s: np.ndarray, quad) -> np.ndarray:
     """G[m, j] = coefficient m of psi phi^j, m, j < N = len(psi_s), for phi =
-    (az + b)/(cz + d).
+    (az + b)/(cz + d), quad = (a, b, c, d).
 
     Comparing coefficients of z^m in (cz + d) G[:, j] = (az + b) G[:, j-1]
     gives d G[m, j] = b G[m, j-1] + a G[m-1, j-1] - c G[m-1, j], which
@@ -239,7 +244,7 @@ def _mobius_recurrence(psi_s: np.ndarray, phi) -> np.ndarray:
     stored below one zero row (the m = -1 terms), right of its psi column,
     in _TILE x _TILE tiles (rows and columns padded to multiples of _TILE).
     A tile's interior is its boundary (the row above with the corner, then
-    the column to the left) times _tile_transfer(phi), and tiles I + J = s
+    the column to the left) times _tile_transfer(quad), and tiles I + J = s
     need only tiles I + J < s: one GEMM per anti-diagonal of tiles, about
     2N / _TILE steps (Lamport's wavefront).
     """
@@ -247,7 +252,7 @@ def _mobius_recurrence(psi_s: np.ndarray, phi) -> np.ndarray:
     rows, width = -(-n // size) * size, -(-(n - 1) // size) * size + 1
     buf = np.zeros((rows + 1) * width, dtype=complex)
     buf.reshape(rows + 1, width)[1:n + 1, 0] = psi_s
-    transfer, item = _tile_transfer(phi), buf.itemsize
+    transfer, item = _tile_transfer(quad), buf.itemsize
     down, across, skip = rows // size, (width - 1) // size, size * (width - 1) * item
     edge = np.empty((min(down, across), 2 * size + 1), dtype=complex)
     for s in range(down + across - 1):
@@ -261,10 +266,10 @@ def _mobius_recurrence(psi_s: np.ndarray, phi) -> np.ndarray:
     return buf.reshape(rows + 1, width)[1:n + 1, :n]
 
 
-def _tile_transfer(phi) -> np.ndarray:
+def _tile_transfer(quad) -> np.ndarray:
     """(2 _TILE + 1) x _TILE^2 map of a tile's boundary to its row-major interior:
     the recurrence run on all unit boundaries at once, a tile anti-diagonal per step."""
-    a, b, c, d = _coefficients(phi)
+    a, b, c, d = quad
     a, b, c = a / d, b / d, c / d
     size, side = _TILE, _TILE + 1
     tile = np.zeros((side * side, 2 * size + 1), dtype=complex)  # cell (i, j) in row i side + j
@@ -292,8 +297,13 @@ def build_wco(
     the Mobius recurrence; the result is a view of its padded
     (N + _TILE + 1)^2 buffer.
     """
-    psi_s, _ = _checked_series([psi], [phi], n)
-    return _mobius_recurrence(psi_s[0], phi)
+    return _whole(np.array([psi.coefficients()]), quadruples([phi]), n)
+
+
+def _whole(psi: np.ndarray, phi: np.ndarray, n: int) -> np.ndarray:
+    """All of W for a stack of one weight and one map."""
+    psi_s, _ = _checked_series(psi, phi, n)
+    return _mobius_recurrence(psi_s[0], phi[0])
 
 
 def conjugation_matrix(c: Conjugation, n: int) -> np.ndarray:
@@ -303,14 +313,14 @@ def conjugation_matrix(c: Conjugation, n: int) -> np.ndarray:
         return np.eye(n, dtype=complex)
     if c.kind == "C1":
         return np.diag(c.lam * c.alpha ** np.arange(n))
-    return build_wco(*_c2_symbols(c), n)
+    return _whole(*_c2_symbols(np.array([c.lam]), np.array([c.alpha])), n)
 
 
-def _c2_symbols(c: Conjugation) -> Tuple[RationalSymbol, MobiusMap]:
-    """Weight lam k_alpha (normalized) and the alpha-involution of a C2 conjugation."""
-    alpha = c.alpha
-    weight = RationalSymbol(c.lam * np.sqrt(1.0 - abs(alpha) ** 2), 0.0, 1.0, -np.conj(alpha))
-    return weight, MobiusMap(-np.conj(alpha) / alpha, np.conj(alpha), -np.conj(alpha), 1.0)
+def _c2_symbols(lam: np.ndarray, alpha: np.ndarray):
+    """Weights lam k_alpha (normalized) and alpha-involutions of a stack of
+    C2 conjugations, as (B, 4) stacks."""
+    ac = alpha.conjugate()
+    return coefficient_stack(lam * np.sqrt(1.0 - abs(alpha) ** 2), 0.0, 1.0, -ac), canonical(coefficient_stack(-ac / alpha, ac, -ac, 1.0))
 
 
 def _check_dim(n: int):
@@ -331,11 +341,11 @@ def involution_residual(u: np.ndarray, k: int) -> Tuple[float, float]:
     """
     _check_block(len(u), k)
     (inv,), (iso,) = _involution_defect(u[None, :k], u[None, :, :k])
-    return inv, iso
+    return float(inv), float(iso)
 
 
 def _involution_defect(rows: np.ndarray, cols: np.ndarray):
-    """The involution and the isometry defect of each draw, as two lists."""
+    """The involution and the isometry defect of each draw, as two arrays."""
     eye = np.eye(rows.shape[1], dtype=complex)
     inv = rows @ cols.conj() - eye
     iso = cols.conj().swapaxes(1, 2) @ cols - eye
@@ -353,10 +363,10 @@ def symmetry_residual(t: np.ndarray, u: np.ndarray, k: int) -> float:
     if t.shape != u.shape:
         raise DimensionMismatchError(f"shapes differ: {t.shape} != {u.shape}")
     _check_block(len(t), k)
-    return _symmetry_defect(t[None, :, :k], u[None, :k], u[None, :, :k])[0]
+    return float(_symmetry_defect(t[None, :, :k], u[None, :k], u[None, :, :k])[0])
 
 
-def _symmetry_defect(t: np.ndarray, u_rows: np.ndarray, u_cols: np.ndarray) -> List[float]:
+def _symmetry_defect(t: np.ndarray, u_rows: np.ndarray, u_cols: np.ndarray) -> np.ndarray:
     """|| U conj(T) - T^H U || on the block for each draw, t = T[:, :u_cols.shape[1], :k]."""
     return _norms(u_rows @ t.conj() - t.conj().swapaxes(1, 2) @ u_cols)
 
@@ -364,96 +374,110 @@ def _symmetry_defect(t: np.ndarray, u_rows: np.ndarray, u_cols: np.ndarray) -> L
 def normality_residual(t: np.ndarray, k: int) -> float:
     """|| T*T - TT* || on the leading block."""
     _check_block(len(t), k)
-    return _normality_defect(t[None, :k], t[None, :, :k])[0]
+    return float(_normality_defect(t[None, :k], t[None, :, :k])[0])
 
 
-def _normality_defect(rows: np.ndarray, cols: np.ndarray) -> List[float]:
+def _normality_defect(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return _norms(cols.conj().swapaxes(1, 2) @ cols - rows @ rows.conj().swapaxes(1, 2))
 
 
-def _norms(x: np.ndarray) -> List[float]:
+def _norms(x: np.ndarray) -> np.ndarray:
     """The Frobenius norm of each matrix of the contiguous stack x, summed as
     np.linalg.norm sums one matrix: a dot of the real parts plus a dot of
     the imaginary parts, here one stacked @ each."""
     flat = x.reshape(len(x), 1, -1)
     re, im = flat.real, flat.imag
-    return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0].tolist()
+    return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
 
 
 def wco_residual_stack(
-    psis: Sequence[RationalSymbol], phis: Sequence[Union[MobiusMap, ConstantMap]], n: int, k: int,
-    conjs: Optional[Sequence[Conjugation]] = None, normality: bool = True,
-) -> List[Dict[str, float]]:
-    """For each draw, normality_residual (unless normality is False) and,
-    given conjs, the symmetry defect || U conj(T) - T^H U || = || CW - W*C ||
-    of T = build_wco(psi, phi, n) on block k, with the same refusals.  It
-    builds only what they read: the first k rows and columns of W for
-    normality; for the symmetry, T[:, :k] for C2 and the k x k block for
-    the diagonal J and C1, sliced from that cross when normality built it.
-    A stack's conjs are all C2 or all diagonal; its phis may mix Mobius
-    and constant maps.  The suites and `wcosym check` call it through
-    verify.measure."""
-    out = [{} for _ in psis]
+    psi: np.ndarray, phi: np.ndarray, n: int, k: int,
+    kind: Optional[str] = None, lam: Optional[np.ndarray] = None, alpha: Optional[np.ndarray] = None,
+    normality: bool = True,
+) -> Dict[str, np.ndarray]:
+    """For each draw of a stack of weights psi (B, 4) = (n0, n1, d0, d1)
+    and maps phi (B, 4) = (a, b, c, d), a constant map v as (0, v, 0, 1):
+    normality_residual (unless normality is False) and, given a
+    conjugation kind with its lam and alpha arrays (B,), the symmetry
+    defect || U conj(T) - T^H U || = || CW - W*C || of T = build_wco(psi,
+    phi, n) on block k, with the same refusals.  It builds only what they
+    read: the first k rows and columns of W for normality; for the
+    symmetry, T[:, :k] for C2 and the k x k block for the diagonal J and
+    C1, sliced from that cross when normality built it.  The suites and
+    `wcosym check` call it through verify.measure."""
+    out = {}
     if normality:
-        rows, cols = _cross(psis, phis, n, k)
+        rows, cols = _cross(psi, phi, n, k)
     else:
-        series = _checked_series(psis, phis, n)
+        series = _checked_series(psi, phi, n)
         _check_block(n, k)
-    if conjs is not None:
-        u_rows, u_cols = _conjugation_cross(conjs, n, k)
+    if kind is not None:
+        u_rows, u_cols = _conjugation_cross(kind, lam, alpha, n, k)
         if normality:
             t = cols[:, :u_cols.shape[1]]
-        elif conjs[0].kind == "C2":
-            t = _strip(psis, series[0], phis, k)
+        elif kind == "C2":
+            t = _strip(psi, series[0], phi, k)
         else:
             t = _rectangle(*series, k, k)
-        for residuals, value in zip(out, _symmetry_defect(t, u_rows, u_cols)):
-            residuals["symmetry"] = value
+        out["symmetry"] = _symmetry_defect(t, u_rows, u_cols)
     if normality:
-        for residuals, value in zip(out, _normality_defect(rows, cols)):
-            residuals["normality"] = value
+        out["normality"] = _normality_defect(rows, cols)
     return out
 
 
-def conjugation_residual_stack(conjs: Sequence[Conjugation], n: int, k: int) -> List[Tuple[float, float]]:
-    """involution_residual(conjugation_matrix(c, n), k) for each c of a
-    stack (all C2 or all diagonal), building only the first k rows and
-    columns of U; called through verify.measure."""
-    return list(zip(*_involution_defect(*_conjugation_cross(conjs, n, k))))
+def conjugation_residual_stack(kind: str, lam: np.ndarray, alpha: np.ndarray, n: int, k: int):
+    """(involution, isometry) arrays: involution_residual(conjugation_matrix(c,
+    n), k) for each conjugation of one kind with parameters lam, alpha (B,),
+    building only the first k rows and columns of U; called through
+    verify.measure."""
+    return _involution_defect(*_conjugation_cross(kind, lam, alpha, n, k))
 
 
-def _conjugation_cross(conjs, n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(U[:, :k], U[:, :, :k]) of conjugation_matrix(c, n) for each c: all
-    the residuals read of U."""
-    if conjs[0].kind == "C2":
-        return _cross(*zip(*map(_c2_symbols, conjs)), n, k)
+def _conjugation_cross(kind: str, lam: np.ndarray, alpha: np.ndarray, n: int, k: int):
+    """(U[:, :k], U[:, :, :k]) of conjugation_matrix for each conjugation of
+    a stack: all the residuals read of U."""
+    _check_conjugations(kind, lam, alpha)
+    if kind == "C2":
+        return _cross(*_c2_symbols(lam, alpha), n, k)
     _check_dim(n)
     _check_block(n, k)
-    u = np.array([conjugation_matrix(c, k) for c in conjs])  # diagonal: the block is all that is nonzero
+    # diagonal: the block is all that is nonzero
+    diagonal = lam[:, None] * alpha[:, None] ** np.arange(k) if kind == "C1" else np.ones((len(lam), k))
+    u = diagonal[:, :, None] * np.eye(k, dtype=complex)
     return u, u
 
 
 def adjoint_factorization_residual(
     m: MobiusMap, n: int, k: int, sigma_sign: int = -1
 ) -> float:
-    """|| (C_phi)^H - M_g C_sigma (M_h)^H || on the leading block.
+    """|| (C_phi)^H - M_g C_sigma (M_h)^H || on the leading block: the
+    stack of one of adjoint_factorization_stack."""
+    return float(adjoint_factorization_stack(quadruples([m]), n, k, (sigma_sign,))[0][0])
+
+
+def adjoint_factorization_stack(phi: np.ndarray, n: int, k: int, signs=(-1, 1)) -> List[np.ndarray]:
+    """For each sigma sign of signs, the array over a stack of maps phi
+    (B, 4) of || (C_phi)^H - M_g C_sigma (M_h)^H || on the leading block.
 
     M_g is lower triangular and M_h* upper triangular, so only the four
     k x k blocks (k-truncations, refused and expanded as at dimension n)
-    reach it; it holds to rounding when the sigma sign is the correct one.
+    reach it; it holds to rounding when the sigma sign is the correct one,
+    -1.  The flipped-sign sigma need not be a self-map; its block is built
+    without that check so the wrong convention can be exhibited failing.
+    verify.measure evaluates both signs of a suite's maps at once.
     """
     _check_dim(n)
     _check_block(n, k)
-    if not is_self_map(m):
+    if not is_self_map(phi).all():
         raise NotSelfMapError("factorization residual needs a self-map")
-    triple = cowen_adjoint(m, sigma_sign=sigma_sign)
-    if sigma_sign == -1 and not is_self_map(triple.sigma):
+    stacks = [cowen_stack(phi, sign) for sign in signs]
+    if -1 in signs and not is_self_map(stacks[signs.index(-1)][1]).all():
         raise NotSelfMapError("sigma is not a self-map")
-    ones = np.eye(1, n, dtype=complex).repeat(2, axis=0)  # the series of 1, twice
-    # the flipped-sign variant of sigma need not be a self-map; build its
-    # block without that check so the wrong convention can be exhibited failing
-    maps = [m, triple.sigma]
-    c_phi, c_sigma = _rectangle(ones, quotient_series([(f.b, f.a, f.d, f.c) for f in maps], n), k, k)
-    m_g, m_h = _block([triple.g, triple.h], [IDENTITY, IDENTITY], n, k)
-    res = c_phi.conj().T - (m_g @ c_sigma) @ m_h.conj().T
-    return float(np.linalg.norm(res))
+    (g, _, h), count = stacks[0], len(phi)
+    maps = np.concatenate([phi, *(sigma for _, sigma, _ in stacks)])
+    ones = np.eye(1, n, dtype=complex).repeat(len(maps), axis=0)  # the series of 1
+    blocks = _rectangle(ones, quotient_series(maps[:, [1, 0, 3, 2]], n), k, k)
+    identity = np.tile(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex), (2 * count, 1))
+    m_g, m_h = _block(np.concatenate([g, h]), identity, n, k).reshape(2, count, k, k)
+    c_phi_h, m_h_h = blocks[:count].conj().swapaxes(1, 2), m_h.conj().swapaxes(1, 2)
+    return [_norms(c_phi_h - (m_g @ c_sigma) @ m_h_h) for c_sigma in blocks[count:].reshape(len(signs), count, k, k)]

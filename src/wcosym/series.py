@@ -51,23 +51,33 @@ class RationalSymbol:
 
     def pole(self) -> complex:
         """Location of the pole, or complex infinity for a polynomial."""
-        if self.d1 == 0:
-            return complex(np.inf, 0.0)
-        return -self.d0 / self.d1
+        return complex(poles(np.array([self.coefficients()]))[0])
+
+    def coefficients(self):
+        return self.n0, self.n1, self.d0, self.d1
 
     def __call__(self, z: complex) -> complex:
         return (self.n0 + self.n1 * z) / (self.d0 + self.d1 * z)
 
 
+def poles(quads: np.ndarray) -> np.ndarray:
+    """The pole -d0/d1 of each (n0, n1, d0, d1) row of a (B, 4) stack, or
+    complex infinity where d1 = 0 (a polynomial)."""
+    quads = np.asarray(quads, dtype=complex)
+    out = np.full(len(quads), complex(np.inf, 0.0))
+    return np.divide(-quads[:, 2], quads[:, 3], out=out, where=quads[:, 3] != 0)
+
+
 def expand_rational(r: RationalSymbol, n: int) -> np.ndarray:
     """First ``n`` Taylor coefficients of a rational symbol at 0: the
     quotient series of its coefficients, a stack of one."""
-    return quotient_series([(r.n0, r.n1, r.d0, r.d1)], n)[0]
+    return quotient_series(np.array([r.coefficients()]), n)[0]
 
 
-def quotient_series(quads, n: int) -> np.ndarray:
+def quotient_series(quads: np.ndarray, n: int) -> np.ndarray:
     """Row b: the first ``n`` Taylor coefficients at 0 of
-    (n0 + n1 z) / (d0 + d1 z), (n0, n1, d0, d1) = quads[b].
+    (n0 + n1 z) / (d0 + d1 z), (n0, n1, d0, d1) = quads[b], for a (B, 4)
+    stack.
 
     Uses the geometric recurrence c_k = -(d1/d0) c_{k-1}, run as one
     cumulative product along each row; each step is a single multiply, so
@@ -75,16 +85,16 @@ def quotient_series(quads, n: int) -> np.ndarray:
     the coefficients grow; once they overflow the expansion is refused.
     Each row equals the expansion of its quotient alone.
     """
-    c = np.zeros((len(quads), n), dtype=complex)
-    for row, (n0, n1, d0, d1) in zip(c, quads):
-        if abs(d0) < _POLE_EPS:
-            raise PoleAtOriginError("denominator vanishes at 0")
-        if n > 0:
-            row[0] = n0 / d0
-        if n > 1:
-            row[1] = (n1 - d1 * row[0]) / d0
-            row[2:] = -d1 / d0
+    n0, n1, d0, d1 = np.asarray(quads, dtype=complex).T
+    if (abs(d0) < _POLE_EPS).any():
+        raise PoleAtOriginError("denominator vanishes at 0")
+    c = np.empty((len(d0), n), dtype=complex)
+    if n > 0:
+        c[:, 0] = n0 / d0
+    if n > 1:
+        c[:, 1] = (n1 - d1 * c[:, 0]) / d0
+        c[:, 2:] = (-d1 / d0)[:, None]
     np.cumprod(c[:, 1:], axis=1, out=c[:, 1:])
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ValueError("coefficients must be finite")
     return c

@@ -7,32 +7,30 @@ an explicit inconclusive band between the pass and fail thresholds so that
 truncation noise can never silently misclassify a near-boundary draw.
 Disagreements are reported as discrepancy records, never patched.
 
-A suite is a draw ``(rng, cfg, i)``: it returns the record of sample index
-i, or None when the draw is rejected; a draw that measures is a generator
-that yields one ``Probe`` (what to measure), is sent the residuals and
-returns its record.  ``run_suite`` is the one sampling loop: it enforces
-the suite's minimum dim and block, seeds one generator, runs the draw of
-each index up to its probe before it draws the next index, redrawing a
-rejected index (never dropping it), then calls ``measure`` once on all
-the probes and sends each draw its residuals, in index order.  No draw
-touches the generator after its probe, so the stream is that of one
-draw finished at a time.  The draws read the generator through
-``_Doubles``, which fetches its doubles 256 at a time and returns from
-``random()`` and ``uniform(low, high)`` exactly what the generator's own
-scalar calls return: such a call costs microseconds of numpy dispatch and
-a draw makes a dozen, so the stream stays the same at a fraction of the
-cost.  For the same reason the draws do their scalar algebra in Python
-``complex``: numpy's conjugate of a Python complex is a numpy scalar, and
-every later operation on it would go through numpy dispatch.
+A suite is a sampler and a recorder.  The sampler ``(rng, cfg, idx)``
+draws, as arrays, one candidate for each sample index in the int array
+idx (the kind of a draw is a function of its index, such as i % 4) and
+returns the mask of the candidates it keeps (None keeps all) and a dict
+of columns, arrays whose first axis is len(idx).  ``run_suite`` is the
+one sampling loop: it enforces the suite's minimum dim and block, seeds one
+generator and draws every index, then only the rejected ones, until each
+holds an accepted draw (a rejected index is redrawn, never dropped); the
+recorder ``(cfg, draws)`` gets the columns in index order, computes its
+predicates and gaps on the arrays and returns one record per index.  A
+check that is scalar by nature (``classify``) builds one map per record.
+
 ``measure`` is the one seam to the matrix residuals: the suites and
-``wcosym check`` (a list of one probe) take every normality, symmetry,
-involution and isometry residual through it, and it alone picks the
-truncation.  It evaluates together the probes that ask for the same
-residuals against the same kind of conjugation (none, diagonal or C2),
-whether their maps are Mobius or constant, in stacks of at most
-max(1, STACK_ROWS // cfg.dim) draws: a residual at the suites' small N
-costs mostly per-call numpy overhead, which a stack shares, and the row
-budget keeps the stacks' arrays out of the peak memory.
+``wcosym check`` (a probe of one row) take every normality, symmetry,
+involution, isometry and adjoint-factorization residual through it, and
+it alone picks the truncation.  A ``Probe`` is a stack of B draws as
+coefficient arrays: weights psi (B, 4) = (n0, n1, d0, d1), maps phi
+(B, 4) = (a, b, c, d), a constant map v being (0, v, 0, 1), and a
+conjugation as its kind with lam and alpha arrays (B,).  measure
+evaluates it in stacks of at most max(1, STACK_ROWS // cfg.dim) rows, so
+that per-call numpy overhead, which sets a residual's cost at the
+suites' small N, is shared while the stacks stay out of the peak memory;
+each row's residuals equal those of a stack of one.
+
 ``_record`` is the one verdict rule: every suite record and every
 ``wcosym check`` verdict is built by it, and it is the one caller of
 ``band_verdict`` and ``agreement``.  Every closed-form gap (a quantity the
@@ -48,24 +46,23 @@ never meets those two thresholds.
 
 from __future__ import annotations
 
-import cmath
-import inspect
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, NamedTuple, Optional, Sequence, Union
+from types import SimpleNamespace
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from . import families as fam
-from .errors import UnknownSuiteError, WcoError
+from .errors import UnknownSuiteError
 from .mobius import (
-    ConstantMap,
-    IDENTITY,
     MapClass,
     MobiusMap,
+    canonical,
     classify,
+    coefficient_stack as _stack,
     is_automorphism,
+    is_constant,
     is_self_map,
     lft_normality_defects,
     proj_distance,
@@ -76,12 +73,11 @@ from .operators import (
     BLOCK_PAD,
     MAX_DIM,
     STACK_ROWS,
-    Conjugation,
-    adjoint_factorization_residual,
+    adjoint_factorization_stack,
     conjugation_residual_stack,
     wco_residual_stack,
 )
-from .series import RationalSymbol
+from .series import poles
 
 
 @dataclass(frozen=True)
@@ -148,40 +144,27 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# sampling helpers (all deterministic in the generator stream) and oracles
+# sampling helpers and oracles
 # ---------------------------------------------------------------------------
 
-_BUFFER = 256
+def _annulus(rng: np.random.Generator, count: int, radius=1.0, min_radius=0.0) -> np.ndarray:
+    """count points uniform on the annulus min_radius <= |z| <= radius."""
+    modulus = radius * np.sqrt(rng.uniform((min_radius / radius) ** 2, 1.0, count))
+    return modulus * _circle(rng, count)
 
 
-class _Doubles:
-    """The doubles of a seeded generator, fetched _BUFFER at a time.
-
-    random() and uniform(low, high) return, bit for bit, what the
-    generator's own scalar calls return in the same order (its uniform is
-    low + (high - low) * random()), at a fraction of their per-call cost.
-    """
-
-    __slots__ = ("random",)
-
-    def __init__(self, rng: np.random.Generator):
-        buffers = iter(lambda: rng.random(_BUFFER).tolist(), None)  # endless: a list is never None
-        self.random: Callable[[], float] = itertools.chain.from_iterable(buffers).__next__
-
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return low + (high - low) * self.random()
+def _circle(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count points uniform on the unit circle."""
+    return np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, count))
 
 
-def _disk(rng, radius=1.0, min_radius=0.0):
-    # uniform on the disk via rejection from the bounding square
-    while True:
-        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if min_radius / radius <= abs(z) <= 1.0:
-            return radius * z
+def _signs(rng: np.random.Generator, count: int) -> np.ndarray:
+    return np.where(rng.random(count) < 0.5, 1.0, -1.0)
 
 
-def _angle(rng):
-    return cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+def _rows(*columns):
+    """The rows of the columns as plain Python values."""
+    return zip(*(column.tolist() for column in columns))
 
 
 def band_verdict(residual: float, cfg) -> str:
@@ -203,62 +186,64 @@ def agreement(claims_normal: bool, oracle_band: str) -> str:
     return "discrepancy"
 
 
-def lft_oracle(quad, tol: float) -> Dict[str, object]:
-    """Coefficient-level normality oracle for the weight K_{sigma(0)}: normal
-    when both defects are at most tol.  It needs no truncation, so it also
-    covers symbols without one."""
-    gap, defect = lft_normality_defects(quad)
-    return {"modulus_gap": gap, "commute_defect": defect, "normal": bool(max(gap, defect) <= tol)}
+def lft_oracle(quads: np.ndarray, tol: float) -> List[Dict[str, object]]:
+    """Coefficient-level normality oracle for the weight K_{sigma(0)} of each
+    quadruple of a (B, 4) stack: normal when both defects are at most tol.
+    It needs no truncation, so it also covers symbols without one."""
+    gap, defect = lft_normality_defects(quads)
+    normal = np.maximum(gap, defect) <= tol
+    return [{"modulus_gap": g, "commute_defect": d, "normal": n} for g, d, n in _rows(gap, defect, normal)]
+
+
+def cowen_weights(phi: np.ndarray) -> np.ndarray:
+    """The kernel weights K_{sigma(0)} = 1/(1 - conj(sigma(0)) z), sigma(0) =
+    -conj(c)/conj(d) Cowen's adjoint map at 0, of a stack of maps."""
+    sigma0 = -phi[:, 2].conjugate() / phi[:, 3].conjugate()
+    return _stack(1.0, 0.0, 1.0, -sigma0.conjugate())
 
 
 class Probe(NamedTuple):
-    """The residuals one draw asks `measure` for: W's normality (unless
-    normality is False) and, given conj, W's symmetry against it; given
-    conj and no pair, conj's involution and isometry."""
+    """The residual arrays a stack of B draws asks `measure` for: given psi
+    and phi, W's normality (unless normality is False) and, given a
+    conjugation kind, W's symmetry against it; given a kind alone, the
+    conjugation's involution and isometry; given phi alone, the adjoint
+    factorization of C_phi with the correct and the flipped sigma sign.
+    lam and alpha default to ones and zeros (J reads neither)."""
 
-    pair: Optional[fam.SymbolPair] = None
-    conj: Optional[Conjugation] = None
+    psi: Optional[np.ndarray] = None
+    phi: Optional[np.ndarray] = None
+    kind: Optional[str] = None
+    lam: Optional[np.ndarray] = None
+    alpha: Optional[np.ndarray] = None
     normality: bool = True
 
 
-def _stack_key(probe: Probe) -> tuple:
-    """Probes with equal keys ask for the same residuals against the same
-    kind of conjugation (none, diagonal or C2), so their arrays have equal
-    shapes and they evaluate as one stack; a constant map enters the
-    kernels as a Mobius quadruple, so it stacks with the Mobius maps."""
-    c2 = None if probe.conj is None else probe.conj.kind == "C2"
-    return c2, probe.pair is None, probe.normality
-
-
-def measure(cfg: SuiteConfig, probes: Sequence[Probe]) -> List[Dict[str, float]]:
-    """The residuals of each probe on the leading cfg.block block of the
-    cfg.dim-truncation, in probe order.  Probes of one stack key (the same
-    residuals against the same kind of conjugation, Mobius and constant
-    maps alike) are evaluated together, in stacks of at most
-    max(1, STACK_ROWS // cfg.dim) draws taken in probe order; each residual
-    equals that of a stack of one.  A refused probe raises its refusal."""
-    out: List[Dict[str, float]] = [{} for _ in probes]
-    stacks: Dict[tuple, List[int]] = {}
-    for index, probe in enumerate(probes):
-        stacks.setdefault(_stack_key(probe), []).append(index)
-    size = max(1, STACK_ROWS // cfg.dim)
-    for members in stacks.values():
-        for start in range(0, len(members), size):
-            cut = members[start:start + size]
-            pair, conj, normality = probes[cut[0]]
-            conjs = None if conj is None else [probes[i].conj for i in cut]
-            if pair is None:
-                got = [
-                    {"involution": inv, "isometry": iso}
-                    for inv, iso in conjugation_residual_stack(conjs, cfg.dim, cfg.block)
-                ]
-            else:
-                pairs = [probes[i].pair for i in cut]
-                psis, phis = [p.psi for p in pairs], [p.phi for p in pairs]
-                got = wco_residual_stack(psis, phis, cfg.dim, cfg.block, conjs, normality)
-            for index, residuals in zip(cut, got):
-                out[index] = residuals
-    return out
+def measure(cfg: SuiteConfig, probe: Probe) -> Dict[str, np.ndarray]:
+    """The residual arrays of a probe on the leading cfg.block block of the
+    cfg.dim-truncation, evaluated in stacks of at most
+    max(1, STACK_ROWS // cfg.dim) rows in order; each row's residuals equal
+    those of a stack of one.  A refused row raises its refusal."""
+    psi, phi, kind, lam, alpha, normality = probe
+    count = len(phi) if phi is not None else len(alpha if lam is None else lam)
+    lam = np.ones(count, dtype=complex) if lam is None else lam
+    alpha = np.zeros(count, dtype=complex) if alpha is None else alpha
+    size, dim, block = max(1, STACK_ROWS // cfg.dim), cfg.dim, cfg.block
+    if phi is None:
+        keys = ("involution", "isometry")
+    elif psi is None:
+        keys = ("factorization", "flipped_sign")
+    else:
+        keys = ("symmetry",) * (kind is not None) + ("normality",) * normality
+    parts = []
+    for cut in (slice(start, start + size) for start in range(0, count, size)):
+        if phi is None:
+            parts.append(conjugation_residual_stack(kind, lam[cut], alpha[cut], dim, block))
+        elif psi is None:
+            parts.append(adjoint_factorization_stack(phi[cut], dim, block))
+        else:
+            got = wco_residual_stack(psi[cut], phi[cut], dim, block, kind, lam[cut], alpha[cut], normality)
+            parts.append([got[key] for key in keys])
+    return {key: np.concatenate([part[j] for part in parts] or [np.empty(0)]) for j, key in enumerate(keys)}
 
 
 _SEVERITY = ("pass", "inconclusive", "discrepancy")
@@ -295,412 +280,425 @@ def _record(
 
 
 # ---------------------------------------------------------------------------
-# individual suites
+# individual suites: a sampler draw_* and a recorder suite_* each
 # ---------------------------------------------------------------------------
 
-# a draw that measures is a generator: it yields one Probe, is sent its
-# residuals and returns its record (returning None before its probe
-# rejects the draw)
-Measured = Generator[Probe, Dict[str, float], Optional[SampleRecord]]
+def _params(d, *names) -> List[dict]:
+    """The records' params: the named columns of each draw."""
+    return [dict(zip(names, row)) for row in _rows(*(getattr(d, name) for name in names))]
 
 
-def suite_prop21_normal(rng, cfg: SuiteConfig, i: int) -> Measured:
+def _classes(phi: np.ndarray) -> list:
+    """classify, scalar by nature, of each Mobius map of a stack."""
+    return [classify(MobiusMap(*quad)) for quad in phi.tolist()]
+
+
+def draw_prop21(rng, cfg: SuiteConfig, idx):
+    n = len(idx)
+    return None, {"p": _annulus(rng, n, 0.5), "delta": _annulus(rng, n, 0.7), "gamma": 0.5 + rng.uniform(0.0, 1.0, n)}
+
+
+def suite_prop21_normal(cfg: SuiteConfig, d) -> List[SampleRecord]:
     """Interior-fixed-point family: every member passes the normality oracle."""
-    p = _disk(rng, 0.5)
-    delta = _disk(rng, 0.7)
-    gamma = 0.5 + rng.uniform(0.0, 1.0)
-    pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, gamma))
-    params = {"p": p, "delta": delta, "gamma": gamma}
-    return _record(cfg, params, (yield Probe(pair)), predicates={"in_family": True})
+    normality = measure(cfg, Probe(*fam.interior_quadruples(d.p, d.delta, d.gamma)))["normality"].tolist()
+    return [
+        _record(cfg, p, {"normality": r}, predicates={"in_family": True})
+        for p, r in zip(_params(d, "p", "delta", "gamma"), normality)
+    ]
 
 
-def suite_prop22_commutation(rng, cfg: SuiteConfig, i: int) -> Measured:
+def _parabolic_j_arc(rng, n: int, branch) -> np.ndarray:
+    return branch * 0.5j * (1.0 + np.exp(1j * rng.uniform(math.pi + 0.3, 1.5 * math.pi - 0.35, n)))
+
+
+def draw_prop22(rng, cfg: SuiteConfig, idx):
+    """Kind i % 4: a generic self-map, generically non-normal (0); an
+    automorphism, commuting and normal (1); real coefficients with b = -c,
+    so sigma = phi (2); a strict parabolic map from the branch arc (3).
+    Rejected: a constant or non-self-map, and sup |phi| > 0.9 of kind 0."""
+    kind, n = idx % 4, len(idx)
+    generic = canonical(_stack(0.4 + 0.3 * _annulus(rng, n), _annulus(rng, n, 0.35), _annulus(rng, n, 0.35), 1.0))
+    automorphism = fam.disk_form_quadruples(_circle(rng, n), _annulus(rng, n, 0.5, 0.05))
+    real = fam.j_quadruples(rng.uniform(-0.5, 0.5, n), rng.uniform(-0.55, 0.55, n))[1]
+    parabolic = fam.parabolic_j_quadruples(_parabolic_j_arc(rng, n, 1), 1)[1]
+    phi = np.choose(kind[:, None], (generic, automorphism, real, parabolic))
+    return ~is_constant(phi) & is_self_map(phi) & ((kind != 0) | (sup_modulus(phi) <= 0.9)), {"phi": phi}
+
+
+def suite_prop22_commutation(cfg: SuiteConfig, d) -> List[SampleRecord]:
     """Weight K_{sigma(0)}: matrix normality iff the commuting condition."""
-    kind = i % 4
-    if kind == 0:  # generic self-map, generically non-normal
-        m = MobiusMap(0.4 + 0.3 * _disk(rng), _disk(rng, 0.35), _disk(rng, 0.35), 1.0)
-        if not is_self_map(m) or sup_modulus(m) > 0.9:
-            return None
-    elif kind == 1:  # automorphism: commuting holds, normal
-        g = _disk(rng, 0.5, 0.05)
-        form = fam.DiskForm(_angle(rng), g)
-        m = form.to_map()
-    elif kind == 2:  # real coefficients with b = -c: sigma = m
-        a0 = rng.uniform(-0.5, 0.5)
-        a1 = rng.uniform(-0.55, 0.55)
-        m = fam.j_symbols(fam.JParams(a0, a1)).phi
-        if isinstance(m, ConstantMap):
-            return None
-    else:  # strict parabolic from the branch arc
-        m = fam.parabolic_j_symbols(_parabolic_j_arc(rng, 1), +1).phi
-    sigma0 = cowen_sigma0(m)
-    psi = RationalSymbol(1.0, 0.0, 1.0, -sigma0.conjugate())
-    lft = lft_oracle((m.a, m.b, m.c, m.d), cfg.pred_tol)
-    params = {"a": m.a, "b": m.b, "c": m.c, "d": m.d}
-    oracle = yield Probe(fam.SymbolPair(psi, m))
-    return _record(cfg, params, oracle, lft["normal"], predicates={"lft_condition": lft["normal"]}, oracles=lft)
+    normality = measure(cfg, Probe(cowen_weights(d.phi), d.phi))["normality"].tolist()
+    return [
+        _record(cfg, dict(zip("abcd", q)), {"normality": r}, lft["normal"], predicates={"lft_condition": lft["normal"]},
+                oracles=lft)
+        for q, r, lft in zip(d.phi.tolist(), normality, lft_oracle(d.phi, cfg.pred_tol))
+    ]
 
 
-def cowen_sigma0(m: MobiusMap) -> complex:
-    return -m.c.conjugate() / m.d.conjugate()
+def draw_conjugation(rng, cfg: SuiteConfig, idx):
+    """Index 0 is J, which is C1 with lam = alpha = 1, the next
+    samples // 2 indices C1 and the remaining (samples - 1) // 2 C2."""
+    n, kind = len(idx), np.where(idx == 0, 0, np.where(idx <= cfg.samples // 2, 1, 2))
+    alpha = np.where(kind == 2, _annulus(rng, n, 0.32, 0.05), np.where(kind == 1, _circle(rng, n), 1.0 + 0j))
+    return None, {"kind": kind, "lam": np.where(kind == 0, 1.0 + 0j, _circle(rng, n)), "alpha": alpha}
 
 
-def suite_conjugation_axioms(rng, cfg: SuiteConfig, i: int) -> Measured:
+def suite_conjugation_axioms(cfg: SuiteConfig, d) -> List[SampleRecord]:
     """Involution and anti-linear isometry axioms for the three kinds.
 
-    Index 0 is J, the next samples // 2 indices C1 and the remaining
-    (samples - 1) // 2 C2.  The coefficient conjugation and the
-    rotation-weighted kind are exact at any dimension; the kernel-weighted
-    kind converges geometrically in |alpha|, which at N = 48 and block 16
-    keeps the residual below 1e-8 for |alpha| up to roughly 0.35
-    (measured), so draws stay below 0.32.
+    The coefficient conjugation and the rotation-weighted kind are exact
+    at any dimension; the kernel-weighted kind converges geometrically in
+    |alpha|, which at N = 48 and block 16 keeps the residual below 1e-8
+    for |alpha| up to roughly 0.35 (measured), so draws stay below 0.32.
     """
-    if i == 0:
-        c, tol = Conjugation("J"), 1e-14
-    elif i <= cfg.samples // 2:
-        c, tol = Conjugation("C1", _angle(rng), _angle(rng)), 1e-14
-    else:
-        alpha = _disk(rng, 0.32, 0.05)
-        c, tol = Conjugation("C2", _angle(rng), alpha), 1e-8
-    residuals = yield Probe(conj=c)
-    params = {"kind": c.kind} if c.kind == "J" else {"kind": c.kind, "lam": c.lam, "alpha": c.alpha}
-    return _record(cfg, params, exact=max(residuals.values()) <= tol, residuals=residuals)
+    records: List[Optional[SampleRecord]] = [None] * len(d.kind)
+    for kind, rows in (("C1", np.flatnonzero(d.kind < 2)), ("C2", np.flatnonzero(d.kind == 2))):  # J and C1: one stack
+        got = measure(cfg, Probe(kind=kind, lam=d.lam[rows], alpha=d.alpha[rows]))
+        for i, code, lam, alpha, inv, iso in _rows(rows, d.kind[rows], d.lam[rows], d.alpha[rows], *got.values()):
+            params = {"kind": "J"} if code == 0 else {"kind": kind, "lam": lam, "alpha": alpha}
+            tol = 1e-8 if kind == "C2" else 1e-14
+            records[i] = _record(cfg, params, exact=max(inv, iso) <= tol, residuals={"involution": inv, "isometry": iso})
+    return records
 
 
-def _symmetry_record(cfg: SuiteConfig, i: int, params, pair: fam.SymbolPair, conj: Conjugation) -> Measured:
-    """Shared record of the three symmetric-form draws: in-family draws
+def _usable(phi: np.ndarray) -> np.ndarray:
+    """A constant map or a self-map: the symmetric forms' acceptance."""
+    return is_constant(phi) | is_self_map(phi)
+
+
+def _perturbed(psi: np.ndarray) -> np.ndarray:
+    """The weights with n1 bumped by 0.3 max(1, |n0|)."""
+    out = psi.copy()
+    out[:, 1] += 0.3 * np.maximum(1.0, abs(psi[:, 0]))
+    return out
+
+
+def _symmetry_records(cfg: SuiteConfig, params: List[dict], d, kind: str, alpha=None) -> List[SampleRecord]:
+    """Shared records of the three symmetric-form suites: in-family draws
     must pass, perturbed controls (the indices past cfg.samples) must fail."""
-    in_family = i < cfg.samples
-    if not in_family:
-        params, pair = {**params, "perturbed": True}, _perturb_weight(pair)
-    oracle = yield Probe(pair, conj, normality=False)
-    return _record(cfg, params, oracle, in_family, predicates={"in_family": in_family})
+    member = np.arange(len(params)) < cfg.samples
+    psi = np.where(member[:, None], d.psi, _perturbed(d.psi))
+    symmetry = measure(cfg, Probe(psi, d.phi, kind, alpha=alpha, normality=False))["symmetry"].tolist()
+    return [
+        _record(cfg, p if m else {**p, "perturbed": True}, {"symmetry": r}, m, predicates={"in_family": m})
+        for p, m, r in zip(params, member.tolist(), symmetry)
+    ]
 
 
-def _perturb_weight(pair: fam.SymbolPair) -> fam.SymbolPair:
-    psi = pair.psi
-    bump = 0.3 * max(1.0, abs(psi.n0))
-    return fam.SymbolPair(RationalSymbol(psi.n0, psi.n1 + bump, psi.d0, psi.d1), pair.phi)
+def draw_jsym(rng, cfg: SuiteConfig, idx):
+    n = len(idx)
+    a0, a1, b = _annulus(rng, n, 0.7), _annulus(rng, n, 0.75, 0.02), 0.5 + rng.uniform(0.0, 1.0, n)
+    psi, phi = fam.j_quadruples(a0, a1, b)
+    return _usable(phi), {"a0": a0, "a1": a1, "b": b, "psi": psi, "phi": phi}
 
 
-def suite_jsym_form(rng, cfg: SuiteConfig, i: int) -> Measured:
-    a0 = _disk(rng, 0.7)
-    a1 = _disk(rng, 0.75, 0.02)
-    b = 0.5 + rng.uniform(0.0, 1.0)
-    pair = fam.j_symbols(fam.JParams(a0, a1, b))
-    if not isinstance(pair.phi, ConstantMap) and not is_self_map(pair.phi):
-        return None
-    return (yield from _symmetry_record(cfg, i, {"a0": a0, "a1": a1, "b": b}, pair, Conjugation("J")))
+def suite_jsym_form(cfg: SuiteConfig, d) -> List[SampleRecord]:
+    return _symmetry_records(cfg, _params(d, "a0", "a1", "b"), d, "J")
 
 
-def suite_c1sym_form(rng, cfg: SuiteConfig, i: int) -> Measured:
-    alpha = _angle(rng)
-    c0 = _disk(rng, 0.7)
-    c1 = _disk(rng, 0.75, 0.02)
-    d = 0.5 + rng.uniform(0.0, 1.0)
-    pair = fam.c1_symbols(fam.C1Params(alpha, c0, c1, d))
-    if not isinstance(pair.phi, ConstantMap) and not is_self_map(pair.phi):
-        return None
-    params = {"alpha": alpha, "c0": c0, "c1": c1, "d": d}
-    return (yield from _symmetry_record(cfg, i, params, pair, Conjugation("C1", 1.0, alpha)))
+def draw_c1sym(rng, cfg: SuiteConfig, idx):
+    n = len(idx)
+    alpha, c0, c1, dd = _circle(rng, n), _annulus(rng, n, 0.7), _annulus(rng, n, 0.75, 0.02), 0.5 + rng.uniform(0, 1, n)
+    psi, phi = fam.c1_quadruples(alpha, c0, c1, dd)
+    return _usable(phi), {"alpha": alpha, "c0": c0, "c1": c1, "d": dd, "psi": psi, "phi": phi}
 
 
-def _c2_params_from_tuv(alpha, t, u, v) -> fam.C2Params:
-    c1 = (u - alpha.conjugate() * v) / (abs(alpha) ** 2 - 1.0)
-    c2 = c1 - t
-    return fam.C2Params.from_c0_squared(alpha, v + alpha * c1, c1, c2)
+def suite_c1sym_form(cfg: SuiteConfig, d) -> List[SampleRecord]:
+    return _symmetry_records(cfg, _params(d, "alpha", "c0", "c1", "d"), d, "C1", d.alpha)
 
 
-def _draw_c2_selfmap(rng, alpha_hi=0.5):
-    """C2 parameters and symbols with a strict self-map whose weight pole
-    stays well outside the closed disk, or None (the draw is rejected)."""
-    alpha = _disk(rng, alpha_hi, 0.1)
-    t = _disk(rng, 0.3)
-    u = _disk(rng, 0.3)
-    try:
-        params = _c2_params_from_tuv(alpha, t, u, 1.0 + 0.0j)
-        pair = fam.c2_symbols(params)
-    except WcoError:
-        return None
-    if isinstance(pair.phi, ConstantMap) or sup_modulus(pair.phi) > 0.9 or abs(pair.psi.pole()) < 1.8:
-        return None
-    return params, pair
+def _c2_usable(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """A strict self-map whose weight pole stays well outside the closed
+    disk: phi not constant, sup |phi| <= 0.9 (which rejects every
+    non-self-map) and |pole of psi| >= 1.8."""
+    return ~is_constant(phi) & (sup_modulus(phi) <= 0.9) & (abs(poles(psi)) >= 1.8)
 
 
-def suite_c2sym_form(rng, cfg: SuiteConfig, i: int) -> Measured:
-    drawn = _draw_c2_selfmap(rng)
-    if drawn is None:
-        return None
-    params, pair = drawn
-    d = {"alpha": params.alpha, "c0": params.c0, "c1": params.c1, "c2": params.c2}
-    return (yield from _symmetry_record(cfg, i, d, pair, Conjugation("C2", 1.0, params.alpha)))
+def _c2_candidates(alpha, t, u):
+    """(keep, params, psi, phi) of the C2 candidates with V = 1 and the
+    given alpha, T and U, kept where _c2_usable."""
+    params = fam.c2_params_from_tuv(alpha, t, u, 1.0)
+    psi, phi = fam.c2_quadruples(params)
+    return _c2_usable(psi, phi), params, psi, phi
+
+
+def _draw_c2_selfmap(rng, n: int):
+    """_c2_candidates at |alpha| in [0.1, 0.5] and |T|, |U| <= 0.3."""
+    return _c2_candidates(_annulus(rng, n, 0.5, 0.1), _annulus(rng, n, 0.3), _annulus(rng, n, 0.3))
+
+
+_C2 = ("alpha", "c0", "c1", "c2")
+
+
+def _params_columns(params: fam.C2Params) -> dict:
+    return {name: getattr(params, name) for name in _C2}
+
+
+def draw_c2sym(rng, cfg: SuiteConfig, idx):
+    keep, params, psi, phi = _draw_c2_selfmap(rng, len(idx))
+    return keep, {**_params_columns(params), "psi": psi, "phi": phi}
+
+
+def suite_c2sym_form(cfg: SuiteConfig, d) -> List[SampleRecord]:
+    return _symmetry_records(cfg, _params(d, *_C2), d, "C2", d.alpha)
 
 
 # --- automorphism lemmas -----------------------------------------------------
 
-def suite_lemma31_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+def _aut_record(cfg: SuiteConfig, params, expected: str, form: str, ok: bool, gaps) -> SampleRecord:
+    return _record(cfg, params, exact=ok, gaps=gaps, predicates={"expected": expected}, oracles={"form": form})
+
+
+def draw_lemma31(rng, cfg: SuiteConfig, idx):
+    """Even indices: a forward-built rotation-free automorphism of gamma;
+    odd ones: a random map, rejected when constant or an automorphism."""
+    count, even = len(idx), idx % 2 == 0
+    g = _annulus(rng, count, 0.8, 0.05)
+    a0 = np.where(even, g.conjugate(), _annulus(rng, count, 0.6, 0.05))
+    a1 = np.where(even, g.conjugate() * (abs(g) ** 2 - 1.0) / g, _annulus(rng, count, 0.6))
+    phi = fam.j_quadruples(a0, a1)[1]
+    keep = even | ~(is_constant(phi) | is_automorphism(phi))
+    return keep, {"even": even, "gamma": g, "a0": a0, "a1": a1, "phi": phi}
+
+
+def suite_lemma31_aut(cfg: SuiteConfig, d) -> List[SampleRecord]:
     """Forward-built rotation-free automorphisms are recovered with
     gamma = (a1 + 1)/a0; random non-automorphisms come back empty."""
-    if i % 2 == 0:
-        g = _disk(rng, 0.8, 0.05)
-        a0 = g.conjugate()
-        a1 = g.conjugate() * (abs(g) ** 2 - 1.0) / g
-        form = fam.j_aut_form(a0, a1)
-        phi = fam.j_symbols(fam.JParams(a0, a1)).phi
-        ok = isinstance(form, fam.DiskForm)
-        gaps = {"gamma_gap": abs(form.gamma - g), "map_gap": proj_distance(form.to_map(), phi)} if ok else {}
-        params, expected = {"a0": a0, "a1": a1, "gamma": g}, "disk"
-    else:
-        a0 = _disk(rng, 0.6, 0.05)
-        a1 = _disk(rng, 0.6)
-        phi = fam.j_symbols(fam.JParams(a0, a1)).phi
-        if isinstance(phi, ConstantMap) or is_automorphism(phi):
-            return None
-        form = fam.j_aut_form(a0, a1)
-        params, expected, ok, gaps = {"a0": a0, "a1": a1}, "none", form is None, {}
-    oracles = {"form": type(form).__name__}
-    return _record(cfg, params, exact=ok, gaps=gaps, predicates={"expected": expected}, oracles=oracles)
+    forms, beta, gamma = fam.j_aut_forms(d.a0, d.a1)
+    map_gap = proj_distance(fam.disk_form_quadruples(beta, gamma), d.phi)
+    records = []
+    for even, g, a0, a1, form, got, gap in _rows(d.even, d.gamma, d.a0, d.a1, forms, gamma, map_gap):
+        if even:
+            ok = form == "DiskForm"
+            gaps = {"gamma_gap": abs(got - g), "map_gap": gap} if ok else {}
+            records.append(_aut_record(cfg, {"a0": a0, "a1": a1, "gamma": g}, "disk", form, ok, gaps))
+        else:
+            records.append(_aut_record(cfg, {"a0": a0, "a1": a1}, "none", form, form == "NoneType", {}))
+    return records
 
 
-def suite_lemma32_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
-    alpha = _angle(rng)
-    if i % 2 == 0:
-        g = _disk(rng, 0.8, 0.05)
-        c0 = g.conjugate() / alpha
-        c1 = (abs(g) ** 2 - 1.0) * g.conjugate() / (g * alpha)
-        form = fam.c1_aut_form(alpha, c0, c1)
-        ok = isinstance(form, fam.DiskForm)
-        beta = g.conjugate() / (g * alpha)
-        gaps = {"gamma_gap": abs(form.gamma - g), "beta_gap": abs(form.beta - beta)} if ok else {}
-        params, expected = {"alpha": alpha, "c0": c0, "c1": c1, "gamma": g}, "disk"
-    else:
-        c0 = _disk(rng, 0.6, 0.05)
-        c1 = _disk(rng, 0.6)
-        pair = fam.c1_symbols(fam.C1Params(alpha, c0, c1))
-        if isinstance(pair.phi, ConstantMap) or is_automorphism(pair.phi):
-            return None
-        form = fam.c1_aut_form(alpha, c0, c1)
-        params, expected, ok, gaps = {"alpha": alpha, "c0": c0, "c1": c1}, "none", form is None, {}
-    oracles = {"form": type(form).__name__}
-    return _record(cfg, params, exact=ok, gaps=gaps, predicates={"expected": expected}, oracles=oracles)
+def draw_lemma32(rng, cfg: SuiteConfig, idx):
+    count, even = len(idx), idx % 2 == 0
+    alpha, g = _circle(rng, count), _annulus(rng, count, 0.8, 0.05)
+    c0 = np.where(even, g.conjugate() / alpha, _annulus(rng, count, 0.6, 0.05))
+    c1 = np.where(even, (abs(g) ** 2 - 1.0) * g.conjugate() / (g * alpha), _annulus(rng, count, 0.6))
+    phi = fam.c1_quadruples(alpha, c0, c1)[1]
+    keep = even | ~(is_constant(phi) | is_automorphism(phi))
+    return keep, {"even": even, "gamma": g, "alpha": alpha, "c0": c0, "c1": c1}
 
 
-def _c2_params_from_aut(alpha: complex, beta: complex, gamma: complex, c1: complex) -> fam.C2Params:
-    """Invert the disk form: the stated c0^2 and c2 relations with c1 free."""
-    denom = beta * gamma - alpha
-    c0_sq = (abs(alpha) ** 2 * beta * gamma - alpha) / (alpha.conjugate() * denom) * c1
-    c2 = (1.0 - (alpha * gamma.conjugate() / alpha.conjugate()) * (abs(alpha) ** 2 - 1.0) / denom) * c1
-    return fam.C2Params.from_c0_squared(alpha, c0_sq, c1, c2)
+def suite_lemma32_aut(cfg: SuiteConfig, d) -> List[SampleRecord]:
+    forms, beta, gamma = fam.c1_aut_forms(d.alpha, d.c0, d.c1)
+    expected_beta = d.gamma.conjugate() / (d.gamma * d.alpha)
+    records = []
+    for even, g, al, c0, c1, form, got_g, got_b, want_b in _rows(
+        d.even, d.gamma, d.alpha, d.c0, d.c1, forms, gamma, beta, expected_beta
+    ):
+        if even:
+            ok = form == "DiskForm"
+            gaps = {"gamma_gap": abs(got_g - g), "beta_gap": abs(got_b - want_b)} if ok else {}
+            records.append(_aut_record(cfg, {"alpha": al, "c0": c0, "c1": c1, "gamma": g}, "disk", form, ok, gaps))
+        else:
+            records.append(_aut_record(cfg, {"alpha": al, "c0": c0, "c1": c1}, "none", form, form == "NoneType", {}))
+    return records
 
 
-def suite_lemma33_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
-    if i % 3 == 2:  # identity case
-        alpha = _disk(rng, 0.8, 0.1)
-        c1 = _disk(rng, 0.8, 0.1)
-        c2 = fam.C2Params.from_c0_squared(alpha, c1 / alpha.conjugate(), c1, c1)
-        form = fam.c2_aut_form(c2)
-        phi = fam.c2_symbols(c2).phi
-        ok, gaps = isinstance(form, fam.IdentityForm), {"map_gap": proj_distance(phi, IDENTITY)}
-        params, expected = {"alpha": alpha, "c1": c1}, "identity"
-    else:
-        alpha = _disk(rng, 0.8, 0.1)
-        g = _disk(rng, 0.8, 0.05)
-        beta = (abs(alpha) ** 2 - alpha * g.conjugate()) / (alpha.conjugate() * g - abs(alpha) ** 2)
-        if abs(beta * g - alpha) < 0.05:
-            return None
-        form = fam.c2_aut_form(_c2_params_from_aut(alpha, beta, g, 1.0 + 0.0j))
-        ok = isinstance(form, fam.DiskForm)
-        gaps = {"gamma_gap": abs(form.gamma - g), "beta_gap": abs(form.beta - beta)} if ok else {}
-        params, expected = {"alpha": alpha, "gamma": g, "beta": beta}, "disk"
-    oracles = {"form": type(form).__name__}
-    return _record(cfg, params, exact=ok, gaps=gaps, predicates={"expected": expected}, oracles=oracles)
+def draw_lemma33(rng, cfg: SuiteConfig, idx):
+    """Indices i % 3 == 2 draw the identity case, the others a disk form
+    (rejected when beta gamma comes within 0.05 of alpha)."""
+    count, identity = len(idx), idx % 3 == 2
+    alpha, c1, g = _annulus(rng, count, 0.8, 0.1), _annulus(rng, count, 0.8, 0.1), _annulus(rng, count, 0.8, 0.05)
+    beta = fam.c2_aut_beta(alpha, g)
+    keep = identity | (abs(beta * g - alpha) >= 0.05)
+    return keep, {"identity": identity, "alpha": alpha, "c1": c1, "gamma": g, "beta": beta}
+
+
+def suite_lemma33_aut(cfg: SuiteConfig, d) -> List[SampleRecord]:
+    records: List[Optional[SampleRecord]] = [None] * len(d.alpha)
+    rows = np.flatnonzero(d.identity)
+    al, c1 = d.alpha[rows], d.c1[rows]
+    params = fam.C2Params.from_c0_squared(al, c1 / al.conjugate(), c1, c1)
+    map_gap = proj_distance(fam.c2_quadruples(params)[1], np.array([[1.0, 0.0, 0.0, 1.0]]))
+    for i, al, c1, form, gap in _rows(rows, al, c1, fam.c2_aut_forms(params)[0], map_gap):
+        records[i] = _aut_record(cfg, {"alpha": al, "c1": c1}, "identity", form, form == "IdentityForm", {"map_gap": gap})
+    rows = np.flatnonzero(~d.identity)
+    al, g, beta = d.alpha[rows], d.gamma[rows], d.beta[rows]
+    forms, got_b, got_g = fam.c2_aut_forms(fam.c2_params_from_aut(al, beta, g, 1.0 + 0j))
+    for i, al, g, beta, form, b, gg in _rows(rows, al, g, beta, forms, got_b, got_g):
+        ok = form == "DiskForm"
+        gaps = {"gamma_gap": abs(gg - g), "beta_gap": abs(b - beta)} if ok else {}
+        records[i] = _aut_record(cfg, {"alpha": al, "gamma": g, "beta": beta}, "disk", form, ok, gaps)
+    return records
 
 
 # --- normality iff suites ----------------------------------------------------
 
-def suite_prop41_iff(rng, cfg: SuiteConfig, i: int) -> Measured:
+def draw_prop41(rng, cfg: SuiteConfig, idx):
     """Even indices draw on the normality locus, odd ones off it."""
-    a0 = _disk(rng, 0.52, 0.05)
-    if i % 2 == 0:
-        x = rng.uniform(-0.6, 0.6)
-        y = -a0.imag * (1.0 - abs(a0) ** 2) / abs(a0) ** 2
-        a1 = (x + 1j * y) * a0
-        if abs(a1) > 0.7:
-            return None
-    else:
-        a1 = _disk(rng, 0.7, 0.02)
-        if abs(fam.j_normal_expression(a0, a1)) < 1e-3:
-            return None
-    pair = fam.j_symbols(fam.JParams(a0, a1))
-    if isinstance(pair.phi, ConstantMap) or not is_self_map(pair.phi):
-        return None
-    pred = fam.j_normal_predicate(a0, a1, cfg.pred_tol)
-    predicates = {"normal": pred, "expression": fam.j_normal_expression(a0, a1)}
-    return _record(cfg, {"a0": a0, "a1": a1}, (yield Probe(pair)), pred, predicates=predicates)
+    count, even = len(idx), idx % 2 == 0
+    a0 = _annulus(rng, count, 0.52, 0.05)
+    y = -a0.imag * (1.0 - abs(a0) ** 2) / abs(a0) ** 2
+    a1 = np.where(even, (rng.uniform(-0.6, 0.6, count) + 1j * y) * a0, _annulus(rng, count, 0.7, 0.02))
+    expression = fam.j_normal_expression(a0, a1)
+    psi, phi = fam.j_quadruples(a0, a1)
+    keep = np.where(even, abs(a1) <= 0.7, abs(expression) >= 1e-3) & ~is_constant(phi) & is_self_map(phi)
+    return keep, {"a0": a0, "a1": a1, "expression": expression, "psi": psi, "phi": phi}
 
 
-def _solve_c1_predicate(rng, alpha, c0):
-    """Solve the real-linear condition for c1 (minimum-norm when the
-    system is rank-deficient)."""
-    k = -(c0.conjugate() - alpha * c0) * (1.0 - abs(c0) ** 2)
-    # alpha c0 conj(c1) - conj(c0) c1 = k as a 2x2 real system in (Re, Im) c1
-    p = alpha * c0
-    q = c0.conjugate()
-    mat = np.array(
-        [
-            [p.real - q.real, p.imag + q.imag],
-            [p.imag - q.imag, -(p.real + q.real)],
-        ]
-    )
-    rhs = np.array([k.real, k.imag])
-    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    base = complex(sol[0], sol[1])
-    # rank-deficient direction: add a multiple of the kernel to vary draws
-    u, s, vt = np.linalg.svd(mat)
-    if s[-1] < 1e-10:
-        kern = complex(vt[-1, 0], vt[-1, 1])
-        base = base + rng.uniform(-0.4, 0.4) * kern
-    return base
+def suite_prop41_iff(cfg: SuiteConfig, d) -> List[SampleRecord]:
+    normal = fam.j_normal_predicate(d.a0, d.a1, cfg.pred_tol)
+    normality = measure(cfg, Probe(d.psi, d.phi))["normality"]
+    return [
+        _record(cfg, p, {"normality": r}, pred, predicates={"normal": pred, "expression": expr})
+        for p, (pred, expr, r) in zip(_params(d, "a0", "a1"), _rows(normal, d.expression, normality))
+    ]
 
 
-def suite_thm51_iff(rng, cfg: SuiteConfig, i: int) -> Measured:
+def draw_thm51(rng, cfg: SuiteConfig, idx):
     """Even indices draw on the normality locus, odd ones off it."""
-    alpha = _angle(rng)
-    c0 = _disk(rng, 0.52, 0.05)
-    if i % 2 == 0:
-        c1 = _solve_c1_predicate(rng, alpha, c0)
-        if abs(c1) > 0.7 or abs(c1) < 1e-3 or abs(fam.c1_normal_expression(alpha, c0, c1)) > 1e-12:
-            return None
-    else:
-        c1 = _disk(rng, 0.7, 0.02)
-        if abs(fam.c1_normal_expression(alpha, c0, c1)) < 1e-3:
-            return None
-    pair = fam.c1_symbols(fam.C1Params(alpha, c0, c1))
-    if isinstance(pair.phi, ConstantMap) or not is_self_map(pair.phi):
-        return None
-    pred = fam.c1_normal_predicate(alpha, c0, c1, cfg.pred_tol)
-    predicates = {"normal": pred, "expression": fam.c1_normal_expression(alpha, c0, c1)}
-    return _record(cfg, {"alpha": alpha, "c0": c0, "c1": c1}, (yield Probe(pair)), pred, predicates=predicates)
+    count, even = len(idx), idx % 2 == 0
+    alpha, c0 = _circle(rng, count), _annulus(rng, count, 0.52, 0.05)
+    base, kernel = fam.c1_normal_locus(alpha, c0)  # on the locus: a uniform real multiple in [-0.4, 0.4] of kernel
+    c1 = np.where(even, base + rng.uniform(-0.4, 0.4, count) * kernel, _annulus(rng, count, 0.7, 0.02))
+    expression = fam.c1_normal_expression(alpha, c0, c1)
+    on_locus = (abs(c1) <= 0.7) & (abs(c1) >= 1e-3) & (abs(expression) <= 1e-12)
+    psi, phi = fam.c1_quadruples(alpha, c0, c1)
+    keep = np.where(even, on_locus, abs(expression) >= 1e-3) & ~is_constant(phi) & is_self_map(phi)
+    return keep, {"alpha": alpha, "c0": c0, "c1": c1, "expression": expression, "psi": psi, "phi": phi}
 
 
-def suite_thm61_consistency(rng, cfg: SuiteConfig, i: int) -> Measured:
+def suite_thm51_iff(cfg: SuiteConfig, d) -> List[SampleRecord]:
+    normal = fam.c1_normal_predicate(d.alpha, d.c0, d.c1, cfg.pred_tol)
+    normality = measure(cfg, Probe(d.psi, d.phi))["normality"]
+    return [
+        _record(cfg, p, {"normality": r}, pred, predicates={"normal": pred, "expression": expr})
+        for p, (pred, expr, r) in zip(_params(d, "alpha", "c0", "c1"), _rows(normal, d.expression, normality))
+    ]
+
+
+_THM61_NOTES = {
+    2: "identity-case parameters: stated conditions reject the identity operator",
+    4: "interior-normal reconstruction: normal operator outside the stated conditions",
+}
+
+
+def draw_thm61(rng, cfg: SuiteConfig, idx):
+    """Kind i % 5: a case I construction (rejected within 1e-2 of the
+    case I moduli); a case II construction, all-real sign pattern; the
+    identity case; a generic draw with a usable self-map; an
+    interior-normal reconstruction.  Each kind is drawn for every index."""
+    n, kind = len(idx), idx % 5
+    alpha, m = _annulus(rng, n, 0.6, 0.2), rng.uniform(0.2, 0.5, n)
+    t, u, v = (m * _circle(rng, n) for _ in range(3))
+    case_i = fam.c2_params_from_tuv(alpha, t, u, v)
+    real = _signs(rng, n) * rng.uniform(0.1, 0.4, n) + 0j
+    case_ii = fam.c2_params_from_tuv(rng.uniform(0.2, 0.8, n) + 0j, real, -real, -real)
+    al, c1 = _annulus(rng, n, 0.7, 0.2), _annulus(rng, n, 0.5, 0.1)
+    identity = fam.C2Params.from_c0_squared(al, c1 / al.conjugate(), c1, c1)
+    usable, generic, _, _ = _draw_c2_selfmap(rng, n)
+    p = rng.uniform(0.2, 0.6, n) * _signs(rng, n)
+    angle = rng.uniform(0.45 * math.pi, 0.8 * math.pi, n)
+    interior = fam.c2_interior_reconstruct(fam.c2_compatible_alpha(p, angle), p, _annulus(rng, n, 0.6))
+    keep = np.choose(kind, (abs(abs(t + u - alpha.conjugate() * v) / abs(alpha) - m) > 1e-2, True, True, usable, True))
+    kinds = (case_i, case_ii, identity, generic, interior)
+    return keep, {"kind": kind, **{name: np.choose(kind, [getattr(q, name) for q in kinds]) for name in _C2}}
+
+
+def suite_thm61_consistency(cfg: SuiteConfig, d) -> List[SampleRecord]:
     """Stated case conditions versus the normality oracles.
 
     Parameter sets satisfying the case conditions force |phi(0)| = 1, so
     no nonconstant self-map exists there and the oracle is the exact
-    decision of the coefficient-level commuting check; a draw with a usable
-    truncation is decided by its matrix normality instead.  The
-    identity-case draws (predicate rejects, operator is the identity) and
-    the interior-normal reconstructions are the documented discrepancies.
+    decision of the coefficient-level commuting check; a draw of the last
+    three kinds with a usable truncation is decided by its matrix
+    normality instead.  The identity-case draws (predicate rejects,
+    operator is the identity) and the interior-normal reconstructions are
+    the documented discrepancies.
     """
-    kind = i % 5
-    note = ""
-    use_matrix = False
-    if kind == 0:  # case I construction
-        alpha = _disk(rng, 0.6, 0.2)
-        m = rng.uniform(0.2, 0.5)
-        t = m * _angle(rng)
-        u = m * _angle(rng)
-        v = m * _angle(rng)
-        w = t + u - alpha.conjugate() * v
-        if abs(abs(w) / abs(alpha) - m) <= 1e-2:
-            return None
-        params = _c2_params_from_tuv(alpha, t, u, v)
-    elif kind == 1:  # case II construction, all-real sign pattern
-        alpha = complex(rng.uniform(0.2, 0.8))
-        m = rng.uniform(0.1, 0.4)
-        sign = 1 if rng.random() < 0.5 else -1
-        t, u, v = sign * m, -sign * m, -sign * m
-        params = _c2_params_from_tuv(alpha, complex(t), complex(u), complex(v))
-    elif kind == 2:  # identity case: documented discrepancy
-        alpha = _disk(rng, 0.7, 0.2)
-        c1 = _disk(rng, 0.5, 0.1)
-        params = fam.C2Params.from_c0_squared(alpha, c1 / alpha.conjugate(), c1, c1)
-        note = "identity-case parameters: stated conditions reject the identity operator"
-        use_matrix = True
-    elif kind == 3:  # generic draw with a usable self-map
-        drawn = _draw_c2_selfmap(rng)
-        if drawn is None:
-            return None
-        params, use_matrix = drawn[0], True
-    else:  # interior-normal reconstruction: normal but rejected
-        p = rng.uniform(0.2, 0.6) * (1 if rng.random() < 0.5 else -1)
-        angle = rng.uniform(0.45 * math.pi, 0.8 * math.pi)
-        alpha = fam.c2_compatible_alpha(p, angle)
-        delta = _disk(rng, 0.6)
-        params = fam.c2_interior_reconstruct(alpha, p, delta)
-        note = "interior-normal reconstruction: normal operator outside the stated conditions"
-        use_matrix = True
-    pred = fam.c2_normal_predicate(params, cfg.pred_tol)
-    claims_normal = pred in (fam.C2NormalCase.CASE_I, fam.C2NormalCase.CASE_II)
+    params = fam.C2Params(d.alpha, d.c0, d.c1, d.c2)
+    cases = fam.c2_normal_predicate(params, cfg.pred_tol)
+    claims = np.isin(cases, (fam.C2NormalCase.CASE_I.value, fam.C2NormalCase.CASE_II.value))
     # raw coefficient quadruple of phi: valid even when it degenerates
     # to a boundary constant, where no operator truncation exists
     t, u, v, w = fam.c2_quadruple(params)
-    al = params.alpha
-    lft = lft_oracle((-w, al * u, -al.conjugate() * t, al.conjugate() * v), cfg.pred_tol)
-    oracle, decided = {}, {"lft": lft["normal"]}
-    if use_matrix:
-        pair = fam.c2_symbols(params)
-        if not isinstance(pair.phi, ConstantMap) and is_self_map(pair.phi) and abs(pair.psi.pole()) > 1.5:
-            oracle, decided = (yield Probe(pair)), {}
-    return _record(
-        cfg, {"alpha": params.alpha, "c0": params.c0, "c1": params.c1, "c2": params.c2}, oracle, claims_normal,
-        decided=decided, predicates={"case": pred.value, "claims_normal": claims_normal}, oracles=lft, note=note,
-    )
+    al = d.alpha
+    lft = lft_oracle(_stack(-w, al * u, -al.conjugate() * t, al.conjugate() * v), cfg.pred_tol)
+    psi, phi = fam.c2_quadruples(params)
+    usable = (d.kind >= 2) & ~is_constant(phi) & is_self_map(phi) & (abs(poles(psi)) > 1.5)
+    rows = np.flatnonzero(usable)
+    normality = dict(zip(rows.tolist(), measure(cfg, Probe(psi[rows], phi[rows]))["normality"].tolist()))
+    records = []
+    for i, (p, kind, case, claim, oracles) in enumerate(
+        zip(_params(d, *_C2), d.kind.tolist(), cases.tolist(), claims.tolist(), lft)
+    ):
+        oracle, decided = ({"normality": normality[i]}, {}) if i in normality else ({}, {"lft": oracles["normal"]})
+        records.append(_record(
+            cfg, p, oracle, claim, decided=decided, predicates={"case": case, "claims_normal": claim},
+            oracles=oracles, note=_THM61_NOTES.get(kind, ""),
+        ))
+    return records
 
 
 # --- worked-example suites ---------------------------------------------------
 
-def suite_ex41_equivalence(rng, cfg: SuiteConfig, i: int) -> Measured:
+def draw_ex41(rng, cfg: SuiteConfig, idx):
+    """Indices i % 4 != 3 draw a real interior parameter p (rejected unless
+    the coefficient-conjugation parameters lie within 0.9), the others p
+    at least 0.1 off the real axis."""
+    count, real = len(idx), idx % 4 != 3
+    p_real, delta_real = rng.uniform(0.12, 0.62, count) * _signs(rng, count), _annulus(rng, count, 0.7)
+    p_off, delta_off = _annulus(rng, count, 0.5, 0.15), _annulus(rng, count, 0.6)
+    lift = np.where(p_off.imag >= 0, 1.0, -1.0) * (0.1 + abs(p_off.imag))
+    p_off = np.where(abs(p_off.imag) < 0.1, p_off.real + 1j * lift, p_off)
+    p, delta = np.where(real, p_real, p_off), np.where(real, delta_real, delta_off)
+    a0 = p * (1.0 - delta) / (1.0 - p ** 2 * delta)
+    a1 = delta * (p ** 2 - 1.0) ** 2 / (1.0 - p ** 2 * delta) ** 2
+    keep = ~real | ((abs(a0) < 0.9) & (abs(a1) < 0.9))
+    return keep, {"real": real, "p": p, "delta": delta, "a0": a0, "a1": a1}
+
+
+def suite_ex41_equivalence(cfg: SuiteConfig, d) -> List[SampleRecord]:
     """Real interior parameter: the interior-normal symbols coincide with
     the coefficient-conjugation family; off the real axis the symmetry
     residual is bounded away from zero."""
-    if i % 4 != 3:
-        p = rng.uniform(0.12, 0.62) * (1 if rng.random() < 0.5 else -1)
-        delta = _disk(rng, 0.7)
-        a0 = p * (1.0 - delta) / (1.0 - p ** 2 * delta)
-        a1 = delta * (p ** 2 - 1.0) ** 2 / (1.0 - p ** 2 * delta) ** 2
-        if abs(a0) >= 0.9 or abs(a1) >= 0.9:
-            return None
-        gamma = (1.0 - p ** 2 * delta) / (1.0 - p ** 2)  # makes psi(0) = 1
-        pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, gamma))
-        jpair = fam.j_symbols(fam.JParams(a0, a1, 1.0))
-        phi_gap = proj_distance(pair.phi, jpair.phi)
-        psi_gap = quadruple_gap(*((r.n0, r.n1, r.d0, r.d1) for r in (pair.psi, jpair.psi)))
-        return _record(
-            cfg, {"p": p, "delta": delta, "a0": a0, "a1": a1}, gaps={"phi_gap": phi_gap, "psi_gap": psi_gap},
-            predicates={"real_p": True},
-        )
-    p = _disk(rng, 0.5, 0.15)
-    if abs(p.imag) < 0.1:
-        sign = 1.0 if p.imag >= 0 else -1.0
-        p = complex(p.real, sign * (0.1 + abs(p.imag)))
-    delta = _disk(rng, 0.6)
-    pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, 1.0))
-    oracle = {"j_symmetry": (yield Probe(pair, Conjugation("J"), normality=False))["symmetry"]}
-    return _record(cfg, {"p": p, "delta": delta}, oracle, claim=False, predicates={"real_p": False})
+    p, delta = d.p, d.delta
+    gamma = np.where(d.real, (1.0 - p ** 2 * delta) / (1.0 - p ** 2), 1.0)  # makes psi(0) = 1
+    psi, phi = fam.interior_quadruples(p, delta, gamma)
+    jpsi, jphi = fam.j_quadruples(d.a0, d.a1, 1.0)
+    phi_gap, psi_gap = proj_distance(phi, jphi), quadruple_gap(psi, jpsi)
+    rows = np.flatnonzero(~d.real)
+    got = measure(cfg, Probe(psi[rows], phi[rows], "J", normality=False))["symmetry"]
+    symmetry = dict(zip(rows.tolist(), got.tolist()))
+    records = []
+    for i, (real, p, delta, a0, a1, gap, wgap) in enumerate(_rows(d.real, p, delta, d.a0, d.a1, phi_gap, psi_gap)):
+        if real:
+            records.append(_record(
+                cfg, {"p": p.real, "delta": delta, "a0": a0, "a1": a1}, gaps={"phi_gap": gap, "psi_gap": wgap},
+                predicates={"real_p": True},
+            ))
+        else:
+            oracle = {"j_symmetry": symmetry[i]}
+            records.append(_record(cfg, {"p": p, "delta": delta}, oracle, claim=False, predicates={"real_p": False}))
+    return records
 
 
-def suite_cor41_aut(rng, cfg: SuiteConfig, i: int) -> Measured:
+def draw_cor41(rng, cfg: SuiteConfig, idx):
+    return None, {"alpha": _annulus(rng, len(idx), 0.5, 0.05)}
+
+
+def suite_cor41_aut(cfg: SuiteConfig, d) -> List[SampleRecord]:
     """Disk-form automorphism parameters always satisfy the normality
     condition of the coefficient-conjugation family."""
-    al = _disk(rng, 0.5, 0.05)
-    beta = al.conjugate() / al
-    a0 = al.conjugate()
-    a1 = beta * (abs(al) ** 2 - 1.0)
-    expr = fam.j_normal_expression(a0, a1)
-    pair = fam.j_symbols(fam.JParams(a0, a1))
-    cls = classify(pair.phi)
-    return _record(
-        cfg, {"alpha": al, "a0": a0, "a1": a1}, (yield Probe(pair)), exact=cls.is_automorphism,
-        gaps={"expression_gap": abs(expr)}, predicates={"expression": expr, "map_class": cls.map_class.value},
-    )
-
-
-def _parabolic_j_arc(rng, branch):
-    theta = rng.uniform(math.pi + 0.3, 1.5 * math.pi - 0.35)
-    a0 = 0.5j * (1.0 + cmath.exp(1j * theta))
-    return a0 if branch == 1 else -a0
+    al = d.alpha
+    a0, a1 = al.conjugate(), al.conjugate() / al * (abs(al) ** 2 - 1.0)
+    expression = fam.j_normal_expression(a0, a1)
+    psi, phi = fam.j_quadruples(a0, a1)
+    normality = measure(cfg, Probe(psi, phi))["normality"]
+    return [
+        _record(cfg, {"alpha": al, "a0": a0, "a1": a1}, {"normality": r}, exact=cls.is_automorphism,
+                gaps={"expression_gap": abs(expr)}, predicates={"expression": expr, "map_class": cls.map_class.value})
+        for (al, a0, a1, expr, r), cls in zip(_rows(al, a0, a1, expression, normality), _classes(phi))
+    ]
 
 
 _PARABOLIC = (MapClass.PARABOLIC_NON_AUTOMORPHISM, MapClass.PARABOLIC_AUTOMORPHISM)
@@ -713,162 +711,193 @@ def _dw_gaps(cls, zeta) -> Dict[str, float]:
     return {"dw_gap": abs(cls.dw_point - zeta), "derivative_gap": abs(cls.dw_derivative - 1.0)}
 
 
-def suite_ex44_parabolic(rng, cfg: SuiteConfig, i: int) -> Measured:
-    branch = 1 if i % 2 == 0 else -1
-    a0 = _parabolic_j_arc(rng, branch)
-    pair = fam.parabolic_j_symbols(a0, branch)
-    cls = classify(pair.phi)
-    predicates = {
-        "map_class": cls.map_class.value,
-        "expression": fam.j_normal_expression(a0, (1.0 - branch * a0) ** 2),
-    }
-    return _record(
-        cfg, {"a0": a0, "branch": branch}, (yield Probe(pair)), exact=cls.map_class in _PARABOLIC,
-        gaps=_dw_gaps(cls, branch), predicates=predicates,
-    )
+def draw_ex44(rng, cfg: SuiteConfig, idx):
+    branch = np.where(idx % 2 == 0, 1, -1)
+    return None, {"a0": _parabolic_j_arc(rng, len(idx), branch), "branch": branch}
 
 
-def suite_ex51_interior(rng, cfg: SuiteConfig, i: int) -> Measured:
-    """Rotation-weighted interior case: conj(p) = alpha p branch plus the
-    delta = 0 constant-map branch (every fourth index)."""
-    p = _disk(rng, 0.55, 0.1)
-    alpha = p.conjugate() / p
-    if i % 4 == 3:
-        delta = 0.0 + 0.0j
-    else:
-        delta = _disk(rng, 0.65)
-    gamma = (1.0 - abs(p) ** 2 * delta) / (1.0 - abs(p) ** 2)
-    pair = fam.normal_interior_symbols(fam.InteriorParams(p, delta, gamma))
-    if delta == 0:
-        c0, c1 = p, 0.0 + 0.0j
-    else:
-        c0 = p * (1.0 - delta) / (1.0 - abs(p) ** 2 * delta)
-        c1 = alpha * c0 ** 2 + alpha * c0 * (abs(p) ** 2 - delta) / (p.conjugate() * (delta - 1.0))
-    if abs(c0) >= 0.9 or abs(c1) >= 0.9:
-        return None
-    cpair = fam.c1_symbols(fam.C1Params(alpha, c0, c1))
-    gaps = {
-        "phi_gap": proj_distance(pair.phi, cpair.phi),
-        "expression_gap": abs(fam.c1_normal_expression(alpha, c0, c1)),
-    }
-    return _record(
-        cfg, {"p": p, "delta": delta, "alpha": alpha, "c0": c0, "c1": c1},
-        (yield Probe(pair, Conjugation("C1", 1.0, alpha))), gaps=gaps,
-        predicates={"c1_normal": gaps["expression_gap"] <= cfg.pred_tol},
-    )
+def suite_ex44_parabolic(cfg: SuiteConfig, d) -> List[SampleRecord]:
+    psi, phi = fam.parabolic_j_quadruples(d.a0, d.branch)
+    expression = fam.j_normal_expression(d.a0, (1.0 - d.branch * d.a0) ** 2)
+    normality = measure(cfg, Probe(psi, phi))["normality"]
+    return [
+        _record(cfg, {"a0": a0, "branch": branch}, {"normality": r}, exact=cls.map_class in _PARABOLIC,
+                gaps=_dw_gaps(cls, branch), predicates={"map_class": cls.map_class.value, "expression": expr})
+        for (a0, branch, expr, r), cls in zip(_rows(d.a0, d.branch, expression, normality), _classes(phi))
+    ]
 
 
-def suite_ex51_aut_corollary(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
+def draw_ex51(rng, cfg: SuiteConfig, idx):
+    """conj(p) = alpha p branch, plus the delta = 0 constant-map branch
+    (every fourth index); rejected unless c0 and c1 lie within 0.9."""
+    count = len(idx)
+    p = _annulus(rng, count, 0.55, 0.1)
+    delta = np.where(idx % 4 == 3, 0j, _annulus(rng, count, 0.65))
+    alpha, p2 = p.conjugate() / p, abs(p) ** 2
+    c0 = np.where(delta == 0, p, p * (1.0 - delta) / (1.0 - p2 * delta))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c1 = alpha * c0 ** 2 + alpha * c0 * (p2 - delta) / (p.conjugate() * (delta - 1.0))
+    c1 = np.where(delta == 0, 0j, c1)
+    keep = (abs(c0) < 0.9) & (abs(c1) < 0.9)
+    return keep, {"p": p, "delta": delta, "alpha": alpha, "c0": c0, "c1": c1}
+
+
+def suite_ex51_interior(cfg: SuiteConfig, d) -> List[SampleRecord]:
+    """Rotation-weighted interior case."""
+    p2 = abs(d.p) ** 2
+    psi, phi = fam.interior_quadruples(d.p, d.delta, (1.0 - p2 * d.delta) / (1.0 - p2))
+    phi_gap = proj_distance(phi, fam.c1_quadruples(d.alpha, d.c0, d.c1)[1])
+    expression_gap = abs(fam.c1_normal_expression(d.alpha, d.c0, d.c1))
+    got = measure(cfg, Probe(psi, phi, "C1", alpha=d.alpha))
+    return [
+        _record(
+            cfg, {"p": p, "delta": delta, "alpha": al, "c0": c0, "c1": c1}, {"symmetry": sym, "normality": nor},
+            gaps={"phi_gap": gap, "expression_gap": egap}, predicates={"c1_normal": egap <= cfg.pred_tol},
+        )
+        for p, delta, al, c0, c1, gap, egap, sym, nor in _rows(
+            d.p, d.delta, d.alpha, d.c0, d.c1, phi_gap, expression_gap, got["symmetry"], got["normality"]
+        )
+    ]
+
+
+def draw_ex51_aut(rng, cfg: SuiteConfig, idx):
+    return None, {"p": _annulus(rng, len(idx), 0.55, 0.1)}
+
+
+def suite_ex51_aut_corollary(cfg: SuiteConfig, d) -> List[SampleRecord]:
     """delta = -1 is the only automorphism branch; the displayed map
     matches the composed construction."""
-    p = _disk(rng, 0.55, 0.1)
-    ap2 = abs(p) ** 2  # alpha p^2 with alpha = conj(p)/p
-    pair = fam.normal_interior_symbols(fam.InteriorParams(p, -1.0, 1.0))
-    displayed = MobiusMap(-(1.0 + ap2), 2.0 * p, -2.0 * p.conjugate(), 1.0 + ap2)
-    gap = proj_distance(pair.phi, displayed)
-    cls = classify(pair.phi)
-    return _record(
-        cfg, {"p": p}, exact=cls.is_automorphism, gaps={"phi_gap": gap},
-        predicates={"map_class": cls.map_class.value},
-    )
+    p, ap2 = d.p, abs(d.p) ** 2  # alpha p^2 with alpha = conj(p)/p
+    phi = fam.interior_quadruples(p, -1.0, 1.0)[1]
+    phi_gap = proj_distance(phi, _stack(-(1.0 + ap2), 2.0 * p, -2.0 * p.conjugate(), 1.0 + ap2))
+    return [
+        _record(cfg, {"p": p}, exact=cls.is_automorphism, gaps={"phi_gap": gap}, predicates={"map_class": cls.map_class.value})
+        for (p, gap), cls in zip(_rows(p, phi_gap), _classes(phi))
+    ]
 
 
-def suite_ex54_parabolic(rng, cfg: SuiteConfig, i: int) -> Measured:
-    zeta = _angle(rng)
-    w = 0.5 + 0.33 * _disk(rng)
-    c0 = zeta * w
-    c1 = (1.0 - w) ** 2
-    pair = fam.c1_parabolic_symbols(zeta, c0, c1)
-    cls = classify(pair.phi)
-    alpha = 1.0 / zeta ** 2
-    expr = fam.c1_normal_expression(alpha, c0, c1)
-    gaps = {"expression_gap": abs(expr), **_dw_gaps(cls, zeta)}
-    predicates = {"map_class": cls.map_class.value, "expression": expr}
-    return _record(
-        cfg, {"zeta": zeta, "c0": c0, "c1": c1}, (yield Probe(pair)), exact=cls.map_class in _PARABOLIC,
-        gaps=gaps, predicates=predicates,
-    )
+def draw_ex54(rng, cfg: SuiteConfig, idx):
+    count = len(idx)
+    return None, {"zeta": _circle(rng, count), "w": 0.5 + 0.33 * _annulus(rng, count)}
 
 
-def suite_cor62_no_aut(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+def suite_ex54_parabolic(cfg: SuiteConfig, d) -> List[SampleRecord]:
+    zeta = d.zeta
+    c0, c1 = zeta * d.w, (1.0 - d.w) ** 2
+    psi, phi = fam.c1_parabolic_quadruples(zeta, c0, c1)
+    expression = fam.c1_normal_expression(1.0 / zeta ** 2, c0, c1)
+    normality = measure(cfg, Probe(psi, phi))["normality"]
+    return [
+        _record(cfg, {"zeta": z, "c0": c0, "c1": c1}, {"normality": r}, exact=cls.map_class in _PARABOLIC,
+                gaps={"expression_gap": abs(expr), **_dw_gaps(cls, z)},
+                predicates={"map_class": cls.map_class.value, "expression": expr})
+        for (z, c0, c1, expr, r), cls in zip(_rows(zeta, c0, c1, expression, normality), _classes(phi))
+    ]
+
+
+def draw_cor62(rng, cfg: SuiteConfig, idx):
+    """Even indices draw the moduli-equality construction, odd ones a
+    forced automorphism (rejected when beta gamma comes within 0.05 of
+    alpha)."""
+    count, even = len(idx), idx % 2 == 0
+    alpha, m = _annulus(rng, count, 0.7, 0.15), rng.uniform(0.2, 0.6, count)
+    t, u, v = (m * _circle(rng, count) for _ in range(3))
+    g = _annulus(rng, count, 0.8, 0.1)
+    beta = fam.c2_aut_beta(alpha, g)
+    keep = even | (abs(beta * g - alpha) >= 0.05)
+    return keep, {"even": even, "alpha": alpha, "t": t, "u": u, "v": v, "gamma": g, "beta": beta}
+
+
+def suite_cor62_no_aut(cfg: SuiteConfig, d) -> List[SampleRecord]:
     """Moduli-equality draws never come back as automorphisms, and forced
     automorphism parameters violate the moduli equalities."""
-    alpha = _disk(rng, 0.7, 0.15)
-    if i % 2 == 0:
-        m = rng.uniform(0.2, 0.6)
-        params = _c2_params_from_tuv(alpha, m * _angle(rng), m * _angle(rng), m * _angle(rng))
-        form = fam.c2_aut_form(params)
-        return _record(
-            cfg, {"alpha": alpha, "c0": params.c0, "c1": params.c1, "c2": params.c2}, exact=form is None,
-            predicates={"moduli_equal": True}, oracles={"form": type(form).__name__},
+    records: List[Optional[SampleRecord]] = [None] * len(d.alpha)
+    rows = np.flatnonzero(d.even)
+    params = fam.c2_params_from_tuv(d.alpha[rows], d.t[rows], d.u[rows], d.v[rows])
+    forms = fam.c2_aut_forms(params)[0].tolist()
+    for i, p, form in zip(rows.tolist(), _params(params, *_C2), forms):
+        records[i] = _record(cfg, p, exact=form == "NoneType", predicates={"moduli_equal": True}, oracles={"form": form})
+    rows = np.flatnonzero(~d.even)
+    al, g = d.alpha[rows], d.gamma[rows]
+    _, u, v, _ = fam.c2_quadruple(fam.c2_params_from_aut(al, d.beta[rows], g, 1.0 + 0j))
+    violation = abs(abs(u) - abs(v)) / np.maximum(abs(u), abs(v))
+    for i, al, g, value in _rows(rows, al, g, violation):
+        records[i] = _record(
+            cfg, {"alpha": al, "gamma": g}, {"moduli_violation": value}, claim=False, predicates={"aut_constructed": True}
         )
-    g = _disk(rng, 0.8, 0.1)
-    beta = (abs(alpha) ** 2 - alpha * g.conjugate()) / (alpha.conjugate() * g - abs(alpha) ** 2)
-    if abs(beta * g - alpha) < 0.05:
-        return None
-    params = _c2_params_from_aut(alpha, beta, g, 1.0 + 0.0j)
-    t, u, v, w = fam.c2_quadruple(params)
-    oracle = {"moduli_violation": abs(abs(u) - abs(v)) / max(abs(u), abs(v))}
-    return _record(cfg, {"alpha": alpha, "gamma": g}, oracle, claim=False, predicates={"aut_constructed": True})
+    return records
 
 
-def suite_ex61_interior(rng, cfg: SuiteConfig, i: int) -> Measured:
+def draw_ex61(rng, cfg: SuiteConfig, idx):
+    count = len(idx)
+    p = rng.uniform(0.15, 0.6, count) * _signs(rng, count)
+    return None, {"p": p, "angle": rng.uniform(0.45 * math.pi, 0.8 * math.pi, count), "delta": _annulus(rng, count, 0.6)}
+
+
+def suite_ex61_interior(cfg: SuiteConfig, d) -> List[SampleRecord]:
     """Interior reconstruction through the I-ratios under the gauge
     c1 - c2 = 1, on the compatibility locus of the conjugation parameter."""
-    p = rng.uniform(0.15, 0.6) * (1 if rng.random() < 0.5 else -1)
-    angle = rng.uniform(0.45 * math.pi, 0.8 * math.pi)
-    alpha = fam.c2_compatible_alpha(p, angle)
-    delta = _disk(rng, 0.6)
-    params = fam.c2_interior_reconstruct(alpha, p, delta)
-    t, u, v, w = fam.c2_quadruple(params)
+    alpha = fam.c2_compatible_alpha(d.p, d.angle)
+    params = fam.c2_interior_reconstruct(alpha, d.p, d.delta)
+    _, u, _, _ = fam.c2_quadruple(params)
     consistency = abs(u - alpha.conjugate() / alpha)  # gauge c1 - c2 = 1
-    pair = fam.c2_symbols(params)
-    gamma = (1.0 - p ** 2 * delta) / (1.0 - p ** 2)
-    closed = fam.interior_phi_closed_form(fam.InteriorParams(complex(p), delta, gamma))
-    phi_gap = proj_distance(pair.phi, closed)
-    return _record(
-        cfg, {"p": p, "delta": delta, "alpha": alpha}, (yield Probe(pair, Conjugation("C2", 1.0, alpha))),
-        gaps={"phi_gap": phi_gap, "consistency": consistency},
-    )
+    psi, phi = fam.c2_quadruples(params)
+    phi_gap = proj_distance(phi, fam.interior_closed_quadruples(d.p, d.delta))
+    got = measure(cfg, Probe(psi, phi, "C2", alpha=alpha))
+    return [
+        _record(
+            cfg, {"p": p, "delta": delta, "alpha": al}, {"symmetry": sym, "normality": nor},
+            gaps={"phi_gap": gap, "consistency": c},
+        )
+        for p, delta, al, gap, c, sym, nor in _rows(
+            d.p, d.delta, alpha, phi_gap, consistency, got["symmetry"], got["normality"]
+        )
+    ]
 
 
-def suite_ex63_parabolic(rng, cfg: SuiteConfig, i: int) -> Measured:
+def draw_ex63(rng, cfg: SuiteConfig, idx):
     """Construct-then-check round trip for the kernel-weighted parabolic
-    discriminant."""
-    sgn = 1.0 if i % 2 == 0 else -1.0
-    # the double fixed point always lands on the circle, but only about
-    # half the draws give self-maps; reject the rest
-    alpha = _disk(rng, 0.6, 0.25)
+    discriminant: the double fixed point always lands on the circle, but
+    only about half the draws give self-maps; the rest are rejected."""
+    count = len(idx)
+    sgn = np.where(idx % 2 == 0, 1.0, -1.0)
+    alpha = _annulus(rng, count, 0.6, 0.25)
     amod = abs(alpha)
-    rho = (2.0 * amod ** 2 - 1.0) + 2.0j * sgn * amod * math.sqrt(1.0 - amod ** 2)
-    c1 = _angle(rng) * rng.uniform(0.8, 1.2)
-    t = 0.05 * _disk(rng, 1.0, 0.3)
-    c2 = c1 - t
-    c0_sq = (c1 + rho * t) / alpha.conjugate()
-    params = fam.C2Params.from_c0_squared(alpha, c0_sq, c1, c2)
-    pair = fam.c2_symbols(params)
-    if isinstance(pair.phi, ConstantMap) or not is_self_map(pair.phi):
-        return None
-    pred = fam.c2_parabolic_predicate(params, cfg.pred_tol)
+    rho = (2.0 * amod ** 2 - 1.0) + 2.0j * sgn * amod * np.sqrt(1.0 - amod ** 2)
+    c1 = _circle(rng, count) * rng.uniform(0.8, 1.2, count)
+    t = 0.05 * _annulus(rng, count, 1.0, 0.3)
+    params = fam.C2Params.from_c0_squared(alpha, (c1 + rho * t) / alpha.conjugate(), c1, c1 - t)
+    psi, phi = fam.c2_quadruples(params)
+    return ~is_constant(phi) & is_self_map(phi), {**_params_columns(params), "psi": psi, "phi": phi}
+
+
+def suite_ex63_parabolic(cfg: SuiteConfig, d) -> List[SampleRecord]:
+    params = fam.C2Params(d.alpha, d.c0, d.c1, d.c2)
+    parabolic = fam.c2_parabolic_predicate(params, cfg.pred_tol)
     zeta = fam.c2_parabolic_dw_point(params)
-    cls = classify(pair.phi)
-    gaps = {"zeta_modulus_gap": abs(abs(zeta) - 1.0), **_dw_gaps(cls, zeta)}
-    return _record(
-        cfg, {"alpha": alpha, "c0": params.c0, "c1": c1, "c2": c2}, (yield Probe(pair)),
-        exact=pred and cls.map_class in _PARABOLIC, gaps=gaps,
-        predicates={"parabolic": pred, "zeta": zeta, "map_class": cls.map_class.value},
-    )
+    normality = measure(cfg, Probe(d.psi, d.phi))["normality"]
+    return [
+        _record(cfg, p, {"normality": r}, exact=pred and cls.map_class in _PARABOLIC,
+                gaps={"zeta_modulus_gap": abs(abs(z) - 1.0), **_dw_gaps(cls, z)},
+                predicates={"parabolic": pred, "zeta": z, "map_class": cls.map_class.value})
+        for p, (pred, z, r), cls in zip(_params(d, *_C2), _rows(parabolic, zeta, normality), _classes(d.phi))
+    ]
 
 
-def suite_cowen_factorization(rng, cfg: SuiteConfig, i: int) -> Optional[SampleRecord]:
+def draw_cowen(rng, cfg: SuiteConfig, idx):
+    """A self-map with sup |phi| <= 0.9 and |c| > 0.02."""
+    count = len(idx)
+    phi = canonical(_stack(0.4 + 0.3 * _annulus(rng, count), _annulus(rng, count, 0.3), _annulus(rng, count, 0.3), 1.0))
+    return is_self_map(phi) & (sup_modulus(phi) <= 0.9) & (abs(phi[:, 2]) > 0.02), {"phi": phi}
+
+
+def suite_cowen_factorization(cfg: SuiteConfig, d) -> List[SampleRecord]:
     """Adjoint factorization residual; the flipped sigma sign must fail."""
-    m = MobiusMap(0.4 + 0.3 * _disk(rng), _disk(rng, 0.3), _disk(rng, 0.3), 1.0)
-    if not is_self_map(m) or sup_modulus(m) > 0.9 or abs(m.c) <= 0.02:
-        return None
-    good = adjoint_factorization_residual(m, cfg.dim, cfg.block, sigma_sign=-1)
-    bad = adjoint_factorization_residual(m, cfg.dim, cfg.block, sigma_sign=+1)
-    params = {"a": m.a, "b": m.b, "c": m.c, "d": m.d}
-    return _record(cfg, params, gaps={"factorization": good}, residuals={"flipped_sign": bad})
+    got = measure(cfg, Probe(phi=d.phi))
+    return [
+        _record(cfg, dict(zip("abcd", quad)), gaps={"factorization": good}, residuals={"flipped_sign": bad})
+        for quad, good, bad in _rows(d.phi, got["factorization"], got["flipped_sign"])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -887,6 +916,11 @@ def _target_quadruples(include_aut=True):
             targets += [(r, t) for t in SWEEP_T_AUT]
         targets += [(r, t) for t in SWEEP_T_NONAUT]
     return targets
+
+
+def draw_target(rng, cfg: SuiteConfig, idx):
+    """A fixed-target suite draws nothing: index i is target i."""
+    return None, {"i": idx}
 
 
 def _preimage(target: MobiusMap, alpha=None):
@@ -935,51 +969,57 @@ def _c2_deficiency(target: MobiusMap):
 
 
 def _sweep(deficiency):
-    """The draw deciding target i of the 24 hyperbolic targets by
+    """The recorder deciding each of the 24 hyperbolic targets by
     `deficiency(target) -> (value, witness)`: zero iff the family has a
     symmetric normal realization, so a value at or below cfg.pass_tol is a
     discrepancy and one below cfg.fail_tol inconclusive (the two cfg fields
     read).  Each record keeps its witness parameters, and only an
     automorphism target's discrepancy carries the documented note."""
 
-    def draw(rng, cfg: SuiteConfig, i: int) -> SampleRecord:
-        r, t = _target_quadruples()[i]
-        target = fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t))
-        value, witness = deficiency(target)
-        record = _record(cfg, {"r": r, "t": t, **witness}, {"deficiency": float(value)}, claim=False)
-        if record.verdict == "discrepancy" and is_automorphism(target):
-            record.note = (
-                "hyperbolic automorphism target admits a symmetric normal "
-                "realization; documented deviation from the claimed nonexistence"
-            )
-        return record
+    def record(cfg: SuiteConfig, d) -> List[SampleRecord]:
+        records = []
+        for i in d.i.tolist():
+            r, t = _target_quadruples()[i]
+            target = fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t))
+            value, witness = deficiency(target)
+            rec = _record(cfg, {"r": r, "t": t, **witness}, {"deficiency": float(value)}, claim=False)
+            if rec.verdict == "discrepancy" and is_automorphism(target):
+                rec.note = (
+                    "hyperbolic automorphism target admits a symmetric normal "
+                    "realization; documented deviation from the claimed nonexistence"
+                )
+            records.append(rec)
+        return records
 
-    return draw
+    return record
 
 
-def suite_hyperbolic_nonaut(rng, cfg: SuiteConfig, i: int) -> Measured:
+def suite_hyperbolic_nonaut(cfg: SuiteConfig, d) -> List[SampleRecord]:
     """Examples 4.3 and 5.3: on non-automorphism hyperbolic target i of
     12, W with the kernel weight at sigma(0) is not normal.  Reads cfg.dim
     and cfg.block (the truncation) and the pass_tol / fail_tol band."""
-    r, t = _target_quadruples(include_aut=False)[i]
-    phi = fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t))
-    psi = RationalSymbol(1.0, 0.0, 1.0, -cowen_sigma0(phi).conjugate())
-    oracle = yield Probe(fam.SymbolPair(psi, phi))
-    return _record(cfg, {"r": r, "t": t}, oracle, claim=False, residuals={"deficiency": oracle["normality"]})
+    targets = [_target_quadruples(include_aut=False)[i] for i in d.i.tolist()]
+    phi = np.array([fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t)).quadruple() for r, t in targets])
+    normality = measure(cfg, Probe(cowen_weights(phi), phi))["normality"].tolist()
+    return [
+        _record(cfg, {"r": r, "t": t}, {"normality": value}, claim=False, residuals={"deficiency": value})
+        for (r, t), value in zip(targets, normality)
+    ]
 
 
 # ---------------------------------------------------------------------------
-# registry and driver
+# registry and sampling loop
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Suite:
-    """One registry entry: the draw, its default config, the smallest dim
-    and block at which its checks hold, whether its samples are a fixed
-    target set (defaults.samples of them), and whether max(1, samples // 5)
-    perturbed controls follow its samples."""
+    """One registry entry: the sampler and the recorder, the default
+    config, the smallest dim and block at which its checks hold, whether
+    its samples are a fixed target set (defaults.samples of them), and
+    whether max(1, samples // 5) perturbed controls follow its samples."""
 
-    draw: Callable[[_Doubles, SuiteConfig, int], Union[Optional[SampleRecord], Measured]]
+    draw: Callable[[np.random.Generator, SuiteConfig, np.ndarray], tuple]
+    record: Callable[[SuiteConfig, SimpleNamespace], List[SampleRecord]]
     defaults: SuiteConfig
     min_dim: int = 0
     min_block: int = 0
@@ -990,37 +1030,38 @@ class Suite:
 # smaller default sample counts for the heavier suites; the minima are
 # the dim and block below which a suite's tolerances stop holding
 SUITES: Dict[str, Suite] = {
-    "prop21-normal": Suite(suite_prop21_normal, SuiteConfig(samples=100, dim=96)),
-    "prop22-commutation": Suite(suite_prop22_commutation, SuiteConfig(samples=60, dim=96), min_dim=96),
+    "prop21-normal": Suite(draw_prop21, suite_prop21_normal, SuiteConfig(samples=100, dim=96)),
+    "prop22-commutation": Suite(draw_prop22, suite_prop22_commutation, SuiteConfig(samples=60, dim=96), min_dim=96),
     "conjugation-axioms": Suite(
-        suite_conjugation_axioms, SuiteConfig(samples=101, dim=48, block=16), min_dim=48, min_block=16
+        draw_conjugation, suite_conjugation_axioms, SuiteConfig(samples=101, dim=48, block=16),
+        min_dim=48, min_block=16,
     ),
-    "jsym-form": Suite(suite_jsym_form, SuiteConfig(samples=100), controls=True),
-    "c1sym-form": Suite(suite_c1sym_form, SuiteConfig(samples=100), controls=True),
-    "c2sym-form": Suite(suite_c2sym_form, SuiteConfig(samples=100), controls=True),
-    "lemma31-aut": Suite(suite_lemma31_aut, SuiteConfig(samples=120)),
-    "lemma32-aut": Suite(suite_lemma32_aut, SuiteConfig(samples=120)),
-    "lemma33-aut": Suite(suite_lemma33_aut, SuiteConfig(samples=120)),
-    "prop41-iff": Suite(suite_prop41_iff, SuiteConfig(samples=200)),
-    "cor41-aut": Suite(suite_cor41_aut, SuiteConfig(samples=60)),
-    "ex41-equivalence": Suite(suite_ex41_equivalence, SuiteConfig(samples=80)),
-    "ex44-parabolic": Suite(suite_ex44_parabolic, SuiteConfig(samples=40, dim=96), min_dim=96),
-    "thm51-iff": Suite(suite_thm51_iff, SuiteConfig(samples=200)),
-    "ex51-interior": Suite(suite_ex51_interior, SuiteConfig(samples=40, dim=96), min_dim=96),
-    "ex51-aut-corollary": Suite(suite_ex51_aut_corollary, SuiteConfig(samples=60)),
-    "ex54-parabolic": Suite(suite_ex54_parabolic, SuiteConfig(samples=40, dim=96), min_dim=96),
-    "thm61-consistency": Suite(suite_thm61_consistency, SuiteConfig(samples=60, dim=96), min_dim=96),
-    "cor62-no-aut": Suite(suite_cor62_no_aut, SuiteConfig(samples=100)),
-    "ex61-interior": Suite(suite_ex61_interior, SuiteConfig(samples=30, dim=96), min_dim=96),
-    "ex63-parabolic": Suite(suite_ex63_parabolic, SuiteConfig(samples=30, dim=96), min_dim=96),
+    "jsym-form": Suite(draw_jsym, suite_jsym_form, SuiteConfig(samples=100), controls=True),
+    "c1sym-form": Suite(draw_c1sym, suite_c1sym_form, SuiteConfig(samples=100), controls=True),
+    "c2sym-form": Suite(draw_c2sym, suite_c2sym_form, SuiteConfig(samples=100), controls=True),
+    "lemma31-aut": Suite(draw_lemma31, suite_lemma31_aut, SuiteConfig(samples=120)),
+    "lemma32-aut": Suite(draw_lemma32, suite_lemma32_aut, SuiteConfig(samples=120)),
+    "lemma33-aut": Suite(draw_lemma33, suite_lemma33_aut, SuiteConfig(samples=120)),
+    "prop41-iff": Suite(draw_prop41, suite_prop41_iff, SuiteConfig(samples=200)),
+    "cor41-aut": Suite(draw_cor41, suite_cor41_aut, SuiteConfig(samples=60)),
+    "ex41-equivalence": Suite(draw_ex41, suite_ex41_equivalence, SuiteConfig(samples=80)),
+    "ex44-parabolic": Suite(draw_ex44, suite_ex44_parabolic, SuiteConfig(samples=40, dim=96), min_dim=96),
+    "thm51-iff": Suite(draw_thm51, suite_thm51_iff, SuiteConfig(samples=200)),
+    "ex51-interior": Suite(draw_ex51, suite_ex51_interior, SuiteConfig(samples=40, dim=96), min_dim=96),
+    "ex51-aut-corollary": Suite(draw_ex51_aut, suite_ex51_aut_corollary, SuiteConfig(samples=60)),
+    "ex54-parabolic": Suite(draw_ex54, suite_ex54_parabolic, SuiteConfig(samples=40, dim=96), min_dim=96),
+    "thm61-consistency": Suite(draw_thm61, suite_thm61_consistency, SuiteConfig(samples=60, dim=96), min_dim=96),
+    "cor62-no-aut": Suite(draw_cor62, suite_cor62_no_aut, SuiteConfig(samples=100)),
+    "ex61-interior": Suite(draw_ex61, suite_ex61_interior, SuiteConfig(samples=30, dim=96), min_dim=96),
+    "ex63-parabolic": Suite(draw_ex63, suite_ex63_parabolic, SuiteConfig(samples=30, dim=96), min_dim=96),
     "cowen-factorization": Suite(
-        suite_cowen_factorization, SuiteConfig(samples=50, dim=64, block=16), min_dim=64, min_block=16
+        draw_cowen, suite_cowen_factorization, SuiteConfig(samples=50, dim=64, block=16), min_dim=64, min_block=16
     ),
-    "ex42-sweep": Suite(_sweep(_j_deficiency), SuiteConfig(samples=24), fixed_samples=True),
-    "ex43-sweep": Suite(suite_hyperbolic_nonaut, SuiteConfig(samples=12), fixed_samples=True),
-    "ex52-sweep": Suite(_sweep(_c1_deficiency), SuiteConfig(samples=24), fixed_samples=True),
-    "ex53-sweep": Suite(suite_hyperbolic_nonaut, SuiteConfig(samples=12), fixed_samples=True),
-    "ex62-sweep": Suite(_sweep(_c2_deficiency), SuiteConfig(samples=24), fixed_samples=True),
+    "ex42-sweep": Suite(draw_target, _sweep(_j_deficiency), SuiteConfig(samples=24), fixed_samples=True),
+    "ex43-sweep": Suite(draw_target, suite_hyperbolic_nonaut, SuiteConfig(samples=12), fixed_samples=True),
+    "ex52-sweep": Suite(draw_target, _sweep(_c1_deficiency), SuiteConfig(samples=24), fixed_samples=True),
+    "ex53-sweep": Suite(draw_target, suite_hyperbolic_nonaut, SuiteConfig(samples=12), fixed_samples=True),
+    "ex62-sweep": Suite(draw_target, _sweep(_c2_deficiency), SuiteConfig(samples=24), fixed_samples=True),
 }
 
 # every verified statement must own at least one registered suite
@@ -1080,12 +1121,12 @@ def default_config(suite_id: str) -> SuiteConfig:
 def run_suite(suite_id: str, cfg: Optional[SuiteConfig] = None) -> VerificationReport:
     """Run one registered suite; deterministic given (suite, config, seed).
 
-    The one sampling loop: index i is drawn until the suite's draw returns
-    a record or yields a probe, so the report holds exactly cfg.samples
-    records (plus the controls of a suite that has them), in index order.
-    The probes of all indices go to one measure call.  A config below
-    the suite's minimum dim or block raises ValueError, and so does a
-    samples count other than a fixed target set's size.
+    The one sampling loop: the suite's sampler draws every open index at once
+    until each holds an accepted draw, so the report holds exactly
+    cfg.samples records (plus the controls of a suite that has them), in
+    index order.  A config below the suite's minimum dim or block raises
+    ValueError, and so does a samples count other than a fixed target
+    set's size.
     """
     suite = _lookup(suite_id)
     if cfg is None:
@@ -1100,33 +1141,29 @@ def run_suite(suite_id: str, cfg: Optional[SuiteConfig] = None) -> VerificationR
             f"suite {suite_id} decides a fixed set of {suite.defaults.samples} targets, "
             f"got samples {cfg.samples}"
         )
-    rng = _Doubles(np.random.default_rng(cfg.seed))
     count = cfg.samples + (max(1, cfg.samples // 5) if suite.controls else 0)
-    drawn = [_draw_to_probe(suite.draw, rng, cfg, i) for i in range(count)]
-    residuals = iter(measure(cfg, [probe for _, probe in drawn if probe is not None]))
-    records = [out if probe is None else _finish(out, next(residuals)) for out, probe in drawn]
-    return VerificationReport(suite_id, cfg, records)
+    draws = _sample(suite.draw, np.random.default_rng(cfg.seed), cfg, count)
+    return VerificationReport(suite_id, cfg, suite.record(cfg, draws))
 
 
-def _draw_to_probe(draw, rng, cfg: SuiteConfig, i: int):
-    """Index i drawn until the draw is not rejected: (its record, None), or
-    (the suspended draw, its probe) for a draw that measures."""
-    while True:
-        out = draw(rng, cfg, i)
-        if inspect.isgenerator(out):
-            try:
-                return out, next(out)
-            except StopIteration as done:
-                out = done.value
-        if out is not None:
-            return out, None
-
-
-def _finish(draw: Measured, residuals: Dict[str, float]) -> SampleRecord:
-    """The record a suspended draw returns once sent its residuals."""
-    try:
-        draw.send(residuals)
-    except StopIteration as done:
-        if done.value is not None:
-            return done.value
-    raise RuntimeError("a draw that yields a probe must return a record, yielding nothing else")
+def _sample(draw, rng: np.random.Generator, cfg: SuiteConfig, count: int) -> SimpleNamespace:
+    """The columns of one accepted draw per index 0..count-1, in index
+    order.  draw(rng, cfg, idx) gives a candidate for each entry of idx
+    and the mask of those it keeps (None keeps all).  The first round
+    draws one candidate per index; each later round draws, for every
+    index still open, at least twice as many candidates as the round
+    before and enough that about three would be kept at the acceptance
+    rate seen so far.  An index takes its first kept candidate."""
+    keep, columns = draw(rng, cfg, np.arange(count))
+    open_ = np.flatnonzero(~keep) if keep is not None else np.arange(0)
+    copies, tried, kept = 1, count, count - len(open_)
+    while len(open_):
+        copies = max(2 * copies, -(-3 * tried // max(kept, 1)))
+        keep, drawn = draw(rng, cfg, np.repeat(open_, copies))
+        hits = keep.reshape(len(open_), copies)
+        found = hits.any(axis=1)
+        first = np.flatnonzero(found) * copies + hits[found].argmax(axis=1)
+        for name, values in drawn.items():
+            columns[name][open_[found]] = values[first]
+        tried, kept, open_ = tried + hits.size, kept + int(hits.sum()), open_[~found]
+    return SimpleNamespace(**columns)

@@ -289,10 +289,11 @@ class TestSuiteAll:
         assert lines[-1].startswith("total [") and lines[-1].endswith("s]")
 
     def test_refused_suite_counts_as_2_and_the_run_goes_on(self, tmp_path, capsys, monkeypatch):
-        def refuse(rng, cfg, i):
+        def refuse(rng, cfg, idx):
             raise DomainViolationError("refused draw")
 
-        monkeypatch.setitem(SUITES, "cor41-aut", verify.Suite(refuse, verify.default_config("cor41-aut")))
+        suite = SUITES["cor41-aut"]
+        monkeypatch.setitem(SUITES, "cor41-aut", verify.Suite(refuse, suite.record, suite.defaults))
         assert main(["suite", "--all", "--samples", "1", "--out", str(tmp_path)]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == ["error: cor41-aut: refused draw"]
@@ -300,10 +301,11 @@ class TestSuiteAll:
         assert not (tmp_path / "cor41-aut.json").exists()
 
     def test_other_exceptions_propagate(self, tmp_path, capsys, monkeypatch):
-        def crash(rng, cfg, i):
+        def crash(rng, cfg, idx):
             raise RuntimeError("not a refusal")
 
-        monkeypatch.setitem(SUITES, "cor41-aut", verify.Suite(crash, verify.default_config("cor41-aut")))
+        suite = SUITES["cor41-aut"]
+        monkeypatch.setitem(SUITES, "cor41-aut", verify.Suite(crash, suite.record, suite.defaults))
         with pytest.raises(RuntimeError, match="not a refusal"):
             main(["suite", "--all", "--samples", "1", "--out", str(tmp_path)])
 

@@ -23,6 +23,7 @@ from wcosym.families import (
     RotationForm,
     c1_aut_form,
     c1_normal_expression,
+    c1_normal_locus,
     c1_normal_predicate,
     c1_parabolic_symbols,
     c1_symbols,
@@ -35,7 +36,7 @@ from wcosym.families import (
     c2_quadruple,
     c2_symbols,
     hyperbolic_aut_map,
-    interior_phi_closed_form,
+    interior_closed_quadruples,
     j_aut_form,
     j_normal_predicate,
     j_symbols,
@@ -51,6 +52,7 @@ from wcosym.mobius import (
     is_self_map,
     mobius_equal,
     proj_distance,
+    quadruples,
 )
 
 
@@ -165,9 +167,8 @@ class TestNormalInteriorSymbols:
 
     def test_closed_form_matches_composition(self):
         params = InteriorParams(0.3 - 0.2j, 0.4 + 0.5j, 0.7)
-        assert proj_distance(
-            normal_interior_symbols(params).phi, interior_phi_closed_form(params)
-        ) < 1e-13
+        closed = interior_closed_quadruples(params.p, params.delta)
+        assert proj_distance(quadruples([normal_interior_symbols(params).phi]), closed)[0] < 1e-13
 
     def test_weight_value_at_fixed_point(self):
         params = InteriorParams(0.4j, 0.3, 2.5)
@@ -176,6 +177,24 @@ class TestNormalInteriorSymbols:
 
 
 class TestNormalPredicates:
+    def test_c1_normal_locus_is_a_line_of_solutions(self):
+        # base + x kernel solves the rotation-weighted normality condition
+        # for every real x; base is the minimum-norm solution (orthogonal to
+        # the unit kernel vector), which the 2 x 2 least-squares solve gives
+        rng = np.random.default_rng(51)
+        alpha = np.exp(2j * np.pi * rng.uniform(size=200))
+        c0 = np.sqrt(rng.uniform(0.05 ** 2, 0.52 ** 2, 200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+        base, kernel = c1_normal_locus(alpha, c0)
+        assert np.allclose(abs(kernel), 1.0, rtol=0, atol=1e-15)
+        assert np.max(abs((base * kernel.conjugate()).real)) <= 1e-15
+        for x in (-0.4, 0.0, 0.3):
+            assert np.max(abs(c1_normal_expression(alpha, c0, base + x * kernel))) <= 1e-15
+        for al, z, b in zip(alpha[:20], c0[:20], base[:20]):
+            p, q, k = al * z, z.conjugate(), -(z.conjugate() - al * z) * (1 - abs(z) ** 2)
+            mat = np.array([[p.real - q.real, p.imag + q.imag], [p.imag - q.imag, -(p.real + q.real)]])
+            sol = np.linalg.lstsq(mat, np.array([k.real, k.imag]), rcond=None)[0]
+            assert abs(complex(*sol) - b) <= 1e-15
+
     def test_j_real_parameters(self):
         assert j_normal_predicate(0.3, 0.2)
 

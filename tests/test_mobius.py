@@ -10,7 +10,6 @@ from wcosym.mobius import (
     ConstantMap,
     MapClass,
     MobiusMap,
-    blaschke,
     classify,
     compose,
     cowen_adjoint,
@@ -23,6 +22,11 @@ from wcosym.mobius import (
 )
 from wcosym.series import RationalSymbol
 from wcosym.verify import SuiteConfig, lft_oracle
+
+
+def blaschke(p):
+    """The disk involution (p - z)/(1 - conj(p) z)."""
+    return MobiusMap(-1.0, p, -complex(p).conjugate(), 1.0)
 
 
 def small_complex(r):
@@ -224,7 +228,7 @@ class TestCowenAdjoint:
 
 
 def lft_normal(m):
-    return lft_oracle((m.a, m.b, m.c, m.d), SuiteConfig.pred_tol)["normal"]
+    return lft_oracle(np.array([m.quadruple()]), SuiteConfig.pred_tol)[0]["normal"]
 
 
 class TestNormalityLftCheck:

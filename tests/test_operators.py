@@ -16,7 +16,7 @@ from wcosym.errors import (
     WcoError,
 )
 from wcosym import operators, verify
-from wcosym.mobius import IDENTITY, ConstantMap, MobiusMap, cowen_adjoint, is_self_map
+from wcosym.mobius import IDENTITY, ConstantMap, MobiusMap, cowen_adjoint, is_self_map, quadruples
 from wcosym.operators import (
     MAX_DIM,
     _TILE,
@@ -41,25 +41,37 @@ from wcosym.series import RationalSymbol, expand_rational, quotient_series
 ONE = RationalSymbol(1.0, 0, 1, 0)
 
 
+def stacks(psi, phi):
+    """A weight and a map as the (1, 4) coefficient stacks the seams take."""
+    return np.array([psi.coefficients()]), quadruples([phi])
+
+
+def conjugations(c):
+    """A conjugation as the kind and the lam / alpha arrays the seams take."""
+    return {"kind": c.kind, "lam": np.array([c.lam]), "alpha": np.array([c.alpha])}
+
+
 def cross(psi, phi, n, k):
     """operators._cross of a stack of one draw."""
-    rows, cols = _cross([psi], [phi], n, k)
+    rows, cols = _cross(*stacks(psi, phi), n, k)
     return rows[0], cols[0]
 
 
 def block(psi, phi, n, k):
     """operators._block of a stack of one draw."""
-    return _block([psi], [phi], n, k)[0]
+    return _block(*stacks(psi, phi), n, k)[0]
 
 
 def one_draw(psi, phi, n, k, conj=None, normality=True):
     """operators.wco_residual_stack of a stack of one draw."""
-    return wco_residual_stack([psi], [phi], n, k, None if conj is None else [conj], normality)[0]
+    kind = {} if conj is None else conjugations(conj)
+    return {key: r[0] for key, r in wco_residual_stack(*stacks(psi, phi), n, k, normality=normality, **kind).items()}
 
 
 def one_conjugation(c, n, k):
     """operators.conjugation_residual_stack of a stack of one conjugation."""
-    return conjugation_residual_stack([c], n, k)[0]
+    inv, iso = conjugation_residual_stack(*conjugations(c).values(), n, k)
+    return inv[0], iso[0]
 
 
 def j_family(a0, a1, b=1.0):
@@ -121,18 +133,18 @@ class TestBuildWco:
 
 
 def test_constant_maps_are_read_in_one_place():
-    # the kernels read phi only as its coefficients (a, b, c, d): a constant
-    # map is tested for only in _checked_series's refusal of |v| >= 1 and in
-    # _coefficients, which reads it as (0, v, 0, 1)
+    # the kernels read phi only as its coefficients (a, b, c, d), a constant
+    # map v as (0, v, 0, 1): no operators code tests for a map object's type,
+    # and only _checked_series reads the constant rows, to refuse |v| >= 1
     tree = ast.parse(pathlib.Path(operators.__file__).read_text())
     found = collections.Counter()
     for top in tree.body:
         for node in ast.walk(top):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
-                    and "ConstantMap" in ast.unparse(node.args[1])):
-                found[getattr(top, "name", "<module>")] += 1
-    assert found == {"_checked_series": 1, "_coefficients": 1}
-    assert operators._coefficients(ConstantMap(0.3 - 0.4j)) == (0.0, 0.3 - 0.4j, 0.0, 1.0)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in (
+                    "isinstance", "is_constant"):
+                found[getattr(top, "name", "<module>"), node.func.id] += 1
+    assert found == {("_checked_series", "is_constant"): 1}
+    assert quadruples([ConstantMap(0.3 - 0.4j)]).tolist() == [[0.0, 0.3 - 0.4j, 0.0, 1.0]]
 
 
 def phi_series(phi, n):
@@ -351,7 +363,8 @@ class TestFftDoubling:
         for name, (psi, phi) in strip_cases().items():
             psi_s = expand_rational(psi, n)
             reference = convolution_columns(psi_s, phi, n, 16)
-            error = np.max(np.abs(_strip([psi], psi_s[None], [phi], 16)[0] - reference))
+            psi_q, phi_q = stacks(psi, phi)
+            error = np.max(np.abs(_strip(psi_q, psi_s[None], phi_q, 16)[0] - reference))
             assert error <= 1e-13 * np.max(np.abs(reference)), name
             # the C2 symmetry alone reads W only through the strip, and U only
             # through the conjugation's first k rows and columns
@@ -388,13 +401,14 @@ class TestFftDoubling:
         assert not seen
 
     def test_whole_build_is_the_recurrence(self):
-        weight, vmap = c2_symbols(C2_SLOW_DECAY)
+        # the C2 conjugation's weight and map as conjugation_matrix forms them: a stack of one
+        weight, vmap = operators._c2_symbols(np.array([C2_SLOW_DECAY.lam]), np.array([C2_SLOW_DECAY.alpha]))
         for n in (1, 48, 96, 384):
             for name, (psi, phi) in build_cases().items():  # a constant map v is the recurrence of (0, v, 0, 1)
                 got = build_wco(psi, phi, n)
-                assert np.array_equal(got, _mobius_recurrence(expand_rational(psi, n), phi)), (name, n)
+                assert np.array_equal(got, _mobius_recurrence(expand_rational(psi, n), quadruples([phi])[0])), (name, n)
             got = conjugation_matrix(C2_SLOW_DECAY, n)
-            assert np.array_equal(got, _mobius_recurrence(expand_rational(weight, n), vmap)), n
+            assert np.array_equal(got, _mobius_recurrence(quotient_series(weight, n)[0], vmap[0])), n
 
 
 C2_MODULI = (0.3, 0.9, 0.97, 0.99)
@@ -473,11 +487,14 @@ class TestTileWavefront:
 
 
 def c2_selfmap(rng, alpha_hi=0.5):
-    """verify._draw_c2_selfmap drawn again until it accepts, as run_suite does."""
-    drawn = None
-    while drawn is None:
-        drawn = verify._draw_c2_selfmap(rng, alpha_hi)
-    return drawn
+    """(params, pair) of the first C2 candidate with |alpha| in [0.1,
+    alpha_hi] and |T|, |U| <= 0.3 that the C2 sampler's rule keeps."""
+    disk = lambda lo, hi: np.sqrt(rng.uniform(lo * lo, hi * hi, 1)) * np.exp(2j * np.pi * rng.uniform(size=1))
+    while True:
+        keep, params, psi, phi = verify._c2_candidates(disk(0.1, alpha_hi), disk(0.0, 0.3), disk(0.0, 0.3))
+        if keep[0]:
+            c2 = fam.C2Params(*(complex(x[0]) for x in (params.alpha, params.c0, params.c1, params.c2)))
+            return c2, fam.SymbolPair(RationalSymbol(*psi[0].tolist()), MobiusMap(*phi[0].tolist()))
 
 
 def family_self_maps(rng, per_family):
@@ -523,7 +540,7 @@ class TestRowStep:
             sigma = cowen_adjoint(phi).sigma
             chi = MobiusMap(*np.conj(sigma.quadruple()))
             toeplitz = convolution_columns(phi_series(chi, k), IDENTITY, k)
-            step = _row_step([psi], [phi], k)[0]
+            step = _row_step(*stacks(psi, phi), k)[0]
             assert np.max(np.abs(step[:k, :k] - toeplitz.T)) <= 1e-14 * max(1.0, np.max(np.abs(toeplitz))), family
             assert not np.any(step[:k, k])
             assert np.allclose(step[k, :k], phi(0.0) ** np.arange(k), rtol=1e-14, atol=1e-15), family
@@ -532,7 +549,7 @@ class TestRowStep:
     def test_step_powers_are_contractions(self):
         k, worst = self.K, 0.0
         for family, psi, phi in family_self_maps(np.random.default_rng(13), 60):
-            power = _row_step([psi], [phi], k)[0, :k, :k]
+            power = _row_step(*stacks(psi, phi), k)[0, :k, :k]
             for _ in range(11):  # R^h for h = 2^0 ... 2^10
                 worst = max(worst, np.linalg.norm(power, 2))
                 assert np.linalg.norm(power, 2) <= 1.0 + 1e-12, family
@@ -581,7 +598,8 @@ class TestSeams:
         for i in range(60):
             params, pair = c2_selfmap(rng)
             if i % 2:
-                pair = verify._perturb_weight(pair)
+                psi = verify._perturbed(np.array([pair.psi.coefficients()]))[0]
+                pair = fam.SymbolPair(RationalSymbol(*psi.tolist()), pair.phi)
             c = Conjugation("C2", 1.0, params.alpha)
             seam = one_draw(pair.psi, pair.phi, n, k, c, normality=False)["symmetry"]
             whole = symmetry_residual(build_wco(pair.psi, pair.phi, n), conjugation_matrix(c, n), k)

@@ -11,23 +11,31 @@ import pytest
 
 from wcosym import operators, verify
 from wcosym.cli import main, report_to_json, validate_report_dict, report_to_dict
-from wcosym.errors import NotSelfMapError, UnknownSuiteError
+from wcosym.errors import UnknownSuiteError
 from wcosym.families import (
     C1Params,
     HyperbolicParams,
-    InteriorParams,
     JParams,
-    SymbolPair,
     c1_normal_expression,
     c1_symbols,
     hyperbolic_aut_map,
     j_normal_expression,
     j_symbols,
-    normal_interior_symbols,
 )
-from wcosym.mobius import ConstantMap, MobiusMap, is_automorphism, proj_distance, quadruple_gap
-from wcosym.operators import STACK_ROWS, Conjugation
-from wcosym.series import RationalSymbol
+from wcosym import families as fam
+from wcosym.mobius import (
+    ConstantMap,
+    MobiusMap,
+    is_automorphism,
+    is_constant,
+    is_self_map,
+    proj_distance,
+    quadruple_gap,
+    quadruples,
+    sup_modulus,
+)
+from wcosym.operators import STACK_ROWS
+from wcosym.series import poles
 from wcosym.verify import (
     ANCHOR_SUITES,
     SUITES,
@@ -153,7 +161,7 @@ def test_matrix_residuals_only_through_measure(monkeypatch, capsys):
 
         return seam
 
-    for name in ("wco_residual_stack", "conjugation_residual_stack"):
+    for name in ("wco_residual_stack", "conjugation_residual_stack", "adjoint_factorization_stack"):
         monkeypatch.setattr(verify, name, guard(getattr(verify, name), depth=1))
     for name in ("_normality_defect", "_symmetry_defect", "_involution_defect"):
         monkeypatch.setattr(operators, name, guard(getattr(operators, name)))
@@ -166,7 +174,7 @@ def test_matrix_residuals_only_through_measure(monkeypatch, capsys):
         ["--family", "c2", "--alpha=-0.36+0.28i", "--c0", "1.1+0.03i", "--c1=-0.25-0.4i", "--c2=-0.13-0.32i"],
     ):
         assert main(["check"] + args) == 0
-    seams = {"wco_residual_stack", "conjugation_residual_stack"}
+    seams = {"wco_residual_stack", "conjugation_residual_stack", "adjoint_factorization_stack"}
     assert set(calls) == seams | {"_normality_defect", "_symmetry_defect", "_involution_defect"}
 
 
@@ -181,14 +189,15 @@ BAND_SUITES = {
 @pytest.mark.parametrize("value", [1e-5, 1.0])
 def test_every_matrix_residual_goes_through_the_band(value, monkeypatch):
     # measure returns one injected normality and symmetry value for every
-    # probe (involution and isometry are conjugation-axioms' exact checks at
-    # 1e-14 and 1e-8, left alone): inside the band every record carrying it
-    # is inconclusive, far above it none reads as a failed exact check
+    # row (involution and isometry are conjugation-axioms' exact checks at
+    # 1e-14 and 1e-8, and the factorization cowen-factorization's gap, left
+    # alone): inside the band every record carrying it is inconclusive, far
+    # above it none reads as a failed exact check
     real = verify.measure
 
     def measure(*args, **kwargs):
-        keep = ("involution", "isometry")
-        return [{key: r if key in keep else value for key, r in got.items()} for got in real(*args, **kwargs)]
+        keep = ("involution", "isometry", "factorization", "flipped_sign")
+        return {key: r if key in keep else np.full_like(r, value) for key, r in real(*args, **kwargs).items()}
 
     monkeypatch.setattr(verify, "measure", measure)
     seen = {}
@@ -355,7 +364,9 @@ def test_sweep_notes_only_automorphism_discrepancies(monkeypatch):
     def realize_all(target):
         return 0.0, {"alpha": 1.0, "c0": 0.0, "c1": 0.0}
 
-    monkeypatch.setitem(verify.SUITES, "ex52-sweep", verify.Suite(_sweep(realize_all), default_config("ex52-sweep")))
+    monkeypatch.setitem(
+        verify.SUITES, "ex52-sweep", verify.Suite(verify.draw_target, _sweep(realize_all), default_config("ex52-sweep"))
+    )
     report = run_suite("ex52-sweep")
     assert report.summary["discrepancy"] == 24
     for rec in report.records:
@@ -369,7 +380,9 @@ def test_sweep_deficiency_in_the_band_is_inconclusive(monkeypatch):
     def in_band(target):
         return 1e-5, {}
 
-    monkeypatch.setitem(verify.SUITES, "ex62-sweep", verify.Suite(_sweep(in_band), default_config("ex62-sweep")))
+    monkeypatch.setitem(
+        verify.SUITES, "ex62-sweep", verify.Suite(verify.draw_target, _sweep(in_band), default_config("ex62-sweep"))
+    )
     report = run_suite("ex62-sweep")
     assert report.summary["inconclusive"] == 24 and report.exit_status == 0
     assert all(rec.oracles == {"deficiency_band": "band"} and not rec.note for rec in report.records)
@@ -559,18 +572,13 @@ def test_sweep_config_counts_its_records(suite_id):
     assert report.config.samples == report.summary["total"]
 
 
-# prop22 completes only at these seeds: at the others a kind-2 draw meets a
-# non-self-map and raises NotSelfMapError (a known defect, not a count)
-PROP22_SEEDS = (3, 2024)
-
-
 @pytest.mark.parametrize("samples", [None, 7])
 @pytest.mark.parametrize("suite_id", sorted(SUITES))
 def test_every_suite_makes_its_declared_record_count(suite_id, samples):
     # a rejected draw is redrawn, never dropped: samples records, plus the
     # max(1, samples // 5) perturbed controls of the symmetric forms
     suite = SUITES[suite_id]
-    for seed in PROP22_SEEDS if suite_id == "prop22-commutation" else range(12):
+    for seed in range(12):
         cfg = dataclasses.replace(suite.defaults, seed=seed)
         if samples is not None and not suite.fixed_samples:
             cfg = dataclasses.replace(cfg, samples=samples)
@@ -580,9 +588,9 @@ def test_every_suite_makes_its_declared_record_count(suite_id, samples):
 
 # exit status and summary (pass, fail, inconclusive, discrepancy) of every
 # suite at its defaults for seeds 0-11 and 2024: the first cell of a row
-# holds at every seed the second does not list.  prop22 raises
-# NotSelfMapError at most seeds (a known defect: a kind-2 draw meets a
-# non-self-map).  A change that means to move a verdict updates this table.
+# holds at every seed the second does not list.  A change that means to
+# move a verdict, or that draws other points in the same domains, updates
+# this table.
 VERDICT_SEEDS = (*range(12), 2024)
 VERDICT_TABLE = {
     "c1sym-form": ((0, 120, 0, 0, 0), {}),
@@ -608,10 +616,10 @@ VERDICT_TABLE = {
     "lemma32-aut": ((0, 120, 0, 0, 0), {}),
     "lemma33-aut": ((0, 120, 0, 0, 0), {}),
     "prop21-normal": ((0, 100, 0, 0, 0), {}),
-    "prop22-commutation": (NotSelfMapError, {3: (0, 60, 0, 0, 0), 2024: (0, 60, 0, 0, 0)}),
+    "prop22-commutation": ((0, 60, 0, 0, 0), {}),
     "prop41-iff": ((0, 200, 0, 0, 0), {}),
     "thm51-iff": ((0, 200, 0, 0, 0), {}),
-    "thm61-consistency": ((3, 36, 0, 0, 24), {11: (3, 35, 0, 1, 24)}),
+    "thm61-consistency": ((3, 36, 0, 0, 24), {}),
 }
 
 
@@ -624,12 +632,7 @@ def test_default_verdicts_match_the_table(suite_id):
     usual, listed = VERDICT_TABLE[suite_id]
     for seed in VERDICT_SEEDS:
         want = listed.get(seed, usual)
-        cfg = dataclasses.replace(default_config(suite_id), seed=seed)
-        if want is NotSelfMapError:
-            with pytest.raises(NotSelfMapError):
-                run_suite(suite_id, cfg)
-            continue
-        report = run_suite(suite_id, cfg)
+        report = run_suite(suite_id, dataclasses.replace(default_config(suite_id), seed=seed))
         s = report.summary
         got = (report.exit_status, s["pass"], s["fail"], s["inconclusive"], s["discrepancy"])
         assert got == want, (suite_id, seed)
@@ -649,160 +652,158 @@ def _constant_call_args(name: str, skip: int = 0):
     return sorted(found)
 
 
-def _vector_disk(rng, radius=1.0, min_radius=0.0):
-    # the reference stream: both coordinates from one vector draw of the generator
-    while True:
-        z = complex(*rng.uniform(-1, 1, 2))
-        if min_radius / radius <= abs(z) <= 1.0:
-            return radius * z
-
-
-def _bits(z: complex) -> tuple:
-    return complex(z).real.hex(), complex(z).imag.hex()
-
-
-def test_doubles_return_the_generators_own_scalars():
-    # random() and every uniform range verify.py draws from are bit for bit
-    # the twin generator's scalar calls, across several buffer refills
-    ranges = [*_constant_call_args("uniform"), ()]
-    assert len(ranges) >= 16
-    ours, twin = verify._Doubles(np.random.default_rng(7)), np.random.default_rng(7)
-    for k in range(3 * verify._BUFFER + 5):
-        args = ranges[k % len(ranges)]
-        assert _bits(ours.uniform(*args)) == _bits(twin.uniform(*args)), args
-        assert _bits(ours.random()) == _bits(twin.random())
-
-
-def test_doubles_refill_at_the_buffer_boundary():
-    ours, twin = verify._Doubles(np.random.default_rng(3)), np.random.default_rng(3)
-    head = [ours.random() for _ in range(verify._BUFFER - 1)]
-    assert head == twin.random(verify._BUFFER - 1).tolist()
-    # the last double of one buffer, then the first of the next
-    assert [ours.uniform(-1, 1), ours.uniform(-1, 1)] == twin.uniform(-1, 1, 2).tolist()
-    assert ours.random() == twin.random()
-
-
-@pytest.mark.parametrize("args", _constant_call_args("_disk", skip=1))
-def test_disk_and_angle_keep_the_vector_draw_stream(args):
-    # _disk's two scalar draws from _Doubles reproduce the old vector draw
-    # from the generator, rejections included, and so does _angle
+@pytest.mark.parametrize("args", _constant_call_args("_annulus", skip=2))
+def test_annulus_and_circle_draw_uniformly(args):
+    # every annulus a sampler draws from: each point lies in it, |z|^2 is
+    # uniform between its squared radii (uniform by area), and the angles
+    # of _circle are uniform, by Kolmogorov-Smirnov distance on 4,000 draws
     assert len(args) <= 2
-    ours, twin = verify._Doubles(np.random.default_rng(11)), np.random.default_rng(11)
-    for _ in range(200):
-        assert _bits(verify._disk(ours, *args)) == _bits(_vector_disk(twin, *args))
-        assert _bits(verify._angle(ours)) == _bits(verify._angle(twin))
+    radius, min_radius = {0: (1.0, 0.0), 1: (*args, 0.0), 2: args}[len(args)]
+    rng, grid = np.random.default_rng(11), np.arange(1, 4001) / 4000
+    z = verify._annulus(rng, 4000, *args)
+    assert np.all((abs(z) >= min_radius) & (abs(z) <= radius))
+    radial = np.sort((abs(z) ** 2 - min_radius ** 2) / (radius ** 2 - min_radius ** 2))
+    assert np.max(abs(radial - grid)) < 0.035
+    unit = verify._circle(rng, 4000)
+    assert np.max(abs(abs(unit) - 1.0)) <= 1e-15
+    assert np.max(abs(np.sort(np.angle(unit) % (2 * math.pi)) / (2 * math.pi) - grid)) < 0.035
 
 
 def test_run_suite_redraws_a_rejected_index(monkeypatch):
-    # the stubs reject their first visit to each odd index after taking a
-    # number from the stream: run_suite draws that index again, so every
-    # index keeps one record and none is skipped.  The measuring stub yields
-    # a probe once accepted: run_suite draws every index up to its probe,
-    # calls measure once, and sends each draw its own residuals, so the
-    # stream, the call order and the records are the plain stub's
-    pairs = [j_symbols(JParams(0.1 * (i + 1), 0.1j)) for i in range(6)]  # one non-normal W per index
-    measured = []
-    real = verify.measure
+    # the stub sampler rejects the first two candidates it sees of each odd
+    # index: run_suite keeps the accepted rows in place and draws the open
+    # indices again, here six candidates each (at least twice the first
+    # round's one, and three over the acceptance rate 3 / 6 seen so far);
+    # an index takes its first kept candidate, so every index keeps one
+    # record in index order and none is skipped
+    calls, visits = [], collections.Counter()
 
-    def measure(cfg, probes):
-        measured.append(len(probes))
-        return real(cfg, probes)
+    def visit(i):
+        visits[i] += 1
+        return i % 2 == 0 or visits[i] > 2
 
-    monkeypatch.setattr(verify, "measure", measure)
+    def draw(rng, cfg, idx):
+        calls.append(idx.tolist())
+        return np.array([visit(i) for i in idx.tolist()]), {"i": idx, "x": rng.uniform(size=len(idx))}
 
-    def run(measuring):
-        calls, rejected = [], set()
+    def record(cfg, d):
+        return [SampleRecord({"i": i, "x": x}) for i, x in zip(d.i.tolist(), d.x.tolist())]
 
-        def draw(rng, cfg, i):
-            calls.append(i)
-            x = rng.uniform()
-            if i % 2 and i not in rejected:
-                rejected.add(i)
-                return None
-            return SampleRecord({"i": i, "x": x})
-
-        def draw_and_measure(rng, cfg, i):
-            record = draw(rng, cfg, i)
-            if record is None:
-                return None
-            record.residuals = yield Probe(pairs[i], normality=i % 3 != 2)
-            return record
-
-        stub = verify.Suite(draw_and_measure if measuring else draw, SuiteConfig(samples=6, seed=5))
-        monkeypatch.setitem(verify.SUITES, "stub", stub)
-        return run_suite("stub").records, calls
-
-    records, calls = run(False)
-    assert [rec.params["i"] for rec in records] == list(range(6))
-    assert calls == [0, 1, 1, 2, 3, 3, 4, 5, 5]
-    assert run(False)[0] == records
-    assert measured == [0, 0]
-    got, got_calls = run(True)
-    assert got_calls == calls and measured == [0, 0, 6]
-    assert [rec.params for rec in got] == [rec.params for rec in records]
-    want = [{} if i % 3 == 2 else real(SuiteConfig(dim=64, block=12), [Probe(pair)])[0] for i, pair in enumerate(pairs)]
-    assert [rec.residuals for rec in got] == want and len({str(w) for w in want}) == 5  # {} and 4 values
+    monkeypatch.setitem(verify.SUITES, "stub", verify.Suite(draw, record, SuiteConfig(samples=6, seed=5)))
+    records = run_suite("stub").records
+    assert calls == [[0, 1, 2, 3, 4, 5], [1] * 6 + [3] * 6 + [5] * 6]
+    twin = np.random.default_rng(5)
+    first, second = twin.uniform(size=6), twin.uniform(size=18)
+    want = [first[0], second[1], first[2], second[7], first[4], second[13]]
+    assert [rec.params for rec in records] == [{"i": i, "x": x} for i, x in enumerate(want)]
+    visits.clear()
+    assert run_suite("stub").records == records
 
 
-def test_prop22_known_defect_still_raises_from_run_suite():
-    # the stacked measure raises a refused probe's error as the single call
-    # did: prop22's kind-2 draw at seed 0 meets a non-self-map
+def test_prop22_completes_at_every_seed():
+    # a kind-2 draw rejects a constant or non-self-map phi like every other
+    # rejection, so prop22 completes at seeds 0-11 (it raised
+    # NotSelfMapError at all of them but seed 3)
     cfg = default_config("prop22-commutation")
-    with pytest.raises(NotSelfMapError, match="not a self-map"):
-        run_suite("prop22-commutation", dataclasses.replace(cfg, seed=0))
-    for seed in PROP22_SEEDS:
-        assert run_suite("prop22-commutation", dataclasses.replace(cfg, seed=seed)).summary["total"] == 60
+    for seed in range(12):
+        report = run_suite("prop22-commutation", dataclasses.replace(cfg, seed=seed))
+        assert (report.summary["total"], report.exit_status) == (60, 0), seed
+
+
+def test_c2_sampler_rejects_by_each_rule():
+    # hand-built (psi, phi) candidates, one for each rule of the C2 sampler
+    # and two it keeps; the rules are also those of every kept draw
+    weight = np.array([[1.0, 0.0, 1.0, -0.2]], dtype=complex)  # pole 5
+    strict = quadruples([MobiusMap(0.5, 0.1, 0.1, 1.0)])  # sup |phi| 0.545
+    cases = {
+        "kept": (weight, strict, True),
+        "kept, polynomial weight": (np.array([[1.0, 0.5, 1.0, 0.0]]), strict, True),
+        "constant": (weight, quadruples([ConstantMap(0.3)]), False),
+        "sup |phi| above 0.9": (weight, quadruples([MobiusMap(0.95, 0.0, 0.0, 1.0)]), False),
+        "not a self-map": (weight, quadruples([MobiusMap(2.0, 0.0, 0.0, 1.0)]), False),
+        "pole within 1.8": (np.array([[1.0, 0.0, 1.0, -0.6]]), strict, False),
+    }
+    for name, (psi, phi, kept) in cases.items():
+        assert verify._c2_usable(psi, phi).tolist() == [kept], name
+    psi, phi = (np.concatenate(column) for column in zip(*((psi, phi) for psi, phi, _ in cases.values())))
+    assert verify._c2_usable(psi, phi).tolist() == [kept for _, _, kept in cases.values()]
+    keep, _, psi, phi = verify._draw_c2_selfmap(np.random.default_rng(3), 2000)
+    assert 0 < keep.sum() < 2000
+    assert np.all(keep == (~is_constant(phi) & (sup_modulus(phi) <= 0.9) & (abs(poles(psi)) >= 1.8)))
+    assert np.all(is_self_map(phi[keep]))
+
+
+@pytest.mark.parametrize("family", ["j", "c1"])
+def test_symmetric_form_samplers_keep_constants_and_self_maps(family):
+    # hand-built candidates: a constant map (determinant 0) and a self-map
+    # are kept, a non-self-map is rejected
+    c0, c1 = np.array([0.3, 0.3, 0.6]), np.array([0.0, 0.2, 0.9])  # phi(1) = 2.85 in the last
+    quads = fam.j_quadruples(c0, c1) if family == "j" else fam.c1_quadruples(1.0, c0, c1)
+    assert is_constant(quads[1]).tolist() == [True, False, False]
+    assert verify._usable(quads[1]).tolist() == [True, True, False]
+    draw = verify.draw_jsym if family == "j" else verify.draw_c1sym
+    keep, drawn = draw(np.random.default_rng(4), SuiteConfig(), np.arange(2000))
+    assert 0 < keep.sum() < 2000 and np.all(keep == verify._usable(drawn["phi"]))
+
+
+def _row(probe, i):
+    """Row i of a probe as a stack of one."""
+    arrays = {name: getattr(probe, name) for name in ("psi", "phi", "lam", "alpha")}
+    return probe._replace(**{name: x[i:i + 1] for name, x in arrays.items() if x is not None})
 
 
 def _mixed_probes(rng):
-    """Probes of every stack key in random order: Mobius and constant maps,
-    no conjugation, J, C1 and C2, normality on and off, and the three
-    conjugations alone."""
-    pairs = []
-    while len(pairs) < 4:
-        drawn = verify._draw_c2_selfmap(rng)
-        if drawn is not None:
-            pairs.append(drawn[1])
-    pairs.append(normal_interior_symbols(InteriorParams(0.3 - 0.2j, 0.5j, 1.2)))
-    pairs += [SymbolPair(RationalSymbol(0.75, 0.1, 1, -0.5), ConstantMap(0.6 - 0.3j)),
-              SymbolPair(RationalSymbol(1.0, 0.0, 1, 0.4j), ConstantMap(-0.2))]
-    conjs = [Conjugation("J"), Conjugation("C1", cmath.exp(0.3j), cmath.exp(0.7j)),
-             Conjugation("C2", cmath.exp(0.2j), 0.4j), Conjugation("C2", 1.0, -0.3 + 0.1j)]
-    probes = [Probe(pair, conj, normality) for pair in pairs for conj in [None] + conjs for normality in (True, False)]
-    probes += [Probe(conj=conj) for conj in conjs]
-    return [probes[j] for j in rng.permutation(len(probes))]
+    """Probe stacks of every kind, rows in random order: Mobius and
+    constant maps against no conjugation, J, C1 and C2, normality on and
+    off; the three conjugations alone; the adjoint factorization."""
+    keep, _, psi, phi = verify._draw_c2_selfmap(rng, 60)
+    interior = fam.interior_quadruples(0.3 - 0.2j, 0.5j, 1.2)
+    psi = np.concatenate([psi[keep][:4], interior[0], [[0.75, 0.1, 1, -0.5], [1.0, 0.0, 1, 0.4j]]])
+    phi = np.concatenate([phi[keep][:4], interior[1], quadruples([ConstantMap(0.6 - 0.3j), ConstantMap(-0.2)])])
+    psi, phi = np.tile(psi, (3, 1)), np.tile(phi, (3, 1))
+    lam = np.exp(1j * rng.uniform(0.0, 2 * math.pi, len(psi)))
+    alphas = {"J": np.zeros(len(psi)), "C1": np.exp(1j * rng.uniform(0.0, 2 * math.pi, len(psi))),
+              "C2": 0.4 * np.sqrt(rng.uniform(0.05, 1.0, len(psi))) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, len(psi)))}
+    probes = [Probe(psi, phi)]
+    for kind, alpha in alphas.items():
+        probes += [Probe(psi, phi, kind, lam, alpha, normality) for normality in (True, False)]
+        probes.append(Probe(kind=kind, lam=lam, alpha=alpha))
+    mobius = ~is_constant(phi)
+    probes.append(Probe(phi=phi[mobius]))
+    return [probe._replace(**{name: getattr(probe, name)[order] for name in ("psi", "phi", "lam", "alpha")
+                              if getattr(probe, name) is not None})
+            for probe, order in ((p, rng.permutation(len(p.phi if p.phi is not None else p.lam))) for p in probes)]
 
 
 @pytest.mark.parametrize("dim", [48, 64, 96, 384, 389])
 def test_stacked_measure_equals_single_draws(dim, monkeypatch):
-    # every residual of a mixed list equals the probe measured alone (a
-    # stack of one), bit for bit; the probes of each stack key are cut into
-    # the fewest stacks the row budget allows, and a constant map shares
-    # its stacks with the Mobius maps
+    # every residual of a probe stack equals that row measured alone (a
+    # stack of one), bit for bit, factorization probes included; each probe
+    # is cut into the fewest stacks the row budget allows, in row order,
+    # and a constant map shares its stacks with the Mobius maps
     probes = _mixed_probes(np.random.default_rng(dim))
-    keys = collections.defaultdict(set)  # by whether the map is constant
-    for probe in probes:
-        if probe.pair is not None:
-            keys[isinstance(probe.pair.phi, ConstantMap)].add(verify._stack_key(probe))
-    assert keys[True] == keys[False] and len(keys[True]) == 6  # no, diagonal or C2 conjugation, x normality
     cfg = SuiteConfig(dim=dim)
     stacks = []
-    for name in ("wco_residual_stack", "conjugation_residual_stack"):
+    for name in ("wco_residual_stack", "conjugation_residual_stack", "adjoint_factorization_stack"):
 
-        def spy(draws, *args, real=getattr(verify, name)):  # draws: the psis or the conjugations
-            stacks.append(len(draws))
-            return real(draws, *args)
+        def spy(*args, real=getattr(verify, name), **kwargs):
+            stacks.append(len(args[0]) if not isinstance(args[0], str) else len(args[1]))
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(verify, name, spy)
-    got = verify.measure(cfg, probes)
+    got = [verify.measure(cfg, probe) for probe in probes]
     size = max(1, STACK_ROWS // dim)
-    counts = collections.Counter(verify._stack_key(probe) for probe in probes).values()
-    assert sorted(stacks) == sorted(cut for n in counts for cut in [size] * (n // size) + [n % size] * (n % size > 0))
-    assert got == [verify.measure(cfg, [probe])[0] for probe in probes]
+    counts = [len(p.phi if p.phi is not None else p.lam) for p in probes]
+    assert stacks == [min(size, n - start) for n in counts for start in range(0, n, size)]
+    for probe, residuals, count in zip(probes, got, counts):
+        for i in range(count):
+            alone = verify.measure(cfg, _row(probe, i))
+            assert {key: r[i] for key, r in residuals.items()} == {key: r[0] for key, r in alone.items()}
     assert [sorted(residuals) for residuals in got] == [
-        sorted(({"involution", "isometry"} if p.pair is None else set())
-               | ({"symmetry"} if p.pair is not None and p.conj is not None else set())
-               | ({"normality"} if p.pair is not None and p.normality else set()))
+        sorted(({"involution", "isometry"} if p.phi is None else set())
+               | ({"factorization", "flipped_sign"} if p.phi is not None and p.psi is None else set())
+               | ({"symmetry"} if p.psi is not None and p.kind is not None else set())
+               | ({"normality"} if p.psi is not None and p.normality else set()))
         for p in probes
     ]
 
@@ -811,9 +812,9 @@ def test_no_suite_stack_goes_over_the_row_budget(monkeypatch):
     # a stub kernel records each stack the suites' measure calls evaluate
     sizes, interior = [], None
 
-    def stub(psis, phis, n, k, conjs=None, normality=True):
-        sizes.append((len(psis), n))
-        return [{"symmetry": 0.0, "normality": 0.0} for _ in psis]
+    def stub(psi, phi, n, k, kind=None, lam=None, alpha=None, normality=True):
+        sizes.append((len(psi), n))
+        return {"symmetry": np.zeros(len(psi)), "normality": np.zeros(len(psi))}
 
     monkeypatch.setattr(verify, "wco_residual_stack", stub)
     for suite_id, suite in sorted(SUITES.items()):
