@@ -669,6 +669,23 @@ def test_annulus_and_circle_draw_uniformly(args):
     assert np.max(abs(np.sort(np.angle(unit) % (2 * math.pi)) / (2 * math.pi) - grid)) < 0.035
 
 
+@pytest.mark.parametrize("args", _constant_call_args("_annulus", skip=2))
+def test_disk_and_angle_keep_the_vector_draw_stream(args):
+    # each annulus a sampler draws from, and _circle, take one vector draw
+    # of count moduli and then one of count angles from the generator, bit
+    # for bit, and nothing more: the stream goes on where the twin's does
+    assert len(args) <= 2
+    radius, min_radius = {0: (1.0, 0.0), 1: (*args, 0.0), 2: args}[len(args)]
+    ours, twin = np.random.default_rng(11), np.random.default_rng(11)
+    for count in (1, 7, 200):
+        modulus = radius * np.sqrt(twin.uniform((min_radius / radius) ** 2, 1.0, count))
+        want = modulus * np.exp(1j * twin.uniform(0.0, 2.0 * math.pi, count))
+        assert verify._annulus(ours, count, *args).tobytes() == want.tobytes()
+        want = np.exp(1j * twin.uniform(0.0, 2.0 * math.pi, count))
+        assert verify._circle(ours, count).tobytes() == want.tobytes()
+    assert ours.random() == twin.random()
+
+
 def test_run_suite_redraws_a_rejected_index(monkeypatch):
     # the stub sampler rejects the first two candidates it sees of each odd
     # index: run_suite keeps the accepted rows in place and draws the open
