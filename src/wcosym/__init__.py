@@ -15,23 +15,13 @@ from .families import (
     HyperbolicParams,
     InteriorParams,
     JParams,
-    SymbolPair,
-    c1_aut_form,
     c1_normal_predicate,
-    c1_parabolic_symbols,
-    c1_symbols,
-    c2_aut_form,
     c2_interior_terms,
     c2_normal_predicate,
     c2_normality_terms,
     c2_parabolic_predicate,
-    c2_symbols,
     hyperbolic_aut_map,
-    j_aut_form,
     j_normal_predicate,
-    j_symbols,
-    normal_interior_symbols,
-    parabolic_j_symbols,
 )
 from .mobius import (
     INFINITY,
@@ -41,7 +31,6 @@ from .mobius import (
     MapClassification,
     MobiusMap,
     classify,
-    compose,
     cowen_adjoint,
     evaluate,
     fixed_points,
@@ -51,14 +40,13 @@ from .mobius import (
 )
 from .operators import (
     Conjugation,
-    adjoint_factorization_residual,
     build_wco,
     conjugation_matrix,
     involution_residual,
     normality_residual,
     symmetry_residual,
 )
-from .series import RationalSymbol, expand_rational
+from .series import RationalSymbol
 from .verify import (
     SuiteConfig,
     VerificationReport,

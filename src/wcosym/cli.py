@@ -19,7 +19,7 @@ import time
 from dataclasses import asdict, fields, replace
 from typing import Dict, List, Optional
 
-from .errors import CliParseError, WcoError
+from .errors import CliParseError, NotSelfMapError, WcoError
 import numpy as np
 
 from .families import (
@@ -34,7 +34,7 @@ from .families import (
     j_normal_predicate,
     j_quadruples,
 )
-from .mobius import MobiusMap, classify, cowen_adjoint, is_constant
+from .mobius import ConstantMap, MobiusMap, classify, cowen_adjoint, is_constant
 from .verify import (
     Probe,
     SuiteConfig,
@@ -242,15 +242,19 @@ def cmd_classify(args) -> int:
     coeffs = [parse_complex(p) for p in args.phi.split(",")]
     if len(coeffs) != 4:
         raise CliParseError("--phi needs four comma-separated coefficients a,b,c,d")
-    m = MobiusMap(*coeffs)
+    a, b, c, d = coeffs
+    constant = a == c == 0 and d != 0  # the constant map b/d, which has no adjoint factorization
+    m = ConstantMap(b / d) if constant else MobiusMap(*coeffs)
+    if constant and abs(m.value) >= 1.0:
+        raise NotSelfMapError(f"the constant {format_complex(m.value)} does not map the disk into itself")
     cls = classify(m)
-    triple = cowen_adjoint(m)
+    sigma = None if constant else cowen_adjoint(m).sigma
     doc = {
         "class": cls.map_class.value,
         "dw_point": cls.dw_point,
         "dw_derivative": cls.dw_derivative,
         "is_automorphism": cls.is_automorphism,
-        "sigma": {"a": triple.sigma.a, "b": triple.sigma.b, "c": triple.sigma.c, "d": triple.sigma.d},
+        "sigma": None if sigma is None else dict(zip("abcd", sigma.quadruple())),
     }
     if args.format == "json":
         _write_output(_to_json(doc), args.out)
@@ -260,12 +264,9 @@ def cmd_classify(args) -> int:
             f"dw point         {format_complex(cls.dw_point) if cls.dw_point is not None else '-'}",
             f"dw derivative    {format_complex(cls.dw_derivative) if cls.dw_derivative is not None else '-'}",
             f"automorphism     {'yes' if cls.is_automorphism else 'no'}",
-            "sigma            ({}) z + ({}) over ({}) z + ({})".format(
-                format_complex(triple.sigma.a),
-                format_complex(triple.sigma.b),
-                format_complex(triple.sigma.c),
-                format_complex(triple.sigma.d),
-            ),
+            "sigma            " + ("-" if sigma is None else "({}) z + ({}) over ({}) z + ({})".format(
+                *map(format_complex, sigma.quadruple())
+            )),
         ]
         _write_output("\n".join(lines) + "\n", args.out)
     return 0

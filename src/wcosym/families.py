@@ -10,16 +10,13 @@ Every formula is written once, for arrays: the ``*_quadruples``
 constructors take parameter arrays of one length B and return the (B, 4)
 stacks psi = (n0, n1, d0, d1) and phi = (a, b, c, d), phi canonical and
 a constant map v as (0, v, 0, 1); the parameter classes, the predicates
-and the expressions take arrays or scalars alike.  The ``*_symbols``
-constructors are the stacks of one, as RationalSymbol and map objects.
+and the expressions take arrays or scalars alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
-
 import numpy as np
 
 from .errors import (
@@ -30,7 +27,6 @@ from .errors import (
     NotSelfMapError,
 )
 from .mobius import (
-    ConstantMap,
     MobiusMap,
     canonical,
     coefficient_stack as _stack,
@@ -38,7 +34,6 @@ from .mobius import (
     is_self_map,
     proj_distance,
 )
-from .series import RationalSymbol
 
 PRED_TOL = 1e-10
 REBUILD_TOL = 1e-10
@@ -53,14 +48,6 @@ def _in_disk(z, name: str):
 def _unimodular(z, name: str):
     if np.any(abs(abs(z) - 1.0) > _UNIT_TOL):
         raise DomainViolationError(f"{name} must be unimodular, got |{name}| = {abs(z)}")
-
-
-@dataclass(frozen=True)
-class SymbolPair:
-    """Weight symbol and composition symbol of one operator."""
-
-    psi: RationalSymbol
-    phi: Union[MobiusMap, ConstantMap]
 
 
 @dataclass(frozen=True)
@@ -157,36 +144,6 @@ class C2NormalCase(str, Enum):
     NOT_NORMAL = "NotNormal"
 
 
-# aut-form results ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RotationForm:
-    """phi(z) = beta z; on_boundary records whether |beta| = 1 (a true
-    automorphism) or the rotation factor sits strictly inside the disk."""
-
-    beta: complex
-    on_boundary: bool
-
-
-@dataclass(frozen=True)
-class DiskForm:
-    """phi(z) = beta (gamma - z)/(1 - conj(gamma) z)."""
-
-    beta: complex
-    gamma: complex
-
-    def to_map(self) -> MobiusMap:
-        return _map(disk_form_quadruples(self.beta, self.gamma)[0])
-
-
-@dataclass(frozen=True)
-class IdentityForm:
-    pass
-
-
-AutForm = Union[RotationForm, DiskForm, IdentityForm, None]
-
-
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -209,24 +166,10 @@ def _maps(quads: np.ndarray, constant: np.ndarray, value: np.ndarray) -> np.ndar
     return quads
 
 
-def _map(quad: np.ndarray) -> Union[MobiusMap, ConstantMap]:
-    a, b, c, d = quad.tolist()
-    return ConstantMap(b) if a == 0 and c == 0 else MobiusMap(a, b, c, d)
-
-
-def _pair(psi: np.ndarray, phi: np.ndarray) -> SymbolPair:
-    """The symbol objects of a stack of one."""
-    return SymbolPair(RationalSymbol(*psi[0].tolist()), _map(phi[0]))
-
-
 def j_quadruples(a0, a1, b=1.0):
     """psi = b/(1 - a0 z), phi = a0 + a1 z/(1 - a0 z) as a single fraction:
     the rotation-weighted family at alpha = 1 (c0 = a0, c1 = a1, d = b)."""
     return c1_quadruples(1.0, a0, a1, b)
-
-
-def j_symbols(params: JParams) -> SymbolPair:
-    return _pair(*j_quadruples(params.a0, params.a1, params.b))
 
 
 def c1_quadruples(alpha, c0, c1, d=1.0):
@@ -238,10 +181,6 @@ def c1_quadruples(alpha, c0, c1, d=1.0):
     al, c0, c1, d = _arrays(alpha, c0, c1, d)
     psi = _stack(d, 0.0, 1.0, -al * c0)
     return psi, _maps(_stack(c1 - al * c0 * c0, c0, -al * c0, 1.0), abs(c1) <= _CONSTANT_DET_TOL, c0)
-
-
-def c1_symbols(params: C1Params) -> SymbolPair:
-    return _pair(*c1_quadruples(params.alpha, params.c0, params.c1, params.d))
 
 
 def c2_quadruple(params: C2Params) -> tuple:
@@ -293,10 +232,6 @@ def c2_quadruples(params: C2Params):
         return _stack(d * v, 0.0, v, -t), _maps(quads, constant, num0 / den0)
 
 
-def c2_symbols(params: C2Params) -> SymbolPair:
-    return _pair(*c2_quadruples(params))
-
-
 def interior_quadruples(p, delta, gamma=1.0):
     """The interior-fixed-point normal family.
 
@@ -304,6 +239,7 @@ def interior_quadruples(p, delta, gamma=1.0):
     delta = 0 collapses to the constant map p; psi is the closed form
     gamma (1-|p|^2) / (1 - |p|^2 delta + conj(p)(delta - 1) z).
     """
+    InteriorParams(p, delta, gamma)
     p, delta, gamma = _arrays(p, delta, gamma)
     pc, p2 = p.conjugate(), abs(p) ** 2
     psi = _stack(gamma * (1.0 - p2), 0.0, 1.0 - p2 * delta, pc * (delta - 1.0))
@@ -311,10 +247,6 @@ def interior_quadruples(p, delta, gamma=1.0):
     scaled = canonical(_stack(-delta, delta * p, -pc, 1.0))  # delta * phi_p
     quads, degenerate = compose_stack(blaschke, scaled)  # |d| > |c| when degenerate: the constant is b/d
     return psi, _maps(quads, (delta == 0) | degenerate, np.where(delta == 0, p, quads[:, 1] / quads[:, 3]))
-
-
-def normal_interior_symbols(params: InteriorParams) -> SymbolPair:
-    return _pair(*interior_quadruples(params.p, params.delta, params.gamma))
 
 
 def interior_closed_quadruples(p, delta) -> np.ndarray:
@@ -344,10 +276,6 @@ def parabolic_j_quadruples(a0, branch, d=1.0):
     return _stack(d, 0.0, 1.0, -a0), canonical(_stack(1.0 - 2.0 * branch * a0, a0, -a0, 1.0))
 
 
-def parabolic_j_symbols(a0: complex, branch: int, d: complex = 1.0) -> SymbolPair:
-    return _pair(*parabolic_j_quadruples(a0, branch, d))
-
-
 def c1_parabolic_quadruples(zeta, c0, c1):
     """Rotation-conjugation-symmetric parabolic family with alpha = 1/zeta^2.
 
@@ -370,10 +298,6 @@ def c1_parabolic_quadruples(zeta, c0, c1):
     if (fixed_gap > 1e-8).any():
         raise DiscriminantError(f"double fixed point is at -zeta, not zeta (|phi(zeta)-zeta| = {fixed_gap})")
     return _stack(z2, 0.0, z2, -c0), phi
-
-
-def c1_parabolic_symbols(zeta: complex, c0: complex, c1: complex) -> SymbolPair:
-    return _pair(*c1_parabolic_quadruples(zeta, c0, c1))
 
 
 def hyperbolic_aut_map(params: HyperbolicParams) -> MobiusMap:
@@ -558,15 +482,6 @@ def _disk_forms(names, gamma, beta, phi, usable):
     return np.where(usable & (rebuilt <= REBUILD_TOL), "DiskForm", names)
 
 
-def _aut_form(name: str, beta: complex, gamma: complex) -> AutForm:
-    """The form object of one row of an ``*_aut_forms`` result."""
-    if name == "RotationForm":
-        return RotationForm(beta, abs(abs(beta) - 1.0) <= _UNIT_TOL)
-    if name == "DiskForm":
-        return DiskForm(beta, gamma)
-    return IdentityForm() if name == "IdentityForm" else None
-
-
 def j_aut_forms(a0, a1):
     """(form names, beta, gamma) arrays: c1_aut_forms at alpha = 1, so
     gamma = a0/(a0^2 - a1).  The ratio (a1 + 1)/a0 agrees with it only for
@@ -574,10 +489,6 @@ def j_aut_forms(a0, a1):
     used."""
     JParams(a0, a1)
     return c1_aut_forms(1.0, a0, a1)
-
-
-def j_aut_form(a0: complex, a1: complex) -> AutForm:
-    return _aut_form(*(x[0].item() for x in j_aut_forms(a0, a1)))
 
 
 def c1_aut_forms(alpha, c0, c1):
@@ -596,10 +507,6 @@ def c1_aut_forms(alpha, c0, c1):
     return names, np.where(rotation, c1, beta), gamma
 
 
-def c1_aut_form(alpha: complex, c0: complex, c1: complex) -> AutForm:
-    return _aut_form(*(x[0].item() for x in c1_aut_forms(alpha, c0, c1)))
-
-
 def c2_aut_forms(params: C2Params):
     """"IdentityForm" where c1 = c2 and c0^2 = c1/conj(alpha); otherwise the
     disk form with gamma = alpha(conj(alpha) c0^2 - c1)/(|alpha|^2 c1 - c2),
@@ -614,7 +521,3 @@ def c2_aut_forms(params: C2Params):
     phi = c2_quadruples(params)[1]
     names = _disk_forms(np.where(identity, "IdentityForm", "NoneType"), gamma, beta, phi, ~identity)
     return names, beta, gamma
-
-
-def c2_aut_form(params: C2Params) -> AutForm:
-    return _aut_form(*(x[0].item() for x in c2_aut_forms(params)))

@@ -186,30 +186,11 @@ def evaluate(m: MobiusMap, z: complex) -> complex:
 MapLike = Union[MobiusMap, ConstantMap]
 
 
-def compose(m1: MapLike, m2: MapLike) -> MapLike:
-    """The map z -> m1(m2(z)), canonicalized.
-
-    Composition of non-degenerate maps is coefficient-level matrix
-    multiplication and stays non-degenerate (determinants multiply);
-    constants propagate through either slot.
-    """
-    if isinstance(m2, ConstantMap):
-        v = m2.value if isinstance(m1, ConstantMap) else evaluate(m1, m2.value)
-        return ConstantMap(v)
-    if isinstance(m1, ConstantMap):
-        return ConstantMap(m1.value)
-    quads, degenerate = compose_stack(quadruples([m1]), quadruples([m2]))
-    a, b, c, d = quads[0].tolist()
-    if degenerate[0]:
-        # numerically degenerate composite: constant with value a/c = b/d
-        return ConstantMap(b / d if abs(d) >= abs(c) else a / c)
-    return MobiusMap(a, b, c, d)
-
-
 def compose_stack(first: np.ndarray, second: np.ndarray):
     """The quadruples of first[b] o second[b] (the 2 x 2 coefficient
-    matrices multiplied) for two (B, 4) stacks of nondegenerate maps, and
-    where the composite is numerically degenerate (a constant)."""
+    matrices multiplied) for two (B, 4) stacks of maps, a constant v being
+    (0, v, 0, 1), and where the composite is numerically degenerate: a
+    constant, of value b/d where d != 0."""
     a1, b1, c1, d1 = first.T
     a2, b2, c2, d2 = second.T
     quads = coefficient_stack(a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)

@@ -43,8 +43,8 @@ of 48-96 and k of 12-16 a residual is some 25 numpy calls on arrays
 sets its cost.  wco_residual_stack, conjugation_residual_stack and
 adjoint_factorization_stack are what verify.measure calls, on stacks of
 at most max(1, STACK_ROWS // N) draws: a larger stack saves little more
-time and costs peak memory.  The public residuals of map objects and
-whole matrices are stacks of one.
+time and costs peak memory.  The public residuals of whole matrices
+are stacks of one.
 """
 
 from __future__ import annotations
@@ -445,14 +445,6 @@ def _conjugation_cross(kind: str, lam: np.ndarray, alpha: np.ndarray, n: int, k:
     diagonal = lam[:, None] * alpha[:, None] ** np.arange(k) if kind == "C1" else np.ones((len(lam), k))
     u = diagonal[:, :, None] * np.eye(k, dtype=complex)
     return u, u
-
-
-def adjoint_factorization_residual(
-    m: MobiusMap, n: int, k: int, sigma_sign: int = -1
-) -> float:
-    """|| (C_phi)^H - M_g C_sigma (M_h)^H || on the leading block: the
-    stack of one of adjoint_factorization_stack."""
-    return float(adjoint_factorization_stack(quadruples([m]), n, k, (sigma_sign,))[0][0])
 
 
 def adjoint_factorization_stack(phi: np.ndarray, n: int, k: int, signs=(-1, 1)) -> List[np.ndarray]:

@@ -68,12 +68,6 @@ def poles(quads: np.ndarray) -> np.ndarray:
     return np.divide(-quads[:, 2], quads[:, 3], out=out, where=quads[:, 3] != 0)
 
 
-def expand_rational(r: RationalSymbol, n: int) -> np.ndarray:
-    """First ``n`` Taylor coefficients of a rational symbol at 0: the
-    quotient series of its coefficients, a stack of one."""
-    return quotient_series(np.array([r.coefficients()]), n)[0]
-
-
 def quotient_series(quads: np.ndarray, n: int) -> np.ndarray:
     """Row b: the first ``n`` Taylor coefficients at 0 of
     (n0 + n1 z) / (d0 + d1 z), (n0, n1, d0, d1) = quads[b], for a (B, 4)

@@ -15,7 +15,7 @@ from wcosym.families import (
     C2NormalCase,
     C2Params,
     HyperbolicParams,
-    c1_symbols,
+    c1_quadruples,
     c2_normal_predicate,
     c2_quadruple,
     hyperbolic_aut_map,
@@ -29,6 +29,8 @@ from wcosym.operators import (
     symmetry_residual,
 )
 from wcosym.verify import default_config, run_suite
+
+from conftest import symbols
 
 
 def _cfg(suite_id, **overrides):
@@ -208,15 +210,15 @@ def test_criterion_8_c1_hyperbolic_sweep():
         assert in_domain[0] <= 1e-12 and in_domain[1] < 1.0 and in_domain[2] < 1.0, (
             "witness out of domain (||alpha| - 1|, |c0|, |c1|)", p, in_domain,
         )
-        pair = c1_symbols(C1Params(alpha, c0, c1))
+        psi, phi = symbols(*c1_quadruples(*dataclasses.astuple(C1Params(alpha, c0, c1))))
         target = hyperbolic_aut_map(HyperbolicParams(p["r"], p["t"]))
-        dist = proj_distance(pair.phi, target)
+        dist = proj_distance(phi, target)
         locus_gap = abs(c1 - alpha * c0 * (c0 - 1.0 / np.conj(c0)))
         assert dist <= 1e-12 and locus_gap <= 1e-12, (
             "witness does not realize the target on the unitary locus",
             p, {"map_distance": dist, "locus_gap": locus_gap},
         )
-        op = build_wco(pair.psi, pair.phi, _WITNESS_DIM)
+        op = build_wco(psi, phi, _WITNESS_DIM)
         u = conjugation_matrix(Conjugation("C1", 1.0, alpha), _WITNESS_DIM)
         normality = normality_residual(op, _WITNESS_BLOCK)
         symmetry = symmetry_residual(op, u, _WITNESS_BLOCK)

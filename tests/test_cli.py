@@ -74,6 +74,22 @@ class TestClassifyCommand:
         assert main(["classify", "--phi", "2,0,0,1"]) == 2  # not a self-map
         assert main(["classify", "--phi", "x,y,z,w"]) == 2
 
+    def test_constant_map(self, capsys):
+        # (0, v, 0, d) is the constant v/d; it has no adjoint factorization, so no sigma
+        assert main(["classify", "--phi", "0,0.6i,0,2"]) == 0
+        out = capsys.readouterr().out
+        assert "Constant" in out and "0.0+0.3i" in out
+        assert out.splitlines()[-1].split() == ["sigma", "-"]
+        assert main(["classify", "--phi", "0,0.6i,0,2", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["class"] == "Constant" and doc["sigma"] is None
+        assert doc["dw_point"] == pytest.approx({"re": 0.0, "im": 0.3})
+
+    def test_constant_outside_disk_exit_2(self, capsys):
+        for phi in ("0,1,0,1", "0,0.9-0.9i,0,1", "0,3,0,2"):
+            assert main(["classify", "--phi", phi]) == 2, phi
+            assert "does not map the disk into itself" in capsys.readouterr().err, phi
+
 
 class TestCheckCommand:
     def test_j_family_normal_instance(self, capsys):

@@ -12,36 +12,33 @@ from wcosym.errors import (
     NotSelfMapError,
 )
 from wcosym.families import (
-    C1Params,
     C2NormalCase,
     C2Params,
-    DiskForm,
     HyperbolicParams,
-    IdentityForm,
     InteriorParams,
     JParams,
-    RotationForm,
-    c1_aut_form,
+    c1_aut_forms,
     c1_normal_expression,
     c1_normal_locus,
     c1_normal_predicate,
-    c1_parabolic_symbols,
-    c1_symbols,
-    c2_aut_form,
+    c1_parabolic_quadruples,
+    c1_quadruples,
+    c2_aut_forms,
     c2_interior_terms,
     c2_normal_predicate,
     c2_normality_terms,
     c2_parabolic_dw_point,
     c2_parabolic_predicate,
     c2_quadruple,
-    c2_symbols,
+    c2_quadruples,
+    disk_form_quadruples,
     hyperbolic_aut_map,
     interior_closed_quadruples,
-    j_aut_form,
+    interior_quadruples,
+    j_aut_forms,
     j_normal_predicate,
-    j_symbols,
-    normal_interior_symbols,
-    parabolic_j_symbols,
+    j_quadruples,
+    parabolic_j_quadruples,
 )
 from wcosym.mobius import (
     IDENTITY,
@@ -55,19 +52,25 @@ from wcosym.mobius import (
     quadruples,
 )
 
+from conftest import symbols
+
+
+def first_row(forms):
+    """Row 0 of an ``*_aut_forms`` result: (form name, beta, gamma)."""
+    return tuple(x[0].item() for x in forms)
+
 
 class TestJSymbols:
     def test_pure_rotation(self):
-        pair = j_symbols(JParams(0.0, 0.5, 1.0))
-        assert mobius_equal(pair.phi, MobiusMap(0.5, 0, 0, 1), 1e-14)
-        assert pair.psi.n0 == 1 and pair.psi.d1 == 0
+        psi, phi = symbols(*j_quadruples(0.0, 0.5, 1.0))
+        assert mobius_equal(phi, MobiusMap(0.5, 0, 0, 1), 1e-14)
+        assert psi.n0 == 1 and psi.d1 == 0
 
     def test_automorphism_member(self):
-        pair = j_symbols(JParams(0.5, -0.75))
-        form = j_aut_form(0.5, -0.75)
-        assert isinstance(form, DiskForm)
-        assert abs(form.gamma - 0.5) < 1e-12
-        assert proj_distance(form.to_map(), pair.phi) < 1e-12
+        name, beta, gamma = first_row(j_aut_forms(0.5, -0.75))
+        assert name == "DiskForm"
+        assert abs(gamma - 0.5) < 1e-12
+        assert proj_distance(disk_form_quadruples(beta, gamma), j_quadruples(0.5, -0.75)[1])[0] < 1e-12
 
     def test_parabolic_member(self):
         # double fixed point at 1 requires a1 = (1 - a0)^2; the printed
@@ -75,11 +78,11 @@ class TestJSymbols:
         # (see the decision ledger)
         a0 = (1 + 1j) / 2
         a1 = (1 - a0) ** 2
-        pair = j_symbols(JParams(a0, a1))
-        cls = classify(pair.phi)
+        phi = j_quadruples(a0, a1)[1]
+        cls = classify(symbols(*j_quadruples(a0, a1))[1])
         assert cls.map_class is MapClass.PARABOLIC_AUTOMORPHISM
         assert abs(cls.dw_point - 1) < 1e-9
-        assert mobius_equal(pair.phi, parabolic_j_symbols(a0, +1).phi, 1e-12)
+        assert mobius_equal(phi, parabolic_j_quadruples(a0, +1)[1], 1e-12)[0]
 
     def test_domain_validation(self):
         with pytest.raises(DomainViolationError):
@@ -88,20 +91,19 @@ class TestJSymbols:
 
 class TestC1Symbols:
     def test_alpha_one_reduces_to_j(self):
-        jp = j_symbols(JParams(0.4, 0.3, 1.2))
-        cp = c1_symbols(C1Params(1.0, 0.4, 0.3, 1.2))
-        assert proj_distance(jp.phi, cp.phi) < 1e-14
-        assert jp.psi == cp.psi
+        jpsi, jphi = j_quadruples(0.4, 0.3, 1.2)
+        cpsi, cphi = c1_quadruples(1.0, 0.4, 0.3, 1.2)
+        assert proj_distance(jphi, cphi)[0] < 1e-14
+        assert np.array_equal(jpsi, cpsi)
 
     def test_automorphism_member(self):
-        form = c1_aut_form(1.0, 0.5, -0.75)
-        assert isinstance(form, DiskForm)
-        assert abs(form.gamma - 0.5) < 1e-12
-        assert abs(form.beta - 1.0) < 1e-12
+        name, beta, gamma = first_row(c1_aut_forms(1.0, 0.5, -0.75))
+        assert name == "DiskForm"
+        assert abs(gamma - 0.5) < 1e-12
+        assert abs(beta - 1.0) < 1e-12
 
     def test_parabolic_member(self):
-        pair = c1_symbols(C1Params(1.0, 0.5, 0.25))
-        cls = classify(pair.phi)
+        cls = classify(symbols(*c1_quadruples(1.0, 0.5, 0.25))[1])
         assert cls.map_class in (
             MapClass.PARABOLIC_AUTOMORPHISM,
             MapClass.PARABOLIC_NON_AUTOMORPHISM,
@@ -109,39 +111,40 @@ class TestC1Symbols:
         assert abs(cls.dw_point - 1.0) < 1e-9
 
     def test_zero_c1_is_constant(self):
-        pair = c1_symbols(C1Params(1j, 0.5, 0.0))
-        assert isinstance(pair.phi, ConstantMap)
-        assert pair.phi.value == 0.5
+        assert c1_quadruples(1j, 0.5, 0.0)[1].tolist() == [[0.0, 0.5, 0.0, 1.0]]
+        phi = symbols(*c1_quadruples(1j, 0.5, 0.0))[1]
+        assert isinstance(phi, ConstantMap)
+        assert phi.value == 0.5
 
 
 class TestC2Symbols:
     def test_identity_member(self):
         params = C2Params.from_c0_squared(0.5, 0.72, 0.36, 0.36)
-        pair = c2_symbols(params)
-        assert mobius_equal(pair.phi, IDENTITY, 1e-12)
-        assert abs(pair.psi(0.3) - 1.0) < 1e-12
+        psi, phi = symbols(*c2_quadruples(params))
+        assert mobius_equal(phi, IDENTITY, 1e-12)
+        assert abs(psi(0.3) - 1.0) < 1e-12
 
     def test_automorphism_member(self):
         params = C2Params.from_c0_squared(0.5, 1.4, 1.0, 0.7)
-        form = c2_aut_form(params)
-        assert isinstance(form, DiskForm)
-        assert abs(form.beta + 1.0) < 1e-12
-        assert abs(form.gamma - 1 / 3) < 1e-12
+        name, beta, gamma = first_row(c2_aut_forms(params))
+        assert name == "DiskForm"
+        assert abs(beta + 1.0) < 1e-12
+        assert abs(gamma - 1 / 3) < 1e-12
 
     def test_moduli_equal_parameters_are_never_self_maps(self):
         # |c1-c2| = |conj(a)c0^2-c1| = |c0^2 - a c1| forces |phi(0)| = 1
         params = C2Params(0.5, 0.6, 0.36, 0.54)
-        pair = c2_symbols(params)
-        assert not is_self_map(pair.phi)
-        assert abs(abs(pair.phi(0.0)) - 1.0) < 1e-12
+        phi = c2_quadruples(params)[1]
+        assert not is_self_map(phi)[0]
+        assert abs(abs(phi[0, 1] / phi[0, 3]) - 1.0) < 1e-12
 
     def test_sqrt_sign_irrelevant(self):
         base = C2Params.from_c0_squared(0.4 + 0.1j, 0.5 - 0.2j, 0.3, 0.1)
         flipped = C2Params(base.alpha, -base.c0, base.c1, base.c2)
-        p1 = c2_symbols(base)
-        p2 = c2_symbols(flipped)
-        assert proj_distance(p1.phi, p2.phi) < 1e-14
-        assert p1.psi == p2.psi
+        psi1, phi1 = c2_quadruples(base)
+        psi2, phi2 = c2_quadruples(flipped)
+        assert proj_distance(phi1, phi2)[0] < 1e-14
+        assert np.array_equal(psi1, psi2)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateSymbolError):
@@ -150,30 +153,36 @@ class TestC2Symbols:
 
 class TestNormalInteriorSymbols:
     def test_origin(self):
-        pair = normal_interior_symbols(InteriorParams(0.0, 0.5, 1.0))
-        assert mobius_equal(pair.phi, MobiusMap(0.5, 0, 0, 1), 1e-14)
-        assert abs(pair.psi(0.2) - 1.0) < 1e-14
+        psi, phi = symbols(*interior_quadruples(0.0, 0.5, 1.0))
+        assert mobius_equal(phi, MobiusMap(0.5, 0, 0, 1), 1e-14)
+        assert abs(psi(0.2) - 1.0) < 1e-14
 
     def test_involution_case(self):
-        pair = normal_interior_symbols(InteriorParams(0.5, -1.0, 1.0))
-        assert mobius_equal(pair.phi, MobiusMap(-1, 0.8, -0.8, 1), 1e-13)
+        phi = interior_quadruples(0.5, -1.0, 1.0)[1]
+        assert mobius_equal(phi, quadruples([MobiusMap(-1, 0.8, -0.8, 1)]), 1e-13)[0]
 
     def test_constant_branch(self):
-        pair = normal_interior_symbols(InteriorParams(0.5, 0.0, 1.0))
-        assert isinstance(pair.phi, ConstantMap)
-        assert pair.phi.value == 0.5
-        s = pair.psi
+        s, phi = symbols(*interior_quadruples(0.5, 0.0, 1.0))
+        assert isinstance(phi, ConstantMap)
+        assert phi.value == 0.5
         assert abs(s(0.0) - 0.75) < 1e-14 and abs(-s.d1 / s.d0 - 0.5) < 1e-14
 
     def test_closed_form_matches_composition(self):
         params = InteriorParams(0.3 - 0.2j, 0.4 + 0.5j, 0.7)
         closed = interior_closed_quadruples(params.p, params.delta)
-        assert proj_distance(quadruples([normal_interior_symbols(params).phi]), closed)[0] < 1e-13
+        assert proj_distance(interior_quadruples(params.p, params.delta, params.gamma)[1], closed)[0] < 1e-13
 
     def test_weight_value_at_fixed_point(self):
-        params = InteriorParams(0.4j, 0.3, 2.5)
-        pair = normal_interior_symbols(params)
-        assert abs(pair.psi(0.4j) - 2.5) < 1e-12
+        psi = symbols(*interior_quadruples(0.4j, 0.3, 2.5))[0]
+        assert abs(psi(0.4j) - 2.5) < 1e-12
+
+    def test_domain_validated_by_interior_params(self):
+        # the constructor refuses what InteriorParams refuses, also inside an array
+        for p, delta in [(1.0, 0.5), (np.array([0.2, 1.1j]), 0.5), (0.2, 1.01), (0.2, np.array([0.3, -1.2]))]:
+            with pytest.raises(DomainViolationError):
+                InteriorParams(p, delta)
+            with pytest.raises(DomainViolationError):
+                interior_quadruples(p, delta)
 
 
 class TestNormalPredicates:
@@ -259,27 +268,25 @@ class TestC2NormalPredicate:
 
 class TestAutForms:
     def test_j_rotation_flag(self):
-        form = j_aut_form(0.0, 0.3)
-        assert isinstance(form, RotationForm)
-        assert form.beta == 0.3 and not form.on_boundary
+        name, beta, _ = first_row(j_aut_forms(0.0, 0.3))
+        assert name == "RotationForm"
+        assert beta == 0.3 and abs(beta) < 1  # the rotation factor sits inside the disk
 
     def test_j_gamma_outside(self):
-        assert j_aut_form(0.5, 0.5) is None
+        assert first_row(j_aut_forms(0.5, 0.5))[0] == "NoneType"
 
     def test_c1_rotation(self):
-        form = c1_aut_form(1.0, 0.0, 0.3)
-        assert isinstance(form, RotationForm) and not form.on_boundary
+        name, beta, _ = first_row(c1_aut_forms(1.0, 0.0, 0.3))
+        assert name == "RotationForm" and abs(beta) < 1
 
     def test_c1_rebuild_failure(self):
-        assert c1_aut_form(1j, 0.5, 0.25) is None
+        assert first_row(c1_aut_forms(1j, 0.5, 0.25))[0] == "NoneType"
 
     def test_c2_case_i_not_automorphism(self):
-        assert c2_aut_form(C2Params(0.5, 0.6, 0.36, 0.54)) is None
+        assert first_row(c2_aut_forms(C2Params(0.5, 0.6, 0.36, 0.54)))[0] == "NoneType"
 
     def test_c2_identity(self):
-        assert isinstance(
-            c2_aut_form(C2Params.from_c0_squared(0.5, 0.72, 0.36, 0.36)), IdentityForm
-        )
+        assert first_row(c2_aut_forms(C2Params.from_c0_squared(0.5, 0.72, 0.36, 0.36)))[0] == "IdentityForm"
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -288,33 +295,33 @@ class TestAutForms:
     def test_j_disk_round_trip(self, g):
         a0 = np.conj(g)
         a1 = np.conj(g) * (abs(g) ** 2 - 1.0) / g
-        form = j_aut_form(a0, a1)
-        assert isinstance(form, DiskForm)
-        assert abs(form.gamma - g) <= 1e-9
-        assert proj_distance(form.to_map(), j_symbols(JParams(a0, a1)).phi) <= 1e-12
+        name, beta, gamma = first_row(j_aut_forms(a0, a1))
+        assert name == "DiskForm"
+        assert abs(gamma - g) <= 1e-9
+        assert proj_distance(disk_form_quadruples(beta, gamma), j_quadruples(a0, a1)[1])[0] <= 1e-12
 
 
 class TestParabolicConstructors:
     def test_j_branch_plus(self):
         a0 = (1 + 1j) / 2
-        pair = parabolic_j_symbols(a0, +1)
-        assert abs(pair.phi(1.0) - 1.0) < 1e-14
-        assert abs(pair.phi.derivative(1.0) - 1.0) < 1e-14
+        phi = symbols(*parabolic_j_quadruples(a0, +1))[1]
+        assert abs(phi(1.0) - 1.0) < 1e-14
+        assert abs(phi.derivative(1.0) - 1.0) < 1e-14
 
     def test_j_branch_minus(self):
         a0 = (1 - 1j) / 2
-        pair = parabolic_j_symbols(a0, -1)
-        assert abs(pair.phi(-1.0) + 1.0) < 1e-13
-        assert abs(pair.phi.derivative(-1.0) - 1.0) < 1e-13
+        phi = symbols(*parabolic_j_quadruples(a0, -1))[1]
+        assert abs(phi(-1.0) + 1.0) < 1e-13
+        assert abs(phi.derivative(-1.0) - 1.0) < 1e-13
 
     def test_j_branch_violation(self):
         with pytest.raises(BranchConditionError):
-            parabolic_j_symbols(0.3, +1)
+            parabolic_j_quadruples(0.3, +1)
 
     def test_c1_worked_instance(self):
-        pair = c1_parabolic_symbols(1.0, 0.5, 0.25)
-        assert proj_distance(pair.phi, MobiusMap(0, 0.5, -0.5, 1)) < 1e-13
-        cls = classify(pair.phi)
+        phi = symbols(*c1_parabolic_quadruples(1.0, 0.5, 0.25))[1]
+        assert proj_distance(phi, MobiusMap(0, 0.5, -0.5, 1)) < 1e-13
+        cls = classify(phi)
         assert cls.map_class is MapClass.PARABOLIC_NON_AUTOMORPHISM
         assert abs(cls.dw_derivative - 1.0) < 1e-10
         # the rotated weight satisfies the rotation-weighted normality
@@ -323,7 +330,7 @@ class TestParabolicConstructors:
 
     def test_c1_discriminant_violation(self):
         with pytest.raises(DiscriminantError):
-            c1_parabolic_symbols(1.0, 0.5, 0.3)
+            c1_parabolic_quadruples(1.0, 0.5, 0.3)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -335,8 +342,7 @@ class TestParabolicConstructors:
         w = 0.5 + 0.45 * dw / 0.4 if dw != 0 else 0.5
         c0 = zeta * w
         c1 = (1 - w) ** 2
-        pair = c1_parabolic_symbols(zeta, c0, c1)
-        cls = classify(pair.phi)
+        cls = classify(symbols(*c1_parabolic_quadruples(zeta, c0, c1))[1])
         assert cls.map_class in (
             MapClass.PARABOLIC_AUTOMORPHISM,
             MapClass.PARABOLIC_NON_AUTOMORPHISM,
@@ -385,7 +391,7 @@ class TestC2Parabolic:
         assert c2_parabolic_predicate(params)
         zeta = c2_parabolic_dw_point(params)
         assert abs(abs(zeta) - 1.0) < 1e-10
-        cls = classify(c2_symbols(params).phi)
+        cls = classify(symbols(*c2_quadruples(params))[1])
         assert cls.map_class in (
             MapClass.PARABOLIC_AUTOMORPHISM,
             MapClass.PARABOLIC_NON_AUTOMORPHISM,

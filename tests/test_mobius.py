@@ -11,7 +11,7 @@ from wcosym.mobius import (
     MapClass,
     MobiusMap,
     classify,
-    compose,
+    compose_stack,
     cowen_adjoint,
     evaluate,
     fixed_points,
@@ -19,6 +19,7 @@ from wcosym.mobius import (
     is_self_map,
     mobius_equal,
     proj_distance,
+    quadruples,
 )
 from wcosym.series import RationalSymbol
 from wcosym.verify import SuiteConfig, lft_oracle
@@ -72,30 +73,44 @@ class TestEvaluate:
             evaluate(MobiusMap(0, 1, -1, 1), 1.0)
 
 
+def composite(first, second):
+    """compose_stack of two maps: the composite's quadruple and whether it is degenerate."""
+    quads, degenerate = compose_stack(quadruples([first]), quadruples([second]))
+    return quads[0], degenerate[0]
+
+
 class TestCompose:
+    """compose_stack, the 2 x 2 coefficient product, on stacks of one."""
+
     def test_rotation_family(self):
         # p = 0 member: phi_0 = -z composed with 0.5 * phi_0 gives 0.5 z
         phi0 = blaschke(0.0)
         scaled = MobiusMap(-0.5, 0.0, 0.0, 1.0)
-        assert mobius_equal(compose(phi0, scaled), MobiusMap(0.5, 0, 0, 1), 1e-14)
+        assert mobius_equal(MobiusMap(*composite(phi0, scaled)[0]), MobiusMap(0.5, 0, 0, 1), 1e-14)
 
     def test_blaschke_composition(self):
         phi_p = blaschke(0.5)
         minus_phi_p = MobiusMap(1.0, -0.5, -0.5, 1.0)
-        got = compose(phi_p, minus_phi_p)
+        got, degenerate = composite(phi_p, minus_phi_p)
         expected = MobiusMap(-1.0, 0.8, -0.8, 1.0)
-        assert mobius_equal(got, expected, 1e-13)
+        assert not degenerate and mobius_equal(MobiusMap(*got), expected, 1e-13)
 
     def test_identity_neutral(self):
         m = MobiusMap(0.2 + 0.1j, 0.05, -0.04j, 1.0)
-        assert mobius_equal(compose(IDENTITY, m), m, 1e-14)
-        assert mobius_equal(compose(m, IDENTITY), m, 1e-14)
+        assert mobius_equal(MobiusMap(*composite(IDENTITY, m)[0]), m, 1e-14)
+        assert mobius_equal(MobiusMap(*composite(m, IDENTITY)[0]), m, 1e-14)
 
     def test_constant_propagation(self):
+        # a constant v is (0, v, 0, 1): m o v is the constant m(v), and the
+        # outer constant of two is the composite's value
         m = MobiusMap(0.5, 0.1, 0, 1)
-        out = compose(m, ConstantMap(0.2))
-        assert isinstance(out, ConstantMap)
-        assert abs(out.value - evaluate(m, 0.2)) < 1e-15
+        (a, b, c, d), degenerate = composite(m, ConstantMap(0.2))
+        assert degenerate and a == c == 0
+        assert abs(b / d - evaluate(m, 0.2)) < 1e-15
+        (a, b, c, d), degenerate = composite(ConstantMap(0.3), ConstantMap(0.1))
+        assert degenerate and (a, b, c, d) == (0, 0.3, 0, 1)
+        (a, b, c, d), degenerate = composite(ConstantMap(0.3), m)
+        assert degenerate and b / d == 0.3
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -107,12 +122,12 @@ class TestCompose:
         maps = []
         for a, b, c in (t1, t2, t3):
             try:
-                maps.append(MobiusMap(1.0 + a, b, c, 2.0))
+                maps.append(quadruples([MobiusMap(1.0 + a, b, c, 2.0)]))
             except Exception:
                 return
-        left = compose(compose(maps[0], maps[1]), maps[2])
-        right = compose(maps[0], compose(maps[1], maps[2]))
-        assert proj_distance(left, right) < 1e-12
+        left = compose_stack(compose_stack(maps[0], maps[1])[0], maps[2])[0]
+        right = compose_stack(maps[0], compose_stack(maps[1], maps[2])[0])[0]
+        assert proj_distance(left, right)[0] < 1e-12
 
 
 class TestFixedPoints:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wcosym import families as fam
 from wcosym.errors import (
@@ -27,7 +28,7 @@ from wcosym.operators import (
     _rectangle,
     _row_step,
     _strip,
-    adjoint_factorization_residual,
+    adjoint_factorization_stack,
     build_wco,
     conjugation_matrix,
     conjugation_residual_stack,
@@ -36,7 +37,9 @@ from wcosym.operators import (
     symmetry_residual,
     wco_residual_stack,
 )
-from wcosym.series import RationalSymbol, expand_rational, quotient_series
+from wcosym.series import RationalSymbol, quotient_series
+
+from conftest import symbols
 
 ONE = RationalSymbol(1.0, 0, 1, 0)
 
@@ -72,6 +75,11 @@ def one_conjugation(c, n, k):
     """operators.conjugation_residual_stack of a stack of one conjugation."""
     inv, iso = conjugation_residual_stack(*conjugations(c).values(), n, k)
     return inv[0], iso[0]
+
+
+def one_factorization(m, n, k, sigma_sign=-1):
+    """operators.adjoint_factorization_stack of a stack of one map and one sign."""
+    return adjoint_factorization_stack(quadruples([m]), n, k, (sigma_sign,))[0][0]
 
 
 def j_family(a0, a1, b=1.0):
@@ -116,7 +124,7 @@ class TestBuildWco:
         with pytest.raises(ValueError):
             build_wco(ONE, IDENTITY, n)
         with pytest.raises(ValueError):
-            adjoint_factorization_residual(IDENTITY, n, 16)
+            one_factorization(IDENTITY, n, 16)
         for c in (Conjugation("J"), Conjugation("C1", 1.0, 1j), Conjugation("C2", 1.0, 0.3)):
             with pytest.raises(ValueError):
                 conjugation_matrix(c, n)
@@ -147,6 +155,11 @@ def test_constant_maps_are_read_in_one_place():
     assert quadruples([ConstantMap(0.3 - 0.4j)]).tolist() == [[0.0, 0.3 - 0.4j, 0.0, 1.0]]
 
 
+def psi_series(psi, n):
+    """The first n Taylor coefficients of a weight."""
+    return quotient_series([psi.coefficients()], n)[0]
+
+
 def phi_series(phi, n):
     """The first n Taylor coefficients of a Mobius or constant map."""
     if isinstance(phi, ConstantMap):
@@ -167,16 +180,11 @@ def convolution_columns(psi_s, phi, n, cols=None):
 
 # (weight, map) pairs across the decay regimes the suites draw from
 BUILD_PATH_CASES = {
-    "prop21-fast-decay": fam.normal_interior_symbols(fam.InteriorParams(0.1 - 0.05j, 0.2j, 1.3)),
-    "disk-automorphism": (RationalSymbol(1.0, 0.2, 1, -0.3), fam.DiskForm(np.exp(0.4j), 0.5 + 0.2j).to_map()),
+    "prop21-fast-decay": symbols(*fam.interior_quadruples(0.1 - 0.05j, 0.2j, 1.3)),
+    "disk-automorphism": symbols(np.array([[1.0, 0.2, 1, -0.3]]), fam.disk_form_quadruples(np.exp(0.4j), 0.5 + 0.2j)),
     "multiplication": (RationalSymbol(0.8, 0.3, 1, -0.6j), IDENTITY),
     "pole-near-circle": (RationalSymbol(1.0, 0.0, 1, -0.99), MobiusMap(0.3, 0.25, -0.1, 1.0)),
 }
-
-
-def case_symbols(case):
-    pair = BUILD_PATH_CASES[case]
-    return (pair.psi, pair.phi) if isinstance(pair, fam.SymbolPair) else pair
 
 
 def c2_symbols(c):
@@ -200,24 +208,24 @@ class TestBuildPaths:
     # multiples of the tile side
     @pytest.mark.parametrize("n", [1, 2, 3, 48, 64, 95, 191])
     def test_doubling_matches_convolutions(self, n):
-        pairs = [case_symbols(case) for case in sorted(BUILD_PATH_CASES)] + [(ONE, IDENTITY)]
+        pairs = [pair for _, pair in sorted(BUILD_PATH_CASES.items())] + [(ONE, IDENTITY)]
         for psi, phi in pairs:
-            reference = convolution_columns(expand_rational(psi, n), phi, n)
+            reference = convolution_columns(psi_series(psi, n), phi, n)
             got = build_wco(psi, phi, n)
             assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
         weight, vmap = c2_symbols(C2_SLOW_DECAY)
-        reference = convolution_columns(expand_rational(weight, n), vmap, n)
+        reference = convolution_columns(psi_series(weight, n), vmap, n)
         got = conjugation_matrix(C2_SLOW_DECAY, n)
         assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     @pytest.mark.parametrize("case", sorted(BUILD_PATH_CASES))
     def test_leading_block_agrees(self, case):
-        psi, phi = case_symbols(case)
+        psi, phi = BUILD_PATH_CASES[case]
         small = build_wco(psi, phi, self.N_SMALL)
         large = build_wco(psi, phi, self.N_LARGE)
         k = self.N_SMALL
         assert np.max(np.abs(large[:k, :k] - small)) <= 1e-13 * np.max(np.abs(small))
-        reference = convolution_columns(expand_rational(psi, self.N_LARGE), phi, self.N_LARGE)
+        reference = convolution_columns(psi_series(psi, self.N_LARGE), phi, self.N_LARGE)
         assert np.max(np.abs(large - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     def test_c2_kernel_map_agrees(self):
@@ -245,7 +253,7 @@ LEADING_DIMS = [48, 64, 95, 191, 192, 384]
 
 def build_cases():
     """Every BUILD_PATH_CASES pair, a constant map and the slow-decay C2 conjugation."""
-    pairs = {case: case_symbols(case) for case in sorted(BUILD_PATH_CASES)}
+    pairs = dict(sorted(BUILD_PATH_CASES.items()))
     pairs["constant-map"] = (RationalSymbol(0.75, 0.1, 1, -0.5), ConstantMap(0.6 - 0.3j))
     pairs["c2-slow-decay"] = c2_symbols(C2_SLOW_DECAY)
     return pairs
@@ -258,7 +266,7 @@ class TestLeadingBuilds:
     @pytest.mark.parametrize("n", LEADING_DIMS)
     def test_cross_and_block_match_convolutions(self, n):
         for name, (psi, phi) in build_cases().items():
-            reference = convolution_columns(expand_rational(psi, n), phi, n)
+            reference = convolution_columns(psi_series(psi, n), phi, n)
             scale = np.max(np.abs(reference))
             for k in (1, 12, 16):
                 rows, cols = cross(psi, phi, n, k)
@@ -327,7 +335,7 @@ class TestFftDoubling:
     @pytest.mark.parametrize("n", [48, 96, 191, 192, 193, 384, 389, MAX_DIM])
     def test_strip_matches_convolutions(self, n):
         for name, (psi, phi) in strip_cases().items():
-            psi_s = expand_rational(psi, n)
+            psi_s = psi_series(psi, n)
             for k in (1, 2, 12, 16):
                 reference = convolution_columns(psi_s, phi, n, k)
                 rows_reference = convolution_columns(psi_s[:k], phi, k, n)
@@ -342,7 +350,7 @@ class TestFftDoubling:
     def test_large_block_matches_convolutions(self):
         n, k = 448, 400
         for name, (psi, phi) in build_cases().items():
-            reference = convolution_columns(expand_rational(psi, n), phi, n)
+            reference = convolution_columns(psi_series(psi, n), phi, n)
             scale = np.max(np.abs(reference))
             leading = block(psi, phi, n, k)
             assert np.max(np.abs(leading - reference[:k, :k])) <= 1e-13 * scale, name
@@ -361,7 +369,7 @@ class TestFftDoubling:
         for name in ("fft", "ifft", "rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, refuse)
         for name, (psi, phi) in strip_cases().items():
-            psi_s = expand_rational(psi, n)
+            psi_s = psi_series(psi, n)
             reference = convolution_columns(psi_s, phi, n, 16)
             psi_q, phi_q = stacks(psi, phi)
             error = np.max(np.abs(_strip(psi_q, psi_s[None], phi_q, 16)[0] - reference))
@@ -371,7 +379,7 @@ class TestFftDoubling:
             got = one_draw(psi, phi, n, 16, C2_SLOW_DECAY, normality=False)
             assert list(got) == ["symmetry"], name
         with pytest.raises(AssertionError, match="refused builder"):
-            build_wco(*case_symbols("disk-automorphism"), n)
+            build_wco(*BUILD_PATH_CASES["disk-automorphism"], n)
 
     @pytest.mark.parametrize("n", [48, 191, 192, 448, MAX_DIM])
     def test_doubling_steps_at_most_k_plus_1_wide(self, n, monkeypatch):
@@ -385,7 +393,7 @@ class TestFftDoubling:
             return real(run, step)
 
         monkeypatch.setattr(operators, "_double", spy)
-        psi, phi = case_symbols("disk-automorphism")
+        psi, phi = BUILD_PATH_CASES["disk-automorphism"]
         for k in (16, min(n - 32, 400)):
             seen.clear()
             cross(psi, phi, n, k)
@@ -393,7 +401,7 @@ class TestFftDoubling:
             for c in (Conjugation("J"), C2_SLOW_DECAY):
                 one_draw(psi, phi, n, k, c)
                 one_draw(psi, phi, n, k, c, normality=False)
-            adjoint_factorization_residual(phi, n, k)
+            one_factorization(phi, n, k)
             assert seen and max(max(shape) for shape in seen) <= k + 1, k
         seen.clear()
         build_wco(psi, phi, n)
@@ -406,7 +414,7 @@ class TestFftDoubling:
         for n in (1, 48, 96, 384):
             for name, (psi, phi) in build_cases().items():  # a constant map v is the recurrence of (0, v, 0, 1)
                 got = build_wco(psi, phi, n)
-                assert np.array_equal(got, _mobius_recurrence(expand_rational(psi, n), quadruples([phi])[0])), (name, n)
+                assert np.array_equal(got, _mobius_recurrence(psi_series(psi, n), quadruples([phi])[0])), (name, n)
             got = conjugation_matrix(C2_SLOW_DECAY, n)
             assert np.array_equal(got, _mobius_recurrence(quotient_series(weight, n)[0], vmap[0])), n
 
@@ -442,12 +450,12 @@ class TestTileWavefront:
     @pytest.mark.parametrize("n", DIMS)
     def test_whole_build_matches_convolutions(self, n):
         for name, (psi, phi) in tile_cases().items():
-            psi_s = expand_rational(psi, n)
+            psi_s = psi_series(psi, n)
             reference = convolution_columns(psi_s, phi, n)
             assert_matches(build_wco(psi, phi, n), reference, name)
         for modulus in C2_MODULI:
             c = Conjugation("C2", np.exp(0.3j), modulus * np.exp(1.1j))
-            reference = convolution_columns(expand_rational(c2_symbols(c)[0], n), c2_symbols(c)[1], n)
+            reference = convolution_columns(psi_series(c2_symbols(c)[0], n), c2_symbols(c)[1], n)
             assert_matches(conjugation_matrix(c, n), reference, modulus)
 
     @pytest.mark.parametrize("rows, cols", [(192, 2), (192, 9), (200, 17), (389, 193), (193, 389), (250, 1024)])
@@ -457,7 +465,7 @@ class TestTileWavefront:
         assert rows >= 192 and rows != cols
         n = max(rows, cols)
         for name, (psi, phi) in tile_cases().items():
-            psi_s = expand_rational(psi, n)
+            psi_s = psi_series(psi, n)
             reference = convolution_columns(psi_s[:rows], phi, rows, cols)
             if rows < cols:
                 got = _rectangle(psi_s[None], phi_series(phi, n)[None], rows, cols)[0]
@@ -468,7 +476,7 @@ class TestTileWavefront:
     def test_leading_block_of_the_largest_build(self):
         n, k = MAX_DIM, 389
         for name, (psi, phi) in tile_cases().items():
-            reference = convolution_columns(expand_rational(psi, k), phi, k)
+            reference = convolution_columns(psi_series(psi, k), phi, k)
             assert_matches(build_wco(psi, phi, n)[:k, :k], reference, name)
 
     @pytest.mark.parametrize("n", [384, MAX_DIM])
@@ -487,14 +495,14 @@ class TestTileWavefront:
 
 
 def c2_selfmap(rng, alpha_hi=0.5):
-    """(params, pair) of the first C2 candidate with |alpha| in [0.1,
+    """(params, (psi, phi)) of the first C2 candidate with |alpha| in [0.1,
     alpha_hi] and |T|, |U| <= 0.3 that the C2 sampler's rule keeps."""
     disk = lambda lo, hi: np.sqrt(rng.uniform(lo * lo, hi * hi, 1)) * np.exp(2j * np.pi * rng.uniform(size=1))
     while True:
         keep, params, psi, phi = verify._c2_candidates(disk(0.1, alpha_hi), disk(0.0, 0.3), disk(0.0, 0.3))
         if keep[0]:
             c2 = fam.C2Params(*(complex(x[0]) for x in (params.alpha, params.c0, params.c1, params.c2)))
-            return c2, fam.SymbolPair(RationalSymbol(*psi[0].tolist()), MobiusMap(*phi[0].tolist()))
+            return c2, symbols(psi, phi)
 
 
 def family_self_maps(rng, per_family):
@@ -502,14 +510,13 @@ def family_self_maps(rng, per_family):
     each of the J, C1, C2, interior, parabolic and hyperbolic families."""
     disk = lambda radius: radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
     draws = {
-        "j": lambda: fam.j_symbols(fam.JParams(disk(0.9), disk(0.9))),
-        "c1": lambda: fam.c1_symbols(fam.C1Params(np.exp(2j * np.pi * rng.uniform()), disk(0.9), disk(0.9))),
+        "j": lambda: symbols(*fam.j_quadruples(disk(0.9), disk(0.9))),
+        "c1": lambda: symbols(*fam.c1_quadruples(np.exp(2j * np.pi * rng.uniform()), disk(0.9), disk(0.9))),
         "c2": lambda: c2_selfmap(rng, alpha_hi=0.99)[1],
-        "c2-conjugation": lambda: fam.SymbolPair(*c2_symbols(
-            Conjugation("C2", np.exp(2j * np.pi * rng.uniform()), disk(0.99)))),
-        "interior": lambda: fam.normal_interior_symbols(fam.InteriorParams(disk(0.95), disk(1.0))),
-        "parabolic": lambda: fam.parabolic_j_symbols(0.5j + 0.5 * np.exp(1j * rng.uniform(-np.pi / 2, 0)), 1),
-        "hyperbolic": lambda: fam.SymbolPair(
+        "c2-conjugation": lambda: c2_symbols(Conjugation("C2", np.exp(2j * np.pi * rng.uniform()), disk(0.99))),
+        "interior": lambda: symbols(*fam.interior_quadruples(disk(0.95), disk(1.0))),
+        "parabolic": lambda: symbols(*fam.parabolic_j_quadruples(0.5j + 0.5 * np.exp(1j * rng.uniform(-np.pi / 2, 0)), 1)),
+        "hyperbolic": lambda: (
             RationalSymbol(1.0, 0.0, 1.0, -disk(0.9)),
             fam.hyperbolic_aut_map(fam.HyperbolicParams(rng.uniform(1.05, 6.0), complex(*rng.uniform(0, 2, 2))))),
     }
@@ -517,13 +524,13 @@ def family_self_maps(rng, per_family):
         kept = 0
         while kept < per_family:
             try:
-                pair = draw()
+                psi, phi = draw()
             except WcoError:
                 continue
-            if isinstance(pair.phi, ConstantMap) or not is_self_map(pair.phi):
+            if isinstance(phi, ConstantMap) or not is_self_map(phi):
                 continue
             kept += 1
-            yield family, pair.psi, pair.phi
+            yield family, psi, phi
 
 
 class TestRowStep:
@@ -570,7 +577,7 @@ class TestSeams:
     @pytest.mark.parametrize("n", [64, 191, 192, 384])
     def test_residuals_match_whole_matrices(self, n):
         k = self.K
-        psi, phi = case_symbols("disk-automorphism")
+        psi, phi = BUILD_PATH_CASES["disk-automorphism"]
         conjugations = (Conjugation("J"), Conjugation("C1", np.exp(0.3j), np.exp(0.7j)), C2_SLOW_DECAY)
         perturbed = RationalSymbol(psi.n0, psi.n1 + 0.3, psi.d0, psi.d1)
         for pair in [(psi, phi), (perturbed, phi), (psi, ConstantMap(0.4j))]:
@@ -596,13 +603,12 @@ class TestSeams:
         rng = np.random.default_rng(5)
         cfg, k = verify.SuiteConfig(), 16
         for i in range(60):
-            params, pair = c2_selfmap(rng)
+            params, (psi, phi) = c2_selfmap(rng)
             if i % 2:
-                psi = verify._perturbed(np.array([pair.psi.coefficients()]))[0]
-                pair = fam.SymbolPair(RationalSymbol(*psi.tolist()), pair.phi)
+                psi = RationalSymbol(*verify._perturbed(np.array([psi.coefficients()]))[0].tolist())
             c = Conjugation("C2", 1.0, params.alpha)
-            seam = one_draw(pair.psi, pair.phi, n, k, c, normality=False)["symmetry"]
-            whole = symmetry_residual(build_wco(pair.psi, pair.phi, n), conjugation_matrix(c, n), k)
+            seam = one_draw(psi, phi, n, k, c, normality=False)["symmetry"]
+            whole = symmetry_residual(build_wco(psi, phi, n), conjugation_matrix(c, n), k)
             assert self.close(seam, whole), (i, seam, whole)
             assert verify.band_verdict(seam, cfg) == verify.band_verdict(whole, cfg), (i, seam, whole)
             assert seam >= 0.1 if i % 2 else seam <= 1e-13, (i, seam)
@@ -614,7 +620,7 @@ class TestSeams:
 
         monkeypatch.setattr(operators, "build_wco", refuse)
         monkeypatch.setattr(operators, "_mobius_recurrence", refuse)
-        psi, phi = case_symbols("disk-automorphism")
+        psi, phi = BUILD_PATH_CASES["disk-automorphism"]
         for c in (Conjugation("J"), Conjugation("C1", 1.0, 1j), C2_SLOW_DECAY):
             for normality in (True, False):
                 got = one_draw(psi, phi, n, 16, c, normality)
@@ -629,9 +635,9 @@ class TestSeams:
         c_phi = build_wco(ONE, m, n)
         m_g, m_h = build_wco(triple.g, IDENTITY, n), build_wco(triple.h, IDENTITY, n)
         # the flipped-sign sigma is not a self-map, so build_wco refuses it
-        c_sigma = convolution_columns(expand_rational(ONE, n), triple.sigma, n)
+        c_sigma = convolution_columns(psi_series(ONE, n), triple.sigma, n)
         whole = np.linalg.norm((c_phi.conj().T - m_g @ c_sigma @ m_h.conj().T)[:k, :k])
-        assert self.close(adjoint_factorization_residual(m, n, k, sigma_sign=sigma_sign), whole)
+        assert self.close(one_factorization(m, n, k, sigma_sign=sigma_sign), whole)
 
 
 class TestBlockResiduals:
@@ -662,13 +668,13 @@ class TestBlockResiduals:
         m = MobiusMap(0.5 + 0.1j, 0.25 - 0.05j, 0.1 + 0.2j, 1.0)
         n, k = self.N, self.K
         triple = cowen_adjoint(m, sigma_sign=sigma_sign)
-        one = expand_rational(ONE, n)
+        one = psi_series(ONE, n)
         c_phi = convolution_columns(one, m, n)
-        m_g = convolution_columns(expand_rational(triple.g, n), IDENTITY, n)
+        m_g = convolution_columns(psi_series(triple.g, n), IDENTITY, n)
         c_sigma = convolution_columns(one, triple.sigma, n)
-        m_h = convolution_columns(expand_rational(triple.h, n), IDENTITY, n)
+        m_h = convolution_columns(psi_series(triple.h, n), IDENTITY, n)
         full = np.linalg.norm((c_phi.conj().T - m_g @ c_sigma @ m_h.conj().T)[:k, :k])
-        got = adjoint_factorization_residual(m, n, k, sigma_sign=sigma_sign)
+        got = one_factorization(m, n, k, sigma_sign=sigma_sign)
         assert abs(got - full) <= 1e-13 * max(1.0, full)
 
 
@@ -818,17 +824,42 @@ class TestNormalityResidual:
         assert residuals[2] <= 1e-8
 
 
+class TestInteriorSpectrum:
+    """The spectrum of the interior-fixed-point normal operator is
+    {psi(p) phi'(p)^n : n >= 0} with phi'(p) = delta (Gunatillake, Proc. AMS
+    135, 2007): each leading predicted eigenvalue must be an eigenvalue of
+    the N = 96 truncation to relative 1e-10.  Past |p| = 0.6 or |delta| =
+    0.7 the truncation is too coarse for that bound (4.5e-5 at |p| <= 0.8,
+    |delta| <= 0.9)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.0, 0.6), st.floats(0.0, 2 * np.pi),
+        st.floats(0.05, 0.7), st.floats(0.0, 2 * np.pi),
+        st.floats(0.5, 1.5),
+    )
+    def test_predicted_eigenvalues_of_build_wco(self, p_mod, p_arg, delta_mod, delta_arg, gamma):
+        p, delta = p_mod * np.exp(1j * p_arg), delta_mod * np.exp(1j * delta_arg)
+        psi, phi = symbols(*fam.interior_quadruples(p, delta, gamma))
+        eigenvalues = np.linalg.eigvals(build_wco(psi, phi, 96))
+        top = psi(p)
+        predicted = [top * delta ** n for n in range(8) if abs(delta) ** n >= 1e-6]
+        for n, value in enumerate(predicted):
+            error = np.min(np.abs(eigenvalues - value))
+            assert error <= 1e-10 * abs(value), (n, value, error)
+
+
 class TestAdjointFactorization:
     def test_identity(self):
-        assert adjoint_factorization_residual(IDENTITY, 48, 16) <= 1e-15
+        assert one_factorization(IDENTITY, 48, 16) <= 1e-15
 
     def test_dilation(self):
-        assert adjoint_factorization_residual(MobiusMap(0.5, 0, 0, 1), 48, 16) <= 1e-12
+        assert one_factorization(MobiusMap(0.5, 0, 0, 1), 48, 16) <= 1e-12
 
     def test_affine(self):
-        assert adjoint_factorization_residual(MobiusMap(0.5, 0.25, 0, 1), 64, 16) <= 1e-8
+        assert one_factorization(MobiusMap(0.5, 0.25, 0, 1), 64, 16) <= 1e-8
 
     def test_flipped_sigma_sign_fails(self):
         m = MobiusMap(0.5 + 0.1j, 0.25 - 0.05j, 0.1 + 0.2j, 1.0)
-        assert adjoint_factorization_residual(m, 64, 16, sigma_sign=-1) <= 1e-8
-        assert adjoint_factorization_residual(m, 64, 16, sigma_sign=+1) >= 1e-3
+        assert one_factorization(m, 64, 16, sigma_sign=-1) <= 1e-8
+        assert one_factorization(m, 64, 16, sigma_sign=+1) >= 1e-3

@@ -17,10 +17,10 @@ from wcosym.families import (
     HyperbolicParams,
     JParams,
     c1_normal_expression,
-    c1_symbols,
+    c1_quadruples,
     hyperbolic_aut_map,
     j_normal_expression,
-    j_symbols,
+    j_quadruples,
 )
 from wcosym import families as fam
 from wcosym.mobius import (
@@ -53,6 +53,8 @@ from wcosym.verify import (
     default_config,
     run_suite,
 )
+
+from conftest import symbols
 
 
 def clean(report):
@@ -276,6 +278,46 @@ def test_band_rule_has_one_caller():
     assert _callers({"SampleRecord"}) == {("verify", "_record")}
 
 
+# the whole-matrix reference API and the report validator: the tests compare
+# against them, so they stay although nothing in the package calls them
+REFERENCE_API = {
+    ("operators", "build_wco"),
+    ("operators", "normality_residual"),
+    ("operators", "symmetry_residual"),
+    ("cli", "validate_report_dict"),
+}
+
+
+def _identifiers(node):
+    """Every name and attribute name read under node."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_definition_has_a_user():
+    # the design rule: a public top-level def or class of a package module is
+    # referenced by another top-level statement of the package, by scripts/ or
+    # by bench/, or it is deleted; an import is not a use
+    package = pathlib.Path(verify.__file__).parent
+    outside = set().union(*(
+        _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+        for folder in ("scripts", "bench") for path in sorted((package.parents[1] / folder).rglob("*.py"))
+    ))
+    public, users = [], collections.defaultdict(set)
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_"):
+                public.append((path.stem, name))
+            if not isinstance(top, (ast.Import, ast.ImportFrom)):
+                for identifier in _identifiers(top):
+                    users[identifier].add((path.stem, name))
+    assert REFERENCE_API <= set(public)
+    unused = {(module, name) for module, name in public if not users[name] - {(module, name)} and name not in outside}
+    assert sorted(unused - REFERENCE_API) == []
+
+
 @pytest.mark.parametrize("normal, band", [(True, "pass"), (False, "fail"), (None, "band")])
 @pytest.mark.parametrize("claim", [True, False])
 def test_exact_decision_meets_the_claim(normal, band, claim):
@@ -401,11 +443,11 @@ def test_preimage_round_trip(family):
         c0, c1 = _random_disk_point(rng), _random_disk_point(rng)
         if family == "j":
             alpha = 1.0
-            phi = j_symbols(JParams(c0, c1)).phi
+            phi = symbols(*j_quadruples(*dataclasses.astuple(JParams(c0, c1))))[1]
             gap, got_alpha, got_c0, got_c1 = _preimage(phi, alpha=1.0)
         else:
             alpha = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-            phi = c1_symbols(C1Params(alpha, c0, c1)).phi
+            phi = symbols(*c1_quadruples(*dataclasses.astuple(C1Params(alpha, c0, c1))))[1]
             gap, got_alpha, got_c0, got_c1 = _preimage(phi)
         worst = max(worst, gap, abs(got_alpha - alpha), abs(got_c0 - c0), abs(got_c1 - c1))
     assert worst <= 1e-12, worst
@@ -522,9 +564,10 @@ def test_sweep_matches_per_target_reference(search, reference):
         assert witness.keys() == ref_witness.keys()
         if deficiency < fail_tol:
             if "a0" in witness:
-                phi = j_symbols(JParams(witness["a0"], witness["a1"])).phi
+                phi = symbols(*j_quadruples(*dataclasses.astuple(JParams(witness["a0"], witness["a1"]))))[1]
             else:
-                phi = c1_symbols(C1Params(witness["alpha"], witness["c0"], witness["c1"])).phi
+                params = C1Params(witness["alpha"], witness["c0"], witness["c1"])
+                phi = symbols(*c1_quadruples(*dataclasses.astuple(params)))[1]
             assert proj_distance(phi, target) <= 1e-12, (target, witness)
 
 
