@@ -25,18 +25,12 @@ from .families import (
 )
 from .mobius import (
     INFINITY,
-    ConstantMap,
-    CowenTriple,
     MapClass,
     MapClassification,
-    MobiusMap,
     classify,
-    cowen_adjoint,
-    evaluate,
     fixed_points,
     is_automorphism,
     is_self_map,
-    mobius_equal,
 )
 from .operators import (
     Conjugation,
@@ -46,7 +40,6 @@ from .operators import (
     normality_residual,
     symmetry_residual,
 )
-from .series import RationalSymbol
 from .verify import (
     SuiteConfig,
     VerificationReport,

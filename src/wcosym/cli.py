@@ -19,7 +19,7 @@ import time
 from dataclasses import asdict, fields, replace
 from typing import Dict, List, Optional
 
-from .errors import CliParseError, NotSelfMapError, WcoError
+from .errors import CliParseError, SamplingBudgetError, WcoError
 import numpy as np
 
 from .families import (
@@ -34,7 +34,7 @@ from .families import (
     j_normal_predicate,
     j_quadruples,
 )
-from .mobius import ConstantMap, MobiusMap, classify, cowen_adjoint, is_constant
+from .mobius import MapClass, canonical_quadruple, classify, cowen_stack, is_constant
 from .verify import (
     Probe,
     SuiteConfig,
@@ -242,19 +242,15 @@ def cmd_classify(args) -> int:
     coeffs = [parse_complex(p) for p in args.phi.split(",")]
     if len(coeffs) != 4:
         raise CliParseError("--phi needs four comma-separated coefficients a,b,c,d")
-    a, b, c, d = coeffs
-    constant = a == c == 0 and d != 0  # the constant map b/d, which has no adjoint factorization
-    m = ConstantMap(b / d) if constant else MobiusMap(*coeffs)
-    if constant and abs(m.value) >= 1.0:
-        raise NotSelfMapError(f"the constant {format_complex(m.value)} does not map the disk into itself")
-    cls = classify(m)
-    sigma = None if constant else cowen_adjoint(m).sigma
+    cls = classify(coeffs)
+    constant = cls.map_class is MapClass.CONSTANT  # a constant has no adjoint factorization
+    sigma = None if constant else canonical_quadruple(cowen_stack(np.array([canonical_quadruple(coeffs)]))[1][0])
     doc = {
         "class": cls.map_class.value,
         "dw_point": cls.dw_point,
         "dw_derivative": cls.dw_derivative,
         "is_automorphism": cls.is_automorphism,
-        "sigma": None if sigma is None else dict(zip("abcd", sigma.quadruple())),
+        "sigma": None if sigma is None else dict(zip("abcd", sigma)),
     }
     if args.format == "json":
         _write_output(_to_json(doc), args.out)
@@ -265,7 +261,7 @@ def cmd_classify(args) -> int:
             f"dw derivative    {format_complex(cls.dw_derivative) if cls.dw_derivative is not None else '-'}",
             f"automorphism     {'yes' if cls.is_automorphism else 'no'}",
             "sigma            " + ("-" if sigma is None else "({}) z + ({}) over ({}) z + ({})".format(
-                *map(format_complex, sigma.quadruple())
+                *map(format_complex, sigma)
             )),
         ]
         _write_output("\n".join(lines) + "\n", args.out)
@@ -350,8 +346,9 @@ def cmd_suite(args) -> int:
     sorted order.  --out DIR receives each report as DIR/<id>.json, and a
     fixed-target sweep's table as DIR/<id>.csv.  With --all a fixed-target
     sweep keeps its own samples count.  A suite refused as bad input prints
-    its error, counts as 2, and the run goes on; the exit status is the
-    most severe over the suites run."""
+    its error and counts as 2, one whose sampler runs out of budget counts
+    as 1, and the run goes on; the exit status is the most severe over the
+    suites run."""
     if args.all:
         check_registry()  # a full run covers every anchored statement
     flags = {key: getattr(args, key) for key in ("seed", "samples", "dim", "block")}
@@ -366,9 +363,9 @@ def cmd_suite(args) -> int:
         try:
             suite_flags = sweep_flags if args.all and SUITES[suite_id].fixed_samples else flags
             report = run_suite(suite_id, replace(default_config(suite_id), **suite_flags))
-        except (WcoError, ValueError) as exc:
+        except (WcoError, ValueError, SamplingBudgetError) as exc:
             sys.stderr.write(f"error: {suite_id}: {exc}\n")
-            statuses.append(2)
+            statuses.append(1 if isinstance(exc, SamplingBudgetError) else 2)
             continue
         if out_dir:
             (out_dir / f"{suite_id}.json").write_text(report_to_json(report), encoding="utf-8")

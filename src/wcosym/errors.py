@@ -6,14 +6,10 @@ onto exit codes (bad input vs internal error).
 
 
 class WcoError(Exception):
-    """Base class for all package errors."""
+    """Base class of the package's refusals of bad input."""
 
 
 # ---- mobius ----------------------------------------------------------------
-
-class PoleAtInputError(WcoError):
-    """Evaluation point sits on (or numerically at) the pole of the map."""
-
 
 class IdentityMapError(WcoError):
     """Operation undefined for the identity map (every point is fixed)."""
@@ -24,11 +20,8 @@ class NotSelfMapError(WcoError):
 
 
 class DegenerateMapError(WcoError):
-    """Coefficient quadruple has (numerically) vanishing determinant."""
-
-
-class ConstantMapError(WcoError):
-    """Operation rejects constant maps."""
+    """Coefficient quadruple vanishes, or has (numerically) vanishing
+    determinant where a constant must be written (0, v, 0, d)."""
 
 
 # ---- series ----------------------------------------------------------------
@@ -81,3 +74,7 @@ class UnknownSuiteError(WcoError):
 
 class CliParseError(WcoError):
     """Command-line argument could not be parsed."""
+
+
+class SamplingBudgetError(RuntimeError):
+    """A suite's sampler kept too few candidates: its fault, not bad input."""

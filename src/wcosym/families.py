@@ -27,8 +27,8 @@ from .errors import (
     NotSelfMapError,
 )
 from .mobius import (
-    MobiusMap,
     canonical,
+    canonical_quadruple,
     coefficient_stack as _stack,
     compose_stack,
     is_self_map,
@@ -300,14 +300,14 @@ def c1_parabolic_quadruples(zeta, c0, c1):
     return _stack(z2, 0.0, z2, -c0), phi
 
 
-def hyperbolic_aut_map(params: HyperbolicParams) -> MobiusMap:
-    """Hyperbolic self-map fixing 1 with derivative 1/r.
+def hyperbolic_aut_map(params: HyperbolicParams):
+    """Canonical quadruple of the hyperbolic self-map fixing 1, derivative 1/r.
 
     ((r+1-t) z + r+t-1) / ((r-t-1) z + r+t+1): an automorphism exactly on
     the locus Re t = 0 and a self-map iff Re t >= 0.
     """
     r, t = params.r, params.t
-    m = MobiusMap(r + 1 - t, r + t - 1, r - t - 1, r + t + 1)
+    m = canonical_quadruple((r + 1 - t, r + t - 1, r - t - 1, r + t + 1))
     if not is_self_map(m):
         raise NotSelfMapError(f"(r, t) = ({r}, {t}) gives a non-self-map (Re t < 0)")
     return m

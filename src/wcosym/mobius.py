@@ -1,18 +1,19 @@
 """Exact algebra and classification of linear-fractional self-maps of the disk.
 
-Maps are stored projectively as coefficient quadruples (a, b, c, d) of
-z -> (az + b)/(cz + d), normalized so the coefficient of largest modulus
-equals 1; two maps are equal iff their canonical quadruples agree.  The
+A map z -> (az + b)/(cz + d) is its coefficient quadruple (a, b, c, d):
+four numbers, or a row of a (B, 4) stack; a constant v is (0, v, 0, 1).
+Canonical means divided by the coefficient of largest modulus; two maps
+are equal iff their canonical quadruples agree.  is_degenerate is the one
+degeneracy rule: ad - bc numerically zero makes a map a constant.  The
 classification (interior / hyperbolic / parabolic, automorphism or not)
 is decided from the fixed-point quadratic and closed-form coefficient
 criteria, never from boundary sampling.
 
-The coefficient criteria (is_self_map, sup_modulus, is_automorphism,
-the projective gap, the Cowen adjoint and the LFT normality defects) are
-each one formula for a (B, 4) stack of quadruples, a constant map v being
-(0, v, 0, 1), and for a single map: the suites' samplers pass whole
-stacks.  Only the checks that are scalar by nature (classify,
-fixed_points) read map objects alone.
+The coefficient criteria (is_degenerate, is_self_map, sup_modulus,
+is_automorphism, the projective gap, the Cowen adjoint and the LFT
+normality defects) are each one formula for a (B, 4) stack and for a
+single quadruple: the suites' samplers pass whole stacks.  Only the checks
+scalar by nature (classify, fixed_points) take one quadruple alone.
 """
 
 from __future__ import annotations
@@ -21,20 +22,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    ConstantMapError,
-    DegenerateMapError,
-    IdentityMapError,
-    NotSelfMapError,
-    PoleAtInputError,
-)
-from .series import RationalSymbol
+from .errors import DegenerateMapError, IdentityMapError, NotSelfMapError
 
 INFINITY = complex(float("inf"), 0.0)
+IDENTITY = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
 SELF_MAP_SLACK = 1e-10
 BOUNDARY_TOL = 1e-9
@@ -42,64 +37,6 @@ PARABOLIC_TOL = 1e-9
 AUT_TOL = 1e-9
 EQUAL_TOL = 1e-9
 _DEGENERATE_TOL = 1e-13
-_POLE_EPS = 1e-13
-
-
-def _is_inf(z: complex) -> bool:
-    return cmath.isinf(z)
-
-
-@dataclass(frozen=True)
-class ConstantMap:
-    """Constant map z -> value, kept distinct from degenerate quadruples."""
-
-    value: complex
-
-
-@dataclass(frozen=True)
-class MobiusMap:
-    """Non-degenerate linear-fractional map (az + b)/(cz + d).
-
-    The stored quadruple is canonical: scaled so the largest-modulus
-    coefficient is exactly 1 (ties broken in the order a, b, c, d).
-    """
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def __post_init__(self):
-        a, b, c, d = complex(self.a), complex(self.b), complex(self.c), complex(self.d)
-        if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
-            raise ValueError("coefficients must be finite")
-        mods = (abs(a), abs(b), abs(c), abs(d))
-        scale = max(mods)
-        if scale == 0.0:
-            raise DegenerateMapError("all coefficients vanish")
-        if abs(a * d - b * c) <= _DEGENERATE_TOL * scale * scale:
-            raise DegenerateMapError(
-                "ad - bc vanishes; use ConstantMap for constant maps"
-            )
-        pivot = (a, b, c, d)[mods.index(scale)]  # canonical()'s rule, in Python complex division
-        object.__setattr__(self, "a", a / pivot)
-        object.__setattr__(self, "b", b / pivot)
-        object.__setattr__(self, "c", c / pivot)
-        object.__setattr__(self, "d", d / pivot)
-
-    def __call__(self, z: complex) -> complex:
-        return evaluate(self, z)
-
-    @property
-    def det(self) -> complex:
-        return self.a * self.d - self.b * self.c
-
-    def quadruple(self) -> Tuple[complex, complex, complex, complex]:
-        return self.a, self.b, self.c, self.d
-
-    def derivative(self, z: complex) -> complex:
-        den = self.c * z + self.d
-        return self.det / (den * den)
 
 
 def coefficient_stack(a, b, c, d) -> np.ndarray:
@@ -111,13 +48,24 @@ def coefficient_stack(a, b, c, d) -> np.ndarray:
 
 def canonical(quads: np.ndarray) -> np.ndarray:
     """Each quadruple of a (B, 4) stack divided by its coefficient of
-    largest modulus (the first of equal ones), as MobiusMap scales one."""
+    largest modulus (the first of equal ones)."""
     return quads / quads[np.arange(len(quads)), abs(quads).argmax(axis=1)][:, None]
 
 
-def quadruples(maps) -> np.ndarray:
-    """The (B, 4) stack of the maps' coefficients, a constant map v as (0, v, 0, 1)."""
-    return np.array([(0.0, m.value, 0.0, 1.0) if isinstance(m, ConstantMap) else m.quadruple() for m in maps])
+def canonical_quadruple(quad) -> Tuple[complex, complex, complex, complex]:
+    """One quadruple as Python complex numbers divided by its coefficient of
+    largest modulus (the first of equal ones): canonical's rule in Python
+    complex division.  Refuses a non-finite coefficient and the zero
+    quadruple."""
+    quad = tuple(complex(x) for x in quad)
+    if not all(cmath.isfinite(x) for x in quad):
+        raise ValueError("coefficients must be finite")
+    mods = tuple(abs(x) for x in quad)
+    scale = max(mods)
+    if scale == 0.0:
+        raise DegenerateMapError("all coefficients vanish")
+    pivot = quad[mods.index(scale)]
+    return tuple(x / pivot for x in quad)
 
 
 def is_constant(quads: np.ndarray) -> np.ndarray:
@@ -126,11 +74,9 @@ def is_constant(quads: np.ndarray) -> np.ndarray:
 
 
 def _columns(m):
-    """(a, b, c, d): a map's coefficients, or the coefficient columns of a
-    (B, 4) stack.  The coefficient criteria below read nothing else, so
-    each is one formula for a stack and for a single map."""
-    if isinstance(m, MobiusMap):
-        return m.quadruple()
+    """(a, b, c, d): a quadruple, or the coefficient columns of a (B, 4)
+    stack.  The coefficient criteria below read nothing else, so each is
+    one formula for a stack and for a single map."""
     return m.T if isinstance(m, np.ndarray) else tuple(m)
 
 
@@ -140,7 +86,18 @@ def _elementwise(x, scalar, array):
     return array if isinstance(x, np.ndarray) else scalar
 
 
-IDENTITY = MobiusMap(1.0, 0.0, 0.0, 1.0)
+def _max_modulus(a, b, c, d):
+    """The largest coefficient modulus of a quadruple, or of each row of a stack."""
+    return _elementwise(a, max, lambda *x: np.maximum.reduce(x))(abs(a), abs(b), abs(c), abs(d))
+
+
+def is_degenerate(m):
+    """|ad - bc| <= _DEGENERATE_TOL scale^2, scale the largest coefficient
+    modulus, for a quadruple or each row of a stack: the map is a constant
+    (the zero quadruple included)."""
+    a, b, c, d = _columns(m)
+    scale = _max_modulus(a, b, c, d)
+    return (scale == 0.0) | (abs(a * d - b * c) <= _DEGENERATE_TOL * scale * scale)
 
 
 class MapClass(str, Enum):
@@ -162,53 +119,27 @@ class MapClassification:
     is_automorphism: bool
 
 
-@dataclass(frozen=True)
-class CowenTriple:
-    """Auxiliary functions of the adjoint factorization C_phi* = M_g C_sigma M_h*."""
-
-    g: RationalSymbol
-    sigma: MobiusMap
-    h: RationalSymbol  # polynomial: h(z) = c z + d stored with unit denominator
-
-
 # ---------------------------------------------------------------------------
 # elementary operations
 # ---------------------------------------------------------------------------
 
-def evaluate(m: MobiusMap, z: complex) -> complex:
-    den = m.c * z + m.d
-    scale = max(abs(m.c) * abs(z), abs(m.d), 1.0)
-    if abs(den) < _POLE_EPS * scale:
-        raise PoleAtInputError(f"pole at z = {z}")
-    return (m.a * z + m.b) / den
-
-
-MapLike = Union[MobiusMap, ConstantMap]
-
-
 def compose_stack(first: np.ndarray, second: np.ndarray):
     """The quadruples of first[b] o second[b] (the 2 x 2 coefficient
     matrices multiplied) for two (B, 4) stacks of maps, a constant v being
-    (0, v, 0, 1), and where the composite is numerically degenerate: a
-    constant, of value b/d where d != 0."""
+    (0, v, 0, 1), and where the composite is degenerate: a constant, of
+    value b/d where d != 0."""
     a1, b1, c1, d1 = first.T
     a2, b2, c2, d2 = second.T
     quads = coefficient_stack(a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
-    a, b, c, d = quads.T
-    scale = abs(quads).max(axis=1)
-    return quads, (scale == 0.0) | (abs(a * d - b * c) <= _DEGENERATE_TOL * scale * scale)
+    return quads, is_degenerate(quads)
 
 
-def proj_distance(m1, m2):
-    """Projective distance between maps, or between the rows of two (B, 4)
-    stacks: the scaled norm of the 2x2 minors for two Mobius maps, which is
-    zero iff their quadruples are proportional (the maps are equal); the
-    relative distance of the values for two constants; infinite between a
+def proj_distance(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Projective distance between the rows of two (B, 4) stacks: the scaled
+    norm of the 2x2 minors for two Mobius maps, which is zero iff their
+    quadruples are proportional (the maps are equal); the relative distance
+    of the values for two constants (0, v, 0, d); infinite between a
     constant and a Mobius map."""
-    if isinstance(m1, MobiusMap) and isinstance(m2, MobiusMap):
-        return float(quadruple_gap(m1, m2))
-    if not isinstance(m1, np.ndarray):  # one of two maps is constant: a stack of one
-        return float(proj_distance(quadruples([m1]), quadruples([m2]))[0])
     one, two = is_constant(m1), is_constant(m2)
     with np.errstate(divide="ignore", invalid="ignore"):
         v1, v2 = m1[:, 1] / m1[:, 3], m2[:, 1] / m2[:, 3]
@@ -222,9 +153,9 @@ def _sum_sq(values):
 
 
 def quadruple_gap(v1, v2):
-    """Scaled norm of the 2x2 minors of two coefficient quadruples (or
-    maps), or of the rows of two (B, 4) stacks: each of the six minors
-    enters the antisymmetric matrix v1 v2^T - v2 v1^T twice."""
+    """Scaled norm of the 2x2 minors of two coefficient quadruples, or of
+    the rows of two (B, 4) stacks: each of the six minors enters the
+    antisymmetric matrix v1 v2^T - v2 v1^T twice."""
     a1, b1, c1, d1 = v1 = _columns(v1)
     a2, b2, c2, d2 = v2 = _columns(v2)
     minors = (
@@ -235,19 +166,15 @@ def quadruple_gap(v1, v2):
     return sqrt(2.0 * _sum_sq(minors)) / sqrt(_sum_sq(v1) * _sum_sq(v2))
 
 
-def mobius_equal(m1: MapLike, m2: MapLike, tol: float = EQUAL_TOL) -> bool:
-    return proj_distance(m1, m2) <= tol
+def fixed_points(quad) -> list:
+    """Fixed points in C union {INFINITY} of a map, double roots repeated.
 
-
-def fixed_points(m: MobiusMap) -> list:
-    """Fixed points in C union {INFINITY}, double roots repeated.
-
-    Roots of c z^2 + (d - a) z - b = 0; the linear case (c = 0) fixes
-    infinity as well.
+    Roots of c z^2 + (d - a) z - b = 0 for the canonical quadruple; the
+    linear case (c = 0) fixes infinity as well.
     """
-    if mobius_equal(m, IDENTITY):
+    a, b, c, d = q = canonical_quadruple(quad)
+    if quadruple_gap(q, IDENTITY) <= EQUAL_TOL:
         raise IdentityMapError("every point of the identity map is fixed")
-    a, b, c, d = m.a, m.b, m.c, m.d
     if abs(c) <= _DEGENERATE_TOL:
         if abs(d - a) <= _DEGENERATE_TOL * max(abs(a), abs(d)):
             return [INFINITY, INFINITY]  # translation-like: only infinity fixed
@@ -266,8 +193,8 @@ def fixed_points(m: MobiusMap) -> list:
 
 
 def _image_disk(m):
-    """|d|^2 - |c|^2 and |b conj(d) - a conj(c)| + |ad - bc| of a map or of
-    each row of a stack: the image of the disk is the disk with center
+    """|d|^2 - |c|^2 and |b conj(d) - a conj(c)| + |ad - bc| of a quadruple
+    or of each row of a stack: the image of the disk is the disk with center
     (b conj(d) - a conj(c)) / (|d|^2 - |c|^2) and radius |ad - bc| /
     (|d|^2 - |c|^2)."""
     a, b, c, d = _columns(m)
@@ -276,7 +203,7 @@ def _image_disk(m):
 
 def sup_modulus(m):
     """sup of |m| over the closed unit disk (infinite if the pole intrudes),
-    for a map or each row of a stack."""
+    for a quadruple or each row of a stack."""
     gap, num = _image_disk(m)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(gap > 0, np.divide(num, gap), np.inf)[()]
@@ -284,7 +211,7 @@ def sup_modulus(m):
 
 def is_self_map(m):
     """Exact criterion |b conj(d) - a conj(c)| + |ad - bc| <= |d|^2 - |c|^2,
-    for a map or each row of a stack."""
+    for a quadruple or each row of a stack."""
     gap, num = _image_disk(m)
     return (gap > 0) & (num <= gap + SELF_MAP_SLACK)
 
@@ -298,56 +225,60 @@ def is_automorphism(m):
     sufficient.
     """
     a, b, c, d = _columns(m)
-    scale = _elementwise(a, max, lambda *x: np.maximum.reduce(x))(abs(a), abs(b), abs(c), abs(d)) ** 2
+    scale = _max_modulus(a, b, c, d) ** 2
     mod_gap = abs(abs(a) ** 2 + abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2)
     cross_gap = abs(a * b.conjugate() - c * d.conjugate())
     return is_self_map(m) & (mod_gap <= AUT_TOL * scale) & (cross_gap <= AUT_TOL * scale)
 
 
-def classify(m: MapLike) -> MapClassification:
-    """Fixed-point classification with Denjoy-Wolff data.
+def _derivative(quad, z: complex) -> complex:
+    a, b, c, d = quad
+    den = c * z + d
+    return (a * d - b * c) / (den * den)
 
-    The Denjoy-Wolff point is the interior fixed point when one exists,
-    otherwise the boundary fixed point with derivative at most 1.
+
+def classify(quad) -> MapClassification:
+    """Fixed-point classification with Denjoy-Wolff data of one map.
+
+    A degenerate quadruple is the constant b/d (a/c where d = 0), refused
+    off the open disk.  The Denjoy-Wolff point is the interior fixed point
+    when one exists, otherwise the boundary fixed point with derivative at
+    most 1.  The criteria read the canonical quadruple.
     """
-    if isinstance(m, ConstantMap):
-        return MapClassification(MapClass.CONSTANT, m.value, 0.0 + 0.0j, False)
-    if mobius_equal(m, IDENTITY):
+    q = canonical_quadruple(quad)
+    if is_degenerate(quad):
+        a, b, c, d = (complex(x) for x in quad)
+        value = b / d if d else a / c if c else INFINITY
+        if abs(value) >= 1.0:
+            raise NotSelfMapError(f"the constant {value} does not map the disk into itself")
+        return MapClassification(MapClass.CONSTANT, value, 0.0 + 0.0j, False)
+    if quadruple_gap(q, IDENTITY) <= EQUAL_TOL:
         return MapClassification(MapClass.IDENTITY, None, 1.0 + 0.0j, True)
-    if not is_self_map(m):
-        raise NotSelfMapError(f"{m} is not a self-map of the unit disk")
-    aut = bool(is_automorphism(m))
-    points = fixed_points(m)
-    finite = [p for p in points if not _is_inf(p)]
+    if not is_self_map(q):
+        raise NotSelfMapError(f"{tuple(quad)} is not a self-map of the unit disk")
+    aut = bool(is_automorphism(q))
+    points = fixed_points(quad)  # from the same canonical quadruple
+    finite = [p for p in points if not cmath.isinf(p)]
     interior = [p for p in finite if abs(p) < 1.0 - BOUNDARY_TOL]
     if interior:
         p = interior[0]
         cls = MapClass.ELLIPTIC_AUTOMORPHISM if aut else MapClass.INTERIOR_FIXED_POINT
-        return MapClassification(cls, p, m.derivative(p), aut)
+        return MapClassification(cls, p, _derivative(q, p), aut)
     boundary = [p for p in finite if abs(abs(p) - 1.0) <= BOUNDARY_TOL]
     if not boundary:
         raise NotSelfMapError("no fixed point in the closed disk")
     if len(boundary) == 2 and abs(boundary[0] - boundary[1]) <= 10 * BOUNDARY_TOL:
         zeta = boundary[0]
         cls = MapClass.PARABOLIC_AUTOMORPHISM if aut else MapClass.PARABOLIC_NON_AUTOMORPHISM
-        return MapClassification(cls, zeta, m.derivative(zeta), aut)
+        return MapClassification(cls, zeta, _derivative(q, zeta), aut)
     # hyperbolic: the Denjoy-Wolff point has |derivative| <= 1
-    zeta = min(boundary, key=lambda p: abs(m.derivative(p)))
-    deriv = m.derivative(zeta)
+    zeta = min(boundary, key=lambda p: abs(_derivative(q, p)))
+    deriv = _derivative(q, zeta)
     if abs(deriv - 1.0) <= PARABOLIC_TOL:
         cls = MapClass.PARABOLIC_AUTOMORPHISM if aut else MapClass.PARABOLIC_NON_AUTOMORPHISM
     else:
         cls = MapClass.HYPERBOLIC_AUTOMORPHISM if aut else MapClass.HYPERBOLIC_NON_AUTOMORPHISM
     return MapClassification(cls, zeta, deriv, aut)
-
-
-def cowen_adjoint(m: MapLike, sigma_sign: int = -1) -> CowenTriple:
-    """Auxiliary functions g, sigma, h of the adjoint factorization of one
-    map, from cowen_stack."""
-    if isinstance(m, ConstantMap):
-        raise ConstantMapError("adjoint factorization needs a non-constant map")
-    g, sigma, h = (quads[0].tolist() for quads in cowen_stack(quadruples([m]), sigma_sign))
-    return CowenTriple(RationalSymbol(*g), MobiusMap(*sigma), RationalSymbol(*h))
 
 
 def cowen_stack(quads: np.ndarray, sigma_sign: int = -1):

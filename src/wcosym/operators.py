@@ -29,7 +29,8 @@ the k-truncation, the first k rows and the first k columns cost O(N k^2).
 No seam reads all of W: every symmetry residual, symmetry_residual too, is
 the commutator U conj(T) - T^H U on the block, which reads only the first
 k columns of T.
-build_wco and conjugation_matrix remain the public whole-matrix builds.
+build_wco(psi, phi, n), of a weight and a map given as quadruples, and
+conjugation_matrix remain the public whole-matrix builds.
 
 The seams work on stacks of draws given as coefficient arrays: weights
 psi (B, 4) = (n0, n1, d0, d1), maps phi (B, 4) = (a, b, c, d) and a
@@ -50,28 +51,27 @@ are stacks of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Optional, Tuple, Union
+from typing import Dict, List, Literal, Optional, Tuple
 
 import numpy as np
 
 from .errors import (
     BadParameterDomainError,
     BlockTooLargeError,
+    DegenerateMapError,
     DimensionMismatchError,
     NotSelfMapError,
     SymbolPoleError,
 )
 from .mobius import (
-    ConstantMap,
-    MobiusMap,
     canonical,
     coefficient_stack,
     cowen_stack,
     is_constant,
+    is_degenerate,
     is_self_map,
-    quadruples,
 )
-from .series import RationalSymbol, poles, quotient_series
+from .series import poles, quotient_series
 
 BLOCK_PAD = 32
 MAX_DIM = 1024
@@ -123,7 +123,7 @@ def _check_conjugations(kind: str, lam: np.ndarray, alpha: np.ndarray):
 
 
 def _checked_series(psi: np.ndarray, phi: np.ndarray, n: int):
-    """Every refusal of build_wco for a stack of weights psi (B, 4) and
+    """Every refusal of the seams for a stack of weights psi (B, 4) and
     maps phi (B, 4), then the (B, n) expansions of both, which refuse
     non-finite coefficients and a pole at 0."""
     _check_dim(n)
@@ -283,21 +283,24 @@ def _tile_transfer(quad) -> np.ndarray:
     return tile.reshape(side, side, -1)[1:, 1:].reshape(size * size, -1).T
 
 
-def build_wco(
-    psi: RationalSymbol,
-    phi: Union[MobiusMap, ConstantMap],
-    n: int,
-) -> np.ndarray:
-    """Truncation of f -> psi (f o phi): column j = series of psi * phi^j.
+def build_wco(psi, phi, n: int) -> np.ndarray:
+    """Truncation of f -> psi (f o phi): column j = series of psi * phi^j,
+    for a weight psi = (n0, n1, d0, d1) and a map phi = (a, b, c, d).
 
-    The weight must be analytic on the closed disk (pole strictly
-    outside); phi must be a self-map.  Coefficient m of psi phi^j depends
-    only on coefficients <= m of psi and phi, so each column is the exact
-    truncation up to rounding.  Built at every N by the tile wavefront of
-    the Mobius recurrence; the result is a view of its padded
+    The coefficients must be finite and the weight analytic on the closed
+    disk (pole strictly outside); phi must be a self-map, and a degenerate
+    phi a constant v written (0, v, 0, d).  Coefficient m of psi phi^j
+    depends only on coefficients <= m of psi and phi, so each column is the
+    exact truncation up to rounding.  Built at every N by the tile
+    wavefront of the Mobius recurrence; the result is a view of its padded
     (N + _TILE + 1)^2 buffer.
     """
-    return _whole(np.array([psi.coefficients()]), quadruples([phi]), n)
+    psi, phi = np.array([psi], dtype=complex), np.array([phi], dtype=complex)
+    if not (np.isfinite(psi).all() and np.isfinite(phi).all()):
+        raise ValueError("coefficients must be finite")
+    if is_degenerate(phi)[0] and not is_constant(phi)[0]:
+        raise DegenerateMapError("ad - bc vanishes: write a constant map v as (0, v, 0, 1)")
+    return _whole(psi, phi, n)
 
 
 def _whole(psi: np.ndarray, phi: np.ndarray, n: int) -> np.ndarray:

@@ -10,14 +10,13 @@ the map's four coefficients).
 Products are exact through the truncation order (the Cauchy product of
 index n only touches indices <= n); the only genuinely lossy operation
 is composition, where the tail of the outer series spills into every
-coefficient.  ``quotient_series`` expands a stack of quotients at once
-(the operators' stacks of draws); a single expansion is a stack of one.
+coefficient.  A weight (n0 + n1 z)/(d0 + d1 z) is its quadruple
+(n0, n1, d0, d1), and ``quotient_series`` expands a (B, 4) stack of them
+at once (the operators' stacks of draws); a single expansion is a stack
+of one.
 """
 
 from __future__ import annotations
-
-import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,46 +25,16 @@ from .errors import PoleAtOriginError
 _POLE_EPS = 1e-14
 
 
-@dataclass(frozen=True)
-class RationalSymbol:
-    """Degree-(1,1) rational function (n0 + n1 z) / (d0 + d1 z).
-
-    Every weight symbol used by the operator builder has this shape; a
-    polynomial of degree <= 1 is the special case d1 = 0.
-    """
-
-    n0: complex
-    n1: complex
-    d0: complex
-    d1: complex
-
-    def __post_init__(self):
-        n0, n1, d0, d1 = complex(self.n0), complex(self.n1), complex(self.d0), complex(self.d1)
-        if not (cmath.isfinite(n0) and cmath.isfinite(n1) and cmath.isfinite(d0) and cmath.isfinite(d1)):
-            name = next(k for k, v in zip(("n0", "n1", "d0", "d1"), (n0, n1, d0, d1)) if not cmath.isfinite(v))
-            raise ValueError(f"{name} must be finite")
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "n1", n1)
-        object.__setattr__(self, "d0", d0)
-        object.__setattr__(self, "d1", d1)
-
-    def pole(self) -> complex:
-        """Location of the pole, or complex infinity for a polynomial."""
-        return complex(poles(np.array([self.coefficients()]))[0])
-
-    def coefficients(self):
-        return self.n0, self.n1, self.d0, self.d1
-
-    def __call__(self, z: complex) -> complex:
-        return (self.n0 + self.n1 * z) / (self.d0 + self.d1 * z)
-
-
 def poles(quads: np.ndarray) -> np.ndarray:
     """The pole -d0/d1 of each (n0, n1, d0, d1) row of a (B, 4) stack, or
-    complex infinity where d1 = 0 (a polynomial)."""
+    complex infinity where d1 = 0 (a polynomial) or the quotient overflows
+    (a subnormal d1)."""
     quads = np.asarray(quads, dtype=complex)
     out = np.full(len(quads), complex(np.inf, 0.0))
-    return np.divide(-quads[:, 2], quads[:, 3], out=out, where=quads[:, 3] != 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(-quads[:, 2], quads[:, 3], out=out, where=quads[:, 3] != 0)
+    out[~np.isfinite(out)] = np.inf
+    return out
 
 
 def quotient_series(quads: np.ndarray, n: int) -> np.ndarray:

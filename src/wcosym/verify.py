@@ -17,7 +17,8 @@ generator and draws every index, then only the rejected ones, until each
 holds an accepted draw (a rejected index is redrawn, never dropped); the
 recorder ``(cfg, draws)`` gets the columns in index order, computes its
 predicates and gaps on the arrays and returns one record per index.  A
-check that is scalar by nature (``classify``) builds one map per record.
+check that is scalar by nature (``classify``) reads one quadruple per
+record.
 
 ``measure`` is the one seam to the matrix residuals: the suites and
 ``wcosym check`` (a probe of one row) take every normality, symmetry,
@@ -54,10 +55,9 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 import numpy as np
 
 from . import families as fam
-from .errors import UnknownSuiteError
+from .errors import SamplingBudgetError, UnknownSuiteError
 from .mobius import (
     MapClass,
-    MobiusMap,
     canonical,
     classify,
     coefficient_stack as _stack,
@@ -289,8 +289,8 @@ def _params(d, *names) -> List[dict]:
 
 
 def _classes(phi: np.ndarray) -> list:
-    """classify, scalar by nature, of each Mobius map of a stack."""
-    return [classify(MobiusMap(*quad)) for quad in phi.tolist()]
+    """classify, scalar by nature, of each map of a stack."""
+    return [classify(q) for q in phi.tolist()]
 
 
 def draw_prop21(rng, cfg: SuiteConfig, idx):
@@ -923,7 +923,7 @@ def draw_target(rng, cfg: SuiteConfig, idx):
     return None, {"i": idx}
 
 
-def _preimage(target: MobiusMap, alpha=None):
+def _preimage(target, alpha=None):
     """The one point (alpha, c0, c1) whose quadruple (c1 - alpha c0^2, c0,
     -alpha c0, 1) can be proportional to a target (a, b, c, d), b, d != 0:
     c0 = b/d, alpha = -c/b (projected onto the unit circle unless given)
@@ -931,17 +931,16 @@ def _preimage(target: MobiusMap, alpha=None):
     projective distance to the target: exactly zero iff the family realizes
     the target, else the value at this one candidate, not a family minimum.
     """
-    w = target.quadruple()
-    a, b, c, d = w
+    a, b, c, d = target
     if alpha is None:
         alpha = -c / b / abs(c / b)
     c0 = b / d
     c1 = a / d + alpha * c0 * c0
-    gap = quadruple_gap((c1 - alpha * c0 * c0, c0, -alpha * c0, 1.0), w)
+    gap = quadruple_gap((c1 - alpha * c0 * c0, c0, -alpha * c0, 1.0), target)
     return gap, complex(alpha), complex(c0), complex(c1)
 
 
-def _j_deficiency(target: MobiusMap):
+def _j_deficiency(target):
     """max(gap, |normality expression|) at the target's preimage under
     alpha = 1: zero iff a normal J-symmetric realization exists, which
     needs b + c = 0 (on the grid, b + c = 2(r - 1))."""
@@ -949,7 +948,7 @@ def _j_deficiency(target: MobiusMap):
     return max(gap, abs(fam.j_normal_expression(a0, a1))), {"a0": a0, "a1": a1}
 
 
-def _c1_deficiency(target: MobiusMap):
+def _c1_deficiency(target):
     """max(gap, |normality expression|) at the target's preimage, alpha
     unimodular: zero iff a normal C1-symmetric realization exists, which
     needs |b| = |c| (on the grid, exactly the automorphisms Re t = 0)."""
@@ -957,14 +956,14 @@ def _c1_deficiency(target: MobiusMap):
     return max(gap, abs(fam.c1_normal_expression(alpha, c0, c1))), {"alpha": alpha, "c0": c0, "c1": c1}
 
 
-def _c2_deficiency(target: MobiusMap):
+def _c2_deficiency(target):
     """The kernel-weighted family pins (T, U, V) to the target, so the
     stated moduli equalities are violated by exactly the spread of the
     target's own coefficient moduli.  alpha only enters the match defect
     |(1 - a)|alpha|^2 + c alpha - b conj(alpha)| <= |alpha|^2 |1 - a| +
     |alpha| (|b| + |c|), whose infimum over 0 < |alpha| < 1 is 0; the
     deficiency is therefore the alpha-free spread, with no witness."""
-    moduli = (abs(target.b), abs(target.c), abs(target.d))
+    moduli = [abs(x) for x in target[1:]]
     return 1.0 - min(moduli) / max(moduli), {}
 
 
@@ -999,7 +998,7 @@ def suite_hyperbolic_nonaut(cfg: SuiteConfig, d) -> List[SampleRecord]:
     12, W with the kernel weight at sigma(0) is not normal.  Reads cfg.dim
     and cfg.block (the truncation) and the pass_tol / fail_tol band."""
     targets = [_target_quadruples(include_aut=False)[i] for i in d.i.tolist()]
-    phi = np.array([fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t)).quadruple() for r, t in targets])
+    phi = np.array([fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t)) for r, t in targets])
     normality = measure(cfg, Probe(cowen_weights(phi), phi))["normality"].tolist()
     return [
         _record(cfg, {"r": r, "t": t}, {"normality": value}, claim=False, residuals={"deficiency": value})
@@ -1126,7 +1125,8 @@ def run_suite(suite_id: str, cfg: Optional[SuiteConfig] = None) -> VerificationR
     cfg.samples records (plus the controls of a suite that has them), in
     index order.  A config below the suite's minimum dim or block raises
     ValueError, and so does a samples count other than a fixed target
-    set's size.
+    set's size.  A sampler that keeps too few candidates raises
+    SamplingBudgetError.
     """
     suite = _lookup(suite_id)
     if cfg is None:
@@ -1142,23 +1142,32 @@ def run_suite(suite_id: str, cfg: Optional[SuiteConfig] = None) -> VerificationR
             f"got samples {cfg.samples}"
         )
     count = cfg.samples + (max(1, cfg.samples // 5) if suite.controls else 0)
-    draws = _sample(suite.draw, np.random.default_rng(cfg.seed), cfg, count)
+    draws = _sample(suite_id, suite.draw, np.random.default_rng(cfg.seed), cfg, count)
     return VerificationReport(suite_id, cfg, suite.record(cfg, draws))
 
 
-def _sample(draw, rng: np.random.Generator, cfg: SuiteConfig, count: int) -> SimpleNamespace:
+# the most candidates a round of _sample draws for one open index: a
+# sampler that would need more keeps almost nothing, a fault of its suite
+_MAX_COPIES = 2 ** 16
+
+
+def _sample(suite_id: str, draw, rng: np.random.Generator, cfg: SuiteConfig, count: int) -> SimpleNamespace:
     """The columns of one accepted draw per index 0..count-1, in index
     order.  draw(rng, cfg, idx) gives a candidate for each entry of idx
     and the mask of those it keeps (None keeps all).  The first round
     draws one candidate per index; each later round draws, for every
     index still open, at least twice as many candidates as the round
     before and enough that about three would be kept at the acceptance
-    rate seen so far.  An index takes its first kept candidate."""
+    rate seen so far, and raises SamplingBudgetError where that is more
+    than _MAX_COPIES.  An index takes its first kept candidate."""
     keep, columns = draw(rng, cfg, np.arange(count))
     open_ = np.flatnonzero(~keep) if keep is not None else np.arange(0)
     copies, tried, kept = 1, count, count - len(open_)
     while len(open_):
         copies = max(2 * copies, -(-3 * tried // max(kept, 1)))
+        if copies > _MAX_COPIES:
+            raise SamplingBudgetError(f"suite {suite_id}: indices {open_.tolist()} still open with {kept} of {tried} "
+                                      f"candidates kept; the next round needs {copies} per open index")
         keep, drawn = draw(rng, cfg, np.repeat(open_, copies))
         hits = keep.reshape(len(open_), copies)
         found = hits.any(axis=1)

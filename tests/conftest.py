@@ -1,7 +1,7 @@
+import numpy as np
 from hypothesis import HealthCheck, settings
 
-from wcosym.mobius import ConstantMap, MobiusMap
-from wcosym.series import RationalSymbol
+from wcosym.mobius import cowen_stack
 
 # reproducible runs: property tests draw the same examples every time,
 # matching the byte-determinism the report pipeline promises
@@ -14,9 +14,23 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
-def symbols(psi, phi):
-    """The weight and the map of row 0 of (B, 4) quadruple stacks, as the
-    RationalSymbol and the MobiusMap or ConstantMap that build_wco and
-    classify take; a row (0, v, 0, 1) is the constant map v."""
-    a, b, c, d = phi[0].tolist()
-    return RationalSymbol(*psi[0].tolist()), ConstantMap(b) if a == 0 and c == 0 else MobiusMap(a, b, c, d)
+def rational(quad, z):
+    """The value at z of the weight (n0 + n1 z) / (d0 + d1 z), quad = (n0, n1, d0, d1)."""
+    n0, n1, d0, d1 = quad
+    return (n0 + n1 * z) / (d0 + d1 * z)
+
+
+def mobius(quad, z):
+    """The value at z of the map (az + b) / (cz + d), quad = (a, b, c, d)."""
+    a, b, c, d = quad
+    return (a * z + b) / (c * z + d)
+
+
+def first(psi, phi):
+    """The weight and the map of row 0 of two (B, 4) stacks."""
+    return psi[0], phi[0]
+
+
+def cowen(m, sigma_sign=-1):
+    """The (g, sigma, h) quadruples of cowen_stack for one map."""
+    return tuple(quads[0] for quads in cowen_stack(np.array([m], dtype=complex), sigma_sign))

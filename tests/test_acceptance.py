@@ -30,7 +30,7 @@ from wcosym.operators import (
 )
 from wcosym.verify import default_config, run_suite
 
-from conftest import symbols
+from conftest import first
 
 
 def _cfg(suite_id, **overrides):
@@ -210,9 +210,9 @@ def test_criterion_8_c1_hyperbolic_sweep():
         assert in_domain[0] <= 1e-12 and in_domain[1] < 1.0 and in_domain[2] < 1.0, (
             "witness out of domain (||alpha| - 1|, |c0|, |c1|)", p, in_domain,
         )
-        psi, phi = symbols(*c1_quadruples(*dataclasses.astuple(C1Params(alpha, c0, c1))))
+        psi, phi = first(*c1_quadruples(*dataclasses.astuple(C1Params(alpha, c0, c1))))
         target = hyperbolic_aut_map(HyperbolicParams(p["r"], p["t"]))
-        dist = proj_distance(phi, target)
+        dist = proj_distance(np.array([phi]), np.array([target]))[0]
         locus_gap = abs(c1 - alpha * c0 * (c0 - 1.0 / np.conj(c0)))
         assert dist <= 1e-12 and locus_gap <= 1e-12, (
             "witness does not realize the target on the unitary locus",

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from wcosym import operators, verify
@@ -89,6 +90,19 @@ class TestClassifyCommand:
         for phi in ("0,1,0,1", "0,0.9-0.9i,0,1", "0,3,0,2"):
             assert main(["classify", "--phi", phi]) == 2, phi
             assert "does not map the disk into itself" in capsys.readouterr().err, phi
+
+    def test_degenerate_quadruple_is_a_constant(self, capsys):
+        # ad - bc = 0: the constant b/d = 0.25, however the quadruple is written
+        assert main(["classify", "--phi", "0.5,0.25,2,1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split() for line in (lines[0], lines[1], lines[-1])] == [
+            ["class", "Constant"], ["dw", "point", "0.25"], ["sigma", "-"]
+        ]
+
+    @pytest.mark.parametrize("phi, value", [("1,2,1,2", "(1+0j)"), ("0,1,0,0", "(inf+0j)")])
+    def test_degenerate_off_the_disk_exit_2(self, capsys, phi, value):
+        assert main(["classify", "--phi", phi]) == 2
+        assert capsys.readouterr().err == f"error: the constant {value} does not map the disk into itself\n"
 
 
 class TestCheckCommand:
@@ -315,6 +329,18 @@ class TestSuiteAll:
         assert errors == ["error: cor41-aut: refused draw"]
         assert len(list(tmp_path.glob("*.json"))) == 26
         assert not (tmp_path / "cor41-aut.json").exists()
+
+    def test_exhausted_sampler_counts_as_1_and_the_run_goes_on(self, tmp_path, capsys, monkeypatch):
+        def never(rng, cfg, idx):
+            return np.zeros(len(idx), dtype=bool), {"alpha": np.zeros(len(idx), dtype=complex)}
+
+        suite = SUITES["cor41-aut"]
+        monkeypatch.setitem(SUITES, "cor41-aut", verify.Suite(never, suite.record, suite.defaults))
+        assert main(["suite", "--all", "--samples", "1", "--out", str(tmp_path)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: cor41-aut: suite cor41-aut: indices [0] still open")
+        assert len(list(tmp_path.glob("*.json"))) == 26
+        assert main(["suite", "--id", "cor41-aut", "--samples", "1"]) == 1
 
     def test_other_exceptions_propagate(self, tmp_path, capsys, monkeypatch):
         def crash(rng, cfg, idx):

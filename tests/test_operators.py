@@ -11,13 +11,14 @@ from wcosym import families as fam
 from wcosym.errors import (
     BadParameterDomainError,
     BlockTooLargeError,
+    DegenerateMapError,
     NotSelfMapError,
     PoleAtOriginError,
     SymbolPoleError,
     WcoError,
 )
 from wcosym import operators, verify
-from wcosym.mobius import IDENTITY, ConstantMap, MobiusMap, cowen_adjoint, is_self_map, quadruples
+from wcosym.mobius import IDENTITY, MapClass, classify, is_degenerate, is_self_map
 from wcosym.operators import (
     MAX_DIM,
     _TILE,
@@ -37,16 +38,16 @@ from wcosym.operators import (
     symmetry_residual,
     wco_residual_stack,
 )
-from wcosym.series import RationalSymbol, quotient_series
+from wcosym.series import poles, quotient_series
 
-from conftest import symbols
+from conftest import cowen, first, mobius, rational
 
-ONE = RationalSymbol(1.0, 0, 1, 0)
+ONE = (1.0, 0, 1, 0)  # the weight 1
 
 
 def stacks(psi, phi):
     """A weight and a map as the (1, 4) coefficient stacks the seams take."""
-    return np.array([psi.coefficients()]), quadruples([phi])
+    return np.array([psi], dtype=complex), np.array([phi], dtype=complex)
 
 
 def conjugations(c):
@@ -79,12 +80,12 @@ def one_conjugation(c, n, k):
 
 def one_factorization(m, n, k, sigma_sign=-1):
     """operators.adjoint_factorization_stack of a stack of one map and one sign."""
-    return adjoint_factorization_stack(quadruples([m]), n, k, (sigma_sign,))[0][0]
+    return adjoint_factorization_stack(np.array([m], dtype=complex), n, k, (sigma_sign,))[0][0]
 
 
 def j_family(a0, a1, b=1.0):
-    psi = RationalSymbol(b, 0, 1, -a0)
-    phi = MobiusMap(a1 - a0 ** 2, a0, -a0, 1.0)
+    psi = (b, 0, 1, -a0)
+    phi = (a1 - a0 ** 2, a0, -a0, 1.0)
     return psi, phi
 
 
@@ -94,30 +95,36 @@ class TestBuildWco:
         assert np.allclose(t, np.eye(8))
 
     def test_diagonal_family(self):
-        t = build_wco(RationalSymbol(0.7, 0, 1, 0), MobiusMap(0.5, 0, 0, 1), 6)
+        t = build_wco((0.7, 0, 1, 0), (0.5, 0, 0, 1), 6)
         assert np.allclose(t, np.diag(0.7 * 0.5 ** np.arange(6)))
 
     def test_kernel_weight_toeplitz(self):
         n = 8
-        t = build_wco(RationalSymbol(1, 0, 1, -0.5), IDENTITY, n)
+        t = build_wco((1, 0, 1, -0.5), IDENTITY, n)
         for j in range(n):
             col = t[:, j]
             assert np.allclose(col[:j], 0)
             assert np.allclose(col[j:], 0.5 ** np.arange(n - j))
 
     def test_constant_map_columns(self):
-        t = build_wco(RationalSymbol(0.75, 0, 1, -0.5), ConstantMap(0.5), 5)
+        t = build_wco((0.75, 0, 1, -0.5), (0, 0.5, 0, 1), 5)
         psi = 0.75 * 0.5 ** np.arange(5)
         for j in range(5):
             assert np.allclose(t[:, j], psi * 0.5 ** j)
 
     def test_pole_guard(self):
         with pytest.raises(SymbolPoleError):
-            build_wco(RationalSymbol(1, 0, 1, -1.0), IDENTITY, 8)
+            build_wco((1, 0, 1, -1.0), IDENTITY, 8)
 
     def test_self_map_guard(self):
         with pytest.raises(NotSelfMapError):
-            build_wco(ONE, MobiusMap(2, 0, 0, 1), 8)
+            build_wco(ONE, (2, 0, 0, 1), 8)
+
+    @pytest.mark.parametrize("phi", [(0.5, 0.25, 2, 1), (1, 2, 1, 2), (0, 0, 0, 0)])
+    def test_degenerate_map_guard(self, phi):
+        # a degenerate map is a constant, which build_wco takes only as (0, v, 0, d)
+        with pytest.raises(DegenerateMapError if any(phi) else NotSelfMapError):
+            build_wco(ONE, phi, 8)
 
     @pytest.mark.parametrize("n", [0, 1025])
     def test_dimension_cap(self, n):
@@ -130,20 +137,21 @@ class TestBuildWco:
                 conjugation_matrix(c, n)
 
     def test_intertwining_sample_check(self):
-        psi = RationalSymbol(1.2, 0.3, 1, -0.4)
-        phi = MobiusMap(0.3, 0.25, -0.1, 1.0)
+        psi = (1.2, 0.3, 1, -0.4)
+        phi = (0.3, 0.25, -0.1, 1.0)
         t = build_wco(psi, phi, 96)
         z = 0.2
         powers = z ** np.arange(96)
         for j in (0, 1, 3, 7):
             col_val = np.dot(t[:, j], powers)
-            assert abs(col_val - psi(z) * phi(z) ** j) <= 1e-10
+            assert abs(col_val - rational(psi, z) * mobius(phi, z) ** j) <= 1e-10
 
 
 def test_constant_maps_are_read_in_one_place():
     # the kernels read phi only as its coefficients (a, b, c, d), a constant
-    # map v as (0, v, 0, 1): no operators code tests for a map object's type,
-    # and only _checked_series reads the constant rows, to refuse |v| >= 1
+    # map v as (0, v, 0, 1): no operators code tests for a type, only
+    # _checked_series reads the constant rows, to refuse |v| >= 1, and
+    # build_wco, to refuse a degenerate map written otherwise
     tree = ast.parse(pathlib.Path(operators.__file__).read_text())
     found = collections.Counter()
     for top in tree.body:
@@ -151,20 +159,22 @@ def test_constant_maps_are_read_in_one_place():
             if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in (
                     "isinstance", "is_constant"):
                 found[getattr(top, "name", "<module>"), node.func.id] += 1
-    assert found == {("_checked_series", "is_constant"): 1}
-    assert quadruples([ConstantMap(0.3 - 0.4j)]).tolist() == [[0.0, 0.3 - 0.4j, 0.0, 1.0]]
+    assert found == {("_checked_series", "is_constant"): 1, ("build_wco", "is_constant"): 1}
+    cls = classify((0, 0.3 - 0.4j, 0, 1))
+    assert (cls.map_class, cls.dw_point) == (MapClass.CONSTANT, 0.3 - 0.4j)
 
 
 def psi_series(psi, n):
     """The first n Taylor coefficients of a weight."""
-    return quotient_series([psi.coefficients()], n)[0]
+    return quotient_series([psi], n)[0]
 
 
 def phi_series(phi, n):
-    """The first n Taylor coefficients of a Mobius or constant map."""
-    if isinstance(phi, ConstantMap):
-        return np.eye(1, n, dtype=complex)[0] * phi.value
-    return quotient_series([(phi.b, phi.a, phi.d, phi.c)], n)[0]
+    """The first n Taylor coefficients of a Mobius map or a constant (0, v, 0, d)."""
+    a, b, c, d = phi
+    if a == c == 0:
+        return np.eye(1, n, dtype=complex)[0] * (b / d)
+    return quotient_series([(b, a, d, c)], n)[0]
 
 
 def convolution_columns(psi_s, phi, n, cols=None):
@@ -180,18 +190,18 @@ def convolution_columns(psi_s, phi, n, cols=None):
 
 # (weight, map) pairs across the decay regimes the suites draw from
 BUILD_PATH_CASES = {
-    "prop21-fast-decay": symbols(*fam.interior_quadruples(0.1 - 0.05j, 0.2j, 1.3)),
-    "disk-automorphism": symbols(np.array([[1.0, 0.2, 1, -0.3]]), fam.disk_form_quadruples(np.exp(0.4j), 0.5 + 0.2j)),
-    "multiplication": (RationalSymbol(0.8, 0.3, 1, -0.6j), IDENTITY),
-    "pole-near-circle": (RationalSymbol(1.0, 0.0, 1, -0.99), MobiusMap(0.3, 0.25, -0.1, 1.0)),
+    "prop21-fast-decay": first(*fam.interior_quadruples(0.1 - 0.05j, 0.2j, 1.3)),
+    "disk-automorphism": ((1.0, 0.2, 1, -0.3), fam.disk_form_quadruples(np.exp(0.4j), 0.5 + 0.2j)[0]),
+    "multiplication": ((0.8, 0.3, 1, -0.6j), IDENTITY),
+    "pole-near-circle": ((1.0, 0.0, 1, -0.99), (0.3, 0.25, -0.1, 1.0)),
 }
 
 
 def c2_symbols(c):
     """The (weight, map) pair conjugation_matrix builds for a C2 conjugation."""
     a = c.alpha
-    weight = RationalSymbol(c.lam * np.sqrt(1.0 - abs(a) ** 2), 0.0, 1.0, -np.conj(a))
-    return weight, MobiusMap(-np.conj(a) / a, np.conj(a), -np.conj(a), 1.0)
+    weight = (c.lam * np.sqrt(1.0 - abs(a) ** 2), 0.0, 1.0, -np.conj(a))
+    return weight, (-np.conj(a) / a, np.conj(a), -np.conj(a), 1.0)
 
 
 C2_SLOW_DECAY = Conjugation("C2", np.exp(0.3j), 0.95 * np.exp(1.1j))
@@ -238,11 +248,11 @@ class TestBuildPaths:
         n = 192
         # a denominator vanishing at 0 has its pole at the origin
         with pytest.raises(PoleAtOriginError):
-            build_wco(RationalSymbol(1.0, 0.0, 1e-15, 0.0), IDENTITY, n)
+            build_wco((1.0, 0.0, 1e-15, 0.0), IDENTITY, n)
         with pytest.raises(NotSelfMapError):
-            build_wco(ONE, MobiusMap(2, 0, 0, 1), n)
+            build_wco(ONE, (2, 0, 0, 1), n)
         with pytest.raises(SymbolPoleError):
-            build_wco(RationalSymbol(1, 0, 1, -1.0), IDENTITY, n)
+            build_wco((1, 0, 1, -1.0), IDENTITY, n)
         with pytest.raises(ValueError):
             build_wco(ONE, IDENTITY, MAX_DIM + 1)
 
@@ -254,7 +264,7 @@ LEADING_DIMS = [48, 64, 95, 191, 192, 384]
 def build_cases():
     """Every BUILD_PATH_CASES pair, a constant map and the slow-decay C2 conjugation."""
     pairs = dict(sorted(BUILD_PATH_CASES.items()))
-    pairs["constant-map"] = (RationalSymbol(0.75, 0.1, 1, -0.5), ConstantMap(0.6 - 0.3j))
+    pairs["constant-map"] = ((0.75, 0.1, 1, -0.5), (0, 0.6 - 0.3j, 0, 1))
     pairs["c2-slow-decay"] = c2_symbols(C2_SLOW_DECAY)
     return pairs
 
@@ -290,13 +300,13 @@ class TestLeadingBuilds:
         }
         for name, build in builders.items():
             with pytest.raises(PoleAtOriginError):
-                build(RationalSymbol(1.0, 0.0, 1e-15, 0.0), IDENTITY, n, 12)
+                build((1.0, 0.0, 1e-15, 0.0), IDENTITY, n, 12)
             with pytest.raises(NotSelfMapError):
-                build(ONE, MobiusMap(2, 0, 0, 1), n, 12)
+                build(ONE, (2, 0, 0, 1), n, 12)
             with pytest.raises(NotSelfMapError):
-                build(ONE, ConstantMap(1.0), n, 12)
+                build(ONE, (0, 1.0, 0, 1), n, 12)
             with pytest.raises(SymbolPoleError):
-                build(RationalSymbol(1, 0, 1, -1.0), IDENTITY, n, 12)
+                build((1, 0, 1, -1.0), IDENTITY, n, 12)
             for dim in (0, MAX_DIM + 1):
                 with pytest.raises(ValueError):
                     build(ONE, IDENTITY, dim, 12)
@@ -414,7 +424,8 @@ class TestFftDoubling:
         for n in (1, 48, 96, 384):
             for name, (psi, phi) in build_cases().items():  # a constant map v is the recurrence of (0, v, 0, 1)
                 got = build_wco(psi, phi, n)
-                assert np.array_equal(got, _mobius_recurrence(psi_series(psi, n), quadruples([phi])[0])), (name, n)
+                want = _mobius_recurrence(psi_series(psi, n), np.array(phi, dtype=complex))
+                assert np.array_equal(got, want), (name, n)
             got = conjugation_matrix(C2_SLOW_DECAY, n)
             assert np.array_equal(got, _mobius_recurrence(quotient_series(weight, n)[0], vmap[0])), n
 
@@ -502,7 +513,7 @@ def c2_selfmap(rng, alpha_hi=0.5):
         keep, params, psi, phi = verify._c2_candidates(disk(0.1, alpha_hi), disk(0.0, 0.3), disk(0.0, 0.3))
         if keep[0]:
             c2 = fam.C2Params(*(complex(x[0]) for x in (params.alpha, params.c0, params.c1, params.c2)))
-            return c2, symbols(psi, phi)
+            return c2, first(psi, phi)
 
 
 def family_self_maps(rng, per_family):
@@ -510,14 +521,14 @@ def family_self_maps(rng, per_family):
     each of the J, C1, C2, interior, parabolic and hyperbolic families."""
     disk = lambda radius: radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
     draws = {
-        "j": lambda: symbols(*fam.j_quadruples(disk(0.9), disk(0.9))),
-        "c1": lambda: symbols(*fam.c1_quadruples(np.exp(2j * np.pi * rng.uniform()), disk(0.9), disk(0.9))),
+        "j": lambda: first(*fam.j_quadruples(disk(0.9), disk(0.9))),
+        "c1": lambda: first(*fam.c1_quadruples(np.exp(2j * np.pi * rng.uniform()), disk(0.9), disk(0.9))),
         "c2": lambda: c2_selfmap(rng, alpha_hi=0.99)[1],
         "c2-conjugation": lambda: c2_symbols(Conjugation("C2", np.exp(2j * np.pi * rng.uniform()), disk(0.99))),
-        "interior": lambda: symbols(*fam.interior_quadruples(disk(0.95), disk(1.0))),
-        "parabolic": lambda: symbols(*fam.parabolic_j_quadruples(0.5j + 0.5 * np.exp(1j * rng.uniform(-np.pi / 2, 0)), 1)),
+        "interior": lambda: first(*fam.interior_quadruples(disk(0.95), disk(1.0))),
+        "parabolic": lambda: first(*fam.parabolic_j_quadruples(0.5j + 0.5 * np.exp(1j * rng.uniform(-np.pi / 2, 0)), 1)),
         "hyperbolic": lambda: (
-            RationalSymbol(1.0, 0.0, 1.0, -disk(0.9)),
+            (1.0, 0.0, 1.0, -disk(0.9)),
             fam.hyperbolic_aut_map(fam.HyperbolicParams(rng.uniform(1.05, 6.0), complex(*rng.uniform(0, 2, 2))))),
     }
     for family, draw in draws.items():
@@ -527,7 +538,7 @@ def family_self_maps(rng, per_family):
                 psi, phi = draw()
             except WcoError:
                 continue
-            if isinstance(phi, ConstantMap) or not is_self_map(phi):
+            if is_degenerate(phi) or not is_self_map(phi):
                 continue
             kept += 1
             yield family, psi, phi
@@ -544,14 +555,13 @@ class TestRowStep:
     def test_step_is_the_adjoint_map_toeplitz(self):
         k = self.K
         for family, psi, phi in family_self_maps(np.random.default_rng(11), 20):
-            sigma = cowen_adjoint(phi).sigma
-            chi = MobiusMap(*np.conj(sigma.quadruple()))
+            chi = np.conj(cowen(phi)[1])
             toeplitz = convolution_columns(phi_series(chi, k), IDENTITY, k)
             step = _row_step(*stacks(psi, phi), k)[0]
             assert np.max(np.abs(step[:k, :k] - toeplitz.T)) <= 1e-14 * max(1.0, np.max(np.abs(toeplitz))), family
             assert not np.any(step[:k, k])
-            assert np.allclose(step[k, :k], phi(0.0) ** np.arange(k), rtol=1e-14, atol=1e-15), family
-            assert step[k, k] == pytest.approx(1.0 / psi.pole(), rel=1e-14, abs=0.0), family
+            assert np.allclose(step[k, :k], mobius(phi, 0.0) ** np.arange(k), rtol=1e-14, atol=1e-15), family
+            assert step[k, k] == pytest.approx(1.0 / poles([psi])[0], rel=1e-14, abs=0.0), family
 
     def test_step_powers_are_contractions(self):
         k, worst = self.K, 0.0
@@ -579,8 +589,8 @@ class TestSeams:
         k = self.K
         psi, phi = BUILD_PATH_CASES["disk-automorphism"]
         conjugations = (Conjugation("J"), Conjugation("C1", np.exp(0.3j), np.exp(0.7j)), C2_SLOW_DECAY)
-        perturbed = RationalSymbol(psi.n0, psi.n1 + 0.3, psi.d0, psi.d1)
-        for pair in [(psi, phi), (perturbed, phi), (psi, ConstantMap(0.4j))]:
+        perturbed = (psi[0], psi[1] + 0.3, psi[2], psi[3])
+        for pair in [(psi, phi), (perturbed, phi), (psi, (0, 0.4j, 0, 1))]:
             t = build_wco(*pair, n)
             normal = normality_residual(t, k)
             assert self.close(one_draw(*pair, n, k)["normality"], normal)
@@ -605,7 +615,7 @@ class TestSeams:
         for i in range(60):
             params, (psi, phi) = c2_selfmap(rng)
             if i % 2:
-                psi = RationalSymbol(*verify._perturbed(np.array([psi.coefficients()]))[0].tolist())
+                psi = verify._perturbed(np.array([psi]))[0]
             c = Conjugation("C2", 1.0, params.alpha)
             seam = one_draw(psi, phi, n, k, c, normality=False)["symmetry"]
             whole = symmetry_residual(build_wco(psi, phi, n), conjugation_matrix(c, n), k)
@@ -629,13 +639,13 @@ class TestSeams:
     @pytest.mark.parametrize("n", [64, 191, 192, 384])
     @pytest.mark.parametrize("sigma_sign", [-1, 1])
     def test_factorization_matches_whole_matrices(self, n, sigma_sign):
-        m = MobiusMap(0.5 + 0.1j, 0.25 - 0.05j, 0.1 + 0.2j, 1.0)
+        m = (0.5 + 0.1j, 0.25 - 0.05j, 0.1 + 0.2j, 1.0)
         k = 16
-        triple = cowen_adjoint(m, sigma_sign=sigma_sign)
+        g, sigma, h = cowen(m, sigma_sign)
         c_phi = build_wco(ONE, m, n)
-        m_g, m_h = build_wco(triple.g, IDENTITY, n), build_wco(triple.h, IDENTITY, n)
+        m_g, m_h = build_wco(g, IDENTITY, n), build_wco(h, IDENTITY, n)
         # the flipped-sign sigma is not a self-map, so build_wco refuses it
-        c_sigma = convolution_columns(psi_series(ONE, n), triple.sigma, n)
+        c_sigma = convolution_columns(psi_series(ONE, n), sigma, n)
         whole = np.linalg.norm((c_phi.conj().T - m_g @ c_sigma @ m_h.conj().T)[:k, :k])
         assert self.close(one_factorization(m, n, k, sigma_sign=sigma_sign), whole)
 
@@ -665,14 +675,14 @@ class TestBlockResiduals:
 
     @pytest.mark.parametrize("sigma_sign", [-1, 1])
     def test_factorization_residual_matches_full_products(self, sigma_sign):
-        m = MobiusMap(0.5 + 0.1j, 0.25 - 0.05j, 0.1 + 0.2j, 1.0)
+        m = (0.5 + 0.1j, 0.25 - 0.05j, 0.1 + 0.2j, 1.0)
         n, k = self.N, self.K
-        triple = cowen_adjoint(m, sigma_sign=sigma_sign)
+        g, sigma, h = cowen(m, sigma_sign)
         one = psi_series(ONE, n)
         c_phi = convolution_columns(one, m, n)
-        m_g = convolution_columns(psi_series(triple.g, n), IDENTITY, n)
-        c_sigma = convolution_columns(one, triple.sigma, n)
-        m_h = convolution_columns(psi_series(triple.h, n), IDENTITY, n)
+        m_g = convolution_columns(psi_series(g, n), IDENTITY, n)
+        c_sigma = convolution_columns(one, sigma, n)
+        m_h = convolution_columns(psi_series(h, n), IDENTITY, n)
         full = np.linalg.norm((c_phi.conj().T - m_g @ c_sigma @ m_h.conj().T)[:k, :k])
         got = one_factorization(m, n, k, sigma_sign=sigma_sign)
         assert abs(got - full) <= 1e-13 * max(1.0, full)
@@ -767,8 +777,8 @@ class TestSymmetryResidual:
         assert symmetry_residual(t, u, 16) <= 1e-9
 
     def test_out_of_family_weight(self):
-        phi = MobiusMap(0.2, 0, 0, 1)
-        t = build_wco(RationalSymbol(1, 0.3, 1, 0), phi, 64)
+        phi = (0.2, 0, 0, 1)
+        t = build_wco((1, 0.3, 1, 0), phi, 64)
         u = conjugation_matrix(Conjugation("J"), 64)
         assert symmetry_residual(t, u, 16) >= 1e-2
 
@@ -781,8 +791,8 @@ class TestSymmetryResidual:
             symmetry_residual(t, u, 12)
 
     def test_double_application_restores_block(self):
-        psi = RationalSymbol(1.0, 0.2, 1, -0.3)
-        t = build_wco(psi, MobiusMap(0.35, 0.1, -0.05, 1.0), 80)
+        psi = (1.0, 0.2, 1, -0.3)
+        t = build_wco(psi, (0.35, 0.1, -0.05, 1.0), 80)
         u = conjugation_matrix(Conjugation("C2", 1.0, 0.3), 80)
         k = 12
         once = u @ t.T @ u.conj()
@@ -792,21 +802,21 @@ class TestSymmetryResidual:
 
 class TestNormalityResidual:
     def test_diagonal_zero(self):
-        t = build_wco(RationalSymbol(1.3, 0, 1, 0), MobiusMap(0.6j, 0, 0, 1), 48)
+        t = build_wco((1.3, 0, 1, 0), (0.6j, 0, 0, 1), 48)
         assert normality_residual(t, 12) <= 1e-14
 
     def test_interior_family_normal(self):
         p, delta, gamma = 0.3, 0.5j, 1.0
         pc = np.conj(p)
-        psi = RationalSymbol(gamma * (1 - abs(p) ** 2), 0, 1 - abs(p) ** 2 * delta, pc * (delta - 1))
-        phi = MobiusMap(delta - abs(p) ** 2, p * (1 - delta), pc * (delta - 1), 1 - abs(p) ** 2 * delta)
+        psi = (gamma * (1 - abs(p) ** 2), 0, 1 - abs(p) ** 2 * delta, pc * (delta - 1))
+        phi = (delta - abs(p) ** 2, p * (1 - delta), pc * (delta - 1), 1 - abs(p) ** 2 * delta)
         t = build_wco(psi, phi, 64)
         assert normality_residual(t, 12) <= 1e-7
 
     def test_damped_map_not_normal(self):
-        phi = MobiusMap(1.85, 1, 1, 2)
-        sigma0 = -np.conj(phi.c) / np.conj(phi.d)
-        psi = RationalSymbol(1, 0, 1, -np.conj(sigma0))
+        phi = (1.85, 1, 1, 2)
+        sigma0 = -np.conj(phi[2]) / np.conj(phi[3])
+        psi = (1, 0, 1, -np.conj(sigma0))
         t = build_wco(psi, phi, 64)
         assert normality_residual(t, 12) >= 1e-3
 
@@ -816,8 +826,8 @@ class TestNormalityResidual:
         # at 44, so the progression starts at 48 rather than 32
         p, delta = 0.3, 0.5j
         pc = np.conj(p)
-        psi = RationalSymbol(1 - abs(p) ** 2, 0, 1 - abs(p) ** 2 * delta, pc * (delta - 1))
-        phi = MobiusMap(delta - abs(p) ** 2, p * (1 - delta), pc * (delta - 1), 1 - abs(p) ** 2 * delta)
+        psi = (1 - abs(p) ** 2, 0, 1 - abs(p) ** 2 * delta, pc * (delta - 1))
+        phi = (delta - abs(p) ** 2, p * (1 - delta), pc * (delta - 1), 1 - abs(p) ** 2 * delta)
         residuals = [normality_residual(build_wco(psi, phi, n), 12) for n in (48, 96, 192)]
         assert residuals[1] <= residuals[0] + 1e-12
         assert residuals[2] <= residuals[1] + 1e-12
@@ -840,9 +850,9 @@ class TestInteriorSpectrum:
     )
     def test_predicted_eigenvalues_of_build_wco(self, p_mod, p_arg, delta_mod, delta_arg, gamma):
         p, delta = p_mod * np.exp(1j * p_arg), delta_mod * np.exp(1j * delta_arg)
-        psi, phi = symbols(*fam.interior_quadruples(p, delta, gamma))
+        psi, phi = first(*fam.interior_quadruples(p, delta, gamma))
         eigenvalues = np.linalg.eigvals(build_wco(psi, phi, 96))
-        top = psi(p)
+        top = rational(psi, p)
         predicted = [top * delta ** n for n in range(8) if abs(delta) ** n >= 1e-6]
         for n, value in enumerate(predicted):
             error = np.min(np.abs(eigenvalues - value))
@@ -854,12 +864,12 @@ class TestAdjointFactorization:
         assert one_factorization(IDENTITY, 48, 16) <= 1e-15
 
     def test_dilation(self):
-        assert one_factorization(MobiusMap(0.5, 0, 0, 1), 48, 16) <= 1e-12
+        assert one_factorization((0.5, 0, 0, 1), 48, 16) <= 1e-12
 
     def test_affine(self):
-        assert one_factorization(MobiusMap(0.5, 0.25, 0, 1), 64, 16) <= 1e-8
+        assert one_factorization((0.5, 0.25, 0, 1), 64, 16) <= 1e-8
 
     def test_flipped_sigma_sign_fails(self):
-        m = MobiusMap(0.5 + 0.1j, 0.25 - 0.05j, 0.1 + 0.2j, 1.0)
+        m = (0.5 + 0.1j, 0.25 - 0.05j, 0.1 + 0.2j, 1.0)
         assert one_factorization(m, 64, 16, sigma_sign=-1) <= 1e-8
         assert one_factorization(m, 64, 16, sigma_sign=+1) >= 1e-3

@@ -11,7 +11,7 @@ import pytest
 
 from wcosym import operators, verify
 from wcosym.cli import main, report_to_json, validate_report_dict, report_to_dict
-from wcosym.errors import UnknownSuiteError
+from wcosym.errors import SamplingBudgetError, UnknownSuiteError, WcoError
 from wcosym.families import (
     C1Params,
     HyperbolicParams,
@@ -24,14 +24,12 @@ from wcosym.families import (
 )
 from wcosym import families as fam
 from wcosym.mobius import (
-    ConstantMap,
-    MobiusMap,
+    canonical_quadruple,
     is_automorphism,
     is_constant,
     is_self_map,
     proj_distance,
     quadruple_gap,
-    quadruples,
     sup_modulus,
 )
 from wcosym.operators import STACK_ROWS
@@ -53,8 +51,6 @@ from wcosym.verify import (
     default_config,
     run_suite,
 )
-
-from conftest import symbols
 
 
 def clean(report):
@@ -382,7 +378,7 @@ def test_sweep_deficiency_matches_its_definition(suite_id):
             alpha, c0, c1 = p["alpha"], p["c0"], p["c1"]
             defect = abs(c1_normal_expression(alpha, c0, c1))
         witness = np.array([c1 - alpha * c0 * c0, c0, -alpha * c0, 1.0])
-        target = hyperbolic_aut_map(HyperbolicParams(p["r"], p["t"])).quadruple()
+        target = hyperbolic_aut_map(HyperbolicParams(p["r"], p["t"]))
         expected = max(quadruple_gap(witness, target), defect)
         assert abs(rec.residuals["deficiency"] - expected) <= 1e-14, (p, rec.residuals, expected)
 
@@ -443,12 +439,12 @@ def test_preimage_round_trip(family):
         c0, c1 = _random_disk_point(rng), _random_disk_point(rng)
         if family == "j":
             alpha = 1.0
-            phi = symbols(*j_quadruples(*dataclasses.astuple(JParams(c0, c1))))[1]
-            gap, got_alpha, got_c0, got_c1 = _preimage(phi, alpha=1.0)
+            phi = j_quadruples(*dataclasses.astuple(JParams(c0, c1)))[1]
+            gap, got_alpha, got_c0, got_c1 = _preimage(canonical_quadruple(phi[0]), alpha=1.0)
         else:
             alpha = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-            phi = symbols(*c1_quadruples(*dataclasses.astuple(C1Params(alpha, c0, c1))))[1]
-            gap, got_alpha, got_c0, got_c1 = _preimage(phi)
+            phi = c1_quadruples(*dataclasses.astuple(C1Params(alpha, c0, c1)))[1]
+            gap, got_alpha, got_c0, got_c1 = _preimage(canonical_quadruple(phi[0]))
         worst = max(worst, gap, abs(got_alpha - alpha), abs(got_c0 - c0), abs(got_c1 - c1))
     assert worst <= 1e-12, worst
 
@@ -467,8 +463,7 @@ def _local_grid(center, spread, pts=7, clip=0.97):
     return np.where(mags > clip, g / mags * clip, g)
 
 
-def _reference_quad_distance(va, vb, vc, vd, target: MobiusMap):
-    w = target.quadruple()
+def _reference_quad_distance(va, vb, vc, vd, w):
     comps = [va, vb, vc, vd]
     norm_v = np.sqrt(sum(np.abs(x) ** 2 for x in comps))
     norm_w = np.linalg.norm(w)
@@ -479,7 +474,7 @@ def _reference_quad_distance(va, vb, vc, vd, target: MobiusMap):
     return np.sqrt(2.0 * total) / (norm_v * norm_w)
 
 
-def _reference_j_search(target: MobiusMap):
+def _reference_j_search(target):
     def deficiency(a0, a1):
         va = a1 - a0 ** 2
         dist = _reference_quad_distance(va, a0, -a0, np.ones_like(a0), target)
@@ -500,7 +495,7 @@ def _reference_j_search(target: MobiusMap):
     return best[0], {"a0": best[1], "a1": best[2]}
 
 
-def _reference_c1_search(target: MobiusMap):
+def _reference_c1_search(target):
     def deficiency(alpha, c0, c1):
         va = c1 - alpha * c0 ** 2
         dist = _reference_quad_distance(va, c0, -alpha * c0, np.ones_like(c0), target)
@@ -512,10 +507,11 @@ def _reference_c1_search(target: MobiusMap):
         return np.maximum(dist, expr)
 
     cands = []
-    if is_automorphism(target) and abs(target.c) > 1e-9 * abs(target.d):
+    a, _, c, d = target
+    if is_automorphism(target) and abs(c) > 1e-9 * abs(d):
         # target = beta (g - z)/(1 - conj(g) z) with g != 0
-        g = (-target.c / target.d).conjugate()
-        beta = -target.a / target.d
+        g = (-c / d).conjugate()
+        beta = -a / d
         beta /= abs(beta)
         alpha = np.conj(g) / (g * beta)
         cands.append((alpha / abs(alpha), np.conj(g) / alpha, (abs(g) ** 2 - 1) * np.conj(g) / (g * alpha)))
@@ -564,11 +560,11 @@ def test_sweep_matches_per_target_reference(search, reference):
         assert witness.keys() == ref_witness.keys()
         if deficiency < fail_tol:
             if "a0" in witness:
-                phi = symbols(*j_quadruples(*dataclasses.astuple(JParams(witness["a0"], witness["a1"]))))[1]
+                phi = j_quadruples(*dataclasses.astuple(JParams(witness["a0"], witness["a1"])))[1]
             else:
                 params = C1Params(witness["alpha"], witness["c0"], witness["c1"])
-                phi = symbols(*c1_quadruples(*dataclasses.astuple(params)))[1]
-            assert proj_distance(phi, target) <= 1e-12, (target, witness)
+                phi = c1_quadruples(*dataclasses.astuple(params))[1]
+            assert proj_distance(phi, np.array([target]))[0] <= 1e-12, (target, witness)
 
 
 # the alpha-grid minimum ex62 took before its closed form (16 radii in
@@ -590,7 +586,7 @@ def test_c2_deficiency_is_the_alpha_free_spread():
     # grid minimum it replaced: alpha's match defect vanishes as alpha -> 0
     for (r, t), pinned in zip(_target_quadruples(), EX62_GRID_DEFICIENCIES, strict=True):
         target = hyperbolic_aut_map(HyperbolicParams(r, t))
-        moduli = sorted(abs(complex(x)) for x in (target.b, target.c, target.d))
+        moduli = sorted(abs(complex(x)) for x in target[1:])
         deficiency, witness = _c2_deficiency(target)
         assert witness == {}
         assert deficiency == 1.0 - moduli[0] / moduli[-1] == pinned, (r, t)
@@ -774,13 +770,13 @@ def test_c2_sampler_rejects_by_each_rule():
     # hand-built (psi, phi) candidates, one for each rule of the C2 sampler
     # and two it keeps; the rules are also those of every kept draw
     weight = np.array([[1.0, 0.0, 1.0, -0.2]], dtype=complex)  # pole 5
-    strict = quadruples([MobiusMap(0.5, 0.1, 0.1, 1.0)])  # sup |phi| 0.545
+    strict = np.array([[0.5, 0.1, 0.1, 1.0]], dtype=complex)  # sup |phi| 0.545
     cases = {
         "kept": (weight, strict, True),
         "kept, polynomial weight": (np.array([[1.0, 0.5, 1.0, 0.0]]), strict, True),
-        "constant": (weight, quadruples([ConstantMap(0.3)]), False),
-        "sup |phi| above 0.9": (weight, quadruples([MobiusMap(0.95, 0.0, 0.0, 1.0)]), False),
-        "not a self-map": (weight, quadruples([MobiusMap(2.0, 0.0, 0.0, 1.0)]), False),
+        "constant": (weight, np.array([[0.0, 0.3, 0.0, 1.0]], dtype=complex), False),
+        "sup |phi| above 0.9": (weight, np.array([[0.95, 0.0, 0.0, 1.0]], dtype=complex), False),
+        "not a self-map": (weight, np.array([[2.0, 0.0, 0.0, 1.0]], dtype=complex), False),
         "pole within 1.8": (np.array([[1.0, 0.0, 1.0, -0.6]]), strict, False),
     }
     for name, (psi, phi, kept) in cases.items():
@@ -819,7 +815,7 @@ def _mixed_probes(rng):
     keep, _, psi, phi = verify._draw_c2_selfmap(rng, 60)
     interior = fam.interior_quadruples(0.3 - 0.2j, 0.5j, 1.2)
     psi = np.concatenate([psi[keep][:4], interior[0], [[0.75, 0.1, 1, -0.5], [1.0, 0.0, 1, 0.4j]]])
-    phi = np.concatenate([phi[keep][:4], interior[1], quadruples([ConstantMap(0.6 - 0.3j), ConstantMap(-0.2)])])
+    phi = np.concatenate([phi[keep][:4], interior[1], [[0, 0.6 - 0.3j, 0, 1], [0, -0.2, 0, 1]]])
     psi, phi = np.tile(psi, (3, 1)), np.tile(phi, (3, 1))
     lam = np.exp(1j * rng.uniform(0.0, 2 * math.pi, len(psi)))
     alphas = {"J": np.zeros(len(psi)), "C1": np.exp(1j * rng.uniform(0.0, 2 * math.pi, len(psi))),
@@ -1039,3 +1035,21 @@ def test_c2_symmetry_suites_at_the_cap_unchanged(suite_id):
     expected = {"pass": npass, "fail": nfail, "inconclusive": ninc, "discrepancy": ndisc}
     expected["total"] = sum(expected.values())
     assert (report.summary, report.exit_status) == (expected, status)
+
+
+def test_sampling_loop_is_bounded():
+    # a sampler that never keeps a candidate for indices 3 and 4: the loop
+    # raises, naming the suite, the open indices and the counts, and no
+    # round asks for more than _MAX_COPIES candidates per open index
+    asked = []
+
+    def partial(rng, cfg, idx):
+        asked.append(len(idx))
+        return idx < 3, {"x": rng.uniform(size=len(idx))}
+
+    with pytest.raises(SamplingBudgetError) as info:
+        verify._sample("never-keeps", partial, np.random.default_rng(0), SuiteConfig(), 5)
+    assert not isinstance(info.value, (WcoError, ValueError))  # not bad input: the CLI exits 1
+    message = f"suite never-keeps: indices [3, 4] still open with 3 of {sum(asked)} candidates kept"
+    assert str(info.value).startswith(message)
+    assert asked[0] == 5 and len(asked) > 2 and max(asked[1:]) <= 2 * verify._MAX_COPIES
