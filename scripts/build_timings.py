@@ -16,16 +16,18 @@ prints the median time of one call, in ms, of
          reads only the columns): both by the one doubling kernel, the
          rows with the k x k Toeplitz matrix of phi as the step, the
          columns with the (k+1)-wide step of their row recurrence,
-  stacked  the same cross per draw of a stack of max(1, STACK_ROWS // N)
-         draws, the largest stack verify.measure evaluates at N: the
-         median time of one stacked call divided by its draws,
+  stacked  the normality residual per draw of a 200-draw probe, what a
+         suite's verify.measure call costs: one wco_residual_stack call,
+         which prepares the draws a piece at a time and doubles them in
+         chunks of max(1, STACK_ROWS // N), divided by its 200 draws,
   block  the leading k x k block (the J and C1 symmetry residuals and the
          four factors of the adjoint factorization): the same doubling
          as the rows, on k coefficients,
 
 each including the refusals and length-N expansions build_wco makes, on
 the coefficient arrays the seams take (a weight and a map as (1, 4)
-stacks).  Two symbols are timed: a fast-decay weighted composition operator of the
+stacks, (200, 4) for stacked).  Two symbols are timed: a fast-decay
+weighted composition operator of the
 interior normal family, whose coefficients underflow to subnormal numbers
 at large N, and the slow-decay C2 conjugation at |alpha| = 0.9.  N = 389
 is prime: its last doubling level fills fewer rows than it doubles from.
@@ -80,12 +82,12 @@ def main(argv=None) -> int:
     for name, (psi, phi) in SYMBOLS.items():
         for n in DIMS:
             whole = _median_ms(lambda: ops._whole(psi, phi, n), args.repeats)
-            draws = max(1, ops.STACK_ROWS // n)
+            draws, one = 200, slice(None)  # a suite's default probe; the one chunk of a stack of one
             psis, phis = psi.repeat(draws, axis=0), phi.repeat(draws, axis=0)
             for k in BLOCKS:
-                cross = _median_ms(lambda: ops._cross(psi, phi, n, k), args.repeats)
-                stacked = _median_ms(lambda: ops._cross(psis, phis, n, k), args.repeats) / draws
-                block = _median_ms(lambda: ops._block(psi, phi, n, k), args.repeats)
+                cross = _median_ms(lambda: ops._cross(ops._prepare(psi, phi, n, k), one, n), args.repeats)
+                stacked = _median_ms(lambda: ops.wco_residual_stack(psis, phis, n, k), args.repeats) / draws
+                block = _median_ms(lambda: ops._rectangle(ops._prepare(psi, phi, n, k, False)[0], one, k), args.repeats)
                 print(f"{name:10} {n:5d} {k:3d} {whole:9.3f} {cross:9.3f} {stacked:10.3f} {block:9.3f}")
     return 0
 

@@ -426,9 +426,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_literals(argv: List[str]) -> List[str]:
+    """argv with the value after --phi or a `check` parameter flag attached
+    as --flag=value: argparse reads a separate value that starts with '-'
+    and is not a plain negative number (-1,0.5,-0.5,1 or -0.5i) as an
+    option."""
+    flags = {"--phi"} | {f"--{f.name}" for params in CHECK_PARAMS.values() for f in fields(params)}
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] in flags and arg.startswith("-") and not arg.startswith("--") and arg != "-h":
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_literals(sys.argv[1:] if argv is None else argv))
     if args.print_schema:
         sys.stdout.write(json.dumps(REPORT_SCHEMA, sort_keys=True, indent=2) + "\n")
         return 0

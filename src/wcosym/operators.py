@@ -42,10 +42,14 @@ draw's residual is bit-identical to its stack of one.  At the suites' N
 of 48-96 and k of 12-16 a residual is some 25 numpy calls on arrays
 12-17 columns wide, and their per-call overhead, not the arithmetic,
 sets its cost.  wco_residual_stack, conjugation_residual_stack and
-adjoint_factorization_stack are what verify.measure calls, on stacks of
-at most max(1, STACK_ROWS // N) draws: a larger stack saves little more
-time and costs peak memory.  The public residuals of whole matrices
-are stacks of one.
+adjoint_factorization_stack are what verify.measure calls, on whole
+probes, and _chunked is their one loop: it prepares the draws a piece of
+at most (k + 1) max(1, STACK_ROWS // N) at a time (the refusals, the
+expansions and what the steps are made of, O(N + k) numbers a draw, so
+a piece holds a small multiple of one chunk's doubling run), and
+doubles them and forms their defects a chunk of max(1, STACK_ROWS // N)
+at a time: a larger chunk saves little more time and costs peak
+memory.  The public residuals of whole matrices are stacks of one.
 """
 
 from __future__ import annotations
@@ -79,12 +83,13 @@ MAX_DIM = 1024
 # BLAS thread, ms for sides 4 / 6 / 8 / 12 / 16: 2.9-3.9 / 2.1-2.9 / 2.0-2.7 /
 # 1.9-2.5 / 2.3-2.9 at N = 384, 22-26 / 14-16 / 13-17 / 13-14 / 14-15 at 1024.
 _TILE = 8
-# row budget of a stack: verify.measure evaluates at most max(1, STACK_ROWS // N)
-# draws at once.  The measure calls of three all-suite passes at registry
-# defaults (1,300 probes a pass, N 48-96) replayed on a 2-vCPU VM, one BLAS
-# thread, budgets 1 / 192 / 384 / 768 / 1536 / uncut: median 320 / 184 / 160 /
-# 144 / 123 / 135 ms a pass; peak RSS of a whole pass 39.0 / 39.1 / 38.9 / 39.2 /
-# 40.0 / 48.1 MB.  Past 768 the time gain is within noise and the peak grows.
+# row budget of a chunk: the seams double at most max(1, STACK_ROWS // N) draws
+# at once and prepare at most k + 1 chunks at once.  verify.measure's time in
+# all-suite passes at registry defaults (seeds 1-15, N 48-96, reports
+# serialized) on a 2-vCPU VM, one BLAS thread, three runs per budget, budgets
+# 1 / 192 / 384 / 768 / 1536 / uncut: median 286 / 150 / 109 / 87 / 87 / 99 ms a
+# pass; peak RSS of the process 39.9-40.0 / 39.9-40.0 / 39.9-40.0 / 40.2-40.3 /
+# 41.0 / 49.5-49.6 MB.  Past 768 the time gain is within noise and the peak grows.
 STACK_ROWS = 768
 _POLE_GUARD = 1.0 + 1e-9
 
@@ -140,53 +145,98 @@ def _checked_series(psi: np.ndarray, phi: np.ndarray, n: int):
     return series[:len(psi)], series[len(psi):]
 
 
-def _rectangle(psi_s: np.ndarray, phi_s: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """W[:rows, :cols] of the rows-truncation for each draw (the leading
-    block or the first rows), by doubling column j = T column (j - 1), T
-    the Toeplitz matrix of phi[:rows]: a finite section of the analytic
+def _prepare(psi: np.ndarray, phi: np.ndarray, n: int, k: int, strip: bool = True):
+    """Every refusal of W of the n-truncation for a piece of draws psi, phi
+    (B, 4), then what the doubling of its first k rows (_rectangle) and,
+    with strip, of its first k columns (_strip) read of each draw: O(n + k)
+    numbers a draw, the Toeplitz matrices being views."""
+    psi_s, phi_s = _checked_series(psi, phi, n)
+    _check_block(n, k)
+    rows = psi_s[:, :k], _toeplitz(phi_s[:, :k]).swapaxes(1, 2)
+    return rows, (_strip_parts(psi, psi_s, phi, k) if strip else None)
+
+
+def _rectangle(rows, chunk, cols: int) -> np.ndarray:
+    """W[:k, :cols] for each draw of a chunk (the first k rows, or the
+    leading block for cols = k), by doubling column j = T column (j - 1), T
+    the Toeplitz matrix of phi[:k]: a finite section of the analytic
     Toeplitz operator T_phi, so every power of T has norm at most
-    sup|phi| <= 1 (Brown and Halmos, J. reine angew. Math. 213, 1964)."""
-    run = np.empty((len(psi_s), cols, rows), dtype=complex)
-    run[:, 0] = psi_s[:, :rows]
-    return _double(run, _toeplitz(phi_s[:, :rows]).swapaxes(1, 2)).swapaxes(1, 2)
+    sup|phi| <= 1 (Brown and Halmos, J. reine angew. Math. 213, 1964).
+    rows is (columns 0, steps T^T) of a piece, along one leading axis or
+    more, and chunk indexes them."""
+    first, step = rows[0][chunk], rows[1][chunk]
+    run = np.empty(first.shape[:-1] + (cols, first.shape[-1]), dtype=complex)
+    run[..., 0, :] = first
+    return _double(run, step).swapaxes(-1, -2)
 
 
-def _strip(psi: np.ndarray, psi_s: np.ndarray, phi: np.ndarray, k: int) -> np.ndarray:
-    """W[:, :k] of the truncation at N = psi_s.shape[1] >= 3 for each draw,
-    by doubling the row recurrence.
+def _strip(strip, chunk, n: int) -> np.ndarray:
+    """W[:, :k] of the n-truncation, n >= 3, for each draw of a chunk:
+    rows 0 and 1 of the row recurrence of _strip_parts, then _double from
+    row 1 with the chunk's (k+1) x (k+1) steps, assembled here so that no
+    piece holds them."""
+    first, sigma_2, *parts = (x[chunk] for x in strip)
+    step = _row_step(*parts)
+    run = np.empty((len(first), n, first.shape[1]), dtype=complex)
+    run[:, 0] = first
+    run[:, 1:2] = run[:, :1] @ step
+    run[:, 1, -1] = sigma_2  # sigma_2 need not be r sigma_1
+    _double(run[:, 1:], step)
+    return run[:, :, :-1]
+
+
+def _cross(steps, chunk, n: int):
+    """(W[:, :k], W[:, :, :k]) for each draw of a chunk: all W*W and WW*
+    read on the block."""
+    return _rectangle(steps[0], chunk, n), _strip(steps[1], chunk, n)
+
+
+def _strip_parts(psi: np.ndarray, psi_s: np.ndarray, phi: np.ndarray, k: int):
+    """(s_0, sigma_2, R, q, r) of the row recurrence of W[:, :k] for each draw.
 
     Write a, b, c for the coefficients of phi divided by d and g_m for
     W[m, :k].  The generating function sum_j psi phi^j t^j equals
     sigma(z) / ((1 - bt)(1 - z chi(t))), with sigma = (1 + cz) psi and
     chi(t) = (at - c)/(1 - bt), so g_m = g_(m-1) R + sigma_m q: R is the
-    upper-triangular Toeplitz matrix of chi, q the series of 1/(1 - bt).
-    sigma is geometric from m = 2 on, so s_m = [g_m, sigma_(m+1)] obeys
-    s_m = s_(m-1) A (A from _row_step) from m = 2 on, and _double fills
-    the rows m >= 1 from row 1 in about log2(N) products of k + 1
-    columns, O(N k^2) in all.  chi is conj(sigma_C(conj t)) for Cowen's
-    adjoint map sigma_C, a self-map whenever phi is, so every power of R
-    is a contraction and doubling on it is stable.
+    upper-triangular Toeplitz matrix of chi (here a view), q the series of
+    1/(1 - bt).  sigma is geometric from m = 2 on, with ratio r = -d1/d0
+    of psi's symbol (the ratio of its series would be 0/0 for a weight
+    whose sigma is a polynomial, the C2 weight), so s_m = [g_m,
+    sigma_(m+1)] obeys s_m = s_(m-1) A, A = _row_step(R, q, r), from m = 2
+    on, and _double fills the rows m >= 2 from row 1 in about log2(N)
+    products of k + 1 columns, O(N k^2) in all.  chi is
+    conj(sigma_C(conj t)) for Cowen's adjoint map sigma_C, a self-map
+    whenever phi is, so every power of R is a contraction and doubling on
+    it is stable.
     """
-    n = psi_s.shape[1]
-    sigma = psi_s[:, 1:3] + (phi[:, 2] / phi[:, 3])[:, None] * psi_s[:, :2]  # sigma_1, sigma_2
-    step = _row_step(psi, phi, k)
-    s = np.empty((len(psi_s), n, k + 1), dtype=complex)
-    s[:, 0, :k], s[:, 0, k] = psi_s[:, :1] * step[:, k, :k], sigma[:, 0]
-    s[:, 1:2] = s[:, :1] @ step
-    s[:, 1, k] = sigma[:, 1]  # sigma_2 need not be r sigma_1
-    _double(s[:, 1:], step)
-    return s[:, :, :k]
+    a, b, c, d = phi.T
+    a, b, c = a / d, b / d, c / d
+    q = b[:, None] ** np.arange(k)
+    chi = np.concatenate(((-c)[:, None], (a - b * c)[:, None] * q[:, :-1]), axis=1)
+    sigma = psi_s[:, 1:3] + c[:, None] * psi_s[:, :2]  # sigma_1, sigma_2
+    first = np.concatenate((psi_s[:, :1] * q, sigma[:, :1]), axis=1)
+    return first, sigma[:, 1], _toeplitz(chi).swapaxes(1, 2), q, -psi[:, 3] / psi[:, 2]
+
+
+def _row_step(r_matrix: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The (k+1) x (k+1) step A = [[R, 0], [q, r]] of s_m = s_(m-1) A in
+    _strip_parts for each draw, R[i, j] = chi_(j - i)."""
+    k = q.shape[1]
+    step = np.zeros((len(q), k + 1, k + 1), dtype=complex)
+    step[:, :k, :k], step[:, k, :k], step[:, k, k] = r_matrix, q, r
+    return step
 
 
 def _double(run: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """run with run[:, m] = run[:, m - 1] @ step filled in from run[:, 0] for
-    each draw, doubling: rows [h, 2h) are rows [0, h) times step^h, so
-    about log2(run.shape[1]) products and squarings of step.  A stacked @
-    is one GEMM per draw, bit-identical to the product of that draw alone."""
-    power, h, length = step, 1, run.shape[1]
+    """run with run[..., m, :] = run[..., m - 1, :] @ step filled in from
+    run[..., 0, :] for each draw, doubling: rows [h, 2h) are rows [0, h)
+    times step^h, so about log2(run.shape[-2]) products and squarings of
+    step.  A stacked @ is one GEMM per draw, bit-identical to the product
+    of that draw alone."""
+    power, h, length = step, 1, run.shape[-2]
     while h < length:
         m = min(h, length - h)
-        run[:, h:h + m] = run[:, :m] @ power
+        run[..., h:h + m, :] = run[..., :m, :] @ power
         if 2 * h < length:
             power = power @ power
         h *= 2
@@ -202,36 +252,6 @@ def _toeplitz(coeffs: np.ndarray) -> np.ndarray:
     padded[:, n - 1:] = coeffs
     item = padded.itemsize
     return np.ndarray((count, n, n), complex, padded, (n - 1) * item, ((2 * n - 1) * item, item, -item))
-
-
-def _row_step(psi: np.ndarray, phi: np.ndarray, k: int) -> np.ndarray:
-    """The (k+1) x (k+1) step A = [[R, 0], [q, r]] of s_m = s_(m-1) A in
-    _strip for each draw.  chi = -c + (a - bc) t q(t), and r = -d1/d0 is
-    the ratio of psi's symbol: the ratio of its series would be 0/0 for a
-    weight whose sigma is a polynomial (the C2 weight)."""
-    a, b, c, d = phi.T
-    a, b, c = a / d, b / d, c / d
-    step = np.zeros((len(phi), k + 1, k + 1), dtype=complex)
-    step[:, k, :k] = q = b[:, None] ** np.arange(k)
-    chi = np.concatenate(((-c)[:, None], (a - b * c)[:, None] * q[:, :-1]), axis=1)
-    step[:, :k, :k] = _toeplitz(chi).swapaxes(1, 2)  # R[i, j] = chi_(j - i)
-    step[:, k, k] = -psi[:, 3] / psi[:, 2]
-    return step
-
-
-def _cross(psi: np.ndarray, phi: np.ndarray, n: int, k: int):
-    """(W[:, :k], W[:, :, :k]) of the n-truncation for each draw: all W*W
-    and WW* read on the block."""
-    psi_s, phi_s = _checked_series(psi, phi, n)
-    _check_block(n, k)
-    return _rectangle(psi_s, phi_s, k, n), _strip(psi, psi_s, phi, k)
-
-
-def _block(psi: np.ndarray, phi: np.ndarray, n: int, k: int) -> np.ndarray:
-    """W[:, :k, :k] of the n-truncation for each draw, which is the k-truncation."""
-    psi_s, phi_s = _checked_series(psi, phi, n)
-    _check_block(n, k)
-    return _rectangle(psi_s, phi_s, k, k)
 
 
 def _mobius_recurrence(psi_s: np.ndarray, quad) -> np.ndarray:
@@ -393,6 +413,32 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
 
 
+def _chunked(count: int, n: int, k: int, prepare, width: int) -> List[np.ndarray]:
+    """The one loop of the seams over a stack of count draws at dimension n
+    and block k: width residual arrays, in row order.
+
+    prepare(piece) makes every refusal and per-draw preparation of a slice
+    of the draws (the expansions and what the doubling steps are made of,
+    O(n + k) numbers a draw) and returns the function of a chunk, a slice
+    of the piece, that doubles and forms the chunk's width defects.  A
+    chunk holds at most max(1, STACK_ROWS // n) draws, so its (chunk, n,
+    k + 1) doubling runs and (chunk, k + 1, k + 1) steps stay out of the
+    peak memory; a piece holds at most k + 1 chunks, so no (piece, n)
+    array of its preparation outgrows a chunk's run, and the preparation
+    costs its numpy calls once a piece, not once a chunk.  Every draw's
+    defects equal those of its stack of one.  The dimension and the block
+    are refused before any draw."""
+    _check_dim(n)
+    _check_block(n, k)
+    size = max(1, STACK_ROWS // n)
+    piece = size * (k + 1)
+    parts = []
+    for start in range(0, count, piece):
+        evaluate = prepare(slice(start, start + piece))
+        parts += [evaluate(slice(at, at + size)) for at in range(0, min(piece, count - start), size)]
+    return [np.concatenate([part[j] for part in parts] or [np.empty(0)]) for j in range(width)]
+
+
 def wco_residual_stack(
     psi: np.ndarray, phi: np.ndarray, n: int, k: int,
     kind: Optional[str] = None, lam: Optional[np.ndarray] = None, alpha: Optional[np.ndarray] = None,
@@ -407,47 +453,62 @@ def wco_residual_stack(
     read: the first k rows and columns of W for normality; for the
     symmetry, T[:, :k] for C2 and the k x k block for the diagonal J and
     C1, sliced from that cross when normality built it.  The suites and
-    `wcosym check` call it through verify.measure."""
-    out = {}
-    if normality:
-        rows, cols = _cross(psi, phi, n, k)
-    else:
-        series = _checked_series(psi, phi, n)
-        _check_block(n, k)
-    if kind is not None:
-        u_rows, u_cols = _conjugation_cross(kind, lam, alpha, n, k)
-        if normality:
-            t = cols[:, :u_cols.shape[1]]
-        elif kind == "C2":
-            t = _strip(psi, series[0], phi, k)
-        else:
-            t = _rectangle(*series, k, k)
-        out["symmetry"] = _symmetry_defect(t, u_rows, u_cols)
-    if normality:
-        out["normality"] = _normality_defect(rows, cols)
-    return out
+    `wcosym check` call it through verify.measure, on whole probes."""
+    keys = ("symmetry",) * (kind is not None) + ("normality",) * normality
+
+    def prepare(piece):
+        steps = _prepare(psi[piece], phi[piece], n, k, strip=normality or kind == "C2")
+        conjugation = None if kind is None else _conjugation_cross(kind, lam[piece], alpha[piece], n, k)
+
+        def evaluate(chunk):
+            if normality:
+                rows, t = _cross(steps, chunk, n)
+            elif kind == "C2":
+                t = _strip(steps[1], chunk, n)
+            elif kind is not None:
+                t = _rectangle(steps[0], chunk, k)
+            out = []
+            if conjugation is not None:
+                u_rows, u_cols = conjugation(chunk)
+                out.append(_symmetry_defect(t[:, :u_cols.shape[1]], u_rows, u_cols))
+            if normality:
+                out.append(_normality_defect(rows, t))
+            return out
+
+        return evaluate
+
+    return dict(zip(keys, _chunked(len(phi), n, k, prepare, len(keys))))
 
 
 def conjugation_residual_stack(kind: str, lam: np.ndarray, alpha: np.ndarray, n: int, k: int):
-    """(involution, isometry) arrays: involution_residual(conjugation_matrix(c,
+    """[involution, isometry] arrays: involution_residual(conjugation_matrix(c,
     n), k) for each conjugation of one kind with parameters lam, alpha (B,),
     building only the first k rows and columns of U; called through
     verify.measure."""
-    return _involution_defect(*_conjugation_cross(kind, lam, alpha, n, k))
+
+    def prepare(piece):
+        cross = _conjugation_cross(kind, lam[piece], alpha[piece], n, k)
+        return lambda chunk: _involution_defect(*cross(chunk))
+
+    return _chunked(len(lam), n, k, prepare, 2)
 
 
 def _conjugation_cross(kind: str, lam: np.ndarray, alpha: np.ndarray, n: int, k: int):
-    """(U[:, :k], U[:, :, :k]) of conjugation_matrix for each conjugation of
-    a stack: all the residuals read of U."""
+    """The refusals of a piece of conjugations of one kind, and the function
+    of a chunk of it giving (U[:, :k], U[:, :, :k]) of conjugation_matrix:
+    all the residuals read of U."""
     _check_conjugations(kind, lam, alpha)
     if kind == "C2":
-        return _cross(*_c2_symbols(lam, alpha), n, k)
-    _check_dim(n)
-    _check_block(n, k)
+        steps = _prepare(*_c2_symbols(lam, alpha), n, k)
+        return lambda chunk: _cross(steps, chunk, n)
     # diagonal: the block is all that is nonzero
     diagonal = lam[:, None] * alpha[:, None] ** np.arange(k) if kind == "C1" else np.ones((len(lam), k))
-    u = diagonal[:, :, None] * np.eye(k, dtype=complex)
-    return u, u
+
+    def block(chunk):
+        u = diagonal[chunk, :, None] * np.eye(k, dtype=complex)
+        return u, u
+
+    return block
 
 
 def adjoint_factorization_stack(phi: np.ndarray, n: int, k: int, signs=(-1, 1)) -> List[np.ndarray]:
@@ -461,18 +522,28 @@ def adjoint_factorization_stack(phi: np.ndarray, n: int, k: int, signs=(-1, 1)) 
     without that check so the wrong convention can be exhibited failing.
     verify.measure evaluates both signs of a suite's maps at once.
     """
-    _check_dim(n)
-    _check_block(n, k)
-    if not is_self_map(phi).all():
-        raise NotSelfMapError("factorization residual needs a self-map")
-    stacks = [cowen_stack(phi, sign) for sign in signs]
-    if -1 in signs and not is_self_map(stacks[signs.index(-1)][1]).all():
-        raise NotSelfMapError("sigma is not a self-map")
-    (g, _, h), count = stacks[0], len(phi)
-    maps = np.concatenate([phi, *(sigma for _, sigma, _ in stacks)])
-    ones = np.eye(1, n, dtype=complex).repeat(len(maps), axis=0)  # the series of 1
-    blocks = _rectangle(ones, quotient_series(maps[:, [1, 0, 3, 2]], n), k, k)
-    identity = np.tile(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex), (2 * count, 1))
-    m_g, m_h = _block(np.concatenate([g, h]), identity, n, k).reshape(2, count, k, k)
-    c_phi_h, m_h_h = blocks[:count].conj().swapaxes(1, 2), m_h.conj().swapaxes(1, 2)
-    return [_norms(c_phi_h - (m_g @ c_sigma) @ m_h_h) for c_sigma in blocks[count:].reshape(len(signs), count, k, k)]
+
+    def prepare(piece):
+        maps = phi[piece]
+        if not is_self_map(maps).all():
+            raise NotSelfMapError("factorization residual needs a self-map")
+        stacks = [cowen_stack(maps, sign) for sign in signs]
+        if -1 in signs and not is_self_map(stacks[signs.index(-1)][1]).all():
+            raise NotSelfMapError("sigma is not a self-map")
+        (g, _, h), count = stacks[0], len(maps)
+        series = quotient_series(np.concatenate([maps, *(sigma for _, sigma, _ in stacks)])[:, [1, 0, 3, 2]], n)
+        identity = np.tile(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex), (2 * count, 1))
+        weights, identities = _checked_series(np.concatenate([g, h]), identity, n)
+        # the blocks of C_phi and of each C_sigma (the series of 1 times phi^j), then of M_g and M_h
+        ones = np.eye(1, k, dtype=complex).repeat(len(series), axis=0)
+        compositions = ones.reshape(-1, count, k), _toeplitz(series[:, :k]).swapaxes(1, 2).reshape(-1, count, k, k)
+        factors = weights[:, :k].reshape(2, count, k), _toeplitz(identities[:, :k]).swapaxes(1, 2).reshape(2, count, k, k)
+
+        def evaluate(chunk):
+            (c_phi, *c_sigmas), (m_g, m_h) = (_rectangle(rows, (slice(None), chunk), k) for rows in (compositions, factors))
+            c_phi_h, m_h_h = c_phi.conj().swapaxes(1, 2), m_h.conj().swapaxes(1, 2)
+            return [_norms(c_phi_h - (m_g @ c_sigma) @ m_h_h) for c_sigma in c_sigmas]
+
+        return evaluate
+
+    return _chunked(len(phi), n, k, prepare, len(signs))

@@ -26,11 +26,13 @@ involution, isometry and adjoint-factorization residual through it, and
 it alone picks the truncation.  A ``Probe`` is a stack of B draws as
 coefficient arrays: weights psi (B, 4) = (n0, n1, d0, d1), maps phi
 (B, 4) = (a, b, c, d), a constant map v being (0, v, 0, 1), and a
-conjugation as its kind with lam and alpha arrays (B,).  measure
-evaluates it in stacks of at most max(1, STACK_ROWS // cfg.dim) rows, so
-that per-call numpy overhead, which sets a residual's cost at the
-suites' small N, is shared while the stacks stay out of the peak memory;
-each row's residuals equal those of a stack of one.
+conjugation as its kind with lam and alpha arrays (B,).  measure hands
+the whole probe to one seam of ``operators``, which prepares its rows a
+piece at a time (refusals, expansions, steps) and doubles them in
+chunks of at most max(1, STACK_ROWS // cfg.dim) rows, so that per-call
+numpy overhead, which sets a residual's cost at the suites' small N, is
+shared while the chunks stay out of the peak memory; each row's
+residuals equal those of a stack of one.
 
 ``_record`` is the one verdict rule: every suite record and every
 ``wcosym check`` verdict is built by it, and it is the one caller of
@@ -72,7 +74,6 @@ from .mobius import (
 from .operators import (
     BLOCK_PAD,
     MAX_DIM,
-    STACK_ROWS,
     adjoint_factorization_stack,
     conjugation_residual_stack,
     wco_residual_stack,
@@ -220,30 +221,21 @@ class Probe(NamedTuple):
 
 def measure(cfg: SuiteConfig, probe: Probe) -> Dict[str, np.ndarray]:
     """The residual arrays of a probe on the leading cfg.block block of the
-    cfg.dim-truncation, evaluated in stacks of at most
-    max(1, STACK_ROWS // cfg.dim) rows in order; each row's residuals equal
-    those of a stack of one.  A refused row raises its refusal."""
+    cfg.dim-truncation, one array per key even for a probe of no rows.  The
+    seam it calls prepares the rows a piece at a time and doubles them in
+    chunks of at most max(1, STACK_ROWS // cfg.dim) rows, in order; each
+    row's residuals equal those of a stack of one.  A refused row raises
+    its refusal."""
     psi, phi, kind, lam, alpha, normality = probe
     count = len(phi) if phi is not None else len(alpha if lam is None else lam)
     lam = np.ones(count, dtype=complex) if lam is None else lam
     alpha = np.zeros(count, dtype=complex) if alpha is None else alpha
-    size, dim, block = max(1, STACK_ROWS // cfg.dim), cfg.dim, cfg.block
+    dim, block = cfg.dim, cfg.block
     if phi is None:
-        keys = ("involution", "isometry")
-    elif psi is None:
-        keys = ("factorization", "flipped_sign")
-    else:
-        keys = ("symmetry",) * (kind is not None) + ("normality",) * normality
-    parts = []
-    for cut in (slice(start, start + size) for start in range(0, count, size)):
-        if phi is None:
-            parts.append(conjugation_residual_stack(kind, lam[cut], alpha[cut], dim, block))
-        elif psi is None:
-            parts.append(adjoint_factorization_stack(phi[cut], dim, block))
-        else:
-            got = wco_residual_stack(psi[cut], phi[cut], dim, block, kind, lam[cut], alpha[cut], normality)
-            parts.append([got[key] for key in keys])
-    return {key: np.concatenate([part[j] for part in parts] or [np.empty(0)]) for j, key in enumerate(keys)}
+        return dict(zip(("involution", "isometry"), conjugation_residual_stack(kind, lam, alpha, dim, block)))
+    if psi is None:
+        return dict(zip(("factorization", "flipped_sign"), adjoint_factorization_stack(phi, dim, block)))
+    return wco_residual_stack(psi, phi, dim, block, kind, lam, alpha, normality)
 
 
 _SEVERITY = ("pass", "inconclusive", "discrepancy")

@@ -105,6 +105,26 @@ class TestClassifyCommand:
         assert capsys.readouterr().err == f"error: the constant {value} does not map the disk into itself\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--phi", "-1,0.5,-0.5,1"],
+        ["check", "--family", "j", "--a0", "-0.5i", "--a1", "-0.25-0.75i", "--b", "-1"],
+        ["check", "--family", "c1", "--alpha", "-i", "--c0", "-0.3i", "--c1", "-0.5", "--d", "-1"],
+        ["check", "--family", "c2", "--alpha", "-0.5i", "--c0", "-0.6", "--c1", "0.36", "--c2", "-0.54", "--d", "-1"],
+    ],
+    ids=["classify", "check-j", "check-c1", "check-c2"],
+)
+def test_literal_starting_with_minus_in_both_forms(argv, capsys):
+    # every complex literal or quadruple flag takes a value that starts with
+    # '-' as the next argument, as it takes --flag=value
+    assert main(argv) == 0
+    spaced = capsys.readouterr()
+    attached = argv[:1] + [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+    assert main(attached) == 0
+    assert capsys.readouterr() == spaced and not spaced.err
+
+
 class TestCheckCommand:
     def test_j_family_normal_instance(self, capsys):
         code = main(["check", "--family", "j", "--a0", "0.5i", "--a1", "0.75", "--b", "1"])

@@ -23,12 +23,13 @@ from wcosym.operators import (
     MAX_DIM,
     _TILE,
     Conjugation,
-    _block,
     _cross,
     _mobius_recurrence,
+    _prepare,
     _rectangle,
     _row_step,
     _strip,
+    _strip_parts,
     adjoint_factorization_stack,
     build_wco,
     conjugation_matrix,
@@ -55,15 +56,25 @@ def conjugations(c):
     return {"kind": c.kind, "lam": np.array([c.lam]), "alpha": np.array([c.alpha])}
 
 
+ALL = slice(None)  # the one chunk of a stack of one draw
+
+
 def cross(psi, phi, n, k):
     """operators._cross of a stack of one draw."""
-    rows, cols = _cross(*stacks(psi, phi), n, k)
+    rows, cols = _cross(_prepare(*stacks(psi, phi), n, k), ALL, n)
     return rows[0], cols[0]
 
 
 def block(psi, phi, n, k):
-    """operators._block of a stack of one draw."""
-    return _block(*stacks(psi, phi), n, k)[0]
+    """The leading k x k block, operators._rectangle at k columns, of a stack of one draw."""
+    rows, _ = _prepare(*stacks(psi, phi), n, k, strip=False)
+    return _rectangle(rows, ALL, k)[0]
+
+
+def row_step(psi, phi, k):
+    """operators._row_step of a stack of one draw, from its _strip_parts."""
+    psi_q, phi_q = stacks(psi, phi)
+    return _row_step(*_strip_parts(psi_q, quotient_series(psi_q, 3), phi_q, k)[2:])[0]
 
 
 def one_draw(psi, phi, n, k, conj=None, normality=True):
@@ -381,8 +392,7 @@ class TestFftDoubling:
         for name, (psi, phi) in strip_cases().items():
             psi_s = psi_series(psi, n)
             reference = convolution_columns(psi_s, phi, n, 16)
-            psi_q, phi_q = stacks(psi, phi)
-            error = np.max(np.abs(_strip(psi_q, psi_s[None], phi_q, 16)[0] - reference))
+            error = np.max(np.abs(_strip(_prepare(*stacks(psi, phi), n, 16)[1], ALL, n)[0] - reference))
             assert error <= 1e-13 * np.max(np.abs(reference)), name
             # the C2 symmetry alone reads W only through the strip, and U only
             # through the conjugation's first k rows and columns
@@ -399,7 +409,7 @@ class TestFftDoubling:
         real = operators._double
 
         def spy(run, step):
-            seen.append(step.shape[1:])  # one draw's step
+            seen.append(step.shape[-2:])  # one draw's step
             return real(run, step)
 
         monkeypatch.setattr(operators, "_double", spy)
@@ -479,7 +489,7 @@ class TestTileWavefront:
             psi_s = psi_series(psi, n)
             reference = convolution_columns(psi_s[:rows], phi, rows, cols)
             if rows < cols:
-                got = _rectangle(psi_s[None], phi_series(phi, n)[None], rows, cols)[0]
+                got = _rectangle(_prepare(*stacks(psi, phi), n, rows, strip=False)[0], ALL, cols)[0]
             else:
                 got = build_wco(psi, phi, rows)[:, :cols]
             assert_matches(got, reference, name)
@@ -557,7 +567,7 @@ class TestRowStep:
         for family, psi, phi in family_self_maps(np.random.default_rng(11), 20):
             chi = np.conj(cowen(phi)[1])
             toeplitz = convolution_columns(phi_series(chi, k), IDENTITY, k)
-            step = _row_step(*stacks(psi, phi), k)[0]
+            step = row_step(psi, phi, k)
             assert np.max(np.abs(step[:k, :k] - toeplitz.T)) <= 1e-14 * max(1.0, np.max(np.abs(toeplitz))), family
             assert not np.any(step[:k, k])
             assert np.allclose(step[k, :k], mobius(phi, 0.0) ** np.arange(k), rtol=1e-14, atol=1e-15), family
@@ -566,7 +576,7 @@ class TestRowStep:
     def test_step_powers_are_contractions(self):
         k, worst = self.K, 0.0
         for family, psi, phi in family_self_maps(np.random.default_rng(13), 60):
-            power = _row_step(*stacks(psi, phi), k)[0, :k, :k]
+            power = row_step(psi, phi, k)[:k, :k]
             for _ in range(11):  # R^h for h = 2^0 ... 2^10
                 worst = max(worst, np.linalg.norm(power, 2))
                 assert np.linalg.norm(power, 2) <= 1.0 + 1e-12, family

@@ -802,21 +802,18 @@ def test_symmetric_form_samplers_keep_constants_and_self_maps(family):
     assert 0 < keep.sum() < 2000 and np.all(keep == verify._usable(drawn["phi"]))
 
 
-def _row(probe, i):
-    """Row i of a probe as a stack of one."""
-    arrays = {name: getattr(probe, name) for name in ("psi", "phi", "lam", "alpha")}
-    return probe._replace(**{name: x[i:i + 1] for name, x in arrays.items() if x is not None})
-
-
 def _mixed_probes(rng):
     """Probe stacks of every kind, rows in random order: Mobius and
     constant maps against no conjugation, J, C1 and C2, normality on and
-    off; the three conjugations alone; the adjoint factorization."""
+    off; the three conjugations alone; the adjoint factorization.  63 rows
+    (45 for the factorization): more than one piece at N = 384 and 389
+    below, and a last chunk short of the row budget at every N but 389,
+    where each chunk is one draw."""
     keep, _, psi, phi = verify._draw_c2_selfmap(rng, 60)
     interior = fam.interior_quadruples(0.3 - 0.2j, 0.5j, 1.2)
     psi = np.concatenate([psi[keep][:4], interior[0], [[0.75, 0.1, 1, -0.5], [1.0, 0.0, 1, 0.4j]]])
     phi = np.concatenate([phi[keep][:4], interior[1], [[0, 0.6 - 0.3j, 0, 1], [0, -0.2, 0, 1]]])
-    psi, phi = np.tile(psi, (3, 1)), np.tile(phi, (3, 1))
+    psi, phi = np.tile(psi, (9, 1)), np.tile(phi, (9, 1))
     lam = np.exp(1j * rng.uniform(0.0, 2 * math.pi, len(psi)))
     alphas = {"J": np.zeros(len(psi)), "C1": np.exp(1j * rng.uniform(0.0, 2 * math.pi, len(psi))),
               "C2": 0.4 * np.sqrt(rng.uniform(0.05, 1.0, len(psi))) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, len(psi)))}
@@ -826,64 +823,109 @@ def _mixed_probes(rng):
         probes.append(Probe(kind=kind, lam=lam, alpha=alpha))
     mobius = ~is_constant(phi)
     probes.append(Probe(phi=phi[mobius]))
-    return [probe._replace(**{name: getattr(probe, name)[order] for name in ("psi", "phi", "lam", "alpha")
-                              if getattr(probe, name) is not None})
-            for probe, order in ((p, rng.permutation(len(p.phi if p.phi is not None else p.lam))) for p in probes)]
+    return [_rows_of(probe, rng.permutation(_count(probe))) for probe in probes]
+
+
+def _count(probe):
+    return len(probe.phi if probe.phi is not None else probe.lam)
+
+
+def _rows_of(probe, rows):
+    """The probe of the given rows (an index array or a slice)."""
+    return probe._replace(**{name: getattr(probe, name)[rows] for name in ("psi", "phi", "lam", "alpha")
+                             if getattr(probe, name) is not None})
+
+
+def _keys(probe):
+    if probe.phi is None:
+        return ["involution", "isometry"]
+    if probe.psi is None:
+        return ["factorization", "flipped_sign"]
+    return ["symmetry"] * (probe.kind is not None) + ["normality"] * probe.normality
+
+
+def _spy_stacks(monkeypatch):
+    """Lists that record, for every doubling run, its draws (its axis -3:
+    the factorization doubles the blocks of a draw along a leading axis of
+    their own) and, for every piece a seam prepares, (draws, n, k)."""
+    runs, pieces = [], []
+    real_double, real_chunked = operators._double, operators._chunked
+
+    def double(run, step):
+        runs.append(run.shape[-3])
+        return real_double(run, step)
+
+    def chunked(count, n, k, prepare, width):
+        def spied(piece):
+            pieces.append((len(range(count)[piece]), n, k))
+            return prepare(piece)
+
+        return real_chunked(count, n, k, spied, width)
+
+    monkeypatch.setattr(operators, "_double", double)
+    monkeypatch.setattr(operators, "_chunked", chunked)
+    return runs, pieces
 
 
 @pytest.mark.parametrize("dim", [48, 64, 96, 384, 389])
 def test_stacked_measure_equals_single_draws(dim, monkeypatch):
     # every residual of a probe stack equals that row measured alone (a
-    # stack of one), bit for bit, factorization probes included; each probe
-    # is cut into the fewest stacks the row budget allows, in row order,
-    # and a constant map shares its stacks with the Mobius maps
+    # stack of one), bit for bit, factorization probes included: the
+    # probes span several pieces at N = 384 and 389, end in a partial chunk
+    # and mix constant maps with Mobius maps; a probe of no rows still gives
+    # each key an empty array
     probes = _mixed_probes(np.random.default_rng(dim))
     cfg = SuiteConfig(dim=dim)
-    stacks = []
-    for name in ("wco_residual_stack", "conjugation_residual_stack", "adjoint_factorization_stack"):
-
-        def spy(*args, real=getattr(verify, name), **kwargs):
-            stacks.append(len(args[0]) if not isinstance(args[0], str) else len(args[1]))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(verify, name, spy)
+    runs, pieces = _spy_stacks(monkeypatch)
     got = [verify.measure(cfg, probe) for probe in probes]
     size = max(1, STACK_ROWS // dim)
-    counts = [len(p.phi if p.phi is not None else p.lam) for p in probes]
-    assert stacks == [min(size, n - start) for n in counts for start in range(0, n, size)]
-    for probe, residuals, count in zip(probes, got, counts):
-        for i in range(count):
-            alone = verify.measure(cfg, _row(probe, i))
+    assert runs and max(runs) == size and all(draws >= 1 for draws in runs)
+    assert max(count for count, _, _ in pieces) == min(size * (cfg.block + 1), 63)
+    assert sum(count for count, _, _ in pieces) == sum(map(_count, probes))
+    for probe, residuals in zip(probes, got):
+        assert list(residuals) == _keys(probe)
+        for i in range(_count(probe)):
+            alone = verify.measure(cfg, _rows_of(probe, slice(i, i + 1)))
             assert {key: r[i] for key, r in residuals.items()} == {key: r[0] for key, r in alone.items()}
-    assert [sorted(residuals) for residuals in got] == [
-        sorted(({"involution", "isometry"} if p.phi is None else set())
-               | ({"factorization", "flipped_sign"} if p.phi is not None and p.psi is None else set())
-               | ({"symmetry"} if p.psi is not None and p.kind is not None else set())
-               | ({"normality"} if p.psi is not None and p.normality else set()))
-        for p in probes
-    ]
+        empty = verify.measure(cfg, _rows_of(probe, slice(0, 0)))
+        assert list(empty) == _keys(probe) and all(r.shape == (0,) for r in empty.values())
 
 
 def test_no_suite_stack_goes_over_the_row_budget(monkeypatch):
-    # a stub kernel records each stack the suites' measure calls evaluate
-    sizes, interior = [], None
-
-    def stub(psi, phi, n, k, kind=None, lam=None, alpha=None, normality=True):
-        sizes.append((len(psi), n))
-        return {"symmetry": np.zeros(len(psi)), "normality": np.zeros(len(psi))}
-
-    monkeypatch.setattr(verify, "wco_residual_stack", stub)
+    # every doubling run of the suites' measure calls holds at most
+    # max(1, STACK_ROWS // dim) draws and every piece a seam prepares at
+    # most block + 1 times that many, at each suite's default dim and at 384
+    runs, pieces = _spy_stacks(monkeypatch)
+    interior, widest = None, {}
     for suite_id, suite in sorted(SUITES.items()):
         for dim in (suite.defaults.dim, 384):
-            start = len(sizes)
-            run_suite(suite_id, dataclasses.replace(suite.defaults, dim=dim, seed=3))
+            cfg = dataclasses.replace(suite.defaults, dim=dim, seed=3)
+            size = max(1, STACK_ROWS // dim)
+            runs.clear()
+            pieces.clear()
+            run_suite(suite_id, cfg)
+            assert all(1 <= draws <= size for draws in runs), (suite_id, dim, runs)
+            assert all(1 <= count <= (cfg.block + 1) * size for count, _, _ in pieces), (suite_id, dim, pieces)
+            assert all((n, k) == (dim, cfg.block) for _, n, k in pieces), (suite_id, dim)
+            widest[dim] = max([widest.get(dim, 0), *runs])
             if suite_id == "ex51-interior" and dim == suite.defaults.dim:
-                interior = sizes[start:]
-    assert max(count for count, n in sizes if n == 64) == STACK_ROWS // 64
-    assert all(count * n <= STACK_ROWS or count == 1 for count, n in sizes), sizes
-    # ex51-interior's 40 draws at N = 96, its constant maps (every fourth
-    # index) among them, fill five stacks of 768 // 96 = 8
-    assert interior == [(8, 96)] * 5
+                interior = list(runs), list(pieces)
+    assert widest[64] == STACK_ROWS // 64 and widest[384] == STACK_ROWS // 384
+    # ex51-interior's 40 draws at N = 96, block 12, its constant maps (every
+    # fourth index) among them: one piece (of at most 13 * 8), doubled in
+    # five chunks of 768 // 96 = 8, the first rows and the first columns of
+    # W each
+    assert interior == ([8] * 10, [(40, 96, 12)])
+
+
+@pytest.mark.parametrize("budget", [1, 10**6])
+def test_chunking_never_moves_a_byte(budget, monkeypatch):
+    # every suite report at its defaults is the same with one draw a chunk
+    # and with a whole probe in one chunk (and one piece) as with the budget
+    cfgs = {suite_id: dataclasses.replace(default_config(suite_id), seed=17) for suite_id in sorted(SUITES)}
+    want = {suite_id: report_to_json(run_suite(suite_id, cfg)) for suite_id, cfg in cfgs.items()}
+    monkeypatch.setattr(operators, "STACK_ROWS", budget)
+    assert {suite_id: report_to_json(run_suite(suite_id, cfg)) for suite_id, cfg in cfgs.items()} == want
 
 
 class TestDeterminism:
