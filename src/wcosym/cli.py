@@ -34,7 +34,7 @@ from .families import (
     j_normal_predicate,
     j_quadruples,
 )
-from .mobius import MapClass, canonical_quadruple, classify, cowen_stack, is_constant
+from .mobius import MapClass, classify, cowen_stack, is_constant
 from .verify import (
     Probe,
     SuiteConfig,
@@ -242,9 +242,10 @@ def cmd_classify(args) -> int:
     coeffs = [parse_complex(p) for p in args.phi.split(",")]
     if len(coeffs) != 4:
         raise CliParseError("--phi needs four comma-separated coefficients a,b,c,d")
-    cls = classify(coeffs)
+    phi = np.array([coeffs])
+    (cls,) = classify(phi)
     constant = cls.map_class is MapClass.CONSTANT  # a constant has no adjoint factorization
-    sigma = None if constant else canonical_quadruple(cowen_stack(np.array([canonical_quadruple(coeffs)]))[1][0])
+    sigma = None if constant else (cowen_stack(phi)[1][0] + 0.0).tolist()  # canonical, + 0.0 drops a -0.0
     doc = {
         "class": cls.map_class.value,
         "dw_point": cls.dw_point,

@@ -28,7 +28,6 @@ from .errors import (
 )
 from .mobius import (
     canonical,
-    canonical_quadruple,
     coefficient_stack as _stack,
     compose_stack,
     is_self_map,
@@ -41,12 +40,12 @@ _UNIT_TOL = 1e-9
 
 
 def _in_disk(z, name: str):
-    if np.any(abs(z) >= 1.0):
+    if not np.all(abs(z) < 1.0):  # NaN fails
         raise DomainViolationError(f"{name} must lie in the open unit disk, got |{name}| = {np.max(abs(z))}")
 
 
 def _unimodular(z, name: str):
-    if np.any(abs(abs(z) - 1.0) > _UNIT_TOL):
+    if not np.all(abs(abs(z) - 1.0) <= _UNIT_TOL):  # NaN fails
         raise DomainViolationError(f"{name} must be unimodular, got |{name}| = {abs(z)}")
 
 
@@ -104,7 +103,7 @@ class InteriorParams:
 
     def __post_init__(self):
         _in_disk(self.p, "p")
-        if np.any(abs(self.delta) > 1.0 + 1e-12):
+        if not np.all(abs(self.delta) <= 1.0 + 1e-12):
             raise DomainViolationError("delta must satisfy |delta| <= 1")
 
 
@@ -114,7 +113,7 @@ class HyperbolicParams:
     t: complex = 0.0
 
     def __post_init__(self):
-        if not self.r > 1.0:
+        if not np.all(self.r > 1.0):
             raise DomainViolationError("r must exceed 1")
 
 
@@ -300,17 +299,22 @@ def c1_parabolic_quadruples(zeta, c0, c1):
     return _stack(z2, 0.0, z2, -c0), phi
 
 
-def hyperbolic_aut_map(params: HyperbolicParams):
-    """Canonical quadruple of the hyperbolic self-map fixing 1, derivative 1/r.
+def hyperbolic_aut_map(params: HyperbolicParams) -> np.ndarray:
+    """The canonical (B, 4) stack of the hyperbolic self-maps fixing 1,
+    derivative 1/r, of parameter arrays (or scalars) r and t.
 
     ((r+1-t) z + r+t-1) / ((r-t-1) z + r+t+1): an automorphism exactly on
-    the locus Re t = 0 and a self-map iff Re t >= 0.
+    the locus Re t = 0 and a self-map iff Re t >= 0.  Divided as Python
+    complex numbers (objects), which fix the sweeps' targets: numpy's
+    division rounds some of them differently in the last place.
     """
-    r, t = params.r, params.t
-    m = canonical_quadruple((r + 1 - t, r + t - 1, r - t - 1, r + t + 1))
-    if not is_self_map(m):
-        raise NotSelfMapError(f"(r, t) = ({r}, {t}) gives a non-self-map (Re t < 0)")
-    return m
+    r, t = _arrays(params.r, params.t)
+    maps = canonical(_stack(r + 1 - t, r + t - 1, r - t - 1, r + t + 1).astype(object)).astype(complex)
+    refused = ~is_self_map(maps)
+    if refused.any():
+        i = refused.argmax()
+        raise NotSelfMapError(f"(r, t) = ({r[i].real}, {t[i]}) gives a non-self-map (Re t < 0)")
+    return maps
 
 
 # ---------------------------------------------------------------------------

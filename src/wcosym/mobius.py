@@ -1,28 +1,26 @@
 """Exact algebra and classification of linear-fractional self-maps of the disk.
 
-A map z -> (az + b)/(cz + d) is its coefficient quadruple (a, b, c, d):
-four numbers, or a row of a (B, 4) stack; a constant v is (0, v, 0, 1).
-Canonical means divided by the coefficient of largest modulus; two maps
-are equal iff their canonical quadruples agree.  is_degenerate is the one
-degeneracy rule: ad - bc numerically zero makes a map a constant.  The
+A map z -> (az + b)/(cz + d) is its coefficient quadruple (a, b, c, d), a
+row of a (B, 4) stack; a constant v is (0, v, 0, 1).  Canonical means
+divided by the coefficient of largest modulus; two maps are equal iff
+their canonical quadruples agree.  is_degenerate is the one degeneracy
+rule: ad - bc numerically zero makes a map a constant.  The
 classification (interior / hyperbolic / parabolic, automorphism or not)
 is decided from the fixed-point quadratic and closed-form coefficient
 criteria, never from boundary sampling.
 
-The coefficient criteria (is_degenerate, is_self_map, sup_modulus,
-is_automorphism, the projective gap, the Cowen adjoint and the LFT
-normality defects) are each one formula for a (B, 4) stack and for a
-single quadruple: the suites' samplers pass whole stacks.  Only the checks
-scalar by nature (classify, fixed_points) take one quadruple alone.
+Every coefficient criterion (is_degenerate, is_self_map, sup_modulus,
+is_automorphism, the projective gap, fixed_points, classify, the Cowen
+adjoint and the LFT normality defects) takes a (B, 4) stack and decides
+each row with array masks; one map is a stack of one.  A stack refused
+raises the refusal of its first offending row.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -41,7 +39,7 @@ _DEGENERATE_TOL = 1e-13
 
 def coefficient_stack(a, b, c, d) -> np.ndarray:
     """The (B, 4) stack of four coefficient columns, scalars broadcast."""
-    out = np.empty((max(len(x) for x in (a, b, c, d) if isinstance(x, np.ndarray)), 4), dtype=complex)
+    out = np.empty(np.broadcast(a, b, c, d).shape + (4,), dtype=complex)
     out[:, 0], out[:, 1], out[:, 2], out[:, 3] = a, b, c, d
     return out
 
@@ -52,51 +50,17 @@ def canonical(quads: np.ndarray) -> np.ndarray:
     return quads / quads[np.arange(len(quads)), abs(quads).argmax(axis=1)][:, None]
 
 
-def canonical_quadruple(quad) -> Tuple[complex, complex, complex, complex]:
-    """One quadruple as Python complex numbers divided by its coefficient of
-    largest modulus (the first of equal ones): canonical's rule in Python
-    complex division.  Refuses a non-finite coefficient and the zero
-    quadruple."""
-    quad = tuple(complex(x) for x in quad)
-    if not all(cmath.isfinite(x) for x in quad):
-        raise ValueError("coefficients must be finite")
-    mods = tuple(abs(x) for x in quad)
-    scale = max(mods)
-    if scale == 0.0:
-        raise DegenerateMapError("all coefficients vanish")
-    pivot = quad[mods.index(scale)]
-    return tuple(x / pivot for x in quad)
-
-
 def is_constant(quads: np.ndarray) -> np.ndarray:
     """The rows (0, v, 0, d) of a stack: constant maps (a nondegenerate map has ad - bc != 0)."""
     return (quads[:, 0] == 0) & (quads[:, 2] == 0)
 
 
-def _columns(m):
-    """(a, b, c, d): a quadruple, or the coefficient columns of a (B, 4)
-    stack.  The coefficient criteria below read nothing else, so each is
-    one formula for a stack and for a single map."""
-    return m.T if isinstance(m, np.ndarray) else tuple(m)
-
-
-def _elementwise(x, scalar, array):
-    """scalar's function for Python numbers, array's for arrays: math's for
-    one map costs a tenth of numpy's."""
-    return array if isinstance(x, np.ndarray) else scalar
-
-
-def _max_modulus(a, b, c, d):
-    """The largest coefficient modulus of a quadruple, or of each row of a stack."""
-    return _elementwise(a, max, lambda *x: np.maximum.reduce(x))(abs(a), abs(b), abs(c), abs(d))
-
-
-def is_degenerate(m):
+def is_degenerate(m: np.ndarray) -> np.ndarray:
     """|ad - bc| <= _DEGENERATE_TOL scale^2, scale the largest coefficient
-    modulus, for a quadruple or each row of a stack: the map is a constant
-    (the zero quadruple included)."""
-    a, b, c, d = _columns(m)
-    scale = _max_modulus(a, b, c, d)
+    modulus, for each row of a stack: the map is a constant (the zero
+    quadruple included)."""
+    a, b, c, d = m.T
+    scale = abs(m).max(axis=1)
     return (scale == 0.0) | (abs(a * d - b * c) <= _DEGENERATE_TOL * scale * scale)
 
 
@@ -152,133 +116,165 @@ def _sum_sq(values):
     return sum(z.real * z.real + z.imag * z.imag for z in values)
 
 
-def quadruple_gap(v1, v2):
-    """Scaled norm of the 2x2 minors of two coefficient quadruples, or of
-    the rows of two (B, 4) stacks: each of the six minors enters the
+def quadruple_gap(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Scaled norm of the 2x2 minors of the rows of two (B, 4) stacks (a
+    stack of one broadcasts): each of the six minors enters the
     antisymmetric matrix v1 v2^T - v2 v1^T twice."""
-    a1, b1, c1, d1 = v1 = _columns(v1)
-    a2, b2, c2, d2 = v2 = _columns(v2)
+    a1, b1, c1, d1 = v1 = v1.T
+    a2, b2, c2, d2 = v2 = v2.T
     minors = (
         a1 * b2 - b1 * a2, a1 * c2 - c1 * a2, a1 * d2 - d1 * a2,
         b1 * c2 - c1 * b2, b1 * d2 - d1 * b2, c1 * d2 - d1 * c2,
     )
-    sqrt = _elementwise(a1, math.sqrt, np.sqrt)
-    return sqrt(2.0 * _sum_sq(minors)) / sqrt(_sum_sq(v1) * _sum_sq(v2))
+    return np.sqrt(2.0 * _sum_sq(minors)) / np.sqrt(_sum_sq(v1) * _sum_sq(v2))
 
 
-def fixed_points(quad) -> list:
-    """Fixed points in C union {INFINITY} of a map, double roots repeated.
+def _refuse(refusals) -> None:
+    """Raise the refusal of the first offending row of a stack.  refusals
+    are (mask, error) pairs in order of precedence, error(i) the exception
+    of row i; a row's refusal is the first whose mask holds there."""
+    masks = np.array([mask for mask, _ in refusals])
+    offending = masks.any(axis=0)
+    if offending.any():
+        row = int(offending.argmax())
+        raise refusals[int(masks[:, row].argmax())][1](row)
 
-    Roots of c z^2 + (d - a) z - b = 0 for the canonical quadruple; the
-    linear case (c = 0) fixes infinity as well.
-    """
-    a, b, c, d = q = canonical_quadruple(quad)
-    if quadruple_gap(q, IDENTITY) <= EQUAL_TOL:
-        raise IdentityMapError("every point of the identity map is fixed")
-    if abs(c) <= _DEGENERATE_TOL:
-        if abs(d - a) <= _DEGENERATE_TOL * max(abs(a), abs(d)):
-            return [INFINITY, INFINITY]  # translation-like: only infinity fixed
-        return [b / (d - a), INFINITY]
-    disc = (d - a) * (d - a) + 4.0 * c * b
-    scale = max(abs(a), abs(b), abs(c), abs(d))
-    if abs(disc) <= PARABOLIC_TOL * scale:
+
+def _canonical(quads: np.ndarray):
+    """(nonzero, identity, canonical stack, refusals) of a stack: the rows
+    of finite coefficients not all zero, the rows within EQUAL_TOL of the
+    identity, and the refusals of a non-finite and of a zero row."""
+    finite = np.isfinite(quads).all(axis=1)
+    nonzero = finite & quads.any(axis=1)
+    q = canonical(quads)
+    refusals = [
+        (~finite, lambda i: ValueError("coefficients must be finite")),
+        (finite & ~nonzero, lambda i: DegenerateMapError("all coefficients vanish")),
+    ]
+    return nonzero, quadruple_gap(q, np.array([IDENTITY])) <= EQUAL_TOL, q, refusals
+
+
+def fixed_points(quads: np.ndarray) -> np.ndarray:
+    """The (B, 2) fixed points in C union {INFINITY} of a stack of maps,
+    double roots repeated: the roots of c z^2 + (d - a) z - b = 0 for the
+    canonical quadruple; the linear case (c = 0) fixes infinity as well,
+    and only infinity where also d = a (a translation).  Refuses a
+    non-finite coefficient, the zero quadruple and the identity."""
+    quads = np.asarray(quads, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _, identity, q, refusals = _canonical(quads)
+        _refuse(refusals + [(identity, lambda i: IdentityMapError("every point of the identity map is fixed"))])
+        a, b, c, d = q.T
+        disc = (d - a) * (d - a) + 4.0 * c * b
+        sq = np.sqrt(disc)
+        # stable quadratic: the sign avoiding cancellation; big != 0 once
+        # the double root (disc ~ 0) is excluded
+        s = -(d - a)
+        big = np.where(abs(s + sq) >= abs(s - sq), 0.5 * (s + sq), 0.5 * (s - sq))
+        double = abs(disc) <= PARABOLIC_TOL * abs(q).max(axis=1)
         z0 = (a - d) / (2.0 * c)
-        return [z0, z0]
-    sq = cmath.sqrt(disc)
-    # stable quadratic: pick the sign avoiding cancellation; q != 0 once
-    # the parabolic (disc ~ 0) branch above is excluded
-    s = -(d - a)
-    q = 0.5 * (s + sq) if abs(s + sq) >= abs(s - sq) else 0.5 * (s - sq)
-    return [q / c, -b / q]
+        roots = np.stack([np.where(double, z0, big / c), np.where(double, z0, -b / big)], axis=1)
+        translation = abs(d - a) <= _DEGENERATE_TOL * np.maximum(abs(a), abs(d))
+        linear = np.stack([np.where(translation, INFINITY, b / (d - a)), np.full(len(q), INFINITY)], axis=1)
+    return np.where((abs(c) <= _DEGENERATE_TOL)[:, None], linear, roots)
 
 
 def _image_disk(m):
-    """|d|^2 - |c|^2 and |b conj(d) - a conj(c)| + |ad - bc| of a quadruple
-    or of each row of a stack: the image of the disk is the disk with center
+    """|d|^2 - |c|^2 and |b conj(d) - a conj(c)| + |ad - bc| of each row of
+    a stack: the image of the disk is the disk with center
     (b conj(d) - a conj(c)) / (|d|^2 - |c|^2) and radius |ad - bc| /
     (|d|^2 - |c|^2)."""
-    a, b, c, d = _columns(m)
+    a, b, c, d = m.T
     return abs(d) ** 2 - abs(c) ** 2, abs(b * d.conjugate() - a * c.conjugate()) + abs(a * d - b * c)
 
 
-def sup_modulus(m):
+def sup_modulus(m: np.ndarray) -> np.ndarray:
     """sup of |m| over the closed unit disk (infinite if the pole intrudes),
-    for a quadruple or each row of a stack."""
+    for each row of a stack."""
     gap, num = _image_disk(m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(gap > 0, np.divide(num, gap), np.inf)[()]
+        return np.where(gap > 0, np.divide(num, gap), np.inf)
 
 
-def is_self_map(m):
+def is_self_map(m: np.ndarray) -> np.ndarray:
     """Exact criterion |b conj(d) - a conj(c)| + |ad - bc| <= |d|^2 - |c|^2,
-    for a quadruple or each row of a stack."""
+    for each row of a stack."""
     gap, num = _image_disk(m)
     return (gap > 0) & (num <= gap + SELF_MAP_SLACK)
 
 
-def is_automorphism(m):
-    """|a|^2 + |b|^2 = |c|^2 + |d|^2 and a conj(b) = c conj(d).
+def is_automorphism(m: np.ndarray) -> np.ndarray:
+    """|a|^2 + |b|^2 = |c|^2 + |d|^2 and a conj(b) = c conj(d), for each
+    row of a stack.
 
     Equivalent to |az + b| = |cz + d| on the unit circle; combined with
     non-degeneracy and the self-map property this characterizes the disk
     automorphisms.  Equality in the self-map criterion alone is not
     sufficient.
     """
-    a, b, c, d = _columns(m)
-    scale = _max_modulus(a, b, c, d) ** 2
+    a, b, c, d = m.T
+    scale = abs(m).max(axis=1) ** 2
     mod_gap = abs(abs(a) ** 2 + abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2)
     cross_gap = abs(a * b.conjugate() - c * d.conjugate())
     return is_self_map(m) & (mod_gap <= AUT_TOL * scale) & (cross_gap <= AUT_TOL * scale)
 
 
-def _derivative(quad, z: complex) -> complex:
-    a, b, c, d = quad
-    den = c * z + d
-    return (a * d - b * c) / (den * den)
-
-
-def classify(quad) -> MapClassification:
-    """Fixed-point classification with Denjoy-Wolff data of one map.
+def classify(quads: np.ndarray) -> List[MapClassification]:
+    """Fixed-point classification with Denjoy-Wolff data of each map of a
+    stack.
 
     A degenerate quadruple is the constant b/d (a/c where d = 0), refused
     off the open disk.  The Denjoy-Wolff point is the interior fixed point
-    when one exists, otherwise the boundary fixed point with derivative at
-    most 1.  The criteria read the canonical quadruple.
+    when one exists (the first of two), otherwise the boundary fixed point:
+    a double one, or the one of smaller |derivative| (the first of equal
+    ones).  A boundary point with derivative 1 is parabolic, any other
+    hyperbolic.  The criteria read the canonical quadruple.
     """
-    q = canonical_quadruple(quad)
-    if is_degenerate(quad):
-        a, b, c, d = (complex(x) for x in quad)
-        value = b / d if d else a / c if c else INFINITY
-        if abs(value) >= 1.0:
-            raise NotSelfMapError(f"the constant {value} does not map the disk into itself")
-        return MapClassification(MapClass.CONSTANT, value, 0.0 + 0.0j, False)
-    if quadruple_gap(q, IDENTITY) <= EQUAL_TOL:
-        return MapClassification(MapClass.IDENTITY, None, 1.0 + 0.0j, True)
-    if not is_self_map(q):
-        raise NotSelfMapError(f"{tuple(quad)} is not a self-map of the unit disk")
-    aut = bool(is_automorphism(q))
-    points = fixed_points(quad)  # from the same canonical quadruple
-    finite = [p for p in points if not cmath.isinf(p)]
-    interior = [p for p in finite if abs(p) < 1.0 - BOUNDARY_TOL]
-    if interior:
-        p = interior[0]
-        cls = MapClass.ELLIPTIC_AUTOMORPHISM if aut else MapClass.INTERIOR_FIXED_POINT
-        return MapClassification(cls, p, _derivative(q, p), aut)
-    boundary = [p for p in finite if abs(abs(p) - 1.0) <= BOUNDARY_TOL]
-    if not boundary:
-        raise NotSelfMapError("no fixed point in the closed disk")
-    if len(boundary) == 2 and abs(boundary[0] - boundary[1]) <= 10 * BOUNDARY_TOL:
-        zeta = boundary[0]
-        cls = MapClass.PARABOLIC_AUTOMORPHISM if aut else MapClass.PARABOLIC_NON_AUTOMORPHISM
-        return MapClassification(cls, zeta, _derivative(q, zeta), aut)
-    # hyperbolic: the Denjoy-Wolff point has |derivative| <= 1
-    zeta = min(boundary, key=lambda p: abs(_derivative(q, p)))
-    deriv = _derivative(q, zeta)
-    if abs(deriv - 1.0) <= PARABOLIC_TOL:
-        cls = MapClass.PARABOLIC_AUTOMORPHISM if aut else MapClass.PARABOLIC_NON_AUTOMORPHISM
-    else:
-        cls = MapClass.HYPERBOLIC_AUTOMORPHISM if aut else MapClass.HYPERBOLIC_NON_AUTOMORPHISM
-    return MapClassification(cls, zeta, deriv, aut)
+    quads = np.asarray(quads, dtype=complex)
+    a, b, c, d = quads.T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        nonzero, identity, q, refusals = _canonical(quads)
+        constant = nonzero & is_degenerate(quads)
+        value = np.where(d != 0, b / d, np.where(c != 0, a / c, INFINITY))
+        identity &= ~constant
+        proper = nonzero & ~constant & ~identity
+        points = np.full((len(q), 2), INFINITY)
+        points[proper] = fixed_points(quads[proper])  # from the same canonical quadruples
+        qa, qb, qc, qd = q.T[:, :, None]
+        den = qc * points + qd
+        derivative = (qa * qd - qb * qc) / (den * den)
+        interior = abs(points) < 1.0 - BOUNDARY_TOL
+        boundary = abs(abs(points) - 1.0) <= BOUNDARY_TOL
+        double = boundary.all(axis=1) & (abs(points[:, 0] - points[:, 1]) <= 10 * BOUNDARY_TOL)
+        smaller = abs(derivative[:, 0]) <= abs(derivative[:, 1])
+    inside = interior.any(axis=1)
+    _refuse(refusals + [
+        (constant & (abs(value) >= 1.0),
+         lambda i: NotSelfMapError(f"the constant {complex(value[i])} does not map the disk into itself")),
+        (proper & ~is_self_map(q),
+         lambda i: NotSelfMapError(f"{tuple(quads[i].tolist())} is not a self-map of the unit disk")),
+        (proper & ~inside & ~boundary.any(axis=1), lambda i: NotSelfMapError("no fixed point in the closed disk")),
+    ])
+    # the Denjoy-Wolff point: the first interior one, else the double
+    # boundary one, else the boundary one of smaller |derivative|
+    second = boundary[:, 1] & ~(boundary[:, 0] & smaller)
+    rows, pick = np.arange(len(q)), np.where(inside, interior.argmax(axis=1), ~double & second)
+    zeta, slope = points[rows, pick], derivative[rows, pick]
+    parabolic = double | (abs(slope - 1.0) <= PARABOLIC_TOL)
+    aut = identity | (proper & is_automorphism(q))
+    kind = np.select([constant, identity, inside, parabolic], [0, 1, 2, 3], 4)
+    names = (  # (not an automorphism, an automorphism) of each kind
+        (MapClass.CONSTANT,) * 2, (MapClass.IDENTITY,) * 2,
+        (MapClass.INTERIOR_FIXED_POINT, MapClass.ELLIPTIC_AUTOMORPHISM),
+        (MapClass.PARABOLIC_NON_AUTOMORPHISM, MapClass.PARABOLIC_AUTOMORPHISM),
+        (MapClass.HYPERBOLIC_NON_AUTOMORPHISM, MapClass.HYPERBOLIC_AUTOMORPHISM),
+    )
+    points = np.where(constant, value, zeta).tolist()
+    slopes = np.where(constant, 0.0j, np.where(identity, 1.0 + 0.0j, slope)).tolist()
+    return [
+        MapClassification(names[k][flag], None if k == 1 else p, s, flag)
+        for k, flag, p, s in zip(kind.tolist(), aut.tolist(), points, slopes)
+    ]
 
 
 def cowen_stack(quads: np.ndarray, sigma_sign: int = -1):
@@ -296,8 +292,7 @@ def cowen_stack(quads: np.ndarray, sigma_sign: int = -1):
 
 def lft_normality_defects(quads: np.ndarray):
     """(modulus gap, commuting defect) of the K_{sigma(0)}-normality
-    condition for each raw coefficient quadruple of a (B, 4) stack (or of
-    one quadruple, shape (4,)).
+    condition for each raw coefficient quadruple of a (B, 4) stack.
 
     The commuting defect is the residual of the three cross-multiplied
     coefficient equations of (phi o sigma)(z) = (sigma o phi)(z),
@@ -306,7 +301,7 @@ def lft_normality_defects(quads: np.ndarray):
     vanishing composites satisfy the written equations vacuously.  Both
     are infinite where d = 0.
     """
-    a, b, c, d = np.asarray(quads, dtype=complex).T
+    a, b, c, d = quads.T
     # sigma's quadruple (conj a, -conj c, -conj b, conj d)
     sa, sb, sc, sd = a.conjugate(), -c.conjugate(), -b.conjugate(), d.conjugate()
     # the two products of the 2 x 2 coefficient matrices: phi o sigma, sigma o phi

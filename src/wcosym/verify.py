@@ -16,9 +16,8 @@ one sampling loop: it enforces the suite's minimum dim and block, seeds one
 generator and draws every index, then only the rejected ones, until each
 holds an accepted draw (a rejected index is redrawn, never dropped); the
 recorder ``(cfg, draws)`` gets the columns in index order, computes its
-predicates and gaps on the arrays and returns one record per index.  A
-check that is scalar by nature (``classify``) reads one quadruple per
-record.
+predicates and gaps on the arrays, map classes included (``classify``
+takes the whole stack), and returns one record per index.
 
 ``measure`` is the one seam to the matrix residuals: the suites and
 ``wcosym check`` (a probe of one row) take every normality, symmetry,
@@ -278,11 +277,6 @@ def _record(
 def _params(d, *names) -> List[dict]:
     """The records' params: the named columns of each draw."""
     return [dict(zip(names, row)) for row in _rows(*(getattr(d, name) for name in names))]
-
-
-def _classes(phi: np.ndarray) -> list:
-    """classify, scalar by nature, of each map of a stack."""
-    return [classify(q) for q in phi.tolist()]
 
 
 def draw_prop21(rng, cfg: SuiteConfig, idx):
@@ -689,7 +683,7 @@ def suite_cor41_aut(cfg: SuiteConfig, d) -> List[SampleRecord]:
     return [
         _record(cfg, {"alpha": al, "a0": a0, "a1": a1}, {"normality": r}, exact=cls.is_automorphism,
                 gaps={"expression_gap": abs(expr)}, predicates={"expression": expr, "map_class": cls.map_class.value})
-        for (al, a0, a1, expr, r), cls in zip(_rows(al, a0, a1, expression, normality), _classes(phi))
+        for (al, a0, a1, expr, r), cls in zip(_rows(al, a0, a1, expression, normality), classify(phi))
     ]
 
 
@@ -715,7 +709,7 @@ def suite_ex44_parabolic(cfg: SuiteConfig, d) -> List[SampleRecord]:
     return [
         _record(cfg, {"a0": a0, "branch": branch}, {"normality": r}, exact=cls.map_class in _PARABOLIC,
                 gaps=_dw_gaps(cls, branch), predicates={"map_class": cls.map_class.value, "expression": expr})
-        for (a0, branch, expr, r), cls in zip(_rows(d.a0, d.branch, expression, normality), _classes(phi))
+        for (a0, branch, expr, r), cls in zip(_rows(d.a0, d.branch, expression, normality), classify(phi))
     ]
 
 
@@ -764,7 +758,7 @@ def suite_ex51_aut_corollary(cfg: SuiteConfig, d) -> List[SampleRecord]:
     phi_gap = proj_distance(phi, _stack(-(1.0 + ap2), 2.0 * p, -2.0 * p.conjugate(), 1.0 + ap2))
     return [
         _record(cfg, {"p": p}, exact=cls.is_automorphism, gaps={"phi_gap": gap}, predicates={"map_class": cls.map_class.value})
-        for (p, gap), cls in zip(_rows(p, phi_gap), _classes(phi))
+        for (p, gap), cls in zip(_rows(p, phi_gap), classify(phi))
     ]
 
 
@@ -783,7 +777,7 @@ def suite_ex54_parabolic(cfg: SuiteConfig, d) -> List[SampleRecord]:
         _record(cfg, {"zeta": z, "c0": c0, "c1": c1}, {"normality": r}, exact=cls.map_class in _PARABOLIC,
                 gaps={"expression_gap": abs(expr), **_dw_gaps(cls, z)},
                 predicates={"map_class": cls.map_class.value, "expression": expr})
-        for (z, c0, c1, expr, r), cls in zip(_rows(zeta, c0, c1, expression, normality), _classes(phi))
+        for (z, c0, c1, expr, r), cls in zip(_rows(zeta, c0, c1, expression, normality), classify(phi))
     ]
 
 
@@ -872,7 +866,7 @@ def suite_ex63_parabolic(cfg: SuiteConfig, d) -> List[SampleRecord]:
         _record(cfg, p, {"normality": r}, exact=pred and cls.map_class in _PARABOLIC,
                 gaps={"zeta_modulus_gap": abs(abs(z) - 1.0), **_dw_gaps(cls, z)},
                 predicates={"parabolic": pred, "zeta": z, "map_class": cls.map_class.value})
-        for p, (pred, z, r), cls in zip(_params(d, *_C2), _rows(parabolic, zeta, normality), _classes(d.phi))
+        for p, (pred, z, r), cls in zip(_params(d, *_C2), _rows(parabolic, zeta, normality), classify(d.phi))
     ]
 
 
@@ -902,12 +896,8 @@ SWEEP_T_NONAUT = (0.3 + 0.0j, 0.8 + 0.0j, 0.4 + 0.5j)
 
 
 def _target_quadruples(include_aut=True):
-    targets = []
-    for r in SWEEP_R_GRID:
-        if include_aut:
-            targets += [(r, t) for t in SWEEP_T_AUT]
-        targets += [(r, t) for t in SWEEP_T_NONAUT]
-    return targets
+    """The (r, t) pairs of the 24 hyperbolic targets, or of the 12 non-automorphisms."""
+    return [(r, t) for r in SWEEP_R_GRID for t in (SWEEP_T_AUT if include_aut else ()) + SWEEP_T_NONAUT]
 
 
 def draw_target(rng, cfg: SuiteConfig, idx):
@@ -915,66 +905,72 @@ def draw_target(rng, cfg: SuiteConfig, idx):
     return None, {"i": idx}
 
 
-def _preimage(target, alpha=None):
-    """The one point (alpha, c0, c1) whose quadruple (c1 - alpha c0^2, c0,
-    -alpha c0, 1) can be proportional to a target (a, b, c, d), b, d != 0:
-    c0 = b/d, alpha = -c/b (projected onto the unit circle unless given)
-    and c1 = a/d + alpha c0^2.  Returns (gap, alpha, c0, c1), gap being the
-    projective distance to the target: exactly zero iff the family realizes
-    the target, else the value at this one candidate, not a family minimum.
+def _targets(idx, include_aut=True):
+    """The r and t arrays of the targets idx and the (B, 4) stack of their maps."""
+    r, t = np.array(_target_quadruples(include_aut))[idx].T
+    return r.real, t, fam.hyperbolic_aut_map(fam.HyperbolicParams(r.real, t))
+
+
+def _preimage(targets, alpha=None):
+    """The one point (alpha, c0, c1) per target (a, b, c, d) of a stack,
+    b, d != 0, whose quadruple (c1 - alpha c0^2, c0, -alpha c0, 1) can be
+    proportional to it: c0 = b/d, alpha = -c/b (projected onto the unit
+    circle unless given) and c1 = a/d + alpha c0^2.  Returns the arrays
+    (gap, alpha, c0, c1), gap the projective distance to the target: zero
+    iff the family realizes it, else the value at this one candidate.
     """
-    a, b, c, d = target
+    a, b, c, d = targets.T
     if alpha is None:
         alpha = -c / b / abs(c / b)
     c0 = b / d
     c1 = a / d + alpha * c0 * c0
-    gap = quadruple_gap((c1 - alpha * c0 * c0, c0, -alpha * c0, 1.0), target)
-    return gap, complex(alpha), complex(c0), complex(c1)
+    return quadruple_gap(_stack(c1 - alpha * c0 * c0, c0, -alpha * c0, 1.0), targets), alpha, c0, c1
 
 
-def _j_deficiency(target):
-    """max(gap, |normality expression|) at the target's preimage under
+def _j_deficiency(targets):
+    """max(gap, |normality expression|) at each target's preimage under
     alpha = 1: zero iff a normal J-symmetric realization exists, which
     needs b + c = 0 (on the grid, b + c = 2(r - 1))."""
-    gap, _, a0, a1 = _preimage(target, alpha=1.0)
-    return max(gap, abs(fam.j_normal_expression(a0, a1))), {"a0": a0, "a1": a1}
+    gap, _, a0, a1 = _preimage(targets, alpha=1.0)
+    return np.maximum(gap, abs(fam.j_normal_expression(a0, a1))), {"a0": a0, "a1": a1}
 
 
-def _c1_deficiency(target):
-    """max(gap, |normality expression|) at the target's preimage, alpha
+def _c1_deficiency(targets):
+    """max(gap, |normality expression|) at each target's preimage, alpha
     unimodular: zero iff a normal C1-symmetric realization exists, which
     needs |b| = |c| (on the grid, exactly the automorphisms Re t = 0)."""
-    gap, alpha, c0, c1 = _preimage(target)
-    return max(gap, abs(fam.c1_normal_expression(alpha, c0, c1))), {"alpha": alpha, "c0": c0, "c1": c1}
+    gap, alpha, c0, c1 = _preimage(targets)
+    return np.maximum(gap, abs(fam.c1_normal_expression(alpha, c0, c1))), {"alpha": alpha, "c0": c0, "c1": c1}
 
 
-def _c2_deficiency(target):
+def _c2_deficiency(targets):
     """The kernel-weighted family pins (T, U, V) to the target, so the
     stated moduli equalities are violated by exactly the spread of the
     target's own coefficient moduli.  alpha only enters the match defect
     |(1 - a)|alpha|^2 + c alpha - b conj(alpha)| <= |alpha|^2 |1 - a| +
     |alpha| (|b| + |c|), whose infimum over 0 < |alpha| < 1 is 0; the
-    deficiency is therefore the alpha-free spread, with no witness."""
-    moduli = [abs(x) for x in target[1:]]
-    return 1.0 - min(moduli) / max(moduli), {}
+    deficiency is therefore the alpha-free spread of each target, with no
+    witness.  The moduli are np.hypot's, which rounds as Python's abs does:
+    numpy's complex abs can differ from both in the last place."""
+    moduli = np.hypot(targets.real, targets.imag)[:, 1:]
+    return 1.0 - moduli.min(axis=1) / moduli.max(axis=1), {}
 
 
 def _sweep(deficiency):
-    """The recorder deciding each of the 24 hyperbolic targets by
-    `deficiency(target) -> (value, witness)`: zero iff the family has a
-    symmetric normal realization, so a value at or below cfg.pass_tol is a
-    discrepancy and one below cfg.fail_tol inconclusive (the two cfg fields
-    read).  Each record keeps its witness parameters, and only an
-    automorphism target's discrepancy carries the documented note."""
+    """The recorder deciding the 24 hyperbolic targets as one stack by
+    `deficiency(targets) -> (values, witnesses)`, arrays over the targets:
+    zero iff the family has a symmetric normal realization, so a value at
+    or below cfg.pass_tol is a discrepancy and one below cfg.fail_tol
+    inconclusive (the two cfg fields read).  Each record keeps its witness
+    parameters; only an automorphism target's discrepancy is noted."""
 
     def record(cfg: SuiteConfig, d) -> List[SampleRecord]:
+        rs, ts, targets = _targets(d.i)
+        values, witnesses = deficiency(targets)
         records = []
-        for i in d.i.tolist():
-            r, t = _target_quadruples()[i]
-            target = fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t))
-            value, witness = deficiency(target)
-            rec = _record(cfg, {"r": r, "t": t, **witness}, {"deficiency": float(value)}, claim=False)
-            if rec.verdict == "discrepancy" and is_automorphism(target):
+        for r, t, value, aut, *witness in _rows(rs, ts, values, is_automorphism(targets), *witnesses.values()):
+            rec = _record(cfg, {"r": r, "t": t, **dict(zip(witnesses, witness))}, {"deficiency": value}, claim=False)
+            if rec.verdict == "discrepancy" and aut:
                 rec.note = (
                     "hyperbolic automorphism target admits a symmetric normal "
                     "realization; documented deviation from the claimed nonexistence"
@@ -989,12 +985,11 @@ def suite_hyperbolic_nonaut(cfg: SuiteConfig, d) -> List[SampleRecord]:
     """Examples 4.3 and 5.3: on non-automorphism hyperbolic target i of
     12, W with the kernel weight at sigma(0) is not normal.  Reads cfg.dim
     and cfg.block (the truncation) and the pass_tol / fail_tol band."""
-    targets = [_target_quadruples(include_aut=False)[i] for i in d.i.tolist()]
-    phi = np.array([fam.hyperbolic_aut_map(fam.HyperbolicParams(r, t)) for r, t in targets])
-    normality = measure(cfg, Probe(cowen_weights(phi), phi))["normality"].tolist()
+    rs, ts, phi = _targets(d.i, include_aut=False)
+    normality = measure(cfg, Probe(cowen_weights(phi), phi))["normality"]
     return [
         _record(cfg, {"r": r, "t": t}, {"normality": value}, claim=False, residuals={"deficiency": value})
-        for (r, t), value in zip(targets, normality)
+        for r, t, value in _rows(rs, ts, normality)
     ]
 
 

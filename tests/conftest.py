@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from wcosym.mobius import cowen_stack
+from wcosym.mobius import cowen_stack, quadruple_gap
 
 # reproducible runs: property tests draw the same examples every time,
 # matching the byte-determinism the report pipeline promises
@@ -12,6 +12,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+def stack(*quads):
+    """The complex (B, 4) stack of the given quadruples."""
+    return np.array(quads, dtype=complex)
+
+
+def gap(m1, m2):
+    """quadruple_gap of two single quadruples, as stacks of one."""
+    return quadruple_gap(stack(m1), stack(m2))[0]
 
 
 def rational(quad, z):

@@ -89,7 +89,7 @@ def test_criterion_4_c2_case_conditions():
         t, u, v, w = c2_quadruple(params)
         al = params.alpha
         quad = (-w, al * u, -np.conj(al) * t, np.conj(al) * v)
-        gap, defect = lft_normality_defects(quad)
+        (gap,), (defect,) = lft_normality_defects(np.array([quad]))
         assert gap <= 1e-12 and defect <= 1e-12, (params, gap, defect)
 
     report = run_suite("thm61-consistency", _cfg("thm61-consistency", seed=404))
@@ -212,7 +212,7 @@ def test_criterion_8_c1_hyperbolic_sweep():
         )
         psi, phi = first(*c1_quadruples(*dataclasses.astuple(C1Params(alpha, c0, c1))))
         target = hyperbolic_aut_map(HyperbolicParams(p["r"], p["t"]))
-        dist = proj_distance(np.array([phi]), np.array([target]))[0]
+        dist = proj_distance(np.array([phi]), target)[0]
         locus_gap = abs(c1 - alpha * c0 * (c0 - 1.0 / np.conj(c0)))
         assert dist <= 1e-12 and locus_gap <= 1e-12, (
             "witness does not realize the target on the unitary locus",

@@ -12,6 +12,7 @@ from wcosym.errors import (
     NotSelfMapError,
 )
 from wcosym.families import (
+    C1Params,
     C2NormalCase,
     C2Params,
     HyperbolicParams,
@@ -46,10 +47,12 @@ from wcosym.mobius import (
     classify,
     is_self_map,
     proj_distance,
-    quadruple_gap,
 )
 
-from conftest import first, mobius, rational
+from conftest import first, gap, mobius, rational
+
+
+NAN = float("nan")
 
 
 def derivative(quad, z):
@@ -66,7 +69,7 @@ def first_row(forms):
 class TestJSymbols:
     def test_pure_rotation(self):
         psi, phi = first(*j_quadruples(0.0, 0.5, 1.0))
-        assert quadruple_gap(phi, (0.5, 0, 0, 1)) <= 1e-14
+        assert gap(phi, (0.5, 0, 0, 1)) <= 1e-14
         assert psi[0] == 1 and psi[3] == 0
 
     def test_automorphism_member(self):
@@ -82,7 +85,7 @@ class TestJSymbols:
         a0 = (1 + 1j) / 2
         a1 = (1 - a0) ** 2
         phi = j_quadruples(a0, a1)[1]
-        cls = classify(phi[0])
+        (cls,) = classify(phi)
         assert cls.map_class is MapClass.PARABOLIC_AUTOMORPHISM
         assert abs(cls.dw_point - 1) < 1e-9
         assert proj_distance(phi, parabolic_j_quadruples(a0, +1)[1])[0] <= 1e-12
@@ -91,8 +94,17 @@ class TestJSymbols:
         with pytest.raises(DomainViolationError):
             JParams(1.2, 0.5)
 
+    def test_nan_refused(self):
+        with pytest.raises(DomainViolationError):
+            JParams(NAN, 0.1)
+
 
 class TestC1Symbols:
+    @pytest.mark.parametrize("params", [(NAN, 0.1, 0.1), (1.0, NAN, 0.1)], ids=["alpha", "c0"])
+    def test_nan_refused(self, params):
+        with pytest.raises(DomainViolationError):
+            C1Params(*params)
+
     def test_alpha_one_reduces_to_j(self):
         jpsi, jphi = j_quadruples(0.4, 0.3, 1.2)
         cpsi, cphi = c1_quadruples(1.0, 0.4, 0.3, 1.2)
@@ -106,7 +118,7 @@ class TestC1Symbols:
         assert abs(beta - 1.0) < 1e-12
 
     def test_parabolic_member(self):
-        cls = classify(c1_quadruples(1.0, 0.5, 0.25)[1][0])
+        (cls,) = classify(c1_quadruples(1.0, 0.5, 0.25)[1])
         assert cls.map_class in (
             MapClass.PARABOLIC_AUTOMORPHISM,
             MapClass.PARABOLIC_NON_AUTOMORPHISM,
@@ -124,7 +136,7 @@ class TestC2Symbols:
     def test_identity_member(self):
         params = C2Params.from_c0_squared(0.5, 0.72, 0.36, 0.36)
         psi, phi = first(*c2_quadruples(params))
-        assert quadruple_gap(phi, IDENTITY) <= 1e-12
+        assert gap(phi, IDENTITY) <= 1e-12
         assert abs(rational(psi, 0.3) - 1.0) < 1e-12
 
     def test_automorphism_member(self):
@@ -157,7 +169,7 @@ class TestC2Symbols:
 class TestNormalInteriorSymbols:
     def test_origin(self):
         psi, phi = first(*interior_quadruples(0.0, 0.5, 1.0))
-        assert quadruple_gap(phi, (0.5, 0, 0, 1)) <= 1e-14
+        assert gap(phi, (0.5, 0, 0, 1)) <= 1e-14
         assert abs(rational(psi, 0.2) - 1.0) < 1e-14
 
     def test_involution_case(self):
@@ -169,6 +181,11 @@ class TestNormalInteriorSymbols:
         assert phi[0] == phi[2] == 0
         assert phi[1] / phi[3] == 0.5
         assert abs(rational(s, 0.0) - 0.75) < 1e-14 and abs(-s[3] / s[2] - 0.5) < 1e-14
+
+    @pytest.mark.parametrize("params", [(NAN, 0.3), (0.2, NAN)], ids=["p", "delta"])
+    def test_nan_refused(self, params):
+        with pytest.raises(DomainViolationError):
+            InteriorParams(*params)
 
     def test_closed_form_matches_composition(self):
         params = InteriorParams(0.3 - 0.2j, 0.4 + 0.5j, 0.7)
@@ -322,9 +339,9 @@ class TestParabolicConstructors:
             parabolic_j_quadruples(0.3, +1)
 
     def test_c1_worked_instance(self):
-        phi = c1_parabolic_quadruples(1.0, 0.5, 0.25)[1][0]
-        assert quadruple_gap(phi, (0, 0.5, -0.5, 1)) < 1e-13
-        cls = classify(phi)
+        phi = c1_parabolic_quadruples(1.0, 0.5, 0.25)[1]
+        assert gap(phi[0], (0, 0.5, -0.5, 1)) < 1e-13
+        (cls,) = classify(phi)
         assert cls.map_class is MapClass.PARABOLIC_NON_AUTOMORPHISM
         assert abs(cls.dw_derivative - 1.0) < 1e-10
         # the rotated weight satisfies the rotation-weighted normality
@@ -345,7 +362,7 @@ class TestParabolicConstructors:
         w = 0.5 + 0.45 * dw / 0.4 if dw != 0 else 0.5
         c0 = zeta * w
         c1 = (1 - w) ** 2
-        cls = classify(c1_parabolic_quadruples(zeta, c0, c1)[1][0])
+        (cls,) = classify(c1_parabolic_quadruples(zeta, c0, c1)[1])
         assert cls.map_class in (
             MapClass.PARABOLIC_AUTOMORPHISM,
             MapClass.PARABOLIC_NON_AUTOMORPHISM,
@@ -357,20 +374,20 @@ class TestParabolicConstructors:
 class TestHyperbolicAutMap:
     def test_standard_automorphism(self):
         m = hyperbolic_aut_map(HyperbolicParams(2.0, 0.0))
-        assert quadruple_gap(m, (3, 1, 1, 3)) < 1e-14
-        cls = classify(m)
+        assert gap(m[0], (3, 1, 1, 3)) < 1e-14
+        (cls,) = classify(m)
         assert cls.map_class is MapClass.HYPERBOLIC_AUTOMORPHISM
         assert abs(cls.dw_derivative - 0.5) < 1e-12
 
     def test_damped_variant_is_self_map(self):
         m = hyperbolic_aut_map(HyperbolicParams(2.0, 1.0))
-        assert quadruple_gap(m, (1, 1, 0, 2)) < 1e-14
-        cls = classify(m)
+        assert gap(m[0], (1, 1, 0, 2)) < 1e-14
+        (cls,) = classify(m)
         assert cls.map_class is MapClass.HYPERBOLIC_NON_AUTOMORPHISM
         assert abs(cls.dw_point - 1.0) < 1e-12
 
     def test_derivative_scaling(self):
-        cls = classify(hyperbolic_aut_map(HyperbolicParams(1.5, 0.0)))
+        (cls,) = classify(hyperbolic_aut_map(HyperbolicParams(1.5, 0.0)))
         assert abs(cls.dw_derivative - 2 / 3) < 1e-12
 
     def test_negative_real_part_rejected(self):
@@ -380,6 +397,25 @@ class TestHyperbolicAutMap:
     def test_domain(self):
         with pytest.raises(DomainViolationError):
             HyperbolicParams(0.9, 0.0)
+
+    @pytest.mark.parametrize(
+        "r", [1.0, NAN, np.array([1.5, 1.0]), np.array([NAN, 2.0])], ids=["one", "nan", "array-one", "array-nan"]
+    )
+    def test_r_at_most_one_or_nan_refused(self, r):
+        with pytest.raises(DomainViolationError, match="r must exceed 1"):
+            HyperbolicParams(r, 0.0)
+
+    def test_arrays_give_a_stack(self):
+        # each row is the map of its own parameters
+        r, t = np.array([1.2, 1.5]), np.array([0, 0.3j])
+        maps = hyperbolic_aut_map(HyperbolicParams(r, t))
+        assert maps.shape == (2, 4)
+        for i in range(2):
+            assert np.array_equal(maps[i:i + 1], hyperbolic_aut_map(HyperbolicParams(r[i], t[i])))
+
+    def test_stack_refusal_names_its_first_non_self_map(self):
+        with pytest.raises(NotSelfMapError, match=r"^\(r, t\) = \(1.5, \(-0.5\+0j\)\)"):
+            hyperbolic_aut_map(HyperbolicParams(np.array([2.0, 1.5, 3.0]), np.array([0.1, -0.5, -1.0])))
 
 
 class TestC2Parabolic:
@@ -394,7 +430,7 @@ class TestC2Parabolic:
         assert c2_parabolic_predicate(params)
         zeta = c2_parabolic_dw_point(params)
         assert abs(abs(zeta) - 1.0) < 1e-10
-        cls = classify(c2_quadruples(params)[1][0])
+        (cls,) = classify(c2_quadruples(params)[1])
         assert cls.map_class in (
             MapClass.PARABOLIC_AUTOMORPHISM,
             MapClass.PARABOLIC_NON_AUTOMORPHISM,

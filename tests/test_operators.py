@@ -171,7 +171,7 @@ def test_constant_maps_are_read_in_one_place():
                     "isinstance", "is_constant"):
                 found[getattr(top, "name", "<module>"), node.func.id] += 1
     assert found == {("_checked_series", "is_constant"): 1, ("build_wco", "is_constant"): 1}
-    cls = classify((0, 0.3 - 0.4j, 0, 1))
+    (cls,) = classify(np.array([(0, 0.3 - 0.4j, 0, 1)]))
     assert (cls.map_class, cls.dw_point) == (MapClass.CONSTANT, 0.3 - 0.4j)
 
 
@@ -539,7 +539,7 @@ def family_self_maps(rng, per_family):
         "parabolic": lambda: first(*fam.parabolic_j_quadruples(0.5j + 0.5 * np.exp(1j * rng.uniform(-np.pi / 2, 0)), 1)),
         "hyperbolic": lambda: (
             (1.0, 0.0, 1.0, -disk(0.9)),
-            fam.hyperbolic_aut_map(fam.HyperbolicParams(rng.uniform(1.05, 6.0), complex(*rng.uniform(0, 2, 2))))),
+            fam.hyperbolic_aut_map(fam.HyperbolicParams(rng.uniform(1.05, 6.0), complex(*rng.uniform(0, 2, 2))))[0]),
     }
     for family, draw in draws.items():
         kept = 0
@@ -548,7 +548,8 @@ def family_self_maps(rng, per_family):
                 psi, phi = draw()
             except WcoError:
                 continue
-            if is_degenerate(phi) or not is_self_map(phi):
+            phi_q = stacks(psi, phi)[1]
+            if is_degenerate(phi_q)[0] or not is_self_map(phi_q)[0]:
                 continue
             kept += 1
             yield family, psi, phi

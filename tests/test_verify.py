@@ -24,7 +24,6 @@ from wcosym.families import (
 )
 from wcosym import families as fam
 from wcosym.mobius import (
-    canonical_quadruple,
     is_automorphism,
     is_constant,
     is_self_map,
@@ -377,9 +376,9 @@ def test_sweep_deficiency_matches_its_definition(suite_id):
         else:
             alpha, c0, c1 = p["alpha"], p["c0"], p["c1"]
             defect = abs(c1_normal_expression(alpha, c0, c1))
-        witness = np.array([c1 - alpha * c0 * c0, c0, -alpha * c0, 1.0])
+        witness = np.array([[c1 - alpha * c0 * c0, c0, -alpha * c0, 1.0]])
         target = hyperbolic_aut_map(HyperbolicParams(p["r"], p["t"]))
-        expected = max(quadruple_gap(witness, target), defect)
+        expected = max(quadruple_gap(witness, target)[0], defect)
         assert abs(rec.residuals["deficiency"] - expected) <= 1e-14, (p, rec.residuals, expected)
 
 
@@ -399,8 +398,9 @@ def test_exit_3_only_when_every_disagreement_is_documented(records, known, statu
 def test_sweep_notes_only_automorphism_discrepancies(monkeypatch):
     # a c1 sweep that realized every target: the non-automorphism ones are
     # not the documented Finding, so they carry no note and the run exits 1
-    def realize_all(target):
-        return 0.0, {"alpha": 1.0, "c0": 0.0, "c1": 0.0}
+    def realize_all(targets):
+        zeros = np.zeros(len(targets))
+        return zeros, {"alpha": zeros + 1.0, "c0": zeros, "c1": zeros}
 
     monkeypatch.setitem(
         verify.SUITES, "ex52-sweep", verify.Suite(verify.draw_target, _sweep(realize_all), default_config("ex52-sweep"))
@@ -415,8 +415,8 @@ def test_sweep_notes_only_automorphism_discrepancies(monkeypatch):
 
 def test_sweep_deficiency_in_the_band_is_inconclusive(monkeypatch):
     # a deficiency between pass_tol and fail_tol is no evidence either way
-    def in_band(target):
-        return 1e-5, {}
+    def in_band(targets):
+        return np.full(len(targets), 1e-5), {}
 
     monkeypatch.setitem(
         verify.SUITES, "ex62-sweep", verify.Suite(verify.draw_target, _sweep(in_band), default_config("ex62-sweep"))
@@ -440,12 +440,12 @@ def test_preimage_round_trip(family):
         if family == "j":
             alpha = 1.0
             phi = j_quadruples(*dataclasses.astuple(JParams(c0, c1)))[1]
-            gap, got_alpha, got_c0, got_c1 = _preimage(canonical_quadruple(phi[0]), alpha=1.0)
+            gap, got_alpha, got_c0, got_c1 = _preimage(phi, alpha=1.0)
         else:
             alpha = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
             phi = c1_quadruples(*dataclasses.astuple(C1Params(alpha, c0, c1)))[1]
-            gap, got_alpha, got_c0, got_c1 = _preimage(canonical_quadruple(phi[0]))
-        worst = max(worst, gap, abs(got_alpha - alpha), abs(got_c0 - c0), abs(got_c1 - c1))
+            gap, got_alpha, got_c0, got_c1 = _preimage(phi)
+        worst = max(worst, np.max(gap), np.max(abs(got_alpha - alpha)), np.max(abs(got_c0 - c0)), np.max(abs(got_c1 - c1)))
     assert worst <= 1e-12, worst
 
 
@@ -508,7 +508,7 @@ def _reference_c1_search(target):
 
     cands = []
     a, _, c, d = target
-    if is_automorphism(target) and abs(c) > 1e-9 * abs(d):
+    if is_automorphism(target[None])[0] and abs(c) > 1e-9 * abs(d):
         # target = beta (g - z)/(1 - conj(g) z) with g != 0
         g = (-c / d).conjugate()
         beta = -a / d
@@ -551,10 +551,12 @@ def test_sweep_matches_per_target_reference(search, reference):
     # realizes it; an unrealizable target's deficiency is the value at its
     # preimage, which lies above the grid's minimum
     fail_tol = SuiteConfig().fail_tol
-    targets = [hyperbolic_aut_map(HyperbolicParams(r, t)) for r, t in _target_quadruples()]
-    results = [search(target) for target in targets]
-    assert len(results) == 24
-    for target, (deficiency, witness) in zip(targets, results):
+    r, t = np.array(_target_quadruples()).T
+    targets = hyperbolic_aut_map(HyperbolicParams(r.real, t))
+    deficiencies, witnesses = search(targets)
+    assert len(deficiencies) == 24
+    for i, (target, deficiency) in enumerate(zip(targets, deficiencies.tolist())):
+        witness = {key: values[i] for key, values in witnesses.items()}
         ref_deficiency, ref_witness = reference(target)
         assert (deficiency >= fail_tol) == (ref_deficiency >= fail_tol), (target, deficiency, ref_deficiency)
         assert witness.keys() == ref_witness.keys()
@@ -564,7 +566,7 @@ def test_sweep_matches_per_target_reference(search, reference):
             else:
                 params = C1Params(witness["alpha"], witness["c0"], witness["c1"])
                 phi = c1_quadruples(*dataclasses.astuple(params))[1]
-            assert proj_distance(phi, np.array([target]))[0] <= 1e-12, (target, witness)
+            assert proj_distance(phi, target[None])[0] <= 1e-12, (target, witness)
 
 
 # the alpha-grid minimum ex62 took before its closed form (16 radii in
@@ -586,10 +588,10 @@ def test_c2_deficiency_is_the_alpha_free_spread():
     # grid minimum it replaced: alpha's match defect vanishes as alpha -> 0
     for (r, t), pinned in zip(_target_quadruples(), EX62_GRID_DEFICIENCIES, strict=True):
         target = hyperbolic_aut_map(HyperbolicParams(r, t))
-        moduli = sorted(abs(complex(x)) for x in target[1:])
+        moduli = sorted(abs(complex(x)) for x in target[0, 1:])
         deficiency, witness = _c2_deficiency(target)
         assert witness == {}
-        assert deficiency == 1.0 - moduli[0] / moduli[-1] == pinned, (r, t)
+        assert deficiency[0] == 1.0 - moduli[0] / moduli[-1] == pinned, (r, t)
 
 
 def test_ex62_records_carry_only_the_target():
