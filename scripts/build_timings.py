@@ -7,10 +7,10 @@ Usage:
 For N in 48, 64, 96, 128, 192, 384, 389, 512, 1024 and block k in 12, 16 it
 prints the median time of one call, in ms, of
 
-  whole  all of W (what build_wco and conjugation_matrix run: the public
-         API and kernel-conj-slow): the Mobius recurrence swept as a
-         wavefront of 8 x 8 tiles, one GEMM per anti-diagonal of tiles,
-         at every N,
+  whole  all of W, as conjugation_matrix builds a C2 matrix (what
+         kernel-conj-slow runs): the refusals and length-N expansions,
+         then the Mobius recurrence swept as a wavefront of 8 x 8 tiles,
+         one GEMM per anti-diagonal of tiles, at every N,
   cross  the first k rows and first k columns (the normality residual
          and the C2 conjugation's involution residual; the C2 symmetry
          reads only the columns): both by the one doubling kernel, the
@@ -24,7 +24,7 @@ prints the median time of one call, in ms, of
          four factors of the adjoint factorization): the same doubling
          as the rows, on k coefficients,
 
-each including the refusals and length-N expansions build_wco makes, on
+each including the refusals and length-N expansions of the seams, on
 the coefficient arrays the seams take (a weight and a map as (1, 4)
 stacks, (200, 4) for stacked).  Two symbols are timed: a fast-decay
 weighted composition operator of the
@@ -81,7 +81,7 @@ def main(argv=None) -> int:
     print(f"{'symbol':10} {'N':>5} {'k':>3} {'whole ms':>9} {'cross ms':>9} {'stacked ms':>10} {'block ms':>9}")
     for name, (psi, phi) in SYMBOLS.items():
         for n in DIMS:
-            whole = _median_ms(lambda: ops._whole(psi, phi, n), args.repeats)
+            whole = _median_ms(lambda: ops._mobius_recurrence(ops._checked_series(psi, phi, n)[0][0], phi[0]), args.repeats)
             draws, one = 200, slice(None)  # a suite's default probe; the one chunk of a stack of one
             psis, phis = psi.repeat(draws, axis=0), phi.repeat(draws, axis=0)
             for k in BLOCKS:

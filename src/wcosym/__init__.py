@@ -32,14 +32,7 @@ from .mobius import (
     is_automorphism,
     is_self_map,
 )
-from .operators import (
-    Conjugation,
-    build_wco,
-    conjugation_matrix,
-    involution_residual,
-    normality_residual,
-    symmetry_residual,
-)
+from .operators import Conjugation, conjugation_matrix, involution_residual
 from .verify import (
     SuiteConfig,
     VerificationReport,

@@ -40,10 +40,6 @@ class BlockTooLargeError(WcoError):
     """Requested residual block is empty or violates the padding protocol k + 32 <= N."""
 
 
-class DimensionMismatchError(WcoError):
-    """Operands were truncated at different dimensions."""
-
-
 class BadParameterDomainError(WcoError):
     """Conjugation parameters outside their admissible domain."""
 

@@ -10,12 +10,9 @@ checked before any N x N array is allocated.
 
 Column j of W is psi phi^j.  The kernels read phi only as its coefficients
 (a, b, c, d) of (az + b)/(cz + d), and a constant map z -> v as
-(0, v, 0, 1).  A whole W is built by the Mobius recurrence
-(cz + d) psi phi^j = (az + b) psi phi^(j-1), swept in square tiles as a
-wavefront: one GEMM per anti-diagonal of tiles, about 2N / _TILE
-Python-level steps in O(N^2).  Every part of W that a residual reads is
-built by one doubling kernel, _double, which fills run[m] = run[m - 1] @ step
-from run[0] in about log2 of the run's length products: the first k rows
+(0, v, 0, 1).  Every part of W that a residual reads is built by one
+doubling kernel, _double, which fills run[m] = run[m - 1] @ step from
+run[0] in about log2 of the run's length products: the first k rows
 and the leading block with the transposed Toeplitz matrix of phi as the
 step, the first k columns (_strip) with the (k+1)-wide step of their row
 recurrence.
@@ -26,11 +23,12 @@ geometric decay of the symbol coefficients confines that corruption away
 from the leading block.  Each residual forms only the rows and columns of
 its products that reach the block: the k x k block of the N-truncation is
 the k-truncation, the first k rows and the first k columns cost O(N k^2).
-No seam reads all of W: every symmetry residual, symmetry_residual too, is
-the commutator U conj(T) - T^H U on the block, which reads only the first
-k columns of T.
-build_wco(psi, phi, n), of a weight and a map given as quadruples, and
-conjugation_matrix remain the public whole-matrix builds.
+No seam reads all of W: the symmetry residual is the commutator
+U conj(T) - T^H U on the block, which reads only the first k columns of T.
+The one whole N x N build is conjugation_matrix, whose C2 matrix comes
+from the Mobius recurrence (cz + d) psi phi^j = (az + b) psi phi^(j-1),
+swept in square tiles as a wavefront: one GEMM per anti-diagonal of
+tiles, about 2N / _TILE Python-level steps in O(N^2).
 
 The seams work on stacks of draws given as coefficient arrays: weights
 psi (B, 4) = (n0, n1, d0, d1), maps phi (B, 4) = (a, b, c, d) and a
@@ -49,7 +47,8 @@ expansions and what the steps are made of, O(N + k) numbers a draw, so
 a piece holds a small multiple of one chunk's doubling run), and
 doubles them and forms their defects a chunk of max(1, STACK_ROWS // N)
 at a time: a larger chunk saves little more time and costs peak
-memory.  The public residuals of whole matrices are stacks of one.
+memory.  involution_residual, the one residual of a whole matrix, is a
+stack of one.
 """
 
 from __future__ import annotations
@@ -62,8 +61,6 @@ import numpy as np
 from .errors import (
     BadParameterDomainError,
     BlockTooLargeError,
-    DegenerateMapError,
-    DimensionMismatchError,
     NotSelfMapError,
     SymbolPoleError,
 )
@@ -72,7 +69,6 @@ from .mobius import (
     coefficient_stack,
     cowen_stack,
     is_constant,
-    is_degenerate,
     is_self_map,
 )
 from .series import poles, quotient_series
@@ -129,9 +125,11 @@ def _check_conjugations(kind: str, lam: np.ndarray, alpha: np.ndarray):
 
 def _checked_series(psi: np.ndarray, phi: np.ndarray, n: int):
     """Every refusal of the seams for a stack of weights psi (B, 4) and
-    maps phi (B, 4), then the (B, n) expansions of both, which refuse
-    non-finite coefficients and a pole at 0."""
+    maps phi (B, 4), non-finite coefficients first, then the (B, n)
+    expansions of both, which refuse a pole at 0."""
     _check_dim(n)
+    if not (np.isfinite(psi).all() and np.isfinite(phi).all()):
+        raise ValueError("coefficients must be finite")
     pole = poles(psi)
     inside = abs(pole) <= _POLE_GUARD
     if inside.any():
@@ -303,32 +301,6 @@ def _tile_transfer(quad) -> np.ndarray:
     return tile.reshape(side, side, -1)[1:, 1:].reshape(size * size, -1).T
 
 
-def build_wco(psi, phi, n: int) -> np.ndarray:
-    """Truncation of f -> psi (f o phi): column j = series of psi * phi^j,
-    for a weight psi = (n0, n1, d0, d1) and a map phi = (a, b, c, d).
-
-    The coefficients must be finite and the weight analytic on the closed
-    disk (pole strictly outside); phi must be a self-map, and a degenerate
-    phi a constant v written (0, v, 0, d).  Coefficient m of psi phi^j
-    depends only on coefficients <= m of psi and phi, so each column is the
-    exact truncation up to rounding.  Built at every N by the tile
-    wavefront of the Mobius recurrence; the result is a view of its padded
-    (N + _TILE + 1)^2 buffer.
-    """
-    psi, phi = np.array([psi], dtype=complex), np.array([phi], dtype=complex)
-    if not (np.isfinite(psi).all() and np.isfinite(phi).all()):
-        raise ValueError("coefficients must be finite")
-    if is_degenerate(phi)[0] and not is_constant(phi)[0]:
-        raise DegenerateMapError("ad - bc vanishes: write a constant map v as (0, v, 0, 1)")
-    return _whole(psi, phi, n)
-
-
-def _whole(psi: np.ndarray, phi: np.ndarray, n: int) -> np.ndarray:
-    """All of W for a stack of one weight and one map."""
-    psi_s, _ = _checked_series(psi, phi, n)
-    return _mobius_recurrence(psi_s[0], phi[0])
-
-
 def conjugation_matrix(c: Conjugation, n: int) -> np.ndarray:
     """Matrix U with the conjugation acting as x -> U conj(x)."""
     _check_dim(n)
@@ -336,7 +308,9 @@ def conjugation_matrix(c: Conjugation, n: int) -> np.ndarray:
         return np.eye(n, dtype=complex)
     if c.kind == "C1":
         return np.diag(c.lam * c.alpha ** np.arange(n))
-    return _whole(*_c2_symbols(np.array([c.lam]), np.array([c.alpha])), n)
+    psi, phi = _c2_symbols(np.array([c.lam]), np.array([c.alpha]))
+    psi_s, _ = _checked_series(psi, phi, n)
+    return _mobius_recurrence(psi_s[0], phi[0])
 
 
 def _c2_symbols(lam: np.ndarray, alpha: np.ndarray):
@@ -375,29 +349,9 @@ def _involution_defect(rows: np.ndarray, cols: np.ndarray):
     return _norms(inv), _norms(iso)
 
 
-def symmetry_residual(t: np.ndarray, u: np.ndarray, k: int) -> float:
-    """|| U conj(T) - T^H U || on the leading block, the defect the seam
-    wco_residual_stack measures.
-
-    For anti-linear C: x -> U conj(x) this is || CW - W*C ||, and T is
-    C-symmetric (T = C T* C) iff it vanishes.  It reads only the first k
-    rows and columns of U and the first k columns of T.
-    """
-    if t.shape != u.shape:
-        raise DimensionMismatchError(f"shapes differ: {t.shape} != {u.shape}")
-    _check_block(len(t), k)
-    return float(_symmetry_defect(t[None, :, :k], u[None, :k], u[None, :, :k])[0])
-
-
 def _symmetry_defect(t: np.ndarray, u_rows: np.ndarray, u_cols: np.ndarray) -> np.ndarray:
     """|| U conj(T) - T^H U || on the block for each draw, t = T[:, :u_cols.shape[1], :k]."""
     return _norms(u_rows @ t.conj() - t.conj().swapaxes(1, 2) @ u_cols)
-
-
-def normality_residual(t: np.ndarray, k: int) -> float:
-    """|| T*T - TT* || on the leading block."""
-    _check_block(len(t), k)
-    return float(_normality_defect(t[None, :k], t[None, :, :k])[0])
 
 
 def _normality_defect(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -446,14 +400,15 @@ def wco_residual_stack(
 ) -> Dict[str, np.ndarray]:
     """For each draw of a stack of weights psi (B, 4) = (n0, n1, d0, d1)
     and maps phi (B, 4) = (a, b, c, d), a constant map v as (0, v, 0, 1):
-    normality_residual (unless normality is False) and, given a
-    conjugation kind with its lam and alpha arrays (B,), the symmetry
-    defect || U conj(T) - T^H U || = || CW - W*C || of T = build_wco(psi,
-    phi, n) on block k, with the same refusals.  It builds only what they
-    read: the first k rows and columns of W for normality; for the
-    symmetry, T[:, :k] for C2 and the k x k block for the diagonal J and
-    C1, sliced from that cross when normality built it.  The suites and
-    `wcosym check` call it through verify.measure, on whole probes."""
+    the normality defect || T*T - TT* || (unless normality is False) and,
+    given a conjugation kind with its lam and alpha arrays (B,), the
+    symmetry defect || U conj(T) - T^H U || = || CW - W*C ||, which
+    vanishes iff T is C-symmetric, of the n-truncation T of W, both on the
+    leading k x k block.  It builds only what they read: the first k rows
+    and columns of W for normality; for the symmetry, T[:, :k] for C2 and
+    the k x k block for the diagonal J and C1, sliced from that cross when
+    normality built it.  The suites and `wcosym check` call it through
+    verify.measure, on whole probes."""
     keys = ("symmetry",) * (kind is not None) + ("normality",) * normality
 
     def prepare(piece):
@@ -511,15 +466,17 @@ def _conjugation_cross(kind: str, lam: np.ndarray, alpha: np.ndarray, n: int, k:
     return block
 
 
-def adjoint_factorization_stack(phi: np.ndarray, n: int, k: int, signs=(-1, 1)) -> List[np.ndarray]:
-    """For each sigma sign of signs, the array over a stack of maps phi
-    (B, 4) of || (C_phi)^H - M_g C_sigma (M_h)^H || on the leading block.
+def adjoint_factorization_stack(phi: np.ndarray, n: int, k: int) -> List[np.ndarray]:
+    """[correct, flipped]: for the correct sigma sign -1 and the flipped
+    sign +1, the array over a stack of maps phi (B, 4) of
+    || (C_phi)^H - M_g C_sigma (M_h)^H || on the leading block.
 
     M_g is lower triangular and M_h* upper triangular, so only the four
     k x k blocks (k-truncations, refused and expanded as at dimension n)
-    reach it; it holds to rounding when the sigma sign is the correct one,
-    -1.  The flipped-sign sigma need not be a self-map; its block is built
-    without that check so the wrong convention can be exhibited failing.
+    reach it; it holds to rounding for the correct sign.  The correct sigma
+    is refused unless it is a self-map (for a self-map phi it always is);
+    the flipped-sign sigma need not be one, and its block is built without
+    that check so the wrong convention can be exhibited failing.
     verify.measure evaluates both signs of a suite's maps at once.
     """
 
@@ -527,8 +484,8 @@ def adjoint_factorization_stack(phi: np.ndarray, n: int, k: int, signs=(-1, 1)) 
         maps = phi[piece]
         if not is_self_map(maps).all():
             raise NotSelfMapError("factorization residual needs a self-map")
-        stacks = [cowen_stack(maps, sign) for sign in signs]
-        if -1 in signs and not is_self_map(stacks[signs.index(-1)][1]).all():
+        stacks = [cowen_stack(maps, sign) for sign in (-1, 1)]
+        if not is_self_map(stacks[0][1]).all():
             raise NotSelfMapError("sigma is not a self-map")
         (g, _, h), count = stacks[0], len(maps)
         series = quotient_series(np.concatenate([maps, *(sigma for _, sigma, _ in stacks)])[:, [1, 0, 3, 2]], n)
@@ -546,4 +503,4 @@ def adjoint_factorization_stack(phi: np.ndarray, n: int, k: int, signs=(-1, 1)) 
 
         return evaluate
 
-    return _chunked(len(phi), n, k, prepare, len(signs))
+    return _chunked(len(phi), n, k, prepare, 2)

@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from wcosym.mobius import cowen_stack, quadruple_gap
+from wcosym.series import quotient_series
 
 # reproducible runs: property tests draw the same examples every time,
 # matching the byte-determinism the report pipeline promises
@@ -44,3 +45,38 @@ def first(psi, phi):
 def cowen(m, sigma_sign=-1):
     """The (g, sigma, h) quadruples of cowen_stack for one map."""
     return tuple(quads[0] for quads in cowen_stack(np.array([m], dtype=complex), sigma_sign))
+
+
+def psi_series(psi, n):
+    """The first n Taylor coefficients of a weight."""
+    return quotient_series([psi], n)[0]
+
+
+def phi_series(phi, n):
+    """The first n Taylor coefficients of a Mobius map or a constant (0, v, 0, d)."""
+    a, b, c, d = phi
+    if a == c == 0:
+        return np.eye(1, n, dtype=complex)[0] * (b / d)
+    return quotient_series([(b, a, d, c)], n)[0]
+
+
+def convolution_columns(psi_s, phi, n, cols=None):
+    """Reference build at any N: column j < cols (default n) = psi phi^j by Cauchy products."""
+    phi_s = phi_series(phi, n)
+    cols = n if cols is None else cols
+    mat = np.zeros((n, cols), dtype=complex)
+    mat[:, 0] = psi_s
+    for j in range(1, cols):
+        mat[:, j] = np.convolve(mat[:, j - 1], phi_s)[:n]
+    return mat
+
+
+def normality_defect(t, k):
+    """|| T*T - TT* || on the leading k x k block of a whole matrix T."""
+    return np.linalg.norm(t[:, :k].conj().T @ t[:, :k] - t[:k] @ t[:k].conj().T)
+
+
+def symmetry_defect(t, u, k):
+    """|| U conj(T) - T^H U || on the leading k x k block of whole matrices
+    T and U: for the conjugation x -> U conj(x), zero iff T is C-symmetric."""
+    return np.linalg.norm(u[:k] @ t[:, :k].conj() - t[:, :k].conj().T @ u[:, :k])

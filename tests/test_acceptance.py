@@ -21,16 +21,10 @@ from wcosym.families import (
     hyperbolic_aut_map,
 )
 from wcosym.mobius import lft_normality_defects, proj_distance
-from wcosym.operators import (
-    Conjugation,
-    build_wco,
-    conjugation_matrix,
-    normality_residual,
-    symmetry_residual,
-)
+from wcosym.operators import Conjugation, conjugation_matrix
 from wcosym.verify import default_config, run_suite
 
-from conftest import first
+from conftest import convolution_columns, first, normality_defect, psi_series, symmetry_defect
 
 
 def _cfg(suite_id, **overrides):
@@ -218,10 +212,10 @@ def test_criterion_8_c1_hyperbolic_sweep():
             "witness does not realize the target on the unitary locus",
             p, {"map_distance": dist, "locus_gap": locus_gap},
         )
-        op = build_wco(psi, phi, _WITNESS_DIM)
+        op = convolution_columns(psi_series(psi, _WITNESS_DIM), phi, _WITNESS_DIM)
         u = conjugation_matrix(Conjugation("C1", 1.0, alpha), _WITNESS_DIM)
-        normality = normality_residual(op, _WITNESS_BLOCK)
-        symmetry = symmetry_residual(op, u, _WITNESS_BLOCK)
+        normality = normality_defect(op, _WITNESS_BLOCK)
+        symmetry = symmetry_defect(op, u, _WITNESS_BLOCK)
         assert normality <= cfg.pass_tol and symmetry <= cfg.pass_tol, (
             f"truncation oracles at N={_WITNESS_DIM}, block {_WITNESS_BLOCK} "
             "do not confirm the witness",

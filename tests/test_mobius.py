@@ -19,10 +19,10 @@ from wcosym.mobius import (
     is_self_map,
     proj_distance,
 )
-from wcosym.operators import build_wco
+from wcosym.operators import wco_residual_stack
 from wcosym.verify import SuiteConfig, lft_oracle
 
-from conftest import cowen, gap, rational, stack
+from conftest import convolution_columns, cowen, gap, normality_defect, psi_series, rational, stack
 
 ONE = (1.0, 0.0, 1.0, 0.0)  # the weight 1
 
@@ -45,9 +45,9 @@ def disk_autos():
     )
 
 
-# a map is refused where it is classified (a stack of one) and where an operator
-# is built from it, a weight where an operator is built from it; the ids
-# name the form of the quadruple
+# a map is refused where it is classified (a stack of one) and where a residual
+# of an operator of it is measured, a weight where such a residual is measured;
+# the ids name the form of the quadruple
 @pytest.mark.parametrize("form", ["map", "weight"], ids=["MobiusMap", "RationalSymbol"])
 @pytest.mark.parametrize("slot", range(4))
 @pytest.mark.parametrize(
@@ -57,9 +57,9 @@ def test_nonfinite_coefficient_rejected(form, slot, bad):
     coeffs = [0.5, 0.25, 0.1, 1.0]
     coeffs[slot] = bad
     if form == "map":
-        calls = [lambda: classify(stack(coeffs)), lambda: build_wco(ONE, coeffs, 8)]
+        calls = [lambda: classify(stack(coeffs)), lambda: wco_residual_stack(stack(ONE), stack(coeffs), 48, 16)]
     else:
-        calls = [lambda: build_wco(coeffs, IDENTITY, 8)]
+        calls = [lambda: wco_residual_stack(stack(coeffs), stack(IDENTITY), 48, 16)]
     for call in calls:
         with pytest.raises(ValueError, match="finite"):
             call()
@@ -377,8 +377,6 @@ class TestNormalityLftCheck:
     def test_matrix_oracle_agreement_on_automorphisms(self):
         # commuting holds for every automorphism, and the truncation
         # oracle confirms at moderate gamma
-        from wcosym.operators import normality_residual
-
         rng = np.random.default_rng(17)
         for _ in range(20):
             g = 0.5 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
@@ -388,7 +386,7 @@ class TestNormalityLftCheck:
             _, sigma, _ = cowen(canonical(stack(m))[0])
             s0 = sigma[1] / sigma[3]  # sigma(0)
             psi = (1.0, 0.0, 1.0, -np.conj(s0))
-            res = normality_residual(build_wco(psi, m, 96), 12)
+            res = normality_defect(convolution_columns(psi_series(psi, 96), m, 96), 12)
             assert res <= 1e-7
 
 

@@ -11,7 +11,6 @@ from wcosym import families as fam
 from wcosym.errors import (
     BadParameterDomainError,
     BlockTooLargeError,
-    DegenerateMapError,
     NotSelfMapError,
     PoleAtOriginError,
     SymbolPoleError,
@@ -31,17 +30,24 @@ from wcosym.operators import (
     _strip,
     _strip_parts,
     adjoint_factorization_stack,
-    build_wco,
     conjugation_matrix,
     conjugation_residual_stack,
     involution_residual,
-    normality_residual,
-    symmetry_residual,
     wco_residual_stack,
 )
 from wcosym.series import poles, quotient_series
 
-from conftest import cowen, first, mobius, rational
+from conftest import (
+    convolution_columns,
+    cowen,
+    first,
+    mobius,
+    normality_defect,
+    phi_series,
+    psi_series,
+    rational,
+    symmetry_defect,
+)
 
 ONE = (1.0, 0, 1, 0)  # the weight 1
 
@@ -90,8 +96,16 @@ def one_conjugation(c, n, k):
 
 
 def one_factorization(m, n, k, sigma_sign=-1):
-    """operators.adjoint_factorization_stack of a stack of one map and one sign."""
-    return adjoint_factorization_stack(np.array([m], dtype=complex), n, k, (sigma_sign,))[0][0]
+    """operators.adjoint_factorization_stack of a stack of one map, at one sign."""
+    correct, flipped = adjoint_factorization_stack(np.array([m], dtype=complex), n, k)
+    return (correct if sigma_sign == -1 else flipped)[0]
+
+
+def whole(psi, phi, n):
+    """All of W of the n-truncation by the Mobius recurrence that
+    conjugation_matrix runs, which TestTileWavefront checks against the
+    convolution reference; it refuses nothing."""
+    return _mobius_recurrence(psi_series(psi, n), np.array(phi, dtype=complex))
 
 
 def j_family(a0, a1, b=1.0):
@@ -101,46 +115,46 @@ def j_family(a0, a1, b=1.0):
 
 
 class TestBuildWco:
+    """Closed forms of W, of the recurrence and of the seams, and the
+    seams' refusals.  (The class name is historical: it is kept so that
+    its test ids stay comparable.)"""
+
     def test_identity_operator(self):
-        t = build_wco(ONE, IDENTITY, 8)
+        t = whole(ONE, IDENTITY, 8)
         assert np.allclose(t, np.eye(8))
 
     def test_diagonal_family(self):
-        t = build_wco((0.7, 0, 1, 0), (0.5, 0, 0, 1), 6)
+        t = whole((0.7, 0, 1, 0), (0.5, 0, 0, 1), 6)
         assert np.allclose(t, np.diag(0.7 * 0.5 ** np.arange(6)))
 
     def test_kernel_weight_toeplitz(self):
         n = 8
-        t = build_wco((1, 0, 1, -0.5), IDENTITY, n)
+        t = whole((1, 0, 1, -0.5), IDENTITY, n)
         for j in range(n):
             col = t[:, j]
             assert np.allclose(col[:j], 0)
             assert np.allclose(col[j:], 0.5 ** np.arange(n - j))
 
     def test_constant_map_columns(self):
-        t = build_wco((0.75, 0, 1, -0.5), (0, 0.5, 0, 1), 5)
+        t = whole((0.75, 0, 1, -0.5), (0, 0.5, 0, 1), 5)
         psi = 0.75 * 0.5 ** np.arange(5)
         for j in range(5):
             assert np.allclose(t[:, j], psi * 0.5 ** j)
 
     def test_pole_guard(self):
         with pytest.raises(SymbolPoleError):
-            build_wco((1, 0, 1, -1.0), IDENTITY, 8)
+            one_draw((1, 0, 1, -1.0), IDENTITY, 48, 16)
 
     def test_self_map_guard(self):
-        with pytest.raises(NotSelfMapError):
-            build_wco(ONE, (2, 0, 0, 1), 8)
-
-    @pytest.mark.parametrize("phi", [(0.5, 0.25, 2, 1), (1, 2, 1, 2), (0, 0, 0, 0)])
-    def test_degenerate_map_guard(self, phi):
-        # a degenerate map is a constant, which build_wco takes only as (0, v, 0, d)
-        with pytest.raises(DegenerateMapError if any(phi) else NotSelfMapError):
-            build_wco(ONE, phi, 8)
+        # the zero quadruple reads as the constant 0 / 0, not inside the disk
+        for phi in ((2, 0, 0, 1), (0, 0, 0, 0)):
+            with pytest.raises(NotSelfMapError):
+                one_draw(ONE, phi, 48, 16)
 
     @pytest.mark.parametrize("n", [0, 1025])
     def test_dimension_cap(self, n):
         with pytest.raises(ValueError):
-            build_wco(ONE, IDENTITY, n)
+            one_draw(ONE, IDENTITY, n, 16)
         with pytest.raises(ValueError):
             one_factorization(IDENTITY, n, 16)
         for c in (Conjugation("J"), Conjugation("C1", 1.0, 1j), Conjugation("C2", 1.0, 0.3)):
@@ -150,7 +164,7 @@ class TestBuildWco:
     def test_intertwining_sample_check(self):
         psi = (1.2, 0.3, 1, -0.4)
         phi = (0.3, 0.25, -0.1, 1.0)
-        t = build_wco(psi, phi, 96)
+        _, t = cross(psi, phi, 96, 16)  # the strip the seams build
         z = 0.2
         powers = z ** np.arange(96)
         for j in (0, 1, 3, 7):
@@ -161,8 +175,7 @@ class TestBuildWco:
 def test_constant_maps_are_read_in_one_place():
     # the kernels read phi only as its coefficients (a, b, c, d), a constant
     # map v as (0, v, 0, 1): no operators code tests for a type, only
-    # _checked_series reads the constant rows, to refuse |v| >= 1, and
-    # build_wco, to refuse a degenerate map written otherwise
+    # _checked_series reads the constant rows, to refuse |v| >= 1
     tree = ast.parse(pathlib.Path(operators.__file__).read_text())
     found = collections.Counter()
     for top in tree.body:
@@ -170,33 +183,9 @@ def test_constant_maps_are_read_in_one_place():
             if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in (
                     "isinstance", "is_constant"):
                 found[getattr(top, "name", "<module>"), node.func.id] += 1
-    assert found == {("_checked_series", "is_constant"): 1, ("build_wco", "is_constant"): 1}
+    assert found == {("_checked_series", "is_constant"): 1}
     (cls,) = classify(np.array([(0, 0.3 - 0.4j, 0, 1)]))
     assert (cls.map_class, cls.dw_point) == (MapClass.CONSTANT, 0.3 - 0.4j)
-
-
-def psi_series(psi, n):
-    """The first n Taylor coefficients of a weight."""
-    return quotient_series([psi], n)[0]
-
-
-def phi_series(phi, n):
-    """The first n Taylor coefficients of a Mobius map or a constant (0, v, 0, d)."""
-    a, b, c, d = phi
-    if a == c == 0:
-        return np.eye(1, n, dtype=complex)[0] * (b / d)
-    return quotient_series([(b, a, d, c)], n)[0]
-
-
-def convolution_columns(psi_s, phi, n, cols=None):
-    """Reference build at any N: column j < cols (default n) = psi phi^j by Cauchy products."""
-    phi_s = phi_series(phi, n)
-    cols = n if cols is None else cols
-    mat = np.zeros((n, cols), dtype=complex)
-    mat[:, 0] = psi_s
-    for j in range(1, cols):
-        mat[:, j] = np.convolve(mat[:, j - 1], phi_s)[:n]
-    return mat
 
 
 # (weight, map) pairs across the decay regimes the suites draw from
@@ -219,9 +208,10 @@ C2_SLOW_DECAY = Conjugation("C2", np.exp(0.3j), 0.95 * np.exp(1.1j))
 
 
 class TestBuildPaths:
-    """build_wco runs the Mobius recurrence at every N; it must agree with
+    """A whole W is the Mobius recurrence at every N; it must agree with
     the convolution reference to rounding, and the leading block of a
-    large build with the small build."""
+    large build with the small build.  The seams refuse what a build of W
+    cannot take."""
 
     N_SMALL, N_LARGE = 96, 192
 
@@ -232,7 +222,7 @@ class TestBuildPaths:
         pairs = [pair for _, pair in sorted(BUILD_PATH_CASES.items())] + [(ONE, IDENTITY)]
         for psi, phi in pairs:
             reference = convolution_columns(psi_series(psi, n), phi, n)
-            got = build_wco(psi, phi, n)
+            got = whole(psi, phi, n)
             assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
         weight, vmap = c2_symbols(C2_SLOW_DECAY)
         reference = convolution_columns(psi_series(weight, n), vmap, n)
@@ -242,8 +232,8 @@ class TestBuildPaths:
     @pytest.mark.parametrize("case", sorted(BUILD_PATH_CASES))
     def test_leading_block_agrees(self, case):
         psi, phi = BUILD_PATH_CASES[case]
-        small = build_wco(psi, phi, self.N_SMALL)
-        large = build_wco(psi, phi, self.N_LARGE)
+        small = whole(psi, phi, self.N_SMALL)
+        large = whole(psi, phi, self.N_LARGE)
         k = self.N_SMALL
         assert np.max(np.abs(large[:k, :k] - small)) <= 1e-13 * np.max(np.abs(small))
         reference = convolution_columns(psi_series(psi, self.N_LARGE), phi, self.N_LARGE)
@@ -259,13 +249,18 @@ class TestBuildPaths:
         n = 192
         # a denominator vanishing at 0 has its pole at the origin
         with pytest.raises(PoleAtOriginError):
-            build_wco((1.0, 0.0, 1e-15, 0.0), IDENTITY, n)
+            one_draw((1.0, 0.0, 1e-15, 0.0), IDENTITY, n, 12)
         with pytest.raises(NotSelfMapError):
-            build_wco(ONE, (2, 0, 0, 1), n)
+            one_draw(ONE, (2, 0, 0, 1), n, 12)
         with pytest.raises(SymbolPoleError):
-            build_wco((1, 0, 1, -1.0), IDENTITY, n)
+            one_draw((1, 0, 1, -1.0), IDENTITY, n, 12)
         with pytest.raises(ValueError):
-            build_wco(ONE, IDENTITY, MAX_DIM + 1)
+            one_draw(ONE, IDENTITY, MAX_DIM + 1, 12)
+        # an infinite denominator coefficient expands to finite zeros, so only
+        # the finiteness check refuses it
+        for psi, phi in (((1, 0, 1, np.inf), IDENTITY), (ONE, (0.5, 0, 0.1, np.inf))):
+            with pytest.raises(ValueError, match="finite"):
+                one_draw(psi, phi, n, 12)
 
 
 # small and large dimensions, sizes that are not powers of two
@@ -282,7 +277,8 @@ def build_cases():
 
 class TestLeadingBuilds:
     """The cross (first k rows and columns) and the block of W must be the
-    slices of the whole truncation, and refuse whatever build_wco refuses."""
+    slices of the whole truncation, and every seam must refuse the same
+    inputs."""
 
     @pytest.mark.parametrize("n", LEADING_DIMS)
     def test_cross_and_block_match_convolutions(self, n):
@@ -296,13 +292,11 @@ class TestLeadingBuilds:
                 assert np.max(np.abs(cols - reference[:, :k])) <= 1e-13 * scale, (name, k)
                 leading = block(psi, phi, n, k)
                 assert np.max(np.abs(leading - reference[:k, :k])) <= 1e-13 * scale, (name, k)
-            whole = build_wco(psi, phi, n)
-            assert np.max(np.abs(whole - reference)) <= 1e-13 * scale, name
+            assert np.max(np.abs(whole(psi, phi, n) - reference)) <= 1e-13 * scale, name
 
     @pytest.mark.parametrize("n", [64, 192])
     def test_refusals(self, n):
         builders = {
-            "whole": lambda psi, phi, n, k: build_wco(psi, phi, n),
             "cross": cross,
             "block": block,
             "normality": one_draw,
@@ -321,10 +315,9 @@ class TestLeadingBuilds:
             for dim in (0, MAX_DIM + 1):
                 with pytest.raises(ValueError):
                     build(ONE, IDENTITY, dim, 12)
-            if name != "whole":
-                for k in (0, n - 31):
-                    with pytest.raises(BlockTooLargeError):
-                        build(ONE, IDENTITY, n, k)
+            for k in (0, n - 31):
+                with pytest.raises(BlockTooLargeError):
+                    build(ONE, IDENTITY, n, k)
         for c in (Conjugation("J"), Conjugation("C1", 1.0, 1j), C2_SLOW_DECAY):
             with pytest.raises(ValueError):
                 one_conjugation(c, MAX_DIM + 1, 12)
@@ -399,7 +392,7 @@ class TestFftDoubling:
             got = one_draw(psi, phi, n, 16, C2_SLOW_DECAY, normality=False)
             assert list(got) == ["symmetry"], name
         with pytest.raises(AssertionError, match="refused builder"):
-            build_wco(*BUILD_PATH_CASES["disk-automorphism"], n)
+            conjugation_matrix(C2_SLOW_DECAY, n)
 
     @pytest.mark.parametrize("n", [48, 191, 192, 448, MAX_DIM])
     def test_doubling_steps_at_most_k_plus_1_wide(self, n, monkeypatch):
@@ -424,7 +417,6 @@ class TestFftDoubling:
             one_factorization(phi, n, k)
             assert seen and max(max(shape) for shape in seen) <= k + 1, k
         seen.clear()
-        build_wco(psi, phi, n)
         conjugation_matrix(C2_SLOW_DECAY, n)
         assert not seen
 
@@ -432,10 +424,6 @@ class TestFftDoubling:
         # the C2 conjugation's weight and map as conjugation_matrix forms them: a stack of one
         weight, vmap = operators._c2_symbols(np.array([C2_SLOW_DECAY.lam]), np.array([C2_SLOW_DECAY.alpha]))
         for n in (1, 48, 96, 384):
-            for name, (psi, phi) in build_cases().items():  # a constant map v is the recurrence of (0, v, 0, 1)
-                got = build_wco(psi, phi, n)
-                want = _mobius_recurrence(psi_series(psi, n), np.array(phi, dtype=complex))
-                assert np.array_equal(got, want), (name, n)
             got = conjugation_matrix(C2_SLOW_DECAY, n)
             assert np.array_equal(got, _mobius_recurrence(quotient_series(weight, n)[0], vmap[0])), n
 
@@ -473,7 +461,7 @@ class TestTileWavefront:
         for name, (psi, phi) in tile_cases().items():
             psi_s = psi_series(psi, n)
             reference = convolution_columns(psi_s, phi, n)
-            assert_matches(build_wco(psi, phi, n), reference, name)
+            assert_matches(whole(psi, phi, n), reference, name)
         for modulus in C2_MODULI:
             c = Conjugation("C2", np.exp(0.3j), modulus * np.exp(1.1j))
             reference = convolution_columns(psi_series(c2_symbols(c)[0], n), c2_symbols(c)[1], n)
@@ -482,7 +470,7 @@ class TestTileWavefront:
     @pytest.mark.parametrize("rows, cols", [(192, 2), (192, 9), (200, 17), (389, 193), (193, 389), (250, 1024)])
     def test_rectangles_match_convolutions(self, rows, cols):
         # rows < cols doubles (_rectangle, the first rows); rows > cols is the
-        # leading columns of a whole W of the rows-truncation (build_wco)
+        # leading columns of a whole W of the rows-truncation (the recurrence)
         assert rows >= 192 and rows != cols
         n = max(rows, cols)
         for name, (psi, phi) in tile_cases().items():
@@ -491,14 +479,14 @@ class TestTileWavefront:
             if rows < cols:
                 got = _rectangle(_prepare(*stacks(psi, phi), n, rows, strip=False)[0], ALL, cols)[0]
             else:
-                got = build_wco(psi, phi, rows)[:, :cols]
+                got = whole(psi, phi, rows)[:, :cols]
             assert_matches(got, reference, name)
 
     def test_leading_block_of_the_largest_build(self):
         n, k = MAX_DIM, 389
         for name, (psi, phi) in tile_cases().items():
             reference = convolution_columns(psi_series(psi, k), phi, k)
-            assert_matches(build_wco(psi, phi, n)[:k, :k], reference, name)
+            assert_matches(whole(psi, phi, n)[:k, :k], reference, name)
 
     @pytest.mark.parametrize("n", [384, MAX_DIM])
     def test_whole_build_allocates_one_padded_buffer(self, n):
@@ -586,8 +574,8 @@ class TestRowStep:
 
 
 class TestSeams:
-    """Each symbol-level residual equals the public residual of the whole
-    matrices within 1e-13 max(1, r)."""
+    """Each symbol-level residual equals the residual of the whole matrices
+    within 1e-13 max(1, r)."""
 
     K = 12
 
@@ -602,11 +590,11 @@ class TestSeams:
         conjugations = (Conjugation("J"), Conjugation("C1", np.exp(0.3j), np.exp(0.7j)), C2_SLOW_DECAY)
         perturbed = (psi[0], psi[1] + 0.3, psi[2], psi[3])
         for pair in [(psi, phi), (perturbed, phi), (psi, (0, 0.4j, 0, 1))]:
-            t = build_wco(*pair, n)
-            normal = normality_residual(t, k)
+            t = whole(*pair, n)
+            normal = normality_defect(t, k)
             assert self.close(one_draw(*pair, n, k)["normality"], normal)
             for c in conjugations:
-                sym = symmetry_residual(t, conjugation_matrix(c, n), k)
+                sym = symmetry_defect(t, conjugation_matrix(c, n), k)
                 both = one_draw(*pair, n, k, c)
                 assert self.close(both["normality"], normal) and self.close(both["symmetry"], sym), c
                 alone = one_draw(*pair, n, k, c, normality=False)
@@ -619,7 +607,7 @@ class TestSeams:
     @pytest.mark.parametrize("n", [96, 384, MAX_DIM])
     def test_c2_symmetry_in_band_with_whole_matrix_form(self, n):
         """On 60 c2sym-form draws, every second one a perturbed control,
-        the seam and symmetry_residual of the whole matrices agree within
+        the seam and the symmetry defect of the whole matrices agree within
         1e-13 max(1, r), so they fall in the same pass / fail band."""
         rng = np.random.default_rng(5)
         cfg, k = verify.SuiteConfig(), 16
@@ -629,9 +617,9 @@ class TestSeams:
                 psi = verify._perturbed(np.array([psi]))[0]
             c = Conjugation("C2", 1.0, params.alpha)
             seam = one_draw(psi, phi, n, k, c, normality=False)["symmetry"]
-            whole = symmetry_residual(build_wco(psi, phi, n), conjugation_matrix(c, n), k)
-            assert self.close(seam, whole), (i, seam, whole)
-            assert verify.band_verdict(seam, cfg) == verify.band_verdict(whole, cfg), (i, seam, whole)
+            reference = symmetry_defect(whole(psi, phi, n), conjugation_matrix(c, n), k)
+            assert self.close(seam, reference), (i, seam, reference)
+            assert verify.band_verdict(seam, cfg) == verify.band_verdict(reference, cfg), (i, seam, reference)
             assert seam >= 0.1 if i % 2 else seam <= 1e-13, (i, seam)
 
     @pytest.mark.parametrize("n", [192, 384, MAX_DIM])
@@ -639,7 +627,6 @@ class TestSeams:
         def refuse(*args):
             raise AssertionError("whole W built")
 
-        monkeypatch.setattr(operators, "build_wco", refuse)
         monkeypatch.setattr(operators, "_mobius_recurrence", refuse)
         psi, phi = BUILD_PATH_CASES["disk-automorphism"]
         for c in (Conjugation("J"), Conjugation("C1", 1.0, 1j), C2_SLOW_DECAY):
@@ -653,17 +640,19 @@ class TestSeams:
         m = (0.5 + 0.1j, 0.25 - 0.05j, 0.1 + 0.2j, 1.0)
         k = 16
         g, sigma, h = cowen(m, sigma_sign)
-        c_phi = build_wco(ONE, m, n)
-        m_g, m_h = build_wco(g, IDENTITY, n), build_wco(h, IDENTITY, n)
-        # the flipped-sign sigma is not a self-map, so build_wco refuses it
+        c_phi = whole(ONE, m, n)
+        m_g, m_h = whole(g, IDENTITY, n), whole(h, IDENTITY, n)
+        # the flipped-sign sigma is not a self-map: it takes the convolution reference
         c_sigma = convolution_columns(psi_series(ONE, n), sigma, n)
-        whole = np.linalg.norm((c_phi.conj().T - m_g @ c_sigma @ m_h.conj().T)[:k, :k])
-        assert self.close(one_factorization(m, n, k, sigma_sign=sigma_sign), whole)
+        full = np.linalg.norm((c_phi.conj().T - m_g @ c_sigma @ m_h.conj().T)[:k, :k])
+        assert self.close(one_factorization(m, n, k, sigma_sign=sigma_sign), full)
 
 
 class TestBlockResiduals:
     """Each residual forms only the block it reads; it must equal the full
-    N x N products sliced to the block."""
+    N x N products sliced to the block: involution_residual, and the
+    block forms of the normality and symmetry defects that TestSeams
+    compares the seams with."""
 
     N, K = 160, 16
 
@@ -680,9 +669,9 @@ class TestBlockResiduals:
         assert abs(inv - np.linalg.norm((u @ u.conj() - eye)[:k, :k])) <= 1e-13
         assert abs(iso - np.linalg.norm((u.conj().T @ u - eye)[:k, :k])) <= 1e-13
         full_sym = np.linalg.norm((u @ t.conj() - t.conj().T @ u)[:k, :k])
-        assert abs(symmetry_residual(t, u, k) - full_sym) <= 1e-13
+        assert abs(symmetry_defect(t, u, k) - full_sym) <= 1e-13
         full_normal = np.linalg.norm((t.conj().T @ t - t @ t.conj().T)[:k, :k])
-        assert abs(normality_residual(t, k) - full_normal) <= 1e-13
+        assert abs(normality_defect(t, k) - full_normal) <= 1e-13
 
     @pytest.mark.parametrize("sigma_sign", [-1, 1])
     def test_factorization_residual_matches_full_products(self, sigma_sign):
@@ -777,33 +766,19 @@ class TestConjugationMatrix:
 class TestSymmetryResidual:
     def test_diagonal_exact(self):
         psi, phi = j_family(0.0, 0.3, 0.8)
-        t = build_wco(psi, phi, 48)
-        u = conjugation_matrix(Conjugation("J"), 48)
-        assert symmetry_residual(t, u, 16) <= 1e-15
+        assert one_draw(psi, phi, 48, 16, Conjugation("J"), False)["symmetry"] <= 1e-15
 
     def test_j_family_in_family(self):
         psi, phi = j_family(0.3, 0.2)
-        t = build_wco(psi, phi, 64)
-        u = conjugation_matrix(Conjugation("J"), 64)
-        assert symmetry_residual(t, u, 16) <= 1e-9
+        assert one_draw(psi, phi, 64, 16, Conjugation("J"), False)["symmetry"] <= 1e-9
 
     def test_out_of_family_weight(self):
         phi = (0.2, 0, 0, 1)
-        t = build_wco((1, 0.3, 1, 0), phi, 64)
-        u = conjugation_matrix(Conjugation("J"), 64)
-        assert symmetry_residual(t, u, 16) >= 1e-2
-
-    def test_dimension_mismatch(self):
-        from wcosym.errors import DimensionMismatchError
-
-        t = build_wco(ONE, IDENTITY, 48)
-        u = conjugation_matrix(Conjugation("J"), 64)
-        with pytest.raises(DimensionMismatchError):
-            symmetry_residual(t, u, 12)
+        assert one_draw((1, 0.3, 1, 0), phi, 64, 16, Conjugation("J"), False)["symmetry"] >= 1e-2
 
     def test_double_application_restores_block(self):
         psi = (1.0, 0.2, 1, -0.3)
-        t = build_wco(psi, (0.35, 0.1, -0.05, 1.0), 80)
+        t = whole(psi, (0.35, 0.1, -0.05, 1.0), 80)
         u = conjugation_matrix(Conjugation("C2", 1.0, 0.3), 80)
         k = 12
         once = u @ t.T @ u.conj()
@@ -813,23 +788,20 @@ class TestSymmetryResidual:
 
 class TestNormalityResidual:
     def test_diagonal_zero(self):
-        t = build_wco((1.3, 0, 1, 0), (0.6j, 0, 0, 1), 48)
-        assert normality_residual(t, 12) <= 1e-14
+        assert one_draw((1.3, 0, 1, 0), (0.6j, 0, 0, 1), 48, 12)["normality"] <= 1e-14
 
     def test_interior_family_normal(self):
         p, delta, gamma = 0.3, 0.5j, 1.0
         pc = np.conj(p)
         psi = (gamma * (1 - abs(p) ** 2), 0, 1 - abs(p) ** 2 * delta, pc * (delta - 1))
         phi = (delta - abs(p) ** 2, p * (1 - delta), pc * (delta - 1), 1 - abs(p) ** 2 * delta)
-        t = build_wco(psi, phi, 64)
-        assert normality_residual(t, 12) <= 1e-7
+        assert one_draw(psi, phi, 64, 12)["normality"] <= 1e-7
 
     def test_damped_map_not_normal(self):
         phi = (1.85, 1, 1, 2)
         sigma0 = -np.conj(phi[2]) / np.conj(phi[3])
         psi = (1, 0, 1, -np.conj(sigma0))
-        t = build_wco(psi, phi, 64)
-        assert normality_residual(t, 12) >= 1e-3
+        assert one_draw(psi, phi, 64, 12)["normality"] >= 1e-3
 
     def test_residual_decay_with_dimension(self):
         # doubling the dimension must not let the residual grow; the
@@ -839,7 +811,7 @@ class TestNormalityResidual:
         pc = np.conj(p)
         psi = (1 - abs(p) ** 2, 0, 1 - abs(p) ** 2 * delta, pc * (delta - 1))
         phi = (delta - abs(p) ** 2, p * (1 - delta), pc * (delta - 1), 1 - abs(p) ** 2 * delta)
-        residuals = [normality_residual(build_wco(psi, phi, n), 12) for n in (48, 96, 192)]
+        residuals = [one_draw(psi, phi, n, 12)["normality"] for n in (48, 96, 192)]
         assert residuals[1] <= residuals[0] + 1e-12
         assert residuals[2] <= residuals[1] + 1e-12
         assert residuals[2] <= 1e-8
@@ -862,7 +834,7 @@ class TestInteriorSpectrum:
     def test_predicted_eigenvalues_of_build_wco(self, p_mod, p_arg, delta_mod, delta_arg, gamma):
         p, delta = p_mod * np.exp(1j * p_arg), delta_mod * np.exp(1j * delta_arg)
         psi, phi = first(*fam.interior_quadruples(p, delta, gamma))
-        eigenvalues = np.linalg.eigvals(build_wco(psi, phi, 96))
+        eigenvalues = np.linalg.eigvals(whole(psi, phi, 96))
         top = rational(psi, p)
         predicted = [top * delta ** n for n in range(8) if abs(delta) ** n >= 1e-6]
         for n, value in enumerate(predicted):

@@ -273,14 +273,9 @@ def test_band_rule_has_one_caller():
     assert _callers({"SampleRecord"}) == {("verify", "_record")}
 
 
-# the whole-matrix reference API and the report validator: the tests compare
-# against them, so they stay although nothing in the package calls them
-REFERENCE_API = {
-    ("operators", "build_wco"),
-    ("operators", "normality_residual"),
-    ("operators", "symmetry_residual"),
-    ("cli", "validate_report_dict"),
-}
+# the report validator: the tests check reports with it, so it stays
+# although nothing in the package calls it
+REFERENCE_API = {("cli", "validate_report_dict")}
 
 
 def _identifiers(node):
