@@ -146,10 +146,15 @@ class TestBuildWco:
             one_draw((1, 0, 1, -1.0), IDENTITY, 48, 16)
 
     def test_self_map_guard(self):
+        with pytest.raises(NotSelfMapError):
+            one_draw(ONE, (2, 0, 0, 1), 48, 16)
+
+    # the id is the one this case had beside two other degenerate maps
+    @pytest.mark.parametrize("phi", [pytest.param((0, 0, 0, 0), id="phi2")])
+    def test_degenerate_map_guard(self, phi):
         # the zero quadruple reads as the constant 0 / 0, not inside the disk
-        for phi in ((2, 0, 0, 1), (0, 0, 0, 0)):
-            with pytest.raises(NotSelfMapError):
-                one_draw(ONE, phi, 48, 16)
+        with pytest.raises(NotSelfMapError):
+            one_draw(ONE, phi, 48, 16)
 
     @pytest.mark.parametrize("n", [0, 1025])
     def test_dimension_cap(self, n):
