@@ -34,7 +34,7 @@ from .families import (
     j_normal_predicate,
     j_quadruples,
 )
-from .mobius import MapClass, classify, cowen_stack, is_constant
+from .mobius import MapClass, classify, cowen_stack, is_degenerate
 from .verify import (
     Probe,
     SuiteConfig,
@@ -156,29 +156,6 @@ def report_to_dict(report: VerificationReport) -> Dict:
 
 def report_to_json(report: VerificationReport) -> str:
     return _to_json(report_to_dict(report))
-
-
-def validate_report_dict(doc: Dict) -> List[str]:
-    """Structural validation against the embedded schema; returns problems."""
-    problems = []
-    for key in REPORT_SCHEMA["properties"]["config"]["required"]:
-        if key not in doc.get("config", {}):
-            problems.append(f"config missing {key}")
-    for key in REPORT_SCHEMA["required"]:
-        if key not in doc:
-            problems.append(f"missing top-level {key}")
-    for rec in doc.get("records", []):
-        for key in REPORT_SCHEMA["properties"]["records"]["items"]["required"]:
-            if key not in rec:
-                problems.append(f"record {rec.get('index')} missing {key}")
-        if rec.get("verdict") not in ("pass", "fail", "inconclusive", "discrepancy"):
-            problems.append(f"record {rec.get('index')} bad verdict {rec.get('verdict')!r}")
-    summary = doc.get("summary", {})
-    if summary:
-        counted = sum(summary.get(k, 0) for k in ("pass", "fail", "inconclusive", "discrepancy"))
-        if counted != summary.get("total"):
-            problems.append("summary counts do not sum to total")
-    return problems
 
 
 SWEEP_CSV_COLUMNS = [
@@ -305,7 +282,7 @@ def _check_family(args):
     oracle, decided = {}, {}
     if "normality" in residuals:
         oracle = {"normality": residuals["normality"]}
-    elif is_constant(phi)[0]:
+    elif is_degenerate(phi)[0]:
         decided = {"lft": None}  # no truncation and no coefficient-level oracle: undecided
     else:
         # coefficient-level oracle for symbols without a usable truncation

@@ -20,8 +20,7 @@ class NotSelfMapError(WcoError):
 
 
 class DegenerateMapError(WcoError):
-    """Coefficient quadruple vanishes, or has (numerically) vanishing
-    determinant where a constant must be written (0, v, 0, d)."""
+    """Coefficient quadruple vanishes."""
 
 
 # ---- series ----------------------------------------------------------------

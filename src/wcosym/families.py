@@ -9,8 +9,8 @@ matrix oracles independently.
 Every formula is written once, for arrays: the ``*_quadruples``
 constructors take parameter arrays of one length B and return the (B, 4)
 stacks psi = (n0, n1, d0, d1) and phi = (a, b, c, d), phi canonical and
-a constant map v as (0, v, 0, 1); the parameter classes, the predicates
-and the expressions take arrays or scalars alike.
+each constant of mobius.read_maps as (0, v, 0, 1); the parameter classes,
+the predicates and the expressions take arrays or scalars alike.
 """
 
 from __future__ import annotations
@@ -27,16 +27,17 @@ from .errors import (
     NotSelfMapError,
 )
 from .mobius import (
+    BOUNDARY_TOL,
     canonical,
     coefficient_stack as _stack,
     compose_stack,
     is_self_map,
     proj_distance,
+    read_maps,
 )
 
 PRED_TOL = 1e-10
 REBUILD_TOL = 1e-10
-_UNIT_TOL = 1e-9
 
 
 def _in_disk(z, name: str):
@@ -45,7 +46,7 @@ def _in_disk(z, name: str):
 
 
 def _unimodular(z, name: str):
-    if not np.all(abs(abs(z) - 1.0) <= _UNIT_TOL):  # NaN fails
+    if not np.all(abs(abs(z) - 1.0) <= BOUNDARY_TOL):  # NaN fails
         raise DomainViolationError(f"{name} must be unimodular, got |{name}| = {abs(z)}")
 
 
@@ -147,9 +148,6 @@ class C2NormalCase(str, Enum):
 # constructors
 # ---------------------------------------------------------------------------
 
-_CONSTANT_DET_TOL = 1e-14
-
-
 def _arrays(*values):
     """The values as complex arrays of one length B: a scalar is an array of one."""
     arrays = [np.asarray(v, dtype=complex).reshape(-1) for v in values]
@@ -157,12 +155,10 @@ def _arrays(*values):
     return [np.full(count, a[0]) if len(a) == 1 and count != 1 else a for a in arrays]
 
 
-def _maps(quads: np.ndarray, constant: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """The canonical quadruples, (0, value, 0, 1) where constant."""
-    quads = canonical(quads)
-    if constant.any():
-        quads[constant] = _stack(0.0, value, 0.0, 1.0)[constant]
-    return quads
+def _maps(quads: np.ndarray) -> np.ndarray:
+    """The canonical quadruples, each constant as read_maps writes it from the raw quadruple."""
+    maps, constant, _, _, q = read_maps(quads)
+    return np.where(constant[:, None], maps, q)
 
 
 def j_quadruples(a0, a1, b=1.0):
@@ -179,7 +175,7 @@ def c1_quadruples(alpha, c0, c1, d=1.0):
     """
     al, c0, c1, d = _arrays(alpha, c0, c1, d)
     psi = _stack(d, 0.0, 1.0, -al * c0)
-    return psi, _maps(_stack(c1 - al * c0 * c0, c0, -al * c0, 1.0), abs(c1) <= _CONSTANT_DET_TOL, c0)
+    return psi, _maps(_stack(c1 - al * c0 * c0, c0, -al * c0, 1.0))
 
 
 def c2_quadruple(params: C2Params) -> tuple:
@@ -221,14 +217,7 @@ def c2_quadruples(params: C2Params):
     caller decides whether the pair is usable.
     """
     al, t, u, v, w, d = _arrays(params.alpha, *c2_quadruple(params), params.d)
-    num0, num1, den0, den1 = al * u, -w, al.conjugate() * v, -al.conjugate() * t
-    quads = _stack(num1, num0, den1, den0)
-    scale = abs(quads).max(axis=1)
-    if np.any(scale == 0.0):
-        raise DegenerateSymbolError("all phi coefficients vanish")
-    constant = abs(num0 * den1 - num1 * den0) <= 1e-13 * scale * scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _stack(d * v, 0.0, v, -t), _maps(quads, constant, num0 / den0)
+    return _stack(d * v, 0.0, v, -t), _maps(_stack(-w, al * u, -al.conjugate() * t, al.conjugate() * v))
 
 
 def interior_quadruples(p, delta, gamma=1.0):
@@ -244,8 +233,7 @@ def interior_quadruples(p, delta, gamma=1.0):
     psi = _stack(gamma * (1.0 - p2), 0.0, 1.0 - p2 * delta, pc * (delta - 1.0))
     blaschke = canonical(_stack(-1.0, p, -pc, 1.0))
     scaled = canonical(_stack(-delta, delta * p, -pc, 1.0))  # delta * phi_p
-    quads, degenerate = compose_stack(blaschke, scaled)  # |d| > |c| when degenerate: the constant is b/d
-    return psi, _maps(quads, (delta == 0) | degenerate, np.where(delta == 0, p, quads[:, 1] / quads[:, 3]))
+    return psi, _maps(compose_stack(blaschke, scaled))
 
 
 def interior_closed_quadruples(p, delta) -> np.ndarray:
@@ -253,7 +241,7 @@ def interior_closed_quadruples(p, delta) -> np.ndarray:
     expanded single-fraction form."""
     p, delta = _arrays(p, delta)
     pc, p2 = p.conjugate(), abs(p) ** 2
-    return _maps(_stack(delta - p2, p * (1.0 - delta), pc * (delta - 1.0), 1.0 - p2 * delta), delta == 0, p)
+    return _maps(_stack(delta - p2, p * (1.0 - delta), pc * (delta - 1.0), 1.0 - p2 * delta))
 
 
 def parabolic_j_quadruples(a0, branch, d=1.0):
@@ -481,7 +469,7 @@ def _disk_forms(names, gamma, beta, phi, usable):
     """names with "DiskForm" where usable, gamma lies in the disk, beta is
     unimodular and the rebuilt map reproduces phi (a constant never does)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        usable = usable & (abs(gamma) < 1.0) & (abs(abs(beta) - 1.0) <= _UNIT_TOL)
+        usable = usable & (abs(gamma) < 1.0) & (abs(abs(beta) - 1.0) <= BOUNDARY_TOL)
         rebuilt = proj_distance(disk_form_quadruples(np.where(usable, beta, 1.0), np.where(usable, gamma, 0.0)), phi)
     return np.where(usable & (rebuilt <= REBUILD_TOL), "DiskForm", names)
 

@@ -1,13 +1,14 @@
 """Exact algebra and classification of linear-fractional self-maps of the disk.
 
 A map z -> (az + b)/(cz + d) is its coefficient quadruple (a, b, c, d), a
-row of a (B, 4) stack; a constant v is (0, v, 0, 1).  Canonical means
-divided by the coefficient of largest modulus; two maps are equal iff
-their canonical quadruples agree.  is_degenerate is the one degeneracy
-rule: ad - bc numerically zero makes a map a constant.  The
-classification (interior / hyperbolic / parabolic, automorphism or not)
-is decided from the fixed-point quadratic and closed-form coefficient
-criteria, never from boundary sampling.
+row of a (B, 4) stack.  Canonical means divided by the coefficient of
+largest modulus; two maps are equal iff their canonical quadruples agree.
+is_degenerate is the one degeneracy rule: ad - bc numerically zero makes
+a map the constant constant_value.  read_maps is the one reading of a
+stack, for classify, the family constructors and the operator seams: it
+writes each constant v as (0, v, 0, 1).  The classification (interior /
+hyperbolic / parabolic, automorphism or not) is decided from the
+fixed-point quadratic and closed-form criteria, not boundary sampling.
 
 Every coefficient criterion (is_degenerate, is_self_map, sup_modulus,
 is_automorphism, the projective gap, fixed_points, classify, the Cowen
@@ -50,11 +51,6 @@ def canonical(quads: np.ndarray) -> np.ndarray:
     return quads / quads[np.arange(len(quads)), abs(quads).argmax(axis=1)][:, None]
 
 
-def is_constant(quads: np.ndarray) -> np.ndarray:
-    """The rows (0, v, 0, d) of a stack: constant maps (a nondegenerate map has ad - bc != 0)."""
-    return (quads[:, 0] == 0) & (quads[:, 2] == 0)
-
-
 def is_degenerate(m: np.ndarray) -> np.ndarray:
     """|ad - bc| <= _DEGENERATE_TOL scale^2, scale the largest coefficient
     modulus, for each row of a stack: the map is a constant (the zero
@@ -62,6 +58,13 @@ def is_degenerate(m: np.ndarray) -> np.ndarray:
     a, b, c, d = m.T
     scale = abs(m).max(axis=1)
     return (scale == 0.0) | (abs(a * d - b * c) <= _DEGENERATE_TOL * scale * scale)
+
+
+def constant_value(m: np.ndarray) -> np.ndarray:
+    """b/d, a/c where d = 0, INFINITY where c = d = 0: each row of a stack
+    read as a constant, for callers that hold the division warnings."""
+    a, b, c, d = m.T
+    return np.where(d != 0, b / d, np.where(c != 0, a / c, INFINITY))
 
 
 class MapClass(str, Enum):
@@ -90,23 +93,21 @@ class MapClassification:
 def compose_stack(first: np.ndarray, second: np.ndarray):
     """The quadruples of first[b] o second[b] (the 2 x 2 coefficient
     matrices multiplied) for two (B, 4) stacks of maps, a constant v being
-    (0, v, 0, 1), and where the composite is degenerate: a constant, of
-    value b/d where d != 0."""
+    (0, v, 0, 1)."""
     a1, b1, c1, d1 = first.T
     a2, b2, c2, d2 = second.T
-    quads = coefficient_stack(a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
-    return quads, is_degenerate(quads)
+    return coefficient_stack(a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
 
 
 def proj_distance(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """Projective distance between the rows of two (B, 4) stacks: the scaled
     norm of the 2x2 minors for two Mobius maps, which is zero iff their
     quadruples are proportional (the maps are equal); the relative distance
-    of the values for two constants (0, v, 0, d); infinite between a
-    constant and a Mobius map."""
-    one, two = is_constant(m1), is_constant(m2)
+    of the values for two constants; infinite between a constant and a
+    Mobius map."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        v1, v2 = m1[:, 1] / m1[:, 3], m2[:, 1] / m2[:, 3]
+        one, two = is_degenerate(m1), is_degenerate(m2)
+        v1, v2 = constant_value(m1), constant_value(m2)
         values = abs(v1 - v2) / np.maximum(1.0, np.maximum(abs(v1), abs(v2)))
         return np.where(one & two, values, np.where(one | two, np.inf, quadruple_gap(m1, m2)))
 
@@ -129,7 +130,7 @@ def quadruple_gap(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * _sum_sq(minors)) / np.sqrt(_sum_sq(v1) * _sum_sq(v2))
 
 
-def _refuse(refusals) -> None:
+def refuse(refusals) -> None:
     """Raise the refusal of the first offending row of a stack.  refusals
     are (mask, error) pairs in order of precedence, error(i) the exception
     of row i; a row's refusal is the first whose mask holds there."""
@@ -140,18 +141,35 @@ def _refuse(refusals) -> None:
         raise refusals[int(masks[:, row].argmax())][1](row)
 
 
-def _canonical(quads: np.ndarray):
-    """(nonzero, identity, canonical stack, refusals) of a stack: the rows
-    of finite coefficients not all zero, the rows within EQUAL_TOL of the
-    identity, and the refusals of a non-finite and of a zero row."""
+def read_maps(quads: np.ndarray):
+    """(maps, constant, refusals, nonzero, q) of a (B, 4) stack: nonzero
+    marks the rows of finite coefficients not all zero, constant those that
+    is_degenerate marks; maps writes each constant (0, v, 0, 1), v its
+    constant_value, and keeps every other row; q is canonical.  refusals()
+    (a call, which the families skip) lists by precedence a non-finite row,
+    the zero row, a constant off the disk and a non-constant non-self-map."""
+    quads = np.asarray(quads, dtype=complex)
     finite = np.isfinite(quads).all(axis=1)
     nonzero = finite & quads.any(axis=1)
-    q = canonical(quads)
-    refusals = [
-        (~finite, lambda i: ValueError("coefficients must be finite")),
-        (finite & ~nonzero, lambda i: DegenerateMapError("all coefficients vanish")),
-    ]
-    return nonzero, quadruple_gap(q, np.array([IDENTITY])) <= EQUAL_TOL, q, refusals
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = canonical(quads)
+        constant = nonzero & is_degenerate(quads)
+        value = constant_value(quads)
+
+    def refusals():
+        with np.errstate(invalid="ignore", over="ignore"):
+            self_map = is_self_map(q)
+        return [
+            (~finite, lambda i: ValueError("coefficients must be finite")),
+            (finite & ~nonzero, lambda i: DegenerateMapError("all coefficients vanish")),
+            (constant & (abs(value) >= 1.0),
+             lambda i: NotSelfMapError(f"the constant {complex(value[i])} does not map the disk into itself")),
+            (nonzero & ~constant & ~self_map,
+             lambda i: NotSelfMapError(f"{tuple(quads[i].tolist())} is not a self-map of the unit disk")),
+        ]
+
+    maps = np.where(constant[:, None], coefficient_stack(0.0, value, 0.0, 1.0), quads) if constant.any() else quads
+    return maps, constant, refusals, nonzero, q
 
 
 def fixed_points(quads: np.ndarray) -> np.ndarray:
@@ -160,10 +178,10 @@ def fixed_points(quads: np.ndarray) -> np.ndarray:
     canonical quadruple; the linear case (c = 0) fixes infinity as well,
     and only infinity where also d = a (a translation).  Refuses a
     non-finite coefficient, the zero quadruple and the identity."""
-    quads = np.asarray(quads, dtype=complex)
+    _, _, refusals, _, q = read_maps(quads)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _, identity, q, refusals = _canonical(quads)
-        _refuse(refusals + [(identity, lambda i: IdentityMapError("every point of the identity map is fixed"))])
+        identity = quadruple_gap(q, np.array([IDENTITY])) <= EQUAL_TOL
+        refuse(refusals()[:2] + [(identity, lambda i: IdentityMapError("every point of the identity map is fixed"))])
         a, b, c, d = q.T
         disc = (d - a) * (d - a) + 4.0 * c * b
         sq = np.sqrt(disc)
@@ -223,20 +241,17 @@ def classify(quads: np.ndarray) -> List[MapClassification]:
     """Fixed-point classification with Denjoy-Wolff data of each map of a
     stack.
 
-    A degenerate quadruple is the constant b/d (a/c where d = 0), refused
-    off the open disk.  The Denjoy-Wolff point is the interior fixed point
+    The refusals are those of read_maps, then a map with no fixed point in
+    the closed disk.  The Denjoy-Wolff point is the interior fixed point
     when one exists (the first of two), otherwise the boundary fixed point:
     a double one, or the one of smaller |derivative| (the first of equal
     ones).  A boundary point with derivative 1 is parabolic, any other
     hyperbolic.  The criteria read the canonical quadruple.
     """
     quads = np.asarray(quads, dtype=complex)
-    a, b, c, d = quads.T
+    maps, constant, refusals, nonzero, q = read_maps(quads)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        nonzero, identity, q, refusals = _canonical(quads)
-        constant = nonzero & is_degenerate(quads)
-        value = np.where(d != 0, b / d, np.where(c != 0, a / c, INFINITY))
-        identity &= ~constant
+        identity = (quadruple_gap(q, np.array([IDENTITY])) <= EQUAL_TOL) & ~constant
         proper = nonzero & ~constant & ~identity
         points = np.full((len(q), 2), INFINITY)
         points[proper] = fixed_points(quads[proper])  # from the same canonical quadruples
@@ -248,13 +263,8 @@ def classify(quads: np.ndarray) -> List[MapClassification]:
         double = boundary.all(axis=1) & (abs(points[:, 0] - points[:, 1]) <= 10 * BOUNDARY_TOL)
         smaller = abs(derivative[:, 0]) <= abs(derivative[:, 1])
     inside = interior.any(axis=1)
-    _refuse(refusals + [
-        (constant & (abs(value) >= 1.0),
-         lambda i: NotSelfMapError(f"the constant {complex(value[i])} does not map the disk into itself")),
-        (proper & ~is_self_map(q),
-         lambda i: NotSelfMapError(f"{tuple(quads[i].tolist())} is not a self-map of the unit disk")),
-        (proper & ~inside & ~boundary.any(axis=1), lambda i: NotSelfMapError("no fixed point in the closed disk")),
-    ])
+    nowhere = proper & ~inside & ~boundary.any(axis=1)
+    refuse(refusals() + [(nowhere, lambda i: NotSelfMapError("no fixed point in the closed disk"))])
     # the Denjoy-Wolff point: the first interior one, else the double
     # boundary one, else the boundary one of smaller |derivative|
     second = boundary[:, 1] & ~(boundary[:, 0] & smaller)
@@ -269,7 +279,7 @@ def classify(quads: np.ndarray) -> List[MapClassification]:
         (MapClass.PARABOLIC_NON_AUTOMORPHISM, MapClass.PARABOLIC_AUTOMORPHISM),
         (MapClass.HYPERBOLIC_NON_AUTOMORPHISM, MapClass.HYPERBOLIC_AUTOMORPHISM),
     )
-    points = np.where(constant, value, zeta).tolist()
+    points = np.where(constant, maps[:, 1], zeta).tolist()
     slopes = np.where(constant, 0.0j, np.where(identity, 1.0 + 0.0j, slope)).tolist()
     return [
         MapClassification(names[k][flag], None if k == 1 else p, s, flag)

@@ -9,13 +9,13 @@ operator is the matrix U of x -> U conj(x).  N is capped at MAX_DIM = 1024,
 checked before any N x N array is allocated.
 
 Column j of W is psi phi^j.  The kernels read phi only as its coefficients
-(a, b, c, d) of (az + b)/(cz + d), and a constant map z -> v as
-(0, v, 0, 1).  Every part of W that a residual reads is built by one
-doubling kernel, _double, which fills run[m] = run[m - 1] @ step from
-run[0] in about log2 of the run's length products: the first k rows
-and the leading block with the transposed Toeplitz matrix of phi as the
-step, the first k columns (_strip) with the (k+1)-wide step of their row
-recurrence.
+(a, b, c, d) of (az + b)/(cz + d), read by mobius.read_maps as classify
+reads them: a constant z -> v is (0, v, 0, 1).  Every part of W that a
+residual reads is built by one doubling kernel, _double, which fills
+run[m] = run[m - 1] @ step from run[0] in about log2 of the run's length
+products: the first k rows and the leading block with the transposed
+Toeplitz matrix of phi as the step, the first k columns (_strip) with
+the (k+1)-wide step of their row recurrence.
 
 Residuals are always measured on a leading k x k block with k + 32 <= N:
 truncation corrupts the trailing rows and columns of products, and the
@@ -65,11 +65,13 @@ from .errors import (
     SymbolPoleError,
 )
 from .mobius import (
+    BOUNDARY_TOL,
     canonical,
     coefficient_stack,
     cowen_stack,
-    is_constant,
     is_self_map,
+    read_maps,
+    refuse,
 )
 from .series import poles, quotient_series
 
@@ -115,18 +117,18 @@ def _check_conjugations(kind: str, lam: np.ndarray, alpha: np.ndarray):
     above; each check is phrased so that NaN fails it."""
     if kind not in ("J", "C1", "C2"):
         raise BadParameterDomainError(f"unknown conjugation kind {kind!r}")
-    if kind != "J" and not (abs(abs(lam) - 1.0) <= 1e-12).all():
+    if kind != "J" and not (abs(abs(lam) - 1.0) <= BOUNDARY_TOL).all():
         raise BadParameterDomainError("|lam| must equal 1")
-    if kind == "C1" and not (abs(abs(alpha) - 1.0) <= 1e-12).all():
+    if kind == "C1" and not (abs(abs(alpha) - 1.0) <= BOUNDARY_TOL).all():
         raise BadParameterDomainError("C1 needs |alpha| = 1")
     if kind == "C2" and not ((0.0 < abs(alpha)) & (abs(alpha) < 1.0)).all():
         raise BadParameterDomainError("C2 needs 0 < |alpha| < 1")
 
 
 def _checked_series(psi: np.ndarray, phi: np.ndarray, n: int):
-    """Every refusal of the seams for a stack of weights psi (B, 4) and
-    maps phi (B, 4), non-finite coefficients first, then the (B, n)
-    expansions of both, which refuse a pole at 0."""
+    """Every refusal of the seams for weights psi and maps phi (B, 4), in
+    order non-finite, a weight pole, read_maps's; then the (B, n) expansions
+    of both, which refuse a pole at 0, and phi as read_maps writes it."""
     _check_dim(n)
     if not (np.isfinite(psi).all() and np.isfinite(phi).all()):
         raise ValueError("coefficients must be finite")
@@ -134,13 +136,10 @@ def _checked_series(psi: np.ndarray, phi: np.ndarray, n: int):
     inside = abs(pole) <= _POLE_GUARD
     if inside.any():
         raise SymbolPoleError(f"weight pole at {pole[inside][0]} not outside the closed disk")
-    constant = is_constant(phi)
-    if constant.any() and (constant & (abs(phi[:, 1]) >= abs(phi[:, 3]))).any():
-        raise NotSelfMapError("constant map value must lie inside the disk")
-    if (~constant & ~is_self_map(phi)).any():
-        raise NotSelfMapError("composition symbol is not a self-map")
+    phi, _, refusals, *_ = read_maps(phi)
+    refuse(refusals())
     series = quotient_series(np.concatenate([psi, phi[:, [1, 0, 3, 2]]]), n)
-    return series[:len(psi)], series[len(psi):]
+    return series[:len(psi)], series[len(psi):], phi
 
 
 def _prepare(psi: np.ndarray, phi: np.ndarray, n: int, k: int, strip: bool = True):
@@ -148,7 +147,7 @@ def _prepare(psi: np.ndarray, phi: np.ndarray, n: int, k: int, strip: bool = Tru
     (B, 4), then what the doubling of its first k rows (_rectangle) and,
     with strip, of its first k columns (_strip) read of each draw: O(n + k)
     numbers a draw, the Toeplitz matrices being views."""
-    psi_s, phi_s = _checked_series(psi, phi, n)
+    psi_s, phi_s, phi = _checked_series(psi, phi, n)
     _check_block(n, k)
     rows = psi_s[:, :k], _toeplitz(phi_s[:, :k]).swapaxes(1, 2)
     return rows, (_strip_parts(psi, psi_s, phi, k) if strip else None)
@@ -309,7 +308,7 @@ def conjugation_matrix(c: Conjugation, n: int) -> np.ndarray:
     if c.kind == "C1":
         return np.diag(c.lam * c.alpha ** np.arange(n))
     psi, phi = _c2_symbols(np.array([c.lam]), np.array([c.alpha]))
-    psi_s, _ = _checked_series(psi, phi, n)
+    psi_s, _, phi = _checked_series(psi, phi, n)
     return _mobius_recurrence(psi_s[0], phi[0])
 
 
@@ -399,8 +398,8 @@ def wco_residual_stack(
     normality: bool = True,
 ) -> Dict[str, np.ndarray]:
     """For each draw of a stack of weights psi (B, 4) = (n0, n1, d0, d1)
-    and maps phi (B, 4) = (a, b, c, d), a constant map v as (0, v, 0, 1):
-    the normality defect || T*T - TT* || (unless normality is False) and,
+    and maps phi (B, 4) = (a, b, c, d), read by mobius.read_maps: the
+    normality defect || T*T - TT* || (unless normality is False) and,
     given a conjugation kind with its lam and alpha arrays (B,), the
     symmetry defect || U conj(T) - T^H U || = || CW - W*C ||, which
     vanishes iff T is C-symmetric, of the n-truncation T of W, both on the
@@ -472,25 +471,25 @@ def adjoint_factorization_stack(phi: np.ndarray, n: int, k: int) -> List[np.ndar
     || (C_phi)^H - M_g C_sigma (M_h)^H || on the leading block.
 
     M_g is lower triangular and M_h* upper triangular, so only the four
-    k x k blocks (k-truncations, refused and expanded as at dimension n)
-    reach it; it holds to rounding for the correct sign.  The correct sigma
-    is refused unless it is a self-map (for a self-map phi it always is);
-    the flipped-sign sigma need not be one, and its block is built without
-    that check so the wrong convention can be exhibited failing.
-    verify.measure evaluates both signs of a suite's maps at once.
+    k x k blocks (k-truncations, expanded as at dimension n) reach it; it
+    holds to rounding for the correct sign.  phi is read by read_maps, and
+    the correct sigma is refused unless it is a self-map (for a self-map
+    phi it always is); the flipped-sign sigma need not be one, and its
+    block is built without that check so the wrong convention can be
+    exhibited failing (inf where it overflows the norm).  verify.measure
+    evaluates both signs of a suite's maps at once.
     """
 
     def prepare(piece):
-        maps = phi[piece]
-        if not is_self_map(maps).all():
-            raise NotSelfMapError("factorization residual needs a self-map")
+        maps, _, refusals, *_ = read_maps(phi[piece])
+        refuse(refusals())
         stacks = [cowen_stack(maps, sign) for sign in (-1, 1)]
         if not is_self_map(stacks[0][1]).all():
             raise NotSelfMapError("sigma is not a self-map")
         (g, _, h), count = stacks[0], len(maps)
         series = quotient_series(np.concatenate([maps, *(sigma for _, sigma, _ in stacks)])[:, [1, 0, 3, 2]], n)
         identity = np.tile(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex), (2 * count, 1))
-        weights, identities = _checked_series(np.concatenate([g, h]), identity, n)
+        weights, identities, _ = _checked_series(np.concatenate([g, h]), identity, n)
         # the blocks of C_phi and of each C_sigma (the series of 1 times phi^j), then of M_g and M_h
         ones = np.eye(1, k, dtype=complex).repeat(len(series), axis=0)
         compositions = ones.reshape(-1, count, k), _toeplitz(series[:, :k]).swapaxes(1, 2).reshape(-1, count, k, k)
@@ -499,7 +498,10 @@ def adjoint_factorization_stack(phi: np.ndarray, n: int, k: int) -> List[np.ndar
         def evaluate(chunk):
             (c_phi, *c_sigmas), (m_g, m_h) = (_rectangle(rows, (slice(None), chunk), k) for rows in (compositions, factors))
             c_phi_h, m_h_h = c_phi.conj().swapaxes(1, 2), m_h.conj().swapaxes(1, 2)
-            return [_norms(c_phi_h - (m_g @ c_sigma) @ m_h_h) for c_sigma in c_sigmas]
+            correct, flipped = (c_phi_h - (m_g @ c_sigma) @ m_h_h for c_sigma in c_sigmas)
+            with np.errstate(over="ignore"):  # a flipped sigma that is no self-map may overflow to inf
+                flipped = _norms(flipped)
+            return [_norms(correct), flipped]
 
         return evaluate
 

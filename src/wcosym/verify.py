@@ -63,7 +63,7 @@ from .mobius import (
     classify,
     coefficient_stack as _stack,
     is_automorphism,
-    is_constant,
+    is_degenerate,
     is_self_map,
     lft_normality_defects,
     proj_distance,
@@ -308,7 +308,7 @@ def draw_prop22(rng, cfg: SuiteConfig, idx):
     real = fam.j_quadruples(rng.uniform(-0.5, 0.5, n), rng.uniform(-0.55, 0.55, n))[1]
     parabolic = fam.parabolic_j_quadruples(_parabolic_j_arc(rng, n, 1), 1)[1]
     phi = np.choose(kind[:, None], (generic, automorphism, real, parabolic))
-    return ~is_constant(phi) & is_self_map(phi) & ((kind != 0) | (sup_modulus(phi) <= 0.9)), {"phi": phi}
+    return ~is_degenerate(phi) & is_self_map(phi) & ((kind != 0) | (sup_modulus(phi) <= 0.9)), {"phi": phi}
 
 
 def suite_prop22_commutation(cfg: SuiteConfig, d) -> List[SampleRecord]:
@@ -349,7 +349,7 @@ def suite_conjugation_axioms(cfg: SuiteConfig, d) -> List[SampleRecord]:
 
 def _usable(phi: np.ndarray) -> np.ndarray:
     """A constant map or a self-map: the symmetric forms' acceptance."""
-    return is_constant(phi) | is_self_map(phi)
+    return is_degenerate(phi) | is_self_map(phi)
 
 
 def _perturbed(psi: np.ndarray) -> np.ndarray:
@@ -397,7 +397,7 @@ def _c2_usable(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """A strict self-map whose weight pole stays well outside the closed
     disk: phi not constant, sup |phi| <= 0.9 (which rejects every
     non-self-map) and |pole of psi| >= 1.8."""
-    return ~is_constant(phi) & (sup_modulus(phi) <= 0.9) & (abs(poles(psi)) >= 1.8)
+    return ~is_degenerate(phi) & (sup_modulus(phi) <= 0.9) & (abs(poles(psi)) >= 1.8)
 
 
 def _c2_candidates(alpha, t, u):
@@ -443,7 +443,7 @@ def draw_lemma31(rng, cfg: SuiteConfig, idx):
     a0 = np.where(even, g.conjugate(), _annulus(rng, count, 0.6, 0.05))
     a1 = np.where(even, g.conjugate() * (abs(g) ** 2 - 1.0) / g, _annulus(rng, count, 0.6))
     phi = fam.j_quadruples(a0, a1)[1]
-    keep = even | ~(is_constant(phi) | is_automorphism(phi))
+    keep = even | ~(is_degenerate(phi) | is_automorphism(phi))
     return keep, {"even": even, "gamma": g, "a0": a0, "a1": a1, "phi": phi}
 
 
@@ -469,7 +469,7 @@ def draw_lemma32(rng, cfg: SuiteConfig, idx):
     c0 = np.where(even, g.conjugate() / alpha, _annulus(rng, count, 0.6, 0.05))
     c1 = np.where(even, (abs(g) ** 2 - 1.0) * g.conjugate() / (g * alpha), _annulus(rng, count, 0.6))
     phi = fam.c1_quadruples(alpha, c0, c1)[1]
-    keep = even | ~(is_constant(phi) | is_automorphism(phi))
+    keep = even | ~(is_degenerate(phi) | is_automorphism(phi))
     return keep, {"even": even, "gamma": g, "alpha": alpha, "c0": c0, "c1": c1}
 
 
@@ -527,7 +527,7 @@ def draw_prop41(rng, cfg: SuiteConfig, idx):
     a1 = np.where(even, (rng.uniform(-0.6, 0.6, count) + 1j * y) * a0, _annulus(rng, count, 0.7, 0.02))
     expression = fam.j_normal_expression(a0, a1)
     psi, phi = fam.j_quadruples(a0, a1)
-    keep = np.where(even, abs(a1) <= 0.7, abs(expression) >= 1e-3) & ~is_constant(phi) & is_self_map(phi)
+    keep = np.where(even, abs(a1) <= 0.7, abs(expression) >= 1e-3) & ~is_degenerate(phi) & is_self_map(phi)
     return keep, {"a0": a0, "a1": a1, "expression": expression, "psi": psi, "phi": phi}
 
 
@@ -549,7 +549,7 @@ def draw_thm51(rng, cfg: SuiteConfig, idx):
     expression = fam.c1_normal_expression(alpha, c0, c1)
     on_locus = (abs(c1) <= 0.7) & (abs(c1) >= 1e-3) & (abs(expression) <= 1e-12)
     psi, phi = fam.c1_quadruples(alpha, c0, c1)
-    keep = np.where(even, on_locus, abs(expression) >= 1e-3) & ~is_constant(phi) & is_self_map(phi)
+    keep = np.where(even, on_locus, abs(expression) >= 1e-3) & ~is_degenerate(phi) & is_self_map(phi)
     return keep, {"alpha": alpha, "c0": c0, "c1": c1, "expression": expression, "psi": psi, "phi": phi}
 
 
@@ -610,7 +610,7 @@ def suite_thm61_consistency(cfg: SuiteConfig, d) -> List[SampleRecord]:
     al = d.alpha
     lft = lft_oracle(_stack(-w, al * u, -al.conjugate() * t, al.conjugate() * v), cfg.pred_tol)
     psi, phi = fam.c2_quadruples(params)
-    usable = (d.kind >= 2) & ~is_constant(phi) & is_self_map(phi) & (abs(poles(psi)) > 1.5)
+    usable = (d.kind >= 2) & ~is_degenerate(phi) & is_self_map(phi) & (abs(poles(psi)) > 1.5)
     rows = np.flatnonzero(usable)
     normality = dict(zip(rows.tolist(), measure(cfg, Probe(psi[rows], phi[rows]))["normality"].tolist()))
     records = []
@@ -854,7 +854,7 @@ def draw_ex63(rng, cfg: SuiteConfig, idx):
     t = 0.05 * _annulus(rng, count, 1.0, 0.3)
     params = fam.C2Params.from_c0_squared(alpha, (c1 + rho * t) / alpha.conjugate(), c1, c1 - t)
     psi, phi = fam.c2_quadruples(params)
-    return ~is_constant(phi) & is_self_map(phi), {**_params_columns(params), "psi": psi, "phi": phi}
+    return ~is_degenerate(phi) & is_self_map(phi), {**_params_columns(params), "psi": psi, "phi": phi}
 
 
 def suite_ex63_parabolic(cfg: SuiteConfig, d) -> List[SampleRecord]:

@@ -1,6 +1,7 @@
 import numpy as np
 from hypothesis import HealthCheck, settings
 
+from wcosym.cli import REPORT_SCHEMA
 from wcosym.mobius import cowen_stack, quadruple_gap
 from wcosym.series import quotient_series
 
@@ -80,3 +81,27 @@ def symmetry_defect(t, u, k):
     """|| U conj(T) - T^H U || on the leading k x k block of whole matrices
     T and U: for the conjugation x -> U conj(x), zero iff T is C-symmetric."""
     return np.linalg.norm(u[:k] @ t[:, :k].conj() - t[:, :k].conj().T @ u[:, :k])
+
+
+def validate_report_dict(doc):
+    """The problems of a report document against REPORT_SCHEMA, the schema
+    that `wcosym --print-schema` prints: a structural check."""
+    problems = []
+    for key in REPORT_SCHEMA["properties"]["config"]["required"]:
+        if key not in doc.get("config", {}):
+            problems.append(f"config missing {key}")
+    for key in REPORT_SCHEMA["required"]:
+        if key not in doc:
+            problems.append(f"missing top-level {key}")
+    for rec in doc.get("records", []):
+        for key in REPORT_SCHEMA["properties"]["records"]["items"]["required"]:
+            if key not in rec:
+                problems.append(f"record {rec.get('index')} missing {key}")
+        if rec.get("verdict") not in ("pass", "fail", "inconclusive", "discrepancy"):
+            problems.append(f"record {rec.get('index')} bad verdict {rec.get('verdict')!r}")
+    summary = doc.get("summary", {})
+    if summary:
+        counted = sum(summary.get(k, 0) for k in ("pass", "fail", "inconclusive", "discrepancy"))
+        if counted != summary.get("total"):
+            problems.append("summary counts do not sum to total")
+    return problems

@@ -12,10 +12,11 @@ from wcosym.cli import (
     format_complex,
     main,
     parse_complex,
-    validate_report_dict,
 )
 from wcosym.errors import CliParseError, DomainViolationError
 from wcosym.verify import SUITES
+
+from conftest import validate_report_dict
 
 
 class TestComplexLiterals:
@@ -176,6 +177,17 @@ class TestCheckCommand:
         doc = json.loads(capsys.readouterr().out)
         assert {"involution", "isometry"} <= set(doc["residuals"])
         assert doc["note"].startswith("operator truncation unavailable")
+
+    def test_c1_alpha_the_family_accepts_is_a_conjugation(self, capsys):
+        # |alpha| - 1 = 1e-10: C1Params and the C1 conjugation share one
+        # unimodularity tolerance, so the check runs to a verdict
+        alpha = "0.7648421873609728+0.6442176873021128i"
+        assert main(["check", "--family", "c1", "--alpha", alpha, "--c0", "0.3", "--c1", "0.2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["residuals"]["symmetry"] <= 1e-9 and doc["verdict"] == "pass"
+        # past the tolerance the family refuses alpha before any conjugation is built
+        assert main(["check", "--family", "c1", "--alpha", "0.76485+0.64422i", "--c0", "0.3", "--c1", "0.2"]) == 2
+        assert "alpha must be unimodular" in capsys.readouterr().err
 
     def test_conjugation_override(self, capsys):
         # a J-family member tested against a C2 conjugation: a true

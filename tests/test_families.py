@@ -30,6 +30,7 @@ from wcosym.families import (
     c2_normality_terms,
     c2_parabolic_dw_point,
     c2_parabolic_predicate,
+    c2_params_from_tuv,
     c2_quadruple,
     c2_quadruples,
     disk_form_quadruples,
@@ -45,6 +46,7 @@ from wcosym.mobius import (
     IDENTITY,
     MapClass,
     classify,
+    is_degenerate,
     is_self_map,
     proj_distance,
 )
@@ -319,6 +321,37 @@ class TestAutForms:
         assert name == "DiskForm"
         assert abs(gamma - g) <= 1e-9
         assert proj_distance(disk_form_quadruples(beta, gamma), j_quadruples(a0, a1)[1])[0] <= 1e-12
+
+
+DISK = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(DISK, DISK, st.booleans()), min_size=1, max_size=5),
+       st.complex_numbers(min_magnitude=0.05, max_magnitude=0.9, allow_nan=False, allow_infinity=False))
+def test_constructors_write_each_degenerate_row_as_its_constant(draws, alpha):
+    # rows made degenerate (c1 = 0, delta = 0, W V = alpha U T) among generic
+    # ones: each constructor writes every row that is_degenerate marks as
+    # (0, v, 0, 1), v the constant read off the quadruple, and makes every
+    # other row canonical
+    z, w, degenerate = (np.array(column) for column in zip(*draws))
+    v = 0.5 + 0.4 * z  # C2: V, bounded away from 0; U from the degeneracy relation where forced
+    u = np.where(degenerate, v * (alpha.conjugate() * v - w) / (v - alpha * w), z + w)
+    params = c2_params_from_tuv(alpha, w, u, v)
+    zero_where_forced = np.where(degenerate, 0.0, w)
+    cases = {
+        "c1": (c1_quadruples(alpha / abs(alpha), z, zero_where_forced)[1], z),
+        "interior": (interior_quadruples(z, zero_where_forced)[1], z),
+        "interior-closed": (interior_closed_quadruples(z, zero_where_forced), z),
+        "c2": (c2_quadruples(params)[1], alpha * u / (alpha.conjugate() * v)),
+    }
+    for name, (maps, value) in cases.items():
+        marked = is_degenerate(maps)
+        assert marked[degenerate].all(), name
+        constants = maps[marked]
+        assert (constants[:, [0, 2, 3]] == (0, 0, 1)).all(), name
+        assert np.allclose(constants[:, 1], value[marked], rtol=1e-12, atol=1e-12), name
+        assert np.allclose(abs(maps[~marked]).max(axis=1), 1.0), name
 
 
 class TestParabolicConstructors:

@@ -67,8 +67,8 @@ def test_nonfinite_coefficient_rejected(form, slot, bad):
 
 def composite(first, second):
     """compose_stack of two maps: the composite's quadruple and whether it is degenerate."""
-    quads, degenerate = compose_stack(np.array([first], dtype=complex), np.array([second], dtype=complex))
-    return quads[0], degenerate[0]
+    quads = compose_stack(np.array([first], dtype=complex), np.array([second], dtype=complex))
+    return quads[0], is_degenerate(quads)[0]
 
 
 def value(m, z):
@@ -143,8 +143,8 @@ class TestCompose:
         if is_degenerate(stack(*maps)).any():
             return
         maps = [canonical(stack(m)) for m in maps]
-        left = compose_stack(compose_stack(maps[0], maps[1])[0], maps[2])[0]
-        right = compose_stack(maps[0], compose_stack(maps[1], maps[2])[0])[0]
+        left = compose_stack(compose_stack(maps[0], maps[1]), maps[2])
+        right = compose_stack(maps[0], compose_stack(maps[1], maps[2]))
         assert proj_distance(left, right)[0] < 1e-12
 
 

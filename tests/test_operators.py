@@ -11,6 +11,7 @@ from wcosym import families as fam
 from wcosym.errors import (
     BadParameterDomainError,
     BlockTooLargeError,
+    DegenerateMapError,
     NotSelfMapError,
     PoleAtOriginError,
     SymbolPoleError,
@@ -152,9 +153,25 @@ class TestBuildWco:
     # the id is the one this case had beside two other degenerate maps
     @pytest.mark.parametrize("phi", [pytest.param((0, 0, 0, 0), id="phi2")])
     def test_degenerate_map_guard(self, phi):
-        # the zero quadruple reads as the constant 0 / 0, not inside the disk
-        with pytest.raises(NotSelfMapError):
+        # the zero quadruple is refused as classify refuses it
+        with pytest.raises(DegenerateMapError, match="^all coefficients vanish$"):
             one_draw(ONE, phi, 48, 16)
+
+    def test_constant_off_the_disk_refused_as_classify_refuses_it(self):
+        # (1, 2, 1, 2) has ad - bc = 0: the constant 1, which no seam takes
+        with pytest.raises(NotSelfMapError) as by_classify:
+            classify(np.array([(1, 2, 1, 2)], dtype=complex))
+        for seam in (lambda: one_draw(ONE, (1, 2, 1, 2), 48, 16), lambda: one_factorization((1, 2, 1, 2), 48, 16)):
+            with pytest.raises(NotSelfMapError) as by_seam:
+                seam()
+            assert str(by_seam.value) == str(by_classify.value) == "the constant (1+0j) does not map the disk into itself"
+
+    def test_degenerate_map_read_as_its_constant(self):
+        # (0.5, 0.25, 2, 1) has ad - bc = 0: the constant 0.25, bit for bit
+        for conj in (None, Conjugation("J"), Conjugation("C1", 1j, -1), Conjugation("C2", 1.0, 0.3 + 0.2j)):
+            assert one_draw(ONE, (0.5, 0.25, 2, 1), 48, 16, conj) == one_draw(ONE, (0, 0.25, 0, 1), 48, 16, conj)
+        for sign in (-1, 1):
+            assert one_factorization((0.5, 0.25, 2, 1), 48, 16, sign) == one_factorization((0, 0.25, 0, 1), 48, 16, sign)
 
     @pytest.mark.parametrize("n", [0, 1025])
     def test_dimension_cap(self, n):
@@ -179,18 +196,50 @@ class TestBuildWco:
 
 def test_constant_maps_are_read_in_one_place():
     # the kernels read phi only as its coefficients (a, b, c, d), a constant
-    # map v as (0, v, 0, 1): no operators code tests for a type, only
-    # _checked_series reads the constant rows, to refuse |v| >= 1
-    tree = ast.parse(pathlib.Path(operators.__file__).read_text())
+    # map v as (0, v, 0, 1): no operators or families code tests for a type
+    # or a degeneracy, or computes a constant's value; the seams and the
+    # family constructors read a map stack with mobius.read_maps alone
     found = collections.Counter()
-    for top in tree.body:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in (
-                    "isinstance", "is_constant"):
-                found[getattr(top, "name", "<module>"), node.func.id] += 1
-    assert found == {("_checked_series", "is_constant"): 1}
+    for module in (operators, fam):
+        for top in ast.parse(pathlib.Path(module.__file__).read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in (
+                        "isinstance", "is_degenerate", "constant_value", "read_maps"):
+                    found[getattr(top, "name", "<module>"), node.func.id] += 1
+    assert found == {("_checked_series", "read_maps"): 1, ("adjoint_factorization_stack", "read_maps"): 1,
+                     ("_maps", "read_maps"): 1}
     (cls,) = classify(np.array([(0, 0.3 - 0.4j, 0, 1)]))
     assert (cls.map_class, cls.dw_point) == (MapClass.CONSTANT, 0.3 - 0.4j)
+
+
+COEFFICIENT = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+SCALE = st.floats(1e-3, 1e3)
+# s (a, b, c, 1), full rank but for measure zero, and the scaled rank-one
+# matrix s u v^T, the constant u0 / u1
+FULL_RANK = st.builds(lambda a, b, c, s: (s * a, s * b, s * c, s), COEFFICIENT, COEFFICIENT, COEFFICIENT, SCALE)
+RANK_ONE = st.builds(lambda u0, u1, v0, v1, s: (s * u0 * v0, s * u0 * v1, s * u1 * v0, s * u1 * v1),
+                     COEFFICIENT, COEFFICIENT, COEFFICIENT, COEFFICIENT, SCALE)
+
+
+def refusal(call):
+    """None, or the type and the message of the refusal that call raises."""
+    try:
+        call()
+    except WcoError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(FULL_RANK, RANK_ONE), min_size=1, max_size=5))
+def test_seams_refuse_what_classify_refuses(rows):
+    # each row alone, then the whole stack: the seams take a stack iff
+    # classify does, and refuse it with classify's refusal
+    maps = np.array(rows, dtype=complex)
+    weights = np.tile(np.array([ONE], dtype=complex), (len(maps), 1))
+    for quads in [maps[i:i + 1] for i in range(len(maps))] + [maps]:
+        expected = refusal(lambda: classify(quads))
+        assert refusal(lambda: wco_residual_stack(weights[:len(quads)], quads, 48, 16)) == expected
+        assert refusal(lambda: adjoint_factorization_stack(quads, 48, 16)) == expected
 
 
 # (weight, map) pairs across the decay regimes the suites draw from

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from wcosym import operators, verify
-from wcosym.cli import main, report_to_json, validate_report_dict, report_to_dict
+from wcosym.cli import main, report_to_json, report_to_dict
 from wcosym.errors import SamplingBudgetError, UnknownSuiteError, WcoError
 from wcosym.families import (
     C1Params,
@@ -25,7 +25,7 @@ from wcosym.families import (
 from wcosym import families as fam
 from wcosym.mobius import (
     is_automorphism,
-    is_constant,
+    is_degenerate,
     is_self_map,
     proj_distance,
     quadruple_gap,
@@ -50,6 +50,8 @@ from wcosym.verify import (
     default_config,
     run_suite,
 )
+
+from conftest import validate_report_dict
 
 
 def clean(report):
@@ -273,11 +275,6 @@ def test_band_rule_has_one_caller():
     assert _callers({"SampleRecord"}) == {("verify", "_record")}
 
 
-# the report validator: the tests check reports with it, so it stays
-# although nothing in the package calls it
-REFERENCE_API = {("cli", "validate_report_dict")}
-
-
 def _identifiers(node):
     """Every name and attribute name read under node."""
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
@@ -303,9 +300,8 @@ def test_every_public_definition_has_a_user():
             if not isinstance(top, (ast.Import, ast.ImportFrom)):
                 for identifier in _identifiers(top):
                     users[identifier].add((path.stem, name))
-    assert REFERENCE_API <= set(public)
     unused = {(module, name) for module, name in public if not users[name] - {(module, name)} and name not in outside}
-    assert sorted(unused - REFERENCE_API) == []
+    assert sorted(unused) == []
 
 
 @pytest.mark.parametrize("normal, band", [(True, "pass"), (False, "fail"), (None, "band")])
@@ -782,7 +778,7 @@ def test_c2_sampler_rejects_by_each_rule():
     assert verify._c2_usable(psi, phi).tolist() == [kept for _, _, kept in cases.values()]
     keep, _, psi, phi = verify._draw_c2_selfmap(np.random.default_rng(3), 2000)
     assert 0 < keep.sum() < 2000
-    assert np.all(keep == (~is_constant(phi) & (sup_modulus(phi) <= 0.9) & (abs(poles(psi)) >= 1.8)))
+    assert np.all(keep == (~is_degenerate(phi) & (sup_modulus(phi) <= 0.9) & (abs(poles(psi)) >= 1.8)))
     assert np.all(is_self_map(phi[keep]))
 
 
@@ -792,7 +788,7 @@ def test_symmetric_form_samplers_keep_constants_and_self_maps(family):
     # are kept, a non-self-map is rejected
     c0, c1 = np.array([0.3, 0.3, 0.6]), np.array([0.0, 0.2, 0.9])  # phi(1) = 2.85 in the last
     quads = fam.j_quadruples(c0, c1) if family == "j" else fam.c1_quadruples(1.0, c0, c1)
-    assert is_constant(quads[1]).tolist() == [True, False, False]
+    assert is_degenerate(quads[1]).tolist() == [True, False, False]
     assert verify._usable(quads[1]).tolist() == [True, True, False]
     draw = verify.draw_jsym if family == "j" else verify.draw_c1sym
     keep, drawn = draw(np.random.default_rng(4), SuiteConfig(), np.arange(2000))
@@ -818,7 +814,7 @@ def _mixed_probes(rng):
     for kind, alpha in alphas.items():
         probes += [Probe(psi, phi, kind, lam, alpha, normality) for normality in (True, False)]
         probes.append(Probe(kind=kind, lam=lam, alpha=alpha))
-    mobius = ~is_constant(phi)
+    mobius = ~is_degenerate(phi)
     probes.append(Probe(phi=phi[mobius]))
     return [_rows_of(probe, rng.permutation(_count(probe))) for probe in probes]
 
