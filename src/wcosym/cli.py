@@ -13,7 +13,6 @@ import io
 import json
 import math
 import pathlib
-import re
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -77,32 +76,14 @@ REPORT_SCHEMA = {
     },
 }
 
-_NUM = r"(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?"
-_RE_REAL = re.compile(rf"^\s*(?P<re>[+-]?{_NUM})\s*$")
-_RE_IMAG = re.compile(rf"^\s*(?P<sign>[+-])?(?P<mag>{_NUM})?[ij]\s*$")
-_RE_BOTH = re.compile(
-    rf"^\s*(?P<re>[+-]?{_NUM})(?P<sign>[+-])(?P<mag>{_NUM})?[ij]\s*$"
-)
-
 
 def parse_complex(text: str) -> complex:
-    """Parse the literal grammar a+bi / a-bi / a / bi (j accepted for i)."""
-    m = _RE_REAL.match(text)
-    if m:
-        value = complex(float(m.group("re")), 0.0)
-    else:
-        m = _RE_IMAG.match(text)
-        if m:
-            mag = float(m.group("mag")) if m.group("mag") else 1.0
-            value = complex(0.0, -mag if m.group("sign") == "-" else mag)
-        else:
-            m = _RE_BOTH.match(text)
-            if not m:
-                raise CliParseError(f"cannot parse complex literal {text!r}")
-            mag = float(m.group("mag")) if m.group("mag") else 1.0
-            value = complex(
-                float(m.group("re")), -mag if m.group("sign") == "-" else mag
-            )
+    """Parse a complex literal in Python's grammar, with i or j as the
+    imaginary unit (a+bi, a-bi, a, bi); refuse a non-finite value."""
+    try:
+        value = complex(text.replace("i", "j"))
+    except ValueError:
+        raise CliParseError(f"cannot parse complex literal {text!r}") from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise CliParseError(f"non-finite complex literal {text!r}")
     return value

@@ -90,10 +90,10 @@ class C2Params:
             raise DegenerateSymbolError("c0^2 - alpha c1 must not vanish")
 
     @classmethod
-    def from_c0_squared(cls, alpha, c0_squared, c1, c2, d=1.0) -> "C2Params":
+    def from_c0_squared(cls, alpha, c0_squared, c1, c2) -> "C2Params":
         """Principal square root of c0^2; both roots give the same symbols
         since c0 enters only through its square."""
-        return cls(alpha, np.sqrt(c0_squared + 0j), c1, c2, d)
+        return cls(alpha, np.sqrt(c0_squared + 0j), c1, c2)
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,7 @@ def interior_closed_quadruples(p, delta) -> np.ndarray:
     return _maps(_stack(delta - p2, p * (1.0 - delta), pc * (delta - 1.0), 1.0 - p2 * delta))
 
 
-def parabolic_j_quadruples(a0, branch, d=1.0):
+def parabolic_j_quadruples(a0, branch):
     """Coefficient-conjugation-symmetric parabolic family.
 
     branch +1 needs Im a0 = |a0|^2 (fixed point 1); branch -1 needs
@@ -252,7 +252,7 @@ def parabolic_j_quadruples(a0, branch, d=1.0):
     double fixed point at the branch sign with derivative 1; it is a
     self-map only when additionally branch * Re a0 >= |a0|^2.
     """
-    a0, branch, d = _arrays(a0, branch, d)
+    a0, branch = _arrays(a0, branch)
     if (a0 == 0).any():
         raise BranchConditionError("a0 must be nonzero")
     if ((branch != 1) & (branch != -1)).any():
@@ -260,7 +260,7 @@ def parabolic_j_quadruples(a0, branch, d=1.0):
     if (abs(a0.imag - branch.real * abs(a0) ** 2) > PRED_TOL).any():
         raise BranchConditionError(f"need Im a0 = branch |a0|^2, got a0 = {a0}, branch = {branch.real}")
     _in_disk(a0, "a0")
-    return _stack(d, 0.0, 1.0, -a0), canonical(_stack(1.0 - 2.0 * branch * a0, a0, -a0, 1.0))
+    return _stack(1.0, 0.0, 1.0, -a0), canonical(_stack(1.0 - 2.0 * branch * a0, a0, -a0, 1.0))
 
 
 def c1_parabolic_quadruples(zeta, c0, c1):
@@ -400,12 +400,10 @@ def c2_parabolic_predicate(params: C2Params, tol: float = PRED_TOL) -> bool:
     al = params.alpha
     if np.any(abs(t) == 0.0):
         raise DegenerateSymbolError("c1 = c2 degenerates the parabolic relation")
-    s = w + al.conjugate() * v
-    lhs = s ** 2
+    lhs = (w + al.conjugate() * v) ** 2
     rhs = 4.0 * abs(al) ** 2 * t * u
     discriminant = abs(lhs - rhs) <= tol * np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
-    zeta = s / (2.0 * al.conjugate() * t)
-    return discriminant & (abs(abs(zeta) - 1.0) <= 1e-8)
+    return discriminant & (abs(abs(c2_parabolic_dw_point(params)) - 1.0) <= 1e-8)
 
 
 def c2_parabolic_dw_point(params: C2Params) -> complex:
@@ -509,7 +507,7 @@ def c2_aut_forms(params: C2Params):
     identity = (abs(t) <= REBUILD_TOL * scale) & (abs(u) <= REBUILD_TOL * scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = al * u / w
-        beta = (abs(al) ** 2 - al * gamma.conjugate()) / (al.conjugate() * gamma - abs(al) ** 2)
+        beta = c2_aut_beta(al, gamma)
     phi = c2_quadruples(params)[1]
     names = _disk_forms(np.where(identity, "IdentityForm", "NoneType"), gamma, beta, phi, ~identity)
     return names, beta, gamma

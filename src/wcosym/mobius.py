@@ -312,14 +312,12 @@ def lft_normality_defects(quads: np.ndarray):
     are infinite where d = 0.
     """
     a, b, c, d = quads.T
-    # sigma's quadruple (conj a, -conj c, -conj b, conj d)
-    sa, sb, sc, sd = a.conjugate(), -c.conjugate(), -b.conjugate(), d.conjugate()
-    # the two products of the 2 x 2 coefficient matrices: phi o sigma, sigma o phi
-    p1, q1, r1, s1 = a * sa + b * sc, a * sb + b * sd, c * sa + d * sc, c * sb + d * sd
-    p2, q2, r2, s2 = sa * a + sb * c, sa * b + sb * d, sc * a + sd * c, sc * b + sd * d
+    # Cowen's sigma as written, not as cowen_stack scales it: its rounding fixes the recorded defects
+    sigma = coefficient_stack(a.conjugate(), -c.conjugate(), -b.conjugate(), d.conjugate())
+    (p1, q1, r1, s1), (p2, q2, r2, s2) = compose_stack(quads, sigma).T, compose_stack(sigma, quads).T
     cross = (p1 * r2 - p2 * r1, q1 * s2 - q2 * s1, p1 * s2 + q1 * r2 - p2 * s1 - q2 * r1)
-    scale = _sum_sq((a, b, c, d)) * _sum_sq((sa, sb, sc, sd))
+    scale = _sum_sq((a, b, c, d)) * _sum_sq(sigma.T)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gap = abs(abs(b / d) - abs(sb / sd))
+        gap = abs(abs(b / d) - abs(sigma[:, 1] / sigma[:, 3]))
         defect = np.sqrt(_sum_sq(cross)) / scale
     return np.where(d == 0, np.inf, gap), np.where(d == 0, np.inf, defect)

@@ -15,7 +15,8 @@ residual reads is built by one doubling kernel, _double, which fills
 run[m] = run[m - 1] @ step from run[0] in about log2 of the run's length
 products: the first k rows and the leading block with the transposed
 Toeplitz matrix of phi as the step, the first k columns (_strip) with
-the (k+1)-wide step of their row recurrence.
+the (k+1)-wide step of their row recurrence; M_g and M_h of the adjoint
+factorization are Toeplitz views.
 
 Residuals are always measured on a leading k x k block with k + 32 <= N:
 truncation corrupts the trailing rows and columns of products, and the
@@ -471,13 +472,13 @@ def adjoint_factorization_stack(phi: np.ndarray, n: int, k: int) -> List[np.ndar
     || (C_phi)^H - M_g C_sigma (M_h)^H || on the leading block.
 
     M_g is lower triangular and M_h* upper triangular, so only the four
-    k x k blocks (k-truncations, expanded as at dimension n) reach it; it
-    holds to rounding for the correct sign.  phi is read by read_maps, and
-    the correct sigma is refused unless it is a self-map (for a self-map
-    phi it always is); the flipped-sign sigma need not be one, and its
-    block is built without that check so the wrong convention can be
-    exhibited failing (inf where it overflows the norm).  verify.measure
-    evaluates both signs of a suite's maps at once.
+    k x k blocks (k-truncations, expanded as at dimension n) reach it, M_g
+    and M_h as Toeplitz views; it holds to rounding for the correct sign.
+    phi is read by read_maps, and the correct sigma is refused unless it
+    is a self-map (for a self-map phi it always is); the flipped-sign
+    sigma need not be one, and its block is built without that check so
+    the wrong convention can be exhibited failing (inf where it overflows
+    the norm).  verify.measure evaluates both signs of a suite's maps at once.
     """
 
     def prepare(piece):
@@ -487,16 +488,15 @@ def adjoint_factorization_stack(phi: np.ndarray, n: int, k: int) -> List[np.ndar
         if not is_self_map(stacks[0][1]).all():
             raise NotSelfMapError("sigma is not a self-map")
         (g, _, h), count = stacks[0], len(maps)
-        series = quotient_series(np.concatenate([maps, *(sigma for _, sigma, _ in stacks)])[:, [1, 0, 3, 2]], n)
-        identity = np.tile(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex), (2 * count, 1))
-        weights, identities, _ = _checked_series(np.concatenate([g, h]), identity, n)
+        weights, phi_s, _ = _checked_series(np.concatenate([g, h]), maps, n)
+        series = np.concatenate([phi_s, quotient_series(np.concatenate([s for _, s, _ in stacks])[:, [1, 0, 3, 2]], n)])
         # the blocks of C_phi and of each C_sigma (the series of 1 times phi^j), then of M_g and M_h
         ones = np.eye(1, k, dtype=complex).repeat(len(series), axis=0)
         compositions = ones.reshape(-1, count, k), _toeplitz(series[:, :k]).swapaxes(1, 2).reshape(-1, count, k, k)
-        factors = weights[:, :k].reshape(2, count, k), _toeplitz(identities[:, :k]).swapaxes(1, 2).reshape(2, count, k, k)
+        factors = _toeplitz(weights[:, :k]).reshape(2, count, k, k)
 
         def evaluate(chunk):
-            (c_phi, *c_sigmas), (m_g, m_h) = (_rectangle(rows, (slice(None), chunk), k) for rows in (compositions, factors))
+            (c_phi, *c_sigmas), (m_g, m_h) = _rectangle(compositions, (slice(None), chunk), k), factors[:, chunk]
             c_phi_h, m_h_h = c_phi.conj().swapaxes(1, 2), m_h.conj().swapaxes(1, 2)
             correct, flipped = (c_phi_h - (m_g @ c_sigma) @ m_h_h for c_sigma in c_sigmas)
             with np.errstate(over="ignore"):  # a flipped sigma that is no self-map may overflow to inf

@@ -347,11 +347,6 @@ def suite_conjugation_axioms(cfg: SuiteConfig, d) -> List[SampleRecord]:
     return records
 
 
-def _usable(phi: np.ndarray) -> np.ndarray:
-    """A constant map or a self-map: the symmetric forms' acceptance."""
-    return is_degenerate(phi) | is_self_map(phi)
-
-
 def _perturbed(psi: np.ndarray) -> np.ndarray:
     """The weights with n1 bumped by 0.3 max(1, |n0|)."""
     out = psi.copy()
@@ -375,7 +370,7 @@ def draw_jsym(rng, cfg: SuiteConfig, idx):
     n = len(idx)
     a0, a1, b = _annulus(rng, n, 0.7), _annulus(rng, n, 0.75, 0.02), 0.5 + rng.uniform(0.0, 1.0, n)
     psi, phi = fam.j_quadruples(a0, a1, b)
-    return _usable(phi), {"a0": a0, "a1": a1, "b": b, "psi": psi, "phi": phi}
+    return is_self_map(phi), {"a0": a0, "a1": a1, "b": b, "psi": psi, "phi": phi}
 
 
 def suite_jsym_form(cfg: SuiteConfig, d) -> List[SampleRecord]:
@@ -386,7 +381,7 @@ def draw_c1sym(rng, cfg: SuiteConfig, idx):
     n = len(idx)
     alpha, c0, c1, dd = _circle(rng, n), _annulus(rng, n, 0.7), _annulus(rng, n, 0.75, 0.02), 0.5 + rng.uniform(0, 1, n)
     psi, phi = fam.c1_quadruples(alpha, c0, c1, dd)
-    return _usable(phi), {"alpha": alpha, "c0": c0, "c1": c1, "d": dd, "psi": psi, "phi": phi}
+    return is_self_map(phi), {"alpha": alpha, "c0": c0, "c1": c1, "d": dd, "psi": psi, "phi": phi}
 
 
 def suite_c1sym_form(cfg: SuiteConfig, d) -> List[SampleRecord]:

@@ -31,6 +31,8 @@ class TestComplexLiterals:
             ("1+2i", 1 + 2j),
             ("0.25-0.75i", 0.25 - 0.75j),
             ("1e-3+2.5e-1i", 0.001 + 0.25j),
+            ("(0.5+1i)", 0.5 + 1j),  # Python's grammar: parentheses and J too
+            ("2J", 2j),
         ],
     )
     def test_parse(self, text, value):

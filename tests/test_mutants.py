@@ -1,0 +1,92 @@
+"""The mutation gate: planted defects that the registered suites must catch.
+
+Each mutant replaces one closed form with a wrong one at every binding of
+it in the package (a module that imported the name holds its own binding),
+runs every suite at its registry defaults, and asserts that the outcome of
+the suites it names moves: a summary, or a run that raises (a
+SamplingBudgetError counts).  A defect shared by a family constructor and
+the check of the same family would cancel; each row shows that the one
+owner of a formula is checked from outside it.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from wcosym import cli, families, mobius  # noqa: F401 (cli holds bindings of two targets)
+from wcosym.errors import WcoError
+from wcosym.verify import SUITES, default_config, run_suite
+
+MODULES = [module for name, module in sorted(sys.modules.items()) if name.split(".")[0] == "wcosym"]
+
+
+def _conjugated(original):
+    return lambda *args: np.conj(original(*args))
+
+
+def _flipped_c2_weight(original):
+    def c2_quadruples(params):
+        psi, phi = original(params)
+        psi[:, 3] = -psi[:, 3]  # the weight d V / (V + T z)
+        return psi, phi
+
+    return c2_quadruples
+
+
+# target -> (the defect made of the original, the suites that must move)
+MUTANTS = {
+    "compose_stack swapped": (
+        mobius.compose_stack, lambda original: lambda first, second: original(second, first),
+        {"prop21-normal", "ex41-equivalence", "ex51-interior", "ex51-aut-corollary"},
+    ),
+    "c2_parabolic_dw_point conjugated": (families.c2_parabolic_dw_point, _conjugated, {"ex63-parabolic"}),
+    "c2_aut_beta conjugated": (families.c2_aut_beta, _conjugated, {"lemma33-aut"}),
+    "cowen_stack sign flipped": (
+        mobius.cowen_stack, lambda original: lambda quads, sigma_sign=-1: original(quads, -sigma_sign),
+        {"cowen-factorization"},
+    ),
+    "j_normal_expression Im(conj(a0) a1) negated": (
+        families.j_normal_expression,
+        lambda original: lambda a0, a1: a0.imag * (1.0 - abs(a0) ** 2) - (a0.conjugate() * a1).imag,
+        {"prop41-iff", "cor41-aut"},
+    ),
+    "interior_quadruples with conj(delta)": (
+        families.interior_quadruples,
+        lambda original: lambda p, delta, gamma=1.0: original(p, np.conj(delta), gamma),
+        {"ex41-equivalence", "ex51-interior"},
+    ),
+    "C2 weight with -T": (
+        families.c2_quadruples, _flipped_c2_weight,
+        {"c2sym-form", "ex61-interior", "ex63-parabolic", "thm61-consistency"},
+    ),
+}
+
+
+def _outcomes():
+    """Each suite's summary at its registry defaults, or the refusal it raises."""
+    out = {}
+    for suite_id in sorted(SUITES):
+        try:
+            out[suite_id] = run_suite(suite_id, default_config(suite_id)).summary
+        except WcoError as exc:
+            out[suite_id] = type(exc).__name__
+    return out
+
+
+@pytest.fixture(scope="module")
+def baseline():
+    return _outcomes()
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_is_caught(name, baseline, monkeypatch):
+    target, defect, suites = MUTANTS[name]
+    bindings = [(module, attr) for module in MODULES for attr, value in vars(module).items() if value is target]
+    assert bindings
+    mutant = defect(target)
+    for module, attr in bindings:
+        monkeypatch.setattr(module, attr, mutant)
+    got = _outcomes()
+    moved = {suite_id for suite_id in baseline if got[suite_id] != baseline[suite_id]}
+    assert suites <= moved, (name, sorted(moved))

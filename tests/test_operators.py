@@ -18,7 +18,7 @@ from wcosym.errors import (
     WcoError,
 )
 from wcosym import operators, verify
-from wcosym.mobius import IDENTITY, MapClass, classify, is_degenerate, is_self_map
+from wcosym.mobius import IDENTITY, MapClass, classify, is_degenerate, is_self_map, read_maps
 from wcosym.operators import (
     MAX_DIM,
     _TILE,
@@ -910,3 +910,21 @@ class TestAdjointFactorization:
         m = (0.5 + 0.1j, 0.25 - 0.05j, 0.1 + 0.2j, 1.0)
         assert one_factorization(m, 64, 16, sigma_sign=-1) <= 1e-8
         assert one_factorization(m, 64, 16, sigma_sign=+1) >= 1e-3
+
+    def test_reads_only_the_probes_maps(self, monkeypatch):
+        # M_g and M_h are Toeplitz views of the series of g and h: every map
+        # stack the factorization reads is the probe's own, no identity maps
+        cfg = verify.default_config("cowen-factorization")
+        keep, drawn = verify.draw_cowen(np.random.default_rng(6), cfg, np.arange(40))
+        phi, read = drawn["phi"][keep], []
+
+        def spy(quads):
+            read.append(np.array(quads))
+            return read_maps(quads)
+
+        monkeypatch.setattr(operators, "read_maps", spy)
+        got = verify.measure(cfg, verify.Probe(phi=phi))
+        rows = set(map(tuple, phi.tolist()))
+        assert (cfg.dim, cfg.block) == (64, 16) and read
+        assert all(set(map(tuple, stack.tolist())) <= rows for stack in read)
+        assert np.all(got["factorization"] <= 1e-8) and np.all(got["flipped_sign"] >= 1e-3)

@@ -11,7 +11,7 @@ import pytest
 
 from wcosym import operators, verify
 from wcosym.cli import main, report_to_json, report_to_dict
-from wcosym.errors import SamplingBudgetError, UnknownSuiteError, WcoError
+from wcosym.errors import NotSelfMapError, SamplingBudgetError, UnknownSuiteError, WcoError
 from wcosym.families import (
     C1Params,
     HyperbolicParams,
@@ -31,7 +31,7 @@ from wcosym.mobius import (
     quadruple_gap,
     sup_modulus,
 )
-from wcosym.operators import STACK_ROWS
+from wcosym.operators import STACK_ROWS, wco_residual_stack
 from wcosym.series import poles
 from wcosym.verify import (
     ANCHOR_SUITES,
@@ -302,6 +302,38 @@ def test_every_public_definition_has_a_user():
                     users[identifier].add((path.stem, name))
     unused = {(module, name) for module, name in public if not users[name] - {(module, name)} and name not in outside}
     assert sorted(unused) == []
+
+
+def test_every_default_parameter_is_passed():
+    # the design rule for knobs: a defaulted parameter of a package function
+    # is passed, by position or by keyword, by some call in the package, in
+    # scripts/ or in bench/, or it is deleted; the console script calls
+    # cli.main() bare, so main's argv is the one exemption
+    package = pathlib.Path(verify.__file__).parent
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    outside = [ast.parse(path.read_text(encoding="utf-8"))
+               for folder in ("scripts", "bench") for path in sorted((package.parents[1] / folder).rglob("*.py"))]
+    calls = collections.defaultdict(list)
+    for node in (node for tree in [*modules.values(), *outside] for node in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            calls[node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)].append(node)
+
+    def passed(call, index, name):
+        by_position = index is not None and (len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+        return by_position or any(keyword.arg in (name, None) for keyword in call.keywords)
+
+    unpassed = []
+    for module, tree in modules.items():
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+                   if isinstance(f, ast.FunctionDef) and "staticmethod" not in map(ast.unparse, f.decorator_list)}
+        for f in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            positional, offset = f.args.posonlyargs + f.args.args, int(id(f) in methods)
+            first = len(positional) - len(f.args.defaults)
+            knobs = [(i - offset, a.arg) for i, a in enumerate(positional) if i >= first]
+            knobs += [(None, a.arg) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+            unpassed += [(module, f.name, name) for index, name in knobs
+                         if not any(passed(call, index, name) for call in calls[f.name])]
+    assert unpassed == [("cli", "main", "argv")]
 
 
 @pytest.mark.parametrize("normal, band", [(True, "pass"), (False, "fail"), (None, "band")])
@@ -783,16 +815,26 @@ def test_c2_sampler_rejects_by_each_rule():
 
 
 @pytest.mark.parametrize("family", ["j", "c1"])
-def test_symmetric_form_samplers_keep_constants_and_self_maps(family):
-    # hand-built candidates: a constant map (determinant 0) and a self-map
-    # are kept, a non-self-map is rejected
-    c0, c1 = np.array([0.3, 0.3, 0.6]), np.array([0.0, 0.2, 0.9])  # phi(1) = 2.85 in the last
+def test_symmetric_form_samplers_keep_constants_and_self_maps(family, monkeypatch):
+    # hand-built candidates: a constant in the disk (determinant 0) and a
+    # self-map are kept; the constant 1.5 and a non-self-map are rejected,
+    # as the seams refuse them, and every row kept passes the seams
+    c0, c1 = np.array([0.3, 1.5, 0.3, 0.6]), np.array([0.0, 0.0, 0.2, 0.9])  # phi(1) = 2.85 in the last
+    constructor = "j_quadruples" if family == "j" else "c1_quadruples"
     quads = fam.j_quadruples(c0, c1) if family == "j" else fam.c1_quadruples(1.0, c0, c1)
-    assert is_degenerate(quads[1]).tolist() == [True, False, False]
-    assert verify._usable(quads[1]).tolist() == [True, True, False]
+    assert is_degenerate(quads[1]).tolist() == [True, True, False, False]
     draw = verify.draw_jsym if family == "j" else verify.draw_c1sym
-    keep, drawn = draw(np.random.default_rng(4), SuiteConfig(), np.arange(2000))
-    assert 0 < keep.sum() < 2000 and np.all(keep == verify._usable(drawn["phi"]))
+    cfg = SuiteConfig()
+    with monkeypatch.context() as patch:
+        patch.setattr(fam, constructor, lambda *args: quads)
+        keep, drawn = draw(np.random.default_rng(4), cfg, np.arange(4))
+    assert keep.tolist() == [True, False, True, False]
+    assert np.isfinite(wco_residual_stack(quads[0][keep], quads[1][keep], cfg.dim, cfg.block)["normality"]).all()
+    with pytest.raises(NotSelfMapError, match="the constant"):
+        wco_residual_stack(np.array([[1.0, 0.0, 1.0, 0.0]]), quads[1][1:2], cfg.dim, cfg.block)
+    keep, drawn = draw(np.random.default_rng(4), cfg, np.arange(2000))
+    assert 0 < keep.sum() < 2000 and np.all(keep == is_self_map(drawn["phi"]))
+    assert np.isfinite(wco_residual_stack(drawn["psi"][keep], drawn["phi"][keep], cfg.dim, cfg.block)["normality"]).all()
 
 
 def _mixed_probes(rng):
