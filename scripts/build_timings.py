@@ -11,26 +11,29 @@ prints the median time of one call, in ms, of
          kernel-conj-slow runs): the refusals and length-N expansions,
          then the Mobius recurrence swept as a wavefront of 8 x 8 tiles,
          one GEMM per anti-diagonal of tiles, at every N,
-  cross  the first k rows and first k columns (the normality residual
-         and the C2 conjugation's involution residual; the C2 symmetry
-         reads only the columns): both by the one doubling kernel, the
-         rows with the k x k Toeplitz matrix of phi as the step, the
+  cross  the normality residual of one draw, a stack of one through
+         wco_residual_stack: the Gram sums of the first k rows and the
+         first k columns over N rows, each kernel filling at most 64 rows
+         a draw (k = 16; 32 at k = 12) and doubling the sums past them,
+         the rows with the k x k Toeplitz matrix of phi as the step, the
          columns with the (k+1)-wide step of their row recurrence,
   stacked  the normality residual per draw of a 200-draw probe, what a
          suite's verify.measure call costs: one wco_residual_stack call,
          which prepares the draws a piece at a time and doubles them in
-         chunks of max(1, STACK_ROWS // N), divided by its 200 draws,
+         chunks of STACK_ROWS // min(N, 64) draws at k = 16 (32 at k = 12),
+         divided by its 200 draws,
   block  the leading k x k block (the J and C1 symmetry residuals and the
          four factors of the adjoint factorization): the same doubling
          as the rows, on k coefficients,
 
-each including the refusals and length-N expansions of the seams, on
-the coefficient arrays the seams take (a weight and a map as (1, 4)
+each including the refusals and expansions of the seams, on the
+coefficient arrays the seams take (a weight and a map as (1, 4)
 stacks, (200, 4) for stacked).  Two symbols are timed: a fast-decay
 weighted composition operator of the
 interior normal family, whose coefficients underflow to subnormal numbers
 at large N, and the slow-decay C2 conjugation at |alpha| = 0.9.  N = 389
-is prime: its last doubling level fills fewer rows than it doubles from.
+is prime: its sums add the Gram of a prefix of the filled rows to the
+doubled ones.
 BLAS runs on one thread.  Nothing is written to disk.  Exit status 2 for
 a --repeats below 1.
 """
@@ -85,7 +88,7 @@ def main(argv=None) -> int:
             draws, one = 200, slice(None)  # a suite's default probe; the one chunk of a stack of one
             psis, phis = psi.repeat(draws, axis=0), phi.repeat(draws, axis=0)
             for k in BLOCKS:
-                cross = _median_ms(lambda: ops._cross(ops._prepare(psi, phi, n, k), one, n), args.repeats)
+                cross = _median_ms(lambda: ops.wco_residual_stack(psi, phi, n, k), args.repeats)
                 stacked = _median_ms(lambda: ops.wco_residual_stack(psis, phis, n, k), args.repeats) / draws
                 block = _median_ms(lambda: ops._rectangle(ops._prepare(psi, phi, n, k, False)[0], one, k), args.repeats)
                 print(f"{name:10} {n:5d} {k:3d} {whole:9.3f} {cross:9.3f} {stacked:10.3f} {block:9.3f}")

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -79,9 +80,10 @@ REPORT_SCHEMA = {
 
 def parse_complex(text: str) -> complex:
     """Parse a complex literal in Python's grammar, with i or j as the
-    imaginary unit (a+bi, a-bi, a, bi); refuse a non-finite value."""
+    imaginary unit (a+bi, a-bi, a, bi): only a last i is the unit, so inf
+    and infinity read as Python reads them; refuse a non-finite value."""
     try:
-        value = complex(text.replace("i", "j"))
+        value = complex(re.sub(r"i(\s*\)?\s*)$", r"j\1", text))
     except ValueError:
         raise CliParseError(f"cannot parse complex literal {text!r}") from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):

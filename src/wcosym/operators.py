@@ -10,22 +10,22 @@ checked before any N x N array is allocated.
 
 Column j of W is psi phi^j.  The kernels read phi only as its coefficients
 (a, b, c, d) of (az + b)/(cz + d), read by mobius.read_maps as classify
-reads them: a constant z -> v is (0, v, 0, 1).  Every part of W that a
-residual reads is built by one doubling kernel, _double, which fills
-run[m] = run[m - 1] @ step from run[0] in about log2 of the run's length
-products: the first k rows and the leading block with the transposed
-Toeplitz matrix of phi as the step, the first k columns (_strip) with
-the (k+1)-wide step of their row recurrence; M_g and M_h of the adjoint
-factorization are Toeplitz views.
+reads them: a constant z -> v is (0, v, 0, 1).
 
 Residuals are always measured on a leading k x k block with k + 32 <= N:
 truncation corrupts the trailing rows and columns of products, and the
 geometric decay of the symbol coefficients confines that corruption away
-from the leading block.  Each residual forms only the rows and columns of
-its products that reach the block: the k x k block of the N-truncation is
-the k-truncation, the first k rows and the first k columns cost O(N k^2).
-No seam reads all of W: the symmetry residual is the commutator
-U conj(T) - T^H U on the block, which reads only the first k columns of T.
+from the leading block.  The block of the N-truncation is the
+k-truncation: the J and C1 symmetries (U diagonal) and the adjoint
+factorization (M_g, M_h Toeplitz views) read k x k blocks alone.  Every
+other residual is made of sums over m < N of a_m^H b_m, a_m and b_m row m
+of the first k columns or column m of the first k rows of T or U (normality
+is sum_m t_m^H t_m - conj(sum_j w_j^H w_j), t_m = T[m, :k], w_j = T[:k, j]).
+Each such part is a run, row m being row m - 1 times a step (the first k
+columns' (k+1)-wide step of their row recurrence holds from row 1 on), and
+_gram sums it: _double fills its first h rows, h the least power of two
+>= 2 (k + 1), and the sum doubles itself past them, so O(k^3 log N) time
+and O(h k) memory a draw; no expansion goes past coefficient max(k, 3).
 The one whole N x N build is conjugation_matrix, whose C2 matrix comes
 from the Mobius recurrence (cz + d) psi phi^j = (az + b) psi phi^(j-1),
 swept in square tiles as a wavefront: one GEMM per anti-diagonal of
@@ -34,22 +34,21 @@ tiles, about 2N / _TILE Python-level steps in O(N^2).
 The seams work on stacks of draws given as coefficient arrays: weights
 psi (B, 4) = (n0, n1, d0, d1), maps phi (B, 4) = (a, b, c, d) and a
 conjugation as its kind with lam and alpha arrays (B,).  The refusals,
-the series, the Toeplitz and row steps, the doubling and the defects are
-vector operations along the leading draw axis, so one numpy call serves
-every draw of a stack; each is elementwise or one GEMM per draw, so a
-draw's residual is bit-identical to its stack of one.  At the suites' N
-of 48-96 and k of 12-16 a residual is some 25 numpy calls on arrays
+the series, the steps, the doubling and the defects are vector
+operations along the leading draw axis, so one numpy call serves every
+draw of a stack; each is elementwise or one GEMM per draw, so a draw's
+residual is bit-identical to its stack of one.  At the suites' N of
+48-96 and k of 12-16 a residual is some tens of numpy calls on arrays
 12-17 columns wide, and their per-call overhead, not the arithmetic,
 sets its cost.  wco_residual_stack, conjugation_residual_stack and
 adjoint_factorization_stack are what verify.measure calls, on whole
-probes, and _chunked is their one loop: it prepares the draws a piece of
-at most (k + 1) max(1, STACK_ROWS // N) at a time (the refusals, the
-expansions and what the steps are made of, O(N + k) numbers a draw, so
-a piece holds a small multiple of one chunk's doubling run), and
-doubles them and forms their defects a chunk of max(1, STACK_ROWS // N)
-at a time: a larger chunk saves little more time and costs peak
-memory.  involution_residual, the one residual of a whole matrix, is a
-stack of one.
+probes, and _chunked is their one loop: it prepares the draws (the
+refusals, the expansions and what the steps are made of, O(k) numbers a
+draw) a piece of k + 1 chunks at a time, and doubles them and forms
+their defects a chunk of max(1, STACK_ROWS // min(N, h)) draws at a
+time: a larger chunk saves little more time and costs peak memory.
+involution_residual, the one residual of a whole matrix, is a stack of
+one.
 """
 
 from __future__ import annotations
@@ -82,13 +81,13 @@ MAX_DIM = 1024
 # BLAS thread, ms for sides 4 / 6 / 8 / 12 / 16: 2.9-3.9 / 2.1-2.9 / 2.0-2.7 /
 # 1.9-2.5 / 2.3-2.9 at N = 384, 22-26 / 14-16 / 13-17 / 13-14 / 14-15 at 1024.
 _TILE = 8
-# row budget of a chunk: the seams double at most max(1, STACK_ROWS // N) draws
-# at once and prepare at most k + 1 chunks at once.  verify.measure's time in
-# all-suite passes at registry defaults (seeds 1-15, N 48-96, reports
-# serialized) on a 2-vCPU VM, one BLAS thread, three runs per budget, budgets
-# 1 / 192 / 384 / 768 / 1536 / uncut: median 286 / 150 / 109 / 87 / 87 / 99 ms a
-# pass; peak RSS of the process 39.9-40.0 / 39.9-40.0 / 39.9-40.0 / 40.2-40.3 /
-# 41.0 / 49.5-49.6 MB.  Past 768 the time gain is within noise and the peak grows.
+# row budget of a chunk: the seams double at most max(1, STACK_ROWS // rows)
+# draws at once, rows = min(N, h) the most a run fills a draw, and prepare at
+# most k + 1 chunks at once.  Time of an all-suite pass at registry defaults
+# (N 48-96, k 12-16, reports serialized) on a 2-vCPU VM, one BLAS thread, median
+# of 10 passes, two runs per budget, budgets 1 / 192 / 384 / 768 / 1536 / uncut:
+# 346-439 / 147-163 / 137-151 / 137-199 / 148-175 / 219-229 ms; peak RSS of the
+# process 39.9 / 39.8-39.9 / 39.9-40.1 / 40.4-40.5 / 41.4-41.5 / 47.0 MB.
 STACK_ROWS = 768
 _POLE_GUARD = 1.0 + 1e-9
 
@@ -130,7 +129,6 @@ def _checked_series(psi: np.ndarray, phi: np.ndarray, n: int):
     """Every refusal of the seams for weights psi and maps phi (B, 4), in
     order non-finite, a weight pole, read_maps's; then the (B, n) expansions
     of both, which refuse a pole at 0, and phi as read_maps writes it."""
-    _check_dim(n)
     if not (np.isfinite(psi).all() and np.isfinite(phi).all()):
         raise ValueError("coefficients must be finite")
     pole = poles(psi)
@@ -145,48 +143,92 @@ def _checked_series(psi: np.ndarray, phi: np.ndarray, n: int):
 
 def _prepare(psi: np.ndarray, phi: np.ndarray, n: int, k: int, strip: bool = True):
     """Every refusal of W of the n-truncation for a piece of draws psi, phi
-    (B, 4), then what the doubling of its first k rows (_rectangle) and,
-    with strip, of its first k columns (_strip) read of each draw: O(n + k)
-    numbers a draw, the Toeplitz matrices being views."""
-    psi_s, phi_s, phi = _checked_series(psi, phi, n)
+    (B, 4), then what the runs of its first k rows and, with strip, of its
+    first k columns are made of (_runs): O(k) numbers a draw, the Toeplitz
+    matrices being views.  Past coefficient 1 neither series grows once the
+    refusals pass, so expanding max(k, 3) refuses what expanding n does."""
+    _check_dim(n)
+    psi_s, phi_s, phi = _checked_series(psi, phi, max(k, 3))
     _check_block(n, k)
     rows = psi_s[:, :k], _toeplitz(phi_s[:, :k]).swapaxes(1, 2)
     return rows, (_strip_parts(psi, psi_s, phi, k) if strip else None)
 
 
 def _rectangle(rows, chunk, cols: int) -> np.ndarray:
-    """W[:k, :cols] for each draw of a chunk (the first k rows, or the
-    leading block for cols = k), by doubling column j = T column (j - 1), T
-    the Toeplitz matrix of phi[:k]: a finite section of the analytic
-    Toeplitz operator T_phi, so every power of T has norm at most
-    sup|phi| <= 1 (Brown and Halmos, J. reine angew. Math. 213, 1964).
-    rows is (columns 0, steps T^T) of a piece, along one leading axis or
-    more, and chunk indexes them."""
+    """W[:k, :cols] for each draw of a chunk (the leading block for cols =
+    k), by doubling column j = T column (j - 1), T the Toeplitz matrix of
+    phi[:k]: a finite section of the analytic Toeplitz operator T_phi, so
+    every power of T has norm at most sup|phi| <= 1 (Brown and Halmos, J.
+    reine angew. Math. 213, 1964).  rows is (columns 0, steps T^T) of a
+    piece, along one leading axis or more, and chunk indexes them."""
     first, step = rows[0][chunk], rows[1][chunk]
     run = np.empty(first.shape[:-1] + (cols, first.shape[-1]), dtype=complex)
     run[..., 0, :] = first
-    return _double(run, step).swapaxes(-1, -2)
+    _double(run, step)
+    return run.swapaxes(-1, -2)
 
 
-def _strip(strip, chunk, n: int) -> np.ndarray:
-    """W[:, :k] of the n-truncation, n >= 3, for each draw of a chunk:
-    rows 0 and 1 of the row recurrence of _strip_parts, then _double from
-    row 1 with the chunk's (k+1) x (k+1) steps, assembled here so that no
-    piece holds them."""
-    first, sigma_2, *parts = (x[chunk] for x in strip)
-    step = _row_step(*parts)
-    run = np.empty((len(first), n, first.shape[1]), dtype=complex)
-    run[:, 0] = first
-    run[:, 1:2] = run[:, :1] @ step
-    run[:, 1, -1] = sigma_2  # sigma_2 need not be r sigma_1
-    _double(run[:, 1:], step)
-    return run[:, :, :-1]
+def _runs(steps, chunk):
+    """Runs (head, start, step), row 0 head and row m >= 1 start step^(m-1),
+    for each draw of a chunk: of column m of W[:k] (step T^T, _rectangle's)
+    and, if prepared, of s_m = [W[m, :k], sigma_(m+1)] (step A, assembled
+    here so that no piece holds it; sigma_2 need not be r sigma_1)."""
+    (first, step), strip = steps
+    head, step = first[chunk], step[chunk]
+    runs = [(head, (head[:, None] @ step)[:, 0], step)]
+    if strip is not None:
+        head, sigma_2, *parts = (x[chunk] for x in strip)
+        step = _row_step(*parts)
+        start = (head[:, None] @ step)[:, 0]
+        start[:, -1] = sigma_2
+        runs.append((head, start, step))
+    return runs
 
 
-def _cross(steps, chunk, n: int):
-    """(W[:, :k], W[:, :, :k]) for each draw of a chunk: all W*W and WW*
-    read on the block."""
-    return _rectangle(steps[0], chunk, n), _strip(steps[1], chunk, n)
+def _sum(a, b, n: int) -> np.ndarray:
+    """sum_{m < n} a_m^H b_m for each draw of two runs a and b of _runs."""
+    (head_a, start_a, step_a), (head_b, start_b, step_b) = a, b
+    return head_a.conj()[:, :, None] * head_b[:, None, :] + _gram(start_a, step_a, start_b, step_b, n - 1)
+
+
+def _filled(width: int) -> int:
+    """The rows _gram fills of runs up to width wide: as costly as a doubling level."""
+    return 1 << (2 * width - 1).bit_length()
+
+
+def _gram(x: np.ndarray, p: np.ndarray, y: np.ndarray, q: np.ndarray, length: int) -> np.ndarray:
+    """S = sum_{m < length} (x p^m)^H (y q^m) for each draw of row vectors x
+    (B, a) and y (B, b) with steps p (B, a, a) and q (B, b, b).
+
+    _double fills the first h = min(length, _filled(max(a, b))) rows of
+    both runs (one if x is y and p is q), and their contraction is S(h).
+    Past that the sum doubles itself, S(2h) = S(h) + (p^h)^H S(h) q^h
+    (Smith's squared iteration, SIAM J. Appl. Math. 16, 1968), p^h squared
+    from _double's last power, over the binary digits of length // h, plus
+    the Gram of the first length % h filled rows.  Its powers of p and q
+    are bounded as _double's are, so it is as stable."""
+    h = min(length, _filled(max(x.shape[-1], y.shape[-1])))
+    runs, powers = [], []
+    for start, step in ((x, p),) if x is y and p is q else ((x, p), (y, q)):
+        run = np.empty(start.shape[:-1] + (h, start.shape[-1]), dtype=complex)
+        run[..., 0, :] = start
+        powers.append(_double(run, step))
+        runs.append(run)
+    left = runs[0].conj().swapaxes(-1, -2)
+    block = left @ runs[-1]
+    if length == h:
+        return block
+    count, tail = divmod(length, h)
+    total = left[..., :tail] @ runs[-1][..., :tail, :] if tail else None
+    while count:
+        powers = [power @ power for power in powers]  # p^s and q^s, s the rows block sums
+        before, after = powers[0].conj().swapaxes(-1, -2), powers[-1]
+        if count & 1:
+            total = block if total is None else block + before @ total @ after
+        count >>= 1
+        if count:
+            block = block + before @ block @ after
+    return total
 
 
 def _strip_parts(psi: np.ndarray, psi_s: np.ndarray, phi: np.ndarray, k: int):
@@ -201,11 +243,10 @@ def _strip_parts(psi: np.ndarray, psi_s: np.ndarray, phi: np.ndarray, k: int):
     of psi's symbol (the ratio of its series would be 0/0 for a weight
     whose sigma is a polynomial, the C2 weight), so s_m = [g_m,
     sigma_(m+1)] obeys s_m = s_(m-1) A, A = _row_step(R, q, r), from m = 2
-    on, and _double fills the rows m >= 2 from row 1 in about log2(N)
-    products of k + 1 columns, O(N k^2) in all.  chi is
+    on: the run of the first k columns is regular from row 1.  chi is
     conj(sigma_C(conj t)) for Cowen's adjoint map sigma_C, a self-map
-    whenever phi is, so every power of R is a contraction and doubling on
-    it is stable.
+    whenever phi is, so every power of R is a contraction, |r| < 1 by the
+    weight-pole guard, and the powers of A are bounded.
     """
     a, b, c, d = phi.T
     a, b, c = a / d, b / d, c / d
@@ -226,11 +267,12 @@ def _row_step(r_matrix: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _double(run: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """run with run[..., m, :] = run[..., m - 1, :] @ step filled in from
-    run[..., 0, :] for each draw, doubling: rows [h, 2h) are rows [0, h)
-    times step^h, so about log2(run.shape[-2]) products and squarings of
-    step.  A stacked @ is one GEMM per draw, bit-identical to the product
-    of that draw alone."""
+    """Fill run[..., m, :] = run[..., m - 1, :] @ step from run[..., 0, :]
+    for each draw, doubling: rows [h, 2h) are rows [0, h) times step^h, so
+    about log2(run.shape[-2]) products and squarings of step.  Returns the
+    last power it multiplied by, step^(h/2) for a run of h rows, h a power
+    of two >= 2.  A stacked @ is one GEMM per draw, bit-identical to the
+    product of that draw alone."""
     power, h, length = step, 1, run.shape[-2]
     while h < length:
         m = min(h, length - h)
@@ -238,7 +280,7 @@ def _double(run: np.ndarray, step: np.ndarray) -> np.ndarray:
         if 2 * h < length:
             power = power @ power
         h *= 2
-    return run
+    return power
 
 
 def _toeplitz(coeffs: np.ndarray) -> np.ndarray:
@@ -337,25 +379,30 @@ def involution_residual(u: np.ndarray, k: int) -> Tuple[float, float]:
     anti-linear isometry axiom reduces to U^H U = I, the second component.
     """
     _check_block(len(u), k)
-    (inv,), (iso,) = _involution_defect(u[None, :k], u[None, :, :k])
+    (inv,), (iso,) = _block_involution(u[None, :k], u[None, :, :k])
     return float(inv), float(iso)
 
 
-def _involution_defect(rows: np.ndarray, cols: np.ndarray):
-    """The involution and the isometry defect of each draw, as two arrays."""
-    eye = np.eye(rows.shape[1], dtype=complex)
-    inv = rows @ cols.conj() - eye
-    iso = cols.conj().swapaxes(1, 2) @ cols - eye
-    return _norms(inv), _norms(iso)
+def _block_involution(rows: np.ndarray, cols: np.ndarray):
+    """_involution_defect of U's first k rows and columns given whole."""
+    return _involution_defect(rows.conj() @ cols, cols.conj().swapaxes(1, 2) @ cols)
 
 
-def _symmetry_defect(t: np.ndarray, u_rows: np.ndarray, u_cols: np.ndarray) -> np.ndarray:
-    """|| U conj(T) - T^H U || on the block for each draw, t = T[:, :u_cols.shape[1], :k]."""
-    return _norms(u_rows @ t.conj() - t.conj().swapaxes(1, 2) @ u_cols)
+def _involution_defect(cross: np.ndarray, square: np.ndarray):
+    """The involution and the isometry defect of each draw, as two arrays,
+    from sum_m u_m^H v_m and sum_m v_m^H v_m, u_m = U[:k, m], v_m = U[m, :k]."""
+    eye = np.eye(cross.shape[-1], dtype=complex)
+    return _norms(cross.conj() - eye), _norms(square - eye)
 
 
-def _normality_defect(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    return _norms(cols.conj().swapaxes(1, 2) @ cols - rows @ rows.conj().swapaxes(1, 2))
+def _symmetry_defect(cross: np.ndarray, square: np.ndarray) -> np.ndarray:
+    """|| U conj(T) - T^H U || on the block, from sum_m u_m^H t_m and sum_m t_m^H v_m."""
+    return _norms(cross.conj() - square)
+
+
+def _normality_defect(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|| T^H T - T T^H || on the block, from sum_m t_m^H t_m and sum_j w_j^H w_j."""
+    return _norms(columns - rows.conj())
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -373,18 +420,19 @@ def _chunked(count: int, n: int, k: int, prepare, width: int) -> List[np.ndarray
 
     prepare(piece) makes every refusal and per-draw preparation of a slice
     of the draws (the expansions and what the doubling steps are made of,
-    O(n + k) numbers a draw) and returns the function of a chunk, a slice
-    of the piece, that doubles and forms the chunk's width defects.  A
-    chunk holds at most max(1, STACK_ROWS // n) draws, so its (chunk, n,
-    k + 1) doubling runs and (chunk, k + 1, k + 1) steps stay out of the
-    peak memory; a piece holds at most k + 1 chunks, so no (piece, n)
-    array of its preparation outgrows a chunk's run, and the preparation
-    costs its numpy calls once a piece, not once a chunk.  Every draw's
-    defects equal those of its stack of one.  The dimension and the block
-    are refused before any draw."""
+    O(k) numbers a draw) and returns the function of a chunk, a slice of
+    the piece, that doubles and forms the chunk's width defects.  No run
+    holds more than min(n, _filled(k + 1)) rows a draw, so a chunk holds
+    at most max(1, STACK_ROWS // min(n, _filled(k + 1))) draws and its
+    doubling runs and (chunk, k + 1, k + 1) steps stay out of the peak
+    memory; a piece holds at most k + 1 chunks, so no (piece, k) array of
+    its preparation outgrows a chunk's run, and the preparation costs its
+    numpy calls once a piece, not once a chunk.  Every draw's defects
+    equal those of its stack of one.  The dimension and the block are
+    refused before any draw."""
     _check_dim(n)
     _check_block(n, k)
-    size = max(1, STACK_ROWS // n)
+    size = max(1, STACK_ROWS // min(n, _filled(k + 1)))
     piece = size * (k + 1)
     parts = []
     for start in range(0, count, piece):
@@ -404,10 +452,10 @@ def wco_residual_stack(
     given a conjugation kind with its lam and alpha arrays (B,), the
     symmetry defect || U conj(T) - T^H U || = || CW - W*C ||, which
     vanishes iff T is C-symmetric, of the n-truncation T of W, both on the
-    leading k x k block.  It builds only what they read: the first k rows
-    and columns of W for normality; for the symmetry, T[:, :k] for C2 and
-    the k x k block for the diagonal J and C1, sliced from that cross when
-    normality built it.  The suites and `wcosym check` call it through
+    leading k x k block, from sums (_sum) over what they read: the first
+    k rows and columns of W for normality, T[:, :k] and the first k rows
+    and columns of U for the C2 symmetry, the k x k block for the diagonal
+    J and C1.  The suites and `wcosym check` call it through
     verify.measure, on whole probes."""
     keys = ("symmetry",) * (kind is not None) + ("normality",) * normality
 
@@ -416,18 +464,17 @@ def wco_residual_stack(
         conjugation = None if kind is None else _conjugation_cross(kind, lam[piece], alpha[piece], n, k)
 
         def evaluate(chunk):
-            if normality:
-                rows, t = _cross(steps, chunk, n)
-            elif kind == "C2":
-                t = _strip(steps[1], chunk, n)
-            elif kind is not None:
-                t = _rectangle(steps[0], chunk, k)
             out = []
-            if conjugation is not None:
-                u_rows, u_cols = conjugation(chunk)
-                out.append(_symmetry_defect(t[:, :u_cols.shape[1]], u_rows, u_cols))
+            if steps[1] is not None:
+                rows, strip = _runs(steps, chunk)
+            if kind == "C2":
+                u_rows, u_strip = conjugation(chunk)
+                out.append(_symmetry_defect(_sum(u_rows, strip, n)[:, :, :k], _sum(strip, u_strip, n)[:, :k, :k]))
+            elif kind is not None:
+                t, (u, _) = _rectangle(steps[0], chunk, k), conjugation(chunk)
+                out.append(_symmetry_defect(u.conj() @ t, t.conj().swapaxes(1, 2) @ u))
             if normality:
-                out.append(_normality_defect(rows, t))
+                out.append(_normality_defect(_sum(strip, strip, n)[:, :k, :k], _sum(rows, rows, n)))
             return out
 
         return evaluate
@@ -438,24 +485,32 @@ def wco_residual_stack(
 def conjugation_residual_stack(kind: str, lam: np.ndarray, alpha: np.ndarray, n: int, k: int):
     """[involution, isometry] arrays: involution_residual(conjugation_matrix(c,
     n), k) for each conjugation of one kind with parameters lam, alpha (B,),
-    building only the first k rows and columns of U; called through
-    verify.measure."""
+    from sums over the runs of the first k rows and columns of U (C2) or
+    from U's k x k block (J and C1); called through verify.measure."""
 
     def prepare(piece):
         cross = _conjugation_cross(kind, lam[piece], alpha[piece], n, k)
-        return lambda chunk: _involution_defect(*cross(chunk))
+        if kind != "C2":
+            return lambda chunk: _block_involution(*cross(chunk))
+
+        def evaluate(chunk):
+            rows, cols = cross(chunk)
+            return _involution_defect(_sum(rows, cols, n)[:, :, :k], _sum(cols, cols, n)[:, :k, :k])
+
+        return evaluate
 
     return _chunked(len(lam), n, k, prepare, 2)
 
 
 def _conjugation_cross(kind: str, lam: np.ndarray, alpha: np.ndarray, n: int, k: int):
     """The refusals of a piece of conjugations of one kind, and the function
-    of a chunk of it giving (U[:, :k], U[:, :, :k]) of conjugation_matrix:
-    all the residuals read of U."""
+    of a chunk of it giving what the residuals read of U of
+    conjugation_matrix: the runs of its first k rows and columns (_runs)
+    for C2, its k x k block twice for the diagonal J and C1."""
     _check_conjugations(kind, lam, alpha)
     if kind == "C2":
         steps = _prepare(*_c2_symbols(lam, alpha), n, k)
-        return lambda chunk: _cross(steps, chunk, n)
+        return lambda chunk: _runs(steps, chunk)
     # diagonal: the block is all that is nonzero
     diagonal = lam[:, None] * alpha[:, None] ** np.arange(k) if kind == "C1" else np.ones((len(lam), k))
 
@@ -472,8 +527,10 @@ def adjoint_factorization_stack(phi: np.ndarray, n: int, k: int) -> List[np.ndar
     || (C_phi)^H - M_g C_sigma (M_h)^H || on the leading block.
 
     M_g is lower triangular and M_h* upper triangular, so only the four
-    k x k blocks (k-truncations, expanded as at dimension n) reach it, M_g
-    and M_h as Toeplitz views; it holds to rounding for the correct sign.
+    k x k blocks (k-truncations) reach it, M_g and M_h as Toeplitz views;
+    it holds to rounding for the correct sign.  Both sigmas share the
+    denominator of the correct one, a self-map, so, as in _prepare, their
+    expansions to max(k, 3) refuse what expansions to n do.
     phi is read by read_maps, and the correct sigma is refused unless it
     is a self-map (for a self-map phi it always is); the flipped-sign
     sigma need not be one, and its block is built without that check so
@@ -488,8 +545,9 @@ def adjoint_factorization_stack(phi: np.ndarray, n: int, k: int) -> List[np.ndar
         if not is_self_map(stacks[0][1]).all():
             raise NotSelfMapError("sigma is not a self-map")
         (g, _, h), count = stacks[0], len(maps)
-        weights, phi_s, _ = _checked_series(np.concatenate([g, h]), maps, n)
-        series = np.concatenate([phi_s, quotient_series(np.concatenate([s for _, s, _ in stacks])[:, [1, 0, 3, 2]], n)])
+        weights, phi_s, _ = _checked_series(np.concatenate([g, h]), maps, max(k, 3))
+        sigmas = np.concatenate([s for _, s, _ in stacks])[:, [1, 0, 3, 2]]
+        series = np.concatenate([phi_s, quotient_series(sigmas, max(k, 3))])
         # the blocks of C_phi and of each C_sigma (the series of 1 times phi^j), then of M_g and M_h
         ones = np.eye(1, k, dtype=complex).repeat(len(series), axis=0)
         compositions = ones.reshape(-1, count, k), _toeplitz(series[:, :k]).swapaxes(1, 2).reshape(-1, count, k, k)

@@ -27,11 +27,11 @@ coefficient arrays: weights psi (B, 4) = (n0, n1, d0, d1), maps phi
 (B, 4) = (a, b, c, d), a constant map v being (0, v, 0, 1), and a
 conjugation as its kind with lam and alpha arrays (B,).  measure hands
 the whole probe to one seam of ``operators``, which prepares its rows a
-piece at a time (refusals, expansions, steps) and doubles them in
-chunks of at most max(1, STACK_ROWS // cfg.dim) rows, so that per-call
-numpy overhead, which sets a residual's cost at the suites' small N, is
-shared while the chunks stay out of the peak memory; each row's
-residuals equal those of a stack of one.
+piece at a time (refusals, expansions, steps) and sums them in chunks
+of at most max(1, STACK_ROWS // min(cfg.dim, h)) rows, h the rows a run
+fills a draw, so that per-call numpy overhead, which sets a residual's
+cost at the suites' small N, is shared while the chunks stay out of the
+peak memory; each row's residuals equal those of a stack of one.
 
 ``_record`` is the one verdict rule: every suite record and every
 ``wcosym check`` verdict is built by it, and it is the one caller of
@@ -221,10 +221,10 @@ class Probe(NamedTuple):
 def measure(cfg: SuiteConfig, probe: Probe) -> Dict[str, np.ndarray]:
     """The residual arrays of a probe on the leading cfg.block block of the
     cfg.dim-truncation, one array per key even for a probe of no rows.  The
-    seam it calls prepares the rows a piece at a time and doubles them in
-    chunks of at most max(1, STACK_ROWS // cfg.dim) rows, in order; each
-    row's residuals equal those of a stack of one.  A refused row raises
-    its refusal."""
+    seam it calls prepares the rows a piece at a time and sums them in
+    chunks of at most max(1, STACK_ROWS // min(cfg.dim, h)) rows, in
+    order; each row's residuals equal those of a stack of one.  A refused
+    row raises its refusal."""
     psi, phi, kind, lam, alpha, normality = probe
     count = len(phi) if phi is not None else len(alpha if lam is None else lam)
     lam = np.ones(count, dtype=complex) if lam is None else lam

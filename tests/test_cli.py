@@ -43,6 +43,16 @@ class TestComplexLiterals:
         with pytest.raises(CliParseError):
             parse_complex(text)
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "infinity", "-Infinity", "nan", "1+infi", "(inf-2i)", "infj"])
+    def test_infinite_literals_are_non_finite(self, text):
+        # an i inside inf or infinity is no imaginary unit
+        with pytest.raises(CliParseError, match="^non-finite complex literal"):
+            parse_complex(text)
+
+    def test_check_refuses_an_infinite_coefficient_as_non_finite(self, capsys):
+        assert main(["check", "--family", "j", "--a0", "inf", "--a1", "0"]) == 2
+        assert "non-finite complex literal 'inf'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "value", [0.0, 1.5, -2.25j, 0.1 + 0.2j, -1 / 3 - 1e-9j, 3e-15 + 7j]
     )

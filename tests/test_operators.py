@@ -23,12 +23,14 @@ from wcosym.operators import (
     MAX_DIM,
     _TILE,
     Conjugation,
-    _cross,
+    _double,
+    _filled,
+    _gram,
     _mobius_recurrence,
     _prepare,
     _rectangle,
     _row_step,
-    _strip,
+    _runs,
     _strip_parts,
     adjoint_factorization_stack,
     conjugation_matrix,
@@ -66,10 +68,22 @@ def conjugations(c):
 ALL = slice(None)  # the one chunk of a stack of one draw
 
 
+def fill(run, n):
+    """The first n rows of a run (head, start, step) of operators._runs of a
+    stack of one draw, filled by operators._double: the rows that the Gram
+    kernel sums."""
+    head, start, step = run
+    rows = np.empty((1, n, head.shape[-1]), dtype=complex)
+    rows[:, 0], rows[:, 1] = head, start
+    _double(rows[:, 1:], step)
+    return rows[0]
+
+
 def cross(psi, phi, n, k):
-    """operators._cross of a stack of one draw."""
-    rows, cols = _cross(_prepare(*stacks(psi, phi), n, k), ALL, n)
-    return rows[0], cols[0]
+    """The first k rows and the first k columns of W of a stack of one
+    draw, filled from the runs the seams sum (operators._runs)."""
+    rows, strip = _runs(_prepare(*stacks(psi, phi), n, k), ALL)
+    return fill(rows, n).T, fill(strip, n)[:, :k]
 
 
 def block(psi, phi, n, k):
@@ -439,7 +453,7 @@ class TestFftDoubling:
         for name, (psi, phi) in strip_cases().items():
             psi_s = psi_series(psi, n)
             reference = convolution_columns(psi_s, phi, n, 16)
-            error = np.max(np.abs(_strip(_prepare(*stacks(psi, phi), n, 16)[1], ALL, n)[0] - reference))
+            error = np.max(np.abs(cross(psi, phi, n, 16)[1] - reference))
             assert error <= 1e-13 * np.max(np.abs(reference)), name
             # the C2 symmetry alone reads W only through the strip, and U only
             # through the conjugation's first k rows and columns
@@ -480,6 +494,79 @@ class TestFftDoubling:
         for n in (1, 48, 96, 384):
             got = conjugation_matrix(C2_SLOW_DECAY, n)
             assert np.array_equal(got, _mobius_recurrence(quotient_series(weight, n)[0], vmap[0])), n
+
+
+def contraction(rng, count, width, norm):
+    """count random complex width x width steps of spectral norm norm."""
+    steps = rng.standard_normal((count, width, width)) + 1j * rng.standard_normal((count, width, width))
+    return steps * (norm / np.linalg.norm(steps, 2, axis=(1, 2)))[:, None, None]
+
+
+def filled_sum(x, p, y, q, length):
+    """sum_{m < length} (x p^m)^H (y q^m) for each draw: every row of both
+    runs formed one product at a time, then one contraction."""
+    runs = []
+    for start, step in ((x, p), (y, q)):
+        run = np.empty((len(start), length, start.shape[-1]), dtype=complex)
+        run[:, 0] = start
+        for m in range(1, length):
+            run[:, m] = (run[:, m - 1, None] @ step)[:, 0]
+        runs.append(run)
+    return runs[0].conj().swapaxes(1, 2) @ runs[1]
+
+
+class TestGramKernel:
+    """operators._gram sums sum_{m < L} (x p^m)^H (y q^m) by filling h0 rows
+    and doubling the sum past them, h0 the least power of two >= 2 x the
+    run width.  It must equal the sum of the filled and contracted runs to
+    1e-13 relative at every length, in the Hermitian (x is y, p is q) and
+    the cross case, and no seam may fill more than h0 rows a draw."""
+
+    def test_filled_rows_are_the_least_power_of_two_over_twice_the_width(self):
+        assert [_filled(width) for width in (1, 12, 13, 16, 17, 33)] == [2, 32, 32, 32, 64, 128]
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(17, 17), (16, 17), (12, 12), (13, 5)]))
+    def test_doubled_sum_equals_the_filled_sum(self, seed, widths):
+        rng = np.random.default_rng(seed)
+        a, b = widths
+        h0 = _filled(max(a, b))
+        count = 3
+        x = rng.standard_normal((count, a)) + 1j * rng.standard_normal((count, a))
+        y = rng.standard_normal((count, b)) + 1j * rng.standard_normal((count, b))
+        norms = rng.uniform(0.9, 1.0, count)
+        norms[0] = 1.0  # a run that never decays
+        p, q = contraction(rng, count, a, norms), contraction(rng, count, b, norms)
+        for length in (1, h0 - 1, h0, h0 + 1, 2 * h0, 1023):
+            for args in ((x, p, x, p), (x, p, y, q)):
+                got, want = _gram(*args, length), filled_sum(*args, length)
+                assert got.shape == want.shape, (length, widths)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (length, widths)
+                # each draw's sum is that of its stack of one, bit for bit
+                xs, ps, ys, qs = (arg[1:2] for arg in args)
+                if args[0] is args[2]:
+                    ys, qs = xs, ps  # still the Hermitian case
+                assert np.array_equal(_gram(xs, ps, ys, qs, length)[0], got[1]), (length, widths)
+
+    def test_no_seam_fills_more_than_h0_rows(self, monkeypatch):
+        # at N = 1024 and k = 16 every run a seam fills holds at most h0 =
+        # 64 rows a draw (the first k columns are 17 wide), not N
+        n, k, filled = MAX_DIM, 16, []
+        real = operators._double
+
+        def spy(run, step):
+            filled.append(run.shape[-2])
+            return real(run, step)
+
+        monkeypatch.setattr(operators, "_double", spy)
+        psi, phi = stacks(*BUILD_PATH_CASES["disk-automorphism"])
+        wco_residual_stack(psi, phi, n, k)
+        for c in (Conjugation("J"), Conjugation("C1", 1.0, 1j), C2_SLOW_DECAY):
+            wco_residual_stack(psi, phi, n, k, **conjugations(c))
+            wco_residual_stack(psi, phi, n, k, normality=False, **conjugations(c))
+            conjugation_residual_stack(*conjugations(c).values(), n, k)
+        adjoint_factorization_stack(phi, n, k)
+        assert filled and max(filled) == 64 == _filled(k + 1), filled
 
 
 C2_MODULI = (0.3, 0.9, 0.97, 0.99)

@@ -162,7 +162,7 @@ def test_matrix_residuals_only_through_measure(monkeypatch, capsys):
 
     for name in ("wco_residual_stack", "conjugation_residual_stack", "adjoint_factorization_stack"):
         monkeypatch.setattr(verify, name, guard(getattr(verify, name), depth=1))
-    for name in ("_normality_defect", "_symmetry_defect", "_involution_defect"):
+    for name in ("_gram", "_normality_defect", "_symmetry_defect", "_involution_defect"):
         monkeypatch.setattr(operators, name, guard(getattr(operators, name)))
     for suite_id, suite in sorted(SUITES.items()):
         cfg = suite.defaults if suite.fixed_samples else dataclasses.replace(suite.defaults, samples=5)
@@ -174,7 +174,7 @@ def test_matrix_residuals_only_through_measure(monkeypatch, capsys):
     ):
         assert main(["check"] + args) == 0
     seams = {"wco_residual_stack", "conjugation_residual_stack", "adjoint_factorization_stack"}
-    assert set(calls) == seams | {"_normality_defect", "_symmetry_defect", "_involution_defect"}
+    assert set(calls) == seams | {"_gram", "_normality_defect", "_symmetry_defect", "_involution_defect"}
 
 
 # the suites whose records carry a normality or symmetry residual from measure
@@ -913,7 +913,7 @@ def test_stacked_measure_equals_single_draws(dim, monkeypatch):
     cfg = SuiteConfig(dim=dim)
     runs, pieces = _spy_stacks(monkeypatch)
     got = [verify.measure(cfg, probe) for probe in probes]
-    size = max(1, STACK_ROWS // dim)
+    size = STACK_ROWS // _run_rows(dim, cfg.block)
     assert runs and max(runs) == size and all(draws >= 1 for draws in runs)
     assert max(count for count, _, _ in pieces) == min(size * (cfg.block + 1), 63)
     assert sum(count for count, _, _ in pieces) == sum(map(_count, probes))
@@ -926,16 +926,23 @@ def test_stacked_measure_equals_single_draws(dim, monkeypatch):
         assert list(empty) == _keys(probe) and all(r.shape == (0,) for r in empty.values())
 
 
+def _run_rows(dim, block):
+    """The most rows a seam's run fills a draw: min(dim, the least power of
+    two >= 2 (block + 1)), 32 at block 12 and 64 at block 16."""
+    return min(dim, {12: 32, 16: 64}[block])
+
+
 def test_no_suite_stack_goes_over_the_row_budget(monkeypatch):
     # every doubling run of the suites' measure calls holds at most
-    # max(1, STACK_ROWS // dim) draws and every piece a seam prepares at
-    # most block + 1 times that many, at each suite's default dim and at 384
+    # max(1, STACK_ROWS // rows) draws, rows the most a run fills a draw,
+    # and every piece a seam prepares at most block + 1 times that many, at
+    # each suite's default dim and at 384
     runs, pieces = _spy_stacks(monkeypatch)
     interior, widest = None, {}
     for suite_id, suite in sorted(SUITES.items()):
         for dim in (suite.defaults.dim, 384):
             cfg = dataclasses.replace(suite.defaults, dim=dim, seed=3)
-            size = max(1, STACK_ROWS // dim)
+            size = max(1, STACK_ROWS // _run_rows(dim, cfg.block))
             runs.clear()
             pieces.clear()
             run_suite(suite_id, cfg)
@@ -945,12 +952,13 @@ def test_no_suite_stack_goes_over_the_row_budget(monkeypatch):
             widest[dim] = max([widest.get(dim, 0), *runs])
             if suite_id == "ex51-interior" and dim == suite.defaults.dim:
                 interior = list(runs), list(pieces)
-    assert widest[64] == STACK_ROWS // 64 and widest[384] == STACK_ROWS // 384
+    # the block-12 suites fill 32 rows a draw at N = 64 and at 384
+    assert widest[64] == STACK_ROWS // 32 and widest[384] == STACK_ROWS // 32
     # ex51-interior's 40 draws at N = 96, block 12, its constant maps (every
-    # fourth index) among them: one piece (of at most 13 * 8), doubled in
-    # five chunks of 768 // 96 = 8, the first rows and the first columns of
-    # W each
-    assert interior == ([8] * 10, [(40, 96, 12)])
+    # fourth index) among them: one piece (of at most 13 * 24), doubled in
+    # chunks of 768 // 32 = 24 and 16, the first rows, the first columns
+    # and the leading block of W each
+    assert interior == ([24] * 3 + [16] * 3, [(40, 96, 12)])
 
 
 @pytest.mark.parametrize("budget", [1, 10**6])
