@@ -90,7 +90,7 @@ def main(argv=None) -> int:
             for k in BLOCKS:
                 cross = _median_ms(lambda: ops.wco_residual_stack(psi, phi, n, k), args.repeats)
                 stacked = _median_ms(lambda: ops.wco_residual_stack(psis, phis, n, k), args.repeats) / draws
-                block = _median_ms(lambda: ops._rectangle(ops._prepare(psi, phi, n, k, False)[0], one, k), args.repeats)
+                block = _median_ms(lambda: ops._rectangle(ops._prepare(psi, phi, k, False)[0], one, k), args.repeats)
                 print(f"{name:10} {n:5d} {k:3d} {whole:9.3f} {cross:9.3f} {stacked:10.3f} {block:9.3f}")
     return 0
 

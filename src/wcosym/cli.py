@@ -34,9 +34,10 @@ from .families import (
     j_normal_predicate,
     j_quadruples,
 )
-from .mobius import MapClass, classify, cowen_stack, is_degenerate
+from .mobius import MapClass, canonical, classify, cowen_stack, is_degenerate
 from .verify import (
     Probe,
+    SampleRecord,
     SuiteConfig,
     SUITES,
     VerificationReport,
@@ -60,13 +61,13 @@ REPORT_SCHEMA = {
         "known_discrepancy": {"type": "boolean"},
         "config": {
             "type": "object",
-            "required": ["dim", "block", "samples", "seed", "pass_tol", "fail_tol", "pred_tol"],
+            "required": [f.name for f in fields(SuiteConfig)],
         },
         "records": {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["index", "params", "residuals", "predicates", "oracles", "verdict"],
+                "required": ["index"] + [f.name for f in fields(SampleRecord) if f.name != "note"],
                 "verdicts": ["pass", "fail", "inconclusive", "discrepancy"],
             },
         },
@@ -102,13 +103,11 @@ def format_complex(z: complex) -> str:
 
 
 def _json_default(value):
-    """What json cannot encode itself: a complex as {"re", "im"}, a numpy
-    scalar as its Python value, anything else as its str."""
-    if isinstance(value, complex):
-        return {"re": float(value.real), "im": float(value.imag)}
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    return str(value)
+    """A complex as {"re", "im"}, the one value of a document that json cannot
+    encode itself; anything else raises TypeError rather than being written as text."""
+    if not isinstance(value, complex):
+        raise TypeError(f"{type(value).__name__} {value!r} is not JSON serializable")
+    return {"re": float(value.real), "im": float(value.imag)}
 
 
 def _to_json(doc) -> str:
@@ -121,18 +120,7 @@ def report_to_dict(report: VerificationReport) -> Dict:
         "suite_id": report.suite_id,
         "known_discrepancy": report.known_discrepancy,
         "config": asdict(report.config),
-        "records": [
-            {
-                "index": i,
-                "params": r.params,
-                "residuals": r.residuals,
-                "predicates": r.predicates,
-                "oracles": r.oracles,
-                "verdict": r.verdict,
-                "note": r.note,
-            }
-            for i, r in enumerate(report.records)
-        ],
+        "records": [{"index": i, **vars(r)} for i, r in enumerate(report.records)],
         "summary": report.summary,
     }
 
@@ -205,7 +193,7 @@ def cmd_classify(args) -> int:
     phi = np.array([coeffs])
     (cls,) = classify(phi)
     constant = cls.map_class is MapClass.CONSTANT  # a constant has no adjoint factorization
-    sigma = None if constant else (cowen_stack(phi)[1][0] + 0.0).tolist()  # canonical, + 0.0 drops a -0.0
+    sigma = None if constant else (canonical(cowen_stack(phi)[1])[0] + 0.0).tolist()  # + 0.0 drops a -0.0
     doc = {
         "class": cls.map_class.value,
         "dw_point": cls.dw_point,

@@ -35,8 +35,8 @@ class SymbolPoleError(WcoError):
     """Weight symbol has a pole inside or on the closed unit disk."""
 
 
-class BlockTooLargeError(WcoError):
-    """Requested residual block is empty or violates the padding protocol k + 32 <= N."""
+class BlockTooLargeError(WcoError, ValueError):
+    """Requested residual block is empty or violates k + 32 <= N (operators.check_truncation)."""
 
 
 class BadParameterDomainError(WcoError):

@@ -208,16 +208,22 @@ def c2_params_from_aut(alpha, beta, gamma, c1) -> C2Params:
     return C2Params.from_c0_squared(alpha, c0_sq, c1, c2)
 
 
+def c2_raw_phi(alpha, t, u, v, w) -> np.ndarray:
+    """The raw (B, 4) quadruple (-W, alpha U, -conj(alpha) T, conj(alpha) V) of the C2 family's
+    phi = (alpha U - W z)/(conj(alpha)(V - T z)), valid where phi degenerates to a boundary constant
+    and W has no truncation."""
+    return _stack(-w, alpha * u, -alpha.conjugate() * t, alpha.conjugate() * v)
+
+
 def c2_quadruples(params: C2Params):
     """Symbol stacks of the kernel-weighted symmetric family.
 
-    psi = d V/(V - T z) and phi = (alpha U - W z)/(conj(alpha)(V - T z))
-    in terms of the quadruple above.  phi need not map the disk into
-    itself (the normality moduli equalities force |phi(0)| = 1); the
+    psi = d V/(V - T z) and phi of c2_raw_phi.  phi need not map the disk
+    into itself (the normality moduli equalities force |phi(0)| = 1); the
     caller decides whether the pair is usable.
     """
     al, t, u, v, w, d = _arrays(params.alpha, *c2_quadruple(params), params.d)
-    return _stack(d * v, 0.0, v, -t), _maps(_stack(-w, al * u, -al.conjugate() * t, al.conjugate() * v))
+    return _stack(d * v, 0.0, v, -t), _maps(c2_raw_phi(al, t, u, v, w))
 
 
 def interior_quadruples(p, delta, gamma=1.0):

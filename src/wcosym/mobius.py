@@ -290,13 +290,14 @@ def classify(quads: np.ndarray) -> List[MapClassification]:
 def cowen_stack(quads: np.ndarray, sigma_sign: int = -1):
     """(g, sigma, h) of the adjoint factorization C_phi* = M_g C_sigma M_h*
     for each map of a (B, 4) stack: g = 1/(conj(d) - conj(b) z) and
-    h = d + c z as (n0, n1, d0, d1) rows, and sigma(z) = (conj(a) z -
-    conj(c)) / (-conj(b) z + conj(d)) canonical.  The ``sigma_sign``
+    h = d + c z as (n0, n1, d0, d1) rows, and Cowen's adjoint map sigma(z) =
+    (conj(a) z - conj(c)) / (-conj(b) z + conj(d)), not canonical (sigma's one
+    writer; a caller that expands or prints it canonicalizes it).  The ``sigma_sign``
     switch flips the sign of the conj(c) term and exists only so the wrong
     variant can be exhibited failing the factorization residual."""
     a, b, c, d = quads.T
     ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-    sigma = canonical(coefficient_stack(ac, sigma_sign * cc, -bc, dc))
+    sigma = coefficient_stack(ac, sigma_sign * cc, -bc, dc)
     return coefficient_stack(1.0, 0.0, dc, -bc), sigma, coefficient_stack(d, c, 1.0, 0.0)
 
 
@@ -309,11 +310,11 @@ def lft_normality_defects(quads: np.ndarray):
     normalized by the input scale so that degenerate quadruples (whose
     composites can vanish identically) are handled without blow-up:
     vanishing composites satisfy the written equations vacuously.  Both
-    are infinite where d = 0.
+    are infinite where d = 0.  sigma is Cowen's adjoint map as cowen_stack
+    writes it, not canonical: its rounding fixes the recorded defects.
     """
     a, b, c, d = quads.T
-    # Cowen's sigma as written, not as cowen_stack scales it: its rounding fixes the recorded defects
-    sigma = coefficient_stack(a.conjugate(), -c.conjugate(), -b.conjugate(), d.conjugate())
+    sigma = cowen_stack(quads)[1]
     (p1, q1, r1, s1), (p2, q2, r2, s2) = compose_stack(quads, sigma).T, compose_stack(sigma, quads).T
     cross = (p1 * r2 - p2 * r1, q1 * s2 - q2 * s1, p1 * s2 + q1 * r2 - p2 * s1 - q2 * r1)
     scale = _sum_sq((a, b, c, d)) * _sum_sq(sigma.T)

@@ -15,7 +15,8 @@ reads them: a constant z -> v is (0, v, 0, 1).
 Residuals are always measured on a leading k x k block with k + 32 <= N:
 truncation corrupts the trailing rows and columns of products, and the
 geometric decay of the symbol coefficients confines that corruption away
-from the leading block.  The block of the N-truncation is the
+from the leading block.  check_truncation alone states this rule and the
+cap, for verify.SuiteConfig and every residual.  The block of the N-truncation is the
 k-truncation: the J and C1 symmetries (U diagonal) and the adjoint
 factorization (M_g, M_h Toeplitz views) read k x k blocks alone.  Every
 other residual is made of sums over m < N of a_m^H b_m, a_m and b_m row m
@@ -83,13 +84,22 @@ MAX_DIM = 1024
 _TILE = 8
 # row budget of a chunk: the seams double at most max(1, STACK_ROWS // rows)
 # draws at once, rows = min(N, h) the most a run fills a draw, and prepare at
-# most k + 1 chunks at once.  Time of an all-suite pass at registry defaults
-# (N 48-96, k 12-16, reports serialized) on a 2-vCPU VM, one BLAS thread, median
-# of 10 passes, two runs per budget, budgets 1 / 192 / 384 / 768 / 1536 / uncut:
-# 346-439 / 147-163 / 137-151 / 137-199 / 148-175 / 219-229 ms; peak RSS of the
-# process 39.9 / 39.8-39.9 / 39.9-40.1 / 40.4-40.5 / 41.4-41.5 / 47.0 MB.
+# most k + 1 chunks at once (at 768, 24 draws a chunk at k = 12, 12 at k = 16).
+# In-process all-suite pass at registry defaults (N 48-96, reports serialized),
+# 2-vCPU VM, one BLAS thread, median of 10 passes, two runs per budget, budgets
+# 1 / 192 / 384 / 768 / 1536 / uncut: 224-245 / 118-126 / 106-108 / 101-104 /
+# 111-115 / 118-122 ms; peak RSS 39.7 / 39.7 / 39.6-39.7 / 39.8-40.0 / 41.1-41.2 / 46.4-46.5 MB.
 STACK_ROWS = 768
 _POLE_GUARD = 1.0 + 1e-9
+
+
+def check_truncation(n: int, k: Optional[int] = None):
+    """The one rule of a truncation: 1 <= N <= MAX_DIM, else ValueError, and, given
+    a block, 1 <= k and k + BLOCK_PAD <= N, else BlockTooLargeError (a ValueError)."""
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f"dimension N = {n} outside 1..{MAX_DIM}")
+    if k is not None and not 1 <= k <= n - BLOCK_PAD:
+        raise BlockTooLargeError(f"need 1 <= k and k + {BLOCK_PAD} <= N, got k={k}, N={n}")
 
 
 @dataclass(frozen=True)
@@ -141,15 +151,13 @@ def _checked_series(psi: np.ndarray, phi: np.ndarray, n: int):
     return series[:len(psi)], series[len(psi):], phi
 
 
-def _prepare(psi: np.ndarray, phi: np.ndarray, n: int, k: int, strip: bool = True):
-    """Every refusal of W of the n-truncation for a piece of draws psi, phi
+def _prepare(psi: np.ndarray, phi: np.ndarray, k: int, strip: bool = True):
+    """Every refusal of the symbols of W for a piece of draws psi, phi
     (B, 4), then what the runs of its first k rows and, with strip, of its
     first k columns are made of (_runs): O(k) numbers a draw, the Toeplitz
     matrices being views.  Past coefficient 1 neither series grows once the
-    refusals pass, so expanding max(k, 3) refuses what expanding n does."""
-    _check_dim(n)
+    refusals pass, so expanding max(k, 3) refuses what expanding N does."""
     psi_s, phi_s, phi = _checked_series(psi, phi, max(k, 3))
-    _check_block(n, k)
     rows = psi_s[:, :k], _toeplitz(phi_s[:, :k]).swapaxes(1, 2)
     return rows, (_strip_parts(psi, psi_s, phi, k) if strip else None)
 
@@ -345,7 +353,7 @@ def _tile_transfer(quad) -> np.ndarray:
 
 def conjugation_matrix(c: Conjugation, n: int) -> np.ndarray:
     """Matrix U with the conjugation acting as x -> U conj(x)."""
-    _check_dim(n)
+    check_truncation(n)
     if c.kind == "J":
         return np.eye(n, dtype=complex)
     if c.kind == "C1":
@@ -362,23 +370,13 @@ def _c2_symbols(lam: np.ndarray, alpha: np.ndarray):
     return coefficient_stack(lam * np.sqrt(1.0 - abs(alpha) ** 2), 0.0, 1.0, -ac), canonical(coefficient_stack(-ac / alpha, ac, -ac, 1.0))
 
 
-def _check_dim(n: int):
-    if not 1 <= n <= MAX_DIM:
-        raise ValueError(f"dimension N = {n} outside 1..{MAX_DIM}")
-
-
-def _check_block(n: int, k: int):
-    if not 1 <= k <= n - BLOCK_PAD:
-        raise BlockTooLargeError(f"need 1 <= k and k + {BLOCK_PAD} <= N, got k={k}, N={n}")
-
-
 def involution_residual(u: np.ndarray, k: int) -> Tuple[float, float]:
     """(involution defect, isometry defect) on the leading k x k block.
 
     C^2 x = U conj(U) x, so the first component is ||U conj(U) - I||; the
     anti-linear isometry axiom reduces to U^H U = I, the second component.
     """
-    _check_block(len(u), k)
+    check_truncation(len(u), k)
     (inv,), (iso,) = _block_involution(u[None, :k], u[None, :, :k])
     return float(inv), float(iso)
 
@@ -429,9 +427,8 @@ def _chunked(count: int, n: int, k: int, prepare, width: int) -> List[np.ndarray
     its preparation outgrows a chunk's run, and the preparation costs its
     numpy calls once a piece, not once a chunk.  Every draw's defects
     equal those of its stack of one.  The dimension and the block are
-    refused before any draw."""
-    _check_dim(n)
-    _check_block(n, k)
+    refused (check_truncation) before any draw."""
+    check_truncation(n, k)
     size = max(1, STACK_ROWS // min(n, _filled(k + 1)))
     piece = size * (k + 1)
     parts = []
@@ -460,8 +457,8 @@ def wco_residual_stack(
     keys = ("symmetry",) * (kind is not None) + ("normality",) * normality
 
     def prepare(piece):
-        steps = _prepare(psi[piece], phi[piece], n, k, strip=normality or kind == "C2")
-        conjugation = None if kind is None else _conjugation_cross(kind, lam[piece], alpha[piece], n, k)
+        steps = _prepare(psi[piece], phi[piece], k, strip=normality or kind == "C2")
+        conjugation = None if kind is None else _conjugation_cross(kind, lam[piece], alpha[piece], k)
 
         def evaluate(chunk):
             out = []
@@ -489,7 +486,7 @@ def conjugation_residual_stack(kind: str, lam: np.ndarray, alpha: np.ndarray, n:
     from U's k x k block (J and C1); called through verify.measure."""
 
     def prepare(piece):
-        cross = _conjugation_cross(kind, lam[piece], alpha[piece], n, k)
+        cross = _conjugation_cross(kind, lam[piece], alpha[piece], k)
         if kind != "C2":
             return lambda chunk: _block_involution(*cross(chunk))
 
@@ -502,14 +499,14 @@ def conjugation_residual_stack(kind: str, lam: np.ndarray, alpha: np.ndarray, n:
     return _chunked(len(lam), n, k, prepare, 2)
 
 
-def _conjugation_cross(kind: str, lam: np.ndarray, alpha: np.ndarray, n: int, k: int):
+def _conjugation_cross(kind: str, lam: np.ndarray, alpha: np.ndarray, k: int):
     """The refusals of a piece of conjugations of one kind, and the function
     of a chunk of it giving what the residuals read of U of
     conjugation_matrix: the runs of its first k rows and columns (_runs)
     for C2, its k x k block twice for the diagonal J and C1."""
     _check_conjugations(kind, lam, alpha)
     if kind == "C2":
-        steps = _prepare(*_c2_symbols(lam, alpha), n, k)
+        steps = _prepare(*_c2_symbols(lam, alpha), k)
         return lambda chunk: _runs(steps, chunk)
     # diagonal: the block is all that is nonzero
     diagonal = lam[:, None] * alpha[:, None] ** np.arange(k) if kind == "C1" else np.ones((len(lam), k))
@@ -528,8 +525,8 @@ def adjoint_factorization_stack(phi: np.ndarray, n: int, k: int) -> List[np.ndar
 
     M_g is lower triangular and M_h* upper triangular, so only the four
     k x k blocks (k-truncations) reach it, M_g and M_h as Toeplitz views;
-    it holds to rounding for the correct sign.  Both sigmas share the
-    denominator of the correct one, a self-map, so, as in _prepare, their
+    it holds to rounding for the correct sign.  Both sigmas, expanded canonical,
+    share the denominator of the correct one, a self-map, so, as in _prepare, their
     expansions to max(k, 3) refuse what expansions to n do.
     phi is read by read_maps, and the correct sigma is refused unless it
     is a self-map (for a self-map phi it always is); the flipped-sign
@@ -542,12 +539,12 @@ def adjoint_factorization_stack(phi: np.ndarray, n: int, k: int) -> List[np.ndar
         maps, _, refusals, *_ = read_maps(phi[piece])
         refuse(refusals())
         stacks = [cowen_stack(maps, sign) for sign in (-1, 1)]
-        if not is_self_map(stacks[0][1]).all():
-            raise NotSelfMapError("sigma is not a self-map")
         (g, _, h), count = stacks[0], len(maps)
+        sigmas = canonical(np.concatenate([s for _, s, _ in stacks]))
+        if not is_self_map(sigmas[:count]).all():
+            raise NotSelfMapError("sigma is not a self-map")
         weights, phi_s, _ = _checked_series(np.concatenate([g, h]), maps, max(k, 3))
-        sigmas = np.concatenate([s for _, s, _ in stacks])[:, [1, 0, 3, 2]]
-        series = np.concatenate([phi_s, quotient_series(sigmas, max(k, 3))])
+        series = np.concatenate([phi_s, quotient_series(sigmas[:, [1, 0, 3, 2]], max(k, 3))])
         # the blocks of C_phi and of each C_sigma (the series of 1 times phi^j), then of M_g and M_h
         ones = np.eye(1, k, dtype=complex).repeat(len(series), axis=0)
         compositions = ones.reshape(-1, count, k), _toeplitz(series[:, :k]).swapaxes(1, 2).reshape(-1, count, k, k)

@@ -62,6 +62,7 @@ from .mobius import (
     canonical,
     classify,
     coefficient_stack as _stack,
+    cowen_stack,
     is_automorphism,
     is_degenerate,
     is_self_map,
@@ -71,9 +72,8 @@ from .mobius import (
     sup_modulus,
 )
 from .operators import (
-    BLOCK_PAD,
-    MAX_DIM,
     adjoint_factorization_stack,
+    check_truncation,
     conjugation_residual_stack,
     wco_residual_stack,
 )
@@ -83,7 +83,9 @@ from .series import poles
 @dataclass(frozen=True)
 class SuiteConfig:
     """A run's truncation (dim, block), samples and seed; the band (pass_tol,
-    fail_tol) of every oracle value; pred_tol, of every gap and predicate."""
+    fail_tol) of every oracle value; pred_tol, of every gap and predicate.
+    (dim, block) obeys operators.check_truncation, and block >= 2: at k = 1 the (0, 0) entry of
+    T*T - TT* vanishes for J and C1 symmetric T, and that of CW - W*C for any W if C is C2."""
 
     dim: int = 64
     block: int = 12
@@ -96,9 +98,9 @@ class SuiteConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"need samples >= 1, got {self.samples}")
-        if not 1 <= self.block <= self.dim - BLOCK_PAD or self.dim > MAX_DIM:
-            need = f"need 1 <= block, block + {BLOCK_PAD} <= dim <= {MAX_DIM}"
-            raise ValueError(f"{need}, got block {self.block}, dim {self.dim}")
+        check_truncation(self.dim, self.block)
+        if self.block < 2:
+            raise ValueError(f"need block >= 2 for a verdict, got block {self.block}")
         if not self.pass_tol < self.fail_tol:
             raise ValueError("pass_tol must be below fail_tol")
 
@@ -196,10 +198,10 @@ def lft_oracle(quads: np.ndarray, tol: float) -> List[Dict[str, object]]:
 
 
 def cowen_weights(phi: np.ndarray) -> np.ndarray:
-    """The kernel weights K_{sigma(0)} = 1/(1 - conj(sigma(0)) z), sigma(0) =
-    -conj(c)/conj(d) Cowen's adjoint map at 0, of a stack of maps."""
-    sigma0 = -phi[:, 2].conjugate() / phi[:, 3].conjugate()
-    return _stack(1.0, 0.0, 1.0, -sigma0.conjugate())
+    """The kernel weights K_{sigma(0)} = 1/(1 - conj(sigma(0)) z), sigma
+    Cowen's adjoint map of mobius.cowen_stack, of a stack of maps."""
+    sigma = cowen_stack(phi)[1]
+    return _stack(1.0, 0.0, 1.0, -(sigma[:, 1] / sigma[:, 3]).conjugate())
 
 
 class Probe(NamedTuple):
@@ -599,11 +601,7 @@ def suite_thm61_consistency(cfg: SuiteConfig, d) -> List[SampleRecord]:
     params = fam.C2Params(d.alpha, d.c0, d.c1, d.c2)
     cases = fam.c2_normal_predicate(params, cfg.pred_tol)
     claims = np.isin(cases, (fam.C2NormalCase.CASE_I.value, fam.C2NormalCase.CASE_II.value))
-    # raw coefficient quadruple of phi: valid even when it degenerates
-    # to a boundary constant, where no operator truncation exists
-    t, u, v, w = fam.c2_quadruple(params)
-    al = d.alpha
-    lft = lft_oracle(_stack(-w, al * u, -al.conjugate() * t, al.conjugate() * v), cfg.pred_tol)
+    lft = lft_oracle(fam.c2_raw_phi(d.alpha, *fam.c2_quadruple(params)), cfg.pred_tol)
     psi, phi = fam.c2_quadruples(params)
     usable = (d.kind >= 2) & ~is_degenerate(phi) & is_self_map(phi) & (abs(poles(psi)) > 1.5)
     rows = np.flatnonzero(usable)

@@ -229,6 +229,7 @@ class TestCheckCommand:
         # N outside 1..1024 is refused, not replaced by the default
         assert main(["check", "--family", "j", "--a0", "0.3", "--a1", "0.2", "--dim", "0"]) == 2
         assert main(["check", "--family", "j", "--a0", "0.5i", "--a1", "0.75", "--block", "-5"]) == 2
+        assert main(["check", "--family", "j", "--a0", "0.5i", "--a1", "0.75", "--block", "1"]) == 2
         # tolerances every suite refuses: an inverted band, and NaN
         args = ["check", "--family", "j", "--a0", "0.3", "--a1", "0.2"]
         assert main(args + ["--pass-tol", "1", "--fail-tol", "1e-9"]) == 2
@@ -268,6 +269,8 @@ class TestSuiteCommand:
         # no matrix refuse it too, rather than reporting block 0
         assert main(["suite", "--id", "prop21-normal", "--block", "0", "--samples", "3"]) == 2
         assert main(["suite", "--id", "lemma31-aut", "--block", "0"]) == 2
+        # a 1 x 1 block decides no verdict: its (0, 0) entry vanishes for every J, C1 or C2 symmetric W
+        assert main(["suite", "--id", "prop41-iff", "--block", "1", "--samples", "3"]) == 2
         # no draw at all would read as a clean pass
         for samples in ("0", "-3"):
             assert main(["suite", "--id", "prop21-normal", "--samples", samples]) == 2

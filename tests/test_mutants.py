@@ -3,7 +3,7 @@
 Each mutant replaces one closed form with a wrong one at every binding of
 it in the package (a module that imported the name holds its own binding),
 runs every suite at its registry defaults, and asserts that the outcome of
-the suites it names moves: a summary, or a run that raises (a
+the suites it names moves: a record's verdict, or a run that raises (a
 SamplingBudgetError counts).  A defect shared by a family constructor and
 the check of the same family would cancel; each row shows that the one
 owner of a formula is checked from outside it.
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from wcosym import cli, families, mobius  # noqa: F401 (cli holds bindings of two targets)
-from wcosym.errors import WcoError
+from wcosym.errors import SamplingBudgetError, WcoError
 from wcosym.verify import SUITES, default_config, run_suite
 
 MODULES = [module for name, module in sorted(sys.modules.items()) if name.split(".")[0] == "wcosym"]
@@ -42,9 +42,16 @@ MUTANTS = {
     ),
     "c2_parabolic_dw_point conjugated": (families.c2_parabolic_dw_point, _conjugated, {"ex63-parabolic"}),
     "c2_aut_beta conjugated": (families.c2_aut_beta, _conjugated, {"lemma33-aut"}),
+    # cowen_stack is sigma's one writer, so the flip reaches the factorization
+    # and the LFT oracle of thm61; prop22 does not move, because its claim
+    # (the LFT oracle) and its weight K_{sigma(0)} read the same sigma and flip together
     "cowen_stack sign flipped": (
         mobius.cowen_stack, lambda original: lambda quads, sigma_sign=-1: original(quads, -sigma_sign),
-        {"cowen-factorization"},
+        {"cowen-factorization", "thm61-consistency"},
+    ),
+    "c2_raw_phi with +W": (
+        families.c2_raw_phi, lambda original: lambda alpha, t, u, v, w: original(alpha, t, u, v, -w),
+        {"c2sym-form", "ex61-interior", "ex63-parabolic", "lemma33-aut", "thm61-consistency"},
     ),
     "j_normal_expression Im(conj(a0) a1) negated": (
         families.j_normal_expression,
@@ -64,12 +71,15 @@ MUTANTS = {
 
 
 def _outcomes():
-    """Each suite's summary at its registry defaults, or the refusal it raises."""
+    """Each suite's verdicts, record by record, at its registry defaults, or
+    the refusal it raises: a mutant may trade verdicts between records and
+    keep the summary (c2_raw_phi with +W turns thm61's 12 case I passes and
+    12 interior-normal discrepancies around)."""
     out = {}
     for suite_id in sorted(SUITES):
         try:
-            out[suite_id] = run_suite(suite_id, default_config(suite_id)).summary
-        except WcoError as exc:
+            out[suite_id] = [record.verdict for record in run_suite(suite_id, default_config(suite_id)).records]
+        except (WcoError, SamplingBudgetError) as exc:
             out[suite_id] = type(exc).__name__
     return out
 

@@ -2,6 +2,7 @@ import ast
 import cmath
 import collections
 import dataclasses
+import fractions
 import math
 import pathlib
 import sys
@@ -31,7 +32,13 @@ from wcosym.mobius import (
     quadruple_gap,
     sup_modulus,
 )
-from wcosym.operators import STACK_ROWS, wco_residual_stack
+from wcosym.operators import (
+    MAX_DIM,
+    STACK_ROWS,
+    adjoint_factorization_stack,
+    conjugation_residual_stack,
+    wco_residual_stack,
+)
 from wcosym.series import poles
 from wcosym.verify import (
     ANCHOR_SUITES,
@@ -95,6 +102,32 @@ class TestConfig:
     def test_tolerance_order(self):
         with pytest.raises(ValueError):
             SuiteConfig(pass_tol=1e-2, fail_tol=1e-3)
+
+    @pytest.mark.parametrize("dim", [0, 1, 33, 64, MAX_DIM, MAX_DIM + 1])
+    def test_config_and_seams_refuse_the_same_truncations(self, dim):
+        # operators.check_truncation is the one rule of (dim, block): the
+        # config and each seam, given no draws so that only the truncation
+        # is read, refuse the same pairs, but for block 1, which the config
+        # alone refuses: a 1 x 1 block decides no verdict
+        empty, none = np.empty((0, 4), dtype=complex), np.empty(0, dtype=complex)
+        builders = {
+            "config": lambda n, k: SuiteConfig(dim=n, block=k),
+            "wco": lambda n, k: wco_residual_stack(empty, empty, n, k, "C2", none, none),
+            "conjugation": lambda n, k: conjugation_residual_stack("C2", none, none, n, k),
+            "factorization": lambda n, k: adjoint_factorization_stack(empty, n, k),
+        }
+        for block in (0, 1, 2, dim - 32, dim - 31):
+            refused = {name: _refuses(build, dim, block) for name, build in builders.items()}
+            rule = not (1 <= dim <= MAX_DIM and 1 <= block <= dim - 32)
+            assert refused == {**dict.fromkeys(builders, rule), "config": rule or block == 1}, (dim, block)
+
+
+def _refuses(build, *args) -> bool:
+    try:
+        build(*args)
+    except ValueError:
+        return True
+    return False
 
 
 FAST_CLEAN_SUITES = [
@@ -266,6 +299,24 @@ def _callers(names):
 
         walk(ast.parse(path.read_text(encoding="utf-8")), None)
     return found
+
+
+def test_each_decision_has_one_owner():
+    # operators alone names the truncation constants (check_truncation
+    # states the rule); Cowen's sigma is written by cowen_stack alone, whose
+    # callers read it; the raw C2 map by c2_raw_phi alone
+    package = pathlib.Path(verify.__file__).parent
+    naming = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = _identifiers(tree) | {alias.name for alias in ast.walk(tree) if isinstance(alias, ast.alias)}
+        if names & {"BLOCK_PAD", "MAX_DIM"}:
+            naming.add(path.stem)
+    assert naming == {"operators"}
+    assert _callers({"cowen_stack"}) == {
+        ("mobius", "lft_normality_defects"), ("operators", "prepare"), ("verify", "cowen_weights"), ("cli", "cmd_classify"),
+    }
+    assert _callers({"c2_raw_phi"}) == {("families", "c2_quadruples"), ("verify", "suite_thm61_consistency")}
 
 
 def test_band_rule_has_one_caller():
@@ -1005,6 +1056,16 @@ def test_report_schema_validation():
     broken = dict(doc)
     broken.pop("suite_id")
     assert validate_report_dict(broken)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), fractions.Fraction(1, 3)])
+def test_report_json_encodes_complex_alone(value):
+    # a complex is the one value of a report that json cannot encode
+    # itself; any other such value is refused, not written as some text
+    records = [SampleRecord({"z": 0.5 - 2j}), SampleRecord({"x": value})]
+    assert '"z":{"im":-2.0,"re":0.5}' in report_to_json(VerificationReport("hand-built", SuiteConfig(), records[:1]))
+    with pytest.raises(TypeError):
+        report_to_json(VerificationReport("hand-built", SuiteConfig(), records))
 
 
 # Every registry id at its registry defaults (seed 2024): (pass, fail,
