@@ -162,7 +162,7 @@ def sweep_to_csv(report: VerificationReport) -> str:
             repr(float(r)),
             repr(t.real),
             repr(t.imag),
-            repr(rec.residuals.get("deficiency", rec.residuals.get("normality", float("nan")))),
+            repr(rec.residuals["deficiency"]),
             rec.verdict,
         ]
         witnesses = [(k, v) for k, v in rec.params.items() if k not in ("r", "t")][:3]
@@ -257,7 +257,7 @@ def _check_family(args):
         decided = {"lft": None}  # no truncation and no coefficient-level oracle: undecided
     else:
         # coefficient-level oracle for symbols without a usable truncation
-        (lft,) = lft_oracle(phi, cfg.pred_tol)
+        lft = {key: column[0].item() for key, column in lft_oracle(phi, cfg.pred_tol).items()}
         residuals["lft_modulus_gap"] = lft["modulus_gap"]
         residuals["lft_commute_defect"] = lft["commute_defect"]
         decided = {"lft": lft["normal"]}

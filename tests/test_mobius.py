@@ -360,7 +360,7 @@ class TestCowenAdjoint:
 
 
 def lft_normal(m):
-    return lft_oracle(canonical(stack(m)), SuiteConfig.pred_tol)[0]["normal"]
+    return lft_oracle(canonical(stack(m)), SuiteConfig.pred_tol)["normal"][0]
 
 
 class TestNormalityLftCheck:

@@ -25,6 +25,10 @@ def _conjugated(original):
     return lambda *args: np.conj(original(*args))
 
 
+def _negated(original):
+    return lambda *args: np.logical_not(original(*args))
+
+
 def _flipped_c2_weight(original):
     def c2_quadruples(params):
         psi, phi = original(params)
@@ -58,6 +62,10 @@ MUTANTS = {
         lambda original: lambda a0, a1: a0.imag * (1.0 - abs(a0) ** 2) - (a0.conjugate() * a1).imag,
         {"prop41-iff", "cor41-aut"},
     ),
+    # the iff suites share one recorder, which must read the predicate each
+    # suite passes it at run time, not a function object held since import
+    "j_normal_predicate negated": (families.j_normal_predicate, _negated, {"prop41-iff"}),
+    "c1_normal_predicate negated": (families.c1_normal_predicate, _negated, {"thm51-iff"}),
     "interior_quadruples with conj(delta)": (
         families.interior_quadruples,
         lambda original: lambda p, delta, gamma=1.0: original(p, np.conj(delta), gamma),

@@ -175,6 +175,34 @@ def test_conjugation_axioms_makes_samples_records(samples):
     assert kinds == ["J"] + ["C1"] * (samples // 2) + ["C2"] * ((samples - 1) // 2)
 
 
+def test_conjugation_axioms_hold_at_wide_blocks():
+    # lam alpha^j is rounded power by power, so a correct C1 conjugation's
+    # defect grows with the block: at k = 40 it reaches 3.3e-14, above the
+    # 1e-14 that bounds it up to k = 16
+    cfg = dataclasses.replace(default_config("conjugation-axioms"), dim=389, block=40, seed=0)
+    assert run_suite("conjugation-axioms", cfg).summary["fail"] == 0
+
+
+@pytest.mark.parametrize(
+    "block, value, verdict",
+    [(16, 1e-14, "pass"), (16, 1.01e-14, "fail"), (17, 1.12e-14, "pass"), (17, 1.14e-14, "fail"),
+     (40, 6.2e-14, "pass"), (40, 6.3e-14, "fail")],
+)
+def test_c1_axiom_tolerance_grows_past_block_16(block, value, verdict, monkeypatch):
+    # every J and C1 row reads one injected involution and isometry value:
+    # the tolerance is 1e-14 up to block 16 and 1e-14 (k / 16)^2 above it
+    real = verify.measure
+
+    def measure(cfg, probe):
+        got = real(cfg, probe)
+        return got if probe.kind == "C2" else {key: np.full_like(r, value) for key, r in got.items()}
+
+    monkeypatch.setattr(verify, "measure", measure)
+    cfg = dataclasses.replace(default_config("conjugation-axioms"), dim=96, block=block, samples=6)
+    records = run_suite("conjugation-axioms", cfg).records
+    assert {rec.verdict for rec in records if rec.params["kind"] != "C2"} == {verdict}
+
+
 def test_matrix_residuals_only_through_measure(monkeypatch, capsys):
     # every suite and every `check` family takes its matrix residuals through
     # verify.measure: the two stacked seams fail unless measure calls them,
@@ -385,6 +413,40 @@ def test_every_default_parameter_is_passed():
             unpassed += [(module, f.name, name) for index, name in knobs
                          if not any(passed(call, index, name) for call in calls[f.name])]
     assert unpassed == [("cli", "main", "argv")]
+
+
+@pytest.mark.parametrize("as_columns", [True, False])
+def test_records_is_record_on_each_row(as_columns):
+    # _records makes one _record per row from the row's value of every
+    # column; claim and exact are a column or one value, and a list column
+    # hands its own Python objects over (abs of a Python complex stays)
+    cfg = SuiteConfig()
+    z = np.array([0.3 + 0.4j, 1e-9 + 0j, 2.0 - 1.0j])
+    columns = {
+        "oracle": {"normality": np.array([1e-12, 1e-5, 0.5])},
+        "gaps": {"gap": [abs(value) for value in z.tolist()]},
+        "decided": {"lft": [True, None, False]},
+        "residuals": {"flipped": np.array([1.0, 2.0, 3.0])},
+        "predicates": {"big": abs(z) > 1.0, "name": ["a", "b", "c"]},
+    }
+    claims, exacts = [True, False, True], [True, True, False]
+    claim, exact = (np.array(claims), exacts) if as_columns else (False, True)
+    got = verify._records(cfg, {"z": z, "i": np.arange(3)}, claim, exact, **columns)
+    assert len(got) == 3
+
+    def cell(column, i):
+        return (column.tolist() if isinstance(column, np.ndarray) else column)[i]
+
+    for i, rec in enumerate(got):
+        row = {name: {key: cell(column, i) for key, column in group.items()} for name, group in columns.items()}
+        want = verify._record(
+            cfg, {"z": z.tolist()[i], "i": i}, claim=claims[i] if as_columns else False,
+            exact=exacts[i] if as_columns else True, **row,
+        )
+        assert vars(rec) == vars(want)
+        assert [type(value) for value in rec.params.values()] == [complex, int]
+        assert type(rec.predicates["big"]) is bool and type(rec.residuals["flipped"]) is float
+        assert rec.residuals["gap"] is columns["gaps"]["gap"][i]
 
 
 @pytest.mark.parametrize("normal, band", [(True, "pass"), (False, "fail"), (None, "band")])
