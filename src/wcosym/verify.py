@@ -17,7 +17,8 @@ generator and draws every index, then only the rejected ones, until each
 holds an accepted draw (a rejected index is redrawn, never dropped); the
 recorder ``(cfg, draws)`` gets the columns in index order, computes its
 predicates and gaps on the arrays, map classes included (``classify``
-takes the whole stack), and returns one record per index.
+takes the whole stack), and makes one record per index in one ``_records``
+call; a row lacks the keys that an ``_at`` column leaves absent there.
 
 ``measure`` is the one seam to the matrix residuals: the suites and
 ``wcosym check`` (a probe of one row) take every normality, symmetry,
@@ -33,8 +34,8 @@ fills a draw, so that per-call numpy overhead, which sets a residual's
 cost at the suites' small N, is shared while the chunks stay out of the
 peak memory; each row's residuals equal those of a stack of one.
 
-``_record`` is the one verdict rule: every suite record and every
-``wcosym check`` verdict is built by it, and it is the one caller of
+``_record`` is the one verdict rule: ``_records`` builds every suite
+record with it, ``wcosym check`` its verdict, and it is the one caller of
 ``band_verdict`` and ``agreement``.  Every closed-form gap (a quantity the
 paper's formulas make zero) is recorded under its name and is "fail" above
 cfg.pred_tol; only the conjugation axioms keep tolerances of their own.
@@ -164,14 +165,36 @@ def _signs(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.where(rng.random(count) < 0.5, 1.0, -1.0)
 
 
-def _rows(*columns):
-    """The rows of the columns, arrays or lists, as plain Python values."""
-    return zip(*(column if isinstance(column, list) else column.tolist() for column in columns))
+_ABSENT = object()  # the cell of a row that lacks the key; not None, which `decided` reads as undecided
 
 
-def _dicts(columns: dict) -> List[dict]:
-    """The rows of a dict of equal-length columns, each as a dict of plain Python values."""
-    return [dict(zip(columns, row)) for row in _rows(*columns.values())]
+def _cells(column, count: int) -> list:
+    """A column's cells as plain Python values: an array's, a list's own objects, or count copies of one value."""
+    if isinstance(column, np.ndarray):
+        return column.tolist()
+    return column if isinstance(column, list) else [column] * count
+
+
+def _at(mask, values, others=_ABSENT) -> list:
+    """The column of values where the bool array mask holds and of others
+    elsewhere, each one cell per such row, in order, or one value; by
+    default the other rows' cells are absent, so their records lack the key."""
+    held = mask.tolist()
+    on, off = iter(_cells(values, len(held))), iter(_cells(others, len(held)))
+    return [next(on) if h else next(off) for h in held]
+
+
+def _dicts(columns: dict, count: int) -> List[dict]:
+    """The count rows of a dict of columns (see _cells) as dicts without their absent cells."""
+    cells = [_cells(column, count) for column in columns.values()]
+    if any(isinstance(column, list) and _ABSENT in column for column in columns.values()):  # only lists hold them
+        return [{key: cell for key, cell in zip(columns, row) if cell is not _ABSENT} for row in zip(*cells)]
+    return [dict(zip(columns, row)) for row in zip(*cells)] if cells else [{} for _ in range(count)]
+
+
+def _modulus(z) -> np.ndarray:
+    """|z| rounded as Python's abs of a complex (libm hypot); numpy's complex abs can differ in the last place."""
+    return np.hypot(z.real, z.imag)
 
 
 def band_verdict(residual: float, cfg) -> str:
@@ -247,9 +270,7 @@ _SEVERITY = ("pass", "inconclusive", "discrepancy")
 _DECISION_BAND = {True: "pass", False: "fail", None: "band"}
 
 
-def _record(
-    cfg, params, oracle=None, claim=True, exact=True, gaps=None, decided=None, residuals=None, oracles=None, **fields
-):
+def _record(cfg, params, oracle=None, claim=True, exact=True, gaps=None, decided=None, residuals=None, oracles=None, **fields):
     """The one verdict rule.  gaps are closed-form quantities that must be
     zero: each is recorded in residuals, and one above cfg.pred_tol (or a
     failed structural check, exact False) makes the record "fail".
@@ -267,25 +288,19 @@ def _record(
     bands.update({f"{key}_band": _DECISION_BAND[normal] for key, normal in (decided or {}).items()})
     verdict = max((agreement(claim, band) for band in bands.values()), key=_SEVERITY.index, default="pass")
     exact = exact and all(gap <= cfg.pred_tol for gap in gaps.values())
-    return SampleRecord(
-        params=params,
-        residuals={**oracle, **gaps, **(residuals or {})},
-        oracles={**bands, **(oracles or {})},
-        verdict=verdict if exact else "fail",
-        **fields,
-    )
+    return SampleRecord(params, residuals={**oracle, **gaps, **(residuals or {})}, oracles={**bands, **(oracles or {})},
+                        verdict=verdict if exact else "fail", **fields)
 
 
-def _records(cfg, params, claim=True, exact=True, **columns) -> List[SampleRecord]:
+def _records(cfg, params, claim=True, exact=True, note="", **columns) -> List[SampleRecord]:
     """One `_record` per row: params and each dict keyword of `_record`
-    (oracle, gaps, decided, residuals, oracles) map report keys to
-    equal-length columns, arrays or lists; claim and exact are a column or
-    one value.  The rows come from `_rows`, so every value keeps its Python type."""
-    groups = {"params": params, **columns}
+    (oracle, gaps, decided, residuals, oracles) map report keys to columns,
+    and claim, exact and note are columns.  A column is an array, a list (its
+    objects are kept) or one value; an `_at` column's absent cells drop the key."""
     count = len(next(iter(params.values())))
-    flags = [flag if isinstance(flag, (list, np.ndarray)) else [flag] * count for flag in (claim, exact)]
-    rows = zip(_rows(*flags), *(_dicts(group) or [{}] * count for group in groups.values()))
-    return [_record(cfg, claim=claim, exact=exact, **dict(zip(groups, dicts))) for (claim, exact), *dicts in rows]
+    groups = {"params": params, **columns}
+    rows = zip(*(_cells(flag, count) for flag in (claim, exact, note)), *(_dicts(group, count) for group in groups.values()))
+    return [_record(cfg, claim=c, exact=e, note=n, **dict(zip(groups, dicts))) for c, e, n, *dicts in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +365,13 @@ def suite_conjugation_axioms(cfg: SuiteConfig, d) -> List[SampleRecord]:
     at 32.  C2 converges geometrically in |alpha|: at N = 48 and block 16 it
     stays below 1e-8 for |alpha| up to roughly 0.35, so draws stay below 0.32.
     """
-    records: List[Optional[SampleRecord]] = [None] * len(d.kind)
-    tol = {"C1": 1e-14 * max(1.0, cfg.block / 16) ** 2, "C2": 1e-8}
-    for kind, rows in (("C1", np.flatnonzero(d.kind < 2)), ("C2", np.flatnonzero(d.kind == 2))):  # J and C1: one stack
-        got = measure(cfg, Probe(kind=kind, lam=d.lam[rows], alpha=d.alpha[rows]))
-        for i, code, lam, alpha, inv, iso in _rows(rows, d.kind[rows], d.lam[rows], d.alpha[rows], *got.values()):
-            params = {"kind": "J"} if code == 0 else {"kind": kind, "lam": lam, "alpha": alpha}
-            records[i] = _record(cfg, params, exact=max(inv, iso) <= tol[kind], residuals={"involution": inv, "isometry": iso})
-    return records
+    c2, named = d.kind == 2, d.kind > 0  # J and C1: one stack
+    got = [measure(cfg, Probe(kind=kind, lam=d.lam[rows], alpha=d.alpha[rows])) for kind, rows in (("C1", ~c2), ("C2", c2))]
+    residuals = {key: _at(c2, got[1][key], got[0][key]) for key in got[0]}
+    tol = np.where(c2, 1e-8, 1e-14 * max(1.0, cfg.block / 16) ** 2)
+    params = {"kind": np.where(c2, "C2", np.where(named, "C1", "J")), "lam": _at(named, d.lam[named]),
+              "alpha": _at(named, d.alpha[named])}
+    return _records(cfg, params, exact=np.maximum(*residuals.values()) <= tol, residuals=residuals)
 
 
 def _perturbed(psi: np.ndarray) -> np.ndarray:
@@ -372,11 +386,8 @@ def _symmetry_records(cfg: SuiteConfig, params: dict, d, kind: str, alpha=None) 
     must pass, perturbed controls (the indices past cfg.samples) must fail."""
     member = np.arange(len(d.psi)) < cfg.samples
     psi = np.where(member[:, None], d.psi, _perturbed(d.psi))
-    symmetry = measure(cfg, Probe(psi, d.phi, kind, alpha=alpha, normality=False))["symmetry"].tolist()
-    return [
-        _record(cfg, p if m else {**p, "perturbed": True}, {"symmetry": r}, m, predicates={"in_family": m})
-        for p, m, r in zip(_dicts(params), member.tolist(), symmetry)
-    ]
+    oracle = measure(cfg, Probe(psi, d.phi, kind, alpha=alpha, normality=False))
+    return _records(cfg, {**params, "perturbed": _at(~member, True)}, member, oracle=oracle, predicates={"in_family": member})
 
 
 def draw_jsym(rng, cfg: SuiteConfig, idx):
@@ -424,13 +435,9 @@ def _draw_c2_selfmap(rng, n: int):
 _C2 = ("alpha", "c0", "c1", "c2")
 
 
-def _params_columns(params: fam.C2Params) -> dict:
-    return {name: getattr(params, name) for name in _C2}
-
-
 def draw_c2sym(rng, cfg: SuiteConfig, idx):
     keep, params, psi, phi = _draw_c2_selfmap(rng, len(idx))
-    return keep, {**_params_columns(params), "psi": psi, "phi": phi}
+    return keep, {**_params(params, *_C2), "psi": psi, "phi": phi}
 
 
 def suite_c2sym_form(cfg: SuiteConfig, d) -> List[SampleRecord]:
@@ -438,10 +445,6 @@ def suite_c2sym_form(cfg: SuiteConfig, d) -> List[SampleRecord]:
 
 
 # --- automorphism lemmas -----------------------------------------------------
-
-def _aut_record(cfg: SuiteConfig, params, expected: str, form: str, ok: bool, gaps) -> SampleRecord:
-    return _record(cfg, params, exact=ok, gaps=gaps, predicates={"expected": expected}, oracles={"form": form})
-
 
 def draw_lemma31(rng, cfg: SuiteConfig, idx):
     """Even indices: a forward-built rotation-free automorphism of gamma;
@@ -459,16 +462,14 @@ def suite_lemma31_aut(cfg: SuiteConfig, d) -> List[SampleRecord]:
     """Forward-built rotation-free automorphisms are recovered with
     gamma = (a1 + 1)/a0; random non-automorphisms come back empty."""
     forms, beta, gamma = fam.j_aut_forms(d.a0, d.a1)
+    disk, g = d.even & (forms == "DiskForm"), d.gamma
     map_gap = proj_distance(fam.disk_form_quadruples(beta, gamma), d.phi)
-    records = []
-    for even, g, a0, a1, form, got, gap in _rows(d.even, d.gamma, d.a0, d.a1, forms, gamma, map_gap):
-        if even:
-            ok = form == "DiskForm"
-            gaps = {"gamma_gap": abs(got - g), "map_gap": gap} if ok else {}
-            records.append(_aut_record(cfg, {"a0": a0, "a1": a1, "gamma": g}, "disk", form, ok, gaps))
-        else:
-            records.append(_aut_record(cfg, {"a0": a0, "a1": a1}, "none", form, form == "NoneType", {}))
-    return records
+    return _records(
+        cfg, {"a0": d.a0, "a1": d.a1, "gamma": _at(d.even, g[d.even])},
+        exact=forms == np.where(d.even, "DiskForm", "NoneType"),
+        gaps={"gamma_gap": _at(disk, _modulus(gamma[disk] - g[disk])), "map_gap": _at(disk, map_gap[disk])},
+        predicates={"expected": np.where(d.even, "disk", "none")}, oracles={"form": forms},
+    )
 
 
 def draw_lemma32(rng, cfg: SuiteConfig, idx):
@@ -483,18 +484,15 @@ def draw_lemma32(rng, cfg: SuiteConfig, idx):
 
 def suite_lemma32_aut(cfg: SuiteConfig, d) -> List[SampleRecord]:
     forms, beta, gamma = fam.c1_aut_forms(d.alpha, d.c0, d.c1)
-    expected_beta = d.gamma.conjugate() / (d.gamma * d.alpha)
-    records = []
-    for even, g, al, c0, c1, form, got_g, got_b, want_b in _rows(
-        d.even, d.gamma, d.alpha, d.c0, d.c1, forms, gamma, beta, expected_beta
-    ):
-        if even:
-            ok = form == "DiskForm"
-            gaps = {"gamma_gap": abs(got_g - g), "beta_gap": abs(got_b - want_b)} if ok else {}
-            records.append(_aut_record(cfg, {"alpha": al, "c0": c0, "c1": c1, "gamma": g}, "disk", form, ok, gaps))
-        else:
-            records.append(_aut_record(cfg, {"alpha": al, "c0": c0, "c1": c1}, "none", form, form == "NoneType", {}))
-    return records
+    disk, g = d.even & (forms == "DiskForm"), d.gamma
+    expected_beta = g.conjugate() / (g * d.alpha)
+    return _records(
+        cfg, {"alpha": d.alpha, "c0": d.c0, "c1": d.c1, "gamma": _at(d.even, g[d.even])},
+        exact=forms == np.where(d.even, "DiskForm", "NoneType"),
+        gaps={"gamma_gap": _at(disk, _modulus(gamma[disk] - g[disk])),
+              "beta_gap": _at(disk, _modulus(beta[disk] - expected_beta[disk]))},
+        predicates={"expected": np.where(d.even, "disk", "none")}, oracles={"form": forms},
+    )
 
 
 def draw_lemma33(rng, cfg: SuiteConfig, idx):
@@ -508,21 +506,21 @@ def draw_lemma33(rng, cfg: SuiteConfig, idx):
 
 
 def suite_lemma33_aut(cfg: SuiteConfig, d) -> List[SampleRecord]:
-    records: List[Optional[SampleRecord]] = [None] * len(d.alpha)
-    rows = np.flatnonzero(d.identity)
-    al, c1 = d.alpha[rows], d.c1[rows]
+    identity, disk = d.identity, ~d.identity
+    al, c1 = d.alpha[identity], d.c1[identity]
     params = fam.C2Params.from_c0_squared(al, c1 / al.conjugate(), c1, c1)
     map_gap = proj_distance(fam.c2_quadruples(params)[1], np.array([[1.0, 0.0, 0.0, 1.0]]))
-    for i, al, c1, form, gap in _rows(rows, al, c1, fam.c2_aut_forms(params)[0], map_gap):
-        records[i] = _aut_record(cfg, {"alpha": al, "c1": c1}, "identity", form, form == "IdentityForm", {"map_gap": gap})
-    rows = np.flatnonzero(~d.identity)
-    al, g, beta = d.alpha[rows], d.gamma[rows], d.beta[rows]
-    forms, got_b, got_g = fam.c2_aut_forms(fam.c2_params_from_aut(al, beta, g, 1.0 + 0j))
-    for i, al, g, beta, form, b, gg in _rows(rows, al, g, beta, forms, got_b, got_g):
-        ok = form == "DiskForm"
-        gaps = {"gamma_gap": abs(gg - g), "beta_gap": abs(b - beta)} if ok else {}
-        records[i] = _aut_record(cfg, {"alpha": al, "gamma": g, "beta": beta}, "disk", form, ok, gaps)
-    return records
+    g, beta = d.gamma[disk], d.beta[disk]
+    disk_forms, got_b, got_g = fam.c2_aut_forms(fam.c2_params_from_aut(d.alpha[disk], beta, g, 1.0 + 0j))
+    forms = np.array(_at(identity, fam.c2_aut_forms(params)[0], disk_forms))
+    found, ok = disk & (forms == "DiskForm"), disk_forms == "DiskForm"
+    return _records(
+        cfg, {"alpha": d.alpha, "c1": _at(identity, c1), "gamma": _at(disk, g), "beta": _at(disk, beta)},
+        exact=forms == np.where(identity, "IdentityForm", "DiskForm"),
+        gaps={"map_gap": _at(identity, map_gap), "gamma_gap": _at(found, _modulus(got_g[ok] - g[ok])),
+              "beta_gap": _at(found, _modulus(got_b[ok] - beta[ok]))},
+        predicates={"expected": np.where(identity, "identity", "disk")}, oracles={"form": forms},
+    )
 
 
 # --- normality iff suites ----------------------------------------------------
@@ -609,21 +607,15 @@ def suite_thm61_consistency(cfg: SuiteConfig, d) -> List[SampleRecord]:
     params = fam.C2Params(d.alpha, d.c0, d.c1, d.c2)
     cases = fam.c2_normal_predicate(params, cfg.pred_tol)
     claims = np.isin(cases, (fam.C2NormalCase.CASE_I.value, fam.C2NormalCase.CASE_II.value))
-    lft = _dicts(lft_oracle(fam.c2_raw_phi(d.alpha, *fam.c2_quadruple(params)), cfg.pred_tol))
+    lft = lft_oracle(fam.c2_raw_phi(d.alpha, *fam.c2_quadruple(params)), cfg.pred_tol)
     psi, phi = fam.c2_quadruples(params)
     usable = (d.kind >= 2) & ~is_degenerate(phi) & is_self_map(phi) & (abs(poles(psi)) > 1.5)
-    rows = np.flatnonzero(usable)
-    normality = dict(zip(rows.tolist(), measure(cfg, Probe(psi[rows], phi[rows]))["normality"].tolist()))
-    records = []
-    for i, (p, kind, case, claim, oracles) in enumerate(
-        zip(_dicts(_params(d, *_C2)), d.kind.tolist(), cases.tolist(), claims.tolist(), lft)
-    ):
-        oracle, decided = ({"normality": normality[i]}, {}) if i in normality else ({}, {"lft": oracles["normal"]})
-        records.append(_record(
-            cfg, p, oracle, claim, decided=decided, predicates={"case": case, "claims_normal": claim},
-            oracles=oracles, note=_THM61_NOTES.get(kind, ""),
-        ))
-    return records
+    normality = measure(cfg, Probe(psi[usable], phi[usable]))["normality"]
+    return _records(
+        cfg, _params(d, *_C2), claims, note=[_THM61_NOTES.get(kind, "") for kind in d.kind.tolist()],
+        oracle={"normality": _at(usable, normality)}, decided={"lft": _at(~usable, lft["normal"][~usable])},
+        predicates={"case": cases, "claims_normal": claims}, oracles=lft,
+    )
 
 
 # --- worked-example suites ---------------------------------------------------
@@ -648,25 +640,16 @@ def suite_ex41_equivalence(cfg: SuiteConfig, d) -> List[SampleRecord]:
     """Real interior parameter: the interior-normal symbols coincide with
     the coefficient-conjugation family; off the real axis the symmetry
     residual is bounded away from zero."""
-    p, delta = d.p, d.delta
-    gamma = np.where(d.real, (1.0 - p ** 2 * delta) / (1.0 - p ** 2), 1.0)  # makes psi(0) = 1
+    p, delta, real, off = d.p, d.delta, d.real, ~d.real
+    gamma = np.where(real, (1.0 - p ** 2 * delta) / (1.0 - p ** 2), 1.0)  # makes psi(0) = 1
     psi, phi = fam.interior_quadruples(p, delta, gamma)
     jpsi, jphi = fam.j_quadruples(d.a0, d.a1, 1.0)
-    phi_gap, psi_gap = proj_distance(phi, jphi), quadruple_gap(psi, jpsi)
-    rows = np.flatnonzero(~d.real)
-    got = measure(cfg, Probe(psi[rows], phi[rows], "J", normality=False))["symmetry"]
-    symmetry = dict(zip(rows.tolist(), got.tolist()))
-    records = []
-    for i, (real, p, delta, a0, a1, gap, wgap) in enumerate(_rows(d.real, p, delta, d.a0, d.a1, phi_gap, psi_gap)):
-        if real:
-            records.append(_record(
-                cfg, {"p": p.real, "delta": delta, "a0": a0, "a1": a1}, gaps={"phi_gap": gap, "psi_gap": wgap},
-                predicates={"real_p": True},
-            ))
-        else:
-            oracle = {"j_symmetry": symmetry[i]}
-            records.append(_record(cfg, {"p": p, "delta": delta}, oracle, claim=False, predicates={"real_p": False}))
-    return records
+    symmetry = measure(cfg, Probe(psi[off], phi[off], "J", normality=False))["symmetry"]
+    return _records(  # a real p is recorded as a float
+        cfg, {"p": _at(real, p.real[real], p[off]), "delta": delta, "a0": _at(real, d.a0[real]), "a1": _at(real, d.a1[real])},
+        real, oracle={"j_symmetry": _at(off, symmetry)}, predicates={"real_p": real},
+        gaps={"phi_gap": _at(real, proj_distance(phi, jphi)[real]), "psi_gap": _at(real, quadruple_gap(psi, jpsi)[real])},
+    )
 
 
 def draw_cor41(rng, cfg: SuiteConfig, idx):
@@ -681,9 +664,9 @@ def suite_cor41_aut(cfg: SuiteConfig, d) -> List[SampleRecord]:
     expression = fam.j_normal_expression(a0, a1)
     psi, phi = fam.j_quadruples(a0, a1)
     classes = classify(phi)
-    return _records(  # abs of each Python complex: numpy's complex abs can differ from it in the last place
+    return _records(
         cfg, {"alpha": al, "a0": a0, "a1": a1}, exact=[cls.is_automorphism for cls in classes],
-        oracle=measure(cfg, Probe(psi, phi)), gaps={"expression_gap": [abs(expr) for expr in expression.tolist()]},
+        oracle=measure(cfg, Probe(psi, phi)), gaps={"expression_gap": _modulus(expression)},
         predicates={"expression": expression, "map_class": [cls.map_class.value for cls in classes]},
     )
 
@@ -691,11 +674,16 @@ def suite_cor41_aut(cfg: SuiteConfig, d) -> List[SampleRecord]:
 _PARABOLIC = (MapClass.PARABOLIC_NON_AUTOMORPHISM, MapClass.PARABOLIC_AUTOMORPHISM)
 
 
-def _dw_gaps(cls, zeta) -> Dict[str, float]:
-    """A parabolic class's gaps to Denjoy-Wolff point zeta and derivative 1; none for another class."""
-    if cls.map_class not in _PARABOLIC:
-        return {}
-    return {"dw_gap": abs(cls.dw_point - zeta), "derivative_gap": abs(cls.dw_derivative - 1.0)}
+def _parabolic(phi, zeta):
+    """The map class names of a stack of maps, the mask of the parabolic
+    ones and, as columns absent on the other rows, their gaps to
+    Denjoy-Wolff point zeta (an array over the stack) and derivative 1."""
+    classes = classify(phi)
+    parabolic = np.array([cls.map_class in _PARABOLIC for cls in classes], dtype=bool)
+    found = [(cls.dw_point, cls.dw_derivative) for cls in classes if cls.map_class in _PARABOLIC]
+    point, slope = np.array(found, dtype=complex).reshape(-1, 2).T
+    gaps = {"dw_gap": _modulus(point - zeta[parabolic]), "derivative_gap": _modulus(slope - 1.0)}
+    return [cls.map_class.value for cls in classes], parabolic, {key: _at(parabolic, gap) for key, gap in gaps.items()}
 
 
 def draw_ex44(rng, cfg: SuiteConfig, idx):
@@ -706,12 +694,9 @@ def draw_ex44(rng, cfg: SuiteConfig, idx):
 def suite_ex44_parabolic(cfg: SuiteConfig, d) -> List[SampleRecord]:
     psi, phi = fam.parabolic_j_quadruples(d.a0, d.branch)
     expression = fam.j_normal_expression(d.a0, (1.0 - d.branch * d.a0) ** 2)
-    normality = measure(cfg, Probe(psi, phi))["normality"]
-    return [
-        _record(cfg, {"a0": a0, "branch": branch}, {"normality": r}, exact=cls.map_class in _PARABOLIC,
-                gaps=_dw_gaps(cls, branch), predicates={"map_class": cls.map_class.value, "expression": expr})
-        for (a0, branch, expr, r), cls in zip(_rows(d.a0, d.branch, expression, normality), classify(phi))
-    ]
+    names, parabolic, dw_gaps = _parabolic(phi, d.branch)
+    return _records(cfg, {"a0": d.a0, "branch": d.branch}, exact=parabolic, oracle=measure(cfg, Probe(psi, phi)), gaps=dw_gaps,
+                    predicates={"map_class": names, "expression": expression})
 
 
 def draw_ex51(rng, cfg: SuiteConfig, idx):
@@ -766,13 +751,10 @@ def suite_ex54_parabolic(cfg: SuiteConfig, d) -> List[SampleRecord]:
     c0, c1 = zeta * d.w, (1.0 - d.w) ** 2
     psi, phi = fam.c1_parabolic_quadruples(zeta, c0, c1)
     expression = fam.c1_normal_expression(1.0 / zeta ** 2, c0, c1)
-    normality = measure(cfg, Probe(psi, phi))["normality"]
-    return [
-        _record(cfg, {"zeta": z, "c0": c0, "c1": c1}, {"normality": r}, exact=cls.map_class in _PARABOLIC,
-                gaps={"expression_gap": abs(expr), **_dw_gaps(cls, z)},
-                predicates={"map_class": cls.map_class.value, "expression": expr})
-        for (z, c0, c1, expr, r), cls in zip(_rows(zeta, c0, c1, expression, normality), classify(phi))
-    ]
+    names, parabolic, dw_gaps = _parabolic(phi, zeta)
+    return _records(cfg, {"zeta": zeta, "c0": c0, "c1": c1}, exact=parabolic, oracle=measure(cfg, Probe(psi, phi)),
+                    gaps={"expression_gap": _modulus(expression), **dw_gaps},
+                    predicates={"map_class": names, "expression": expression})
 
 
 def draw_cor62(rng, cfg: SuiteConfig, idx):
@@ -791,21 +773,19 @@ def draw_cor62(rng, cfg: SuiteConfig, idx):
 def suite_cor62_no_aut(cfg: SuiteConfig, d) -> List[SampleRecord]:
     """Moduli-equality draws never come back as automorphisms, and forced
     automorphism parameters violate the moduli equalities."""
-    records: List[Optional[SampleRecord]] = [None] * len(d.alpha)
-    rows = np.flatnonzero(d.even)
-    params = fam.c2_params_from_tuv(d.alpha[rows], d.t[rows], d.u[rows], d.v[rows])
-    forms = fam.c2_aut_forms(params)[0].tolist()
-    for i, p, form in zip(rows.tolist(), _dicts(_params(params, *_C2)), forms):
-        records[i] = _record(cfg, p, exact=form == "NoneType", predicates={"moduli_equal": True}, oracles={"form": form})
-    rows = np.flatnonzero(~d.even)
-    al, g = d.alpha[rows], d.gamma[rows]
-    _, u, v, _ = fam.c2_quadruple(fam.c2_params_from_aut(al, d.beta[rows], g, 1.0 + 0j))
+    even, odd = d.even, ~d.even
+    params = fam.c2_params_from_tuv(d.alpha[even], d.t[even], d.u[even], d.v[even])
+    forms = fam.c2_aut_forms(params)[0]
+    _, u, v, _ = fam.c2_quadruple(fam.c2_params_from_aut(d.alpha[odd], d.beta[odd], d.gamma[odd], 1.0 + 0j))
     violation = abs(abs(u) - abs(v)) / np.maximum(abs(u), abs(v))
-    for i, al, g, value in _rows(rows, al, g, violation):
-        records[i] = _record(
-            cfg, {"alpha": al, "gamma": g}, {"moduli_violation": value}, claim=False, predicates={"aut_constructed": True}
-        )
-    return records
+    built = {name: _at(even, getattr(params, name)) for name in _C2[1:]}
+    return _records(
+        cfg, {"alpha": d.alpha, **built, "gamma": _at(odd, d.gamma[odd])}, even, _at(even, forms == "NoneType", True),
+        oracle={"moduli_violation": _at(odd, violation)},
+        # phi's (b, c, d) is a common multiple of (alpha U, -conj(alpha) T, conj(alpha) V): the spread of |T|, |U|, |V|
+        gaps={"moduli_gap": _at(even, _c2_deficiency(fam.c2_quadruples(params)[1])[0])},
+        predicates={"moduli_equal": _at(even, True), "aut_constructed": _at(odd, True)}, oracles={"form": _at(even, forms)},
+    )
 
 
 def draw_ex61(rng, cfg: SuiteConfig, idx):
@@ -840,20 +820,17 @@ def draw_ex63(rng, cfg: SuiteConfig, idx):
     t = 0.05 * _annulus(rng, count, 1.0, 0.3)
     params = fam.C2Params.from_c0_squared(alpha, (c1 + rho * t) / alpha.conjugate(), c1, c1 - t)
     psi, phi = fam.c2_quadruples(params)
-    return ~is_degenerate(phi) & is_self_map(phi), {**_params_columns(params), "psi": psi, "phi": phi}
+    return ~is_degenerate(phi) & is_self_map(phi), {**_params(params, *_C2), "psi": psi, "phi": phi}
 
 
 def suite_ex63_parabolic(cfg: SuiteConfig, d) -> List[SampleRecord]:
     params = fam.C2Params(d.alpha, d.c0, d.c1, d.c2)
     parabolic = fam.c2_parabolic_predicate(params, cfg.pred_tol)
     zeta = fam.c2_parabolic_dw_point(params)
-    normality = measure(cfg, Probe(d.psi, d.phi))["normality"]
-    return [
-        _record(cfg, p, {"normality": r}, exact=pred and cls.map_class in _PARABOLIC,
-                gaps={"zeta_modulus_gap": abs(abs(z) - 1.0), **_dw_gaps(cls, z)},
-                predicates={"parabolic": pred, "zeta": z, "map_class": cls.map_class.value})
-        for p, (pred, z, r), cls in zip(_dicts(_params(d, *_C2)), _rows(parabolic, zeta, normality), classify(d.phi))
-    ]
+    names, dw, dw_gaps = _parabolic(d.phi, zeta)
+    return _records(cfg, _params(d, *_C2), exact=parabolic & dw, oracle=measure(cfg, Probe(d.psi, d.phi)),
+                    gaps={"zeta_modulus_gap": abs(_modulus(zeta) - 1.0), **dw_gaps},
+                    predicates={"parabolic": parabolic, "zeta": zeta, "map_class": names})
 
 
 def draw_cowen(rng, cfg: SuiteConfig, idx):
@@ -934,9 +911,8 @@ def _c2_deficiency(targets):
     |(1 - a)|alpha|^2 + c alpha - b conj(alpha)| <= |alpha|^2 |1 - a| +
     |alpha| (|b| + |c|), whose infimum over 0 < |alpha| < 1 is 0; the
     deficiency is therefore the alpha-free spread of each target, with no
-    witness.  The moduli are np.hypot's, which rounds as Python's abs does:
-    numpy's complex abs can differ from both in the last place."""
-    moduli = np.hypot(targets.real, targets.imag)[:, 1:]
+    witness."""
+    moduli = _modulus(targets)[:, 1:]
     return 1.0 - moduli.min(axis=1) / moduli.max(axis=1), {}
 
 

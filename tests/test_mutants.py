@@ -29,13 +29,22 @@ def _negated(original):
     return lambda *args: np.logical_not(original(*args))
 
 
-def _flipped_c2_weight(original):
-    def c2_quadruples(params):
-        psi, phi = original(params)
-        psi[:, 3] = -psi[:, 3]  # the weight d V / (V + T z)
-        return psi, phi
+def _output_changed(index, change):
+    """The defect that applies change to output index of the original."""
+    def defect(original):
+        def mutant(*args):
+            out = list(original(*args))
+            out[index] = change(out[index])
+            return tuple(out)
 
-    return c2_quadruples
+        return mutant
+
+    return defect
+
+
+def _pole_flipped(psi):
+    """The weights (n0, n1, d0, d1) with d1 negated: the C2 weight d V / (V + T z), say."""
+    return psi * np.array([1.0, 1.0, 1.0, -1.0])
 
 
 # target -> (the defect made of the original, the suites that must move)
@@ -72,8 +81,35 @@ MUTANTS = {
         {"ex41-equivalence", "ex51-interior"},
     ),
     "C2 weight with -T": (
-        families.c2_quadruples, _flipped_c2_weight,
+        families.c2_quadruples, _output_changed(0, _pole_flipped),
         {"c2sym-form", "ex61-interior", "ex63-parabolic", "thm61-consistency"},
+    ),
+    # the closed forms that the automorphism lemmas, the parabolic examples
+    # and cor62 read, each checked from outside its owner
+    "c1_aut_forms with gamma conjugated": (
+        families.c1_aut_forms, _output_changed(2, np.conj), {"lemma31-aut", "lemma32-aut"},
+    ),
+    "c2_params_from_aut with conj(beta)": (
+        families.c2_params_from_aut,
+        lambda original: lambda alpha, beta, gamma, c1: original(alpha, np.conj(beta), gamma, c1),
+        {"lemma33-aut"},
+    ),
+    "parabolic_j_quadruples with the weight's pole flipped": (
+        families.parabolic_j_quadruples, _output_changed(0, _pole_flipped), {"ex44-parabolic"},
+    ),
+    "c1_parabolic_quadruples with the weight's pole flipped": (
+        families.c1_parabolic_quadruples, _output_changed(0, _pole_flipped), {"ex54-parabolic"},
+    ),
+    "c2_aut_forms reporting DiskForm for NoneType": (
+        families.c2_aut_forms,
+        _output_changed(0, lambda names: np.where(names == "NoneType", "DiskForm", names)),
+        {"cor62-no-aut"},
+    ),
+    # cor62's moduli-equality draws are built by c2_params_from_tuv; their
+    # moduli_gap reads |T|, |U| and |V| back
+    "c2_params_from_tuv with U scaled by 1.1": (
+        families.c2_params_from_tuv, lambda original: lambda alpha, t, u, v: original(alpha, t, 1.1 * u, v),
+        {"cor62-no-aut"},
     ),
 }
 

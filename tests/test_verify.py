@@ -289,6 +289,7 @@ GAP_SUITES = {
     "ex61-interior": {"phi_gap", "consistency"},
     "ex63-parabolic": {"zeta_modulus_gap", "dw_gap", "derivative_gap"},
     "cowen-factorization": {"factorization"},
+    "cor62-no-aut": {"moduli_gap"},
 }
 
 
@@ -352,6 +353,8 @@ def test_band_rule_has_one_caller():
     # _record alone: no suite and no `check` path decides a verdict itself
     assert _callers({"band_verdict", "agreement"}) == {("verify", "_record")}
     assert _callers({"SampleRecord"}) == {("verify", "_record")}
+    # and every suite record goes through _records
+    assert _callers({"_record"}) == {("verify", "_records"), ("cli", "_check_family")}
 
 
 def _identifiers(node):
@@ -418,30 +421,38 @@ def test_every_default_parameter_is_passed():
 @pytest.mark.parametrize("as_columns", [True, False])
 def test_records_is_record_on_each_row(as_columns):
     # _records makes one _record per row from the row's value of every
-    # column; claim and exact are a column or one value, and a list column
-    # hands its own Python objects over (abs of a Python complex stays)
+    # column; claim, exact and note are a column or one value, a list column
+    # hands its own Python objects over (abs of a Python complex stays), and
+    # an _at column leaves the rows off its mask without the key
     cfg = SuiteConfig()
     z = np.array([0.3 + 0.4j, 1e-9 + 0j, 2.0 - 1.0j])
+    held = np.array([True, False, True])
     columns = {
         "oracle": {"normality": np.array([1e-12, 1e-5, 0.5])},
         "gaps": {"gap": [abs(value) for value in z.tolist()]},
         "decided": {"lft": [True, None, False]},
         "residuals": {"flipped": np.array([1.0, 2.0, 3.0])},
         "predicates": {"big": abs(z) > 1.0, "name": ["a", "b", "c"]},
+        "oracles": {"form": verify._at(held, np.array(["DiskForm", "NoneType"]))},
     }
-    claims, exacts = [True, False, True], [True, True, False]
-    claim, exact = (np.array(claims), exacts) if as_columns else (False, True)
-    got = verify._records(cfg, {"z": z, "i": np.arange(3)}, claim, exact, **columns)
+    claims, exacts, notes = [True, False, True], [True, True, False], ["x", "", "y"]
+    claim, exact, note = (np.array(claims), exacts, notes) if as_columns else (False, True, "x")
+    got = verify._records(cfg, {"z": z, "i": np.arange(3)}, claim, exact, note, **columns)
     assert len(got) == 3
+    assert ["form" in rec.oracles for rec in got] == held.tolist()
+    assert [rec.oracles.get("form") for rec in got] == ["DiskForm", None, "NoneType"]
+    assert got[1].oracles["lft_band"] == "band"  # a decided cell of None is undecided, not absent
+    assert verify._at(held, np.array([1.5, 2.5]), [0.5]) == [1.5, 0.5, 2.5]  # others fill the rows off the mask
 
     def cell(column, i):
         return (column.tolist() if isinstance(column, np.ndarray) else column)[i]
 
     for i, rec in enumerate(got):
-        row = {name: {key: cell(column, i) for key, column in group.items()} for name, group in columns.items()}
+        row = {name: {key: cell(column, i) for key, column in group.items() if cell(column, i) is not verify._ABSENT}
+               for name, group in columns.items()}
         want = verify._record(
             cfg, {"z": z.tolist()[i], "i": i}, claim=claims[i] if as_columns else False,
-            exact=exacts[i] if as_columns else True, **row,
+            exact=exacts[i] if as_columns else True, note=notes[i] if as_columns else "x", **row,
         )
         assert vars(rec) == vars(want)
         assert [type(value) for value in rec.params.values()] == [complex, int]
