@@ -2,7 +2,11 @@
 
 Exit codes: 0 pass, 1 internal error, 2 bad input, 3 known-discrepancy
 (a suite whose only disagreements are the documented ones).  Reports are
-deterministic: identical seeds produce byte-identical JSON.
+deterministic: identical seeds produce byte-identical JSON.  A report is
+written from its records table column by column (report_to_json): each
+column's cells are formatted once, and each record is a template per key
+set; the text is that of json.dumps with sorted keys, a complex written
+by _complex_parts, as check and classify write theirs.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import re
 import sys
 import time
 from dataclasses import asdict, fields, replace
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from .errors import CliParseError, SamplingBudgetError, WcoError
@@ -41,7 +47,9 @@ from .verify import (
     SuiteConfig,
     SUITES,
     VerificationReport,
-    _record,
+    Records,
+    _ABSENT,
+    _records,
     check_registry,
     default_config,
     lft_oracle,
@@ -102,31 +110,106 @@ def format_complex(z: complex) -> str:
     return f"{re_s}{sign}{repr(abs(im))}i"
 
 
+def _complex_parts(cells: list) -> Dict[str, list]:
+    """How a complex is written, as {"re", "im"}: the columns of those floats of complex cells."""
+    return {"re": [z.real for z in cells], "im": [z.imag for z in cells]}
+
+
 def _json_default(value):
-    """A complex as {"re", "im"}, the one value of a document that json cannot
-    encode itself; anything else raises TypeError rather than being written as text."""
+    """json's hook for a complex (see _complex_parts); any other value raises TypeError."""
     if not isinstance(value, complex):
         raise TypeError(f"{type(value).__name__} {value!r} is not JSON serializable")
-    return {"re": float(value.real), "im": float(value.imag)}
+    return {key: part[0] for key, part in _complex_parts([value]).items()}
+
+
+_WORDS = {None: "null", True: "true", False: "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _to_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_default) + "\n"
 
 
-def report_to_dict(report: VerificationReport) -> Dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "suite_id": report.suite_id,
-        "known_discrepancy": report.known_discrepancy,
-        "config": asdict(report.config),
-        "records": [{"index": i, **vars(r)} for i, r in enumerate(report.records)],
-        "summary": report.summary,
-    }
+def _texts(cells: list):
+    """The text of each cell of a column as _to_json writes it, a Records
+    table as the list of its records, or for complex cells the columns of
+    _complex_parts.  The cells of a type are written at once; absent cells
+    stay absent, and a cell of any other type (no record holds a list or a
+    dict) raises TypeError."""
+    types = list(map(type, cells))
+    kinds = set(types)
+    if len(kinds) > 1:  # mixed types, absent cells included: each type alone
+        texts = list(cells)
+        for kind in kinds:
+            rows = [i for i, t in enumerate(types) if t is kind]
+            for i, text in zip(rows, _written([cells[i] for i in rows])):
+                texts[i] = text
+        return texts
+    kind = kinds.pop() if kinds else float
+    if issubclass(kind, float):
+        texts = list(map(float.__repr__, cells))
+        return texts if math.isfinite(sum(cells)) else list(map(_WORDS.get, texts, texts))
+    if kind in (bool, type(None)) or (kind is object and cells.count(_ABSENT) == len(cells)):
+        return list(map(_WORDS.get, cells, cells))
+    if issubclass(kind, (str, int)):
+        return list(map(encode_basestring_ascii if issubclass(kind, str) else int.__repr__, cells))
+    if issubclass(kind, complex):
+        return _complex_parts(cells)
+    if issubclass(kind, Records):
+        return ["[" + ",".join(_objects({"index": list(range(len(t.verdict))), **t._asdict()}, len(t.verdict))) + "]"
+                for t in cells]
+    raise TypeError(f"{kind.__name__} {cells[0]!r} is not JSON serializable")
+
+
+def _written(cells: list) -> list:
+    """The JSON text of each cell of a column (see _texts)."""
+    column = _texts(cells)
+    return _objects(column, len(cells)) if isinstance(column, dict) else column
+
+
+def _objects(columns: dict, count: int) -> List[str]:
+    """The JSON object of each of count rows of columns (lists of cells, or
+    dicts of columns: an object a row), keys sorted and absent cells left
+    out: one template per key set, filled with the texts of the row's cells."""
+    leaves: List[list] = []
+    shape = _shape(columns, leaves)
+    sparse = [i for i, leaf in enumerate(leaves) if _ABSENT in leaf]
+    held = list(zip(*([cell is not _ABSENT for cell in leaves[i]] for i in sparse))) or [()] * count  # each row's key set
+    templates = {}
+    for key in set(held):
+        absent = [i for i, h in zip(sparse, key) if not h]
+        present = [i for i in range(len(leaves)) if i not in absent]
+        templates[key] = _template(shape, absent), itemgetter(*present) if present else lambda row: ()
+    rows = zip(*leaves) if leaves else [()] * count
+    return [template % cells(row) for (template, cells), row in zip(map(templates.__getitem__, held), rows)]
+
+
+def _shape(columns: dict, leaves: List[list]) -> list:
+    """(name, part) for each key of columns, sorted: part the shape of a dict
+    of columns, else the index in leaves of the column's texts, put there."""
+    shape = []
+    for key in sorted(columns):
+        name, column = encode_basestring_ascii(key).replace("%", "%%") + ":", columns[key]
+        column = column if isinstance(column, dict) else _texts(column)
+        if isinstance(column, dict):
+            shape.append((name, _shape(column, leaves)))
+        else:
+            shape.append((name, len(leaves)))
+            leaves.append(column)
+    return shape
+
+
+def _template(shape: list, absent) -> str:
+    """The %-template of an object of shape without the leaves absent."""
+    return "{" + ",".join(name + (_template(part, absent) if isinstance(part, list) else "%s")
+                          for name, part in shape if isinstance(part, list) or part not in absent) + "}"
 
 
 def report_to_json(report: VerificationReport) -> str:
-    return _to_json(report_to_dict(report))
+    """_to_json of the report, written as a table of one row, its records column by column."""
+    doc = {"schema_version": [SCHEMA_VERSION], "suite_id": [report.suite_id], "records": [report.table],
+           "known_discrepancy": [report.known_discrepancy], "config": vars(report.config), "summary": report.summary}
+    return _objects({key: {k: [v] for k, v in column.items()} if isinstance(column, dict) else column
+                     for key, column in doc.items()}, 1)[0] + "\n"
 
 
 SWEEP_CSV_COLUMNS = [
@@ -263,7 +346,8 @@ def _check_family(args):
         decided = {"lft": lft["normal"]}
     out["residuals"] = residuals
     out["predicates"] = pred
-    out["verdict"] = _record(cfg, out["params"], oracle, bool(pred.get("normal")), decided=decided).verdict
+    row = {key: [value] for key, value in out["params"].items()}
+    out["verdict"] = _records(cfg, row, bool(pred.get("normal")), oracle=oracle, decided=decided).verdict[0]
     return out
 
 
@@ -279,8 +363,9 @@ def _human_summary(report: VerificationReport) -> str:
         f"suite {report.suite_id}: total={s['total']} pass={s['pass']} "
         f"fail={s['fail']} inconclusive={s['inconclusive']} discrepancy={s['discrepancy']}"
     ]
-    for i, rec in enumerate(report.records):
-        if rec.verdict in ("fail", "discrepancy"):
+    for i, verdict in enumerate(report.table.verdict):
+        if verdict in ("fail", "discrepancy"):
+            rec = report.table.row(i)
             params = json.dumps(rec.params, default=_json_default)
             lines.append(f"  [{i}] {rec.verdict}: params={params} note={rec.note}")
     return "\n".join(lines) + "\n"

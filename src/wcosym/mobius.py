@@ -48,15 +48,30 @@ def coefficient_stack(a, b, c, d) -> np.ndarray:
 def canonical(quads: np.ndarray) -> np.ndarray:
     """Each quadruple of a (B, 4) stack divided by its coefficient of
     largest modulus (the first of equal ones)."""
-    return quads / quads[np.arange(len(quads)), abs(quads).argmax(axis=1)][:, None]
+    return _canonical(quads, _largest(abs(quads)))
+
+
+def _canonical(quads: np.ndarray, largest) -> np.ndarray:
+    """canonical, given the _largest of the moduli of quads."""
+    return quads / quads[largest][:, None]
+
+
+def _largest(modulus: np.ndarray):
+    """The (row, column) indices of each row's largest modulus, the first of equal ones."""
+    return np.arange(len(modulus)), modulus.argmax(axis=1)
 
 
 def is_degenerate(m: np.ndarray) -> np.ndarray:
     """|ad - bc| <= _DEGENERATE_TOL scale^2, scale the largest coefficient
     modulus, for each row of a stack: the map is a constant (the zero
     quadruple included)."""
+    modulus = abs(m)
+    return _degenerate(m, modulus[_largest(modulus)])
+
+
+def _degenerate(m: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """is_degenerate, given each row's largest coefficient modulus."""
     a, b, c, d = m.T
-    scale = abs(m).max(axis=1)
     return (scale == 0.0) | (abs(a * d - b * c) <= _DEGENERATE_TOL * scale * scale)
 
 
@@ -147,14 +162,19 @@ def read_maps(quads: np.ndarray):
     is_degenerate marks; maps writes each constant (0, v, 0, 1), v its
     constant_value, and keeps every other row; q is canonical.  refusals()
     (a call, which the families skip) lists by precedence a non-finite row,
-    the zero row, a constant off the disk and a non-constant non-self-map."""
+    the zero row, a constant off the disk and a non-constant non-self-map.
+    One modulus array serves canonical, is_degenerate and nonzero, and only
+    the constant rows are divided for their value (0 elsewhere)."""
     quads = np.asarray(quads, dtype=complex)
-    finite = np.isfinite(quads).all(axis=1)
-    nonzero = finite & quads.any(axis=1)
+    finite, value = np.isfinite(quads).all(axis=1), np.zeros(len(quads), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q = canonical(quads)
-        constant = nonzero & is_degenerate(quads)
-        value = constant_value(quads)
+        modulus = abs(quads)
+        largest = _largest(modulus)
+        q, scale = _canonical(quads, largest), modulus[largest]
+        nonzero = finite & (scale != 0.0)
+        constant = nonzero & _degenerate(quads, scale)
+        if constant.any():
+            value[constant] = constant_value(quads[constant])
 
     def refusals():
         with np.errstate(invalid="ignore", over="ignore"):

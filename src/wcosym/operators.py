@@ -24,9 +24,10 @@ of the first k columns or column m of the first k rows of T or U (normality
 is sum_m t_m^H t_m - conj(sum_j w_j^H w_j), t_m = T[m, :k], w_j = T[:k, j]).
 Each such part is a run, row m being row m - 1 times a step (the first k
 columns' (k+1)-wide step of their row recurrence holds from row 1 on), and
-_gram sums it: _double fills its first h rows, h the least power of two
->= 2 (k + 1), and the sum doubles itself past them, so O(k^3 log N) time
-and O(h k) memory a draw; no expansion goes past coefficient max(k, 3).
+_gram sums it: _fill has _double fill its first h rows, h the least power
+of two >= 2 (k + 1), once a chunk for every sum that reads it, and the sum
+doubles itself past them, so O(k^3 log N) time and O(h k) memory a draw;
+no expansion goes past coefficient max(k, 3).
 The one whole N x N build is conjugation_matrix, whose C2 matrix comes
 from the Mobius recurrence (cz + d) psi phi^j = (az + b) psi phi^(j-1),
 swept in square tiles as a wavefront: one GEMM per anti-diagonal of
@@ -194,43 +195,50 @@ def _runs(steps, chunk):
 
 
 def _sum(a, b, n: int) -> np.ndarray:
-    """sum_{m < n} a_m^H b_m for each draw of two runs a and b of _runs."""
-    (head_a, start_a, step_a), (head_b, start_b, step_b) = a, b
-    return head_a.conj()[:, :, None] * head_b[:, None, :] + _gram(start_a, step_a, start_b, step_b, n - 1)
+    """sum_{m < n} a_m^H b_m for each draw of two runs a and b of _fill."""
+    (head_a, run_a, power_a), (head_b, run_b, power_b) = a, b
+    return head_a.conj()[:, :, None] * head_b[:, None, :] + _gram(run_a, power_a, run_b, power_b, n - 1)
 
 
 def _filled(width: int) -> int:
-    """The rows _gram fills of runs up to width wide: as costly as a doubling level."""
+    """The rows _fill fills of runs up to width wide: as costly as a doubling level."""
     return 1 << (2 * width - 1).bit_length()
 
 
-def _gram(x: np.ndarray, p: np.ndarray, y: np.ndarray, q: np.ndarray, length: int) -> np.ndarray:
-    """S = sum_{m < length} (x p^m)^H (y q^m) for each draw of row vectors x
-    (B, a) and y (B, b) with steps p (B, a, a) and q (B, b, b).
-
-    _double fills the first h = min(length, _filled(max(a, b))) rows of
-    both runs (one if x is y and p is q), and their contraction is S(h).
-    Past that the sum doubles itself, S(2h) = S(h) + (p^h)^H S(h) q^h
-    (Smith's squared iteration, SIAM J. Appl. Math. 16, 1968), p^h squared
-    from _double's last power, over the binary digits of length // h, plus
-    the Gram of the first length % h filled rows.  Its powers of p and q
-    are bounded as _double's are, so it is as stable."""
-    h = min(length, _filled(max(x.shape[-1], y.shape[-1])))
-    runs, powers = [], []
-    for start, step in ((x, p),) if x is y and p is q else ((x, p), (y, q)):
+def _fill(runs, n: int) -> list:
+    """Runs (head, start, step) of _runs that _sum pairs at dimension n as
+    (head, run, power): _double fills the first h = min(n - 1,
+    _filled(widest)) rows of each, once for every sum that reads it, and
+    power is its last power, step^(h/2)."""
+    h = min(n - 1, _filled(max(start.shape[-1] for _, start, _ in runs)))
+    filled = []
+    for head, start, step in runs:
         run = np.empty(start.shape[:-1] + (h, start.shape[-1]), dtype=complex)
         run[..., 0, :] = start
-        powers.append(_double(run, step))
-        runs.append(run)
-    left = runs[0].conj().swapaxes(-1, -2)
-    block = left @ runs[-1]
+        filled.append((head, run, _double(run, step)))
+    return filled
+
+
+def _gram(x: np.ndarray, p: np.ndarray, y: np.ndarray, q: np.ndarray, length: int) -> np.ndarray:
+    """S = sum_{m < length} (x_m)^H (y_m) for each draw of two runs x (B,
+    h, a) and y (B, h, b) whose first h rows _fill filled, row m the row
+    before times a step, and p and q the steps' (h/2)-th powers.
+
+    The contraction of the filled rows is S(h).  Past that the sum doubles
+    itself, S(2h) = S(h) + (P^h)^H S(h) Q^h (Smith's squared iteration,
+    SIAM J. Appl. Math. 16, 1968), P^h and Q^h squared from p and q, over
+    the binary digits of length // h, plus the Gram of the first length %
+    h rows.  Its powers are bounded as _double's are, so it is as stable."""
+    h = x.shape[-2]
+    left = x.conj().swapaxes(-1, -2)
+    block = left @ y
     if length == h:
         return block
     count, tail = divmod(length, h)
-    total = left[..., :tail] @ runs[-1][..., :tail, :] if tail else None
+    total = left[..., :tail] @ y[..., :tail, :] if tail else None
     while count:
-        powers = [power @ power for power in powers]  # p^s and q^s, s the rows block sums
-        before, after = powers[0].conj().swapaxes(-1, -2), powers[-1]
+        p, q = (p @ p,) * 2 if q is p else (p @ p, q @ q)  # the steps to the s-th power, s the rows block sums
+        before, after = p.conj().swapaxes(-1, -2), q
         if count & 1:
             total = block if total is None else block + before @ total @ after
         count >>= 1
@@ -464,14 +472,17 @@ def wco_residual_stack(
             out = []
             if steps[1] is not None:
                 rows, strip = _runs(steps, chunk)
+                (strip,) = _fill([strip], n)
             if kind == "C2":
-                u_rows, u_strip = conjugation(chunk)
+                u_rows, u_strip = _fill(conjugation(chunk), n)
                 out.append(_symmetry_defect(_sum(u_rows, strip, n)[:, :, :k], _sum(strip, u_strip, n)[:, :k, :k]))
             elif kind is not None:
                 t, (u, _) = _rectangle(steps[0], chunk, k), conjugation(chunk)
                 out.append(_symmetry_defect(u.conj() @ t, t.conj().swapaxes(1, 2) @ u))
-            if normality:
-                out.append(_normality_defect(_sum(strip, strip, n)[:, :k, :k], _sum(rows, rows, n)))
+            if normality:  # each run summed right after its filling, while it is in cache
+                columns = _sum(strip, strip, n)[:, :k, :k]
+                (rows,) = _fill([rows], n)
+                out.append(_normality_defect(columns, _sum(rows, rows, n)))
             return out
 
         return evaluate
@@ -491,7 +502,7 @@ def conjugation_residual_stack(kind: str, lam: np.ndarray, alpha: np.ndarray, n:
             return lambda chunk: _block_involution(*cross(chunk))
 
         def evaluate(chunk):
-            rows, cols = cross(chunk)
+            rows, cols = _fill(cross(chunk), n)
             return _involution_defect(_sum(rows, cols, n)[:, :, :k], _sum(cols, cols, n)[:, :k, :k])
 
         return evaluate

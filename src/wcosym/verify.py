@@ -17,8 +17,10 @@ generator and draws every index, then only the rejected ones, until each
 holds an accepted draw (a rejected index is redrawn, never dropped); the
 recorder ``(cfg, draws)`` gets the columns in index order, computes its
 predicates and gaps on the arrays, map classes included (``classify``
-takes the whole stack), and makes one record per index in one ``_records``
-call; a row lacks the keys that an ``_at`` column leaves absent there.
+takes the whole stack), and returns its records as one ``Records`` table
+of columns, one row per index, from one ``_records`` call; a row lacks
+the keys that an ``_at`` column leaves absent there.  A report keeps the
+table, and builds SampleRecord rows only when asked for them.
 
 ``measure`` is the one seam to the matrix residuals: the suites and
 ``wcosym check`` (a probe of one row) take every normality, symmetry,
@@ -34,23 +36,23 @@ fills a draw, so that per-call numpy overhead, which sets a residual's
 cost at the suites' small N, is shared while the chunks stay out of the
 peak memory; each row's residuals equal those of a stack of one.
 
-``_record`` is the one verdict rule: ``_records`` builds every suite
-record with it, ``wcosym check`` its verdict, and it is the one caller of
-``band_verdict`` and ``agreement``.  Every closed-form gap (a quantity the
-paper's formulas make zero) is recorded under its name and is "fail" above
-cfg.pred_tol; only the conjugation axioms keep tolerances of their own.
-Every oracle value (a matrix residual, a sweep deficiency, a moduli
-violation) goes through ``band_verdict``, which alone reads cfg.pass_tol
-and cfg.fail_tol, so a value in the band between them is "inconclusive",
-never "fail".  An exact decision (the coefficient-level LFT oracle, used
-where no truncation is usable) is normal, not normal or undecided, and
-never meets those two thresholds.
+``_records`` is the one verdict rule, decided on whole columns: it
+builds every suite's table, and ``wcosym check`` takes its verdict from a
+table of one row.  Every closed-form gap (a quantity the paper's formulas
+make zero) is recorded under its name and is "fail" above cfg.pred_tol;
+only the conjugation axioms keep tolerances of their own.  Every oracle
+value (a matrix residual, a sweep deficiency, a moduli violation) is
+banded by cfg.pass_tol and cfg.fail_tol, which only ``_records`` reads,
+so a value in the band between them is "inconclusive", never "fail".  An
+exact decision (the coefficient-level LFT oracle, used where no
+truncation is usable) is normal, not normal or undecided, and never
+meets those two thresholds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Dict, List, NamedTuple, Optional
 
@@ -108,33 +110,58 @@ class SuiteConfig:
 
 @dataclass
 class SampleRecord:
+    """One row of a Records table, without the keys the row lacks."""
+
     params: Dict[str, object]
-    residuals: Dict[str, float] = field(default_factory=dict)
-    predicates: Dict[str, object] = field(default_factory=dict)
-    oracles: Dict[str, object] = field(default_factory=dict)
-    verdict: str = "pass"
-    note: str = ""
+    residuals: Dict[str, float]
+    predicates: Dict[str, object]
+    oracles: Dict[str, object]
+    verdict: str
+    note: str
+
+
+_ABSENT = object()  # the cell of a row that lacks the key; not None, which `decided` reads as undecided
+
+
+class Records(NamedTuple):
+    """A suite's records as columns, the fields of SampleRecord: each group
+    maps its keys to lists of cells, one a row, _ABSENT where a row lacks
+    the key; verdict and note are lists of strings."""
+
+    params: Dict[str, list]
+    residuals: Dict[str, list]
+    predicates: Dict[str, list]
+    oracles: Dict[str, list]
+    verdict: List[str]
+    note: List[str]
+
+    def row(self, i: int) -> SampleRecord:
+        groups = ({key: cells[i] for key, cells in group.items() if cells[i] is not _ABSENT} for group in self[:4])
+        return SampleRecord(*groups, self.verdict[i], self.note[i])
 
 
 @dataclass
 class VerificationReport:
     suite_id: str
     config: SuiteConfig
-    records: List[SampleRecord]
+    table: Records
+
+    @property
+    def records(self) -> List[SampleRecord]:
+        return [self.table.row(i) for i in range(len(self.table.verdict))]
 
     @property
     def summary(self) -> Dict[str, int]:
-        counts = {"pass": 0, "fail": 0, "inconclusive": 0, "discrepancy": 0}
-        for r in self.records:
-            counts[r.verdict] += 1
-        counts["total"] = len(self.records)
+        verdicts = self.table.verdict
+        counts = {verdict: verdicts.count(verdict) for verdict in ("pass", "fail", "inconclusive", "discrepancy")}
+        counts["total"] = len(verdicts)
         return counts
 
     @property
     def known_discrepancy(self) -> bool:
         """Some record is a discrepancy and every discrepancy carries a
         note: a note is how a suite documents a disagreement it expects."""
-        notes = [r.note for r in self.records if r.verdict == "discrepancy"]
+        notes = [note for verdict, note in zip(*self.table[4:]) if verdict == "discrepancy"]
         return bool(notes) and all(notes)
 
     @property
@@ -165,9 +192,6 @@ def _signs(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.where(rng.random(count) < 0.5, 1.0, -1.0)
 
 
-_ABSENT = object()  # the cell of a row that lacks the key; not None, which `decided` reads as undecided
-
-
 def _cells(column, count: int) -> list:
     """A column's cells as plain Python values: an array's, a list's own objects, or count copies of one value."""
     if isinstance(column, np.ndarray):
@@ -184,36 +208,9 @@ def _at(mask, values, others=_ABSENT) -> list:
     return [next(on) if h else next(off) for h in held]
 
 
-def _dicts(columns: dict, count: int) -> List[dict]:
-    """The count rows of a dict of columns (see _cells) as dicts without their absent cells."""
-    cells = [_cells(column, count) for column in columns.values()]
-    if any(isinstance(column, list) and _ABSENT in column for column in columns.values()):  # only lists hold them
-        return [{key: cell for key, cell in zip(columns, row) if cell is not _ABSENT} for row in zip(*cells)]
-    return [dict(zip(columns, row)) for row in zip(*cells)] if cells else [{} for _ in range(count)]
-
-
 def _modulus(z) -> np.ndarray:
     """|z| rounded as Python's abs of a complex (libm hypot); numpy's complex abs can differ in the last place."""
     return np.hypot(z.real, z.imag)
-
-
-def band_verdict(residual: float, cfg) -> str:
-    """"pass" at or below cfg.pass_tol, "fail" at or above cfg.fail_tol,
-    "band" in between; cfg is anything carrying those two thresholds."""
-    if residual <= cfg.pass_tol:
-        return "pass"
-    if residual >= cfg.fail_tol:
-        return "fail"
-    return "band"
-
-
-def agreement(claims_normal: bool, oracle_band: str) -> str:
-    """Verdict of a claim against an oracle band; a residual in the band is inconclusive."""
-    if oracle_band == "band":
-        return "inconclusive"
-    if claims_normal == (oracle_band == "pass"):
-        return "pass"
-    return "discrepancy"
 
 
 def lft_oracle(quads: np.ndarray, tol: float) -> Dict[str, np.ndarray]:
@@ -270,37 +267,56 @@ _SEVERITY = ("pass", "inconclusive", "discrepancy")
 _DECISION_BAND = {True: "pass", False: "fail", None: "band"}
 
 
-def _record(cfg, params, oracle=None, claim=True, exact=True, gaps=None, decided=None, residuals=None, oracles=None, **fields):
-    """The one verdict rule.  gaps are closed-form quantities that must be
-    zero: each is recorded in residuals, and one above cfg.pred_tol (or a
-    failed structural check, exact False) makes the record "fail".
-    Otherwise each oracle value gets its band from `band_verdict`, and each
-    exact decision (an oracle deciding normality with no truncation:
-    True normal, False not normal, None undecided) the band "pass", "fail"
-    or "band", never placed by cfg.pass_tol or cfg.fail_tol.  Each band,
-    recorded as "<key>_band" in oracles, meets the claim (that the value
-    is zero, or the operator normal) in `agreement`, and the least
-    favourable result is the verdict: discrepancy, then inconclusive, then
-    pass.  The oracle values lead the residuals, then the gaps; fields are
-    the remaining SampleRecord fields."""
-    oracle, gaps = oracle or {}, gaps or {}
-    bands = {f"{key}_band": band_verdict(value, cfg) for key, value in oracle.items()}
-    bands.update({f"{key}_band": _DECISION_BAND[normal] for key, normal in (decided or {}).items()})
-    verdict = max((agreement(claim, band) for band in bands.values()), key=_SEVERITY.index, default="pass")
-    exact = exact and all(gap <= cfg.pred_tol for gap in gaps.values())
-    return SampleRecord(params, residuals={**oracle, **gaps, **(residuals or {})}, oracles={**bands, **(oracles or {})},
-                        verdict=verdict if exact else "fail", **fields)
+def _held(cells: list):
+    """The mask of the rows that hold a cell of a column, and those cells in order."""
+    held = [cell is not _ABSENT for cell in cells]
+    return np.array(held, dtype=bool), [cell for cell, h in zip(cells, held) if h]
 
 
-def _records(cfg, params, claim=True, exact=True, note="", **columns) -> List[SampleRecord]:
-    """One `_record` per row: params and each dict keyword of `_record`
-    (oracle, gaps, decided, residuals, oracles) map report keys to columns,
-    and claim, exact and note are columns.  A column is an array, a list (its
-    objects are kept) or one value; an `_at` column's absent cells drop the key."""
+def _records(cfg, params, claim=True, exact=True, note="", **groups) -> Records:
+    """The one verdict rule, on the columns of a table's rows.  params and
+    the dict keywords oracle, gaps, decided, residuals, predicates and
+    oracles map report keys to columns; claim, exact and note are columns.
+    A column is an array, a list (its objects are kept; an `_at` column's
+    absent cells drop the key from their rows) or one value.
+
+    A gap (a closed-form quantity that must be zero) above cfg.pred_tol, or
+    exact False (a failed structural check), makes a row "fail".  Otherwise
+    each oracle value is banded "pass" at or below cfg.pass_tol, "fail" at
+    or above cfg.fail_tol and "band" between (NaN too), and each exact
+    decision (True normal, False not normal, None undecided) gets the band
+    "pass", "fail" or "band", placed by neither threshold.  Each band, kept
+    as "<key>_band" in oracles, meets the claim (that the value is zero, or
+    the operator normal): a "band" is inconclusive, agreement a pass, else a
+    discrepancy; the verdict is the most severe in _SEVERITY.  The residuals
+    are the oracle values, then the gaps, then residuals."""
     count = len(next(iter(params.values())))
-    groups = {"params": params, **columns}
-    rows = zip(*(_cells(flag, count) for flag in (claim, exact, note)), *(_dicts(group, count) for group in groups.values()))
-    return [_record(cfg, claim=c, exact=e, note=n, **dict(zip(groups, dicts))) for c, e, n, *dicts in rows]
+    cells = {name: {key: _cells(column, count) for key, column in group.items()}
+             for name, group in {"params": params, "predicates": {}, **groups}.items()}
+    oracle, gaps, decided, residuals, oracles = (cells.pop(name, {})
+                                                 for name in ("oracle", "gaps", "decided", "residuals", "oracles"))
+    claim = np.broadcast_to(np.asarray(claim, dtype=bool), count)
+    exact = np.array(np.broadcast_to(np.asarray(exact, dtype=bool), count))
+    banded = {}
+    for key, column in oracle.items():
+        held, values = _held(column)
+        values = np.array(values, dtype=float)
+        banded[key] = held, np.where(values <= cfg.pass_tol, "pass", np.where(values >= cfg.fail_tol, "fail", "band"))
+    for key, column in decided.items():
+        held, values = _held(column)
+        banded[key] = held, np.array([_DECISION_BAND[normal] for normal in values], dtype=str)
+    severity, rank, bands = np.full(count, _SEVERITY.index("pass")), _SEVERITY.index, {}
+    for key, (held, band) in banded.items():
+        agree = (band == "pass") == claim[held]
+        meets = np.where(band == "band", rank("inconclusive"), np.where(agree, rank("pass"), rank("discrepancy")))
+        severity[held] = np.maximum(severity[held], meets)
+        bands[f"{key}_band"] = _at(held, band)
+    for column in gaps.values():
+        held, values = _held(column)
+        exact[held] &= np.array(values, dtype=float) <= cfg.pred_tol
+    verdict = np.where(exact, np.array(_SEVERITY)[severity], "fail").tolist()
+    return Records(residuals={**oracle, **gaps, **residuals}, oracles={**bands, **oracles}, verdict=verdict,
+                   note=_cells(note, count), **cells)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +333,7 @@ def draw_prop21(rng, cfg: SuiteConfig, idx):
     return None, {"p": _annulus(rng, n, 0.5), "delta": _annulus(rng, n, 0.7), "gamma": 0.5 + rng.uniform(0.0, 1.0, n)}
 
 
-def suite_prop21_normal(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_prop21_normal(cfg: SuiteConfig, d) -> Records:
     """Interior-fixed-point family: every member passes the normality oracle."""
     oracle = measure(cfg, Probe(*fam.interior_quadruples(d.p, d.delta, d.gamma)))
     return _records(cfg, _params(d, "p", "delta", "gamma"), oracle=oracle, predicates={"in_family": [True] * len(d.p)})
@@ -341,7 +357,7 @@ def draw_prop22(rng, cfg: SuiteConfig, idx):
     return ~is_degenerate(phi) & is_self_map(phi) & ((kind != 0) | (sup_modulus(phi) <= 0.9)), {"phi": phi}
 
 
-def suite_prop22_commutation(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_prop22_commutation(cfg: SuiteConfig, d) -> Records:
     """Weight K_{sigma(0)}: matrix normality iff the commuting condition."""
     lft, oracle = lft_oracle(d.phi, cfg.pred_tol), measure(cfg, Probe(cowen_weights(d.phi), d.phi))
     return _records(cfg, dict(zip("abcd", d.phi.T)), lft["normal"], oracle=oracle,
@@ -356,7 +372,7 @@ def draw_conjugation(rng, cfg: SuiteConfig, idx):
     return None, {"kind": kind, "lam": np.where(kind == 0, 1.0 + 0j, _circle(rng, n)), "alpha": alpha}
 
 
-def suite_conjugation_axioms(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_conjugation_axioms(cfg: SuiteConfig, d) -> Records:
     """Involution and anti-linear isometry axioms for the three kinds.
 
     J and C1 are exact at any dimension, but lam alpha^j is rounded power by
@@ -381,7 +397,7 @@ def _perturbed(psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symmetry_records(cfg: SuiteConfig, params: dict, d, kind: str, alpha=None) -> List[SampleRecord]:
+def _symmetry_records(cfg: SuiteConfig, params: dict, d, kind: str, alpha=None) -> Records:
     """Shared records of the three symmetric-form suites: in-family draws
     must pass, perturbed controls (the indices past cfg.samples) must fail."""
     member = np.arange(len(d.psi)) < cfg.samples
@@ -397,7 +413,7 @@ def draw_jsym(rng, cfg: SuiteConfig, idx):
     return is_self_map(phi), {"a0": a0, "a1": a1, "b": b, "psi": psi, "phi": phi}
 
 
-def suite_jsym_form(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_jsym_form(cfg: SuiteConfig, d) -> Records:
     return _symmetry_records(cfg, _params(d, "a0", "a1", "b"), d, "J")
 
 
@@ -408,7 +424,7 @@ def draw_c1sym(rng, cfg: SuiteConfig, idx):
     return is_self_map(phi), {"alpha": alpha, "c0": c0, "c1": c1, "d": dd, "psi": psi, "phi": phi}
 
 
-def suite_c1sym_form(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_c1sym_form(cfg: SuiteConfig, d) -> Records:
     return _symmetry_records(cfg, _params(d, "alpha", "c0", "c1", "d"), d, "C1", d.alpha)
 
 
@@ -440,7 +456,7 @@ def draw_c2sym(rng, cfg: SuiteConfig, idx):
     return keep, {**_params(params, *_C2), "psi": psi, "phi": phi}
 
 
-def suite_c2sym_form(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_c2sym_form(cfg: SuiteConfig, d) -> Records:
     return _symmetry_records(cfg, _params(d, *_C2), d, "C2", d.alpha)
 
 
@@ -458,7 +474,7 @@ def draw_lemma31(rng, cfg: SuiteConfig, idx):
     return keep, {"even": even, "gamma": g, "a0": a0, "a1": a1, "phi": phi}
 
 
-def suite_lemma31_aut(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_lemma31_aut(cfg: SuiteConfig, d) -> Records:
     """Forward-built rotation-free automorphisms are recovered with
     gamma = (a1 + 1)/a0; random non-automorphisms come back empty."""
     forms, beta, gamma = fam.j_aut_forms(d.a0, d.a1)
@@ -482,7 +498,7 @@ def draw_lemma32(rng, cfg: SuiteConfig, idx):
     return keep, {"even": even, "gamma": g, "alpha": alpha, "c0": c0, "c1": c1}
 
 
-def suite_lemma32_aut(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_lemma32_aut(cfg: SuiteConfig, d) -> Records:
     forms, beta, gamma = fam.c1_aut_forms(d.alpha, d.c0, d.c1)
     disk, g = d.even & (forms == "DiskForm"), d.gamma
     expected_beta = g.conjugate() / (g * d.alpha)
@@ -505,7 +521,7 @@ def draw_lemma33(rng, cfg: SuiteConfig, idx):
     return keep, {"identity": identity, "alpha": alpha, "c1": c1, "gamma": g, "beta": beta}
 
 
-def suite_lemma33_aut(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_lemma33_aut(cfg: SuiteConfig, d) -> Records:
     identity, disk = d.identity, ~d.identity
     al, c1 = d.alpha[identity], d.c1[identity]
     params = fam.C2Params.from_c0_squared(al, c1 / al.conjugate(), c1, c1)
@@ -537,14 +553,14 @@ def draw_prop41(rng, cfg: SuiteConfig, idx):
     return keep, {"a0": a0, "a1": a1, "expression": expression, "psi": psi, "phi": phi}
 
 
-def _iff_records(cfg: SuiteConfig, d, names, normal) -> List[SampleRecord]:
+def _iff_records(cfg: SuiteConfig, d, names, normal) -> Records:
     """The records of the two iff statements: the predicate column normal
     claims the matrix normality of each draw, whose params are names."""
     oracle = measure(cfg, Probe(d.psi, d.phi))
     return _records(cfg, _params(d, *names), normal, oracle=oracle, predicates={"normal": normal, "expression": d.expression})
 
 
-def suite_prop41_iff(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_prop41_iff(cfg: SuiteConfig, d) -> Records:
     return _iff_records(cfg, d, ("a0", "a1"), fam.j_normal_predicate(d.a0, d.a1, cfg.pred_tol))
 
 
@@ -561,7 +577,7 @@ def draw_thm51(rng, cfg: SuiteConfig, idx):
     return keep, {"alpha": alpha, "c0": c0, "c1": c1, "expression": expression, "psi": psi, "phi": phi}
 
 
-def suite_thm51_iff(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_thm51_iff(cfg: SuiteConfig, d) -> Records:
     return _iff_records(cfg, d, ("alpha", "c0", "c1"), fam.c1_normal_predicate(d.alpha, d.c0, d.c1, cfg.pred_tol))
 
 
@@ -593,7 +609,7 @@ def draw_thm61(rng, cfg: SuiteConfig, idx):
     return keep, {"kind": kind, **{name: np.choose(kind, [getattr(q, name) for q in kinds]) for name in _C2}}
 
 
-def suite_thm61_consistency(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_thm61_consistency(cfg: SuiteConfig, d) -> Records:
     """Stated case conditions versus the normality oracles.
 
     Parameter sets satisfying the case conditions force |phi(0)| = 1, so
@@ -636,7 +652,7 @@ def draw_ex41(rng, cfg: SuiteConfig, idx):
     return keep, {"real": real, "p": p, "delta": delta, "a0": a0, "a1": a1}
 
 
-def suite_ex41_equivalence(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_ex41_equivalence(cfg: SuiteConfig, d) -> Records:
     """Real interior parameter: the interior-normal symbols coincide with
     the coefficient-conjugation family; off the real axis the symmetry
     residual is bounded away from zero."""
@@ -656,7 +672,7 @@ def draw_cor41(rng, cfg: SuiteConfig, idx):
     return None, {"alpha": _annulus(rng, len(idx), 0.5, 0.05)}
 
 
-def suite_cor41_aut(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_cor41_aut(cfg: SuiteConfig, d) -> Records:
     """Disk-form automorphism parameters always satisfy the normality
     condition of the coefficient-conjugation family."""
     al = d.alpha
@@ -691,7 +707,7 @@ def draw_ex44(rng, cfg: SuiteConfig, idx):
     return None, {"a0": _parabolic_j_arc(rng, len(idx), branch), "branch": branch}
 
 
-def suite_ex44_parabolic(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_ex44_parabolic(cfg: SuiteConfig, d) -> Records:
     psi, phi = fam.parabolic_j_quadruples(d.a0, d.branch)
     expression = fam.j_normal_expression(d.a0, (1.0 - d.branch * d.a0) ** 2)
     names, parabolic, dw_gaps = _parabolic(phi, d.branch)
@@ -714,7 +730,7 @@ def draw_ex51(rng, cfg: SuiteConfig, idx):
     return keep, {"p": p, "delta": delta, "alpha": alpha, "c0": c0, "c1": c1}
 
 
-def suite_ex51_interior(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_ex51_interior(cfg: SuiteConfig, d) -> Records:
     """Rotation-weighted interior case."""
     p2 = abs(d.p) ** 2
     psi, phi = fam.interior_quadruples(d.p, d.delta, (1.0 - p2 * d.delta) / (1.0 - p2))
@@ -730,7 +746,7 @@ def draw_ex51_aut(rng, cfg: SuiteConfig, idx):
     return None, {"p": _annulus(rng, len(idx), 0.55, 0.1)}
 
 
-def suite_ex51_aut_corollary(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_ex51_aut_corollary(cfg: SuiteConfig, d) -> Records:
     """delta = -1 is the only automorphism branch; the displayed map
     matches the composed construction."""
     p, ap2 = d.p, abs(d.p) ** 2  # alpha p^2 with alpha = conj(p)/p
@@ -746,7 +762,7 @@ def draw_ex54(rng, cfg: SuiteConfig, idx):
     return None, {"zeta": _circle(rng, count), "w": 0.5 + 0.33 * _annulus(rng, count)}
 
 
-def suite_ex54_parabolic(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_ex54_parabolic(cfg: SuiteConfig, d) -> Records:
     zeta = d.zeta
     c0, c1 = zeta * d.w, (1.0 - d.w) ** 2
     psi, phi = fam.c1_parabolic_quadruples(zeta, c0, c1)
@@ -770,7 +786,7 @@ def draw_cor62(rng, cfg: SuiteConfig, idx):
     return keep, {"even": even, "alpha": alpha, "t": t, "u": u, "v": v, "gamma": g, "beta": beta}
 
 
-def suite_cor62_no_aut(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_cor62_no_aut(cfg: SuiteConfig, d) -> Records:
     """Moduli-equality draws never come back as automorphisms, and forced
     automorphism parameters violate the moduli equalities."""
     even, odd = d.even, ~d.even
@@ -794,7 +810,7 @@ def draw_ex61(rng, cfg: SuiteConfig, idx):
     return None, {"p": p, "angle": rng.uniform(0.45 * math.pi, 0.8 * math.pi, count), "delta": _annulus(rng, count, 0.6)}
 
 
-def suite_ex61_interior(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_ex61_interior(cfg: SuiteConfig, d) -> Records:
     """Interior reconstruction through the I-ratios under the gauge
     c1 - c2 = 1, on the compatibility locus of the conjugation parameter."""
     alpha = fam.c2_compatible_alpha(d.p, d.angle)
@@ -823,7 +839,7 @@ def draw_ex63(rng, cfg: SuiteConfig, idx):
     return ~is_degenerate(phi) & is_self_map(phi), {**_params(params, *_C2), "psi": psi, "phi": phi}
 
 
-def suite_ex63_parabolic(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_ex63_parabolic(cfg: SuiteConfig, d) -> Records:
     params = fam.C2Params(d.alpha, d.c0, d.c1, d.c2)
     parabolic = fam.c2_parabolic_predicate(params, cfg.pred_tol)
     zeta = fam.c2_parabolic_dw_point(params)
@@ -840,7 +856,7 @@ def draw_cowen(rng, cfg: SuiteConfig, idx):
     return is_self_map(phi) & (sup_modulus(phi) <= 0.9) & (abs(phi[:, 2]) > 0.02), {"phi": phi}
 
 
-def suite_cowen_factorization(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_cowen_factorization(cfg: SuiteConfig, d) -> Records:
     """Adjoint factorization residual; the flipped sigma sign must fail."""
     got = measure(cfg, Probe(phi=d.phi))
     return _records(cfg, dict(zip("abcd", d.phi.T)), gaps={"factorization": got["factorization"]},
@@ -916,30 +932,30 @@ def _c2_deficiency(targets):
     return 1.0 - moduli.min(axis=1) / moduli.max(axis=1), {}
 
 
+_SWEEP_NOTE = ("hyperbolic automorphism target admits a symmetric normal realization; "
+               "documented deviation from the claimed nonexistence")
+
+
 def _sweep(deficiency):
     """The recorder deciding the 24 hyperbolic targets as one stack by
     `deficiency(targets) -> (values, witnesses)`, arrays over the targets:
     zero iff the family has a symmetric normal realization, so a value at
     or below cfg.pass_tol is a discrepancy and one below cfg.fail_tol
-    inconclusive (the two cfg fields read).  Each record keeps its witness
-    parameters; only an automorphism target's discrepancy is noted."""
+    inconclusive (as _records bands it).  Each record keeps its witness
+    parameters; the note column, computed from the verdict column, notes
+    only an automorphism target's discrepancy."""
 
-    def record(cfg: SuiteConfig, d) -> List[SampleRecord]:
+    def record(cfg: SuiteConfig, d) -> Records:
         rs, ts, targets = _targets(d.i)
         values, witnesses = deficiency(targets)
-        records = _records(cfg, {"r": rs, "t": ts, **witnesses}, claim=False, oracle={"deficiency": values})
-        for rec, aut in zip(records, is_automorphism(targets).tolist()):
-            if rec.verdict == "discrepancy" and aut:
-                rec.note = (
-                    "hyperbolic automorphism target admits a symmetric normal "
-                    "realization; documented deviation from the claimed nonexistence"
-                )
-        return records
+        table = _records(cfg, {"r": rs, "t": ts, **witnesses}, claim=False, oracle={"deficiency": values})
+        noted = np.array(table.verdict) == "discrepancy"
+        return table._replace(note=np.where(noted & is_automorphism(targets), _SWEEP_NOTE, "").tolist())
 
     return record
 
 
-def suite_hyperbolic_nonaut(cfg: SuiteConfig, d) -> List[SampleRecord]:
+def suite_hyperbolic_nonaut(cfg: SuiteConfig, d) -> Records:
     """Examples 4.3 and 5.3: on non-automorphism hyperbolic target i of
     12, W with the kernel weight at sigma(0) is not normal.  Reads cfg.dim
     and cfg.block (the truncation) and the pass_tol / fail_tol band."""
@@ -960,7 +976,7 @@ class Suite:
     whether max(1, samples // 5) perturbed controls follow its samples."""
 
     draw: Callable[[np.random.Generator, SuiteConfig, np.ndarray], tuple]
-    record: Callable[[SuiteConfig, SimpleNamespace], List[SampleRecord]]
+    record: Callable[[SuiteConfig, SimpleNamespace], Records]
     defaults: SuiteConfig
     min_dim: int = 0
     min_block: int = 0

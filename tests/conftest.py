@@ -1,7 +1,10 @@
+import dataclasses
+import json
+
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from wcosym.cli import REPORT_SCHEMA
+from wcosym.cli import REPORT_SCHEMA, SCHEMA_VERSION
 from wcosym.mobius import cowen_stack, quadruple_gap
 from wcosym.series import quotient_series
 
@@ -105,3 +108,27 @@ def validate_report_dict(doc):
         if counted != summary.get("total"):
             problems.append("summary counts do not sum to total")
     return problems
+
+
+def report_to_dict(report):
+    """The report document, its records materialized one SampleRecord a row."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "suite_id": report.suite_id,
+        "known_discrepancy": report.known_discrepancy,
+        "config": dataclasses.asdict(report.config),
+        "records": [{"index": i, **vars(r)} for i, r in enumerate(report.records)],
+        "summary": report.summary,
+    }
+
+
+def _complex_hook(value):
+    if not isinstance(value, complex):
+        raise TypeError(f"{type(value).__name__} {value!r} is not JSON serializable")
+    return {"re": float(value.real), "im": float(value.imag)}
+
+
+def reference_json(report):
+    """The reference encoding of a report that cli.report_to_json must match
+    byte for byte: json.dumps of report_to_dict, a complex as {"re", "im"}."""
+    return json.dumps(report_to_dict(report), sort_keys=True, separators=(",", ":"), default=_complex_hook) + "\n"

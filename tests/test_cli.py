@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wcosym import operators, verify
 from wcosym.cli import (
@@ -12,11 +13,12 @@ from wcosym.cli import (
     format_complex,
     main,
     parse_complex,
+    report_to_json,
 )
 from wcosym.errors import CliParseError, DomainViolationError
-from wcosym.verify import SUITES
+from wcosym.verify import SUITES, SuiteConfig, VerificationReport, default_config, run_suite
 
-from conftest import validate_report_dict
+from conftest import reference_json, validate_report_dict
 
 
 class TestComplexLiterals:
@@ -459,3 +461,68 @@ def test_suites_listing(capsys):
 
 def test_no_command_exits_2(capsys):
     assert main([]) == 2
+
+
+class TestReportWriter:
+    """cli.report_to_json writes a report column by column; its text is
+    the reference encoding, json.dumps of the materialized records, byte
+    for byte, and it refuses what json refuses."""
+
+    @pytest.mark.parametrize("seed", [0, 2024])
+    @pytest.mark.parametrize("suite_id", sorted(SUITES))
+    def test_suite_reports_match_the_reference(self, suite_id, seed):
+        report = run_suite(suite_id, dataclasses.replace(default_config(suite_id), seed=seed))
+        assert report_to_json(report) == reference_json(report)
+
+    FLOATS = st.one_of(
+        st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 1e-5]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    CELLS = st.one_of(
+        FLOATS,
+        st.builds(complex, FLOATS, FLOATS),
+        st.integers(),
+        st.booleans(),
+        st.none(),
+        st.text(alphabet=st.sampled_from('"\\%{}:,aZ\x00\x1f\x7f\xe9\u2028\U0001f600'), max_size=6),
+        st.just(verify._ABSENT),
+    )
+    KEYS = st.text(alphabet=st.sampled_from('"\\%ab_\x01\xe9'), max_size=3)
+
+    @staticmethod
+    def groups(count):
+        columns = st.lists(TestReportWriter.CELLS, min_size=count, max_size=count)
+        return st.dictionaries(TestReportWriter.KEYS, columns, max_size=3)
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+        *(TestReportWriter.groups(n) for _ in range(4)), st.text(max_size=4),
+    )))
+    def test_edge_cells_match_the_reference(self, drawn):
+        # NaN, infinities, -0.0, the least subnormal, exponents; ints,
+        # bools and None; quotes, backslashes, %, braces, control and
+        # non-ASCII characters in cells and keys; complex values with
+        # non-finite parts; empty groups, absent cells and rows whose key
+        # sets differ; columns that mix floats and complex values
+        first, params, residuals, predicates, oracles, suite_id = drawn
+        cfg = SuiteConfig()
+        table = verify._records(cfg, {"": first, **params}, residuals=residuals, predicates=predicates, oracles=oracles)
+        report = VerificationReport(suite_id, cfg, table)
+        assert report_to_json(report) == reference_json(report)
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), np.array([1.0]), object()])
+    def test_refuses_what_json_refuses(self, value):
+        cfg = SuiteConfig()
+        table = verify._records(cfg, {"x": [0.5, 1.5]}, predicates={"v": [True, value]})
+        with pytest.raises(TypeError):
+            reference_json(VerificationReport("hand-built", cfg, table))
+        with pytest.raises(TypeError):
+            report_to_json(VerificationReport("hand-built", cfg, table))
+
+    def test_numpy_floats_are_floats(self):
+        # a float subclass is written as float.__repr__ writes it, as json does
+        cfg = SuiteConfig()
+        table = verify._records(cfg, {"x": [np.float64(0.1), 1.0]}, predicates={"v": [np.float64("nan"), 2.5]})
+        report = VerificationReport("hand-built", cfg, table)
+        assert report_to_json(report) == reference_json(report)

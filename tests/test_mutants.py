@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from wcosym import cli, families, mobius  # noqa: F401 (cli holds bindings of two targets)
+from wcosym import cli, families, mobius, verify  # noqa: F401 (cli holds bindings of two targets)
 from wcosym.errors import SamplingBudgetError, WcoError
 from wcosym.verify import SUITES, default_config, run_suite
 
@@ -107,6 +107,16 @@ MUTANTS = {
     ),
     # cor62's moduli-equality draws are built by c2_params_from_tuv; their
     # moduli_gap reads |T|, |U| and |V| back
+    # the verdict rule's own data: with the severity order reversed a pass
+    # outranks a discrepancy, so the documented discrepancies of thm61 and
+    # ex52 pass; with the exact decisions inverted, thm61's LFT-decided draws flip
+    "verdict severity order reversed": (
+        verify._SEVERITY, lambda original: original[::-1], {"thm61-consistency", "ex52-sweep"},
+    ),
+    "exact decisions inverted": (
+        verify._DECISION_BAND, lambda original: {True: original[False], False: original[True], None: original[None]},
+        {"thm61-consistency"},
+    ),
     "c2_params_from_tuv with U scaled by 1.1": (
         families.c2_params_from_tuv, lambda original: lambda alpha, t, u, v: original(alpha, t, 1.1 * u, v),
         {"cor62-no-aut"},

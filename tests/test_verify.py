@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wcosym import operators, verify
-from wcosym.cli import main, report_to_json, report_to_dict
+from wcosym.cli import main, report_to_json
 from wcosym.errors import NotSelfMapError, SamplingBudgetError, UnknownSuiteError, WcoError
 from wcosym.families import (
     C1Params,
@@ -44,7 +44,6 @@ from wcosym.verify import (
     ANCHOR_SUITES,
     SUITES,
     Probe,
-    SampleRecord,
     SuiteConfig,
     VerificationReport,
     _c1_deficiency,
@@ -58,7 +57,7 @@ from wcosym.verify import (
     run_suite,
 )
 
-from conftest import validate_report_dict
+from conftest import report_to_dict, validate_report_dict
 
 
 def clean(report):
@@ -349,12 +348,32 @@ def test_each_decision_has_one_owner():
 
 
 def test_band_rule_has_one_caller():
-    # the band and agreement rule, and the building of a record, live in
-    # _record alone: no suite and no `check` path decides a verdict itself
-    assert _callers({"band_verdict", "agreement"}) == {("verify", "_record")}
-    assert _callers({"SampleRecord"}) == {("verify", "_record")}
-    # and every suite record goes through _records
-    assert _callers({"_record"}) == {("verify", "_records"), ("cli", "_check_family")}
+    # the columnar rule _records alone reads the band thresholds, meets each
+    # band with the claim and builds the records table: no suite and no
+    # `check` path decides a verdict itself, and a SampleRecord is only ever
+    # a row read back from a table
+    assert _readers({"pass_tol", "fail_tol"}) == {("verify", "_records")}
+    assert _callers({"Records"}) == {("verify", "_records")}
+    assert _callers({"SampleRecord"}) == {("verify", "row")}
+    # and the one verdict outside a suite, `wcosym check`'s, is a row of it
+    assert {scope for module, scope in _callers({"_records"}) if module != "verify"} == {"_check_family"}
+
+
+def _readers(attributes):
+    """(module, enclosing function) of every read of cfg.<one of attributes> in the package source."""
+    found = set()
+    for path in sorted(pathlib.Path(verify.__file__).parent.glob("*.py")):
+
+        def walk(node, scope):
+            if isinstance(node, ast.Attribute) and node.attr in attributes and getattr(node.value, "id", None) == "cfg":
+                found.add((path.stem, scope))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = node.name
+            for child in ast.iter_child_nodes(node):
+                walk(child, scope)
+
+        walk(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
 
 
 def _identifiers(node):
@@ -418,18 +437,48 @@ def test_every_default_parameter_is_passed():
     assert unpassed == [("cli", "main", "argv")]
 
 
+def test_records_decides_on_columns():
+    # the verdict rule on whole columns: each oracle value and each exact
+    # decision is banded, each band meets the row's claim, the most severe
+    # result is the verdict, and a gap above pred_tol or exact False fails;
+    # an _at column's absent cells neither band nor gap their rows
+    cfg, absent = SuiteConfig(), verify._ABSENT
+    columns = {
+        "oracle": {"normality": np.array([1e-12, 1e-5, 0.5, np.nan, 1e-12, 1e-5, 0.0, 1e-12])},
+        "decided": {"lft": [True, None, False, absent, True, False, absent, absent]},
+        "gaps": {"gap": [0.0, 1e-11, absent, 1.0, 0.0, absent, 0.0, 1e-9]},  # pred_tol 1e-10 < 1e-9 < pass_tol
+        "residuals": {"flipped": np.arange(8.0)},
+        "predicates": {"name": list("abcdefgh")},
+        "oracles": {"form": verify._at(np.arange(8) % 2 == 0, np.array(["DiskForm", "NoneType", "DiskForm", "NoneType"]))},
+    }
+    claim = np.array([True, False, False, True, False, True, True, True])
+    exact = [True, True, True, True, True, True, False, True]
+    table = verify._records(cfg, {"i": np.arange(8)}, claim, exact, "n", **columns)
+    assert table.verdict == ["pass", "inconclusive", "pass", "fail", "discrepancy", "discrepancy", "fail", "fail"]
+    assert table.oracles["normality_band"] == ["pass", "band", "fail", "band", "pass", "band", "pass", "pass"]
+    assert table.oracles["lft_band"] == ["pass", "band", "fail", absent, "pass", "fail", absent, absent]
+    assert table.note == ["n"] * 8
+    records = VerificationReport("hand-built", cfg, table).records
+    assert [list(records[i].residuals) for i in (0, 2)] == [["normality", "gap", "flipped"], ["normality", "flipped"]]
+    assert list(records[0].oracles) == ["normality_band", "lft_band", "form"]
+    assert list(records[1].oracles) == ["normality_band", "lft_band"]
+    # others fill the rows off the mask
+    assert verify._at(np.array([True, False, True]), np.array([1.5, 2.5]), [0.5]) == [1.5, 0.5, 2.5]
+
+
 @pytest.mark.parametrize("as_columns", [True, False])
 def test_records_is_record_on_each_row(as_columns):
-    # _records makes one _record per row from the row's value of every
-    # column; claim, exact and note are a column or one value, a list column
-    # hands its own Python objects over (abs of a Python complex stays), and
-    # an _at column leaves the rows off its mask without the key
+    # the rule on a table gives each row what it gives that row alone (the
+    # one-row columns `wcosym check` passes): no row reads another; claim,
+    # exact and note are a column or one value, a list column hands its own
+    # Python objects over (abs of a Python complex stays), and an _at column
+    # leaves the rows off its mask without the key
     cfg = SuiteConfig()
     z = np.array([0.3 + 0.4j, 1e-9 + 0j, 2.0 - 1.0j])
     held = np.array([True, False, True])
     columns = {
         "oracle": {"normality": np.array([1e-12, 1e-5, 0.5])},
-        "gaps": {"gap": [abs(value) for value in z.tolist()]},
+        "gaps": {"gap": [abs(value) for value in (1e-11 * z).tolist()]},
         "decided": {"lft": [True, None, False]},
         "residuals": {"flipped": np.array([1.0, 2.0, 3.0])},
         "predicates": {"big": abs(z) > 1.0, "name": ["a", "b", "c"]},
@@ -437,23 +486,20 @@ def test_records_is_record_on_each_row(as_columns):
     }
     claims, exacts, notes = [True, False, True], [True, True, False], ["x", "", "y"]
     claim, exact, note = (np.array(claims), exacts, notes) if as_columns else (False, True, "x")
-    got = verify._records(cfg, {"z": z, "i": np.arange(3)}, claim, exact, note, **columns)
+    table = verify._records(cfg, {"z": z, "i": np.arange(3)}, claim, exact, note, **columns)
+    got = VerificationReport("hand-built", cfg, table).records
     assert len(got) == 3
     assert ["form" in rec.oracles for rec in got] == held.tolist()
     assert [rec.oracles.get("form") for rec in got] == ["DiskForm", None, "NoneType"]
     assert got[1].oracles["lft_band"] == "band"  # a decided cell of None is undecided, not absent
-    assert verify._at(held, np.array([1.5, 2.5]), [0.5]) == [1.5, 0.5, 2.5]  # others fill the rows off the mask
 
     def cell(column, i):
-        return (column.tolist() if isinstance(column, np.ndarray) else column)[i]
+        return column[i:i + 1] if isinstance(column, np.ndarray) else [column[i]]
 
     for i, rec in enumerate(got):
-        row = {name: {key: cell(column, i) for key, column in group.items() if cell(column, i) is not verify._ABSENT}
-               for name, group in columns.items()}
-        want = verify._record(
-            cfg, {"z": z.tolist()[i], "i": i}, claim=claims[i] if as_columns else False,
-            exact=exacts[i] if as_columns else True, note=notes[i] if as_columns else "x", **row,
-        )
+        row = {name: {key: cell(column, i) for key, column in group.items()} for name, group in columns.items()}
+        flags = (claims[i], exacts[i], notes[i]) if as_columns else (False, True, "x")
+        want = verify._records(cfg, {"z": z[i:i + 1], "i": np.arange(i, i + 1)}, *flags, **row).row(0)
         assert vars(rec) == vars(want)
         assert [type(value) for value in rec.params.values()] == [complex, int]
         assert type(rec.predicates["big"]) is bool and type(rec.residuals["flipped"]) is float
@@ -467,7 +513,7 @@ def test_exact_decision_meets_the_claim(normal, band, claim):
     # claim like a banded value, and no pass_tol / fail_tol ever places it
     expected = "inconclusive" if normal is None else ("pass" if normal == claim else "discrepancy")
     for cfg in (SuiteConfig(), SuiteConfig(pass_tol=0.5, fail_tol=1.0), SuiteConfig(pass_tol=1e-300, fail_tol=1e-299)):
-        rec = verify._record(cfg, {}, claim=claim, decided={"lft": normal})
+        rec = verify._records(cfg, {"i": [0]}, claim=claim, decided={"lft": normal}).row(0)
         assert (rec.verdict, rec.oracles, rec.residuals) == (expected, {"lft_band": band}, {})
 
 
@@ -529,6 +575,15 @@ def test_sweep_deficiency_matches_its_definition(suite_id):
         assert abs(rec.residuals["deficiency"] - expected) <= 1e-14, (p, rec.residuals, expected)
 
 
+def _hand_built(verdicts, notes):
+    """A report of one row a verdict, built through _records: a pass and a
+    discrepancy claim normality against an oracle value 0 or 1, a fail
+    fails its structural check."""
+    values, exact = [float(v == "discrepancy") for v in verdicts], [v != "fail" for v in verdicts]
+    table = verify._records(SuiteConfig(), {"i": np.arange(len(verdicts))}, True, exact, notes, oracle={"value": values})
+    return VerificationReport("hand-built", SuiteConfig(), table)
+
+
 @pytest.mark.parametrize(
     "records, known, status",
     [
@@ -538,7 +593,8 @@ def test_sweep_deficiency_matches_its_definition(suite_id):
     ],
 )
 def test_exit_3_only_when_every_disagreement_is_documented(records, known, status):
-    report = VerificationReport("hand-built", SuiteConfig(), [SampleRecord({}, verdict=v, note=n) for v, n in records])
+    report = _hand_built([verdict for verdict, _ in records], [note for _, note in records])
+    assert [rec.verdict for rec in report.records] == [verdict for verdict, _ in records]
     assert (report.known_discrepancy, report.exit_status) == (known, status)
 
 
@@ -892,7 +948,7 @@ def test_run_suite_redraws_a_rejected_index(monkeypatch):
         return np.array([visit(i) for i in idx.tolist()]), {"i": idx, "x": rng.uniform(size=len(idx))}
 
     def record(cfg, d):
-        return [SampleRecord({"i": i, "x": x}) for i, x in zip(d.i.tolist(), d.x.tolist())]
+        return verify._records(cfg, {"i": d.i, "x": d.x})
 
     monkeypatch.setitem(verify.SUITES, "stub", verify.Suite(draw, record, SuiteConfig(samples=6, seed=5)))
     records = run_suite("stub").records
@@ -1135,10 +1191,12 @@ def test_report_schema_validation():
 def test_report_json_encodes_complex_alone(value):
     # a complex is the one value of a report that json cannot encode
     # itself; any other such value is refused, not written as some text
-    records = [SampleRecord({"z": 0.5 - 2j}), SampleRecord({"x": value})]
-    assert '"z":{"im":-2.0,"re":0.5}' in report_to_json(VerificationReport("hand-built", SuiteConfig(), records[:1]))
+    cfg = SuiteConfig()
+    one = verify._records(cfg, {"z": np.array([0.5 - 2j])})
+    assert '"z":{"im":-2.0,"re":0.5}' in report_to_json(VerificationReport("hand-built", cfg, one))
+    both = verify._records(cfg, {"z": [0.5 - 2j, verify._ABSENT], "x": [verify._ABSENT, value]})
     with pytest.raises(TypeError):
-        report_to_json(VerificationReport("hand-built", SuiteConfig(), records))
+        report_to_json(VerificationReport("hand-built", cfg, both))
 
 
 # Every registry id at its registry defaults (seed 2024): (pass, fail,
